@@ -65,7 +65,7 @@ let crash_cmd =
   let open Ickpt_faultsim in
   let rounds_arg =
     let doc = "Mutate-and-checkpoint rounds after the base checkpoint." in
-    Arg.(value & opt int 5 & info [ "rounds" ] ~docv:"N" ~doc)
+    Arg.(value & opt (some int) None & info [ "rounds" ] ~docv:"N" ~doc)
   in
   let density_arg =
     let doc =
@@ -75,42 +75,40 @@ let crash_cmd =
     Arg.(value & opt int 2 & info [ "density" ] ~docv:"N" ~doc)
   in
   let configs_arg =
-    let doc =
-      "Config labels to sweep (substring match; default: all 18)."
-    in
+    let doc = "Labels to sweep (substring match; default: all 20)." in
     Arg.(value & pos_all string [] & info [] ~docv:"CONFIG" ~doc)
   in
   let crash rounds density labels =
     let contains hay needle =
-      let nl = String.length needle and hl = String.length hay in
-      let rec go i =
-        i + nl <= hl && (String.sub hay i nl = needle || go (i + 1))
-      in
-      nl = 0 || go 0
+      let h = String.length hay and n = String.length needle in
+      let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
+      go 0
     in
-    let configs =
-      match labels with
-      | [] -> Crash_sim.default_configs
-      | ls ->
-          List.filter
-            (fun c ->
-              List.exists (fun l -> contains c.Crash_sim.label l) ls)
-            Crash_sim.default_configs
+    let sweep w = (w.Sweep.label, fun () -> Sweep.run ~density w) in
+    let sweeps =
+      List.map
+        (fun c -> sweep (Crash_sim.workload ?rounds c))
+        Crash_sim.default_configs
+      @ [ sweep (Store_sim.workload ?rounds ());
+          sweep (Service_sim.workload ?rounds ()) ]
     in
-    if configs = [] then `Error (false, "no config matches")
-    else begin
-      let reports = Crash_sim.run_all ~rounds ~density ~configs () in
-      Crash_sim.pp_summary Format.std_formatter reports;
-      if List.for_all Crash_sim.ok reports then `Ok ()
+    let selected =
+      List.filter
+        (fun (label, _) -> labels = [] || List.exists (contains label) labels)
+        sweeps
+    in
+    if selected = [] then `Error (false, "no config matches")
+    else
+      let reports = List.map (fun (_, run) -> run ()) selected in
+      Sweep.pp_summary Format.std_formatter reports;
+      if List.for_all Sweep.ok reports then `Ok ()
       else `Error (false, "crash-consistency violations found")
-    end
   in
   let doc =
-    "sweep simulated power-loss points over checkpointing workloads and \
-     verify recovery is always prefix-consistent"
+    "sweep simulated power-loss points over the checkpoint log, the store \
+     and the service, and verify recovery is always prefix-consistent"
   in
-  Cmd.v
-    (Cmd.info "crash" ~doc)
+  Cmd.v (Cmd.info "crash" ~doc)
     Term.(ret (const crash $ rounds_arg $ density_arg $ configs_arg))
 
 let barrier_cmd =

@@ -40,64 +40,15 @@ let default_configs =
   @ [ config ~pre_torn:true Policy.Incremental_after_base;
       config ~async:true ~compact_above:3 ~pre_torn:true (Policy.Full_every 3) ]
 
-type violation = {
-  v_op : int;
-  v_byte : int;
-  v_mode : Sim.mode;
-  v_reason : string;
-}
-
-type report = {
-  r_config : config;
-  r_points : int;
-  r_runs : int;
-  r_violations : violation list;
-}
-
 (* -- The deterministic workload ----------------------------------------- *)
 
-type world = { schema : Schema.t; roots : Model.obj list; mutate : int -> unit }
+let recovered_roots m =
+  match Chain.recover (Manager.chain m) with
+  | Ok (_heap, roots) -> roots
+  | Error e -> failwith ("crash_sim: reference recovery failed: " ^ e)
 
-(* Seven objects, two classes. [mutate r] writes two globally unique values
-   (monotone in [r]), so every committed checkpoint state is pairwise
-   distinct and "recovered state = some committed state" is exactly the
-   prefix property. *)
-let make_world () =
-  let schema = Schema.create () in
-  let leaf = Schema.declare schema ~name:"Leaf" ~ints:1 ~children:0 () in
-  let pair = Schema.declare schema ~name:"Pair" ~ints:2 ~children:2 () in
-  let heap = Heap.create schema in
-  let mk_leaf v =
-    let o = Heap.alloc heap leaf in
-    o.Model.ints.(0) <- v;
-    o
-  in
-  let mk_pair a b l r =
-    let o = Heap.alloc heap pair in
-    o.Model.ints.(0) <- a;
-    o.Model.ints.(1) <- b;
-    o.Model.children.(0) <- Some l;
-    o.Model.children.(1) <- Some r;
-    o
-  in
-  let l1 = mk_leaf 1 and l2 = mk_leaf 2 and l3 = mk_leaf 3 and l4 = mk_leaf 4 in
-  let pa = mk_pair 5 6 l1 l2 in
-  let pb = mk_pair 7 8 l3 l4 in
-  let root = mk_pair 9 10 pa pb in
-  let objs = [| root; pa; pb; l1; l2; l3; l4 |] in
-  let n = Array.length objs in
-  let mutate r =
-    Barrier.set_int objs.(r mod n) 0 (1000 + (2 * r));
-    Barrier.set_int objs.((r + 3) mod n) 0 (1001 + (2 * r))
-  in
-  { schema; roots = [ root ]; mutate }
-
-(* Mutation rounds of a resumed (pre-torn) life are offset so their values
-   never collide with the pre-life's. *)
-let mutation_base cfg = if cfg.pre_torn then 10 else 0
-
-let run_workload ~vfs ~cfg ~rounds ~on_checkpoint =
-  let w = make_world () in
+let run_workload ~cfg ~rounds vfs ~commit ~base =
+  let w = Sweep.world ~offset:0 in
   let m =
     Manager.create ~vfs ~policy:cfg.policy ~async:cfg.async
       ~compact_above:cfg.compact_above w.schema ~path:log_path
@@ -107,47 +58,39 @@ let run_workload ~vfs ~cfg ~rounds ~on_checkpoint =
     (fun () ->
       ignore (Manager.checkpoint m w.roots);
       Manager.flush m;
-      on_checkpoint 0 m;
+      commit (recovered_roots m);
+      (* A pre-torn log already holds a recoverable chain, so every op is
+         fair game — including the tail truncation Manager.create
+         performs. *)
+      if not cfg.pre_torn then base ();
       for r = 1 to rounds do
-        w.mutate (mutation_base cfg + r);
+        (* A resumed (pre-torn) life's rounds are offset so their values
+           never collide with the pre-life's. *)
+        w.mutate ((if cfg.pre_torn then 10 else 0) + r);
         ignore (Manager.checkpoint m w.roots);
-        on_checkpoint r m
+        commit (recovered_roots m)
       done;
       Manager.flush m)
 
 (* -- Pre-torn seed ------------------------------------------------------- *)
 
-(* The front half of a valid segment: decodes far enough to look like a
-   checkpoint interrupted mid-append, the realistic torn tail. *)
-let garbage =
-  let seg = { Segment.kind = Segment.Full; seq = 99; roots = []; body = "torn" } in
-  let enc = Segment.encode seg in
-  String.sub enc 0 (String.length enc - 5)
-
-let pre_life vfs ~snapshot =
-  let w = make_world () in
-  let m = Manager.create ~vfs w.schema ~path:log_path in
-  ignore (Manager.checkpoint m w.roots);
-  snapshot m;
-  w.mutate 1;
-  ignore (Manager.checkpoint m w.roots);
-  snapshot m;
-  Manager.close m
-
-let seed_content ~snapshot =
-  let sim = Sim.create () in
-  pre_life (Sim.vfs sim) ~snapshot;
-  List.assoc log_path (Sim.durable sim) ^ garbage
+(* An earlier life's log (the base checkpoint and one round) followed by
+   the front half of a valid segment: it decodes far enough to look like a
+   checkpoint interrupted mid-append, the realistic torn tail. Returns the
+   seed files and the earlier life's committed states. *)
+let pre_torn_log () =
+  let sim = Sim.create () and states = ref [] in
+  run_workload ~cfg:(config Policy.Incremental_after_base) ~rounds:1
+    (Sim.vfs sim) ~commit:(fun s -> states := s :: !states) ~base:ignore;
+  let enc =
+    Segment.encode
+      { Segment.kind = Segment.Full; seq = 99; roots = []; body = "torn" }
+  in
+  let torn = String.sub enc 0 (String.length enc - 5) in
+  let log = List.assoc log_path (Sim.durable sim) ^ torn in
+  ([ (log_path, log) ], List.rev !states)
 
 (* -- The invariant check ------------------------------------------------- *)
-
-let recovered_roots m =
-  match Chain.recover (Manager.chain m) with
-  | Ok (_heap, roots) -> roots
-  | Error e -> failwith ("crash_sim: reference recovery failed: " ^ e)
-
-let roots_equal a b =
-  List.length a = List.length b && List.for_all2 Deep_eq.equal a b
 
 (* After recovering, resume on the survived log: one more checkpoint must
    itself be readable. This is where an un-truncated torn tail kills the
@@ -165,18 +108,17 @@ let second_life ~vfs ~schema roots =
       Error ("post-recovery checkpoint raised " ^ Printexc.to_string e)
   | Error e -> Error ("post-recovery recovery failed: " ^ e)
   | Ok (_heap, roots') ->
-      if roots_equal roots roots' then Ok ()
+      if Sweep.roots_equal roots roots' then Ok ()
       else Error "checkpoint appended after recovery is not readable"
 
-let check_recovery ~snapshots sim =
-  let vfs = Sim.vfs (Sim.restart sim) in
-  let world = make_world () in
+let check_recovery vfs snapshots =
+  let schema = (Sweep.world ~offset:0).schema in
   match Storage.load ~vfs log_path with
   | exception e -> Error ("Storage.load raised " ^ Printexc.to_string e)
   | { Storage.segments = []; _ } -> Error "no intact segment survived"
   | { Storage.segments; _ } -> (
       match
-        let chain = Chain.create world.schema in
+        let chain = Chain.create schema in
         List.iter (Chain.append chain) segments;
         chain
       with
@@ -186,110 +128,13 @@ let check_recovery ~snapshots sim =
           | exception e -> Error ("recovery raised " ^ Printexc.to_string e)
           | Error e -> Error ("recovery failed: " ^ e)
           | Ok (_heap, roots) ->
-              if not (List.exists (fun s -> roots_equal s roots) snapshots)
-              then Error "recovered state is not a committed checkpoint state"
-              else second_life ~vfs ~schema:world.schema roots))
+              if not (List.exists (Sweep.roots_equal roots) snapshots) then
+                Error "recovered state is not a committed checkpoint state"
+              else second_life ~vfs ~schema roots))
 
-(* -- Crash-point enumeration --------------------------------------------- *)
-
-let enumerate op_log ~from_op ~density =
-  List.concat
-    (List.mapi
-       (fun k (kind, len) ->
-         if k < from_op then []
-         else
-           let bytes =
-             if kind = "write" then
-               let interior =
-                 List.init density (fun j -> len * (j + 1) / (density + 1))
-               in
-               List.filter
-                 (fun b -> b >= 0 && b <= len)
-                 (List.sort_uniq compare ([ 0; 1; len - 1; len ] @ interior))
-             else [ 0; 1 ]
-           in
-           List.map (fun b -> (k, b)) bytes)
-       op_log)
-
-let modes = [ Sim.Torn; Sim.Drop_unsynced; Sim.Corrupt_tail ]
-
-let mode_name = function
-  | Sim.Torn -> "torn"
-  | Sim.Drop_unsynced -> "drop-unsynced"
-  | Sim.Corrupt_tail -> "corrupt-tail"
-
-let sweep ?(rounds = 5) ?(density = 2) cfg =
-  let snapshots = ref [] in
-  let snap m = snapshots := recovered_roots m :: !snapshots in
-  let seed =
-    if cfg.pre_torn then Some (seed_content ~snapshot:snap) else None
-  in
-  let make_sim fault =
-    match seed with
-    | None -> Sim.create ?fault ()
-    | Some content -> Sim.seeded ?fault [ (log_path, content) ]
-  in
-  (* Fault-free reference run: committed states + the op trace to crash. *)
-  let ref_sim = make_sim None in
-  let base_ops = ref 0 in
-  run_workload ~vfs:(Sim.vfs ref_sim) ~cfg ~rounds ~on_checkpoint:(fun r m ->
-      snap m;
-      if r = 0 then base_ops := Sim.ops ref_sim);
-  let snapshots = List.rev !snapshots in
-  (* On a fresh log the sweep starts after the base checkpoint is durable
-     (before that there is legitimately nothing to recover); a pre-torn log
-     already holds a recoverable chain, so every op is fair game — including
-     the tail truncation Manager.create performs. *)
-  let from_op = if cfg.pre_torn then 0 else !base_ops in
-  let points = enumerate (Sim.op_log ref_sim) ~from_op ~density in
-  let violations = ref [] in
-  let runs = ref 0 in
-  List.iter
-    (fun (op, byte) ->
-      List.iter
-        (fun mode ->
-          incr runs;
-          let sim = make_sim (Some (Sim.Crash_at { op; byte; mode })) in
-          (try
-             run_workload ~vfs:(Sim.vfs sim) ~cfg ~rounds
-               ~on_checkpoint:(fun _ _ -> ())
-           with Sim.Crashed | Sim.Io_error _ | Failure _ -> ());
-          match check_recovery ~snapshots sim with
-          | Ok () -> ()
-          | Error v_reason ->
-              violations :=
-                { v_op = op; v_byte = byte; v_mode = mode; v_reason }
-                :: !violations)
-        modes)
-    points;
-  { r_config = cfg;
-    r_points = List.length points;
-    r_runs = !runs;
-    r_violations = List.rev !violations }
-
-let run_all ?rounds ?density ?(configs = default_configs) () =
-  List.map (sweep ?rounds ?density) configs
-
-let ok r = r.r_violations = []
-
-let pp_violation ppf v =
-  Format.fprintf ppf "crash at op %d byte %d (%s): %s" v.v_op v.v_byte
-    (mode_name v.v_mode) v.v_reason
-
-let pp_report ppf r =
-  Format.fprintf ppf "%-40s %4d points %5d runs  %s" r.r_config.label
-    r.r_points r.r_runs
-    (if ok r then "OK"
-     else Printf.sprintf "%d VIOLATIONS" (List.length r.r_violations));
-  List.iter (fun v -> Format.fprintf ppf "@.  %a" pp_violation v) r.r_violations
-
-let pp_summary ppf reports =
-  List.iter (fun r -> Format.fprintf ppf "%a@." pp_report r) reports;
-  let bad = List.filter (fun r -> not (ok r)) reports in
-  let runs = List.fold_left (fun a r -> a + r.r_runs) 0 reports in
-  if bad = [] then
-    Format.fprintf ppf "crash sweep: %d configs, %d injected crashes, all recoveries prefix-consistent@."
-      (List.length reports) runs
-  else
-    Format.fprintf ppf "crash sweep: %d of %d configs FAILED@." (List.length bad)
-      (List.length reports)
+let workload ?(rounds = 5) cfg =
+  let seed, pre_life = if cfg.pre_torn then pre_torn_log () else ([], []) in
+  { Sweep.label = cfg.label;
+    seed;
+    run = run_workload ~cfg ~rounds;
+    check = (fun vfs snapshots -> check_recovery vfs (pre_life @ snapshots)) }

@@ -1,20 +1,11 @@
-(** The crash-consistency harness: enumerate every power-loss point of a
-    representative checkpointing run and assert the recovery invariant
-    (I7 in DESIGN.md):
-
-    {e after any crash, loading the log and recovering yields a heap
-    deeply equal to some committed checkpoint state (a prefix of the
-    history — never a later state, never garbage), recovery neither
-    raises nor returns [Error], and the recovered log accepts further
-    checkpoints that remain readable.}
-
-    For each {!config}, a fault-free reference run records the state at
-    every committed checkpoint plus the full op trace; the sweep then
-    re-runs the same deterministic workload once per (op, byte-offset,
-    {!Sim.mode}) crash point and checks recovery of the surviving bytes.
-    Configs marked [pre_torn] start from a log that already carries a torn
-    tail from an earlier life, covering the resume-after-crash path
-    (truncate, then append). *)
+(** The chain log's crash sweep, as a {!Sweep} workload: after any
+    crash, loading the log and recovering yields a heap deeply equal to
+    some committed checkpoint state (never a later state, never garbage),
+    recovery neither raises nor returns [Error], and the recovered log
+    accepts further checkpoints that remain readable. Configs marked
+    [pre_torn] start from a log that already carries a torn tail from an
+    earlier life, covering the resume-after-crash path (truncate, then
+    append). *)
 
 open Ickpt_core
 
@@ -35,32 +26,7 @@ val default_configs : config list
 (** Sync and async sinks crossed with all four {!Policy} variants, with and
     without auto-compaction, plus two pre-torn resume configs — 18 total. *)
 
-type violation = {
-  v_op : int;  (** op index the crash was injected at *)
-  v_byte : int;  (** bytes of that op applied before the power loss *)
-  v_mode : Sim.mode;
-  v_reason : string;
-}
-
-type report = {
-  r_config : config;
-  r_points : int;  (** distinct (op, byte) crash points enumerated *)
-  r_runs : int;  (** crash points × modes actually executed *)
-  r_violations : violation list;
-}
-
-val sweep : ?rounds:int -> ?density:int -> config -> report
-(** Run the sweep for one config. [rounds] (default 5) is the number of
-    mutate-and-checkpoint rounds after the base checkpoint; [density]
-    (default 2) adds that many evenly spaced interior byte offsets per
-    write op on top of the always-tested [{0; 1; len-1; len}]. *)
-
-val run_all :
-  ?rounds:int -> ?density:int -> ?configs:config list -> unit -> report list
-
-val ok : report -> bool
-
-val pp_report : Format.formatter -> report -> unit
-
-val pp_summary : Format.formatter -> report list -> unit
-(** One line per config plus a pass/fail tally; details for violations. *)
+val workload :
+  ?rounds:int -> config -> Ickpt_runtime.Model.obj list Sweep.workload
+(** [rounds] (default 5) is the number of mutate-and-checkpoint rounds
+    after the base checkpoint. *)

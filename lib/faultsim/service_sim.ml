@@ -4,15 +4,6 @@ open Ickpt_service
 
 let service_path = "ckpt.svc"
 
-type violation = {
-  v_op : int;
-  v_byte : int;
-  v_mode : Sim.mode;
-  v_reason : string;
-}
-
-type report = { r_points : int; r_runs : int; r_violations : violation list }
-
 (* -- The deterministic workload ----------------------------------------- *)
 
 (* Three tenants over two shards. "alpha" and "gamma" run byte-identical
@@ -23,74 +14,43 @@ type report = { r_points : int; r_runs : int; r_violations : violation list }
    everyone's and no accidental snapshot aliasing can mask a violation. *)
 let tenant_names = [ "alpha"; "beta"; "gamma" ]
 
-let value_offset = function "beta" -> 100_000 | _ -> 0
-
-type world = { schema : Schema.t; roots : Model.obj list; mutate : int -> unit }
-
-let make_world ~offset =
-  let schema = Schema.create () in
-  let leaf = Schema.declare schema ~name:"Leaf" ~ints:1 ~children:0 () in
-  let pair = Schema.declare schema ~name:"Pair" ~ints:2 ~children:2 () in
-  let heap = Heap.create schema in
-  let mk_leaf v =
-    let o = Heap.alloc heap leaf in
-    o.Model.ints.(0) <- v + offset;
-    o
-  in
-  let mk_pair a b l r =
-    let o = Heap.alloc heap pair in
-    o.Model.ints.(0) <- a + offset;
-    o.Model.ints.(1) <- b + offset;
-    o.Model.children.(0) <- Some l;
-    o.Model.children.(1) <- Some r;
-    o
-  in
-  let l1 = mk_leaf 1 and l2 = mk_leaf 2 and l3 = mk_leaf 3 and l4 = mk_leaf 4 in
-  let pa = mk_pair 5 6 l1 l2 in
-  let pb = mk_pair 7 8 l3 l4 in
-  let root = mk_pair 9 10 pa pb in
-  let objs = [| root; pa; pb; l1; l2; l3; l4 |] in
-  let n = Array.length objs in
-  let mutate r =
-    Barrier.set_int objs.(r mod n) 0 (offset + 1000 + (2 * r));
-    Barrier.set_int objs.((r + 3) mod n) 0 (offset + 1001 + (2 * r))
-  in
-  { schema; roots = [ root ]; mutate }
+let tenant_world name =
+  Sweep.world ~offset:(if name = "beta" then 100_000 else 0)
 
 (* Batches of three epochs; tiny chunks so crash points land inside
    multi-chunk, multi-tenant pack appends. *)
-let commit_mode =
-  Service.Group
-    { Async_writer.Batch.max_items = 3; max_bytes = max_int; linger = 0. }
-
-let records_per_chunk = 3
-
 let open_service ~vfs =
-  Service.open_ ~vfs ~shards:2 ~records_per_chunk
-    ~policy:(Policy.Full_every 3) ~commit:commit_mode ~path:service_path ()
+  Service.open_ ~vfs ~shards:2 ~records_per_chunk:3
+    ~policy:(Policy.Full_every 3)
+    ~commit:
+      (Service.Group
+         { Async_writer.Batch.max_items = 3; max_bytes = max_int; linger = 0. })
+    ~path:service_path ()
 
-(* [on_base] fires once every tenant's base epoch is durable;
-   [on_checkpoint name epoch tenant] after every checkpoint call. *)
-let run_workload ~vfs ~rounds ~on_base ~on_checkpoint =
+(* [base] fires once every tenant's base epoch is durable. *)
+let run_workload ~rounds vfs ~commit ~base =
   let svc = open_service ~vfs in
   let tens =
     List.map
       (fun name ->
-        let w = make_world ~offset:(value_offset name) in
-        let tn = Service.open_tenant svc w.schema ~name in
-        (name, tn, w))
+        let w = tenant_world name in
+        (name, Service.open_tenant svc w.schema ~name, w))
       tenant_names
   in
-  List.iter
-    (fun (name, tn, w) -> on_checkpoint name (Service.checkpoint tn w.roots) tn)
-    tens;
+  let checkpoint (name, tn, (w : Sweep.world)) =
+    let epoch = Service.checkpoint tn w.roots in
+    match Service.recover tn with
+    | Ok (_heap, roots) -> commit ((name, epoch), roots)
+    | Error e -> failwith ("service_sim: reference recovery failed: " ^ e)
+  in
+  List.iter checkpoint tens;
   Service.flush svc;
-  on_base ();
+  base ();
   for r = 1 to rounds do
     List.iter
-      (fun (name, tn, w) ->
+      (fun ((_, _, (w : Sweep.world)) as t) ->
         w.mutate r;
-        on_checkpoint name (Service.checkpoint tn w.roots) tn)
+        checkpoint t)
       tens
   done;
   Service.flush svc;
@@ -98,177 +58,70 @@ let run_workload ~vfs ~rounds ~on_base ~on_checkpoint =
 
 (* -- The invariant check ------------------------------------------------- *)
 
-let roots_equal a b =
-  List.length a = List.length b && List.for_all2 Deep_eq.equal a b
-
-let snapshot_roots tn =
-  match Service.recover tn with
-  | Ok (_heap, roots) -> roots
-  | Error e -> failwith ("service_sim: reference recovery failed: " ^ e)
-
 (* Resume every tenant on the survived store: one more mutation round and
    checkpoint per tenant must itself be restorable. *)
 let second_life ~vfs =
   match
     let svc = open_service ~vfs in
-    let ok =
-      List.for_all
-        (fun name ->
-          let w = make_world ~offset:(value_offset name) in
-          let tn = Service.open_tenant svc w.schema ~name in
-          let epoch =
-            match Service.latest_epoch tn with
-            | Some e -> e
-            | None -> failwith "no committed epoch survived"
-          in
-          let _heap, roots = Service.restore tn ~epoch in
-          List.iter (fun o -> Barrier.set_int o 0 999_983) roots;
-          let e' = Service.checkpoint tn roots in
-          Service.flush svc;
-          let _heap, roots' = Service.restore tn ~epoch:e' in
-          roots_equal roots roots')
-        tenant_names
-    in
-    Service.close svc;
-    ok
+    Fun.protect
+      ~finally:(fun () -> Service.close svc)
+      (fun () ->
+        List.for_all
+          (fun name ->
+            let tn = Service.open_tenant svc (tenant_world name).schema ~name in
+            let epoch = Option.get (Service.latest_epoch tn) in
+            let _heap, roots = Service.restore tn ~epoch in
+            List.iter (fun o -> Barrier.set_int o 0 999_983) roots;
+            let e' = Service.checkpoint tn roots in
+            Service.flush svc;
+            let _heap, roots' = Service.restore tn ~epoch:e' in
+            Sweep.roots_equal roots roots')
+          tenant_names)
   with
   | exception e ->
       Error ("post-recovery checkpoint raised " ^ Printexc.to_string e)
   | false -> Error "checkpoint appended after recovery is not restorable"
   | true -> Ok ()
 
-(* [snapshots] : (tenant name * epoch) -> committed roots. *)
-let check_recovery ~snapshots sim =
-  let vfs = Sim.vfs (Sim.restart sim) in
+(* Every tenant recovers a committed prefix of its own epochs. *)
+let check_tenant svc snapshots name =
+  let tn = Service.open_tenant svc (tenant_world name).schema ~name in
+  let committed =
+    List.filter_map
+      (fun ((n, e), roots) -> if n = name then Some (e, roots) else None)
+      snapshots
+  in
+  let restore epoch = snd (Service.restore tn ~epoch) in
+  match Service.epochs tn with
+  | [] -> Error "no committed epoch survived"
+  | epochs when epochs <> List.init (List.length epochs) Fun.id ->
+      Error "surviving epochs are not a prefix"
+  | epochs -> Sweep.check_epochs ~restore committed epochs
+
+let check_recovery vfs snapshots =
   match open_service ~vfs with
   | exception e -> Error ("Service.open_ raised " ^ Printexc.to_string e)
-  | svc -> (
-      match Service.check svc with
-      | _ :: _ as errs ->
-          Service.close svc;
-          Error ("Service.check: " ^ String.concat "; " errs)
-      | [] ->
-          let result =
-            List.fold_left
-              (fun acc name ->
-                match acc with
-                | Error _ -> acc
-                | Ok () -> (
-                    let w = make_world ~offset:(value_offset name) in
-                    let tn = Service.open_tenant svc w.schema ~name in
-                    match Service.epochs tn with
-                    | [] ->
-                        Error
-                          (Printf.sprintf
-                             "tenant %s: no committed epoch survived" name)
-                    | epochs ->
-                        if epochs <> List.init (List.length epochs) Fun.id
-                        then
-                          Error
-                            (Printf.sprintf
-                               "tenant %s: surviving epochs are not a prefix"
-                               name)
-                        else (
-                          match
-                            List.find_opt
-                              (fun e ->
-                                match List.assoc_opt (name, e) snapshots with
-                                | None -> true
-                                | Some expected ->
-                                    let _heap, roots =
-                                      Service.restore tn ~epoch:e
-                                    in
-                                    not (roots_equal expected roots))
-                              epochs
-                          with
-                          | Some e ->
-                              Error
-                                (Printf.sprintf
-                                   "tenant %s: epoch %d does not restore to \
-                                    its committed state"
-                                   name e)
-                          | None -> Ok ())))
-              (Ok ()) tenant_names
-          in
-          Service.close svc;
-          (match result with Ok () -> second_life ~vfs | e -> e))
+  | svc ->
+      let checked =
+        Fun.protect
+          ~finally:(fun () -> Service.close svc)
+          (fun () ->
+            match Service.check svc with
+            | _ :: _ as errs ->
+                Error ("Service.check: " ^ String.concat "; " errs)
+            | [] ->
+                List.fold_left
+                  (fun acc name ->
+                    Result.bind acc (fun () ->
+                        Result.map_error
+                          (Printf.sprintf "tenant %s: %s" name)
+                          (check_tenant svc snapshots name)))
+                  (Ok ()) tenant_names)
+      in
+      Result.bind checked (fun () -> second_life ~vfs)
 
-(* -- Crash-point enumeration --------------------------------------------- *)
-
-let enumerate op_log ~from_op ~density =
-  List.concat
-    (List.mapi
-       (fun k (kind, len) ->
-         if k < from_op then []
-         else
-           let bytes =
-             if kind = "write" then
-               let interior =
-                 List.init density (fun j -> len * (j + 1) / (density + 1))
-               in
-               List.filter
-                 (fun b -> b >= 0 && b <= len)
-                 (List.sort_uniq compare ([ 0; 1; len - 1; len ] @ interior))
-             else [ 0; 1 ]
-           in
-           List.map (fun b -> (k, b)) bytes)
-       op_log)
-
-let modes = [ Sim.Torn; Sim.Drop_unsynced; Sim.Corrupt_tail ]
-
-let mode_name = function
-  | Sim.Torn -> "torn"
-  | Sim.Drop_unsynced -> "drop-unsynced"
-  | Sim.Corrupt_tail -> "corrupt-tail"
-
-let sweep ?(rounds = 4) ?(density = 2) () =
-  (* Fault-free reference: per-(tenant, epoch) committed states + op
-     trace. The sweep starts once every tenant's base epoch is durable;
-     before that there is legitimately nothing to recover. *)
-  let ref_sim = Sim.create () in
-  let snapshots = ref [] in
-  let base_ops = ref 0 in
-  run_workload ~vfs:(Sim.vfs ref_sim) ~rounds
-    ~on_base:(fun () -> base_ops := Sim.ops ref_sim)
-    ~on_checkpoint:(fun name epoch tn ->
-      snapshots := ((name, epoch), snapshot_roots tn) :: !snapshots);
-  let snapshots = List.rev !snapshots in
-  let points = enumerate (Sim.op_log ref_sim) ~from_op:!base_ops ~density in
-  let violations = ref [] in
-  let runs = ref 0 in
-  List.iter
-    (fun (op, byte) ->
-      List.iter
-        (fun mode ->
-          incr runs;
-          let sim = Sim.create ~fault:(Sim.Crash_at { op; byte; mode }) () in
-          (try
-             run_workload ~vfs:(Sim.vfs sim) ~rounds
-               ~on_base:(fun () -> ())
-               ~on_checkpoint:(fun _ _ _ -> ())
-           with
-          | Sim.Crashed | Sim.Io_error _ | Failure _ | Service.Error _ -> ());
-          match check_recovery ~snapshots sim with
-          | Ok () -> ()
-          | Error v_reason ->
-              violations :=
-                { v_op = op; v_byte = byte; v_mode = mode; v_reason }
-                :: !violations)
-        modes)
-    points;
-  { r_points = List.length points;
-    r_runs = !runs;
-    r_violations = List.rev !violations }
-
-let ok r = r.r_violations = []
-
-let pp_violation ppf v =
-  Format.fprintf ppf "crash at op %d byte %d (%s): %s" v.v_op v.v_byte
-    (mode_name v.v_mode) v.v_reason
-
-let pp_report ppf r =
-  Format.fprintf ppf "service sweep: %4d points %5d runs  %s" r.r_points
-    r.r_runs
-    (if ok r then "OK"
-     else Printf.sprintf "%d VIOLATIONS" (List.length r.r_violations));
-  List.iter (fun v -> Format.fprintf ppf "@.  %a" pp_violation v) r.r_violations
+let workload ?(rounds = 4) () =
+  { Sweep.label = "service";
+    seed = [];
+    run = run_workload ~rounds;
+    check = check_recovery }

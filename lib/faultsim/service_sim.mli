@@ -1,33 +1,19 @@
-(** Every-byte power-loss sweep of the multi-tenant service's group-commit
-    path — invariant I7 extended to shared storage: after a crash at any
-    byte of any operation, {e every} tenant independently recovers to a
-    committed prefix of its own epochs, each restoring byte-identically to
-    its committed state, and a crash mid-batch never orphans a {e
-    different} tenant's committed epoch.
+(** The multi-tenant service's crash sweep of its group-commit path —
+    invariant I7 extended to shared storage, as a {!Sweep} workload:
+    after a crash at any byte of any operation, {e every} tenant
+    independently recovers to a committed prefix of its own epochs, each
+    restoring byte-identically to its committed state, and a crash
+    mid-batch never orphans a {e different} tenant's committed epoch.
 
     The workload runs three tenants (two byte-identical, so the shared
     pack genuinely dedups across them) over two shards in the
     deterministic inline group-commit mode ([Service.Group], batches of
     three) — no drain threads, so the op trace is reproducible and the
-    sweep exhaustive, exactly like {!Store_sim}. *)
+    sweep exhaustive. *)
 
-type violation = {
-  v_op : int;
-  v_byte : int;
-  v_mode : Sim.mode;
-  v_reason : string;
-}
-
-type report = { r_points : int; r_runs : int; r_violations : violation list }
-
-val sweep : ?rounds:int -> ?density:int -> unit -> report
-(** Reference run (capturing each tenant's committed state at every epoch),
-    then one crashed run per (op, byte, mode) point. [rounds] (default 4)
-    mutation rounds after the base epochs; [density] (default 2) interior
-    crash points per write. *)
-
-val ok : report -> bool
-
-val pp_violation : Format.formatter -> violation -> unit
-
-val pp_report : Format.formatter -> report -> unit
+val workload :
+  ?rounds:int ->
+  unit ->
+  ((string * int) * Ickpt_runtime.Model.obj list) Sweep.workload
+(** Labelled ["service"]. [rounds] (default 4) mutation rounds after the
+    base epochs; each committed state is ((tenant, epoch), roots). *)

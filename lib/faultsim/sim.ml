@@ -6,6 +6,15 @@ exception Io_error of string
 
 type mode = Torn | Drop_unsynced | Corrupt_tail
 
+let modes = [ Torn; Drop_unsynced; Corrupt_tail ]
+
+let pp_mode ppf m =
+  Format.pp_print_string ppf
+    (match m with
+    | Torn -> "torn"
+    | Drop_unsynced -> "drop-unsynced"
+    | Corrupt_tail -> "corrupt-tail")
+
 type fault =
   | No_fault
   | Crash_at of { op : int; byte : int; mode : mode }

@@ -34,6 +34,12 @@ type mode =
   | Drop_unsynced  (** everything after the last [sync] is lost *)
   | Corrupt_tail  (** like [Torn], but one unsynced byte is flipped *)
 
+val modes : mode list
+(** Every {!mode}, in declaration order. *)
+
+val pp_mode : Format.formatter -> mode -> unit
+(** ["torn"], ["drop-unsynced"] or ["corrupt-tail"]. *)
+
 type fault =
   | No_fault
   | Crash_at of { op : int; byte : int; mode : mode }

@@ -4,215 +4,78 @@ open Ickpt_cas
 
 let store_path = "ckpt.store"
 
-type violation = {
-  v_op : int;
-  v_byte : int;
-  v_mode : Sim.mode;
-  v_reason : string;
-}
-
-type report = { r_points : int; r_runs : int; r_violations : violation list }
-
 (* -- The deterministic workload ----------------------------------------- *)
-
-(* Same seven-object world as Crash_sim: every mutation round writes
-   globally unique values, so each epoch's committed state is pairwise
-   distinct and "every surviving epoch restores to its committed state" is
-   exactly the prefix property. *)
-type world = { schema : Schema.t; roots : Model.obj list; mutate : int -> unit }
-
-let make_world () =
-  let schema = Schema.create () in
-  let leaf = Schema.declare schema ~name:"Leaf" ~ints:1 ~children:0 () in
-  let pair = Schema.declare schema ~name:"Pair" ~ints:2 ~children:2 () in
-  let heap = Heap.create schema in
-  let mk_leaf v =
-    let o = Heap.alloc heap leaf in
-    o.Model.ints.(0) <- v;
-    o
-  in
-  let mk_pair a b l r =
-    let o = Heap.alloc heap pair in
-    o.Model.ints.(0) <- a;
-    o.Model.ints.(1) <- b;
-    o.Model.children.(0) <- Some l;
-    o.Model.children.(1) <- Some r;
-    o
-  in
-  let l1 = mk_leaf 1 and l2 = mk_leaf 2 and l3 = mk_leaf 3 and l4 = mk_leaf 4 in
-  let pa = mk_pair 5 6 l1 l2 in
-  let pb = mk_pair 7 8 l3 l4 in
-  let root = mk_pair 9 10 pa pb in
-  let objs = [| root; pa; pb; l1; l2; l3; l4 |] in
-  let n = Array.length objs in
-  let mutate r =
-    Barrier.set_int objs.(r mod n) 0 (1000 + (2 * r));
-    Barrier.set_int objs.((r + 3) mod n) 0 (1001 + (2 * r))
-  in
-  { schema; roots = [ root ]; mutate }
-
-let gc_after_round = 3
-
-let gc_retain = Store.Keep_last 3
 
 (* Tiny chunks so a single epoch spans several of them and crash points
    land inside multi-chunk pack appends. *)
 let records_per_chunk = 3
 
-let run_workload ~vfs ~rounds ~on_checkpoint =
-  let w = make_world () in
+(* Committed state of an epoch, captured on the fault-free run by
+   materializing from the manager's chain (a fresh heap, immune to later
+   mutation of the live one). *)
+let snapshot m =
+  match Chain.recover (Manager.chain m) with
+  | Ok (_heap, roots) -> (Chain.next_seq (Manager.chain m) - 1, roots)
+  | Error e -> failwith ("store_sim: reference recovery failed: " ^ e)
+
+let run_workload ~rounds vfs ~commit ~base =
+  let w = Sweep.world ~offset:0 in
   let store = Store.open_ ~vfs ~records_per_chunk w.schema ~path:store_path in
   let m =
     Manager.create ~vfs ~policy:(Policy.Full_every 3)
       ~sink:(Store.manager_sink store) w.schema ~path:store_path
   in
   ignore (Manager.checkpoint m w.roots);
-  on_checkpoint 0 m;
+  commit (snapshot m);
+  base ();
   for r = 1 to rounds do
     w.mutate r;
     ignore (Manager.checkpoint m w.roots);
-    on_checkpoint r m;
-    if r = gc_after_round then ignore (Store.gc store ~retain:gc_retain)
+    commit (snapshot m);
+    if r = 3 then ignore (Store.gc store ~retain:(Store.Keep_last 3))
   done
 
 (* -- The invariant check ------------------------------------------------- *)
-
-let roots_equal a b =
-  List.length a = List.length b && List.for_all2 Deep_eq.equal a b
-
-(* Committed state of an epoch, captured on the fault-free run by
-   materializing from the manager's chain (a fresh heap, immune to later
-   mutation of the live one). *)
-let snapshot_roots m =
-  match Chain.recover (Manager.chain m) with
-  | Ok (_heap, roots) -> roots
-  | Error e -> failwith ("store_sim: reference recovery failed: " ^ e)
 
 (* Resume on the survived store: one more checkpoint must itself be
    restorable. Exercises sink_resume on a post-crash store. *)
 let second_life ~vfs ~schema =
   match
     let store = Store.open_ ~vfs ~records_per_chunk schema ~path:store_path in
-    let _heap, roots =
-      Store.restore store ~epoch:(Option.get (Store.latest_epoch store))
+    let latest () =
+      snd (Store.restore store ~epoch:(Option.get (Store.latest_epoch store)))
     in
+    let roots = latest () in
     let m =
       Manager.create ~vfs ~sink:(Store.manager_sink store) schema
         ~path:store_path
     in
     List.iter (fun o -> Barrier.set_int o 0 999_983) roots;
     ignore (Manager.checkpoint m roots);
-    let _heap, roots' =
-      Store.restore store ~epoch:(Option.get (Store.latest_epoch store))
-    in
-    roots_equal roots roots'
+    Sweep.roots_equal roots (latest ())
   with
   | exception e ->
       Error ("post-recovery checkpoint raised " ^ Printexc.to_string e)
   | false -> Error "checkpoint appended after recovery is not restorable"
   | true -> Ok ()
 
-let check_recovery ~snapshots sim =
-  let vfs = Sim.vfs (Sim.restart sim) in
-  let w = make_world () in
-  match Store.open_ ~vfs ~records_per_chunk w.schema ~path:store_path with
+let check_recovery vfs snapshots =
+  let schema = (Sweep.world ~offset:0).schema in
+  match Store.open_ ~vfs ~records_per_chunk schema ~path:store_path with
   | exception e -> Error ("Store.open_ raised " ^ Printexc.to_string e)
   | store -> (
       match Store.check store with
-      | _ :: _ as errs ->
-          Error ("Store.check: " ^ String.concat "; " errs)
+      | _ :: _ as errs -> Error ("Store.check: " ^ String.concat "; " errs)
       | [] -> (
           match Store.epochs store with
           | [] -> Error "no committed epoch survived"
-          | epochs -> (
-              match
-                List.find_opt
-                  (fun e ->
-                    match List.assoc_opt e snapshots with
-                    | None -> true
-                    | Some expected ->
-                        let _heap, roots = Store.restore store ~epoch:e in
-                        not (roots_equal expected roots))
-                  epochs
-              with
-              | Some e ->
-                  Error
-                    (Printf.sprintf
-                       "epoch %d does not restore to its committed state" e)
-              | None -> second_life ~vfs ~schema:w.schema)))
+          | epochs ->
+              let restore epoch = snd (Store.restore store ~epoch) in
+              Result.bind (Sweep.check_epochs ~restore snapshots epochs)
+                (fun () -> second_life ~vfs ~schema)))
 
-(* -- Crash-point enumeration --------------------------------------------- *)
-
-let enumerate op_log ~from_op ~density =
-  List.concat
-    (List.mapi
-       (fun k (kind, len) ->
-         if k < from_op then []
-         else
-           let bytes =
-             if kind = "write" then
-               let interior =
-                 List.init density (fun j -> len * (j + 1) / (density + 1))
-               in
-               List.filter
-                 (fun b -> b >= 0 && b <= len)
-                 (List.sort_uniq compare ([ 0; 1; len - 1; len ] @ interior))
-             else [ 0; 1 ]
-           in
-           List.map (fun b -> (k, b)) bytes)
-       op_log)
-
-let modes = [ Sim.Torn; Sim.Drop_unsynced; Sim.Corrupt_tail ]
-
-let mode_name = function
-  | Sim.Torn -> "torn"
-  | Sim.Drop_unsynced -> "drop-unsynced"
-  | Sim.Corrupt_tail -> "corrupt-tail"
-
-let sweep ?(rounds = 5) ?(density = 2) () =
-  (* Fault-free reference run: per-epoch committed states + the op trace. *)
-  let ref_sim = Sim.create () in
-  let snapshots = ref [] in
-  let base_ops = ref 0 in
-  run_workload ~vfs:(Sim.vfs ref_sim) ~rounds ~on_checkpoint:(fun r m ->
-      let epoch = Chain.next_seq (Manager.chain m) - 1 in
-      snapshots := (epoch, snapshot_roots m) :: !snapshots;
-      if r = 0 then base_ops := Sim.ops ref_sim);
-  let snapshots = List.rev !snapshots in
-  (* The sweep starts once the base epoch is durable; before that there is
-     legitimately nothing to recover. *)
-  let points = enumerate (Sim.op_log ref_sim) ~from_op:!base_ops ~density in
-  let violations = ref [] in
-  let runs = ref 0 in
-  List.iter
-    (fun (op, byte) ->
-      List.iter
-        (fun mode ->
-          incr runs;
-          let sim = Sim.create ~fault:(Sim.Crash_at { op; byte; mode }) () in
-          (try
-             run_workload ~vfs:(Sim.vfs sim) ~rounds ~on_checkpoint:(fun _ _ -> ())
-           with Sim.Crashed | Sim.Io_error _ | Failure _ -> ());
-          match check_recovery ~snapshots sim with
-          | Ok () -> ()
-          | Error v_reason ->
-              violations :=
-                { v_op = op; v_byte = byte; v_mode = mode; v_reason }
-                :: !violations)
-        modes)
-    points;
-  { r_points = List.length points;
-    r_runs = !runs;
-    r_violations = List.rev !violations }
-
-let ok r = r.r_violations = []
-
-let pp_violation ppf v =
-  Format.fprintf ppf "crash at op %d byte %d (%s): %s" v.v_op v.v_byte
-    (mode_name v.v_mode) v.v_reason
-
-let pp_report ppf r =
-  Format.fprintf ppf "store sweep: %4d points %5d runs  %s" r.r_points r.r_runs
-    (if ok r then "OK"
-     else Printf.sprintf "%d VIOLATIONS" (List.length r.r_violations));
-  List.iter (fun v -> Format.fprintf ppf "@.  %a" pp_violation v) r.r_violations
+let workload ?(rounds = 5) () =
+  { Sweep.label = "store";
+    seed = [];
+    run = run_workload ~rounds;
+    check = check_recovery }

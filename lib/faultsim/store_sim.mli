@@ -1,33 +1,19 @@
-(** Crash sweep for the content-addressed store: invariant I7 extended to
-    the pack + epoch-index pair (see DESIGN.md §8).
+(** The content-addressed store's crash sweep: invariant I7 extended to
+    the pack + epoch-index pair (see DESIGN.md §8), as a {!Sweep}
+    workload.
 
-    A deterministic store-backed workload (checkpoints through
-    [Manager.create ?sink] plus a mid-run [Store.gc]) is run fault-free to
-    collect the op trace and the committed state of every epoch; then the
-    machine is killed at every byte of every vfs op, in each torn-tail
-    mode, and after each crash the store must:
+    The workload checkpoints through [Manager.create ?sink] with a
+    mid-run [Store.gc]. After each crash the store must:
 
     - reopen without raising;
     - pass [Store.check] (contiguous epochs, refcounts consistent,
       every referenced chunk present and content-verified);
-    - hold a committed epoch prefix: every surviving epoch restores to
-      exactly the state committed for that epoch in the reference run;
+    - hold a committed epoch prefix: every surviving epoch was committed
+      and restores to exactly its state in the reference run;
     - accept a post-recovery checkpoint that is itself restorable
       (the "second life"). *)
 
-type violation = {
-  v_op : int;
-  v_byte : int;
-  v_mode : Sim.mode;
-  v_reason : string;
-}
-
-type report = { r_points : int; r_runs : int; r_violations : violation list }
-
-val sweep : ?rounds:int -> ?density:int -> unit -> report
-(** [rounds] checkpoints after the base one (default 5, with a GC after
-    round 3); [density] interior crash points per write op (default 2). *)
-
-val ok : report -> bool
-
-val pp_report : Format.formatter -> report -> unit
+val workload :
+  ?rounds:int -> unit -> (int * Ickpt_runtime.Model.obj list) Sweep.workload
+(** Labelled ["store"]. [rounds] checkpoints after the base one (default
+    5, with a GC after round 3); each committed state is (epoch, roots). *)

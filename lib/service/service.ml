@@ -161,6 +161,9 @@ let load_meta vfs path =
       let crc = In_stream.read_fixed32 inp in
       if crc <> Crc32.sub raw ~pos:0 ~len:body_end then
         raise (In_stream.Corrupt "meta crc mismatch");
+      if shards < 1 || records_per_chunk < 1 then
+        error "%s: corrupt meta (shards %d, records_per_chunk %d)" path shards
+          records_per_chunk;
       (shards, records_per_chunk)
     with
     | meta -> Some meta

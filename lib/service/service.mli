@@ -35,8 +35,8 @@
     epochs are synced before the index batch is appended in one write +
     one sync, so a power loss mid-batch truncates whole index entries off
     the tail and every tenant independently recovers to a committed prefix
-    of its own epochs — invariant I7, extended; swept by
-    [Ickpt_faultsim.Service_sim].
+    of its own epochs — invariant I7, extended; swept by the
+    [Ickpt_faultsim.Service_sim] workload of [Ickpt_faultsim.Sweep].
 
     Thread-safety: one global lock serializes pack access and commits;
     chunk splitting (the CPU-heavy part) happens outside it on the calling
@@ -86,7 +86,9 @@ val open_ :
     incremental per tenant; [commit] defaults to {!Per_epoch}. Reopening
     truncates torn shard-index tails and validates every surviving entry
     (per-tenant contiguity, chunks present), truncating each shard at its
-    first invalid entry. *)
+    first invalid entry.
+    @raise Error if an intact meta file holds a shard count or
+    [records_per_chunk] below 1. *)
 
 val open_tenant : t -> Schema.t -> name:string -> tenant
 (** Open (creating or resuming) the tenant called [name]. Resuming

@@ -13,8 +13,8 @@
     correctness — the next {!gc} reclaims them); a crash inside either
     append leaves a torn tail that reopening truncates. So after a crash
     at {e any} byte of {e any} operation the store reopens to a committed
-    epoch prefix — the extension of invariant I7 exercised by
-    [Ickpt_faultsim.Store_sim].
+    epoch prefix — the extension of invariant I7 exercised by the
+    [Ickpt_faultsim.Store_sim] workload of [Ickpt_faultsim.Sweep].
 
     {!gc} rewrites both files through staged temps and commits by renaming
     the {e index first}: every chunk referenced by the old index is also in

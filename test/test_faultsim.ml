@@ -292,24 +292,65 @@ let fuzz_decode_garbage =
 
 (* ------------------------------------------------------------------ *)
 (* The sweep itself, on a small config subset (the full 18-config sweep
-   runs under the @crash alias).                                       *)
+   runs under the @crash alias). The tallies are exact: a driver change
+   that silently drops crash points fails here.                        *)
+
+let check_tally (r : Sweep.report) ~points ~runs =
+  if not (Sweep.ok r) then
+    Alcotest.failf "crash sweep violations:@.%a" Sweep.pp_report r;
+  Alcotest.(check (pair int int))
+    (r.r_label ^ ": points, runs") (points, runs) (r.r_points, r.r_runs)
 
 let sweep_smoke () =
-  let configs =
-    [ Crash_sim.config Policy.Incremental_after_base;
-      Crash_sim.config ~async:true ~compact_above:3 (Policy.Full_every 2);
-      Crash_sim.config ~pre_torn:true Policy.Incremental_after_base ]
-  in
   List.iter
-    (fun cfg ->
-      let r = Crash_sim.sweep ~rounds:3 ~density:0 cfg in
-      if not (Crash_sim.ok r) then
-        Alcotest.failf "crash sweep violations:@.%a" Crash_sim.pp_report r;
-      Alcotest.(check bool)
-        (cfg.Crash_sim.label ^ ": sweep injected crashes")
-        true
-        (r.Crash_sim.r_runs > 0))
-    configs
+    (fun (cfg, points, runs) ->
+      check_tally
+        (Sweep.run ~density:0 (Crash_sim.workload ~rounds:3 cfg))
+        ~points ~runs)
+    [ (Crash_sim.config Policy.Incremental_after_base, 18, 54);
+      ( Crash_sim.config ~async:true ~compact_above:3 (Policy.Full_every 2),
+        26,
+        78 );
+      (Crash_sim.config ~pre_torn:true Policy.Incremental_after_base, 26, 78) ]
+
+(* A fake workload: a log of one-byte records, each "committed" once
+   written, with or without a sync. Recovery keeps the longest committed
+   state the surviving file starts with, so only durability is judged. *)
+let byte_log ~sync =
+  { Sweep.label = (if sync then "byte-log/sync" else "byte-log/no-sync");
+    seed = [];
+    run =
+      (fun vfs ~commit ~base ->
+        let w = vfs.Vfs.open_append log in
+        let state = ref "" in
+        List.iter
+          (fun r ->
+            w.Vfs.write r;
+            if sync then w.Vfs.sync ();
+            state := !state ^ r;
+            commit !state;
+            if r = "a" then base ())
+          [ "a"; "b"; "c" ]);
+    check =
+      (fun vfs committed ->
+        let got = if vfs.Vfs.exists log then vfs.Vfs.read_file log else "" in
+        if List.exists (fun prefix -> String.starts_with ~prefix got) committed
+        then Ok ()
+        else Error "no committed state survived") }
+
+(* The driver gates: a commit that never syncs loses every committed
+   state once unsynced bytes are dropped, and the sweep reports it. *)
+let sweep_catches_unsynced_commit () =
+  check_tally (Sweep.run (byte_log ~sync:true)) ~points:8 ~runs:24;
+  let r = Sweep.run (byte_log ~sync:false) in
+  Alcotest.(check bool) "unsynced commit is a violation" false (Sweep.ok r);
+  Alcotest.(check bool)
+    "every drop-unsynced crash is caught" true
+    (List.length
+       (List.filter
+          (fun v -> v.Sweep.v_mode = Sim.Drop_unsynced)
+          r.Sweep.r_violations)
+    = r.Sweep.r_points)
 
 let suites =
   [ ( "faultsim.sim",
@@ -329,4 +370,6 @@ let suites =
         QCheck_alcotest.to_alcotest fuzz_decode_all;
         QCheck_alcotest.to_alcotest fuzz_decode_garbage ] );
     ( "faultsim.sweep",
-      [ Alcotest.test_case "smoke (3 configs)" `Quick sweep_smoke ] ) ]
+      [ Alcotest.test_case "smoke (3 configs)" `Quick sweep_smoke;
+        Alcotest.test_case "catches an unsynced commit" `Quick
+          sweep_catches_unsynced_commit ] ) ]

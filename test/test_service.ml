@@ -500,15 +500,47 @@ let prop_interleaving =
 
 (* ------------------------------------------------------------------ *)
 (* Crash sweep smoke (the full sweep runs under @crash, like the store
-   one; here a reduced-density pass).                                  *)
+   one; here a reduced-density pass with exact tallies).               *)
 
 let sweep_smoke () =
-  let r = Service_sim.sweep ~rounds:4 ~density:1 () in
-  if not (Service_sim.ok r) then Alcotest.failf "%a" Service_sim.pp_report r;
-  check_bool
-    (Printf.sprintf "swept a real number of points (%d)" r.Service_sim.r_points)
-    true
-    (r.Service_sim.r_points > 50)
+  let r = Sweep.run ~density:1 (Service_sim.workload ~rounds:4 ()) in
+  if not (Sweep.ok r) then Alcotest.failf "%a" Sweep.pp_report r;
+  Alcotest.(check (pair int int))
+    "exact points, runs" (63, 189) (r.Sweep.r_points, r.Sweep.r_runs)
+
+(* ------------------------------------------------------------------ *)
+(* A CRC-valid meta file with hostile values is a typed error, not a
+   zero-shard service (or an Array.init crash).                        *)
+
+let hostile_meta () =
+  let path = "svc" in
+  let genuine =
+    let sim = Sim.create () in
+    Service.close (Service.open_ ~vfs:(Sim.vfs sim) ~path ());
+    List.assoc (Service.meta_path path) (Sim.durable sim)
+  in
+  let meta ~shards ~records_per_chunk =
+    (* The genuine magic and version, hostile values, a valid CRC. *)
+    let d = Out_stream.create () in
+    let inp = In_stream.of_string_at genuine ~pos:0 in
+    Out_stream.write_fixed32 d (In_stream.read_fixed32 inp);
+    Out_stream.write_byte d (In_stream.read_byte inp);
+    Out_stream.write_int d shards;
+    Out_stream.write_int d records_per_chunk;
+    Out_stream.write_fixed32 d (Crc32.string (Out_stream.contents d));
+    Out_stream.contents d
+  in
+  List.iter
+    (fun (shards, records_per_chunk) ->
+      let sim =
+        Sim.seeded [ (Service.meta_path path, meta ~shards ~records_per_chunk) ]
+      in
+      match Service.open_ ~vfs:(Sim.vfs sim) ~path () with
+      | _ ->
+          Alcotest.failf "meta with shards %d, records_per_chunk %d opened"
+            shards records_per_chunk
+      | exception Service.Error _ -> ())
+    [ (0, 4); (-3, 4); (2, 0); (2, -1) ]
 
 let suites =
   [ ( "service.shard",
@@ -526,4 +558,6 @@ let suites =
     ( "service.property",
       [ QCheck_alcotest.to_alcotest prop_interleaving ] );
     ( "service.sweep",
-      [ Alcotest.test_case "smoke" `Quick sweep_smoke ] ) ]
+      [ Alcotest.test_case "smoke" `Quick sweep_smoke ] );
+    ( "service.meta",
+      [ Alcotest.test_case "hostile values rejected" `Quick hostile_meta ] ) ]

@@ -572,10 +572,10 @@ let stale_temp_sweep () =
 (* The crash sweep (extended invariant I7).                           *)
 
 let store_sweep_smoke () =
-  let r = Store_sim.sweep ~rounds:4 ~density:1 () in
-  if not (Store_sim.ok r) then
-    Alcotest.failf "%a" Store_sim.pp_report r;
-  check_bool "swept a real number of points" true (r.Store_sim.r_points > 50)
+  let r = Sweep.run ~density:1 (Store_sim.workload ~rounds:4 ()) in
+  if not (Sweep.ok r) then Alcotest.failf "%a" Sweep.pp_report r;
+  Alcotest.(check (pair int int))
+    "exact points, runs" (56, 168) (r.Sweep.r_points, r.Sweep.r_runs)
 
 (* ------------------------------------------------------------------ *)
 (* QCheck satellite: random synth heaps, all four policies.           *)
