@@ -111,16 +111,22 @@ let guard_visits_drop () =
 
 (* ---- differential oracle -------------------------------------------------- *)
 
-let oracle_outcome name program =
+(* The I8 tallies are exact: the engine runs are deterministic, so any
+   drift in what the oracle decodes is a behaviour change, not noise. *)
+let oracle_outcome name program ~cells ~segments =
   let o = Elide_oracle.run ~name program in
   if not (Elide_oracle.ok o) then
     Alcotest.failf "oracle failed:@\n%a" Elide_oracle.pp o;
-  check_bool (name ^ ": segments decoded") true (o.Elide_oracle.segments_checked > 0);
-  check_bool (name ^ ": dirty cells observed") true (o.Elide_oracle.dirty_cells > 0)
+  check_int (name ^ ": segments decoded") segments o.Elide_oracle.segments_checked;
+  check_int (name ^ ": dirty cells observed") cells o.Elide_oracle.dirty_cells
+
+let builtin_tallies = [ ("image", (2299, 9)); ("small", (49, 7)) ]
 
 let oracle_builtin () =
   List.iter
-    (fun (name, program) -> oracle_outcome name program)
+    (fun (name, program) ->
+      let cells, segments = List.assoc name builtin_tallies in
+      oracle_outcome name program ~cells ~segments)
     (Elide_oracle.builtin_workloads ())
 
 (* The example mini-C workloads, declared as dune deps of the test so
@@ -139,7 +145,7 @@ let example_path file =
 
 let oracle_examples () =
   List.iter
-    (fun file ->
+    (fun (file, (cells, segments)) ->
       let path = example_path file in
       let ic = open_in_bin path in
       let src =
@@ -147,8 +153,8 @@ let oracle_examples () =
           ~finally:(fun () -> close_in ic)
           (fun () -> really_input_string ic (in_channel_length ic))
       in
-      oracle_outcome file (Minic.Parser.parse src))
-    [ "blur.mc"; "histogram.mc" ]
+      oracle_outcome file (Minic.Parser.parse src) ~cells ~segments)
+    [ ("blur.mc", (112, 7)); ("histogram.mc", (111, 8)) ]
 
 let suites =
   [ ( "barrier-elide",

@@ -158,7 +158,7 @@ let engine_infer_state () =
 
 (* ---- the differential oracle over the example workloads -------------------- *)
 
-let oracle_outcome name o =
+let oracle_outcome name o ~cells ~segments =
   check_bool (name ^ " incremental chains identical") true
     o.Elide_oracle.identical_incremental;
   check_bool (name ^ " specialized chains identical") true
@@ -166,15 +166,19 @@ let oracle_outcome name o =
   check_bool (name ^ " cross-mode chains identical") true
     o.Elide_oracle.identical_cross_mode;
   check_int (name ^ " I8 violations") 0 (List.length o.Elide_oracle.violations);
-  check_bool (name ^ " observed dirty cells") true
-    (o.Elide_oracle.dirty_cells > 0)
+  check_int (name ^ " observed dirty cells") cells o.Elide_oracle.dirty_cells;
+  check_int (name ^ " segments decoded") segments
+    o.Elide_oracle.segments_checked
 
 let oracle_examples_inferred () =
   List.iter
-    (fun file ->
-      oracle_outcome file
+    (fun (file, (cells, segments)) ->
+      oracle_outcome file ~cells ~segments
         (Elide_oracle.run_inferred ~name:file (example_program file)))
-    [ "blur.mc"; "histogram.mc"; "pagerank.mc"; "kvlog.mc" ]
+    [ ("blur.mc", (58, 7));
+      ("histogram.mc", (10, 1));
+      ("pagerank.mc", (57, 13));
+      ("kvlog.mc", (108, 15)) ]
 
 (* ---- random programs: I8 + byte identity, zero declarations ---------------- *)
 

@@ -195,27 +195,40 @@ let minimize_requires_specialized () =
 
 (* ---- restore-equivalence oracle -------------------------------------------- *)
 
+(* Exact tallies per workload — (epochs, live cells, resumes, reads),
+   then (baseline, minimized) incremental bytes: the oracle is
+   deterministic, so a drift in any count is a behaviour change. *)
+let live_tallies =
+  [ ("blur.mc", ((7, 528, 7, 354), (573, 330)));
+    ("histogram.mc", ((1, 0, 1, 0), (151, 0)));
+    ("pagerank.mc", ((13, 1572, 13, 1292), (570, 363)));
+    ("kvlog.mc", ((15, 84, 15, 65), (1552, 225))) ]
+
 let oracle_examples () =
   List.iter
-    (fun file ->
+    (fun (file, ((epochs, cells, resumes, reads), (base, min))) ->
       let o = Elide_oracle.run_live ~name:file (example_program file) in
       check_bool
         (Format.asprintf "%s restore-equivalent:@ %a" file Elide_oracle.pp_live
            o)
         true
         (Elide_oracle.live_ok o);
-      check_bool
-        (Printf.sprintf "%s minimized chain no larger" file)
-        true
-        (o.Elide_oracle.lw_minimized_bytes <= o.Elide_oracle.lw_baseline_bytes))
-    [ "blur.mc"; "histogram.mc"; "pagerank.mc"; "kvlog.mc" ]
+      check_int (file ^ " epochs") epochs o.Elide_oracle.lw_epochs;
+      check_int (file ^ " live cells") cells o.Elide_oracle.lw_live_cells;
+      check_int (file ^ " resumes") resumes o.Elide_oracle.lw_resumes;
+      check_int (file ^ " reads") reads o.Elide_oracle.lw_reads_checked;
+      check_int (file ^ " baseline bytes") base
+        o.Elide_oracle.lw_baseline_bytes;
+      check_int (file ^ " minimized bytes") min
+        o.Elide_oracle.lw_minimized_bytes)
+    live_tallies
 
 (* The seeded mis-minimization must stay invisible to the static layer
    (no Error finding) and be caught by the dynamic oracle — proving the
    oracle, not the static analysis, gates this transformation. *)
 let seeded_dead_caught_dynamically () =
   List.iter
-    (fun file ->
+    (fun (file, failures) ->
       let t =
         As.infer ~seed_dead:true
           (Minic.Check.check (example_program file))
@@ -229,8 +242,25 @@ let seeded_dead_caught_dynamically () =
           (example_program file)
       in
       check_bool (Printf.sprintf "%s: oracle flags the seeded run" file) false
-        (Elide_oracle.live_ok o))
-    [ "blur.mc"; "kvlog.mc" ]
+        (Elide_oracle.live_ok o);
+      Option.iter
+        (fun n ->
+          check_int (file ^ " seeded failures") n
+            (List.length o.Elide_oracle.lw_failures))
+        failures)
+    [ ("blur.mc", Some 60); ("pagerank.mc", Some 122); ("kvlog.mc", None) ];
+  let o =
+    Elide_oracle.run_live ~seed_unsound:true ~name:"blur.mc"
+      (example_program "blur.mc")
+  in
+  let kind k =
+    List.length
+      (List.filter
+         (fun f -> f.Elide_oracle.lf_kind = k)
+         o.Elide_oracle.lw_failures)
+  in
+  check_int "blur seeded restore failures" 30 (kind "restore");
+  check_int "blur seeded resume-state failures" 30 (kind "resume-state")
 
 let print_seeded_program seed =
   Printf.sprintf "seed %d:\n%s" seed

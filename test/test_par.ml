@@ -214,37 +214,49 @@ let phase_groups () =
 
 (* ---- sequential-identity oracle -------------------------------------------- *)
 
-let oracle_blur () =
-  let o =
-    Elide_oracle.run_par ~name:"blur" (example_program "blur.mc")
-  in
-  check_bool "oracle passes" true (Elide_oracle.par_ok o);
-  check_bool "not seeded" false o.Elide_oracle.pw_seeded;
-  check_int "parallel units" 32 o.Elide_oracle.pw_par_units;
-  check_int "sweep fan-outs" 8 o.Elide_oracle.pw_par_sweeps;
-  check_bool "pairs were checked" true
-    (o.Elide_oracle.pw_pairs_checked > 0)
+(* Exact tallies at 4 domains — (units, sweeps, pairs checked): the
+   schedule and the replay are deterministic. *)
+let par_tallies =
+  [ ("blur.mc", (32, 8, 96));
+    ("pagerank.mc", (40, 10, 120));
+    ("histogram.mc", (0, 0, 0));
+    ("kvlog.mc", (0, 0, 0)) ]
+
+let oracle_examples () =
+  List.iter
+    (fun (file, (units, sweeps, pairs)) ->
+      let o = Elide_oracle.run_par ~name:file (example_program file) in
+      check_bool (file ^ " oracle passes") true (Elide_oracle.par_ok o);
+      check_bool (file ^ " not seeded") false o.Elide_oracle.pw_seeded;
+      check_int (file ^ " parallel units") units o.Elide_oracle.pw_par_units;
+      check_int (file ^ " sweep fan-outs") sweeps o.Elide_oracle.pw_par_sweeps;
+      check_int (file ^ " pairs checked") pairs
+        o.Elide_oracle.pw_pairs_checked)
+    par_tallies
 
 (* The seeded overlap writes the same value into the contested cell, so
    the chains stay byte-identical — identity alone cannot catch it. The
    observed-footprint intersection must. *)
-let oracle_seeded_blur () =
-  let o =
-    Elide_oracle.run_par ~seed_racy:true ~name:"blur"
-      (example_program "blur.mc")
-  in
-  check_bool "seeded" true o.Elide_oracle.pw_seeded;
-  check_bool "oracle refuses" false (Elide_oracle.par_ok o);
-  check_bool "conflicts observed" true (o.Elide_oracle.pw_conflicts <> []);
-  check_bool "chains nonetheless identical (incremental)" true
-    o.Elide_oracle.pw_identical_incremental;
-  check_bool "chains nonetheless identical (specialized)" true
-    o.Elide_oracle.pw_identical_specialized;
+let oracle_seeded () =
   List.iter
-    (fun (c : Elide_oracle.par_conflict) ->
-      check_bool "conflict names the region" true
-        (c.Elide_oracle.pc_detail <> ""))
-    o.Elide_oracle.pw_conflicts
+    (fun (file, conflicts) ->
+      let o =
+        Elide_oracle.run_par ~seed_racy:true ~name:file (example_program file)
+      in
+      check_bool (file ^ " seeded") true o.Elide_oracle.pw_seeded;
+      check_bool (file ^ " oracle refuses") false (Elide_oracle.par_ok o);
+      check_int (file ^ " conflicts observed") conflicts
+        (List.length o.Elide_oracle.pw_conflicts);
+      check_bool (file ^ " chains nonetheless identical (incremental)") true
+        o.Elide_oracle.pw_identical_incremental;
+      check_bool (file ^ " chains nonetheless identical (specialized)") true
+        o.Elide_oracle.pw_identical_specialized;
+      List.iter
+        (fun (c : Elide_oracle.par_conflict) ->
+          check_bool "conflict names the region" true
+            (c.Elide_oracle.pc_detail <> ""))
+        o.Elide_oracle.pw_conflicts)
+    [ ("blur.mc", 8); ("pagerank.mc", 20) ]
 
 (* ---- engine argument contract ---------------------------------------------- *)
 
@@ -275,6 +287,6 @@ let suites =
       [ Alcotest.test_case "deterministic merge" `Slow merge_determinism;
         Alcotest.test_case "argument contract" `Quick engine_contract ] );
     ( "par-oracle",
-      [ Alcotest.test_case "blur passes" `Slow oracle_blur;
+      [ Alcotest.test_case "blur passes" `Slow oracle_examples;
         Alcotest.test_case "seeded racy overlap caught" `Slow
-          oracle_seeded_blur ] ) ]
+          oracle_seeded ] ) ]
