@@ -101,6 +101,29 @@ let check_program program =
       Printf.eprintf "check error: %s\n" msg;
       exit 2
 
+let workload_name file workload =
+  match file with
+  | Some path -> Filename.basename path
+  | None -> ( match workload with `Image -> "image" | `Small -> "small")
+
+(* Run one differential oracle family on the workload, printing its
+   verdict unless the output is JSON. Its failures join the subcommand's
+   findings through [oracle_findings], so the text report, the JSON
+   envelope and the exit code all see them. *)
+let run_oracle ~json ~file ~workload family program =
+  let o =
+    Elide_oracle.run ~name:(workload_name file workload) family program
+  in
+  if not json then Format.printf "%a@." Elide_oracle.pp o;
+  o
+
+let oracle_findings = Option.fold ~none:[] ~some:Elide_oracle.findings
+
+(* [null] when the oracle did not run. *)
+let oracle_ok_json = function
+  | None -> "null"
+  | Some o -> string_of_bool (Elide_oracle.ok o)
+
 let phase_shapes attrs =
   [ (Staticcheck.Phase_model.Sea, Attrs.sea_shape attrs);
     (Staticcheck.Phase_model.Bta, Attrs.bta_shape attrs);
@@ -329,11 +352,10 @@ let run_elide file workload seed_unsound oracle json =
           ~declared:(Attrs.bta_shape attrs)
           Staticcheck.Phase_model.Sea ]
   in
-  let findings =
-    Staticcheck.Finding.sort
-      (List.concat_map
-         (fun (p : Staticcheck.Barrier_elide.plan) -> p.findings)
-         (plans @ seeded))
+  let static_findings =
+    List.concat_map
+      (fun (p : Staticcheck.Barrier_elide.plan) -> p.findings)
+      (plans @ seeded)
   in
   if not json then begin
     List.iter
@@ -346,23 +368,18 @@ let run_elide file workload seed_unsound oracle json =
             Staticcheck.Barrier_elide.pp p)
         seeded
   end;
-  let oracle_failed = ref false in
-  if oracle then begin
-    let name =
-      match file with
-      | Some path -> Filename.basename path
-      | None -> ( match workload with `Image -> "image" | `Small -> "small")
-    in
-    let o = Elide_oracle.run ~name program in
-    if not json then Format.printf "%a@." Elide_oracle.pp o;
-    if not (Elide_oracle.ok o) then oracle_failed := true
-  end;
-  let exit_code =
-    if Staticcheck.Finding.has_errors findings || !oracle_failed then 1 else 0
+  let outcome =
+    if oracle then
+      Some (run_oracle ~json ~file ~workload Elide_oracle.Elision program)
+    else None
   in
+  let findings =
+    Staticcheck.Finding.sort (static_findings @ oracle_findings outcome)
+  in
+  let exit_code = if Staticcheck.Finding.has_errors findings then 1 else 0 in
   if json then
     print_envelope ~subcommand:"elide"
-      ~extra:[ ("oracle_ok", if !oracle_failed then "false" else "true") ]
+      ~extra:[ ("oracle_ok", oracle_ok_json outcome) ]
       ~exit_code findings
   else Format.printf "%a@." Staticcheck.Finding.pp_report findings;
   if exit_code <> 0 then exit exit_code
@@ -391,29 +408,26 @@ let run_infer file workload seed_unsound oracle max_vars json =
   let program = load_program file workload in
   let env = check_program program in
   let t = Staticcheck.Auto_spec.infer ~seed_unsound ~max_vars env in
-  let findings = Staticcheck.Auto_spec.findings t in
+  let static_findings = Staticcheck.Auto_spec.findings t in
   if not json then Format.printf "%a@." Staticcheck.Auto_spec.pp t;
-  let oracle_failed = ref false in
-  if oracle && not (Staticcheck.Finding.has_errors findings) then begin
-    let name =
-      match file with
-      | Some path -> Filename.basename path
-      | None -> ( match workload with `Image -> "image" | `Small -> "small")
-    in
-    let o = Elide_oracle.run_inferred ~name program in
-    if not json then Format.printf "%a@." Elide_oracle.pp o;
-    if not (Elide_oracle.ok o) then oracle_failed := true
-  end;
-  let exit_code =
-    if Staticcheck.Finding.has_errors findings || !oracle_failed then 1 else 0
+  let outcome =
+    if oracle && not (Staticcheck.Finding.has_errors static_findings) then
+      Some
+        (run_oracle ~json ~file ~workload Elide_oracle.Inferred_elision
+           program)
+    else None
   in
+  let findings =
+    Staticcheck.Finding.sort (static_findings @ oracle_findings outcome)
+  in
+  let exit_code = if Staticcheck.Finding.has_errors findings then 1 else 0 in
   if json then
     print_envelope ~subcommand:"infer"
       ~extra:
         [ ("phases", string_of_int (List.length t.Staticcheck.Auto_spec.a_phases));
           ( "verified_specializations",
             string_of_int (Staticcheck.Auto_spec.verified_count t) );
-          ("oracle_ok", if !oracle_failed then "false" else "true") ]
+          ("oracle_ok", oracle_ok_json outcome) ]
       ~exit_code findings;
   if exit_code <> 0 then exit exit_code
 
@@ -459,48 +473,30 @@ let run_live_cmd file workload seed_unsound oracle json =
   end;
   (* The static pipeline stays silent on a seeded-dead block by design —
      the whole point is that only the dynamic oracle gates it. *)
-  let oracle_findings = ref [] in
-  let oracle_ran = ref false in
-  let bytes = ref None in
-  if oracle || seed_unsound then begin
-    let name =
-      match file with
-      | Some path -> Filename.basename path
-      | None -> ( match workload with `Image -> "image" | `Small -> "small")
-    in
-    let o = Elide_oracle.run_live ~seed_unsound ~name program in
-    oracle_ran := true;
-    bytes :=
-      Some (o.Elide_oracle.lw_baseline_bytes, o.Elide_oracle.lw_minimized_bytes);
-    if not json then Format.printf "%a@." Elide_oracle.pp_live o;
-    oracle_findings :=
-      List.map
-        (fun (f : Elide_oracle.live_failure) ->
-          { Staticcheck.Finding.severity = Staticcheck.Finding.Error;
-            scope = "live-oracle";
-            path = Printf.sprintf "%s@epoch%d" f.Elide_oracle.lf_kind
-                f.Elide_oracle.lf_epoch;
-            reason = f.Elide_oracle.lf_detail })
-        o.Elide_oracle.lw_failures
-  end;
+  let outcome =
+    if oracle || seed_unsound then
+      Some
+        (run_oracle ~json ~file ~workload
+           (Elide_oracle.Liveness { seed_unsound })
+           program)
+    else None
+  in
   let findings =
     Staticcheck.Finding.sort
-      (Staticcheck.Auto_spec.findings t @ !oracle_findings)
+      (Staticcheck.Auto_spec.findings t @ oracle_findings outcome)
   in
   let exit_code = if Staticcheck.Finding.has_errors findings then 1 else 0 in
   if json then begin
     let extra =
       [ ("boundaries",
          string_of_int (List.length t.Staticcheck.Auto_spec.a_phases));
-        ("oracle_ok",
-         if !oracle_ran && !oracle_findings = [] then "true"
-         else if !oracle_ran then "false"
-         else "null") ]
+        ("oracle_ok", oracle_ok_json outcome) ]
       @
-      match !bytes with
-      | Some (b, m) ->
-          [ ("baseline_bytes", string_of_int b);
-            ("minimized_bytes", string_of_int m) ]
+      match outcome with
+      | Some { Elide_oracle.tallies = tl; _ } ->
+          [ ("baseline_bytes", string_of_int tl.Elide_oracle.baseline_bytes);
+            ("minimized_bytes", string_of_int tl.Elide_oracle.minimized_bytes)
+          ]
       | None -> []
     in
     print_envelope ~subcommand:"live" ~extra ~exit_code findings
@@ -557,51 +553,19 @@ let run_par_cmd file workload domains seed_racy oracle json =
     @ sc.Staticcheck.Interfere.Schedule.sc_findings
     @ seed_findings
   in
-  let oracle_findings = ref [] in
-  let oracle_ran = ref false in
-  if
-    (oracle || seed_racy)
-    && not (Staticcheck.Finding.has_errors static_findings)
-  then begin
-    let name =
-      match file with
-      | Some path -> Filename.basename path
-      | None -> ( match workload with `Image -> "image" | `Small -> "small")
-    in
-    let o = Elide_oracle.run_par ~seed_racy ~domains ~name program in
-    oracle_ran := true;
-    if not json then Format.printf "%a@." Elide_oracle.pp_par o;
-    let err path reason =
-      { Staticcheck.Finding.severity = Staticcheck.Finding.Error;
-        scope = "par-oracle";
-        path;
-        reason }
-    in
-    let identity =
-      (if o.Elide_oracle.pw_identical_incremental then []
-       else
-         [ err "chain:incremental"
-             "parallel incremental chain differs from the sequential one" ])
-      @
-      if o.Elide_oracle.pw_identical_specialized then []
-      else
-        [ err "chain:specialized"
-            "parallel specialized chain differs from the sequential one" ]
-    in
-    let conflicts =
-      List.map
-        (fun (c : Elide_oracle.par_conflict) ->
-          err
-            (Printf.sprintf "%s:fork%d" c.Elide_oracle.pc_mode
-               c.Elide_oracle.pc_group)
-            (Printf.sprintf "%s || %s: %s" c.Elide_oracle.pc_a
-               c.Elide_oracle.pc_b c.Elide_oracle.pc_detail))
-        o.Elide_oracle.pw_conflicts
-    in
-    oracle_findings := identity @ conflicts
-  end;
+  let outcome =
+    if
+      (oracle || seed_racy)
+      && not (Staticcheck.Finding.has_errors static_findings)
+    then
+      Some
+        (run_oracle ~json ~file ~workload
+           (Elide_oracle.Parallel { domains; seed_racy })
+           program)
+    else None
+  in
   let findings =
-    Staticcheck.Finding.sort (static_findings @ !oracle_findings)
+    Staticcheck.Finding.sort (static_findings @ oracle_findings outcome)
   in
   let exit_code = if Staticcheck.Finding.has_errors findings then 1 else 0 in
   if json then
@@ -618,10 +582,7 @@ let run_par_cmd file workload domains seed_racy oracle json =
           ("seeded",
            if sc.Staticcheck.Interfere.Schedule.sc_seeded then "true"
            else "false");
-          ("oracle_ok",
-           if !oracle_ran && !oracle_findings = [] then "true"
-           else if !oracle_ran then "false"
-           else "null") ]
+          ("oracle_ok", oracle_ok_json outcome) ]
       ~exit_code findings
   else Format.printf "%a@." Staticcheck.Finding.pp_report findings;
   if exit_code <> 0 then exit exit_code

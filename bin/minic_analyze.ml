@@ -11,7 +11,7 @@ let mode_conv =
   let parse = function
     | "full" -> Ok Engine.Full
     | "incremental" -> Ok Engine.Incremental
-    | "specialized" -> Ok Engine.Specialized
+    | "specialized" -> Ok (Engine.Specialized { guard = false })
     | s -> Error (`Msg (Printf.sprintf "unknown mode %S" s))
   in
   Arg.conv (parse, Engine.pp_mode)
@@ -33,7 +33,10 @@ let eta_arg =
   Arg.(value & opt int 3 & info [ "eta-iterations" ] ~doc)
 
 let guard_arg =
-  let doc = "Validate specialization declarations at every checkpoint." in
+  let doc =
+    "Validate specialization declarations at every checkpoint (specialized \
+     mode)."
+  in
   Arg.(value & flag & info [ "guard" ] ~doc)
 
 let chain_arg =
@@ -72,8 +75,17 @@ let run file mode bta_min eta_min guard chain_path dump =
   | exception Minic.Check.Check_error msg ->
       Printf.eprintf "check error: %s\n" msg;
       exit 1);
+  let mode =
+    match mode with Engine.Specialized _ -> Engine.Specialized { guard } | m -> m
+  in
   let report =
-    Engine.analyze ~mode ~bta_min ~eta_min ~guard ~measure_traversal:true
+    Engine.analyze
+      (Engine.Declared
+         { Engine.declared with
+           mode;
+           bta_min;
+           eta_min;
+           measure_traversal = true })
       program
   in
   Format.printf "analyzed %d statements, mode %a@." report.Engine.n_stmts

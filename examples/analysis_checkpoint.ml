@@ -37,11 +37,12 @@ let () =
     outcome.Minic.Interp.steps;
 
   Format.printf "paper configuration: BTA runs 9 iterations, ETA 3@.@.";
-  let modes = Engine.[ Full; Incremental; Specialized ] in
+  let modes = Engine.[ Full; Incremental; Specialized { guard = true } ] in
   let reports =
     List.map
       (fun mode ->
-        Engine.analyze ~mode ~bta_min:9 ~eta_min:3 ~guard:(mode = Engine.Specialized)
+        Engine.analyze
+          (Engine.Declared { Engine.declared with mode; bta_min = 9; eta_min = 3 })
           program)
       modes
   in

@@ -1,38 +1,91 @@
 open Ickpt_core
 
-type violation = {
-  phase : string;
-  site : string;
-  sid : int;
-  detail : string;
+type family =
+  | Elision
+  | Inferred_elision
+  | Liveness of { seed_unsound : bool }
+  | Parallel of { domains : int; seed_racy : bool }
+
+type check =
+  | Identity
+  | Containment
+  | Restore
+  | Resume_return
+  | Resume_state
+  | Resume_crash
+  | Chain
+  | Disjointness
+
+let check_name = function
+  | Identity -> "identity"
+  | Containment -> "containment"
+  | Restore -> "restore"
+  | Resume_return -> "resume-return"
+  | Resume_state -> "resume-state"
+  | Resume_crash -> "resume-crash"
+  | Chain -> "chain"
+  | Disjointness -> "disjointness"
+
+type failure = { check : check; at : string; detail : string }
+
+type tallies = {
+  segments : int;
+  dirty_cells : int;
+  epochs : int;
+  live_cells : int;
+  resumes : int;
+  reads_checked : int;
+  baseline_bytes : int;
+  minimized_bytes : int;
+  domains : int;
+  par_units : int;
+  par_sweeps : int;
+  pairs_checked : int;
 }
+
+let no_tallies =
+  { segments = 0;
+    dirty_cells = 0;
+    epochs = 0;
+    live_cells = 0;
+    resumes = 0;
+    reads_checked = 0;
+    baseline_bytes = 0;
+    minimized_bytes = 0;
+    domains = 0;
+    par_units = 0;
+    par_sweeps = 0;
+    pairs_checked = 0 }
 
 type outcome = {
   workload : string;
-  identical_incremental : bool;
-  identical_specialized : bool;
-  identical_cross_mode : bool;
-  violations : violation list;
-  segments_checked : int;
-  dirty_cells : int;
+  family : family;
+  seeded : bool;
+  tallies : tallies;
+  failures : failure list;
+  reports : (Engine.run * Engine.report) list;
 }
 
-let ok o =
-  o.identical_incremental && o.identical_specialized && o.identical_cross_mode
-  && o.violations = []
+let ok o = o.failures = []
 
-(* ---- plumbing shared by every oracle below --------------------------------
+(* ---- plumbing shared by every family ---------------------------------------
 
-   The four oracle families (declared elision, inferred elision, liveness
-   minimization, parallel execution) slice chains and attribute segments
-   to phases the same way; they diverge only in their verdict
-   predicates. *)
+   The families slice chains and attribute segments to phases the same
+   way and report into one failure list; they diverge only in their
+   engine runs and verdict predicates. *)
+
+let fail sink check at fmt =
+  Format.kasprintf (fun detail -> sink := { check; at; detail } :: !sink) fmt
 
 let chains_identical a b =
   let key (s : Segment.t) =
     (s.Segment.kind, s.Segment.seq, s.Segment.roots, s.Segment.body)
   in
   List.map key (Chain.segments a) = List.map key (Chain.segments b)
+
+let identity sink ~at (a : Engine.report) (b : Engine.report) what =
+  if not (chains_identical a.Engine.chain b.Engine.chain) then
+    fail sink Identity at "%s chains differ" what
 
 let rec take n = function
   | [] -> []
@@ -128,14 +181,13 @@ let phase_of_name = function
 (* Check invariant I8 against the incremental instrumented run: every
    record in a phase's segments must be a cell of a site region the
    phase may write. *)
-let check_containment (report : Engine.report) =
+let check_containment sink (report : Engine.report) =
   let attrs = Engine.attrs report in
   let schema = Attrs.schema attrs in
   let owners = owner_map attrs in
   let varref_kid =
     (Ickpt_runtime.Schema.find_name schema "VarRef").Ickpt_runtime.Model.kid
   in
-  let violations = ref [] in
   let on_phase (p : Engine.phase_report) =
     let phase = phase_of_name p.Engine.phase in
     let region site =
@@ -144,8 +196,9 @@ let check_containment (report : Engine.report) =
     in
     fun (r : Restore.record) ->
       let add site sid detail =
-        violations :=
-          { phase = p.Engine.phase; site; sid; detail } :: !violations
+        fail sink Containment
+          (Printf.sprintf "%s %s sid %d" p.Engine.phase site sid)
+          "%s" detail
       in
       match Hashtbl.find_opt owners r.Restore.rec_id with
       | Some (Spine, sid) ->
@@ -175,38 +228,9 @@ let check_containment (report : Engine.report) =
               (Printf.sprintf "record for unknown object id %d (class id %d)"
                  r.Restore.rec_id r.Restore.rec_kid)
   in
-  let segments_checked, dirty_cells =
-    attribute_records ~schema report.Engine.chain report.Engine.phases
-      ~iterations:(fun p -> p.Engine.iterations)
-      ~on_phase
-  in
-  (List.rev !violations, segments_checked, dirty_cells)
-
-(* The four engine runs every byte-identity oracle performs — instrumented
-   vs elided, in incremental and guarded-specialized modes — plus one
-   containment decode of the instrumented incremental run. *)
-let differential ~name ~analyze ~containment =
-  let inst_inc = analyze ~mode:Engine.Incremental ~guard:false ~elide:false in
-  let elid_inc = analyze ~mode:Engine.Incremental ~guard:false ~elide:true in
-  let inst_spec = analyze ~mode:Engine.Specialized ~guard:true ~elide:false in
-  let elid_spec = analyze ~mode:Engine.Specialized ~guard:true ~elide:true in
-  let violations, segments_checked, dirty_cells = containment inst_inc in
-  { workload = name;
-    identical_incremental =
-      chains_identical inst_inc.Engine.chain elid_inc.Engine.chain;
-    identical_specialized =
-      chains_identical inst_spec.Engine.chain elid_spec.Engine.chain;
-    identical_cross_mode =
-      chains_identical inst_inc.Engine.chain inst_spec.Engine.chain;
-    violations;
-    segments_checked;
-    dirty_cells }
-
-let run ?division ~name program =
-  differential ~name
-    ~analyze:(fun ~mode ~guard ~elide ->
-      Engine.analyze ~mode ?division ~guard ~elide program)
-    ~containment:check_containment
+  attribute_records ~schema report.Engine.chain report.Engine.phases
+    ~iterations:(fun p -> p.Engine.iterations)
+    ~on_phase
 
 (* ---- annotation-free (inferred) runs -------------------------------------- *)
 
@@ -215,7 +239,7 @@ let run ?division ~name program =
    must be a block (or scalar) the phase's inferred may-write region
    meets. Headers never change after the base checkpoint, so a dirty
    header is always a violation. *)
-let check_containment_inferred (report : Engine.report) =
+let check_containment_inferred sink (report : Engine.report) =
   let wheap =
     match Engine.wheap report with
     | Some w -> w
@@ -223,7 +247,6 @@ let check_containment_inferred (report : Engine.report) =
   in
   let auto = Option.get (Engine.auto_spec report) in
   let schema = Wheap.schema wheap in
-  let violations = ref [] in
   let on_phase
       ( (p : Engine.phase_report),
         (pr : Staticcheck.Auto_spec.phase_result) ) =
@@ -234,8 +257,9 @@ let check_containment_inferred (report : Engine.report) =
     in
     fun (r : Restore.record) ->
       let add site sid detail =
-        violations :=
-          { phase = p.Engine.phase; site; sid; detail } :: !violations
+        fail sink Containment
+          (Printf.sprintf "%s %s sid %d" p.Engine.phase site sid)
+          "%s" detail
       in
       match Wheap.owner_of wheap r.Restore.rec_id with
       | Some (g, Wheap.Scalar_slot) ->
@@ -262,21 +286,31 @@ let check_containment_inferred (report : Engine.report) =
             (Printf.sprintf "record for unknown object id %d (class id %d)"
                r.Restore.rec_id r.Restore.rec_kid)
   in
-  let segments_checked, dirty_cells =
-    attribute_records ~schema report.Engine.chain
-      (List.combine report.Engine.phases auto.Staticcheck.Auto_spec.a_phases)
-      ~iterations:(fun ((p : Engine.phase_report), _) -> p.Engine.iterations)
-      ~on_phase
-  in
-  (List.rev !violations, segments_checked, dirty_cells)
+  attribute_records ~schema report.Engine.chain
+    (List.combine report.Engine.phases auto.Staticcheck.Auto_spec.a_phases)
+    ~iterations:(fun ((p : Engine.phase_report), _) -> p.Engine.iterations)
+    ~on_phase
 
-let run_inferred ~name program =
-  differential ~name
-    ~analyze:(fun ~mode ~guard ~elide ->
-      Engine.analyze ~mode ~guard ~elide ~infer:true program)
-    ~containment:check_containment_inferred
+let spec_guarded = Engine.Specialized { guard = true }
 
-(* ---- restore-equivalence oracle for minimized checkpoints ------------------ *)
+(* The four engine runs of an elision family — instrumented vs elided, in
+   incremental and guarded-specialized modes — plus one containment
+   decode of the instrumented incremental run. *)
+let elision sink ~analyze ~run_of ~containment =
+  let inst_inc = analyze (run_of Engine.Incremental false) in
+  let elid_inc = analyze (run_of Engine.Incremental true) in
+  let inst_spec = analyze (run_of spec_guarded false) in
+  let elid_spec = analyze (run_of spec_guarded true) in
+  identity sink ~at:"incremental" inst_inc elid_inc
+    "instrumented and elided incremental";
+  identity sink ~at:"specialized" inst_spec elid_spec
+    "instrumented and elided specialized";
+  identity sink ~at:"cross-mode" inst_inc inst_spec
+    "instrumented incremental and specialized";
+  let segments, dirty_cells = containment sink inst_inc in
+  { no_tallies with segments; dirty_cells }
+
+(* ---- restore-equivalence for minimized checkpoints ------------------------- *)
 
 (* Minimized checkpoints are NOT byte-identical to unminimized ones by
    construction — dropping dead dirty blocks is the whole point. Their
@@ -288,30 +322,12 @@ let run_inferred ~name program =
    analysis itself: everything the resumed run reads before writing must
    be inside the boundary's live region. *)
 
-type live_failure = { lf_epoch : int; lf_kind : string; lf_detail : string }
+(* A restored chain prefix flattened back to plain global values in
+   declaration order; a scalar is a one-cell array. *)
+type image = (string * int array) list
 
-type live_outcome = {
-  lw_workload : string;
-  lw_seeded : bool;
-  lw_epochs : int;
-  lw_live_cells : int;
-  lw_resumes : int;
-  lw_reads_checked : int;
-  lw_baseline_bytes : int;
-  lw_minimized_bytes : int;
-  lw_failures : live_failure list;
-}
-
-let live_ok o = o.lw_failures = []
-
-(* A restored chain prefix flattened back to plain global values,
-   declaration order. *)
-type image = {
-  im_scalars : (string * int) list;
-  im_arrays : (string * int array) list;
-}
-
-let image_of_prefix (encoding : Staticcheck.Shape_infer.encoding) segs =
+let image_of_prefix (encoding : Staticcheck.Shape_infer.encoding) segs : image
+    =
   let schema = encoding.Staticcheck.Shape_infer.schema in
   let roots =
     match segs with
@@ -319,39 +335,32 @@ let image_of_prefix (encoding : Staticcheck.Shape_infer.encoding) segs =
     | [] -> invalid_arg "Elide_oracle: empty chain prefix"
   in
   let _, objs = Restore.of_segments schema segs ~roots in
-  let scalars = ref [] in
-  let arrays = ref [] in
-  List.iter2
+  List.map2
     (fun (name, slot) (o : Ickpt_runtime.Model.obj) ->
       match slot with
       | Staticcheck.Shape_infer.Scalar _ ->
-          scalars := (name, o.Ickpt_runtime.Model.ints.(0)) :: !scalars
+          (name, [| o.Ickpt_runtime.Model.ints.(0) |])
       | Staticcheck.Shape_infer.Array { blocks; length; _ } ->
           let a = Array.make length 0 in
           List.iteri
             (fun j (b : Staticcheck.Shape_infer.block) ->
               match o.Ickpt_runtime.Model.children.(j) with
               | Some blk ->
-                  for i = b.Staticcheck.Shape_infer.b_lo
-                      to b.Staticcheck.Shape_infer.b_hi do
-                    a.(i) <-
-                      blk.Ickpt_runtime.Model.ints.(i
-                                                    - b.Staticcheck.Shape_infer
-                                                        .b_lo)
-                  done
+                  let lo = b.Staticcheck.Shape_infer.b_lo in
+                  Array.blit blk.Ickpt_runtime.Model.ints 0 a lo
+                    (b.Staticcheck.Shape_infer.b_hi - lo + 1)
               | None -> raise (Restore.Error "restored array block missing"))
             blocks;
-          arrays := (name, a) :: !arrays)
-    encoding.Staticcheck.Shape_infer.slots objs;
-  { im_scalars = List.rev !scalars; im_arrays = List.rev !arrays }
+          (name, a))
+    encoding.Staticcheck.Shape_infer.slots objs
 
 (* A plain concrete store with read/write tracking: once [ts_tracking] is
    switched on (at the resume point), every cell read before this run
    writes it lands in [ts_rbw] — the dynamic reads-before-write set the
-   containment check compares against the static live region. *)
+   containment check compares against the static live region. Scalars
+   are one-cell arrays, as in {!image}. *)
 type tstore = {
-  ts_scalars : (string, int) Hashtbl.t;
-  ts_arrays : (string, int array) Hashtbl.t;
+  ts_cells : (string, int array) Hashtbl.t;
   mutable ts_tracking : bool;
   ts_written : (string * int, unit) Hashtbl.t;
   ts_rbw : (string * int, unit) Hashtbl.t;
@@ -365,80 +374,52 @@ let tstore_create (encoding : Staticcheck.Shape_infer.encoding) =
         .Minic.Ast.globals
   in
   let ts =
-    { ts_scalars = Hashtbl.create 8;
-      ts_arrays = Hashtbl.create 8;
+    { ts_cells = Hashtbl.create 8;
       ts_tracking = false;
       ts_written = Hashtbl.create 64;
       ts_rbw = Hashtbl.create 64 }
   in
   List.iter
     (fun (name, slot) ->
-      match slot with
-      | Staticcheck.Shape_infer.Scalar _ ->
-          Hashtbl.replace ts.ts_scalars name (List.assoc name inits)
-      | Staticcheck.Shape_infer.Array { length; _ } ->
-          Hashtbl.replace ts.ts_arrays name (Array.make length 0))
+      Hashtbl.replace ts.ts_cells name
+        (match slot with
+        | Staticcheck.Shape_infer.Scalar _ -> [| List.assoc name inits |]
+        | Staticcheck.Shape_infer.Array { length; _ } -> Array.make length 0))
     encoding.Staticcheck.Shape_infer.slots;
   ts
 
 let tstore_store ts =
-  let read g i =
+  let get g i =
     if ts.ts_tracking && not (Hashtbl.mem ts.ts_written (g, i)) then
-      Hashtbl.replace ts.ts_rbw (g, i) ()
+      Hashtbl.replace ts.ts_rbw (g, i) ();
+    (Hashtbl.find ts.ts_cells g).(i)
   in
-  let wrote g i = if ts.ts_tracking then Hashtbl.replace ts.ts_written (g, i) () in
-  { Minic.Interp.gs_get =
-      (fun x ->
-        read x 0;
-        Hashtbl.find ts.ts_scalars x);
-    gs_set =
-      (fun x v ->
-        wrote x 0;
-        Hashtbl.replace ts.ts_scalars x v);
-    gs_get_cell =
-      (fun x i ->
-        read x i;
-        (Hashtbl.find ts.ts_arrays x).(i));
-    gs_set_cell =
-      (fun x i v ->
-        wrote x i;
-        (Hashtbl.find ts.ts_arrays x).(i) <- v);
-    gs_length = (fun x -> Array.length (Hashtbl.find ts.ts_arrays x)) }
+  let set g i v =
+    if ts.ts_tracking then Hashtbl.replace ts.ts_written (g, i) ();
+    (Hashtbl.find ts.ts_cells g).(i) <- v
+  in
+  { Minic.Interp.gs_get = (fun x -> get x 0);
+    gs_set = (fun x v -> set x 0 v);
+    gs_get_cell = get;
+    gs_set_cell = set;
+    gs_length = (fun x -> Array.length (Hashtbl.find ts.ts_cells x)) }
 
 (* Overwrite the whole store with a restored image — the restore itself,
    not program writes: tracking state is untouched. *)
-let tstore_overwrite ts img =
-  List.iter (fun (g, v) -> Hashtbl.replace ts.ts_scalars g v) img.im_scalars;
+let tstore_overwrite ts (img : image) =
   List.iter
-    (fun (g, a) ->
-      let dst = Hashtbl.find ts.ts_arrays g in
-      Array.blit a 0 dst 0 (Array.length a))
-    img.im_arrays
+    (fun (g, a) -> Array.blit a 0 (Hashtbl.find ts.ts_cells g) 0 (Array.length a))
+    img
 
-let tstore_image ts (encoding : Staticcheck.Shape_infer.encoding) =
-  { im_scalars =
-      List.filter_map
-        (fun (name, slot) ->
-          match slot with
-          | Staticcheck.Shape_infer.Scalar _ ->
-              Some (name, Hashtbl.find ts.ts_scalars name)
-          | _ -> None)
-        encoding.Staticcheck.Shape_infer.slots;
-    im_arrays =
-      List.filter_map
-        (fun (name, slot) ->
-          match slot with
-          | Staticcheck.Shape_infer.Array _ ->
-              Some (name, Array.copy (Hashtbl.find ts.ts_arrays name))
-          | _ -> None)
-        encoding.Staticcheck.Shape_infer.slots }
+let tstore_image ts (encoding : Staticcheck.Shape_infer.encoding) : image =
+  List.map
+    (fun (name, _) -> (name, Array.copy (Hashtbl.find ts.ts_cells name)))
+    encoding.Staticcheck.Shape_infer.slots
 
 (* Re-drive the program through its discovered phase structure against
-   [store], mirroring the engine's checkpoint placement exactly (one per
-   setup body, one per round iteration including the final false-guard
-   evaluation, halted phases take none). [on_checkpoint k] fires where
-   checkpoint [k] would be taken. Returns (checkpoints, returned,
-   return value). *)
+   [store], with the engine's own checkpoint placement
+   ([Phase_discover.drive]). [on_checkpoint k] fires where checkpoint [k]
+   would be taken. Returns (checkpoints, returned, return value). *)
 let drive ~(phases : Staticcheck.Auto_spec.phase_result list) ~store program
     ~on_checkpoint =
   let session = Minic.Interp.Session.start ~store program in
@@ -452,63 +433,48 @@ let drive ~(phases : Staticcheck.Auto_spec.phase_result list) ~store program
   List.iter
     (fun (pr : Staticcheck.Auto_spec.phase_result) ->
       let ph = pr.Staticcheck.Auto_spec.ph in
-      if not !halted then begin
-        let exec_body () =
-          try
-            Minic.Interp.Session.exec_block session
-              ph.Staticcheck.Phase_discover.p_body
-          with Minic.Interp.Session.Halted v ->
-            halted := true;
-            ret := v
-        in
-        match ph.Staticcheck.Phase_discover.p_kind with
-        | Staticcheck.Phase_discover.Setup ->
-            exec_body ();
-            step ()
-        | Staticcheck.Phase_discover.Round { cond } ->
-            let continue = ref true in
-            while !continue do
-              if !halted then continue := false
-              else begin
-                let v = Minic.Interp.Session.eval session cond in
-                if v = 0 then continue := false else exec_body ();
-                step ()
-              end
-            done
-      end)
+      let exec () =
+        try
+          Minic.Interp.Session.exec_block session
+            ph.Staticcheck.Phase_discover.p_body
+        with Minic.Interp.Session.Halted v ->
+          halted := true;
+          ret := v
+      in
+      ignore
+        (Staticcheck.Phase_discover.drive ph
+           ~halted:(fun () -> !halted)
+           ~exec
+           ~eval:(Minic.Interp.Session.eval session)
+           ~step))
     phases;
   (!k, !halted, !ret)
 
-let run_live ?(seed_unsound = false) ~name program =
+let liveness sink ~analyze ~seed_unsound program =
   let baseline =
-    Engine.analyze ~infer:true ~mode:Engine.Specialized ~guard:true
-      ~elide:false program
+    analyze (Engine.Inferred { Engine.inferred with mode = spec_guarded })
   in
   let minimized =
-    Engine.analyze ~infer:true ~mode:Engine.Specialized ~guard:true
-      ~elide:true ~minimize:true ~seed_dead:seed_unsound program
+    analyze
+      (Engine.Minimized { guard = true; elide = true; seed_dead = seed_unsound })
   in
   let auto = Option.get (Engine.auto_spec baseline) in
   let auto_m = Option.get (Engine.auto_spec minimized) in
   let enc = auto.Staticcheck.Auto_spec.a_encoding in
   let enc_m = auto_m.Staticcheck.Auto_spec.a_encoding in
   let live = auto.Staticcheck.Auto_spec.a_live in
-  let failures = ref [] in
   let live_cells = ref 0 in
   let reads_checked = ref 0 in
   let resumes = ref 0 in
-  let fail e kind fmt =
-    Format.kasprintf
-      (fun s ->
-        failures := { lf_epoch = e; lf_kind = kind; lf_detail = s } :: !failures)
-      fmt
+  let fail e check fmt =
+    fail sink check (if e < 0 then "run" else Printf.sprintf "epoch %d" e) fmt
   in
   let full_b, inc_b = split_chain baseline.Engine.chain in
   let full_m, inc_m = split_chain minimized.Engine.chain in
   let epochs_b = List.length inc_b in
   let epochs_m = List.length inc_m in
   if epochs_b <> epochs_m then
-    fail (-1) "chain"
+    fail (-1) Chain
       "baseline took %d incremental checkpoint(s), minimized %d: the runs \
        diverged before any restore"
       epochs_b epochs_m;
@@ -525,6 +491,19 @@ let run_live ?(seed_unsound = false) ~name program =
          (List.combine baseline.Engine.phases
             auto.Staticcheck.Auto_spec.a_phases))
   in
+  (* Every cell of two images of one encoding, pairwise. *)
+  let iter_cells f (a : image) (b : image) =
+    List.iter2
+      (fun (g, va) (g', vb) ->
+        assert (g = g');
+        Array.iteri (fun i x -> f g i x vb.(i)) va)
+      a b
+  in
+  let cell_name g i =
+    match List.assoc g enc.Staticcheck.Shape_infer.slots with
+    | Staticcheck.Shape_infer.Scalar _ -> g
+    | Staticcheck.Shape_infer.Array _ -> Printf.sprintf "%s[%d]" g i
+  in
   let cell_live boundary g i =
     match List.assoc_opt g boundary with
     | Some r -> Staticcheck.Regions.mem i r
@@ -539,7 +518,7 @@ let run_live ?(seed_unsound = false) ~name program =
   in
   let ref_final = tstore_image ref_ts enc in
   if ref_epochs <> epochs_b then
-    fail (-1) "chain"
+    fail (-1) Chain
       "re-driven reference run took %d checkpoint(s), engine run %d"
       ref_epochs epochs_b;
   for e = 0 to epochs - 1 do
@@ -553,35 +532,19 @@ let run_live ?(seed_unsound = false) ~name program =
     let img_b = image_of_prefix enc prefix_b in
     let img_m = image_of_prefix enc_m prefix_m in
     (* 1. Restored live cells must agree with the unminimized restore. *)
-    List.iter2
-      (fun (g, vb) (g', vm) ->
-        assert (g = g');
-        if cell_live boundary g 0 then begin
+    iter_cells
+      (fun g i vb vm ->
+        if cell_live boundary g i then begin
           incr live_cells;
           if vb <> vm then
-            fail e "restore"
-              "scalar %s live at the %s boundary restores to %d minimized \
-               vs %d baseline"
-              g pr.Staticcheck.Auto_spec.ph.Staticcheck.Phase_discover.p_name
+            fail e Restore
+              "%s live at the %s boundary restores to %d minimized vs %d \
+               baseline"
+              (cell_name g i)
+              pr.Staticcheck.Auto_spec.ph.Staticcheck.Phase_discover.p_name
               vm vb
         end)
-      img_b.im_scalars img_m.im_scalars;
-    List.iter2
-      (fun (g, ab) (g', am) ->
-        assert (g = g');
-        for i = 0 to Array.length ab - 1 do
-          if cell_live boundary g i then begin
-            incr live_cells;
-            if ab.(i) <> am.(i) then
-              fail e "restore"
-                "%s[%d] live at the %s boundary restores to %d minimized vs \
-                 %d baseline"
-                g i
-                pr.Staticcheck.Auto_spec.ph.Staticcheck.Phase_discover.p_name
-                am.(i) ab.(i)
-          end
-        done)
-      img_b.im_arrays img_m.im_arrays;
+      img_b img_m;
     (* 2. Resume from the minimized restore and run to completion. *)
     let ts = tstore_create enc in
     let switched = ref false in
@@ -598,7 +561,7 @@ let run_live ?(seed_unsound = false) ~name program =
                  switched := true
                end))
       with Minic.Interp.Runtime_error msg ->
-        fail e "resume-crash"
+        fail e Resume_crash
           "resumed run raised a runtime error the reference run did not: %s"
           msg;
         None
@@ -608,17 +571,17 @@ let run_live ?(seed_unsound = false) ~name program =
     | None -> ()
     | Some (_, res_halted, res_ret) ->
     if not !switched then
-      fail e "chain" "resume driver never reached checkpoint %d" e
+      fail e Chain "resume driver never reached checkpoint %d" e
     else begin
       (* 2a. Observable output: a return executed after the switch must
          produce the reference value. *)
       if res_halted <> ref_halted then
-        fail e "resume-return"
+        fail e Resume_return
           "resumed run %s while the reference run %s"
           (if res_halted then "returned" else "fell off main")
           (if ref_halted then "returned" else "fell off main")
       else if res_halted && res_ret <> ref_ret then
-        fail e "resume-return" "resumed run returned %s, reference %s"
+        fail e Resume_return "resumed run returned %s, reference %s"
           (match res_ret with Some v -> string_of_int v | None -> "(none)")
           (match ref_ret with Some v -> string_of_int v | None -> "(none)");
       (* 2b. Final state on cells that matter: live at the switch
@@ -628,22 +591,12 @@ let run_live ?(seed_unsound = false) ~name program =
       let relevant g i =
         cell_live boundary g i || Hashtbl.mem ts.ts_written (g, i)
       in
-      List.iter2
-        (fun (g, vr) (g', vf) ->
-          assert (g = g');
-          if relevant g 0 && vr <> vf then
-            fail e "resume-state" "final scalar %s is %d resumed vs %d \
-                                   reference" g vf vr)
-        ref_final.im_scalars final.im_scalars;
-      List.iter2
-        (fun (g, ar) (g', af) ->
-          assert (g = g');
-          for i = 0 to Array.length ar - 1 do
-            if relevant g i && ar.(i) <> af.(i) then
-              fail e "resume-state" "final %s[%d] is %d resumed vs %d \
-                                     reference" g i af.(i) ar.(i)
-          done)
-        ref_final.im_arrays final.im_arrays;
+      iter_cells
+        (fun g i vr vf ->
+          if relevant g i && vr <> vf then
+            fail e Resume_state "final %s is %d resumed vs %d reference"
+              (cell_name g i) vf vr)
+        ref_final final;
       (* 3. Containment: everything the resumed run read before writing
          must be inside the static live region — the liveness dual of
          invariant I8. *)
@@ -651,7 +604,7 @@ let run_live ?(seed_unsound = false) ~name program =
         (fun (g, i) () ->
           incr reads_checked;
           if not (cell_live boundary g i) then
-            fail e "containment"
+            fail e Containment
               "resumed run read %s[%d] before writing it, but the %s \
                boundary's live region excludes it"
               g i
@@ -659,53 +612,15 @@ let run_live ?(seed_unsound = false) ~name program =
         ts.ts_rbw
     end)
   done;
-  { lw_workload = name;
-    lw_seeded = seed_unsound;
-    lw_epochs = epochs;
-    lw_live_cells = !live_cells;
-    lw_resumes = !resumes;
-    lw_reads_checked = !reads_checked;
-    lw_baseline_bytes = bytes inc_b;
-    lw_minimized_bytes = bytes inc_m;
-    lw_failures = List.rev !failures }
+  { no_tallies with
+    epochs;
+    live_cells = !live_cells;
+    resumes = !resumes;
+    reads_checked = !reads_checked;
+    baseline_bytes = bytes inc_b;
+    minimized_bytes = bytes inc_m }
 
-let pp_live ppf o =
-  Format.fprintf ppf "@[<v 2>%s%s: %s" o.lw_workload
-    (if o.lw_seeded then " (seeded-unsound)" else "")
-    (if live_ok o then "ok" else "FAILED");
-  Format.fprintf ppf
-    "@,%d epoch(s): %d live cell(s) restore-checked, %d resume(s), %d \
-     read(s) containment-checked"
-    o.lw_epochs o.lw_live_cells o.lw_resumes o.lw_reads_checked;
-  Format.fprintf ppf "@,incremental bytes: %d baseline, %d minimized"
-    o.lw_baseline_bytes o.lw_minimized_bytes;
-  List.iter
-    (fun f ->
-      Format.fprintf ppf "@,[epoch %d] %s: %s" f.lf_epoch f.lf_kind
-        f.lf_detail)
-    o.lw_failures;
-  Format.fprintf ppf "@]"
-
-let builtin_workloads () =
-  [ ("image", Minic.Gen.image_program ());
-    ("small", Minic.Gen.small_program ()) ]
-
-let pp ppf o =
-  Format.fprintf ppf "@[<v 2>%s: %s" o.workload
-    (if ok o then "ok" else "FAILED");
-  Format.fprintf ppf
-    "@,incremental chains identical: %b@,specialized chains identical: %b"
-    o.identical_incremental o.identical_specialized;
-  Format.fprintf ppf "@,I8: %d dirty cell(s) over %d segment(s), %d violation(s)"
-    o.dirty_cells o.segments_checked
-    (List.length o.violations);
-  List.iter
-    (fun v ->
-      Format.fprintf ppf "@,[%s] %s sid %d: %s" v.phase v.site v.sid v.detail)
-    o.violations;
-  Format.fprintf ppf "@]"
-
-(* ---- parallel-execution oracle --------------------------------------------- *)
+(* ---- parallel execution ---------------------------------------------------- *)
 
 (* Parallel runs promise byte-identity with the sequential chain — the
    replay-in-schedule-order construction guarantees it whenever the units'
@@ -716,33 +631,9 @@ let pp ppf o =
    observed, pairwise within every fork group — the parallel dual of
    invariant I8 (static disjointness ⊇ dynamic disjointness). *)
 
-type par_conflict = {
-  pc_mode : string;  (* "incremental" or "specialized" *)
-  pc_group : int;
-  pc_a : string;
-  pc_b : string;
-  pc_detail : string;
-}
-
-type par_outcome = {
-  pw_workload : string;
-  pw_domains : int;
-  pw_seeded : bool;
-  pw_identical_incremental : bool;
-  pw_identical_specialized : bool;
-  pw_par_units : int;
-  pw_par_sweeps : int;
-  pw_pairs_checked : int;
-  pw_conflicts : par_conflict list;
-}
-
-let par_ok o =
-  o.pw_identical_incremental && o.pw_identical_specialized
-  && o.pw_conflicts = []
-
 (* Pairwise observed-footprint disjointness inside each fork group —
    units in different groups ran sequentially and may overlap freely. *)
-let observed_conflicts ~mode (rep : Engine.par_report) =
+let observed_conflicts sink ~mode (rep : Engine.par_report) =
   let groups = Hashtbl.create 8 in
   List.iter
     (fun (u : Engine.par_unit) ->
@@ -756,7 +647,6 @@ let observed_conflicts ~mode (rep : Engine.par_report) =
       fp_writes = u.Engine.pu_writes }
   in
   let pairs = ref 0 in
-  let conflicts = ref [] in
   Hashtbl.iter
     (fun group members ->
       let members = Array.of_list (List.rev members) in
@@ -770,65 +660,121 @@ let observed_conflicts ~mode (rep : Engine.par_report) =
           with
           | None -> ()
           | Some (g, ra, rb) ->
-              conflicts :=
-                { pc_mode = mode;
-                  pc_group = group;
-                  pc_a = members.(i).Engine.pu_label;
-                  pc_b = members.(j).Engine.pu_label;
-                  pc_detail =
-                    Format.asprintf
-                      "observed footprints meet on %s: %a vs %a" g
-                      Staticcheck.Regions.pp ra Staticcheck.Regions.pp rb }
-                :: !conflicts
+              fail sink Disjointness
+                (Printf.sprintf "%s fork %d" mode group)
+                "%s || %s: observed footprints meet on %s: %a vs %a"
+                members.(i).Engine.pu_label members.(j).Engine.pu_label g
+                Staticcheck.Regions.pp ra Staticcheck.Regions.pp rb
         done
       done)
     groups;
-  (!pairs, List.rev !conflicts)
+  !pairs
 
-let run_par ?(seed_racy = false) ?(domains = 4) ~name program =
-  let seq ~mode ~guard =
-    Engine.analyze ~infer:true ~mode ~guard ~elide:false program
+(* Sequential vs parallel in each mode: chain identity, then the
+   observed-footprint check over the parallel run's fork groups. *)
+let parallel sink ~analyze ~domains ~seed_racy =
+  let compare mode name =
+    let seq = analyze (Engine.Inferred { Engine.inferred with mode }) in
+    let par =
+      analyze
+        (Engine.Inferred
+           { mode; elide = false; parallel = Some { domains; seed_racy } })
+    in
+    identity sink ~at:name seq par "sequential and parallel";
+    let rep = Option.get par.Engine.par in
+    (rep, observed_conflicts sink ~mode:name rep)
   in
-  let par ~mode ~guard =
-    Engine.analyze ~infer:true ~mode ~guard ~elide:false ~parallel:domains
-      ~seed_racy program
-  in
-  let seq_inc = seq ~mode:Engine.Incremental ~guard:false in
-  let par_inc = par ~mode:Engine.Incremental ~guard:false in
-  let seq_spec = seq ~mode:Engine.Specialized ~guard:true in
-  let par_spec = par ~mode:Engine.Specialized ~guard:true in
-  let rep_inc = Option.get par_inc.Engine.par in
-  let rep_spec = Option.get par_spec.Engine.par in
-  let pairs_i, conf_i = observed_conflicts ~mode:"incremental" rep_inc in
-  let pairs_s, conf_s = observed_conflicts ~mode:"specialized" rep_spec in
-  { pw_workload = name;
-    pw_domains = rep_inc.Engine.par_domains;
-    pw_seeded = rep_inc.Engine.par_schedule.Engine.Isch.sc_seeded;
-    pw_identical_incremental =
-      chains_identical seq_inc.Engine.chain par_inc.Engine.chain;
-    pw_identical_specialized =
-      chains_identical seq_spec.Engine.chain par_spec.Engine.chain;
-    pw_par_units = List.length rep_inc.Engine.par_units;
-    pw_par_sweeps = rep_inc.Engine.par_sweeps;
-    pw_pairs_checked = pairs_i + pairs_s;
-    pw_conflicts = conf_i @ conf_s }
+  let rep_inc, pairs_inc = compare Engine.Incremental "incremental" in
+  let _, pairs_spec = compare spec_guarded "specialized" in
+  ( rep_inc.Engine.par_schedule.Engine.Isch.sc_seeded,
+    { no_tallies with
+      domains = rep_inc.Engine.par_domains;
+      par_units = List.length rep_inc.Engine.par_units;
+      par_sweeps = rep_inc.Engine.par_sweeps;
+      pairs_checked = pairs_inc + pairs_spec } )
 
-let pp_par ppf o =
-  Format.fprintf ppf "@[<v 2>%s%s: %s" o.pw_workload
-    (if o.pw_seeded then " (seeded-racy)" else "")
-    (if par_ok o then "ok" else "FAILED");
-  Format.fprintf ppf "@,%d domain(s): %d parallel unit(s), %d sweep fan-out(s)"
-    o.pw_domains o.pw_par_units o.pw_par_sweeps;
-  Format.fprintf ppf
-    "@,chains identical to sequential: incremental %b, specialized %b"
-    o.pw_identical_incremental o.pw_identical_specialized;
-  Format.fprintf ppf
-    "@,observed disjointness: %d pair(s) checked, %d conflict(s)"
-    o.pw_pairs_checked
-    (List.length o.pw_conflicts);
+(* ---- the runner ----------------------------------------------------------- *)
+
+let run ~name family program =
+  (* Each family asks for each of its distinct runs once, and every check
+     reads the report it got. *)
+  let reports = ref [] in
+  let analyze r =
+    let report = Engine.analyze r program in
+    reports := (r, report) :: !reports;
+    report
+  in
+  let sink = ref [] in
+  let seeded, tallies =
+    match family with
+    | Elision ->
+        ( false,
+          elision sink ~analyze ~containment:check_containment
+            ~run_of:(fun mode elide ->
+              Engine.Declared { Engine.declared with mode; elide }) )
+    | Inferred_elision ->
+        ( false,
+          elision sink ~analyze ~containment:check_containment_inferred
+            ~run_of:(fun mode elide ->
+              Engine.Inferred { Engine.inferred with mode; elide }) )
+    | Liveness { seed_unsound } ->
+        (seed_unsound, liveness sink ~analyze ~seed_unsound program)
+    | Parallel { domains; seed_racy } ->
+        parallel sink ~analyze ~domains ~seed_racy
+  in
+  { workload = name;
+    family;
+    seeded;
+    tallies;
+    failures = List.rev !sink;
+    reports = List.rev !reports }
+
+let findings o =
+  let scope =
+    match o.family with
+    | Elision -> "elide-oracle"
+    | Inferred_elision -> "infer-oracle"
+    | Liveness _ -> "live-oracle"
+    | Parallel _ -> "par-oracle"
+  in
+  List.map
+    (fun f ->
+      { Staticcheck.Finding.severity = Staticcheck.Finding.Error;
+        scope;
+        path = check_name f.check ^ "@" ^ f.at;
+        reason = f.detail })
+    o.failures
+
+let pp ppf o =
+  let t = o.tallies in
+  Format.fprintf ppf "@[<v 2>%s%s: %s" o.workload
+    (if o.seeded then " (seeded)" else "")
+    (if ok o then "ok" else "FAILED");
+  (match o.family with
+  | Elision | Inferred_elision ->
+      Format.fprintf ppf
+        "@,chains byte-compared across elision and across modes@,I8: %d \
+         dirty cell(s) over %d segment(s)"
+        t.dirty_cells t.segments
+  | Liveness _ ->
+      Format.fprintf ppf
+        "@,%d epoch(s): %d live cell(s) restore-checked, %d resume(s), %d \
+         read(s) containment-checked"
+        t.epochs t.live_cells t.resumes t.reads_checked;
+      Format.fprintf ppf "@,incremental bytes: %d baseline, %d minimized"
+        t.baseline_bytes t.minimized_bytes
+  | Parallel _ ->
+      Format.fprintf ppf
+        "@,%d domain(s): %d parallel unit(s), %d sweep fan-out(s)@,chains \
+         byte-compared with sequential in both modes@,observed \
+         disjointness: %d unit pair(s) checked"
+        t.domains t.par_units t.par_sweeps t.pairs_checked);
   List.iter
-    (fun c ->
-      Format.fprintf ppf "@,[%s fork %d] %s || %s: %s" c.pc_mode c.pc_group
-        c.pc_a c.pc_b c.pc_detail)
-    o.pw_conflicts;
+    (fun f ->
+      Format.fprintf ppf "@,[%s] %s: %s" f.at (check_name f.check) f.detail)
+    o.failures;
   Format.fprintf ppf "@]"
+
+let builtin_workloads () =
+  [ ("image", Minic.Gen.image_program ());
+    ("small", Minic.Gen.small_program ()) ]

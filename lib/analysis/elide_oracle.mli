@@ -1,167 +1,129 @@
-(** Differential soundness oracle for static write-barrier elision.
+(** Differential soundness oracles: each family runs the engine a fixed
+    number of times on one workload and checks the static facts an
+    optimization relies on against what the runs actually did.
 
-    Two dynamic checks per workload, against the static
-    {!Staticcheck.Barrier_elide} facts:
+    - {b Elision} ([Elision] over declared runs, [Inferred_elision] over
+      annotation-free ones): the workload runs fully instrumented and
+      with static write-barrier elision, in incremental and
+      guarded-specialized modes — four runs. The instrumented and elided
+      chains must be byte-identical segment by segment in each mode (a
+      barrier removed from a site the phase does write silently drops it
+      from incremental checkpoints), and the two instrumented chains must
+      be byte-identical across modes (residual code = generic algorithm,
+      observed end to end). {b Invariant I8}: decoding every incremental
+      segment of the instrumented run and attributing it to its phase
+      (one base, then one segment per iteration in phase order), every
+      dynamically dirtied cell must lie inside the phase's static
+      may-write region.
 
-    - {b Byte identity}: the workload runs once fully instrumented and
-      once with elision ([Engine.analyze ~elide:true]), in both
-      incremental and guarded-specialized modes; the two checkpoint
-      chains must be byte-identical segment by segment. A wrong elision
-      (a barrier removed from a site the phase does write) silently
-      drops the site from incremental checkpoints — exactly the
-      divergence this comparison catches.
+    - {b Liveness} (restore-equivalence of minimized chains, two runs: a
+      guarded-specialized baseline and a [Minimized] run with
+      live-extended elision). Minimized chains are not byte-identical by
+      construction, so per epoch: the restored prefix must agree with the
+      baseline restore on every cell the static {!Staticcheck.Live}
+      analysis marks live at the epoch's boundary; a run re-driven to the
+      epoch, switched onto the minimized restore and run to completion
+      must produce the reference return value and final state (on
+      live-or-rewritten cells); and every cell it reads before writing
+      must lie inside the boundary's live region — the liveness dual of
+      I8.
 
-    - {b Invariant I8 (containment)}: decoding every incremental segment
-      of the instrumented run and attributing it to its phase (segments
-      are positional: one base, then one per iteration in phase order),
-      every dynamically dirtied attribute cell must lie inside the
-      phase's static may-write region — static may-write ⊇ dynamic
-      dirty set. *)
+    - {b Parallel} (sequential identity, four runs: sequential vs
+      parallel, incremental and guarded-specialized). Replaying
+      domain-local write logs in schedule order gives the sequential
+      chain whenever the units' footprints were really disjoint, so the
+      chains must be byte-identical. Identity alone cannot gate — an
+      overlap writing the same value keeps the chain identical while the
+      run is still racy, which the [seed_racy] self-test demonstrates —
+      so the footprints each domain actually observed are also
+      intersected pairwise within every fork group: the parallel dual of
+      I8. *)
 
-type violation = {
-  phase : string;
-  site : string;  (** "se-lists", "bt", "et", or "spine" *)
-  sid : int;  (** statement id, [-1] when unattributable (VarRef) *)
+type family =
+  | Elision
+  | Inferred_elision
+  | Liveness of { seed_unsound : bool }
+      (** [seed_unsound] minimizes with [seed_dead]: one deliberately
+          dropped live block that {e must} surface as failures here (no
+          static finding fires) *)
+  | Parallel of { domains : int; seed_racy : bool }
+      (** [seed_racy] is forwarded to the parallel runs; a seeded run
+          must fail *)
+
+(** What a failed check compared. *)
+type check =
+  | Identity  (** two chains that must be byte-identical differ *)
+  | Containment
+      (** a dynamic cell outside its static region: a dirty cell outside
+          the may-write region (I8), or a read-before-write outside the
+          live region *)
+  | Restore  (** a live cell restores differently from the baseline *)
+  | Resume_return  (** a resumed run returned differently *)
+  | Resume_state  (** a resumed run ended in a different state *)
+  | Resume_crash  (** a resumed run raised a runtime error *)
+  | Chain  (** the runs diverged in shape before any comparison *)
+  | Disjointness  (** observed footprints of concurrent units meet *)
+
+val check_name : check -> string
+(** ["identity"], ["containment"], ["restore"], ["resume-return"],
+    ["resume-state"], ["resume-crash"], ["chain"] or ["disjointness"]. *)
+
+type failure = {
+  check : check;
+  at : string;
+      (** where: the compared chain pair (["incremental"],
+          ["specialized"], ["cross-mode"]), an I8 site (["bta bt sid 12"],
+          or the global and first cell of an inferred block), an epoch
+          (["epoch 3"], ["run"] for the whole run) or a fork group
+          (["incremental fork 2"]) *)
   detail : string;
+}
+
+(** Counts of what the checks covered; a family leaves the others 0. *)
+type tallies = {
+  segments : int;  (** I8: incremental segments decoded *)
+  dirty_cells : int;  (** I8: dynamically dirty cells observed *)
+  epochs : int;  (** liveness: incremental epochs checked *)
+  live_cells : int;  (** liveness: live cells restore-compared *)
+  resumes : int;  (** liveness: resumed executions *)
+  reads_checked : int;  (** liveness: post-switch reads containment-checked *)
+  baseline_bytes : int;  (** liveness: incremental bytes, baseline chain *)
+  minimized_bytes : int;  (** liveness: incremental bytes, minimized chain *)
+  domains : int;  (** parallel: domains the schedule used *)
+  par_units : int;  (** parallel: units executed (incremental run) *)
+  par_sweeps : int;  (** parallel: sweep fan-outs (incremental run) *)
+  pairs_checked : int;  (** parallel: unit pairs disjointness-checked *)
 }
 
 type outcome = {
   workload : string;
-  identical_incremental : bool;
-  identical_specialized : bool;
-  identical_cross_mode : bool;
-      (** the instrumented incremental chain is byte-identical to the
-          instrumented specialized chain — the translation-validated
-          equivalence of residual and generic code observed end-to-end
-          on the real run *)
-  violations : violation list;  (** I8 breaches; empty when sound *)
-  segments_checked : int;  (** incremental segments decoded for I8 *)
-  dirty_cells : int;  (** dynamically dirty attribute cells observed *)
+  family : family;
+  seeded : bool;
+      (** liveness: ran with [seed_unsound]; parallel: the schedule
+          actually injected the racy seed (a workload with no multi-strip
+          sweep cannot be seeded) *)
+  tallies : tallies;
+  failures : failure list;  (** empty when sound *)
+  reports : (Engine.run * Engine.report) list;
+      (** every engine run, in execution order, each executed once *)
 }
+
+val run : name:string -> family -> Minic.Ast.program -> outcome
+(** Execute the family's engine runs (four for elision and parallel, two
+    for liveness; each distinct run once), then its checks.
+    @raise Engine.Verification_failed as {!Engine.analyze} does on the
+    inferred families. *)
 
 val ok : outcome -> bool
+(** No failure. *)
 
-val run : ?division:string list -> name:string -> Minic.Ast.program -> outcome
-(** Four engine runs of the workload (instrumented/elided ×
-    incremental/guarded-specialized) plus the segment decode. *)
+val findings : outcome -> Staticcheck.Finding.t list
+(** One error finding per failure, scoped ["elide-oracle"],
+    ["infer-oracle"], ["live-oracle"] or ["par-oracle"]. *)
 
-val run_inferred : name:string -> Minic.Ast.program -> outcome
-(** The same differential checks for an {e annotation-free} run
-    ([Engine.analyze ~infer]): four runs of the bare program under
-    inferred shapes and inferred elision plans, byte-identity across
-    elision and across modes, and I8 over the {!Wheap} — every
-    dynamically dirtied block or scalar of the instrumented incremental
-    run must lie inside its phase's inferred may-write region.
-    [violation.site] carries the global name, [violation.sid] the first
-    cell of the offending block. *)
-
-(** {1 Restore-equivalence oracle for minimized checkpoints}
-
-    Minimized chains ([Engine.analyze ~infer ~minimize]) are not
-    byte-identical to unminimized ones by construction, so byte identity
-    cannot be their soundness check. {!run_live} verifies the semantic
-    contract instead, per epoch of the minimized chain:
-
-    - {b restore}: restoring the chain prefix up to that epoch agrees
-      with the unminimized restore on every cell the static
-      {!Staticcheck.Live} analysis marks live at the epoch's boundary;
-    - {b resume}: a run re-driven to the epoch, switched onto the
-      minimized restore, and run to completion produces the reference
-      return value and final state (compared on live-or-rewritten
-      cells — dead unwritten cells may hold stale restored values);
-    - {b containment}: every cell the resumed run reads before writing
-      lies inside the boundary's live region — the liveness dual of I8
-      (static live ⊇ dynamic read-before-write). *)
-
-type live_failure = {
-  lf_epoch : int;  (** 0-based incremental epoch; [-1] = whole-run *)
-  lf_kind : string;
-      (** ["restore"], ["resume-return"], ["resume-state"],
-          ["containment"], or ["chain"] *)
-  lf_detail : string;
-}
-
-type live_outcome = {
-  lw_workload : string;
-  lw_seeded : bool;  (** ran with [seed_unsound] *)
-  lw_epochs : int;  (** incremental epochs checked *)
-  lw_live_cells : int;  (** live cells restore-compared, total *)
-  lw_resumes : int;  (** resumed executions completed *)
-  lw_reads_checked : int;  (** post-switch reads containment-checked *)
-  lw_baseline_bytes : int;  (** incremental bytes, unminimized chain *)
-  lw_minimized_bytes : int;  (** incremental bytes, minimized chain *)
-  lw_failures : live_failure list;  (** empty when equivalent *)
-}
-
-val live_ok : live_outcome -> bool
-
-val run_live :
-  ?seed_unsound:bool -> name:string -> Minic.Ast.program -> live_outcome
-(** Two engine runs (guarded-specialized baseline; minimized with
-    live-extended elision), then per epoch: both prefixes restored and
-    compared on live cells, one resumed execution, and the containment
-    check. [seed_unsound] passes [seed_dead] to the minimized run —
-    one deliberately mis-minimized block that {e must} surface as a
-    failure here (no static finding fires), proving this oracle gates.
-    @raise Engine.Verification_failed as [Engine.analyze ~infer] does. *)
-
-val pp_live : Format.formatter -> live_outcome -> unit
-
-(** {1 Sequential-identity oracle for parallel execution}
-
-    Parallel runs ([Engine.analyze ~parallel]) promise {e byte identity}
-    with the sequential chain: domain-local write logs replayed in
-    schedule order produce the same barrier stream whenever the units'
-    footprints were really disjoint. Identity alone cannot gate, though —
-    an overlap that happens to write the same value keeps the chain
-    identical while the run is still racy (the [seed_racy] self-test
-    demonstrates exactly this). {!run_par} therefore also intersects the
-    footprints each domain {e actually observed} (upward-exposed reads
-    and all writes, from the {!Dlog}s), pairwise within every fork
-    group — the parallel dual of invariant I8. *)
-
-type par_conflict = {
-  pc_mode : string;  (** ["incremental"] or ["specialized"] *)
-  pc_group : int;  (** fork instance the two units shared *)
-  pc_a : string;  (** unit label, e.g. ["smooth[8,20)"] *)
-  pc_b : string;
-  pc_detail : string;
-}
-
-type par_outcome = {
-  pw_workload : string;
-  pw_domains : int;
-  pw_seeded : bool;  (** the schedule actually injected the racy seed *)
-  pw_identical_incremental : bool;
-  pw_identical_specialized : bool;
-  pw_par_units : int;  (** parallel units executed (incremental run) *)
-  pw_par_sweeps : int;  (** sweep fan-outs executed (incremental run) *)
-  pw_pairs_checked : int;  (** unit pairs disjointness-checked, both modes *)
-  pw_conflicts : par_conflict list;  (** empty when the run was race-free *)
-}
-
-val par_ok : par_outcome -> bool
-
-val run_par :
-  ?seed_racy:bool ->
-  ?domains:int ->
-  name:string ->
-  Minic.Ast.program ->
-  par_outcome
-(** Four engine runs (sequential vs [~parallel:domains], in incremental
-    and guarded-specialized modes; [domains] defaults to 4), chain
-    comparison per mode, and the pairwise observed-footprint check over
-    both parallel runs' fork groups. [seed_racy] is forwarded to the
-    parallel runs; [pw_seeded] reports whether the schedule found
-    anything to seed (a workload with no multi-strip sweep cannot be
-    seeded). A seeded run must {e not} be [par_ok] — that is the
-    self-test that this oracle gates.
-    @raise Engine.Verification_failed as [Engine.analyze ~infer] does. *)
-
-val pp_par : Format.formatter -> par_outcome -> unit
+val pp : Format.formatter -> outcome -> unit
+(** The verdict, the tallies, and one line per failure. *)
 
 val builtin_workloads : unit -> (string * Minic.Ast.program) list
 (** The generator workloads the test suite and CLI default to:
     the image program and the small program of {!Minic.Gen}. *)
-
-val pp : Format.formatter -> outcome -> unit

@@ -1,14 +1,44 @@
 open Ickpt_core
 open Ickpt_harness
 
-type mode = Full | Incremental | Specialized
+type mode = Full | Incremental | Specialized of { guard : bool }
 
 let pp_mode ppf m =
   Format.pp_print_string ppf
     (match m with
     | Full -> "full"
     | Incremental -> "incremental"
-    | Specialized -> "specialized")
+    | Specialized _ -> "specialized")
+
+type declared = {
+  mode : mode;
+  elide : bool;
+  bta_min : int;
+  eta_min : int;
+  preflight : bool;
+  measure_traversal : bool;
+}
+
+let declared =
+  { mode = Incremental;
+    elide = false;
+    bta_min = 1;
+    eta_min = 1;
+    preflight = false;
+    measure_traversal = false }
+
+type parallel = { domains : int; seed_racy : bool }
+
+type inferred = { mode : mode; elide : bool; parallel : parallel option }
+
+let inferred = { mode = Incremental; elide = false; parallel = None }
+
+type minimized = { guard : bool; elide : bool; seed_dead : bool }
+
+type run =
+  | Declared of declared
+  | Inferred of inferred
+  | Minimized of minimized
 
 type iteration_stat = {
   bytes : int;
@@ -115,93 +145,77 @@ let phase_bytes p = List.fold_left (fun acc s -> acc + s.bytes) 0 p.stats
 let phase_ckp_seconds p =
   List.fold_left (fun acc s -> acc +. s.seconds) 0.0 p.stats
 
+let check_guard shape root =
+  match Jspec.Guard.check shape root with
+  | [] -> ()
+  | v :: _ -> raise (Jspec.Guard.Violated v)
+
+(* A generic checkpoint (Full or Incremental) through the chain. *)
+let take_generic ~(mode : mode) chain roots =
+  let take =
+    match mode with Full -> Chain.take_full | _ -> Chain.take_incremental
+  in
+  let (taken : Chain.taken), seconds = Clock.time (fun () -> take chain roots) in
+  { bytes = Segment.body_size taken.Chain.segment;
+    seconds;
+    traversal_seconds = None;
+    guard_seconds = 0.0;
+    recorded = taken.Chain.stats.Checkpointer.recorded }
+
+(* A specialized checkpoint: [guard] runs first, timed on its own, then
+   [record] writes the residual routines' output, which is appended to
+   the chain by hand as one incremental segment. *)
+let take_specialized ~guard ~record chain roots =
+  let (), guard_seconds = Clock.time guard in
+  let d = Ickpt_stream.Out_stream.create () in
+  let (), seconds = Clock.time (fun () -> record d) in
+  let body = Ickpt_stream.Out_stream.contents d in
+  Chain.append chain
+    { Segment.kind = Segment.Incremental;
+      seq = Chain.next_seq chain;
+      roots =
+        List.map
+          (fun (o : Ickpt_runtime.Model.obj) ->
+            o.Ickpt_runtime.Model.info.Ickpt_runtime.Model.id)
+          roots;
+      body };
+  { bytes = String.length body;
+    seconds;
+    traversal_seconds = None;
+    guard_seconds;
+    recorded = -1 }
+
 (* One checkpointing step over the attribute roots, returning the stat.
    [guard_shape] is the (possibly elision-pruned) declaration to validate
    before specialized recording; [None] means the check is statically
-   discharged (or guards are off) and skipped outright. *)
-let checkpoint_step ~mode ~measure_traversal ~guard_shape ~chain ~attrs
-    ~spec_runner () =
+   discharged (or guards are off) and skipped outright. With
+   [measure_traversal], the same routine then runs again on the now-clean
+   heap into a byte-counting sink. *)
+let checkpoint_step ~(mode : mode) ~measure_traversal ~guard_shape ~chain
+    ~attrs ~spec_runner () =
   let roots = Attrs.roots attrs in
+  let traverse routine stat =
+    if not measure_traversal then stat
+    else
+      let sink = Ickpt_stream.Out_stream.sink () in
+      let (), s = Clock.time (fun () -> routine sink) in
+      { stat with traversal_seconds = Some s }
+  in
   match mode with
   | Full ->
-      let (taken : Chain.taken), seconds =
-        Clock.time (fun () -> Chain.take_full chain roots)
-      in
-      let traversal_seconds =
-        if not measure_traversal then None
-        else
-          let sink = Ickpt_stream.Out_stream.sink () in
-          let (), s =
-            Clock.time (fun () -> Checkpointer.full_many sink roots)
-          in
-          Some s
-      in
-      { bytes = Segment.body_size taken.Chain.segment;
-        seconds;
-        traversal_seconds;
-        guard_seconds = 0.0;
-        recorded = taken.Chain.stats.Checkpointer.recorded }
+      traverse
+        (fun sink -> Checkpointer.full_many sink roots)
+        (take_generic ~mode chain roots)
   | Incremental ->
-      let (taken : Chain.taken), seconds =
-        Clock.time (fun () -> Chain.take_incremental chain roots)
+      traverse
+        (fun sink -> Checkpointer.incremental_many sink roots)
+        (take_generic ~mode chain roots)
+  | Specialized _ ->
+      let record sink = List.iter (fun r -> spec_runner sink r) roots in
+      let guard () =
+        Option.iter (fun shape -> List.iter (check_guard shape) roots) guard_shape
       in
-      let traversal_seconds =
-        if not measure_traversal then None
-        else
-          let sink = Ickpt_stream.Out_stream.sink () in
-          let (), s =
-            Clock.time (fun () -> Checkpointer.incremental_many sink roots)
-          in
-          Some s
-      in
-      { bytes = Segment.body_size taken.Chain.segment;
-        seconds;
-        traversal_seconds;
-        guard_seconds = 0.0;
-        recorded = taken.Chain.stats.Checkpointer.recorded }
-  | Specialized ->
-      let (), guard_seconds =
-        Clock.time (fun () ->
-            match guard_shape with
-            | None -> ()
-            | Some shape ->
-                List.iter
-                  (fun root ->
-                    match Jspec.Guard.check shape root with
-                    | [] -> ()
-                    | v :: _ -> raise (Jspec.Guard.Violated v))
-                  roots)
-      in
-      let d = Ickpt_stream.Out_stream.create () in
-      let (), seconds =
-        Clock.time (fun () -> List.iter (fun r -> spec_runner d r) roots)
-      in
-      let body = Ickpt_stream.Out_stream.contents d in
-      let segment =
-        { Segment.kind = Segment.Incremental;
-          seq = Chain.next_seq chain;
-          roots =
-            List.map
-              (fun (o : Ickpt_runtime.Model.obj) ->
-                o.Ickpt_runtime.Model.info.Ickpt_runtime.Model.id)
-              roots;
-          body }
-      in
-      Chain.append chain segment;
-      let traversal_seconds =
-        if not measure_traversal then None
-        else
-          let sink = Ickpt_stream.Out_stream.sink () in
-          let (), s =
-            Clock.time (fun () -> List.iter (fun r -> spec_runner sink r) roots)
-          in
-          Some s
-      in
-      { bytes = String.length body;
-        seconds;
-        traversal_seconds;
-        guard_seconds;
-        recorded = -1 }
+      traverse record (take_specialized ~guard ~record chain roots)
 
 (* One plan cache per engine run: the three phase shapes compile once each
    and are shared however many iterations run (cf. Jspec.Spec_cache).
@@ -211,7 +225,7 @@ let run_phase ~cache ~name ~mode ~measure_traversal ~guard_shape ~barrier_plan
     ~chain ~attrs ~shape analysis =
   let spec_runner =
     match mode with
-    | Specialized -> Jspec.Spec_cache.runner cache shape
+    | Specialized _ -> Jspec.Spec_cache.runner cache shape
     | Full | Incremental -> fun _ _ -> ()
   in
   let stats = ref [] in
@@ -237,17 +251,14 @@ let run_phase ~cache ~name ~mode ~measure_traversal ~guard_shape ~barrier_plan
     stats = List.rev !stats;
     analysis_seconds = Float.max 0.0 (total_seconds -. !ckp_total) }
 
-let analyze_declared ?(mode = Incremental) ?division ?(sea_min = 1)
-    ?(bta_min = 1) ?(eta_min = 1) ?(measure_traversal = false)
-    ?(guard = false) ?(preflight = false) ?(elide = false) program =
+let analyze_declared (d : declared) program =
+  let { mode; elide; bta_min; eta_min; preflight; measure_traversal } = d in
+  let guard = match mode with Specialized { guard } -> guard | _ -> false in
   let env = Minic.Check.check program in
   let division =
-    match division with
-    | Some d -> d
-    | None ->
-        List.filter
-          (fun g -> List.exists (fun (x, _) -> x = g) env.Minic.Check.global_ids)
-          Minic.Gen.static_globals
+    List.filter
+      (fun g -> List.exists (fun (x, _) -> x = g) env.Minic.Check.global_ids)
+      Minic.Gen.static_globals
   in
   let attrs = Attrs.create ~n_stmts:(Minic.Ast.stmt_count program) in
   let cache = Jspec.Spec_cache.create () in
@@ -310,7 +321,7 @@ let analyze_declared ?(mode = Incremental) ?division ?(sea_min = 1)
     run_phase ~cache ~name:"sea" ~mode ~measure_traversal
       ~guard_shape:sea_guard ~barrier_plan:sea_barrier ~chain ~attrs
       ~shape:sea_shape (fun ~on_iteration ->
-        Sea.run ~on_iteration ~min_iterations:sea_min env attrs)
+        Sea.run ~on_iteration ~min_iterations:1 env attrs)
   in
   let bta_report =
     run_phase ~cache ~name:"bta" ~mode ~measure_traversal
@@ -343,36 +354,24 @@ let analyze_declared ?(mode = Incremental) ?division ?(sea_min = 1)
    root with the residual routine compiled for that root's inferred
    per-phase shape (all drawn from the inference run's spec cache) and
    appends the segment manually, exactly like the declared-run step. *)
-let workload_checkpoint_step ~mode ~measure_traversal ~guard ~elide ~minimize
-    ~chain ~(wheap : Wheap.t) ~(auto : Staticcheck.Auto_spec.t)
+let workload_checkpoint_step ~(mode : mode) ~elide ~minimize ~chain
+    ~(wheap : Wheap.t) ~(auto : Staticcheck.Auto_spec.t)
     ~(pr : Staticcheck.Auto_spec.phase_result) () =
   let roots = Wheap.roots wheap in
-  let take f =
-    let (taken : Chain.taken), seconds = Clock.time (fun () -> f ()) in
-    { bytes = Segment.body_size taken.Chain.segment;
-      seconds;
-      traversal_seconds = None;
-      guard_seconds = 0.0;
-      recorded = taken.Chain.stats.Checkpointer.recorded }
-  in
   match mode with
-  | Full -> take (fun () -> Chain.take_full chain roots)
-  | Incremental -> take (fun () -> Chain.take_incremental chain roots)
-  | Specialized ->
-      let (), guard_seconds =
-        Clock.time (fun () ->
-            if guard then
-              List.iter
-                (fun (g, shape) ->
-                  (* A global whose barrier is elided this phase was
-                     proven unwritten — its cleanliness check is
-                     statically discharged, mirroring the guard pruning
-                     of declared runs. *)
-                  if not (elide && Wheap.is_elided wheap g) then
-                    match Jspec.Guard.check shape (Wheap.root_of wheap g) with
-                    | [] -> ()
-                    | v :: _ -> raise (Jspec.Guard.Violated v))
-                pr.Staticcheck.Auto_spec.ph_shapes)
+  | Full | Incremental -> take_generic ~mode chain roots
+  | Specialized { guard } ->
+      let guard () =
+        if guard then
+          List.iter
+            (fun (g, shape) ->
+              (* A global whose barrier is elided this phase was proven
+                 unwritten — its cleanliness check is statically
+                 discharged, mirroring the guard pruning of declared
+                 runs. *)
+              if not (elide && Wheap.is_elided wheap g) then
+                check_guard shape (Wheap.root_of wheap g))
+            pr.Staticcheck.Auto_spec.ph_shapes
       in
       (* Minimized runs record under the pruned shapes — dirty-but-dead
          blocks demoted — while the guard above keeps validating the
@@ -381,46 +380,22 @@ let workload_checkpoint_step ~mode ~measure_traversal ~guard ~elide ~minimize
         if minimize then pr.Staticcheck.Auto_spec.ph_min_shapes
         else pr.Staticcheck.Auto_spec.ph_shapes
       in
-      let record sink =
+      let record d =
         List.iter
           (fun (g, shape) ->
             let runner =
               Jspec.Spec_cache.runner auto.Staticcheck.Auto_spec.a_cache shape
             in
-            runner sink (Wheap.root_of wheap g))
+            runner d (Wheap.root_of wheap g))
           record_shapes
       in
-      let d = Ickpt_stream.Out_stream.create () in
-      let (), seconds = Clock.time (fun () -> record d) in
-      let body = Ickpt_stream.Out_stream.contents d in
-      let segment =
-        { Segment.kind = Segment.Incremental;
-          seq = Chain.next_seq chain;
-          roots =
-            List.map
-              (fun (o : Ickpt_runtime.Model.obj) ->
-                o.Ickpt_runtime.Model.info.Ickpt_runtime.Model.id)
-              roots;
-          body }
-      in
-      Chain.append chain segment;
-      let traversal_seconds =
-        if not measure_traversal then None
-        else
-          let sink = Ickpt_stream.Out_stream.sink () in
-          let (), s = Clock.time (fun () -> record sink) in
-          Some s
-      in
+      let stat = take_specialized ~guard ~record chain roots in
       (* A minimized recorder consumes only the flags of the blocks it
          keeps; a demoted block's flag would stay set and trip a later
          phase's (original-shape) cleanliness guard. Sweep the graph
          clean: the checkpoint this step took is the new baseline. *)
       if minimize then Wheap.clear_modified wheap;
-      { bytes = String.length body;
-        seconds;
-        traversal_seconds;
-        guard_seconds;
-        recorded = -1 }
+      stat
 
 (* Drive the program itself through the discovered phases: a [Setup]
    phase executes once and checkpoints; a [Round] phase checkpoints after
@@ -437,18 +412,10 @@ let workload_checkpoint_step ~mode ~measure_traversal ~guard ~elide ~minimize
    completion order — through the barriered [Wheap.store], so the
    write-barrier stream, and hence the chain, is byte-identical to a
    sequential run. The observed per-domain footprints land in the
-   [par_report] for [Elide_oracle.run_par]'s dynamic disjointness check. *)
-let analyze_inferred ?(mode = Incremental) ?(measure_traversal = false)
-    ?(guard = false) ?(elide = false) ?(minimize = false)
-    ?(seed_dead = false) ?parallel ?(seed_racy = false) program =
-  if minimize && mode <> Specialized then
-    invalid_arg
-      "Engine.analyze: ~minimize requires Specialized mode (pruned \
-       residual checkpointers)";
-  if minimize && parallel <> None then
-    invalid_arg
-      "Engine.analyze: ~parallel is incompatible with ~minimize \
-       (minimized segments are not byte-comparable)";
+   [par_report] for the parallel oracle's dynamic disjointness check.
+   [minimize] comes only from [Minimized] runs, which are Specialized and
+   never parallel. *)
+let analyze_inferred ~mode ~elide ~minimize ~seed_dead ~parallel program =
   let env = Minic.Check.check program in
   let auto = Staticcheck.Auto_spec.infer ~seed_dead env in
   let failures =
@@ -477,7 +444,8 @@ let analyze_inferred ?(mode = Incremental) ?(measure_traversal = false)
   if failures <> [] then raise (Verification_failed failures);
   let sched =
     Option.map
-      (fun n -> Staticcheck.Interfere.schedule ~domains:n ~seed_racy auto)
+      (fun { domains; seed_racy } ->
+        Staticcheck.Interfere.schedule ~domains ~seed_racy auto)
       parallel
   in
   let wheap = Wheap.create auto.Staticcheck.Auto_spec.a_encoding in
@@ -501,12 +469,10 @@ let analyze_inferred ?(mode = Incremental) ?(measure_traversal = false)
   in
   let make_step (pr : Staticcheck.Auto_spec.phase_result) stats ckp_total () =
     let stat =
-      workload_checkpoint_step ~mode ~measure_traversal ~guard ~elide
-        ~minimize ~chain ~wheap ~auto ~pr ()
+      workload_checkpoint_step ~mode ~elide ~minimize ~chain ~wheap ~auto ~pr
+        ()
     in
-    ckp_total :=
-      !ckp_total +. stat.seconds +. stat.guard_seconds
-      +. Option.value ~default:0.0 stat.traversal_seconds;
+    ckp_total := !ckp_total +. stat.seconds +. stat.guard_seconds;
     stats := stat :: !stats
   in
   (* Parallel bookkeeping: every fan-out (one sweep execution, one phase
@@ -585,29 +551,14 @@ let analyze_inferred ?(mode = Incremental) ?(measure_traversal = false)
             ps.Isch.ps_units
       | _ -> exec_serial ph.Staticcheck.Phase_discover.p_body
     in
-    let run_rounds () =
-      if !halted then 0
-      else
-        match ph.Staticcheck.Phase_discover.p_kind with
-        | Staticcheck.Phase_discover.Setup ->
-            exec_body ();
-            step ();
-            1
-        | Staticcheck.Phase_discover.Round { cond } ->
-            let n = ref 0 in
-            let continue = ref true in
-            while !continue do
-              if !halted then continue := false
-              else begin
-                let v = Minic.Interp.Session.eval session cond in
-                if v = 0 then continue := false else exec_body ();
-                step ();
-                incr n
-              end
-            done;
-            !n
+    let iterations, total_seconds =
+      Clock.time (fun () ->
+          Staticcheck.Phase_discover.drive ph
+            ~halted:(fun () -> !halted)
+            ~exec:exec_body
+            ~eval:(Minic.Interp.Session.eval session)
+            ~step)
     in
-    let iterations, total_seconds = Clock.time run_rounds in
     Wheap.set_elided wheap [];
     { phase = ph.Staticcheck.Phase_discover.p_name;
       iterations;
@@ -672,25 +623,11 @@ let analyze_inferred ?(mode = Incremental) ?(measure_traversal = false)
                            halted' := true
                        in
                        let rounds =
-                         match ph.Staticcheck.Phase_discover.p_kind with
-                         | Staticcheck.Phase_discover.Setup ->
-                             exec ();
-                             Dlog.mark d;
-                             1
-                         | Staticcheck.Phase_discover.Round { cond } ->
-                             let n = ref 0 in
-                             let continue = ref true in
-                             while !continue do
-                               if !halted' then continue := false
-                               else begin
-                                 let v = Minic.Interp.Session.eval s cond in
-                                 if v = 0 then continue := false
-                                 else exec ();
-                                 Dlog.mark d;
-                                 incr n
-                               end
-                             done;
-                             !n
+                         Staticcheck.Phase_discover.drive ph
+                           ~halted:(fun () -> !halted')
+                           ~exec
+                           ~eval:(Minic.Interp.Session.eval s)
+                           ~step:(fun () -> Dlog.mark d)
                        in
                        (d, rounds, !halted', Minic.Interp.Session.locals s)))
             |> List.map Domain.join)
@@ -800,19 +737,15 @@ let analyze_inferred ?(mode = Incremental) ?(measure_traversal = false)
     elide_plans = [];
     par }
 
-let analyze ?mode ?division ?sea_min ?bta_min ?eta_min ?measure_traversal
-    ?guard ?preflight ?elide ?(infer = false) ?minimize ?seed_dead ?parallel
-    ?seed_racy program =
-  if parallel <> None && not infer then
-    invalid_arg
-      "Engine.analyze: ~parallel requires ~infer (the schedule comes from \
-       the inferred phase structure)";
-  if infer then
-    analyze_inferred ?mode ?measure_traversal ?guard ?elide ?minimize
-      ?seed_dead ?parallel ?seed_racy program
-  else
-    analyze_declared ?mode ?division ?sea_min ?bta_min ?eta_min
-      ?measure_traversal ?guard ?preflight ?elide program
+let analyze run program =
+  match run with
+  | Declared d -> analyze_declared d program
+  | Inferred { mode; elide; parallel } ->
+      analyze_inferred ~mode ~elide ~minimize:false ~seed_dead:false ~parallel
+        program
+  | Minimized { guard; elide; seed_dead } ->
+      analyze_inferred ~mode:(Specialized { guard }) ~elide ~minimize:true
+        ~seed_dead ~parallel:None program
 
 let recover_annotations report =
   match Chain.recover report.chain with

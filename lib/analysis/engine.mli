@@ -16,9 +16,111 @@
 
 open Ickpt_core
 
-type mode = Full | Incremental | Specialized
+type mode =
+  | Full
+  | Incremental
+  | Specialized of { guard : bool }
+      (** [guard]: every checkpoint first validates the heap against the
+          specialization class it records under, raising
+          {!Jspec.Guard.Violated} on a breach. *)
 
 val pp_mode : Format.formatter -> mode -> unit
+
+(** {1 Run descriptions}
+
+    {!analyze} takes one of three runs. Each carries exactly the knobs its
+    path reads, so a combination the engine cannot honour does not
+    typecheck: minimization is Specialized by construction, parallel
+    execution exists only for inferred runs, and nothing is accepted only
+    to be ignored. Build runs from the defaults with [with], e.g.
+    [Declared { declared with mode = Full; bta_min = 9; eta_min = 3 }]. *)
+
+(** A run of the analysis engine's own attribute heap under the declared
+    specialization classes (the paper's pipeline). Each phase checkpoints
+    at the end of every iteration; sea runs at least once, bta at least
+    [bta_min] times and eta at least [eta_min] times (the paper's
+    configuration is 9 and 3). *)
+type declared = {
+  mode : mode;
+  elide : bool;
+      (** run each phase under its {!Staticcheck.Barrier_elide} plan:
+          setters for sites the dirty-region analysis proves the phase
+          never writes bypass the write barrier, and the runtime guard is
+          pruned to the checks the analysis could not discharge (skipped
+          when none remain). Elision never changes checkpoint bytes; the
+          elision oracle verifies this differentially. *)
+  bta_min : int;
+  eta_min : int;
+  preflight : bool;
+      (** spec-lint the declared classes against the static inference
+          before any phase runs ({!Preflight_failed} on an unsound
+          declaration), then translation-validate every phase's residual
+          code through the run's {!Jspec.Spec_cache}
+          ({!Verification_failed} on a refuted or unsupported shape) *)
+  measure_traversal : bool;
+      (** also time each checkpoint routine again on the now-clean heap
+          with a byte-counting sink: the "traversal time" row of Table 1 *)
+}
+
+val declared : declared
+(** [Incremental], no elision, minimum iteration counts 1, no preflight,
+    no traversal timing. *)
+
+type parallel = {
+  domains : int;  (** strips per sweep; at least 1 *)
+  seed_racy : bool;
+      (** widen one strip's executed range by one cell after the static
+          checks (see {!Staticcheck.Interfere.schedule}): the self-test
+          that the dynamic oracle gates parallel runs *)
+}
+
+(** An {e annotation-free} run through the automatic pipeline
+    ({!Staticcheck.Auto_spec}): phases are discovered from [main]'s
+    top-level structure, the globals become the checkpointable {!Wheap},
+    shapes and elision plans are inferred per phase, and the reference
+    interpreter drives the program itself, one checkpoint per discovered
+    round. Every synthesized checkpointer must pass translation
+    validation first, {e in every mode}: {!Verification_failed}
+    otherwise (verified or refused, never a silent generic fallback). *)
+type inferred = {
+  mode : mode;  (** a guard validates each root against its inferred shape *)
+  elide : bool;  (** the inferred per-global {!Staticcheck.Barrier_elide.wplan}s *)
+  parallel : parallel option;
+      (** execute an {!Staticcheck.Interfere} schedule: statically
+          disjoint iteration strips and phase groups run on their own
+          OCaml domains against domain-local {!Dlog} tracking stores, and
+          the master replays the write logs in schedule order through the
+          barriered heap. The chain is byte-identical to the sequential
+          run whenever the static disjointness proof holds; the parallel
+          oracle re-checks this, together with observed-footprint
+          disjointness. *)
+}
+
+val inferred : inferred
+(** [Incremental], no elision, sequential. *)
+
+(** An inferred Specialized run recording under the {e minimized} shapes
+    ([Staticcheck.Auto_spec.ph_min_shapes]: may-write ∩ live per the
+    {!Staticcheck.Live} analysis, dead dirty blocks demoted). Guards keep
+    validating the original shapes, [elide] uses the live-extended plans,
+    and every step ends with a {!Wheap.clear_modified} sweep so demoted
+    blocks' stale flags cannot trip later guards. Minimized segments are
+    {e not} byte-identical to unminimized ones by construction; their
+    soundness contract is restore-equivalence, which the liveness oracle
+    verifies. *)
+type minimized = {
+  guard : bool;
+  elide : bool;
+  seed_dead : bool;
+      (** deliberately drop one live block from the minimized set (see
+          {!Staticcheck.Auto_spec.infer}), which the restore-equivalence
+          oracle must catch *)
+}
+
+type run =
+  | Declared of declared
+  | Inferred of inferred
+  | Minimized of minimized
 
 type iteration_stat = {
   bytes : int;  (** checkpoint body size *)
@@ -39,9 +141,9 @@ type phase_report = {
 }
 
 (** What the run checkpointed: the analysis engine's own attribute heap
-    (declared specialization classes, the PR-1 pipeline), or — for
-    [analyze ~infer] — the workload program's globals materialized as a
-    {!Wheap} under fully inferred shapes. *)
+    ([Declared] runs), or the workload program's globals materialized as
+    a {!Wheap} under fully inferred shapes ([Inferred] and [Minimized]
+    runs). *)
 type subject =
   | Engine_heap of Attrs.t
   | Workload_heap of { wheap : Wheap.t; auto : Staticcheck.Auto_spec.t }
@@ -75,20 +177,20 @@ type report = {
   subject : subject;
   env : Minic.Check.env;
   elide_plans : Staticcheck.Barrier_elide.plan list;
-      (** the per-phase elision plans the run executed under; empty
-          unless [analyze ~elide:true] (declared runs only — inferred
-          runs carry their plans in the {!subject}'s
-          [Staticcheck.Auto_spec.t]) *)
+      (** the per-phase elision plans of a [Declared] run with [elide];
+          empty otherwise (inferred runs carry their plans in the
+          {!subject}'s [Staticcheck.Auto_spec.t]) *)
   par : par_report option;
-      (** present iff the run executed under [analyze ~parallel] *)
+      (** present iff the run was [Inferred] with [parallel] *)
 }
 
 val attrs : report -> Attrs.t
 (** The attribute heap of a declared run.
-    @raise Invalid_argument on an [~infer] report. *)
+    @raise Invalid_argument on an inferred or minimized report. *)
 
 val auto_spec : report -> Staticcheck.Auto_spec.t option
-(** The inference result of an [~infer] run; [None] otherwise. *)
+(** The inference result of an inferred or minimized run; [None]
+    otherwise. *)
 
 val wheap : report -> Wheap.t option
 
@@ -104,87 +206,10 @@ val preflight : Attrs.t -> Staticcheck.Spec_lint.diagnostic list
     statically inferred one (see {!Staticcheck.Infer}). Empty when the
     declarations are exactly as tight as the inference. *)
 
-val analyze :
-  ?mode:mode ->
-  ?division:string list ->
-  ?sea_min:int -> ?bta_min:int -> ?eta_min:int ->
-  ?measure_traversal:bool ->
-  ?guard:bool ->
-  ?preflight:bool ->
-  ?elide:bool ->
-  ?infer:bool ->
-  ?minimize:bool ->
-  ?seed_dead:bool ->
-  ?parallel:int ->
-  ?seed_racy:bool ->
-  Minic.Ast.program ->
-  report
-(** Defaults: [mode = Incremental]; [division] = the program's globals
-    named in {!Minic.Gen.static_globals}; minimum iteration counts 1 (the
-    paper's configuration is [bta_min = 9], [eta_min = 3]);
-    [measure_traversal = false]; [guard = false] (when true, every
-    specialized checkpoint validates the declarations first and raises
-    {!Jspec.Guard.Violated} on a breach); [preflight = false] (when true,
-    the declared specialization classes are spec-linted against the
-    static inference before any phase runs, raising {!Preflight_failed}
-    if an unsound declaration is found, and every phase's residual
-    checkpoint code is translation-validated against the generic
-    algorithm — through the run's {!Jspec.Spec_cache}, so shared shapes
-    verify once — raising {!Verification_failed} on a refuted or
-    unsupported shape); [elide = false] (when true, each phase runs
-    under its {!Staticcheck.Barrier_elide} plan: setters for sites the
-    dirty-region analysis proves the phase never writes are rerouted
-    around the write barrier, and the runtime guard is pruned to the
-    checks the analysis could not discharge — skipped entirely when none
-    remain. Elision never changes checkpoint bytes on any run the static
-    analysis covers soundly; {!Elide_oracle} verifies this
-    differentially).
-
-    [infer = false]: when true, the program is run {e annotation-free}
-    through the automatic pipeline ({!Staticcheck.Auto_spec}): phases
-    are discovered from [main]'s top-level structure, the globals become
-    the checkpointable {!Wheap}, shapes and elision plans are inferred
-    per phase, and the reference interpreter drives the program itself —
-    one checkpoint per discovered round. Every synthesized checkpointer
-    must pass translation validation first; {!Verification_failed} is
-    raised otherwise {e in every mode} (verified-or-refused, never a
-    silent generic fallback). [division], [sea_min], [bta_min],
-    [eta_min] and [preflight] do not apply to inferred runs and are
-    ignored; [elide] uses the inferred per-global
-    {!Staticcheck.Barrier_elide.wplan}s; [guard] validates each root
-    against its inferred shape before every specialized checkpoint.
-
-    [minimize = false]: when true (inferred [Specialized] runs only —
-    [Invalid_argument] otherwise), each checkpoint records under the
-    {e minimized} shapes ([Staticcheck.Auto_spec.ph_min_shapes]:
-    may-write ∩ live per the {!Staticcheck.Live} analysis, dead dirty
-    blocks demoted), guards keep validating the original shapes, [elide]
-    switches to the live-extended plans, and every specialized step ends
-    with a {!Wheap.clear_modified} sweep so demoted blocks' stale flags
-    cannot trip later guards. Minimized segments are {e not}
-    byte-identical to unminimized ones by construction; their soundness
-    contract is restore-equivalence, verified by
-    [Ickpt_analysis.Elide_oracle.run_live]. [seed_dead] (inferred runs)
-    is passed to {!Staticcheck.Auto_spec.infer}: one live block is
-    deliberately dropped from the minimized set, which the
-    restore-equivalence oracle must catch.
-
-    [parallel]: inferred runs only ([Invalid_argument] otherwise, and
-    incompatible with [minimize]). Builds an {!Staticcheck.Interfere}
-    schedule over [n] domains and executes it: statically disjoint
-    iteration strips and phase groups run on their own OCaml domains
-    against domain-local {!Dlog} tracking stores, and the master replays
-    the write logs in schedule order through the barriered heap — the
-    chain is byte-identical to the sequential run whenever the static
-    disjointness proof holds, which [Elide_oracle.run_par] re-checks
-    dynamically together with observed-footprint disjointness.
-    [seed_racy] asks the schedule to widen one strip's executed range by
-    one cell after the static checks (see
-    {!Staticcheck.Interfere.schedule}) — the self-test that the dynamic
-    oracle actually gates parallel runs.
-
-    The chain in the result can be recovered to verify the checkpointed
-    analysis state (see the crash-recovery example). *)
+val analyze : run -> Minic.Ast.program -> report
+(** Run the program under [run], checkpointing as the mode says. The
+    chain in the result can be recovered to verify the checkpointed state
+    (see the crash-recovery example). *)
 
 val phase_bytes : phase_report -> int
 

@@ -39,7 +39,11 @@ let measure ?(repeats = 3) workloads =
         Jspec.Guard.reset_visits ();
         let reports =
           List.init repeats (fun _ ->
-              Engine.analyze ~mode:Engine.Specialized ~guard:true ~elide
+              Engine.analyze
+                (Engine.Declared
+                   { Engine.declared with
+                     mode = Engine.Specialized { guard = true };
+                     elide })
                 program)
         in
         (reports, Jspec.Guard.nodes_visited () / repeats)

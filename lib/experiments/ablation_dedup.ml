@@ -105,7 +105,11 @@ let row_of_chain ?(repeats = 3) ~workload ~target chain =
 let measure_engine ?repeats workloads =
   List.map
     (fun (wname, program) ->
-      let report = Engine.analyze ~mode:Engine.Full program in
+      let report =
+        Engine.analyze
+          (Engine.Declared { Engine.declared with mode = Engine.Full })
+          program
+      in
       let chain = report.Engine.chain in
       let target = (Chain.length chain - 1) / 2 in
       row_of_chain ?repeats ~workload:wname ~target chain)

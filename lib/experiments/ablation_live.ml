@@ -26,7 +26,7 @@ type row = {
   live_cells : int;  (** cells restore-compared by the oracle *)
   resumes : int;  (** resumed executions the oracle completed *)
   reads_checked : int;  (** post-switch reads containment-checked *)
-  oracle_ok : bool;  (** Elide_oracle.run_live found no divergence *)
+  oracle_ok : bool;  (** the liveness oracle found no divergence *)
 }
 
 (* ---- workload sources ---------------------------------------------------- *)
@@ -118,14 +118,23 @@ let pack_bytes ~slug chain =
 let measure (wname, program) =
   let env = Minic.Check.check program in
   let t = Auto_spec.infer env in
-  let o = Elide_oracle.run_live ~name:wname program in
-  let base =
-    Engine.analyze ~infer:true ~mode:Engine.Specialized ~guard:true program
+  let o =
+    Elide_oracle.run ~name:wname
+      (Elide_oracle.Liveness { seed_unsound = false })
+      program
   in
-  let min =
-    Engine.analyze ~infer:true ~mode:Engine.Specialized ~guard:true ~elide:true
-      ~minimize:true program
+  let tl = o.Elide_oracle.tallies in
+  (* The oracle's own two runs: the baseline is its inferred run, the
+     minimized chain its [Minimized] one. *)
+  let chain_of p =
+    List.find_map
+      (fun (run, (r : Engine.report)) ->
+        if p run then Some r.Engine.chain else None)
+      o.Elide_oracle.reports
+    |> Option.get
   in
+  let base = chain_of (function Engine.Inferred _ -> true | _ -> false) in
+  let min = chain_of (function Engine.Minimized _ -> true | _ -> false) in
   let slug =
     String.map (fun c -> if c = '/' || c = '.' then '_' else c) wname
   in
@@ -136,13 +145,13 @@ let measure (wname, program) =
     tracked_total (fun ph -> ph.Auto_spec.ph_min_shapes) t.Auto_spec.a_phases
   in
   let per_seg b =
-    if o.Elide_oracle.lw_epochs = 0 then 0.0
-    else float_of_int b /. float_of_int o.Elide_oracle.lw_epochs
+    if tl.Elide_oracle.epochs = 0 then 0.0
+    else float_of_int b /. float_of_int tl.Elide_oracle.epochs
   in
-  let bb = o.Elide_oracle.lw_baseline_bytes in
-  let mb = o.Elide_oracle.lw_minimized_bytes in
+  let bb = tl.Elide_oracle.baseline_bytes in
+  let mb = tl.Elide_oracle.minimized_bytes in
   { workload = wname;
-    epochs = o.Elide_oracle.lw_epochs;
+    epochs = tl.Elide_oracle.epochs;
     baseline_bytes = bb;
     minimized_bytes = mb;
     baseline_per_seg = per_seg bb;
@@ -152,12 +161,12 @@ let measure (wname, program) =
     blocks_total = total;
     blocks_kept = kept;
     blocks_dropped = total - kept;
-    pack_baseline = pack_bytes ~slug:(slug ^ "_base") base.Engine.chain;
-    pack_minimized = pack_bytes ~slug:(slug ^ "_min") min.Engine.chain;
-    live_cells = o.Elide_oracle.lw_live_cells;
-    resumes = o.Elide_oracle.lw_resumes;
-    reads_checked = o.Elide_oracle.lw_reads_checked;
-    oracle_ok = Elide_oracle.live_ok o }
+    pack_baseline = pack_bytes ~slug:(slug ^ "_base") base;
+    pack_minimized = pack_bytes ~slug:(slug ^ "_min") min;
+    live_cells = tl.Elide_oracle.live_cells;
+    resumes = tl.Elide_oracle.resumes;
+    reads_checked = tl.Elide_oracle.reads_checked;
+    oracle_ok = Elide_oracle.ok o }
 
 let measure_all () = List.map measure (workloads ())
 

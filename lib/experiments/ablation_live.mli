@@ -1,11 +1,11 @@
 (** Liveness-minimization ablation (BENCH_6): for each example workload
     (plus an all-live control program), incremental checkpoint bytes of
     the unminimized guarded-specialized run vs the minimized run
-    ([Engine.analyze ~infer ~minimize]), the tracked shape nodes the
+    (an [Engine.Minimized] run), the tracked shape nodes the
     {!Staticcheck.Live} analysis kept vs dropped, on-disk pack sizes of
     both chains through the content-addressed store, and the
-    {!Ickpt_analysis.Elide_oracle.run_live} restore-equivalence verdict
-    gating every row. *)
+    {!Ickpt_analysis.Elide_oracle} [Liveness] restore-equivalence verdict
+    gating every row. The chains are the oracle's own two runs. *)
 
 type row = {
   workload : string;

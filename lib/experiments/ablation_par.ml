@@ -109,7 +109,7 @@ let measure_workload (wname, program) =
   let t = Auto_spec.infer env in
   let _, seq_seconds =
     Ickpt_harness.Clock.best_of ~repeats:2 (fun () ->
-        Engine.analyze ~infer:true ~mode:Engine.Incremental program)
+        Engine.analyze (Engine.Inferred Engine.inferred) program)
   in
   let rows =
     List.map
@@ -117,23 +117,32 @@ let measure_workload (wname, program) =
         let sc = Interfere.schedule ~domains:d t in
         let _, par_seconds =
           Ickpt_harness.Clock.best_of ~repeats:2 (fun () ->
-              Engine.analyze ~infer:true ~mode:Engine.Incremental ~parallel:d
+              Engine.analyze
+                (Engine.Inferred
+                   { Engine.inferred with
+                     parallel = Some { domains = d; seed_racy = false } })
                 program)
         in
-        let o = Elide_oracle.run_par ~domains:d ~name:wname program in
+        let o =
+          Elide_oracle.run ~name:wname
+            (Elide_oracle.Parallel { domains = d; seed_racy = false })
+            program
+        in
         { workload = wname;
           domains = d;
           par_sweeps = sc.Interfere.Schedule.sc_par_sweeps;
           refused = sc.Interfere.Schedule.sc_refused_sweeps;
           groups = sc.Interfere.Schedule.sc_groups;
-          par_units = o.Elide_oracle.pw_par_units;
+          par_units = o.Elide_oracle.tallies.Elide_oracle.par_units;
           seq_seconds;
           par_seconds;
           speedup = 1.0 (* filled in below from the 1-domain row *);
           identical =
-            o.Elide_oracle.pw_identical_incremental
-            && o.Elide_oracle.pw_identical_specialized;
-          oracle_ok = Elide_oracle.par_ok o })
+            not
+              (List.exists
+                 (fun f -> f.Elide_oracle.check = Elide_oracle.Identity)
+                 o.Elide_oracle.failures);
+          oracle_ok = Elide_oracle.ok o })
       domain_counts
   in
   let t1 =

@@ -2,7 +2,7 @@
     workload (plus a larger synthetic stencil sized so fan-out has real
     work), the {!Staticcheck.Interfere} schedule is executed at 1, 2 and
     4 domains and each row is gated by the
-    {!Ickpt_analysis.Elide_oracle.run_par} sequential-identity oracle —
+    {!Ickpt_analysis.Elide_oracle} [Parallel] sequential-identity oracle —
     chain byte-identity in both modes plus pairwise observed-footprint
     disjointness. Wall-clock speedup is reported per row relative to the
     1-domain execution of the same schedule; the speedup {e check} only
@@ -23,7 +23,7 @@ type row = {
   par_seconds : float;  (** parallel run at [domains], best wall-clock *)
   speedup : float;  (** 1-domain [par_seconds] / this row's *)
   identical : bool;  (** chains byte-identical to sequential, both modes *)
-  oracle_ok : bool;  (** {!Ickpt_analysis.Elide_oracle.par_ok} *)
+  oracle_ok : bool;  (** {!Ickpt_analysis.Elide_oracle.ok} *)
 }
 
 val name : string

@@ -69,7 +69,7 @@ let sessions () =
   List.concat_map
     (fun wname ->
       let program = load_example (wname ^ ".mc") in
-      let report = Engine.analyze ~infer:true ~mode:Engine.Incremental program in
+      let report = Engine.analyze (Engine.Inferred Engine.inferred) program in
       let chain = report.Engine.chain in
       let schema = Chain.schema chain in
       let segments = Chain.segments chain in

@@ -66,8 +66,11 @@ let run ~scale ppf =
   (* Dynamics: per-iteration checkpoint sizes in the three modes. *)
   let reports =
     List.map
-      (fun mode -> Engine.analyze ~mode ~bta_min:9 ~eta_min:3 program)
-      Engine.[ Full; Incremental; Specialized ]
+      (fun mode ->
+        Engine.analyze
+          (Engine.Declared { Engine.declared with mode; bta_min = 9; eta_min = 3 })
+          program)
+      Engine.[ Full; Incremental; Specialized { guard = false } ]
   in
   let r_full, r_incr, r_spec =
     match reports with [ a; b; c ] -> (a, b, c) | _ -> assert false

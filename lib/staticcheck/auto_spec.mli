@@ -47,7 +47,7 @@ type phase_result = {
   ph_min_shapes : (string * Sclass.shape) list;
       (** shapes over [ph_min_regions]: dead dirty blocks demoted to
           [Clean]/[Clean_opaque], so the specialized checkpointer skips
-          them — used by [Engine.analyze ~minimize] for recording only
+          them — used by [Engine.Minimized] runs for recording only
           (guards keep validating [ph_shapes], which the dynamic heap
           conforms to) *)
   ph_min_verdicts : (string * Tv.verdict) list;
@@ -83,7 +83,7 @@ val infer :
     first non-empty minimized region loses one live block (scalars lose
     the whole cell), so the minimized checkpointer skips state a later
     read needs. Static findings stay silent — only the dynamic
-    restore-equivalence oracle ([Elide_oracle.run_live]) can catch it,
+    restore-equivalence oracle ([Elide_oracle.Liveness]) can catch it,
     which is exactly what [ickpt_lint live --seed-unsound] asserts.
     [max_vars] is passed through to {!Tv.verify}. *)
 

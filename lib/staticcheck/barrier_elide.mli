@@ -113,7 +113,7 @@ val workload_plan_live :
     tripping later phases' cleanliness guards. Byte-identity runs must
     keep using {!workload_plan} — eliding a live barrier changes
     incremental segments by construction, which is exactly what
-    [Elide_oracle.run_live]'s restore-equivalence (not byte-identity)
+    the liveness oracle's restore-equivalence (not byte-identity)
     tolerates and re-verifies. *)
 
 val welided : wplan -> string list

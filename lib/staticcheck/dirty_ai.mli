@@ -17,8 +17,9 @@
 
     Soundness contract (invariant I8): for any terminating concrete run,
     every global cell actually written is contained in {!main_writes};
-    the complement ({!clean_cells}) is definitely clean. The runtime
-    {!Ickpt_analysis.Elide_oracle} re-verifies this dynamically. *)
+    the complement ({!clean_cells}) is definitely clean. The
+    [Ickpt_analysis.Elide_oracle.Inferred_elision] oracle re-verifies this
+    dynamically. *)
 
 type result
 

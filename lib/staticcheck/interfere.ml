@@ -1,5 +1,5 @@
 (* May-read/may-write interference analysis: the static scheduler behind
-   Engine.analyze ~parallel. Footprints live on the Regions interval
+   parallel engine runs. Footprints live on the Regions interval
    lattice; disjointness there is exact (Regions.disjoint), so a
    "schedule parallel" decision is a proof, and every may-overlap is a
    Finding-reported refusal that keeps the work serial. *)

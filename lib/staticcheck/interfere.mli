@@ -1,6 +1,6 @@
 (** Interference analysis for domain-parallel phase execution.
 
-    The static trust story behind [Engine.analyze ~parallel]: decide,
+    The static trust story behind parallel engine runs: decide,
     from may-read/may-write footprints on the {!Regions} interval
     lattice, which work of a discovered phase structure may execute on
     separate OCaml domains without the dirty logs interleaving
@@ -28,7 +28,7 @@
     {!Finding.Warning} naming the conflicting region pair; the work
     stays serial. The dynamic dual (observed per-domain dirty/read
     sets must not intersect) is re-checked on every parallel run by
-    [Ickpt_analysis.Elide_oracle.run_par]. *)
+    the [Ickpt_analysis.Elide_oracle.Parallel] oracle. *)
 
 type footprint = {
   fp_reads : (string * Regions.t) list;

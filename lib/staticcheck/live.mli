@@ -38,13 +38,13 @@
     records the regions live into the rest of the program: a [Setup]
     boundary sits after its body; a [Round] boundary is the loop-head
     fixpoint, havoc-conservative over any number of remaining
-    iterations. Soundness contract (checked dynamically by
-    [Ickpt_analysis.Elide_oracle.run_live]): every cell the concrete
-    suffix reads before overwriting is contained in the boundary's live
-    region, assuming each phase runs fault-free to completion — the same
-    assumption the checkpoint driver itself makes. [main]'s locals live
-    in the interpreter session, outside the checkpointed heap, and are
-    not part of any boundary. *)
+    iterations. Soundness contract (checked dynamically by the
+    [Ickpt_analysis.Elide_oracle.Liveness] oracle): every cell the
+    concrete suffix reads before overwriting is contained in the
+    boundary's live region, assuming each phase runs fault-free to
+    completion — the same assumption the checkpoint driver itself makes.
+    [main]'s locals live in the interpreter session, outside the
+    checkpointed heap, and are not part of any boundary. *)
 
 type t
 

@@ -14,6 +14,24 @@ type phase = {
 
 let is_round p = match p.p_kind with Round _ -> true | Setup -> false
 
+let drive p ~halted ~exec ~eval ~step =
+  if halted () then 0
+  else
+    match p.p_kind with
+    | Setup ->
+        exec ();
+        step ();
+        1
+    | Round { cond } ->
+        let n = ref 0 in
+        let continue = ref true in
+        while !continue && not (halted ()) do
+          if eval cond = 0 then continue := false else exec ();
+          step ();
+          incr n
+        done;
+        !n
+
 (* ---- call collection (for naming) ----------------------------------------- *)
 
 let rec expr_calls acc = function

@@ -42,4 +42,19 @@ val discover : Minic.Check.env -> phase list
 
 val is_round : phase -> bool
 
+val drive :
+  phase ->
+  halted:(unit -> bool) ->
+  exec:(unit -> unit) ->
+  eval:(Minic.Ast.expr -> int) ->
+  step:(unit -> unit) ->
+  int
+(** Execute one phase with the checkpoint placement every driver shares
+    (the engine's sequential and grouped runs, and the liveness oracle's
+    re-driven runs): a [Setup] body once, then [step]; a [Round] body once
+    per true guard evaluation with [step] after each, plus one more [step]
+    after the final false evaluation — guard effects belong to the round.
+    Nothing runs once [halted ()]; a round checks it before every guard
+    evaluation. Returns the number of steps. *)
+
 val pp : Format.formatter -> phase -> unit

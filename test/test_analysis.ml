@@ -192,7 +192,8 @@ let eta_expected () =
 (* ---- engine ------------------------------------------------------------- *)
 
 let run_engine mode =
-  Engine.analyze ~mode ~bta_min:5 ~eta_min:3
+  Engine.analyze
+    (Engine.Declared { Engine.declared with mode; bta_min = 5; eta_min = 3 })
     (Minic.Gen.image_program ~n_filters:4 ())
 
 let sizes r =
@@ -203,7 +204,7 @@ let sizes r =
 
 let engine_specialized_matches_incremental () =
   let ri = run_engine Engine.Incremental in
-  let rs = run_engine Engine.Specialized in
+  let rs = run_engine (Engine.Specialized { guard = false }) in
   check_bool "same per-iteration sizes" true (sizes ri = sizes rs);
   (* And bytes, via recovery equality of final states *)
   check_bool "same recovered annotations" true
@@ -235,7 +236,11 @@ let engine_full_dominates () =
 let engine_guarded_specialization () =
   (* With guards on, the phase declarations must actually hold. *)
   let r =
-    Engine.analyze ~mode:Engine.Specialized ~guard:true ~bta_min:3
+    Engine.analyze
+      (Engine.Declared
+         { Engine.declared with
+           mode = Engine.Specialized { guard = true };
+           bta_min = 3 })
       (Minic.Gen.image_program ~n_filters:3 ())
   in
   check_int "three phases" 3 (List.length r.Engine.phases)
@@ -254,7 +259,7 @@ let engine_recovery_matches_live () =
 
 let engine_analyses_mode_independent () =
   let a = run_engine Engine.Full in
-  let b = run_engine Engine.Specialized in
+  let b = run_engine (Engine.Specialized { guard = false }) in
   check_bool "annotations independent of checkpoint mode" true
     (Engine.recover_annotations a = Engine.recover_annotations b)
 

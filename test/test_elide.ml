@@ -96,15 +96,15 @@ let unsound_declaration_kept () =
    instrumented one walks the attribute tree every checkpoint. *)
 let guard_visits_drop () =
   let program = Minic.Gen.small_program () in
-  Jspec.Guard.reset_visits ();
-  let (_ : Engine.report) =
-    Engine.analyze ~mode:Engine.Specialized ~guard:true ~elide:false program
+  let run elide =
+    Engine.Declared
+      { Engine.declared with mode = Engine.Specialized { guard = true }; elide }
   in
+  Jspec.Guard.reset_visits ();
+  let (_ : Engine.report) = Engine.analyze (run false) program in
   let instrumented = Jspec.Guard.nodes_visited () in
   Jspec.Guard.reset_visits ();
-  let (_ : Engine.report) =
-    Engine.analyze ~mode:Engine.Specialized ~guard:true ~elide:true program
-  in
+  let (_ : Engine.report) = Engine.analyze (run true) program in
   let elided = Jspec.Guard.nodes_visited () in
   check_bool "instrumented run guards" true (instrumented > 0);
   check_int "elided run skips every guard" 0 elided
@@ -114,11 +114,13 @@ let guard_visits_drop () =
 (* The I8 tallies are exact: the engine runs are deterministic, so any
    drift in what the oracle decodes is a behaviour change, not noise. *)
 let oracle_outcome name program ~cells ~segments =
-  let o = Elide_oracle.run ~name program in
+  let o = Elide_oracle.run ~name Elide_oracle.Elision program in
   if not (Elide_oracle.ok o) then
     Alcotest.failf "oracle failed:@\n%a" Elide_oracle.pp o;
-  check_int (name ^ ": segments decoded") segments o.Elide_oracle.segments_checked;
-  check_int (name ^ ": dirty cells observed") cells o.Elide_oracle.dirty_cells
+  let t = o.Elide_oracle.tallies in
+  check_int (name ^ ": engine runs") 4 (List.length o.Elide_oracle.reports);
+  check_int (name ^ ": segments decoded") segments t.Elide_oracle.segments;
+  check_int (name ^ ": dirty cells observed") cells t.Elide_oracle.dirty_cells
 
 let builtin_tallies = [ ("image", (2299, 9)); ("small", (49, 7)) ]
 

@@ -135,7 +135,7 @@ let seeded_unsound_refused () =
    the plain hashtable store. *)
 let engine_infer_state () =
   let program = example_program "blur.mc" in
-  let report = Engine.analyze ~infer:true program in
+  let report = Engine.analyze (Engine.Inferred Engine.inferred) program in
   let wheap =
     match Engine.wheap report with
     | Some w -> w
@@ -159,22 +159,21 @@ let engine_infer_state () =
 (* ---- the differential oracle over the example workloads -------------------- *)
 
 let oracle_outcome name o ~cells ~segments =
-  check_bool (name ^ " incremental chains identical") true
-    o.Elide_oracle.identical_incremental;
-  check_bool (name ^ " specialized chains identical") true
-    o.Elide_oracle.identical_specialized;
-  check_bool (name ^ " cross-mode chains identical") true
-    o.Elide_oracle.identical_cross_mode;
-  check_int (name ^ " I8 violations") 0 (List.length o.Elide_oracle.violations);
-  check_int (name ^ " observed dirty cells") cells o.Elide_oracle.dirty_cells;
-  check_int (name ^ " segments decoded") segments
-    o.Elide_oracle.segments_checked
+  check_bool
+    (Format.asprintf "%s identical across elision and modes, I8 holds:@ %a"
+       name Elide_oracle.pp o)
+    true (Elide_oracle.ok o);
+  let t = o.Elide_oracle.tallies in
+  check_int (name ^ " engine runs") 4 (List.length o.Elide_oracle.reports);
+  check_int (name ^ " observed dirty cells") cells t.Elide_oracle.dirty_cells;
+  check_int (name ^ " segments decoded") segments t.Elide_oracle.segments
 
 let oracle_examples_inferred () =
   List.iter
     (fun (file, (cells, segments)) ->
       oracle_outcome file ~cells ~segments
-        (Elide_oracle.run_inferred ~name:file (example_program file)))
+        (Elide_oracle.run ~name:file Elide_oracle.Inferred_elision
+           (example_program file)))
     [ ("blur.mc", (58, 7));
       ("histogram.mc", (10, 1));
       ("pagerank.mc", (57, 13));
@@ -195,7 +194,8 @@ let prop_random_inferred =
     (fun seed ->
       let program = Minic.Gen.random_program ~seed () in
       let name = Printf.sprintf "random-%d" seed in
-      Elide_oracle.ok (Elide_oracle.run_inferred ~name program))
+      Elide_oracle.ok
+        (Elide_oracle.run ~name Elide_oracle.Inferred_elision program))
 
 (* ---- the uniform JSON envelope --------------------------------------------- *)
 
@@ -395,6 +395,66 @@ let json_envelopes () =
       | _ -> Alcotest.fail "finding path")
   | _ -> Alcotest.fail "two findings expected"
 
+(* The CLI end to end: a seeded oracle run's failures must all reach the
+   envelope as error findings — the JSON consumer sees exactly what the
+   outcome recorded. The binary is a dune dep of the test. *)
+let lint_exe () =
+  match
+    List.find_opt Sys.file_exists
+      [ "../bin/ickpt_lint.exe"; "_build/default/bin/ickpt_lint.exe" ]
+  with
+  | Some p -> p
+  | None -> Alcotest.fail "ickpt_lint.exe not found"
+
+let cli_json args =
+  let out = Filename.temp_file "ickpt_lint" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove out)
+    (fun () ->
+      let code =
+        Sys.command
+          (Printf.sprintf "%s %s --json > %s" (Filename.quote (lint_exe ()))
+             args (Filename.quote out))
+      in
+      let ic = open_in_bin out in
+      let raw =
+        Fun.protect
+          ~finally:(fun () -> close_in ic)
+          (fun () -> really_input_string ic (in_channel_length ic))
+      in
+      (code, String.trim raw))
+
+let oracle_failures_in_envelope () =
+  List.iter
+    (fun (subcommand, flag, family, failures) ->
+      let o =
+        Elide_oracle.run ~name:"blur.mc" family (example_program "blur.mc")
+      in
+      check_int (subcommand ^ " outcome failures") failures
+        (List.length o.Elide_oracle.failures);
+      let code, raw =
+        cli_json
+          (Printf.sprintf "%s %s %s" subcommand flag
+             (Filename.quote (example_path "blur.mc")))
+      in
+      check_int (subcommand ^ " exit code") 1 code;
+      check_envelope ~subcommand ~exit_code:1 raw;
+      let j = parse_json raw in
+      (match field j "errors" with
+      | J_num n -> check_int (subcommand ^ " errors") failures (int_of_float n)
+      | _ -> Alcotest.fail "errors field");
+      match field j "oracle_ok" with
+      | J_bool b -> check_bool (subcommand ^ " oracle_ok") false b
+      | _ -> Alcotest.fail "oracle_ok field")
+    [ ( "live",
+        "--seed-unsound",
+        Elide_oracle.Liveness { seed_unsound = true },
+        60 );
+      ( "par",
+        "--seed-racy",
+        Elide_oracle.Parallel { domains = 4; seed_racy = true },
+        8 ) ]
+
 let suites =
   [ ( "phase-discover",
       [ Alcotest.test_case "blur phases" `Quick discover_blur;
@@ -409,5 +469,6 @@ let suites =
       [ Alcotest.test_case "example workloads" `Slow oracle_examples_inferred;
         QCheck_alcotest.to_alcotest prop_random_inferred ] );
     ( "json-envelope",
-      [ Alcotest.test_case "uniform across subcommands" `Quick json_envelopes ]
-    ) ]
+      [ Alcotest.test_case "uniform across subcommands" `Quick json_envelopes;
+        Alcotest.test_case "oracle failures reach the envelope" `Slow
+          oracle_failures_in_envelope ] ) ]

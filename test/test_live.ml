@@ -182,17 +182,6 @@ let all_live_identity () =
     (tracked_total (fun ph -> ph.As.ph_shapes) t)
     (tracked_total (fun ph -> ph.As.ph_min_shapes) t)
 
-let minimize_requires_specialized () =
-  let program = example_program "blur.mc" in
-  Alcotest.check_raises "minimize outside Specialized is a contract error"
-    (Invalid_argument
-       "Engine.analyze: ~minimize requires Specialized mode (pruned \
-        residual checkpointers)")
-    (fun () ->
-      ignore
-        (Engine.analyze ~infer:true ~mode:Engine.Incremental ~minimize:true
-           program))
-
 (* ---- restore-equivalence oracle -------------------------------------------- *)
 
 (* Exact tallies per workload — (epochs, live cells, resumes, reads),
@@ -204,23 +193,25 @@ let live_tallies =
     ("pagerank.mc", ((13, 1572, 13, 1292), (570, 363)));
     ("kvlog.mc", ((15, 84, 15, 65), (1552, 225))) ]
 
+let live_oracle ?(seed_unsound = false) ~name program =
+  Elide_oracle.run ~name (Elide_oracle.Liveness { seed_unsound }) program
+
 let oracle_examples () =
   List.iter
     (fun (file, ((epochs, cells, resumes, reads), (base, min))) ->
-      let o = Elide_oracle.run_live ~name:file (example_program file) in
+      let o = live_oracle ~name:file (example_program file) in
       check_bool
-        (Format.asprintf "%s restore-equivalent:@ %a" file Elide_oracle.pp_live
-           o)
-        true
-        (Elide_oracle.live_ok o);
-      check_int (file ^ " epochs") epochs o.Elide_oracle.lw_epochs;
-      check_int (file ^ " live cells") cells o.Elide_oracle.lw_live_cells;
-      check_int (file ^ " resumes") resumes o.Elide_oracle.lw_resumes;
-      check_int (file ^ " reads") reads o.Elide_oracle.lw_reads_checked;
-      check_int (file ^ " baseline bytes") base
-        o.Elide_oracle.lw_baseline_bytes;
+        (Format.asprintf "%s restore-equivalent:@ %a" file Elide_oracle.pp o)
+        true (Elide_oracle.ok o);
+      let t = o.Elide_oracle.tallies in
+      check_int (file ^ " engine runs") 2 (List.length o.Elide_oracle.reports);
+      check_int (file ^ " epochs") epochs t.Elide_oracle.epochs;
+      check_int (file ^ " live cells") cells t.Elide_oracle.live_cells;
+      check_int (file ^ " resumes") resumes t.Elide_oracle.resumes;
+      check_int (file ^ " reads") reads t.Elide_oracle.reads_checked;
+      check_int (file ^ " baseline bytes") base t.Elide_oracle.baseline_bytes;
       check_int (file ^ " minimized bytes") min
-        o.Elide_oracle.lw_minimized_bytes)
+        t.Elide_oracle.minimized_bytes)
     live_tallies
 
 (* The seeded mis-minimization must stay invisible to the static layer
@@ -238,29 +229,47 @@ let seeded_dead_caught_dynamically () =
         false
         (Staticcheck.Finding.has_errors (As.findings t));
       let o =
-        Elide_oracle.run_live ~seed_unsound:true ~name:file
-          (example_program file)
+        live_oracle ~seed_unsound:true ~name:file (example_program file)
       in
       check_bool (Printf.sprintf "%s: oracle flags the seeded run" file) false
-        (Elide_oracle.live_ok o);
+        (Elide_oracle.ok o);
       Option.iter
         (fun n ->
           check_int (file ^ " seeded failures") n
-            (List.length o.Elide_oracle.lw_failures))
+            (List.length o.Elide_oracle.failures))
         failures)
     [ ("blur.mc", Some 60); ("pagerank.mc", Some 122); ("kvlog.mc", None) ];
   let o =
-    Elide_oracle.run_live ~seed_unsound:true ~name:"blur.mc"
-      (example_program "blur.mc")
+    live_oracle ~seed_unsound:true ~name:"blur.mc" (example_program "blur.mc")
   in
-  let kind k =
+  let count check =
     List.length
       (List.filter
-         (fun f -> f.Elide_oracle.lf_kind = k)
-         o.Elide_oracle.lw_failures)
+         (fun f -> f.Elide_oracle.check = check)
+         o.Elide_oracle.failures)
   in
-  check_int "blur seeded restore failures" 30 (kind "restore");
-  check_int "blur seeded resume-state failures" 30 (kind "resume-state")
+  check_int "blur seeded restore failures" 30 (count Elide_oracle.Restore);
+  check_int "blur seeded resume-state failures" 30
+    (count Elide_oracle.Resume_state);
+  (* Every failure is printed, each on its own line, under its kind. *)
+  let lines =
+    String.split_on_char '\n' (Format.asprintf "%a" Elide_oracle.pp o)
+  in
+  List.iter
+    (fun (f : Elide_oracle.failure) ->
+      let line =
+        Printf.sprintf "  [%s] %s: %s" f.Elide_oracle.at
+          (Elide_oracle.check_name f.Elide_oracle.check)
+          f.Elide_oracle.detail
+      in
+      check_bool ("printed: " ^ line) true (List.mem line lines))
+    o.Elide_oracle.failures;
+  check_int "one pp line per failure"
+    (List.length o.Elide_oracle.failures)
+    (List.length
+       (List.filter
+          (fun l -> String.length l > 3 && String.sub l 0 3 = "  [")
+          lines))
 
 let print_seeded_program seed =
   Printf.sprintf "seed %d:\n%s" seed
@@ -273,7 +282,7 @@ let prop_random_live =
     (fun seed ->
       let program = Minic.Gen.random_program ~seed () in
       let name = Printf.sprintf "random-%d" seed in
-      Elide_oracle.live_ok (Elide_oracle.run_live ~name program))
+      Elide_oracle.ok (live_oracle ~name program))
 
 (* ---- dirty-region fixpoint termination at widen_delay 0 -------------------- *)
 
@@ -295,9 +304,7 @@ let suites =
         Alcotest.test_case "kvlog" `Quick kvlog_boundaries ] );
     ( "live-minimize",
       [ Alcotest.test_case "shapes only demote" `Quick minimized_shapes_prune;
-        Alcotest.test_case "all-live identity" `Quick all_live_identity;
-        Alcotest.test_case "requires specialized mode" `Quick
-          minimize_requires_specialized ] );
+        Alcotest.test_case "all-live identity" `Quick all_live_identity ] );
     ( "live-oracle",
       [ Alcotest.test_case "example workloads" `Slow oracle_examples;
         Alcotest.test_case "seeded dead caught dynamically" `Slow

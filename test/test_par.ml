@@ -3,8 +3,7 @@
    region pair, phase groups), deterministic replay (the parallel chain
    is byte-identical to the sequential one at any domain count), the
    sequential-identity oracle including the seeded racy overlap that
-   only the dynamic footprint check may catch, and the engine's argument
-   contract for [~parallel]. *)
+   only the dynamic footprint check may catch. *)
 
 module As = Staticcheck.Auto_spec
 module If = Staticcheck.Interfere
@@ -14,6 +13,11 @@ open Ickpt_analysis
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
+let check_string = Alcotest.(check string)
+
+let par_oracle ?(seed_racy = false) ~name program =
+  Elide_oracle.run ~name (Elide_oracle.Parallel { domains = 4; seed_racy })
+    program
 
 let example_path file =
   let candidates =
@@ -160,13 +164,12 @@ let segment_keys report =
 
 let merge_determinism () =
   let program = example_program "blur.mc" in
-  let seq = Engine.analyze ~infer:true ~mode:Engine.Incremental program in
-  let par1 =
-    Engine.analyze ~infer:true ~mode:Engine.Incremental ~parallel:1 program
+  let run parallel =
+    Engine.analyze (Engine.Inferred { Engine.inferred with parallel }) program
   in
-  let par4 =
-    Engine.analyze ~infer:true ~mode:Engine.Incremental ~parallel:4 program
-  in
+  let seq = run None in
+  let par1 = run (Some { domains = 1; seed_racy = false }) in
+  let par4 = run (Some { domains = 4; seed_racy = false }) in
   check_bool "1-domain chain = sequential chain" true
     (segment_keys par1 = segment_keys seq);
   check_bool "4-domain chain = sequential chain" true
@@ -206,11 +209,10 @@ let phase_groups () =
   check_int "three phases" 3 (List.length sc.Sc.sc_phases);
   check_bool "all phases share the group" true
     (List.for_all (fun ps -> ps.Sc.ps_group = 0) sc.Sc.sc_phases);
-  let o = Elide_oracle.run_par ~name:"twoloops" program in
-  check_bool "grouped execution passes the oracle" true
-    (Elide_oracle.par_ok o);
+  let o = par_oracle ~name:"twoloops" program in
+  check_bool "grouped execution passes the oracle" true (Elide_oracle.ok o);
   check_bool "the fork actually ran concurrently-checked pairs" true
-    (o.Elide_oracle.pw_pairs_checked > 0)
+    (o.Elide_oracle.tallies.Elide_oracle.pairs_checked > 0)
 
 (* ---- sequential-identity oracle -------------------------------------------- *)
 
@@ -225,13 +227,14 @@ let par_tallies =
 let oracle_examples () =
   List.iter
     (fun (file, (units, sweeps, pairs)) ->
-      let o = Elide_oracle.run_par ~name:file (example_program file) in
-      check_bool (file ^ " oracle passes") true (Elide_oracle.par_ok o);
-      check_bool (file ^ " not seeded") false o.Elide_oracle.pw_seeded;
-      check_int (file ^ " parallel units") units o.Elide_oracle.pw_par_units;
-      check_int (file ^ " sweep fan-outs") sweeps o.Elide_oracle.pw_par_sweeps;
-      check_int (file ^ " pairs checked") pairs
-        o.Elide_oracle.pw_pairs_checked)
+      let o = par_oracle ~name:file (example_program file) in
+      check_bool (file ^ " oracle passes") true (Elide_oracle.ok o);
+      check_bool (file ^ " not seeded") false o.Elide_oracle.seeded;
+      let t = o.Elide_oracle.tallies in
+      check_int (file ^ " engine runs") 4 (List.length o.Elide_oracle.reports);
+      check_int (file ^ " parallel units") units t.Elide_oracle.par_units;
+      check_int (file ^ " sweep fan-outs") sweeps t.Elide_oracle.par_sweeps;
+      check_int (file ^ " pairs checked") pairs t.Elide_oracle.pairs_checked)
     par_tallies
 
 (* The seeded overlap writes the same value into the contested cell, so
@@ -240,41 +243,21 @@ let oracle_examples () =
 let oracle_seeded () =
   List.iter
     (fun (file, conflicts) ->
-      let o =
-        Elide_oracle.run_par ~seed_racy:true ~name:file (example_program file)
-      in
-      check_bool (file ^ " seeded") true o.Elide_oracle.pw_seeded;
-      check_bool (file ^ " oracle refuses") false (Elide_oracle.par_ok o);
+      let o = par_oracle ~seed_racy:true ~name:file (example_program file) in
+      check_bool (file ^ " seeded") true o.Elide_oracle.seeded;
+      check_bool (file ^ " oracle refuses") false (Elide_oracle.ok o);
       check_int (file ^ " conflicts observed") conflicts
-        (List.length o.Elide_oracle.pw_conflicts);
-      check_bool (file ^ " chains nonetheless identical (incremental)") true
-        o.Elide_oracle.pw_identical_incremental;
-      check_bool (file ^ " chains nonetheless identical (specialized)") true
-        o.Elide_oracle.pw_identical_specialized;
+        (List.length o.Elide_oracle.failures);
+      (* Every failure is a disjointness conflict: the chains stayed
+         byte-identical in both modes. *)
       List.iter
-        (fun (c : Elide_oracle.par_conflict) ->
+        (fun (f : Elide_oracle.failure) ->
+          check_string "only disjointness fails" "disjointness"
+            (Elide_oracle.check_name f.Elide_oracle.check);
           check_bool "conflict names the region" true
-            (c.Elide_oracle.pc_detail <> ""))
-        o.Elide_oracle.pw_conflicts)
+            (f.Elide_oracle.detail <> ""))
+        o.Elide_oracle.failures)
     [ ("blur.mc", 8); ("pagerank.mc", 20) ]
-
-(* ---- engine argument contract ---------------------------------------------- *)
-
-let engine_contract () =
-  let program = example_program "blur.mc" in
-  Alcotest.check_raises "~parallel without ~infer"
-    (Invalid_argument
-       "Engine.analyze: ~parallel requires ~infer (the schedule comes \
-        from the inferred phase structure)")
-    (fun () -> ignore (Engine.analyze ~parallel:2 program));
-  Alcotest.check_raises "~parallel with ~minimize"
-    (Invalid_argument
-       "Engine.analyze: ~parallel is incompatible with ~minimize \
-        (minimized segments are not byte-comparable)")
-    (fun () ->
-      ignore
-        (Engine.analyze ~infer:true ~mode:Engine.Specialized ~minimize:true
-           ~parallel:2 program))
 
 let suites =
   [ ( "interfere-schedule",
@@ -284,8 +267,7 @@ let suites =
         Alcotest.test_case "histogram serial" `Quick histogram_schedule;
         Alcotest.test_case "phase groups" `Quick phase_groups ] );
     ( "par-engine",
-      [ Alcotest.test_case "deterministic merge" `Slow merge_determinism;
-        Alcotest.test_case "argument contract" `Quick engine_contract ] );
+      [ Alcotest.test_case "deterministic merge" `Slow merge_determinism ] );
     ( "par-oracle",
       [ Alcotest.test_case "blur passes" `Slow oracle_examples;
         Alcotest.test_case "seeded racy overlap caught" `Slow

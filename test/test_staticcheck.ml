@@ -458,7 +458,12 @@ let engine_preflight_accepts_shipped () =
   let attrs = Attrs.create ~n_stmts:2 in
   check_int "no diagnostics" 0 (List.length (Engine.preflight attrs));
   let r =
-    Engine.analyze ~mode:Engine.Specialized ~preflight:true ~bta_min:3
+    Engine.analyze
+      (Engine.Declared
+         { Engine.declared with
+           mode = Engine.Specialized { guard = false };
+           preflight = true;
+           bta_min = 3 })
       (Minic.Gen.image_program ~n_filters:2 ())
   in
   check_int "analysis ran all phases" 3 (List.length r.Engine.phases)

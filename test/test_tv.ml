@@ -223,11 +223,15 @@ let verdict_cache_negative () =
 
 (* ---- engine wiring ------------------------------------------------------- *)
 
-(* analyze ~preflight now translation-validates every phase shape; the
-   shipped shapes pass, so the analysis must run normally. *)
+(* A preflight run translation-validates every phase shape; the shipped
+   shapes pass, so the analysis must run normally. *)
 let engine_preflight_verifies () =
   let r =
-    Engine.analyze ~mode:Engine.Specialized ~preflight:true
+    Engine.analyze
+      (Engine.Declared
+         { Engine.declared with
+           mode = Engine.Specialized { guard = false };
+           preflight = true })
       (Minic.Gen.small_program ())
   in
   check_int "analysis ran all phases" 3 (List.length r.Engine.phases)
