@@ -110,8 +110,11 @@ let run_cmd =
       (Printf.sprintf "ickpt_serve_%d" (Unix.getpid ()))
   in
   let run tenants rounds shards commit path keep json =
-    if tenants < 1 || rounds < 0 || shards < 1 then begin
-      Printf.eprintf "run: --tenants/--shards must be >= 1, --rounds >= 0\n";
+    if tenants < 1 || rounds < 0 || shards < 1 || shards > Shard.max_count
+    then begin
+      Printf.eprintf
+        "run: --tenants must be >= 1, --shards in 1..%d, --rounds >= 0\n"
+        Shard.max_count;
       exit 2
     end;
     let files =

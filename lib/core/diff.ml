@@ -17,47 +17,65 @@ let pp_change ppf = function
   | Class_changed { id; before; after } ->
       Format.fprintf ppf "~ object %d class: %d -> %d" id before after
 
+(* Newest-wins record table: the diff compares whole records, so it keeps
+   its own table rather than going through restoration's slots. *)
 let accumulate schema segs =
-  let table = Restore.empty_table () in
-  List.iter (Restore.apply_segment schema table) segs;
+  let table : (int, Restore.record) Hashtbl.t = Hashtbl.create 1024 in
+  List.iter
+    (fun (seg : Segment.t) ->
+      List.iter
+        (fun (r : Restore.record) -> Hashtbl.replace table r.rec_id r)
+        (Restore.records_of_body schema seg.body))
+    segs;
   table
 
-let segments schema ~before ~after =
-  let tb = accumulate schema before and ta = accumulate schema after in
-  let changes = ref [] in
-  let add c = changes := c :: !changes in
-  Restore.iter_table tb (fun id (r_before : Restore.record) ->
-      match Restore.find_table ta id with
-      | None -> add (Removed id)
-      | Some r_after ->
-          if r_before.Restore.rec_kid <> r_after.Restore.rec_kid then
-            add
-              (Class_changed
-                 { id; before = r_before.Restore.rec_kid;
-                   after = r_after.Restore.rec_kid })
-          else begin
-            Array.iteri
-              (fun slot v ->
-                let v' = r_after.Restore.rec_ints.(slot) in
-                if v <> v' then
-                  add (Int_changed { id; slot; before = v; after = v' }))
-              r_before.Restore.rec_ints;
-            Array.iteri
-              (fun slot v ->
-                let v' = r_after.Restore.rec_child_ids.(slot) in
-                if v <> v' then
-                  add (Child_changed { id; slot; before = v; after = v' }))
-              r_before.Restore.rec_child_ids
-          end);
-  Restore.iter_table ta (fun id _ ->
-      if Option.is_none (Restore.find_table tb id) then add (Added id));
+let record_changes id ~(before : Restore.record) ~(after : Restore.record) =
+  if before.rec_kid <> after.rec_kid then
+    [ Class_changed { id; before = before.rec_kid; after = after.rec_kid } ]
+  else begin
+    let changes = ref [] in
+    Array.iteri
+      (fun slot v ->
+        let v' = after.rec_ints.(slot) in
+        if v <> v' then
+          changes := Int_changed { id; slot; before = v; after = v' } :: !changes)
+      before.rec_ints;
+    Array.iteri
+      (fun slot v ->
+        let v' = after.rec_child_ids.(slot) in
+        if v <> v' then
+          changes :=
+            Child_changed { id; slot; before = v; after = v' } :: !changes)
+      before.rec_child_ids;
+    List.rev !changes
+  end
+
+let sort changes =
   let key = function
     | Added id | Removed id -> (id, -1)
     | Class_changed { id; _ } -> (id, -2)
     | Int_changed { id; slot; _ } -> (id, slot)
     | Child_changed { id; slot; _ } -> (id, 1000 + slot)
   in
-  List.sort (fun a b -> compare (key a) (key b)) !changes
+  List.sort (fun a b -> compare (key a) (key b)) changes
+
+let segments schema ~before ~after =
+  let tb = accumulate schema before and ta = accumulate schema after in
+  let changes = ref [] in
+  Hashtbl.iter
+    (fun id r_before ->
+      match Hashtbl.find_opt ta id with
+      | None -> changes := Removed id :: !changes
+      | Some r_after ->
+          changes :=
+            List.rev_append
+              (record_changes id ~before:r_before ~after:r_after)
+              !changes)
+    tb;
+  Hashtbl.iter
+    (fun id _ -> if not (Hashtbl.mem tb id) then changes := Added id :: !changes)
+    ta;
+  sort !changes
 
 let chains a b =
   let schema = Chain.schema a in

@@ -21,6 +21,14 @@ val segments :
 (** Diff the accumulated (newest-wins) states of two segment sequences.
     Changes are sorted by object id; slots ascending within an object. *)
 
+val record_changes :
+  int -> before:Restore.record -> after:Restore.record -> change list
+(** The changes between two records of the same object id: a class change
+    alone, or every differing scalar and child slot. *)
+
+val sort : change list -> change list
+(** The canonical order: by object id, slots ascending within an object. *)
+
 val chains : Chain.t -> Chain.t -> change list
 (** [chains a b] diffs the states captured by two chains (which must share
     a schema). *)

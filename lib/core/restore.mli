@@ -3,11 +3,18 @@
     A segment body is a sequence of object records (id, class id, scalar
     fields, child ids). Restoration proceeds in two steps:
 
-    + {e accumulate}: fold segments oldest-to-newest into an id → record
-      table; a later record for the same id supersedes the earlier one
-      (records are complete local states, so replacement is exact);
-    + {e materialize}: allocate every object with its recorded id and class,
-      then patch child pointers by id.
+    + {e fold}: number every live object id with a dense {e slot} and
+      remember, per slot, where the id's newest record lives (a source —
+      a segment body or a store chunk — and a byte offset). Later records
+      for the same id move its slot to the newer location (records are
+      complete local states, so replacement is exact);
+    + {e decode}: decode each slot's record once, straight into the object
+      it describes, then patch child pointers through the slot table.
+
+    Both chain replay ({!of_segments}) and the content-addressed store's
+    per-object directory go through the one decode, {!heap_of_slots}. No
+    array is sized by an id's value, so memory stays O(live objects)
+    whatever ids a record carries.
 
     Restored objects come back with a clear [modified] flag — their state is
     exactly the checkpointed one. *)
@@ -15,8 +22,9 @@
 open Ickpt_runtime
 
 exception Error of string
-(** Semantic restoration failure (unknown class id, dangling child id,
-    missing root, record arity mismatch). Framing-level corruption raises
+(** Semantic restoration failure: unknown class id, negative id, a
+    directory entry landing on another object's record, dangling child id,
+    missing root. Framing-level corruption (a truncated record) raises
     {!Ickpt_stream.In_stream.Corrupt} instead. *)
 
 type record = {
@@ -39,29 +47,36 @@ val record_at : Schema.t -> string -> pos:int -> record
 (** Decode the single record starting at [pos] — the point lookup a
     per-object directory entry resolves to. *)
 
-type table
-(** Accumulated newest-wins record table. *)
+(** {1 Dense slots} *)
 
-val empty_table : unit -> table
+type slots
+(** A newest-wins directory: live object id -> slot -> (source, offset). *)
 
-val apply_segment : Schema.t -> table -> Segment.t -> unit
+val slots : int -> slots
+(** An empty directory; the argument is a capacity hint (live objects). *)
 
-val add_record : table -> record -> unit
-(** Newest-wins insertion of a single record, as {!apply_segment} does for
-    each record of a body — the entry point for callers that fetch records
-    individually (the content-addressed store's O(live) restore). *)
+val set_slot : slots -> id:int -> src:int -> off:int -> unit
+(** The newest record of [id] lives at byte [off] of source [src]. *)
 
-val table_size : table -> int
+val find_slot : slots -> int -> (int * int) option
+(** [(src, off)] of an id's newest record. *)
 
-val iter_table : table -> (int -> record -> unit) -> unit
-(** Visit every accumulated record (unspecified order). *)
+val iter_slots : slots -> (int -> int -> int -> unit) -> unit
+(** [f id src off] per live object, in slot order. *)
 
-val find_table : table -> int -> record option
-
-val materialize : Schema.t -> table -> roots:int list -> Heap.t * Model.obj list
-(** Build the heap and return the root objects in the order of [roots].
-    @raise Error on dangling references or missing roots. *)
+val heap_of_slots :
+  Schema.t ->
+  slots ->
+  source:(int -> string) ->
+  roots:int list ->
+  Heap.t * Model.obj list
+(** Decode every slot's record once into a fresh heap, then link children
+    and resolve [roots] (returned in order) through the slot table.
+    [source src] gives the bytes a slot's offset points into; it is asked
+    again only when consecutive slots change source.
+    @raise Error when a record's id is not its slot's, or on an unknown
+    class, dangling child or missing root. *)
 
 val of_segments : Schema.t -> Segment.t list -> roots:int list -> Heap.t * Model.obj list
-(** Convenience: {!apply_segment} over the list (oldest first), then
-    {!materialize}. *)
+(** Chain replay: fold the records of the segments (oldest first) into
+    slots, then {!heap_of_slots}. *)

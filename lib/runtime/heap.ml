@@ -4,7 +4,8 @@ type t = {
   mutable next_id : int;
 }
 
-let create schema = { schema; objects = Hashtbl.create 1024; next_id = 0 }
+let create ?(capacity = 1024) schema =
+  { schema; objects = Hashtbl.create capacity; next_id = 0 }
 
 let schema t = t.schema
 

@@ -3,7 +3,9 @@
 
 type t
 
-val create : Schema.t -> t
+val create : ?capacity:int -> Schema.t -> t
+(** An empty heap whose registry is sized for [capacity] objects (default
+    1024) — restoration passes the number of objects it will allocate. *)
 
 val schema : t -> Schema.t
 

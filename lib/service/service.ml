@@ -161,7 +161,7 @@ let load_meta vfs path =
       let crc = In_stream.read_fixed32 inp in
       if crc <> Crc32.sub raw ~pos:0 ~len:body_end then
         raise (In_stream.Corrupt "meta crc mismatch");
-      if shards < 1 || records_per_chunk < 1 then
+      if shards < 1 || shards > Shard.max_count || records_per_chunk < 1 then
         error "%s: corrupt meta (shards %d, records_per_chunk %d)" path shards
           records_per_chunk;
       (shards, records_per_chunk)
@@ -226,7 +226,8 @@ let mux_byte_length ms =
 let open_ ?(vfs = Vfs.real) ?(shards = Shard.default_count)
     ?(records_per_chunk = Chunk.default_records_per_chunk)
     ?(policy = Policy.Full_every 8) ?(commit = Per_epoch) ~path:root () =
-  if shards < 1 then invalid_arg "Service.open_: shards < 1";
+  if shards < 1 || shards > Shard.max_count then
+    invalid_arg "Service.open_: shards outside 1 .. Shard.max_count";
   if records_per_chunk < 1 then
     invalid_arg "Service.open_: records_per_chunk < 1";
   let shards, records_per_chunk =
@@ -241,13 +242,9 @@ let open_ ?(vfs = Vfs.real) ?(shards = Shard.default_count)
   let shard_tbl =
     Array.init shards (fun i ->
         let s_index_file = shard_index_path root i in
-        let loaded, valid_len = Epoch_index.load_mux vfs s_index_file in
-        let file_len =
-          if vfs.Vfs.exists s_index_file then
-            String.length (vfs.Vfs.read_file s_index_file)
-          else 0
-        in
-        if valid_len < file_len then
+        let raw = Epoch_index.contents vfs s_index_file in
+        let loaded, valid_len = Epoch_index.parse_mux raw in
+        if valid_len < String.length raw then
           vfs.Vfs.truncate s_index_file ~len:valid_len;
         let committed = valid_mux_prefix pack loaded in
         if List.length committed < List.length loaded then
@@ -651,30 +648,9 @@ let check t =
                   err "tenant %s: epoch %d follows %d" who e.epoch (n - 1)
               | Some _ -> ());
               Hashtbl.replace expected m.m_tenant (e.epoch + 1);
-              let chunk_arr = Array.of_list e.chunks in
-              Array.iter
-                (fun k ->
-                  if not (Pack.mem t.pack k) then
-                    err "tenant %s epoch %d references missing chunk %s" who
-                      e.epoch (Hash64.to_hex k)
-                  else if not (Chunk.key_matches k (Pack.read t.pack k)) then
-                    err "chunk %s content does not match its key"
-                      (Hash64.to_hex k))
-                chunk_arr;
               List.iter
-                (fun { Epoch_index.d_id; d_chunk; d_off } ->
-                  if d_chunk < 0 || d_chunk >= Array.length chunk_arr then
-                    err "tenant %s epoch %d: record %d chunk index %d/%d" who
-                      e.epoch d_id d_chunk (Array.length chunk_arr)
-                  else
-                    let k = chunk_arr.(d_chunk) in
-                    if
-                      Pack.mem t.pack k
-                      && (d_off < 0 || d_off >= Pack.chunk_len t.pack k)
-                    then
-                      err "tenant %s epoch %d: record %d offset %d out of range"
-                        who e.epoch d_id d_off)
-                e.dir)
+                (err "tenant %s epoch %d: %s" who e.epoch)
+                (Dir.check_entry t.pack e))
             s.s_committed)
         t.shard_tbl;
       List.rev !errs)

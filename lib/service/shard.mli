@@ -9,6 +9,10 @@
 val default_count : int
 (** 4. *)
 
+val max_count : int
+(** 1024: the most shards a service opens. A shard is one index file and
+    one commit queue, so a count read from disk above this is corrupt. *)
+
 val of_id : shards:int -> int -> int
 (** The shard of a tenant id. @raise Invalid_argument if [shards < 1]. *)
 

@@ -12,6 +12,8 @@ let entry_at entries epoch =
   | Some e -> e
   | None -> error "unknown epoch %d" epoch
 
+type t = { slots : Restore.slots; keys : int array; roots : int list }
+
 let fold ~entries ~epoch =
   let e = entry_at entries epoch in
   let upto =
@@ -26,18 +28,37 @@ let fold ~entries ~epoch =
         if x.kind = Segment.Full then x.epoch else acc)
       e.epoch upto
   in
-  let dir : (int, int * int) Hashtbl.t = Hashtbl.create 1024 in
-  List.iter
-    (fun (x : Epoch_index.entry) ->
-      if x.epoch >= base then begin
-        let chunk_arr = Array.of_list x.chunks in
-        List.iter
-          (fun { Epoch_index.d_id; d_chunk; d_off } ->
-            Hashtbl.replace dir d_id (chunk_arr.(d_chunk), d_off))
-          x.dir
-      end)
-    upto;
-  dir
+  let live = List.filter (fun (x : Epoch_index.entry) -> x.epoch >= base) upto in
+  (* A slot's source is its chunk's position in the concatenation of the
+     folded entries' chunk lists. *)
+  let keys =
+    Array.of_list (List.concat_map (fun (x : Epoch_index.entry) -> x.chunks) live)
+  in
+  let slots =
+    Restore.slots
+      (match live with x :: _ -> List.length x.Epoch_index.dir | [] -> 0)
+  in
+  ignore
+    (List.fold_left
+       (fun first (x : Epoch_index.entry) ->
+         let n = List.length x.chunks in
+         List.iter
+           (fun { Epoch_index.d_id; d_chunk; d_off } ->
+             if d_chunk < 0 || d_chunk >= n then
+               error "epoch %d: object %d points at chunk %d of %d" x.epoch
+                 d_id d_chunk n;
+             Restore.set_slot slots ~id:d_id ~src:(first + d_chunk) ~off:d_off)
+           x.dir;
+         first + n)
+       0 live
+      : int);
+  { slots; keys; roots = e.roots }
+
+let find d id =
+  Option.map (fun (src, off) -> (d.keys.(src), off)) (Restore.find_slot d.slots id)
+
+let iter d f =
+  Restore.iter_slots d.slots (fun id src off -> f id (d.keys.(src), off))
 
 type reader = {
   pack : Pack.t;
@@ -47,20 +68,58 @@ type reader = {
 
 let reader pack schema = { pack; schema; cache = Hashtbl.create 64 }
 
-let record r (key, off) =
-  let data =
-    match Hashtbl.find_opt r.cache key with
-    | Some d -> d
-    | None ->
-        let d = Pack.read r.pack key in
-        Hashtbl.replace r.cache key d;
-        d
-  in
-  Restore.record_at r.schema data ~pos:off
+let chunk r key =
+  match Hashtbl.find_opt r.cache key with
+  | Some d -> d
+  | None ->
+      let d = Pack.read r.pack key in
+      Hashtbl.replace r.cache key d;
+      d
+
+let record r (key, off) = Restore.record_at r.schema (chunk r key) ~pos:off
 
 let restore r ~entries ~epoch =
-  let e = entry_at entries epoch in
-  let dir = fold ~entries ~epoch in
-  let table = Restore.empty_table () in
-  Hashtbl.iter (fun _id ptr -> Restore.add_record table (record r ptr)) dir;
-  Restore.materialize r.schema table ~roots:e.roots
+  let d = fold ~entries ~epoch in
+  Restore.heap_of_slots r.schema d.slots
+    ~source:(fun src -> chunk r d.keys.(src))
+    ~roots:d.roots
+
+let check_entry pack (e : Epoch_index.entry) =
+  let errs = ref [] in
+  let err fmt = Format.kasprintf (fun s -> errs := s :: !errs) fmt in
+  let hex = Ickpt_stream.Hash64.to_hex in
+  let data =
+    Array.of_list
+      (List.map
+         (fun k ->
+           if not (Pack.mem pack k) then begin
+             err "references missing chunk %s" (hex k);
+             None
+           end
+           else
+             let d = Pack.read pack k in
+             if not (Chunk.key_matches k d) then
+               err "chunk %s content does not match its key" (hex k);
+             Some d)
+         e.chunks)
+  in
+  List.iter
+    (fun { Epoch_index.d_id; d_chunk; d_off } ->
+      if d_chunk < 0 || d_chunk >= Array.length data then
+        err "record %d points at chunk index %d/%d" d_id d_chunk
+          (Array.length data)
+      else
+        match data.(d_chunk) with
+        | None -> ()
+        | Some d when d_off < 0 || d_off >= String.length d ->
+            err "record %d offset %d out of range" d_id d_off
+        | Some d -> (
+            let inp = Ickpt_stream.In_stream.of_string_at d ~pos:d_off in
+            match Ickpt_stream.In_stream.read_int inp with
+            | id when id <> d_id ->
+                err "directory entry for object %d lands on record %d" d_id id
+            | _ -> ()
+            | exception Ickpt_stream.In_stream.Corrupt _ ->
+                err "record %d at offset %d is truncated" d_id d_off))
+    e.dir;
+  List.rev !errs

@@ -1,20 +1,32 @@
 (** Resolving per-object directories and materializing heaps from a pack
     plus a list of epoch entries — the O(live-records) read path shared by
     {!Store} (one tenant, one index file) and [Ickpt_service.Service]
-    (many tenants' entry lists demultiplexed from per-shard files). *)
+    (many tenants' entry lists demultiplexed from per-shard files).
+
+    {!fold} is the only pass over the directory deltas: it numbers each
+    live object id with a dense slot ({!Ickpt_core.Restore.slots}) holding
+    the chunk and offset of the id's newest record. {!restore} then decodes
+    each slot's record once, straight into the heap. *)
 
 open Ickpt_runtime
 open Ickpt_core
 
 exception Error of string
-(** Raised on an epoch not present in the given entries. *)
+(** Raised on an epoch not present in the given entries, or a directory
+    entry pointing past its epoch's chunk list. *)
 
-val fold :
-  entries:Epoch_index.entry list -> epoch:int -> (int, int * int) Hashtbl.t
-(** The resolved per-object directory at [epoch]: record id -> (chunk key,
-    byte offset). Folds directory deltas newest-wins from the nearest full
-    epoch at or before [epoch]. [entries] must be one chain's entries,
-    oldest first. *)
+type t
+(** The resolved per-object directory of one epoch. *)
+
+val fold : entries:Epoch_index.entry list -> epoch:int -> t
+(** Fold directory deltas newest-wins from the nearest full epoch at or
+    before [epoch]. [entries] must be one chain's entries, oldest first. *)
+
+val find : t -> int -> (int * int) option
+(** The (chunk key, byte offset) of an object's record. *)
+
+val iter : t -> (int -> int * int -> unit) -> unit
+(** [f id (chunk key, byte offset)] per live object. *)
 
 type reader
 (** A pack + schema with a chunk cache: each chunk is fetched once however
@@ -27,5 +39,12 @@ val record : reader -> int * int -> Restore.record
 
 val restore :
   reader -> entries:Epoch_index.entry list -> epoch:int -> Heap.t * Model.obj list
-(** Materialize the heap committed at [epoch]: fold the directory, decode
-    exactly one record per live object. Roots are the entry's. *)
+(** Materialize the heap committed at [epoch]: {!fold}, then decode exactly
+    one record per live object ({!Restore.heap_of_slots}), checking that
+    each record carries its directory entry's id. Roots are the entry's. *)
+
+val check_entry : Pack.t -> Epoch_index.entry -> string list
+(** Integrity problems of one entry against the pack: missing chunks,
+    chunks whose bytes do not match their key, and directory entries that
+    point outside the entry's chunks or at a record of another id. [[]]
+    means consistent. *)

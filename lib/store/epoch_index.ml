@@ -83,8 +83,12 @@ let decode s ~pos =
     raise (In_stream.Corrupt (Printf.sprintf "index crc mismatch at %d" pos));
   (e, In_stream.pos inp)
 
-let load vfs path =
-  let raw = if vfs.Vfs.exists path then vfs.Vfs.read_file path else "" in
+let contents vfs path =
+  if vfs.Vfs.exists path then vfs.Vfs.read_file path else ""
+
+(* Every intact entry from the start of [raw], and where the first
+   undecodable one begins. *)
+let parse_with decode raw =
   let len = String.length raw in
   let rec go acc pos =
     if pos >= len then (List.rev acc, pos)
@@ -95,6 +99,10 @@ let load vfs path =
       | exception Invalid_argument _ -> (List.rev acc, pos)
   in
   go [] 0
+
+let parse raw = parse_with decode raw
+
+let load vfs path = parse (contents vfs path)
 
 let append vfs path e =
   let w = vfs.Vfs.open_append path in
@@ -153,18 +161,9 @@ let decode_mux s ~pos =
     raise (In_stream.Corrupt (Printf.sprintf "mux index crc mismatch at %d" pos));
   ({ m_tenant; m_entry = e }, In_stream.pos inp)
 
-let load_mux vfs path =
-  let raw = if vfs.Vfs.exists path then vfs.Vfs.read_file path else "" in
-  let len = String.length raw in
-  let rec go acc pos =
-    if pos >= len then (List.rev acc, pos)
-    else
-      match decode_mux raw ~pos with
-      | m, next -> go (m :: acc) next
-      | exception In_stream.Corrupt _ -> (List.rev acc, pos)
-      | exception Invalid_argument _ -> (List.rev acc, pos)
-  in
-  go [] 0
+let parse_mux raw = parse_with decode_mux raw
+
+let load_mux vfs path = parse_mux (contents vfs path)
 
 let append_mux_batch vfs path ms =
   match ms with

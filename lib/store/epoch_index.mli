@@ -45,11 +45,16 @@ type entry = {
 
 val encode : entry -> string
 
+val contents : Vfs.t -> string -> string
+(** An index file's bytes; a missing file is the empty index. *)
+
+val parse : string -> entry list * int
+(** Every intact entry of an index file's bytes (file order) and the byte
+    offset of the first undecodable one — the safe truncation point. *)
+
 val load : Vfs.t -> string -> entry list * int
-(** Every intact entry (file order) and the byte offset of the first
-    undecodable one — the safe truncation point. A missing file is the
-    empty index. Performs no writes; the caller decides whether to
-    truncate. *)
+(** {!parse} of the file's {!contents}. Performs no writes; the caller
+    decides whether to truncate. *)
 
 val append : Vfs.t -> string -> entry -> unit
 (** Append one entry and sync — the epoch's commit point. *)
@@ -75,10 +80,12 @@ type mux_entry = { m_tenant : int; m_entry : entry }
 
 val encode_mux : mux_entry -> string
 
-val load_mux : Vfs.t -> string -> mux_entry list * int
+val parse_mux : string -> mux_entry list * int
 (** Every intact multiplexed entry (file order) and the byte offset of the
-    first undecodable one. A missing file is the empty index. Performs no
-    writes. *)
+    first undecodable one. *)
+
+val load_mux : Vfs.t -> string -> mux_entry list * int
+(** {!parse_mux} of the file's {!contents}. Performs no writes. *)
 
 val append_mux_batch : Vfs.t -> string -> mux_entry list -> unit
 (** Append the batch in one writer session and one sync — the group-commit

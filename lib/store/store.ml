@@ -83,12 +83,10 @@ let open_ ?(vfs = Vfs.real) ?(records_per_chunk = Chunk.default_records_per_chun
       if vfs.Vfs.exists tmp then vfs.Vfs.remove tmp)
     [ pack_file; index_file ];
   let pack = Pack.open_ ~vfs pack_file in
-  let loaded, valid_len = Epoch_index.load vfs index_file in
-  let file_len =
-    if vfs.Vfs.exists index_file then String.length (vfs.Vfs.read_file index_file)
-    else 0
-  in
-  if valid_len < file_len then vfs.Vfs.truncate index_file ~len:valid_len;
+  let raw = Epoch_index.contents vfs index_file in
+  let loaded, valid_len = Epoch_index.parse raw in
+  if valid_len < String.length raw then
+    vfs.Vfs.truncate index_file ~len:valid_len;
   let entries = valid_prefix pack loaded in
   if List.length entries < List.length loaded then
     vfs.Vfs.truncate index_file
@@ -213,24 +211,6 @@ let segment_of_epoch t epoch =
   in
   { Segment.kind = e.kind; seq = e.epoch; roots = e.roots; body }
 
-(* The resolved per-object directory at [epoch]: id -> (chunk key, byte
-   offset). The fold itself lives in {!Dir} so the multi-tenant service can
-   run it over demultiplexed per-tenant entry lists. *)
-let dir_at t ~epoch =
-  ignore (entry_at t epoch : Epoch_index.entry);
-  Dir.fold ~entries:t.entries ~epoch
-
-let record_of_pointer t cache (key, off) =
-  let data =
-    match Hashtbl.find_opt cache key with
-    | Some d -> d
-    | None ->
-        let d = Pack.read t.pack key in
-        Hashtbl.replace cache key d;
-        d
-  in
-  Restore.record_at t.schema data ~pos:off
-
 let restore t ~epoch =
   ignore (entry_at t epoch : Epoch_index.entry);
   Dir.restore (Dir.reader t.pack t.schema) ~entries:t.entries ~epoch
@@ -239,51 +219,28 @@ let restore t ~epoch =
 (* Diff.                                                               *)
 
 let diff t a b =
-  let da = dir_at t ~epoch:a and db = dir_at t ~epoch:b in
-  let cache = Hashtbl.create 64 in
-  let record = record_of_pointer t cache in
+  ignore (entry_at t a : Epoch_index.entry);
+  ignore (entry_at t b : Epoch_index.entry);
+  let da = Dir.fold ~entries:t.entries ~epoch:a
+  and db = Dir.fold ~entries:t.entries ~epoch:b in
+  let record = Dir.record (Dir.reader t.pack t.schema) in
   let changes = ref [] in
-  let add c = changes := c :: !changes in
-  Hashtbl.iter
-    (fun id ptr ->
-      match Hashtbl.find_opt db id with
-      | None -> add (Diff.Removed id)
+  Dir.iter da (fun id ptr ->
+      match Dir.find db id with
+      | None -> changes := Diff.Removed id :: !changes
       | Some ptr' when ptr = ptr' ->
           (* Same chunk key and offset: the record bytes are identical by
              content-addressing — no decode needed. This is what makes the
              diff O(changed entries). *)
           ()
       | Some ptr' ->
-          let rb = record ptr and ra = record ptr' in
-          if rb.Restore.rec_kid <> ra.Restore.rec_kid then
-            add
-              (Diff.Class_changed
-                 { id; before = rb.Restore.rec_kid; after = ra.Restore.rec_kid })
-          else begin
-            Array.iteri
-              (fun slot v ->
-                let v' = ra.Restore.rec_ints.(slot) in
-                if v <> v' then
-                  add (Diff.Int_changed { id; slot; before = v; after = v' }))
-              rb.Restore.rec_ints;
-            Array.iteri
-              (fun slot v ->
-                let v' = ra.Restore.rec_child_ids.(slot) in
-                if v <> v' then
-                  add (Diff.Child_changed { id; slot; before = v; after = v' }))
-              rb.Restore.rec_child_ids
-          end)
-    da;
-  Hashtbl.iter
-    (fun id _ -> if not (Hashtbl.mem da id) then add (Diff.Added id))
-    db;
-  let key = function
-    | Diff.Added id | Diff.Removed id -> (id, -1)
-    | Diff.Class_changed { id; _ } -> (id, -2)
-    | Diff.Int_changed { id; slot; _ } -> (id, slot)
-    | Diff.Child_changed { id; slot; _ } -> (id, 1000 + slot)
-  in
-  List.sort (fun x y -> compare (key x) (key y)) !changes
+          changes :=
+            List.rev_append
+              (Diff.record_changes id ~before:(record ptr) ~after:(record ptr'))
+              !changes);
+  Dir.iter db (fun id _ ->
+      if Dir.find da id = None then changes := Diff.Added id :: !changes);
+  Diff.sort !changes
 
 (* ------------------------------------------------------------------ *)
 (* Space: refcounts, GC, stats, check.                                 *)
@@ -424,29 +381,7 @@ let check t =
       | Some n when e.epoch <> n -> err "epoch %d follows %d" e.epoch (n - 1)
       | _ -> ());
       expected := Some (e.epoch + 1);
-      let chunk_arr = Array.of_list e.chunks in
-      Array.iteri
-        (fun i k ->
-          if not (Pack.mem t.pack k) then
-            err "epoch %d references missing chunk %s" e.epoch
-              (Ickpt_stream.Hash64.to_hex k)
-          else if not (Chunk.key_matches k (Pack.read t.pack k)) then
-            err "chunk %s content does not match its key"
-              (Ickpt_stream.Hash64.to_hex k)
-          else ignore i)
-        chunk_arr;
-      List.iter
-        (fun { Epoch_index.d_id; d_chunk; d_off } ->
-          if d_chunk < 0 || d_chunk >= Array.length chunk_arr then
-            err "epoch %d: record %d points at chunk index %d/%d" e.epoch d_id
-              d_chunk (Array.length chunk_arr)
-          else
-            let k = chunk_arr.(d_chunk) in
-            if
-              Pack.mem t.pack k
-              && (d_off < 0 || d_off >= Pack.chunk_len t.pack k)
-            then err "epoch %d: record %d offset %d out of range" e.epoch d_id d_off)
-        e.dir)
+      List.iter (err "epoch %d: %s" e.epoch) (Dir.check_entry t.pack e))
     t.entries;
   List.iter
     (fun (k, n) ->

@@ -22,12 +22,19 @@ let need t n what =
     corrupt "truncated input reading %s at offset %d (need %d, have %d)" what
       t.pos n (remaining t)
 
-let read_int t =
-  match Varint.read t.data t.pos with
-  | v, next ->
-      t.pos <- next;
-      v
-  | exception Invalid_argument _ -> corrupt "truncated varint at %d" t.pos
+(* Decodes in place — no tuple, no exception handler — since every field of
+   every record comes through here. *)
+let rec read_varint t acc shift pos =
+  if pos >= String.length t.data then corrupt "truncated varint at %d" t.pos;
+  let b = Char.code (String.unsafe_get t.data pos) in
+  let acc = acc lor ((b land 0x7f) lsl shift) in
+  if b land 0x80 = 0 then begin
+    t.pos <- pos + 1;
+    Varint.unzigzag acc
+  end
+  else read_varint t acc (shift + 7) (pos + 1)
+
+let read_int t = read_varint t 0 0 t.pos
 
 let read_byte t =
   need t 1 "byte";

@@ -154,12 +154,11 @@ let restore_roundtrip () =
   let env = make_env () in
   let root = simple_root env in
   let body = checkpoint_body [ root ] ~full:true in
-  let table = Restore.empty_table () in
-  Restore.apply_segment env.schema table
-    { Segment.kind = Segment.Full; seq = 0;
-      roots = [ root.Model.info.Model.id ]; body };
   let _heap, roots =
-    Restore.materialize env.schema table ~roots:[ root.Model.info.Model.id ]
+    Restore.of_segments env.schema
+      [ { Segment.kind = Segment.Full; seq = 0;
+          roots = [ root.Model.info.Model.id ]; body } ]
+      ~roots:[ root.Model.info.Model.id ]
   in
   match roots with
   | [ root' ] -> (
@@ -183,43 +182,57 @@ let restore_dangling_child () =
   let env = make_env () in
   let root = simple_root env in
   let body = checkpoint_body [ root ] ~full:true in
-  (* Drop the first record (the root) from the table: children now dangle
-     when other objects reference... the root has no parent, so instead
-     restore with a table missing one leaf by filtering records. *)
+  (* The root has no parent, so drop one leaf instead: re-encode every
+     other record and restore from that body. *)
   let records = Restore.records_of_body env.schema body in
   let victim =
     List.find (fun r -> r.Restore.rec_kid = env.leaf.Model.kid) records
   in
-  let table = Restore.empty_table () in
-  Restore.apply_segment env.schema table
-    { Segment.kind = Segment.Full; seq = 0; roots = []; body };
-  (* Rebuild the table without the victim. *)
-  let table2 = Restore.empty_table () in
+  let d = Ickpt_stream.Out_stream.create () in
   List.iter
     (fun r ->
-      if r.Restore.rec_id <> victim.Restore.rec_id then
-        Restore.apply_segment env.schema table2
-          { Segment.kind = Segment.Full; seq = 0; roots = [];
-            body =
-              (let d = Ickpt_stream.Out_stream.create () in
-               Ickpt_stream.Out_stream.write_int d r.Restore.rec_id;
-               Ickpt_stream.Out_stream.write_int d r.Restore.rec_kid;
-               Array.iter (Ickpt_stream.Out_stream.write_int d) r.Restore.rec_ints;
-               Array.iter (Ickpt_stream.Out_stream.write_int d) r.Restore.rec_child_ids;
-               Ickpt_stream.Out_stream.contents d) })
+      if r.Restore.rec_id <> victim.Restore.rec_id then begin
+        Ickpt_stream.Out_stream.write_int d r.Restore.rec_id;
+        Ickpt_stream.Out_stream.write_int d r.Restore.rec_kid;
+        Array.iter (Ickpt_stream.Out_stream.write_int d) r.Restore.rec_ints;
+        Array.iter (Ickpt_stream.Out_stream.write_int d) r.Restore.rec_child_ids
+      end)
     records;
   match
-    Restore.materialize env.schema table2 ~roots:[ root.Model.info.Model.id ]
+    Restore.of_segments env.schema
+      [ { Segment.kind = Segment.Full; seq = 0; roots = [];
+          body = Ickpt_stream.Out_stream.contents d } ]
+      ~roots:[ root.Model.info.Model.id ]
   with
   | _ -> Alcotest.fail "dangling child accepted"
   | exception Restore.Error _ -> ()
 
 let restore_missing_root () =
   let env = make_env () in
-  let table = Restore.empty_table () in
-  match Restore.materialize env.schema table ~roots:[ 5 ] with
+  match Restore.of_segments env.schema [] ~roots:[ 5 ] with
   | _ -> Alcotest.fail "missing root accepted"
   | exception Restore.Error _ -> ()
+
+(* The slot table grows and rehashes past its capacity hint, and keeps
+   every id — including ids that agree in their low bits. *)
+let restore_slots_grow () =
+  let t = Restore.slots 4 in
+  let id i = (i lsl 33) + 7 in
+  for i = 0 to 9_999 do
+    Restore.set_slot t ~id:(id i) ~src:0 ~off:i
+  done;
+  for i = 0 to 9_999 do
+    if i mod 2 = 0 then Restore.set_slot t ~id:(id i) ~src:1 ~off:(-i)
+  done;
+  let seen = ref 0 in
+  Restore.iter_slots t (fun _ _ _ -> incr seen);
+  check_int "one slot per id" 10_000 !seen;
+  for i = 0 to 9_999 do
+    let expected = if i mod 2 = 0 then (1, -i) else (0, i) in
+    if Restore.find_slot t (id i) <> Some expected then
+      Alcotest.failf "id %d: wrong slot" (id i)
+  done;
+  check_bool "absent id" true (Restore.find_slot t 8 = None)
 
 let restore_newest_wins () =
   let env = make_env () in
@@ -444,7 +457,8 @@ let suites =
         Alcotest.test_case "unknown class" `Quick restore_unknown_class;
         Alcotest.test_case "dangling child" `Quick restore_dangling_child;
         Alcotest.test_case "missing root" `Quick restore_missing_root;
-        Alcotest.test_case "newest wins" `Quick restore_newest_wins ] );
+        Alcotest.test_case "newest wins" `Quick restore_newest_wins;
+        Alcotest.test_case "slots grow and rehash" `Quick restore_slots_grow ] );
     ( "chain",
       [ Alcotest.test_case "requires full base" `Quick chain_requires_full_base;
         Alcotest.test_case "seq validation" `Quick chain_seq_validation;

@@ -540,7 +540,13 @@ let hostile_meta () =
           Alcotest.failf "meta with shards %d, records_per_chunk %d opened"
             shards records_per_chunk
       | exception Service.Error _ -> ())
-    [ (0, 4); (-3, 4); (2, 0); (2, -1) ]
+    [ (0, 4); (-3, 4); (Shard.max_count + 1, 4); (2, 0); (2, -1) ];
+  match
+    Service.open_ ~vfs:(Sim.vfs (Sim.create ()))
+      ~shards:(Shard.max_count + 1) ~path ()
+  with
+  | _ -> Alcotest.fail "open_ accepted shards above Shard.max_count"
+  | exception Invalid_argument _ -> ()
 
 let suites =
   [ ( "service.shard",

@@ -9,6 +9,7 @@ open Ickpt_runtime
 open Ickpt_core
 open Ickpt_faultsim
 open Ickpt_cas
+module Service = Ickpt_service.Service
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -217,25 +218,60 @@ let drive ?(records_per_chunk = 4) ~policy ~rounds vfs =
   done;
   (chain, store, w)
 
-(* Chain-replay restoration of epoch [e]: what Chain.recover does, for an
-   arbitrary epoch — replay the suffix from the newest full at or before
-   [e]. *)
-let replay_restore chain ~epoch =
+(* The segments chain replay restores epoch [e] from — the suffix from the
+   newest full at or before [e] — and [e]'s roots. *)
+let since_full chain ~epoch =
   let upto =
     List.filter (fun (s : Segment.t) -> s.seq <= epoch) (Chain.segments chain)
   in
-  let since_full =
-    let rec cut acc = function
-      | [] -> acc
-      | (s : Segment.t) :: older -> (
-          match s.kind with
-          | Segment.Full -> s :: acc
-          | Segment.Incremental -> cut (s :: acc) older)
-    in
-    cut [] (List.rev upto)
+  let rec cut acc = function
+    | [] -> acc
+    | (s : Segment.t) :: older -> (
+        match s.kind with
+        | Segment.Full -> s :: acc
+        | Segment.Incremental -> cut (s :: acc) older)
   in
-  let roots = (List.nth upto (List.length upto - 1)).Segment.roots in
-  Restore.of_segments (Chain.schema chain) since_full ~roots
+  (cut [] (List.rev upto), (List.nth upto (List.length upto - 1)).Segment.roots)
+
+(* Chain-replay restoration of epoch [e]: what Chain.recover does, for an
+   arbitrary epoch. *)
+let replay_restore chain ~epoch =
+  let segs, roots = since_full chain ~epoch in
+  Restore.of_segments (Chain.schema chain) segs ~roots
+
+(* The reference the restore paths are held to: decode every record into a
+   newest-wins table, allocate every object, then link children by id. *)
+let reference_restore schema segs ~roots =
+  let table = Hashtbl.create 64 in
+  List.iter
+    (fun (s : Segment.t) ->
+      List.iter
+        (fun (r : Restore.record) -> Hashtbl.replace table r.rec_id r)
+        (Restore.records_of_body schema s.body))
+    segs;
+  let heap = Heap.create schema in
+  Hashtbl.iter
+    (fun id (r : Restore.record) ->
+      let o =
+        Heap.alloc_with_id heap (Schema.find schema r.rec_kid) ~id
+          ~modified:false
+      in
+      Array.blit r.rec_ints 0 o.Model.ints 0 (Array.length r.rec_ints))
+    table;
+  Hashtbl.iter
+    (fun id (r : Restore.record) ->
+      let o = Heap.find_exn heap id in
+      Array.iteri
+        (fun j c ->
+          if c <> Model.null_id then
+            o.Model.children.(j) <- Some (Heap.find_exn heap c))
+        r.rec_child_ids)
+    table;
+  List.map (Heap.find_exn heap) roots
+
+let reference_body chain ~epoch =
+  let segs, roots = since_full chain ~epoch in
+  full_body (reference_restore (Chain.schema chain) segs ~roots)
 
 let store_restore_agrees_with_replay () =
   let sim = Sim.create () in
@@ -345,6 +381,113 @@ let store_errors () =
   expect_error "unknown epoch" (fun () -> Store.restore store ~epoch:3);
   expect_error "gc Keep_last 0" (fun () ->
       Store.gc store ~retain:(Store.Keep_last 0))
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+(* A CRC-valid index entry whose directory pointer lands on another
+   object's record passes open's range checks; restore must refuse it by
+   the directory's id (not build a heap missing that object, or blame some
+   other object), and check must list it. *)
+let store_misdirected_pointer () =
+  let forge dir_of =
+    let sim = Sim.create () in
+    let vfs = Sim.vfs sim in
+    let _, store, w =
+      drive ~policy:Policy.Incremental_after_base ~rounds:3 vfs
+    in
+    let latest = Option.get (Store.latest_epoch store) in
+    let full = Store.entry_at store 0 in
+    Epoch_index.append vfs (Store.index_path store_path)
+      { full with
+        Epoch_index.epoch = latest + 1;
+        kind = Segment.Incremental;
+        dir = dir_of full.Epoch_index.dir };
+    let store = Store.open_ ~vfs w.schema ~path:store_path in
+    check_bool "forged entry survives open" true
+      (Store.latest_epoch store = Some (latest + 1));
+    (store, latest + 1)
+  in
+  let expect_restore_error name store epoch ~mentions =
+    match Store.restore store ~epoch with
+    | _ -> Alcotest.fail (name ^ ": restored")
+    | exception Restore.Error msg ->
+        if not (contains msg mentions) then
+          Alcotest.failf "%s: error %S does not mention %S" name msg mentions
+  in
+  (* Point the first record's entry at its neighbour in the same chunk. *)
+  let a = ref 0 and b = ref 0 in
+  let store, epoch =
+    forge (function
+      | (x : Epoch_index.dir_entry) :: y :: _ when x.d_chunk = y.d_chunk ->
+          a := x.d_id;
+          b := y.d_id;
+          [ { x with d_off = y.d_off } ]
+      | _ -> Alcotest.fail "expected two records in the first chunk")
+  in
+  let lands = Printf.sprintf "object %d lands on record %d" !a !b in
+  expect_restore_error "neighbour record" store epoch ~mentions:lands;
+  check_bool "check lists the misdirected entry" true
+    (List.exists (fun e -> contains e lands) (Store.check store));
+  (* A negative directory id is the same typed error. *)
+  let store, epoch =
+    forge (function
+      | (x : Epoch_index.dir_entry) :: _ -> [ { x with d_id = -5 } ]
+      | [] -> Alcotest.fail "empty directory")
+  in
+  expect_restore_error "negative id" store epoch ~mentions:"-5"
+
+(* Ids need not be dense: a restore handles sparse and huge ids, and the
+   gaps a registry sweep leaves, identically on every path. *)
+let sparse_huge_ids () =
+  let schema = Schema.create () in
+  let leaf = Schema.declare schema ~name:"Leaf" ~ints:1 ~children:0 () in
+  let pair = Schema.declare schema ~name:"Pair" ~ints:1 ~children:2 () in
+  let heap = Heap.create schema in
+  let l0 = Heap.alloc heap leaf and l1 = Heap.alloc heap leaf in
+  let root = Heap.alloc_with_id heap pair ~id:3 ~modified:true in
+  let big = Heap.alloc_with_id heap leaf ~id:(1 lsl 40) ~modified:true in
+  Barrier.set_child root 0 (Some l1);
+  Barrier.set_child root 1 (Some big);
+  check_int "l0 unreachable, swept" 1 (Heap.sweep heap ~roots:[ root ]);
+  ignore l0;
+  let sim = Sim.create () in
+  let vfs = Sim.vfs sim in
+  let chain = Chain.create schema in
+  let store = Store.open_ ~vfs ~records_per_chunk:2 schema ~path:store_path in
+  let svc = Service.open_ ~vfs ~records_per_chunk:2 ~path:"svc" () in
+  let tenant = Service.open_tenant svc schema ~name:"t" in
+  let commit (taken : Chain.taken) =
+    ignore (Store.append_segment store taken.segment);
+    ignore (Service.append tenant taken.segment : int)
+  in
+  commit (Chain.take_full chain [ root ]);
+  (* A new leaf past 2^40 replaces l1, which the sweep then drops. *)
+  let fresh = Heap.alloc heap leaf in
+  Barrier.set_int fresh 0 7;
+  Barrier.set_child root 0 (Some fresh);
+  check_int "l1 swept" 1 (Heap.sweep heap ~roots:[ root ]);
+  commit (Chain.take_incremental chain [ root ]);
+  Barrier.set_int big 0 42;
+  commit (Chain.take_incremental chain [ root ]);
+  List.iter
+    (fun epoch ->
+      let reference = reference_body chain ~epoch in
+      let _, replayed = replay_restore chain ~epoch in
+      let _, stored = Store.restore store ~epoch in
+      let _, served = Service.restore tenant ~epoch in
+      List.iter
+        (fun (name, roots) ->
+          check_string (Printf.sprintf "%s epoch %d" name epoch) reference
+            (full_body roots))
+        [ ("chain", replayed); ("store", stored); ("service", served) ])
+    [ 0; 1; 2 ];
+  let _, latest = Store.restore store ~epoch:2 in
+  check_bool "latest equals the live heap" true (roots_equal [ root ] latest)
 
 let store_resume_at_nonzero_seq () =
   (* A store (and a chain) may resume from a full at seq > 0 — what remains
@@ -618,6 +761,12 @@ let restore_roundtrip_prop =
             Store.open_ ~vfs:(Sim.vfs sim) ~records_per_chunk:4
               t.Ickpt_synth.Synth.schema ~path:store_path
           in
+          let svc =
+            Service.open_ ~vfs:(Sim.vfs sim) ~records_per_chunk:4 ~path:"svc" ()
+          in
+          let tenant =
+            Service.open_tenant svc t.Ickpt_synth.Synth.schema ~name:"t"
+          in
           let epochs = ref [] in
           for r = 0 to rounds do
             if r > 0 then ignore (Ickpt_synth.Synth.mutate_round t);
@@ -627,6 +776,7 @@ let restore_roundtrip_prop =
               | Segment.Incremental -> Chain.take_incremental chain roots
             in
             ignore (Store.append_segment store taken.Chain.segment);
+            ignore (Service.append tenant taken.Chain.segment : int);
             (* Accumulate+materialize of the chain equals the live heap. *)
             let _, recovered =
               match Chain.recover chain with
@@ -638,14 +788,18 @@ let restore_roundtrip_prop =
                 "chain restore differs from live heap at epoch %d" r;
             epochs := r :: !epochs
           done;
-          (* Store-backed restore agrees with chain replay at EVERY epoch,
-             byte for byte. *)
+          (* Store-, service- and chain-backed restores agree with the
+             reference at EVERY epoch, byte for byte. *)
           List.for_all
             (fun e ->
               let _, replayed = replay_restore chain ~epoch:e in
               let _, stored = Store.restore store ~epoch:e in
+              let _, served = Service.restore tenant ~epoch:e in
+              let reference = reference_body chain ~epoch:e in
               roots_equal replayed stored
-              && String.equal (full_body replayed) (full_body stored)
+              && List.for_all
+                   (fun roots -> String.equal reference (full_body roots))
+                   [ replayed; stored; served ]
               && String.equal
                    (Segment.encode (Store.segment_of_epoch store e))
                    (Segment.encode
@@ -653,7 +807,8 @@ let restore_roundtrip_prop =
                          (fun (s : Segment.t) -> s.seq = e)
                          (Chain.segments chain))))
             !epochs
-          && Store.check store = [])
+          && Store.check store = []
+          && Service.check svc = [])
         policies)
 
 let suites =
@@ -676,6 +831,9 @@ let suites =
         Alcotest.test_case "dedup ratio on repeated fulls" `Quick
           store_dedup_and_stats;
         Alcotest.test_case "error paths" `Quick store_errors;
+        Alcotest.test_case "misdirected directory pointer" `Quick
+          store_misdirected_pointer;
+        Alcotest.test_case "sparse huge ids" `Quick sparse_huge_ids;
         Alcotest.test_case "resume at non-zero seq" `Quick
           store_resume_at_nonzero_seq;
         Alcotest.test_case "diff matches Diff.segments" `Quick
