@@ -65,11 +65,15 @@ let () =
     Format.fprintf ppf "@.== shape-check summary ==@.";
     List.iter
       (fun (name, checks) ->
-        let failed = List.filter (fun c -> not c.Workload.ok) checks in
-        failures := !failures + List.length failed;
-        Format.fprintf ppf "%-8s %d/%d checks pass@." name
-          (List.length checks - List.length failed)
-          (List.length checks))
+        let failed = List.length (Workload.failures checks) in
+        let passed =
+          List.length
+            (List.filter (fun c -> c.Workload.status = Workload.Pass) checks)
+        in
+        failures := !failures + failed;
+        Format.fprintf ppf "%-8s %d/%d checks pass, %d n/a@." name passed
+          (List.length checks)
+          (List.length checks - passed - failed))
       results
   end;
   if o.micro || o.micro_only then Micro.run ppf;

@@ -19,24 +19,22 @@ let names_arg =
   let doc = "Experiments to run (default: all)." in
   Arg.(value & pos_all string [] & info [] ~docv:"NAME" ~doc)
 
-let effective_scale scale paper = if paper then 1.0 else scale
+(* A FAILed shape check exits 1 (an N/A one does not count); command-line
+   errors keep cmdliner's 124. *)
+let verdict = function
+  | [] -> `Ok ()
+  | failed ->
+      Printf.eprintf "ickpt_bench: %d shape check(s) failed\n"
+        (List.length failed);
+      exit 1
 
 let run_cmd =
   let run scale paper names =
-    let scale = effective_scale scale paper in
+    let scale = if paper then 1.0 else scale in
     let ppf = Format.std_formatter in
     let names = match names with [] -> None | l -> Some l in
     let results = Registry.run_all ?names ~scale ppf in
-    let failed =
-      List.concat_map
-        (fun (_, checks) -> List.filter (fun c -> not c.Workload.ok) checks)
-        results
-    in
-    if failed = [] then `Ok ()
-    else begin
-      Format.fprintf ppf "@.%d shape check(s) failed@." (List.length failed);
-      `Ok ()
-    end
+    verdict (List.concat_map (fun (_, cs) -> Workload.failures cs) results)
   in
   let doc = "run evaluation experiments (tables and figures)" in
   Cmd.v
@@ -111,61 +109,55 @@ let crash_cmd =
   Cmd.v (Cmd.info "crash" ~doc)
     Term.(ret (const crash $ rounds_arg $ density_arg $ configs_arg))
 
+(* ---- the extension ablations (BENCH_4..8) ------------------------------- *)
+
+let out_arg bench =
+  let doc =
+    Printf.sprintf
+      "Write the rows and checks as JSON (the BENCH_%d.json document) to \
+       $(docv)."
+      bench
+  in
+  Arg.(value & opt (some string) None & info [ "o"; "json" ] ~docv:"PATH" ~doc)
+
+let files_arg =
+  let doc =
+    "Mini-C workloads (default: the built-in image and small generator \
+     programs)."
+  in
+  Arg.(value & pos_all file [] & info [] ~docv:"FILE" ~doc)
+
+let repeats_arg doc =
+  Arg.(value & opt int 3 & info [ "repeats" ] ~docv:"N" ~doc)
+
+(* Mini-C files named on the command line, or the built-in generator
+   programs; a file that does not parse is a usage error (exit 2). *)
+let load_workloads = function
+  | [] -> Workload.generator_programs ()
+  | files ->
+      List.map
+        (fun path ->
+          match Workload.load_program path with
+          | program ->
+              (Filename.remove_extension (Filename.basename path), program)
+          | exception Minic.Parser.Parse_error { line; message } ->
+              Printf.eprintf "%s:%d: %s\n" path line message;
+              exit 2
+          | exception Minic.Lexer.Lex_error { line; col; message } ->
+              Printf.eprintf "%s:%d:%d: %s\n" path line col message;
+              exit 2)
+        files
+
+let report out doc = verdict (Bench_doc.emit ?out Format.std_formatter doc)
+
 let barrier_cmd =
-  let files_arg =
-    let doc =
-      "Mini-C workloads to ablate (default: the built-in image and small \
-       generator programs)."
-    in
-    Arg.(value & pos_all file [] & info [] ~docv:"FILE" ~doc)
-  in
-  let out_arg =
-    let doc = "Write the rows as JSON (the BENCH_4.json document) to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "o"; "json" ] ~docv:"PATH" ~doc)
-  in
   let repeats_arg =
-    let doc = "Engine runs per configuration; per-phase minima are kept." in
-    Arg.(value & opt int 3 & info [ "repeats" ] ~docv:"N" ~doc)
+    repeats_arg "Engine runs per configuration; per-phase minima are kept."
   in
   let barrier files out repeats =
-    let load path =
-      let ic = open_in_bin path in
-      let src =
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      match Minic.Parser.parse src with
-      | program -> (Filename.remove_extension (Filename.basename path), program)
-      | exception Minic.Parser.Parse_error { line; message } ->
-          Printf.eprintf "%s:%d: %s\n" path line message;
-          exit 2
-      | exception Minic.Lexer.Lex_error { line; col; message } ->
-          Printf.eprintf "%s:%d:%d: %s\n" path line col message;
-          exit 2
-    in
-    let workloads =
-      match files with
-      | [] ->
-          [ ("image", Minic.Gen.image_program ());
-            ("small", Minic.Gen.small_program ()) ]
-      | fs -> List.map load fs
-    in
-    let rows = Ablation_barrier.measure ~repeats workloads in
-    let ppf = Format.std_formatter in
-    Ablation_barrier.pp_table ppf rows;
-    let checks = Ablation_barrier.checks rows in
-    Workload.pp_checks ppf checks;
-    (match out with
-    | None -> ()
-    | Some path ->
-        let oc = open_out_bin path in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () -> output_string oc (Ablation_barrier.json rows));
-        Format.fprintf ppf "wrote %s@." path);
-    if Workload.all_ok checks then `Ok ()
-    else `Error (false, "barrier-ablation checks failed")
+    report out
+      (Ablation_barrier.doc
+         (Ablation_barrier.measure ~repeats (load_workloads files)))
   in
   let doc =
     "measure per-phase checkpoint overhead with and without static \
@@ -173,23 +165,11 @@ let barrier_cmd =
   in
   Cmd.v
     (Cmd.info "barrier" ~doc)
-    Term.(ret (const barrier $ files_arg $ out_arg $ repeats_arg))
+    Term.(ret (const barrier $ files_arg $ out_arg 4 $ repeats_arg))
 
 let dedup_cmd =
-  let files_arg =
-    let doc =
-      "Mini-C workloads to store in full-checkpointing mode (default: the \
-       built-in image and small generator programs)."
-    in
-    Arg.(value & pos_all file [] & info [] ~docv:"FILE" ~doc)
-  in
-  let out_arg =
-    let doc = "Write the rows as JSON (the BENCH_5.json document) to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "o"; "json" ] ~docv:"PATH" ~doc)
-  in
   let repeats_arg =
-    let doc = "Restore timings per row; the fastest run is kept." in
-    Arg.(value & opt int 3 & info [ "repeats" ] ~docv:"N" ~doc)
+    repeats_arg "Restore timings per row; the fastest run is kept."
   in
   let epochs_arg =
     let doc = "Incremental epochs in the long pagerank-style run." in
@@ -200,47 +180,10 @@ let dedup_cmd =
     Arg.(value & opt int 300 & info [ "pages" ] ~docv:"N" ~doc)
   in
   let dedup files out repeats epochs pages =
-    let load path =
-      let ic = open_in_bin path in
-      let src =
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      match Minic.Parser.parse src with
-      | program -> (Filename.remove_extension (Filename.basename path), program)
-      | exception Minic.Parser.Parse_error { line; message } ->
-          Printf.eprintf "%s:%d: %s\n" path line message;
-          exit 2
-      | exception Minic.Lexer.Lex_error { line; col; message } ->
-          Printf.eprintf "%s:%d:%d: %s\n" path line col message;
-          exit 2
-    in
-    let workloads =
-      match files with
-      | [] ->
-          [ ("image", Minic.Gen.image_program ());
-            ("small", Minic.Gen.small_program ()) ]
-      | fs -> List.map load fs
-    in
-    let rows =
-      Ablation_dedup.measure_engine ~repeats workloads
-      @ [ Ablation_dedup.measure_pagerank ~repeats ~epochs ~pages () ]
-    in
-    let ppf = Format.std_formatter in
-    Ablation_dedup.pp_table ppf rows;
-    let checks = Ablation_dedup.checks rows in
-    Workload.pp_checks ppf checks;
-    (match out with
-    | None -> ()
-    | Some path ->
-        let oc = open_out_bin path in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () -> output_string oc (Ablation_dedup.json rows));
-        Format.fprintf ppf "wrote %s@." path);
-    if Workload.all_ok checks then `Ok ()
-    else `Error (false, "dedup-store ablation checks failed")
+    report out
+      (Ablation_dedup.doc
+         (Ablation_dedup.measure_engine ~repeats (load_workloads files)
+         @ [ Ablation_dedup.measure_pagerank ~repeats ~epochs ~pages () ]))
   in
   let doc =
     "measure chunk dedup and O(live) epoch restore of the content-addressed \
@@ -249,70 +192,28 @@ let dedup_cmd =
   Cmd.v
     (Cmd.info "dedup" ~doc)
     Term.(
-      ret (const dedup $ files_arg $ out_arg $ repeats_arg $ epochs_arg
+      ret (const dedup $ files_arg $ out_arg 5 $ repeats_arg $ epochs_arg
            $ pages_arg))
 
 let live_cmd =
-  let out_arg =
-    let doc = "Write the rows as JSON (the BENCH_6.json document) to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "o"; "json" ] ~docv:"PATH" ~doc)
-  in
   let live out =
-    let rows = Ablation_live.measure_all () in
-    let ppf = Format.std_formatter in
-    Ablation_live.pp_table ppf rows;
-    let checks = Ablation_live.checks rows in
-    Workload.pp_checks ppf checks;
-    (match out with
-    | None -> ()
-    | Some path ->
-        let oc = open_out_bin path in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () -> output_string oc (Ablation_live.json rows));
-        Format.fprintf ppf "wrote %s@." path);
-    if Workload.all_ok checks then `Ok ()
-    else `Error (false, "liveness-minimization ablation checks failed")
+    report out (Ablation_live.doc (Ablation_live.measure_all ()))
   in
   let doc =
     "measure checkpoint-set minimization by the interprocedural liveness \
      analysis, gated per workload by the restore-equivalence oracle"
   in
-  Cmd.v (Cmd.info "live" ~doc) Term.(ret (const live $ out_arg))
+  Cmd.v (Cmd.info "live" ~doc) Term.(ret (const live $ out_arg 6))
 
 let par_cmd =
-  let out_arg =
-    let doc = "Write the rows as JSON (the BENCH_7.json document) to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "o"; "json" ] ~docv:"PATH" ~doc)
-  in
-  let par out =
-    let rows = Ablation_par.measure_all () in
-    let ppf = Format.std_formatter in
-    Ablation_par.pp_table ppf rows;
-    let checks = Ablation_par.checks rows in
-    Workload.pp_checks ppf checks;
-    (match out with
-    | None -> ()
-    | Some path ->
-        let oc = open_out_bin path in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () -> output_string oc (Ablation_par.json rows));
-        Format.fprintf ppf "wrote %s@." path);
-    if Workload.all_ok checks then `Ok ()
-    else `Error (false, "domain-parallel execution ablation checks failed")
-  in
+  let par out = report out (Ablation_par.doc (Ablation_par.measure_all ())) in
   let doc =
     "measure domain-parallel execution of interference-scheduled phases \
      and strips, gated per row by the sequential-identity oracle"
   in
-  Cmd.v (Cmd.info "par" ~doc) Term.(ret (const par $ out_arg))
+  Cmd.v (Cmd.info "par" ~doc) Term.(ret (const par $ out_arg 7))
 
 let tenant_cmd =
-  let out_arg =
-    let doc = "Write the rows as JSON (the BENCH_8.json document) to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "o"; "json" ] ~docv:"PATH" ~doc)
-  in
   let repeat_arg =
     let doc =
       "Chain replays per tenant session (longer sessions; 1 for a smoke \
@@ -321,21 +222,7 @@ let tenant_cmd =
     Arg.(value & opt int 3 & info [ "repeat" ] ~docv:"N" ~doc)
   in
   let tenant out repeat =
-    let rows = Ablation_tenant.measure_all ~repeat () in
-    let ppf = Format.std_formatter in
-    Ablation_tenant.pp_table ppf rows;
-    let checks = Ablation_tenant.checks rows in
-    Workload.pp_checks ppf checks;
-    (match out with
-    | None -> ()
-    | Some path ->
-        let oc = open_out_bin path in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () -> output_string oc (Ablation_tenant.json rows));
-        Format.fprintf ppf "wrote %s@." path);
-    if Workload.all_ok checks then `Ok ()
-    else `Error (false, "multi-tenant service ablation checks failed")
+    report out (Ablation_tenant.doc (Ablation_tenant.measure_all ~repeat ()))
   in
   let doc =
     "measure multi-tenant throughput, group-commit fsync amortization and \
@@ -344,7 +231,7 @@ let tenant_cmd =
   in
   Cmd.v
     (Cmd.info "tenant" ~doc)
-    Term.(ret (const tenant $ out_arg $ repeat_arg))
+    Term.(ret (const tenant $ out_arg 8 $ repeat_arg))
 
 let () =
   let doc =

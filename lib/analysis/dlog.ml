@@ -22,22 +22,6 @@ let snapshot_of_wheap wheap =
   in
   { sn_scalars = Wheap.scalar_globals wheap; sn_arrays = arrays }
 
-let snapshot_of_store (program : Minic.Ast.program) store =
-  let scalars, arrays =
-    List.partition_map
-      (fun d ->
-        match d.Minic.Ast.v_typ with
-        | Minic.Ast.T_array len ->
-            Right
-              ( d.Minic.Ast.v_name,
-                Array.init len (fun i ->
-                    store.Minic.Interp.gs_get_cell d.Minic.Ast.v_name i) )
-        | _ ->
-            Left (d.Minic.Ast.v_name, store.Minic.Interp.gs_get d.Minic.Ast.v_name))
-      program.Minic.Ast.globals
-  in
-  { sn_scalars = scalars; sn_arrays = arrays }
-
 type entry = W_scalar of string * int | W_cell of string * int * int | Mark
 
 type t = {

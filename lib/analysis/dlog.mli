@@ -21,11 +21,6 @@ type snapshot
 
 val snapshot_of_wheap : Wheap.t -> snapshot
 
-val snapshot_of_store :
-  Minic.Ast.program -> Minic.Interp.global_store -> snapshot
-(** Copy the globals of any store (used by the sequential-vs-parallel
-    oracle harness, which runs tracking stores, not heaps). *)
-
 type t
 
 val create : snapshot -> t

@@ -75,5 +75,3 @@ let rec visit_full_tree d stats o =
   Model.fold o (visit_full_tree d stats)
 
 let full_tree ?(stats = fresh_stats ()) d root = visit_full_tree d stats root
-
-let full_tree_many ?stats d roots = List.iter (full_tree ?stats d) roots

@@ -48,6 +48,3 @@ val full_tree : ?stats:stats -> Ickpt_stream.Out_stream.t -> Model.obj -> unit
     DAGs shared objects are recorded once per path (larger checkpoints,
     identical restored state, since records are complete and idempotent).
     Must not be used on cyclic graphs. *)
-
-val full_tree_many :
-  ?stats:stats -> Ickpt_stream.Out_stream.t -> Model.obj list -> unit

@@ -98,34 +98,7 @@ let measure ?(repeats = 3) workloads =
         inst_ckp)
     workloads
 
-(* ---- JSON (BENCH_4.json) -------------------------------------------------- *)
-
-let json rows =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    "{\n  \"bench\": \"barrier-elision ablation\",\n  \"unit\": \"seconds \
-     (best-of-repeats per phase)\",\n  \"rows\": [\n";
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"workload\": %S, \"phase\": %S, \"bytes\": %d,\n\
-           \     \"instrumented_seconds\": %.9f, \
-            \"instrumented_guard_seconds\": %.9f,\n\
-           \     \"elided_seconds\": %.9f, \"elided_guard_seconds\": %.9f,\n\
-           \     \"guard_visits_instrumented\": %d, \
-            \"guard_visits_elided\": %d,\n\
-           \     \"reduction_pct\": %.2f, \"bytes_identical\": %b}%s\n"
-           r.workload r.phase r.bytes r.instrumented_seconds
-           r.instrumented_guard_seconds r.elided_seconds
-           r.elided_guard_seconds r.guard_visits_instrumented
-           r.guard_visits_elided (reduction r) r.bytes_identical
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  ]\n}\n";
-  Buffer.contents buf
-
-(* ---- table + checks ------------------------------------------------------- *)
+(* ---- checks + document --------------------------------------------------- *)
 
 let checks rows =
   let open Workload in
@@ -153,32 +126,30 @@ let checks rows =
          phase (timing-sensitive; the visit counters above are the \
          deterministic form)" ]
 
-let pp_table ppf rows =
-  let table =
-    Ickpt_harness.Table.create ~title
-      ~columns:
-        [ "workload"; "phase"; "instrumented"; "guard"; "elided"; "saved" ]
-  in
-  List.iter
-    (fun r ->
-      Ickpt_harness.Table.add_row table
-        [ r.workload;
-          r.phase;
-          Ickpt_harness.Table.cell_seconds
-            (r.instrumented_seconds +. r.instrumented_guard_seconds);
-          Ickpt_harness.Table.cell_seconds r.instrumented_guard_seconds;
-          Ickpt_harness.Table.cell_seconds
-            (r.elided_seconds +. r.elided_guard_seconds);
-          Printf.sprintf "%.1f%%" (reduction r) ])
-    rows;
-  Format.fprintf ppf "%a@." Ickpt_harness.Table.pp table
+let columns =
+  Bench_doc.
+    [ column ~head:"workload" "workload" (fun r -> String r.workload);
+      column ~head:"phase" "phase" (fun r -> String r.phase);
+      column "bytes" (fun r -> Int r.bytes);
+      column ~head:"inst ckp" "instrumented_seconds" (fun r ->
+          Seconds (9, r.instrumented_seconds));
+      column ~head:"inst guard" "instrumented_guard_seconds" (fun r ->
+          Seconds (9, r.instrumented_guard_seconds));
+      column ~head:"elid ckp" "elided_seconds" (fun r ->
+          Seconds (9, r.elided_seconds));
+      column ~head:"elid guard" "elided_guard_seconds" (fun r ->
+          Seconds (9, r.elided_guard_seconds));
+      column "guard_visits_instrumented" (fun r ->
+          Int r.guard_visits_instrumented);
+      column "guard_visits_elided" (fun r -> Int r.guard_visits_elided);
+      column ~head:"saved %" "reduction_pct" (fun r -> Float (2, reduction r));
+      column "bytes_identical" (fun r -> Bool r.bytes_identical) ]
+
+let doc rows =
+  Bench_doc.make ~bench:"barrier-elision ablation" ~title
+    ~unit:"seconds (best-of-repeats per phase)" columns rows (checks rows)
 
 let run ~scale ppf =
   let repeats = if scale >= 1.0 then 5 else 3 in
-  let rows =
-    measure ~repeats
-      [ ("image", Minic.Gen.image_program ());
-        ("small", Minic.Gen.small_program ()) ]
-  in
-  pp_table ppf rows;
-  checks rows
+  Bench_doc.print_table ppf
+    (doc (measure ~repeats (Workload.generator_programs ())))

@@ -35,12 +35,10 @@ val measure : ?repeats:int -> (string * Minic.Ast.program) list -> row list
 (** One row per (workload, phase); seconds are per-phase minima over
     [repeats] (default 3) full engine runs. *)
 
-val json : row list -> string
-(** The [BENCH_4.json] document for the rows. *)
-
-val pp_table : Format.formatter -> row list -> unit
-
 val checks : row list -> Workload.check list
+
+val doc : row list -> Bench_doc.t
+(** The [BENCH_4.json] document: the rows and their {!checks}. *)
 
 val run : scale:Workload.scale -> Format.formatter -> Workload.check list
 (** Registry entry point over the built-in generator workloads

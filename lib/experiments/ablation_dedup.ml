@@ -26,14 +26,6 @@ type row = {
 
 (* ---- shared measurement ------------------------------------------------- *)
 
-let roots_equal a b =
-  List.length a = List.length b && List.for_all2 Deep_eq.equal a b
-
-let full_body roots =
-  let d = Ickpt_stream.Out_stream.create () in
-  Checkpointer.full_many d roots;
-  Ickpt_stream.Out_stream.contents d
-
 (* The best a log-only restore can do for an arbitrary epoch: accumulate
    the suffix from the newest full at or before it (what Chain.recover
    does for the latest). Under incremental-after-base that suffix is the
@@ -50,28 +42,11 @@ let replay_segments segs ~target =
   in
   cut [] (List.rev upto)
 
-let store_files path = [ Store.pack_path path; Store.index_path path ]
-
-let with_store schema ~slug f =
-  let path =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "ickpt_dedup_%s.ckpt" slug)
-  in
-  let clean () =
-    List.iter (fun p -> if Sys.file_exists p then Sys.remove p) (store_files path)
-  in
-  clean ();
-  Fun.protect ~finally:clean (fun () ->
-      f (Store.open_ schema ~path))
-
 (* Store every segment of the chain, then materialize [target] both ways. *)
 let row_of_chain ?(repeats = 3) ~workload ~target chain =
   let schema = Chain.schema chain in
   let segs = Chain.segments chain in
-  let slug =
-    String.map (fun c -> if c = '/' || c = '.' then '_' else c) workload
-  in
-  with_store schema ~slug (fun store ->
+  Workload.with_store schema ("dedup_" ^ workload) (fun store ->
       List.iter (fun s -> ignore (Store.append_segment store s)) segs;
       let s = Store.stats store in
       let target = max 0 (min target (List.length segs - 1)) in
@@ -97,8 +72,9 @@ let row_of_chain ?(repeats = 3) ~workload ~target chain =
         store_seconds;
         speedup = replay_seconds /. store_seconds;
         states_equal =
-          roots_equal replayed stored
-          && String.equal (full_body replayed) (full_body stored) })
+          Ickpt_faultsim.Sweep.roots_equal replayed stored
+          && String.equal (Workload.full_body replayed)
+               (Workload.full_body stored) })
 
 (* ---- engine workloads (full-checkpointing mode) ------------------------- *)
 
@@ -184,59 +160,14 @@ let measure_pagerank ?(repeats = 3) ?(epochs = 120) ?(pages = 300) () =
   done;
   row_of_chain ~repeats ~workload:"pagerank" ~target:(epochs - 10) chain
 
-(* ---- JSON (BENCH_5.json) ------------------------------------------------ *)
+(* ---- checks + document ------------------------------------------------- *)
 
-let json rows =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    "{\n  \"bench\": \"dedup-store ablation\",\n  \"unit\": \"bytes; seconds \
-     (best-of-repeats per restore)\",\n  \"rows\": [\n";
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"workload\": %S, \"epochs\": %d, \"chunks\": %d,\n\
-           \     \"logical_bytes\": %d, \"physical_bytes\": %d, \
-            \"dedup_ratio\": %.3f,\n\
-           \     \"target_epoch\": %d, \"replay_seconds\": %.9f, \
-            \"store_seconds\": %.9f,\n\
-           \     \"speedup\": %.3f, \"states_equal\": %b}%s\n"
-           r.workload r.epochs r.chunks r.logical_bytes r.physical_bytes
-           r.dedup_ratio r.target_epoch r.replay_seconds r.store_seconds
-           r.speedup r.states_equal
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  ]\n}\n";
-  Buffer.contents buf
-
-(* ---- table + checks ----------------------------------------------------- *)
-
-let pp_table ppf rows =
-  let table =
-    Ickpt_harness.Table.create ~title
-      ~columns:
-        [ "workload"; "epochs"; "logical"; "on-disk"; "dedup"; "restore@";
-          "replay"; "store"; "speedup" ]
-  in
-  List.iter
-    (fun r ->
-      Ickpt_harness.Table.add_row table
-        [ r.workload;
-          string_of_int r.epochs;
-          Ickpt_harness.Table.cell_bytes r.logical_bytes;
-          Ickpt_harness.Table.cell_bytes r.physical_bytes;
-          Ickpt_harness.Table.cell_speedup r.dedup_ratio;
-          string_of_int r.target_epoch;
-          Ickpt_harness.Table.cell_seconds r.replay_seconds;
-          Ickpt_harness.Table.cell_seconds r.store_seconds;
-          Ickpt_harness.Table.cell_speedup r.speedup ])
-    rows;
-  Format.fprintf ppf "%a@." Ickpt_harness.Table.pp table
+let long_epochs = 100
 
 let checks rows =
   let open Workload in
   let engine_rows = List.filter (fun r -> r.workload <> "pagerank") rows in
-  let long_rows = List.filter (fun r -> r.epochs >= 100) rows in
+  let long_rows = List.filter (fun r -> r.epochs >= long_epochs) rows in
   [ check ~label:"dedup: store and replay restores agree"
       ~ok:(List.for_all (fun r -> r.states_equal) rows)
       ~detail:
@@ -248,22 +179,42 @@ let checks rows =
         "repeated full epochs share most record-aligned chunks, so the \
          pack holds them once";
     check ~label:"dedup: store restore beats chain replay on 100+ epochs"
-      ~ok:
-        (long_rows <> []
-        && List.for_all (fun r -> r.speedup > 1.0) long_rows)
+      ~ok:(List.for_all (fun r -> r.speedup > 1.0) long_rows)
       ~detail:
         "the epoch index folds per-object directories instead of \
-         decoding every record of every prior segment" ]
+         decoding every record of every prior segment"
+    |> requires (long_rows <> [])
+         ~reason:
+           (Printf.sprintf "needs a row with >= %d epochs; the longest has %d"
+              long_epochs
+              (List.fold_left (fun m r -> max m r.epochs) 0 rows)) ]
+
+let columns =
+  Bench_doc.
+    [ column ~head:"workload" "workload" (fun r -> String r.workload);
+      column ~head:"epochs" "epochs" (fun r -> Int r.epochs);
+      column "chunks" (fun r -> Int r.chunks);
+      column ~head:"logical" "logical_bytes" (fun r -> Bytes r.logical_bytes);
+      column ~head:"on-disk" "physical_bytes" (fun r -> Bytes r.physical_bytes);
+      column ~head:"dedup" "dedup_ratio" (fun r -> Ratio r.dedup_ratio);
+      column ~head:"restore@" "target_epoch" (fun r -> Int r.target_epoch);
+      column ~head:"replay" "replay_seconds" (fun r ->
+          Seconds (9, r.replay_seconds));
+      column ~head:"store" "store_seconds" (fun r ->
+          Seconds (9, r.store_seconds));
+      column ~head:"speedup" "speedup" (fun r -> Ratio r.speedup);
+      column "states_equal" (fun r -> Bool r.states_equal) ]
+
+let doc rows =
+  Bench_doc.make ~bench:"dedup-store ablation" ~title
+    ~unit:"bytes; seconds (best-of-repeats per restore)" columns rows
+    (checks rows)
 
 let run ~scale ppf =
   let repeats = if scale >= 1.0 then 5 else 3 in
   let epochs = max 12 (int_of_float (120.0 *. scale)) in
   let pages = max 40 (int_of_float (300.0 *. scale)) in
-  let rows =
-    measure_engine ~repeats
-      [ ("image", Minic.Gen.image_program ());
-        ("small", Minic.Gen.small_program ()) ]
-    @ [ measure_pagerank ~repeats ~epochs ~pages () ]
-  in
-  pp_table ppf rows;
-  checks rows
+  Bench_doc.print_table ppf
+    (doc
+       (measure_engine ~repeats (Workload.generator_programs ())
+       @ [ measure_pagerank ~repeats ~epochs ~pages () ]))

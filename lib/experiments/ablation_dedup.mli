@@ -43,15 +43,13 @@ val measure_pagerank :
 (** The ≥100-epoch incremental run (defaults: 120 epochs, 300 pages);
     the restored target is epoch [epochs - 10]. *)
 
-val json : row list -> string
-(** The [BENCH_5.json] document for the rows. *)
-
-val pp_table : Format.formatter -> row list -> unit
-
 val checks : row list -> Workload.check list
 (** Asserts: states always equal; dedup ratio > 1.5 on at least one
     engine workload; store restore beats chain replay on every row with
-    100+ epochs. *)
+    100+ epochs — N/A when no row has 100 epochs. *)
+
+val doc : row list -> Bench_doc.t
+(** The [BENCH_5.json] document: the rows and their {!checks}. *)
 
 val run : scale:Workload.scale -> Format.formatter -> Workload.check list
 (** Registry entry point: built-in generator programs plus the pagerank

@@ -31,28 +31,6 @@ type row = {
 
 (* ---- workload sources ---------------------------------------------------- *)
 
-(* Same probing as the test suites: runtest executes in the test
-   directory, dune exec at the workspace root. *)
-let example_path file =
-  let candidates =
-    [ Filename.concat "examples/workloads" file;
-      Filename.concat "../examples/workloads" file;
-      Filename.concat "../../examples/workloads" file;
-      Filename.concat "_build/default/examples/workloads" file ]
-  in
-  match List.find_opt Sys.file_exists candidates with
-  | Some p -> p
-  | None -> failwith (Printf.sprintf "example workload %s not found" file)
-
-let load_example file =
-  let ic = open_in_bin (example_path file) in
-  let src =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  Minic.Parser.parse src
-
 (* A control workload where liveness proves nothing: the accumulator is
    read on every round and returned, so every tracked cell is live at
    every boundary. Its row must report zero dropped blocks and zero
@@ -72,7 +50,7 @@ let all_live_src =
 
 let workloads () =
   List.map
-    (fun f -> (Filename.remove_extension f, load_example f))
+    (fun f -> (Filename.remove_extension f, Workload.load_example f))
     [ "blur.mc"; "histogram.mc"; "pagerank.mc"; "kvlog.mc" ]
   @ [ ("all-live", Minic.Parser.parse all_live_src) ]
 
@@ -95,21 +73,8 @@ let tracked_total shapes_of phases =
         (shapes_of ph))
     0 phases
 
-let store_files path = [ Store.pack_path path; Store.index_path path ]
-
-let with_store schema ~slug f =
-  let path =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "ickpt_live_%s.ckpt" slug)
-  in
-  let clean () =
-    List.iter (fun p -> if Sys.file_exists p then Sys.remove p) (store_files path)
-  in
-  clean ();
-  Fun.protect ~finally:clean (fun () -> f (Store.open_ schema ~path))
-
-let pack_bytes ~slug chain =
-  with_store (Chain.schema chain) ~slug (fun store ->
+let pack_bytes name chain =
+  Workload.with_store (Chain.schema chain) ("live_" ^ name) (fun store ->
       List.iter
         (fun s -> ignore (Store.append_segment store s))
         (Chain.segments chain);
@@ -135,9 +100,6 @@ let measure (wname, program) =
   in
   let base = chain_of (function Engine.Inferred _ -> true | _ -> false) in
   let min = chain_of (function Engine.Minimized _ -> true | _ -> false) in
-  let slug =
-    String.map (fun c -> if c = '/' || c = '.' then '_' else c) wname
-  in
   let total =
     tracked_total (fun ph -> ph.Auto_spec.ph_shapes) t.Auto_spec.a_phases
   in
@@ -161,8 +123,8 @@ let measure (wname, program) =
     blocks_total = total;
     blocks_kept = kept;
     blocks_dropped = total - kept;
-    pack_baseline = pack_bytes ~slug:(slug ^ "_base") base;
-    pack_minimized = pack_bytes ~slug:(slug ^ "_min") min;
+    pack_baseline = pack_bytes (wname ^ "_base") base;
+    pack_minimized = pack_bytes (wname ^ "_min") min;
     live_cells = tl.Elide_oracle.live_cells;
     resumes = tl.Elide_oracle.resumes;
     reads_checked = tl.Elide_oracle.reads_checked;
@@ -170,60 +132,7 @@ let measure (wname, program) =
 
 let measure_all () = List.map measure (workloads ())
 
-(* ---- JSON (BENCH_6.json) ------------------------------------------------- *)
-
-let json rows =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    "{\n  \"bench\": \"liveness-minimization ablation\",\n  \"unit\": \
-     \"incremental segment-body bytes; tracked shape nodes\",\n  \"rows\": [\n";
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"workload\": %S, \"epochs\": %d,\n\
-           \     \"baseline_bytes\": %d, \"minimized_bytes\": %d,\n\
-           \     \"baseline_bytes_per_segment\": %.2f, \
-            \"minimized_bytes_per_segment\": %.2f,\n\
-           \     \"reduction\": %.4f,\n\
-           \     \"blocks_total\": %d, \"blocks_kept\": %d, \
-            \"blocks_dropped\": %d,\n\
-           \     \"pack_baseline_bytes\": %d, \"pack_minimized_bytes\": %d,\n\
-           \     \"live_cells_compared\": %d, \"resumes\": %d, \
-            \"reads_containment_checked\": %d,\n\
-           \     \"oracle_ok\": %b}%s\n"
-           r.workload r.epochs r.baseline_bytes r.minimized_bytes
-           r.baseline_per_seg r.minimized_per_seg r.reduction r.blocks_total
-           r.blocks_kept r.blocks_dropped r.pack_baseline r.pack_minimized
-           r.live_cells r.resumes r.reads_checked r.oracle_ok
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  ]\n}\n";
-  Buffer.contents buf
-
-(* ---- table + checks ------------------------------------------------------ *)
-
-let pp_table ppf rows =
-  let table =
-    Ickpt_harness.Table.create ~title
-      ~columns:
-        [ "workload"; "epochs"; "inc base"; "inc min"; "reduction";
-          "kept/total"; "pack base"; "pack min"; "oracle" ]
-  in
-  List.iter
-    (fun r ->
-      Ickpt_harness.Table.add_row table
-        [ r.workload;
-          string_of_int r.epochs;
-          Ickpt_harness.Table.cell_bytes r.baseline_bytes;
-          Ickpt_harness.Table.cell_bytes r.minimized_bytes;
-          Printf.sprintf "%.1f%%" (100.0 *. r.reduction);
-          Printf.sprintf "%d/%d" r.blocks_kept r.blocks_total;
-          Ickpt_harness.Table.cell_bytes r.pack_baseline;
-          Ickpt_harness.Table.cell_bytes r.pack_minimized;
-          (if r.oracle_ok then "ok" else "FAIL") ])
-    rows;
-  Format.fprintf ppf "%a@." Ickpt_harness.Table.pp table
+(* ---- checks + document -------------------------------------------------- *)
 
 let checks rows =
   let open Workload in
@@ -264,8 +173,34 @@ let checks rows =
         "no silent caps: each workload with incremental epochs completed \
          resumed executions rather than skipping the expensive check" ]
 
-let run ~scale ppf =
-  ignore (scale : Workload.scale);
-  let rows = measure_all () in
-  pp_table ppf rows;
-  checks rows
+let columns =
+  Bench_doc.
+    [ column ~head:"workload" "workload" (fun r -> String r.workload);
+      column ~head:"epochs" "epochs" (fun r -> Int r.epochs);
+      column ~head:"inc base" "baseline_bytes" (fun r ->
+          Bytes r.baseline_bytes);
+      column ~head:"inc min" "minimized_bytes" (fun r ->
+          Bytes r.minimized_bytes);
+      column "baseline_bytes_per_segment" (fun r ->
+          Float (2, r.baseline_per_seg));
+      column "minimized_bytes_per_segment" (fun r ->
+          Float (2, r.minimized_per_seg));
+      column ~head:"reduction" "reduction" (fun r -> Float (4, r.reduction));
+      column ~head:"total" "blocks_total" (fun r -> Int r.blocks_total);
+      column ~head:"kept" "blocks_kept" (fun r -> Int r.blocks_kept);
+      column "blocks_dropped" (fun r -> Int r.blocks_dropped);
+      column ~head:"pack base" "pack_baseline_bytes" (fun r ->
+          Bytes r.pack_baseline);
+      column ~head:"pack min" "pack_minimized_bytes" (fun r ->
+          Bytes r.pack_minimized);
+      column "live_cells_compared" (fun r -> Int r.live_cells);
+      column "resumes" (fun r -> Int r.resumes);
+      column "reads_containment_checked" (fun r -> Int r.reads_checked);
+      column ~head:"oracle" "oracle_ok" (fun r -> Bool r.oracle_ok) ]
+
+let doc rows =
+  Bench_doc.make ~bench:"liveness-minimization ablation" ~title
+    ~unit:"incremental segment-body bytes; tracked shape nodes" columns rows
+    (checks rows)
+
+let run ~scale:_ ppf = Bench_doc.print_table ppf (doc (measure_all ()))

@@ -33,14 +33,12 @@ val measure_all : unit -> row list
 (** One row per workload: the four [examples/workloads/*.mc] programs
     and the built-in all-live control. *)
 
-val json : row list -> string
-(** The BENCH_6.json document. *)
-
-val pp_table : Format.formatter -> row list -> unit
-
 val checks : row list -> Workload.check list
 (** Oracle passes everywhere; >= 10% reduction somewhere; honest zeros
     (no reduction claimed where no block was dropped); the all-live
     control drops nothing; no silently skipped resumes. *)
+
+val doc : row list -> Bench_doc.t
+(** The BENCH_6.json document: the rows and their {!checks}. *)
 
 val run : scale:Workload.scale -> Format.formatter -> Workload.check list

@@ -27,8 +27,6 @@ type row = {
   restore_identical : bool;
 }
 
-let host_cores () = Domain.recommended_domain_count ()
-
 (* ---- tenant zoo ---------------------------------------------------------- *)
 
 (* Eight tenants: two instances each of the four example workloads, run
@@ -45,30 +43,10 @@ type session = {
   s_segments : Segment.t list;  (* one pass, seqs 0..n-1 *)
 }
 
-let example_path file =
-  let candidates =
-    [ Filename.concat "examples/workloads" file;
-      Filename.concat "../examples/workloads" file;
-      Filename.concat "../../examples/workloads" file;
-      Filename.concat "_build/default/examples/workloads" file ]
-  in
-  match List.find_opt Sys.file_exists candidates with
-  | Some p -> p
-  | None -> failwith (Printf.sprintf "example workload %s not found" file)
-
-let load_example file =
-  let ic = open_in_bin (example_path file) in
-  let src =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  Minic.Parser.parse src
-
 let sessions () =
   List.concat_map
     (fun wname ->
-      let program = load_example (wname ^ ".mc") in
+      let program = Workload.load_example (wname ^ ".mc") in
       let report = Engine.analyze (Engine.Inferred Engine.inferred) program in
       let chain = report.Engine.chain in
       let schema = Chain.schema chain in
@@ -109,16 +87,7 @@ let counting_vfs inner =
 
 (* ---- the private-store reference ----------------------------------------- *)
 
-let full_body roots =
-  let d = Ickpt_stream.Out_stream.create () in
-  Checkpointer.full_many d roots;
-  Ickpt_stream.Out_stream.contents d
-
-let tmp slug =
-  Filename.concat (Filename.get_temp_dir_name ())
-    (Printf.sprintf "ickpt_tenant_%d_%s" (Unix.getpid ()) slug)
-
-let remove_if_exists p = if Sys.file_exists p then Sys.remove p
+let file_size path = (Unix.stat path).Unix.st_size
 
 (* Each tenant run alone on a private store: the pack footprint the shared
    pack is compared against, and the restore oracle every service row is
@@ -132,13 +101,7 @@ type reference = {
 let probe_epochs ~total = List.sort_uniq compare [ (total - 1) / 2; total - 1 ]
 
 let private_reference ~repeat s =
-  let path = tmp ("priv_" ^ s.s_name) in
-  let files = [ Store.pack_path path; Store.index_path path ] in
-  List.iter remove_if_exists files;
-  Fun.protect
-    ~finally:(fun () -> List.iter remove_if_exists files)
-    (fun () ->
-      let store = Store.open_ s.s_schema ~path in
+  Workload.with_store s.s_schema ("tenant_priv_" ^ s.s_name) (fun store ->
       for pass = 0 to repeat - 1 do
         List.iter
           (fun seg ->
@@ -149,15 +112,10 @@ let private_reference ~repeat s =
         List.map
           (fun e ->
             let _heap, roots = Store.restore store ~epoch:e in
-            (e, full_body roots))
+            (e, Workload.full_body roots))
           (probe_epochs ~total:(session_epochs s ~repeat))
       in
-      let pack_bytes =
-        let ic = open_in_bin (Store.pack_path path) in
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> in_channel_length ic)
-      in
+      let pack_bytes = file_size (Store.pack_path (Store.path store)) in
       { f_name = s.s_name; f_pack_bytes = pack_bytes; f_probes = probes })
 
 (* ---- one service row ----------------------------------------------------- *)
@@ -165,7 +123,7 @@ let private_reference ~repeat s =
 let group_policy =
   { Async_writer.Batch.max_items = 8; max_bytes = 1 lsl 20; linger = 0. }
 
-let service_files path ~shards =
+let service_files ~shards path =
   Service.pack_path path :: Service.catalog_path path :: Service.meta_path path
   :: List.init shards (Service.shard_index_path path)
 
@@ -179,12 +137,10 @@ let percentile p xs =
 
 let measure_row ~sessions ~references ~repeat ~mode_label ~commit ~shards
     ~domains =
-  let path = tmp (Printf.sprintf "svc_%s_s%d" mode_label shards) in
-  let files = service_files path ~shards in
-  List.iter remove_if_exists files;
-  Fun.protect
-    ~finally:(fun () -> List.iter remove_if_exists files)
-    (fun () ->
+  Workload.with_temp_files
+    (Printf.sprintf "tenant_svc_%s_s%d" mode_label shards)
+    (service_files ~shards)
+    (fun path ->
       let vfs, syncs = counting_vfs Vfs.real in
       let svc = Service.open_ ~vfs ~shards ~commit ~path () in
       let tens =
@@ -225,16 +181,11 @@ let measure_row ~sessions ~references ~repeat ~mode_label ~commit ~shards
             && List.for_all
                  (fun (epoch, expected) ->
                    let _heap, roots = Service.restore tn ~epoch in
-                   String.equal (full_body roots) expected)
+                   String.equal (Workload.full_body roots) expected)
                  r.f_probes)
           tens
       in
-      let shared_pack_bytes =
-        let ic = open_in_bin (Service.pack_path path) in
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> in_channel_length ic)
-      in
+      let shared_pack_bytes = file_size (Service.pack_path path) in
       Service.close svc;
       let private_sum =
         List.fold_left (fun a f -> a + f.f_pack_bytes) 0 references
@@ -276,66 +227,7 @@ let measure_all ?(repeat = 3) () =
         ~domains)
     configs
 
-(* ---- JSON (BENCH_8.json) ------------------------------------------------- *)
-
-let json rows =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\n\
-       \  \"bench\": \"multi-tenant service ablation\",\n\
-       \  \"unit\": \"epochs/second; p99 commit latency in seconds; fsyncs \
-        per committed epoch\",\n\
-       \  \"host_cores\": %d,\n\
-       \  \"rows\": [\n"
-       (host_cores ()));
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"mode\": %S, \"shards\": %d, \"domains\": %d, \"tenants\": \
-            %d, \"epochs\": %d,\n\
-           \     \"seconds\": %.6f, \"epochs_per_sec\": %.1f, \
-            \"p99_commit_latency\": %.6f,\n\
-           \     \"fsyncs\": %d, \"fsyncs_per_epoch\": %.3f, \
-            \"commit_batches\": %d,\n\
-           \     \"dedup_ratio\": %.3f, \"cross_tenant_dedup\": %.3f, \
-            \"restore_identical\": %b}%s\n"
-           r.mode r.shards r.domains r.tenants r.epochs r.seconds
-           r.epochs_per_sec r.p99_latency r.fsyncs r.fsyncs_per_epoch
-           r.commit_batches r.dedup_ratio r.cross_tenant_dedup
-           r.restore_identical
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  ]\n}\n";
-  Buffer.contents buf
-
-(* ---- table + checks ------------------------------------------------------ *)
-
-let pp_table ppf rows =
-  let table =
-    Ickpt_harness.Table.create ~title
-      ~columns:
-        [ "mode"; "shards"; "domains"; "tenants"; "epochs"; "ep/s"; "p99";
-          "fsync/ep"; "batches"; "dedup"; "x-tenant"; "identical" ]
-  in
-  List.iter
-    (fun r ->
-      Ickpt_harness.Table.add_row table
-        [ r.mode;
-          string_of_int r.shards;
-          string_of_int r.domains;
-          string_of_int r.tenants;
-          string_of_int r.epochs;
-          Printf.sprintf "%.0f" r.epochs_per_sec;
-          Ickpt_harness.Table.cell_seconds r.p99_latency;
-          Printf.sprintf "%.2f" r.fsyncs_per_epoch;
-          string_of_int r.commit_batches;
-          Ickpt_harness.Table.cell_speedup r.dedup_ratio;
-          Ickpt_harness.Table.cell_speedup r.cross_tenant_dedup;
-          (if r.restore_identical then "yes" else "NO") ])
-    rows;
-  Format.fprintf ppf "%a@." Ickpt_harness.Table.pp table
+(* ---- checks + document -------------------------------------------------- *)
 
 let checks rows =
   let open Workload in
@@ -371,8 +263,35 @@ let checks rows =
         "one pack sync + one index sync per batch, amortized over every \
          tenant epoch in it, vs two syncs per epoch" ]
 
+let columns =
+  Bench_doc.
+    [ column ~head:"mode" "mode" (fun r -> String r.mode);
+      column ~head:"shards" "shards" (fun r -> Int r.shards);
+      column ~head:"domains" "domains" (fun r -> Int r.domains);
+      column ~head:"tenants" "tenants" (fun r -> Int r.tenants);
+      column ~head:"epochs" "epochs" (fun r -> Int r.epochs);
+      column "seconds" (fun r -> Seconds (6, r.seconds));
+      column ~head:"ep/s" "epochs_per_sec" (fun r ->
+          Float (1, r.epochs_per_sec));
+      column ~head:"p99" "p99_commit_latency" (fun r ->
+          Seconds (6, r.p99_latency));
+      column "fsyncs" (fun r -> Int r.fsyncs);
+      column ~head:"fsync/ep" "fsyncs_per_epoch" (fun r ->
+          Float (3, r.fsyncs_per_epoch));
+      column ~head:"batches" "commit_batches" (fun r -> Int r.commit_batches);
+      column ~head:"dedup" "dedup_ratio" (fun r -> Ratio r.dedup_ratio);
+      column ~head:"x-tenant" "cross_tenant_dedup" (fun r ->
+          Ratio r.cross_tenant_dedup);
+      column ~head:"identical" "restore_identical" (fun r ->
+          Bool r.restore_identical) ]
+
+let doc rows =
+  Bench_doc.make ~bench:"multi-tenant service ablation" ~title
+    ~unit:
+      "epochs/second; p99 commit latency in seconds; fsyncs per committed \
+       epoch"
+    columns rows (checks rows)
+
 let run ~scale ppf =
   let repeat = if scale >= 1.0 then 3 else 1 in
-  let rows = measure_all ~repeat () in
-  pp_table ppf rows;
-  checks rows
+  Bench_doc.print_table ppf (doc (measure_all ~repeat ()))

@@ -29,17 +29,13 @@ type row = {
   restore_identical : bool;
 }
 
-val host_cores : unit -> int
-
 val measure_all : ?repeat:int -> unit -> row list
 (** Run all four configurations. [repeat] (default 3) replays each
     tenant's chain that many times with contiguous renumbered sequences. *)
 
-val json : row list -> string
-(** The BENCH_8.json document. *)
-
-val pp_table : Format.formatter -> row list -> unit
-
 val checks : row list -> Workload.check list
+
+val doc : row list -> Bench_doc.t
+(** The BENCH_8.json document: the rows and their {!checks}. *)
 
 val run : scale:Workload.scale -> Format.formatter -> Workload.check list

@@ -42,19 +42,26 @@ let full_core d o = Ickpt_core.Checkpointer.full_tree d o
 let specialized backend shape =
   backend.Ickpt_backend.Backend.specialize (Jspec.Pe.specialize shape)
 
-type check = { label : string; ok : bool; detail : string }
+type status = Pass | Fail | Not_applicable of string
 
-let check ~label ~ok ~detail = { label; ok; detail }
+type check = { label : string; status : status; detail : string }
+
+let check ~label ~ok ~detail =
+  { label; status = (if ok then Pass else Fail); detail }
+
+let requires holds ~reason c =
+  if holds then c else { c with status = Not_applicable reason }
 
 let pp_check ppf c =
-  Format.fprintf ppf "[%s] %s — %s"
-    (if c.ok then "PASS" else "FAIL")
-    c.label c.detail
+  match c.status with
+  | Pass -> Format.fprintf ppf "[PASS] %s — %s" c.label c.detail
+  | Fail -> Format.fprintf ppf "[FAIL] %s — %s" c.label c.detail
+  | Not_applicable reason -> Format.fprintf ppf "[N/A] %s — %s" c.label reason
 
 let pp_checks ppf checks =
   List.iter (fun c -> Format.fprintf ppf "%a@." pp_check c) checks
 
-let all_ok = List.for_all (fun c -> c.ok)
+let failures = List.filter (fun c -> c.status = Fail)
 
 let compare_runners ?repeats cfg ~baseline ~subject =
   let run mk =
@@ -64,3 +71,50 @@ let compare_runners ?repeats cfg ~baseline ~subject =
   let b = run baseline in
   let s = run subject in
   (b, s, b.seconds /. s.seconds)
+
+(* Same probing as the test suites: runtest executes in the test
+   directory, dune exec at the workspace root. *)
+let example_path file =
+  let candidates =
+    [ Filename.concat "examples/workloads" file;
+      Filename.concat "../examples/workloads" file;
+      Filename.concat "../../examples/workloads" file;
+      Filename.concat "_build/default/examples/workloads" file ]
+  in
+  match List.find_opt Sys.file_exists candidates with
+  | Some p -> p
+  | None -> failwith (Printf.sprintf "example workload %s not found" file)
+
+let load_program path =
+  Minic.Parser.parse (In_channel.with_open_bin path In_channel.input_all)
+
+let load_example file = load_program (example_path file)
+
+let generator_programs () =
+  [ ("image", Minic.Gen.image_program ());
+    ("small", Minic.Gen.small_program ()) ]
+
+(* ---- scratch files ------------------------------------------------------ *)
+
+let with_temp_files name files f =
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "ickpt_%d_%s" (Unix.getpid ())
+         (String.map (function '/' | '.' -> '_' | c -> c) name))
+  in
+  let clean () =
+    List.iter (fun p -> if Sys.file_exists p then Sys.remove p) (files path)
+  in
+  clean ();
+  Fun.protect ~finally:clean (fun () -> f path)
+
+let with_store schema name f =
+  let open Ickpt_cas in
+  with_temp_files name
+    (fun p -> [ Store.pack_path p; Store.index_path p ])
+    (fun path -> f (Store.open_ schema ~path))
+
+let full_body roots =
+  let d = Ickpt_stream.Out_stream.create () in
+  Ickpt_core.Checkpointer.full_many d roots;
+  Ickpt_stream.Out_stream.contents d

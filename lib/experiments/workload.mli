@@ -44,15 +44,30 @@ val specialized :
 
 (** {1 Shape checks} *)
 
-type check = { label : string; ok : bool; detail : string }
+type status =
+  | Pass
+  | Fail
+  | Not_applicable of string
+      (** The check's host or scale precondition does not hold; the
+          string names it. Never counted as a pass (nor as a failure). *)
+
+type check = { label : string; status : status; detail : string }
 
 val check : label:string -> ok:bool -> detail:string -> check
+(** [Pass] or [Fail] by [ok]. *)
+
+val requires : bool -> reason:string -> check -> check
+(** [requires holds ~reason c] is [c] when the precondition [holds], and
+    [c] made [Not_applicable reason] otherwise — whatever its own
+    verdict was. [reason] names the unmet precondition. *)
 
 val pp_check : Format.formatter -> check -> unit
+(** [[PASS] label — detail], [[FAIL] ...], or [[N/A] label — reason]. *)
 
 val pp_checks : Format.formatter -> check list -> unit
 
-val all_ok : check list -> bool
+val failures : check list -> check list
+(** The checks that FAILed ([Not_applicable] ones are not failures). *)
 
 val compare_runners :
   ?repeats:int -> Synth.config ->
@@ -62,3 +77,33 @@ val compare_runners :
 (** Build two identically-seeded populations (so object ids and mutation
     sequences coincide), measure each runner on its own population, and
     return [(baseline, subject, baseline.seconds /. subject.seconds)]. *)
+
+(** {1 Mini-C workloads} *)
+
+val load_program : string -> Minic.Ast.program
+(** Parse a mini-C source file.
+    @raise Minic.Parser.Parse_error and @raise Minic.Lexer.Lex_error on
+    bad input. *)
+
+val load_example : string -> Minic.Ast.program
+(** [load_example "blur.mc"]: one of [examples/workloads/*.mc], found
+    from the workspace root, the build tree or the test directory. *)
+
+val generator_programs : unit -> (string * Minic.Ast.program) list
+(** The built-in ["image"] and ["small"] generator programs. *)
+
+(** {1 Scratch stores} *)
+
+val with_temp_files :
+  string -> (string -> string list) -> (string -> 'a) -> 'a
+(** [with_temp_files name files f] runs [f path] on a fresh path in the
+    temp directory derived from [name] and the process id, removing the
+    [files path] before and after. *)
+
+val with_store :
+  Ickpt_runtime.Schema.t -> string -> (Ickpt_cas.Store.t -> 'a) -> 'a
+(** A fresh content-addressed store on scratch files. *)
+
+val full_body : Ickpt_runtime.Model.obj list -> string
+(** The full-checkpoint bytes of the roots: two restored heaps agree when
+    these do. *)

@@ -53,8 +53,6 @@ let static_test_count node =
 let dynamic_test_count node =
   fold_nodes (fun acc n -> if n.test_bt = Dynamic then acc + 1 else acc) 0 node
 
-let resolved_dispatch_count node = fold_nodes (fun acc _ -> acc + 2) 0 node
-
 let pp_bt ppf = function
   | Static -> Format.pp_print_string ppf "S"
   | Dynamic -> Format.pp_print_string ppf "D"

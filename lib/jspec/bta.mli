@@ -32,10 +32,6 @@ val static_test_count : node -> int
 
 val dynamic_test_count : node -> int
 
-val resolved_dispatch_count : node -> int
-(** Virtual [record]/[fold] pairs resolved to inline code (2 per inlined
-    node). *)
-
 val pp : Format.formatter -> node -> unit
 (** Two-level rendering: the shape tree annotated with S/D marks. *)
 

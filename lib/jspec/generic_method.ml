@@ -1,7 +1,5 @@
 open Cklang
 
-let checkpoint_param = 0
-
 (* Variable conventions inside each method body:
    v0 = the receiver, v1 = loop index, v2 = let-bound child. *)
 let o = Var 0

@@ -7,6 +7,3 @@
     methods. *)
 
 val program : Cklang.program
-
-val checkpoint_param : Cklang.var
-(** The parameter variable of each method body (always 0). *)

@@ -209,9 +209,6 @@ let exec ?(max_steps = 10_000_000) (p : program) fname args =
 
 let run ?max_steps p = exec ?max_steps p "main" []
 
-let eval_function ?max_steps p fname args =
-  (exec ?max_steps p fname args).return_value
-
 module Session = struct
   type t = { m : machine; main_locals : (string, value) Hashtbl.t }
 

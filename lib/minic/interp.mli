@@ -38,10 +38,6 @@ val run : ?max_steps:int -> Ast.program -> outcome
     @raise Runtime_error as documented; @raise Check_error via the implied
     {!Check.check}. *)
 
-val eval_function :
-  ?max_steps:int -> Ast.program -> string -> int list -> int option
-(** Call one function with scalar arguments on fresh global state. *)
-
 (** Incremental execution of [main], statement group by statement group —
     the driver hook the checkpoint-round runtime needs: execute one
     discovered phase round, checkpoint, repeat. The session owns [main]'s

@@ -33,9 +33,3 @@ let to_dot ?(graph_name = "heap") roots =
   List.iter visit roots;
   Buffer.add_string buf "}\n";
   Buffer.contents buf
-
-let write_file ~path roots =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_dot roots))

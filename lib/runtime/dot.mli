@@ -5,5 +5,3 @@
 val to_dot : ?graph_name:string -> Model.obj list -> string
 (** DOT source for the graph reachable from the roots (shared objects
     appear once). Modified objects are drawn with a doubled border. *)
-
-val write_file : path:string -> Model.obj list -> unit

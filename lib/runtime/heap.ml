@@ -48,12 +48,6 @@ let modified_count t =
   iter t (fun o -> if o.Model.info.Model.modified then incr n);
   !n
 
-let modified_ids t =
-  let ids = ref [] in
-  iter t (fun o ->
-      if o.Model.info.Model.modified then ids := o.Model.info.Model.id :: !ids);
-  List.sort compare !ids
-
 let sweep t ~roots =
   let live = Hashtbl.create (Hashtbl.length t.objects) in
   let rec mark (o : Model.obj) =

@@ -35,11 +35,6 @@ val clear_all_modified : t -> unit
 
 val modified_count : t -> int
 
-val modified_ids : t -> int list
-(** Ids of all objects whose [modified] flag is currently set, sorted —
-    the dynamically observed dirty set the elision oracle compares
-    against static may-write regions (invariant I8). *)
-
 val sweep : t -> roots:Model.obj list -> int
 (** Remove from the id registry every object not reachable from [roots],
     returning how many were dropped. The analog of a GC sweep for the

@@ -47,28 +47,3 @@ let is_instance o k =
     | Some k' -> k' == k || up k'.parent
   in
   up (Some o.klass)
-
-let pp ppf o =
-  let child_id = function None -> null_id | Some c -> c.info.id in
-  Format.fprintf ppf "@[<h>%s#%d%s ints=[%s] children=[%s]@]" o.klass.kname
-    o.info.id
-    (if o.info.modified then "*" else "")
-    (String.concat ";" (Array.to_list (Array.map string_of_int o.ints)))
-    (String.concat ";"
-       (Array.to_list
-          (Array.map (fun c -> string_of_int (child_id c)) o.children)))
-
-let pp_graph ppf root =
-  let seen = Hashtbl.create 64 in
-  let rec go depth o =
-    Format.fprintf ppf "%s%a@," (String.make (2 * depth) ' ') pp o;
-    if not (Hashtbl.mem seen o.info.id) then begin
-      Hashtbl.add seen o.info.id ();
-      Array.iter
-        (function None -> () | Some c -> go (depth + 1) c)
-        o.children
-    end
-  in
-  Format.fprintf ppf "@[<v>";
-  go 0 root;
-  Format.fprintf ppf "@]"

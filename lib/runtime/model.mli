@@ -56,9 +56,3 @@ val default_fold : obj -> (obj -> unit) -> unit
 
 val is_instance : obj -> klass -> bool
 (** [is_instance o k] is true if [o]'s class is [k] or a subclass of [k]. *)
-
-val pp : Format.formatter -> obj -> unit
-(** One-line summary: class, id, flag, scalar fields, child ids. *)
-
-val pp_graph : Format.formatter -> obj -> unit
-(** Multi-line dump of the whole reachable graph (each object once). *)

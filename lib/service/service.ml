@@ -503,10 +503,6 @@ let open_tenant t schema ~name =
           Hashtbl.replace t.open_tenants id tn;
           tn)
 
-let tenant_name tn = tn.t_name
-
-let tenant_shard tn = tn.t_shard
-
 let checkpoint tenant roots =
   let t = tenant.t_svc in
   check_open t;

@@ -96,9 +96,6 @@ val open_tenant : t -> Schema.t -> name:string -> tenant
     newest full one. Returns the existing handle if already open.
     @raise Error if [name]'s id collides with a different existing name. *)
 
-val tenant_name : tenant -> string
-val tenant_shard : tenant -> int
-
 val checkpoint : tenant -> Model.obj list -> int
 (** Take the next checkpoint of the tenant's heap (kind per the service
     {!Ickpt_core.Policy}) and submit it for commit; returns its epoch.

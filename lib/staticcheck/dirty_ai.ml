@@ -7,8 +7,6 @@ type result = {
   rounds : int;
   (* transitive may-write regions, converged *)
   summaries : (string, Regions.map) Hashtbl.t;
-  (* per-sid may-write regions (subtree + calls) *)
-  sid_writes : Regions.map array;
   (* flow-insensitive value approximation per global (elements, for arrays) *)
   gval : Regions.itv array;
 }
@@ -65,7 +63,6 @@ let analyze ?(havoc = []) ?(widen_delay = default_widen_delay)
   in
   let rets : (string, Regions.itv) Hashtbl.t = Hashtbl.create 16 in
   let summaries : (string, Regions.map) Hashtbl.t = Hashtbl.create 16 in
-  let sid_writes = Array.make (max 1 (stmt_count p)) Regions.map_empty in
   let summary_of f =
     match Hashtbl.find_opt summaries f with
     | Some m -> m
@@ -302,7 +299,7 @@ let analyze ?(havoc = []) ?(widen_delay = default_widen_delay)
   in
   (* ---- statements ---- *)
   (* [exec_stmt] returns the post-frame and joins the statement subtree's
-     may-writes into [sid_writes], [acc] and the returned map. *)
+     may-writes into [acc] and the returned map. *)
   let rec exec_block fname acc fr stmts =
     List.fold_left
       (fun (fr, w) s ->
@@ -373,8 +370,6 @@ let analyze ?(havoc = []) ?(widen_delay = default_widen_delay)
               | None -> ());
               refine sub c false stable
         in
-        if s.sid >= 0 && s.sid < Array.length sid_writes then
-          sid_writes.(s.sid) <- Regions.map_join sid_writes.(s.sid) !sub;
         acc := Regions.map_join !acc !sub;
         (fr', !sub)
   in
@@ -422,7 +417,7 @@ let analyze ?(havoc = []) ?(widen_delay = default_widen_delay)
     List.iter analyze_func p.funcs;
     Array.blit gval_pending 0 gval 0 n_globals
   done;
-  { env; rounds = !round_no; summaries; sid_writes; gval }
+  { env; rounds = !round_no; summaries; gval }
 
 let env r = r.env
 let rounds r = r.rounds
@@ -433,10 +428,6 @@ let func_writes r f =
   | None -> Regions.map_empty
 
 let main_writes r = func_writes r "main"
-
-let stmt_writes r sid =
-  if sid >= 0 && sid < Array.length r.sid_writes then r.sid_writes.(sid)
-  else Regions.map_empty
 
 let global_typ r name =
   match
@@ -451,12 +442,6 @@ let write_region r name =
   | Some id ->
       let lo, hi = extent_of_typ (global_typ r name) in
       Regions.clamp ~lo ~hi (Regions.region_of (main_writes r) id)
-
-let definitely_clean r name = Regions.is_bot (write_region r name)
-
-let clean_cells r name =
-  let lo, hi = extent_of_typ (global_typ r name) in
-  Regions.complement_in ~lo ~hi (write_region r name)
 
 let global_value r name =
   match Minic.Check.global_id r.env name with

@@ -1,7 +1,7 @@
 (** Interprocedural dirty-region analysis: an abstract interpretation of
-    mini-C that computes, per function and per program point, a may-write
-    set over heap regions ({!Regions.t} per global — array segments as
-    interval sets, scalars as the cell [0]).
+    mini-C that computes, per function, a may-write set over heap
+    regions ({!Regions.t} per global — array segments as interval sets,
+    scalars as the cell [0]).
 
     This refines {!Effects} (which only distinguishes literal-index cell
     sets from whole arrays): scalar values are tracked as intervals, loop
@@ -17,7 +17,7 @@
 
     Soundness contract (invariant I8): for any terminating concrete run,
     every global cell actually written is contained in {!main_writes};
-    the complement ({!clean_cells}) is definitely clean. The
+    the rest of each global's extent is definitely clean. The
     [Ickpt_analysis.Elide_oracle.Inferred_elision] oracle re-verifies this
     dynamically. *)
 
@@ -52,21 +52,9 @@ val func_writes : result -> string -> Regions.map
 val main_writes : result -> Regions.map
 (** The whole program's may-write regions: [func_writes r "main"]. *)
 
-val stmt_writes : result -> int -> Regions.map
-(** May-write regions of the statement with the given sid, subtree and
-    calls included — the per-program-point view. [Regions.map_empty] for
-    statements proven unreachable (dead branches, uncalled functions). *)
-
 val write_region : result -> string -> Regions.t
 (** [main_writes] restricted to one global, by name, clamped to the
     global's extent; {!Regions.Bot} when provably never written. *)
-
-val definitely_clean : result -> string -> bool
-(** The program can never write any cell of the named global. *)
-
-val clean_cells : result -> string -> Regions.t
-(** The definitely-clean cells of the global: its extent minus
-    {!write_region} — e.g. [temp[0..7,56..63]] for the blur workload. *)
 
 val global_value : result -> string -> Regions.itv
 (** Flow-insensitive over-approximation of the values the global (for

@@ -205,11 +205,3 @@ let pp_replay ppf r =
     pp_rounds (Ok r.generic_bytes) pp_rounds r.interp_bytes pp_rounds
     r.compiled_bytes
     (if r.state_match then "matches" else "differs")
-
-let pp_verdict ppf = function
-  | Equivalent { vars; paths } ->
-      Format.fprintf ppf
-        "equivalent to the generic algorithm on all %d path(s) (%d variable(s))"
-        paths vars
-  | Mismatch m -> pp_mismatch ppf m
-  | Inconclusive msg -> Format.fprintf ppf "inconclusive: %s" msg

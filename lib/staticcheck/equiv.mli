@@ -71,4 +71,3 @@ val replay :
 
 val pp_mismatch : Format.formatter -> mismatch -> unit
 val pp_replay : Format.formatter -> replay -> unit
-val pp_verdict : Format.formatter -> verdict -> unit

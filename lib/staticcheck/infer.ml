@@ -40,12 +40,3 @@ let shape ~klasses d =
   | _ -> invalid_arg "Infer.shape: expected the seven Attrs klasses"
 
 let derived_shape ~klasses phase = shape ~klasses (derive phase)
-
-let pp_derivation ppf d =
-  let env = Phase_model.env d.phase in
-  Format.fprintf ppf "@[<v 2>%s:@,effect: %a@,se lists: %s, bt: %s, et: %s@]"
-    (Phase_model.name d.phase)
-    (Effects.pp env) d.effects
-    (if d.writes_lists then "written" else "clean")
-    (if d.writes_bt then "written" else "clean")
-    (if d.writes_et then "written" else "clean")

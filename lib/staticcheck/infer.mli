@@ -26,5 +26,3 @@ val shape :
 val derived_shape :
   klasses:Ickpt_runtime.Model.klass list ->
   Phase_model.phase -> Jspec.Sclass.shape
-
-val pp_derivation : Format.formatter -> derivation -> unit

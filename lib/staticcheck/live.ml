@@ -470,12 +470,6 @@ let boundary t index =
     (fun (name, id) -> (name, clamp_for t.l_env name (Regions.region_of m id)))
     t.l_env.Minic.Check.global_ids
 
-let live_region t index name =
-  match Minic.Check.global_id t.l_env name with
-  | None -> Regions.bot
-  | Some id ->
-      clamp_for t.l_env name (Regions.region_of (boundary_map t index) id)
-
 let func_uer t f =
   match Hashtbl.find_opt t.l_uer f with
   | Some m -> m

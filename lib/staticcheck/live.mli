@@ -72,9 +72,6 @@ val boundary : t -> int -> (string * Regions.t) list
     observe this global's checkpointed value.
     @raise Invalid_argument on an unknown phase index. *)
 
-val live_region : t -> int -> string -> Regions.t
-(** One global's live region at one boundary; [Bot] for unknown names. *)
-
 val func_uer : t -> string -> Regions.map
 (** Converged upward-exposed-read summary of one call; empty for unknown
     functions. *)

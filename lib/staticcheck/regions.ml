@@ -265,10 +265,6 @@ let region_of m gid =
 
 let map_leq a b = Gid_map.for_all (fun gid r -> leq r (region_of b gid)) a
 
-let map_equal a b =
-  Gid_map.for_all (fun gid r -> equal r (region_of b gid)) a
-  && Gid_map.for_all (fun gid r -> equal r (region_of a gid)) b
-
 let map_add gid r m =
   if is_bot r then m
   else Gid_map.update gid (function None -> Some r | Some r' -> Some (join r r')) m

@@ -110,7 +110,6 @@ val map_empty : map
 val map_join : map -> map -> map
 val map_widen : map -> map -> map
 val map_leq : map -> map -> bool
-val map_equal : map -> map -> bool
 val map_add : int -> t -> map -> map
 (** Join the region into the existing binding. *)
 

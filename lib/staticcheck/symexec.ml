@@ -54,11 +54,6 @@ let pp_event ppf = function
   | E_write s -> Format.fprintf ppf "write(%a)" pp_sint s
   | E_generic p -> Format.fprintf ppf "generic(%a)" pp_place p
 
-let pp_events ppf es =
-  Format.fprintf ppf "@[<v>%a@]"
-    (Format.pp_print_list ~pp_sep:Format.pp_print_cut pp_event)
-    es
-
 type value = V_int of sint | V_obj of place | V_null
 
 type state = {

@@ -85,4 +85,3 @@ val generic_trace :
 val pp_sint : Format.formatter -> sint -> unit
 val pp_place : Format.formatter -> place -> unit
 val pp_event : Format.formatter -> event -> unit
-val pp_events : Format.formatter -> event list -> unit

@@ -117,15 +117,6 @@ let iter_valuations t f =
     f v
   done
 
-let pp_valuation t ppf (v : valuation) =
-  if Array.length v = 0 then Format.pp_print_string ppf "(no variables)"
-  else
-    Format.pp_print_list ~pp_sep:Format.pp_print_space
-      (fun ppf i ->
-        Format.fprintf ppf "%s=%b" (var_name t i) v.(i))
-      ppf
-      (List.init (Array.length v) Fun.id)
-
 (* Field fills: >= 10_000, distinct per (node, slot), and disjoint from
    the id range (ids start at 101) and from opaque fills (>= 5_000_000). *)
 let field_value ~node_idx ~slot = 10_000 + (node_idx * 1000) + (slot * 7)

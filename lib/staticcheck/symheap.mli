@@ -76,8 +76,6 @@ type valuation = bool array
 val iter_valuations : t -> (valuation -> unit) -> unit
 (** All [2^n_vars] valuations, in a fixed order (all-false first). *)
 
-val pp_valuation : t -> Format.formatter -> valuation -> unit
-
 (** {1 Materialization} *)
 
 val materialize :

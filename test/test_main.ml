@@ -6,4 +6,4 @@ let () =
    @ Test_more.suites @ Test_staticcheck.suites @ Test_tv.suites
    @ Test_faultsim.suites @ Test_elide.suites @ Test_store.suites
    @ Test_infer.suites @ Test_live.suites @ Test_par.suites
-   @ Test_service.suites)
+   @ Test_service.suites @ Test_bench_doc.suites)
