@@ -199,16 +199,7 @@ let valid_mux_prefix pack ms =
           (match Hashtbl.find_opt expected m.m_tenant with
           | None -> e.kind = Segment.Full && e.epoch >= 0
           | Some n -> e.epoch = n)
-          && List.for_all (fun k -> Pack.mem pack k) e.chunks
-          &&
-          let chunk_arr = Array.of_list e.chunks in
-          List.for_all
-            (fun { Epoch_index.d_chunk; d_off; _ } ->
-              d_chunk >= 0
-              && d_chunk < Array.length chunk_arr
-              && d_off >= 0
-              && d_off < Pack.chunk_len pack chunk_arr.(d_chunk))
-            e.dir
+          && Dir.resolves pack e
         in
         if ok then begin
           Hashtbl.replace expected m.m_tenant (e.epoch + 1);
@@ -292,7 +283,8 @@ let commit_batch_locked t sstate items =
           (fun it ->
             ( it,
               List.map
-                (fun (c : Chunk.t) -> (c, Pack.resolve t.pack ~pending c.data))
+                (fun (c : Chunk.t) ->
+                  (c, Pack.resolve t.pack ~pending ~key:c.key c.data))
                 it.it_chunks ))
           items
       in
@@ -338,7 +330,8 @@ let commit_batch_locked t sstate items =
                   dir } })
           resolved_items
       in
-      Epoch_index.append_mux_batch t.vfs sstate.s_index_file muxes;
+      ignore
+        (Epoch_index.append_mux_batch t.vfs sstate.s_index_file muxes : int);
       (* Durable; mirror in memory. *)
       sstate.s_committed <- sstate.s_committed @ muxes;
       List.iter2

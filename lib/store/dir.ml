@@ -84,6 +84,18 @@ let restore r ~entries ~epoch =
     ~source:(fun src -> chunk r d.keys.(src))
     ~roots:d.roots
 
+let resolves pack (e : Epoch_index.entry) =
+  match Array.of_list (List.map (Pack.chunk_len pack) e.chunks) with
+  | exception Not_found -> false
+  | lens ->
+      List.for_all
+        (fun { Epoch_index.d_chunk; d_off; _ } ->
+          d_chunk >= 0
+          && d_chunk < Array.length lens
+          && d_off >= 0
+          && d_off < lens.(d_chunk))
+        e.dir
+
 let check_entry pack (e : Epoch_index.entry) =
   let errs = ref [] in
   let err fmt = Format.kasprintf (fun s -> errs := s :: !errs) fmt in

@@ -105,14 +105,16 @@ let parse raw = parse_with decode raw
 let load vfs path = parse (contents vfs path)
 
 let append vfs path e =
+  let bytes = encode e in
   let w = vfs.Vfs.open_append path in
   (try
-     w.Vfs.write (encode e);
+     w.Vfs.write bytes;
      w.Vfs.sync ()
    with exn ->
      w.Vfs.close ();
      raise exn);
-  w.Vfs.close ()
+  w.Vfs.close ();
+  String.length bytes
 
 let write_staged vfs ~path entries =
   let tmp = Storage.temp_of ~path in
@@ -167,15 +169,15 @@ let load_mux vfs path = parse_mux (contents vfs path)
 
 let append_mux_batch vfs path ms =
   match ms with
-  | [] -> ()
+  | [] -> 0
   | _ ->
-      let buf = Buffer.create 4096 in
-      List.iter (fun m -> Buffer.add_string buf (encode_mux m)) ms;
+      let bytes = String.concat "" (List.map encode_mux ms) in
       let w = vfs.Vfs.open_append path in
       (try
-         w.Vfs.write (Buffer.contents buf);
+         w.Vfs.write bytes;
          w.Vfs.sync ()
        with exn ->
          w.Vfs.close ();
          raise exn);
-      w.Vfs.close ()
+      w.Vfs.close ();
+      String.length bytes

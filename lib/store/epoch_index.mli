@@ -56,8 +56,9 @@ val load : Vfs.t -> string -> entry list * int
 (** {!parse} of the file's {!contents}. Performs no writes; the caller
     decides whether to truncate. *)
 
-val append : Vfs.t -> string -> entry -> unit
-(** Append one entry and sync — the epoch's commit point. *)
+val append : Vfs.t -> string -> entry -> int
+(** Append one entry and sync — the epoch's commit point. Returns the
+    number of bytes written. *)
 
 val write_staged : Vfs.t -> path:string -> entry list -> string
 (** Write a fresh index holding exactly [entries] to the staging path
@@ -87,6 +88,7 @@ val parse_mux : string -> mux_entry list * int
 val load_mux : Vfs.t -> string -> mux_entry list * int
 (** {!parse_mux} of the file's {!contents}. Performs no writes. *)
 
-val append_mux_batch : Vfs.t -> string -> mux_entry list -> unit
+val append_mux_batch : Vfs.t -> string -> mux_entry list -> int
 (** Append the batch in one writer session and one sync — the group-commit
-    point of every epoch in it. The empty batch performs no I/O. *)
+    point of every epoch in it. Returns the number of bytes written. The
+    empty batch performs no I/O. *)

@@ -8,20 +8,33 @@ let version = 1
 type t = {
   vfs : Vfs.t;
   file : string;
-  mutable data : string;  (* intact prefix of the file *)
+  mutable buf : Bytes.t;  (* the file's intact prefix is [buf.[0 .. used-1]] *)
+  mutable used : int;
   tbl : (int, int * int) Hashtbl.t;  (* key -> (body offset, body len) *)
   mutable order : int list;  (* keys, reverse append order *)
 }
 
+let frame_size key body =
+  let len = String.length body in
+  4 + 1 + Varint.encoded_size key + Varint.encoded_size len + len + 4
+
+(* Append one frame to [buf]. The CRC runs over the header bytes and then
+   the body in place, so the body is copied once, into [buf]. *)
+let add_frame buf key body =
+  let start = Buffer.length buf in
+  Buffer.add_int32_le buf (Int32.of_int magic);
+  Buffer.add_uint8 buf version;
+  Varint.write buf key;
+  Varint.write buf (String.length body);
+  let header = Buffer.sub buf start (Buffer.length buf - start) in
+  Buffer.add_string buf body;
+  Buffer.add_int32_le buf
+    (Int32.of_int (Crc32.string ~crc:(Crc32.string header) body))
+
 let encode_frame key body =
-  let d = Out_stream.create ~initial_size:(String.length body + 32) () in
-  Out_stream.write_fixed32 d magic;
-  Out_stream.write_byte d version;
-  Out_stream.write_int d key;
-  Out_stream.write_string d body;
-  let crc = Crc32.string (Out_stream.contents d) in
-  Out_stream.write_fixed32 d crc;
-  Out_stream.contents d
+  let buf = Buffer.create (frame_size key body) in
+  add_frame buf key body;
+  Buffer.contents buf
 
 (* Decode one frame at [pos]; returns (key, body offset, body len, end pos).
    Raises In_stream.Corrupt on anything short of an intact frame. *)
@@ -34,12 +47,13 @@ let decode_frame s ~pos =
   if v <> version then
     raise (In_stream.Corrupt (Printf.sprintf "unsupported pack version %d" v));
   let key = In_stream.read_int inp in
-  let body = In_stream.read_string inp in
-  let body_end = In_stream.pos inp in
+  let len = In_stream.read_int inp in
+  let off = In_stream.pos inp in
+  In_stream.skip inp len;
   let crc = In_stream.read_fixed32 inp in
-  if crc <> Crc32.sub s ~pos ~len:(body_end - pos) then
+  if crc <> Crc32.sub s ~pos ~len:(off + len - pos) then
     raise (In_stream.Corrupt (Printf.sprintf "pack crc mismatch at %d" pos));
-  (key, body_end - String.length body, String.length body, In_stream.pos inp)
+  (key, off, len, In_stream.pos inp)
 
 let load t =
   Hashtbl.reset t.tbl;
@@ -64,10 +78,18 @@ let load t =
      for the segment log: garbage after the intact prefix would make every
      later frame unreachable. *)
   if valid < len then t.vfs.Vfs.truncate t.file ~len:valid;
-  t.data <- (if valid = len then raw else String.sub raw 0 valid)
+  (* A copy, never [raw] itself: a vfs may hand out its own file buffer
+     (the simulator does), and appends write into the mirror. *)
+  let buf = Bytes.create valid in
+  Bytes.blit_string raw 0 buf 0 valid;
+  t.buf <- buf;
+  t.used <- valid
 
 let open_ ?(vfs = Vfs.real) file =
-  let t = { vfs; file; data = ""; tbl = Hashtbl.create 256; order = [] } in
+  let t =
+    { vfs; file; buf = Bytes.empty; used = 0; tbl = Hashtbl.create 256;
+      order = [] }
+  in
   load t;
   t
 
@@ -79,7 +101,7 @@ let mem t key = Hashtbl.mem t.tbl key
 
 let read t key =
   let off, len = Hashtbl.find t.tbl key in
-  String.sub t.data off len
+  Bytes.sub_string t.buf off len
 
 let chunk_len t key = snd (Hashtbl.find t.tbl key)
 
@@ -87,7 +109,16 @@ let keys t = List.rev t.order
 
 let length t = Hashtbl.length t.tbl
 
-let physical_bytes t = String.length t.data
+let physical_bytes t = t.used
+
+(* Room for [n] more bytes in the mirror, doubling its capacity. *)
+let reserve t n =
+  let need = t.used + n in
+  if need > Bytes.length t.buf then begin
+    let buf = Bytes.create (max need (max 4096 (2 * Bytes.length t.buf))) in
+    Bytes.blit t.buf 0 buf 0 t.used;
+    t.buf <- buf
+  end
 
 let append_batch t batch =
   match batch with
@@ -98,9 +129,11 @@ let append_batch t batch =
           if Hashtbl.mem t.tbl key then
             invalid_arg "Pack.append_batch: duplicate key")
         batch;
-      let buf = Buffer.create 4096 in
-      List.iter (fun (key, body) -> Buffer.add_string buf (encode_frame key body))
-        batch;
+      let buf =
+        Buffer.create
+          (List.fold_left (fun n (k, body) -> n + frame_size k body) 0 batch)
+      in
+      List.iter (fun (key, body) -> add_frame buf key body) batch;
       let frames = Buffer.contents buf in
       let w = t.vfs.Vfs.open_append t.file in
       (try
@@ -110,45 +143,65 @@ let append_batch t batch =
          w.Vfs.close ();
          raise e);
       w.Vfs.close ();
-      (* Mirror the append in memory. *)
-      let base = String.length t.data in
-      t.data <- t.data ^ frames;
-      let pos = ref base in
+      (* Mirror the append in memory: only the new frames are copied, and
+         each is decoded (and its CRC checked) once, from [frames]. *)
+      let base = t.used and n = String.length frames in
+      reserve t n;
+      Bytes.blit_string frames 0 t.buf base n;
+      t.used <- base + n;
+      let pos = ref 0 in
       List.iter
         (fun (key, _) ->
-          let k, off, blen, next = decode_frame t.data ~pos:!pos in
+          let k, off, blen, next = decode_frame frames ~pos:!pos in
           assert (k = key);
-          Hashtbl.replace t.tbl key (off, blen);
+          Hashtbl.replace t.tbl key (base + off, blen);
           t.order <- key :: t.order;
           pos := next)
         batch;
-      String.length frames
+      n
 
 type resolution =
   | Dup of int
   | Fresh of { key : int; attempt : int }
+
+(* Does the mirror hold exactly [data] at [off, off + len)? Compared in
+   place, eight bytes at a time, without copying the chunk out. *)
+let equal_at t ~off ~len data =
+  len = String.length data
+  &&
+  let i = ref 0 in
+  while
+    !i + 8 <= len
+    && Int64.equal
+         (Bytes.get_int64_le t.buf (off + !i))
+         (String.get_int64_le data !i)
+  do
+    i := !i + 8
+  done;
+  while !i < len && Bytes.get t.buf (off + !i) = data.[!i] do
+    incr i
+  done;
+  !i = len
 
 (* Walk the salt ladder: the content key first, then salted rehashes. A key
    hit only counts as a duplicate if the bytes agree — otherwise it is a
    collision and the next rung is tried. [pending] holds same-batch fresh
    chunks not yet in the pack; a Fresh result is recorded there so the rest
    of the batch dedups (and collides) against it too. *)
-let resolve t ~pending data =
+let resolve t ~pending ~key data =
   let rec go attempt =
     if attempt > Chunk.max_salt_attempts then
       failwith "Pack.resolve: salted rehash attempts exhausted"
     else
-      let key =
-        if attempt = 0 then Chunk.key_of data
-        else Chunk.salted_key data ~attempt
+      let key = if attempt = 0 then key else Chunk.salted_key data ~attempt in
+      let same =
+        match Hashtbl.find_opt t.tbl key with
+        | Some (off, len) -> Some (equal_at t ~off ~len data)
+        | None -> Option.map (String.equal data) (Hashtbl.find_opt pending key)
       in
-      let stored =
-        if Hashtbl.mem t.tbl key then Some (read t key)
-        else Hashtbl.find_opt pending key
-      in
-      match stored with
-      | Some existing ->
-          if String.equal existing data then Dup key else go (attempt + 1)
+      match same with
+      | Some true -> Dup key
+      | Some false -> go (attempt + 1)
       | None ->
           Hashtbl.replace pending key data;
           Fresh { key; attempt }

@@ -11,11 +11,21 @@
     crc     fixed32  CRC-32 of everything above
     v}
 
-    The whole pack is mirrored in memory (packs are bounded by the store's
-    retention policy, and the repo's storage layer reads whole files
-    anyway), so chunk reads are substring extractions. A torn or corrupt
-    tail — the normal outcome of a crash mid-append — is truncated away on
-    open; anything before it is intact by CRC.
+    The intact prefix of the file is mirrored in memory in an append-only
+    byte buffer whose capacity doubles as it fills (packs are bounded by
+    the store's retention policy). A chunk read copies the chunk's bytes
+    out of the buffer; {!resolve} compares a key hit against them in
+    place.
+
+    Every frame is CRC-checked once when it enters the mirror:
+    - on open ({!open_}, {!reload}), every frame of the file is decoded
+      and checked; a torn or corrupt tail — the normal outcome of a crash
+      mid-append — is truncated away, and anything before it is intact by
+      CRC;
+    - on {!append_batch}, after the write and sync, each new frame is
+      decoded and checked from the batch's own bytes (a self-check of the
+      encoder), and only those bytes are copied into the buffer, so an
+      append costs O(batch), not O(pack).
 
     All file access goes through {!Ickpt_core.Vfs}. *)
 
@@ -27,7 +37,8 @@ val open_ : ?vfs:Ickpt_core.Vfs.t -> string -> t
 
 val reload : t -> unit
 (** Re-read the file and rebuild the in-memory mirror — used after a GC
-    rewrite commits. *)
+    rewrite commits. The mirror is a copy: the bytes the vfs returned are
+    never written to. *)
 
 val path : t -> string
 
@@ -63,8 +74,11 @@ type resolution =
           [attempt]-th {!Chunk.salted_key} — the graceful-degradation path a
           shared multi-tenant pack takes instead of refusing the append. *)
 
-val resolve : t -> pending:(int, string) Hashtbl.t -> string -> resolution
-(** Resolve chunk bytes to the key they live (or should live) under,
+val resolve :
+  t -> pending:(int, string) Hashtbl.t -> key:int -> string -> resolution
+(** [resolve t ~pending ~key data] resolves chunk bytes [data], whose
+    content key ({!Chunk.key_of}) is [key], to the key they live (or should
+    live) under,
     byte-verifying every key hit and climbing the salt ladder past
     collisions. [pending] carries fresh chunks of the same batch that are
     not in the pack yet; a [Fresh] result is added to it. Does not write.

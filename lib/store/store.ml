@@ -56,16 +56,7 @@ let valid_prefix pack entries =
           (match expected with
           | None -> e.kind = Segment.Full && e.epoch >= 0
           | Some n -> e.epoch = n)
-          && List.for_all (fun k -> Pack.mem pack k) e.chunks
-          &&
-          let chunk_arr = Array.of_list e.chunks in
-          List.for_all
-            (fun { Epoch_index.d_chunk; d_off; _ } ->
-              d_chunk >= 0
-              && d_chunk < Array.length chunk_arr
-              && d_off >= 0
-              && d_off < Pack.chunk_len pack chunk_arr.(d_chunk))
-            e.dir
+          && Dir.resolves pack e
         in
         if ok then go (e :: acc) (Some (e.epoch + 1)) rest else List.rev acc
   in
@@ -145,7 +136,9 @@ let append_segment t (seg : Segment.t) =
      surface. *)
   let pending : (int, string) Hashtbl.t = Hashtbl.create 16 in
   let resolved =
-    List.map (fun (c : Chunk.t) -> (c, Pack.resolve t.pack ~pending c.data)) chunks
+    List.map
+      (fun (c : Chunk.t) -> (c, Pack.resolve t.pack ~pending ~key:c.key c.data))
+      chunks
   in
   let key_of_resolution = function
     | Pack.Dup k -> k
@@ -191,13 +184,13 @@ let append_segment t (seg : Segment.t) =
       chunks = List.map (fun (_, r) -> key_of_resolution r) resolved;
       dir }
   in
-  Epoch_index.append t.vfs (index_path t.root) entry;
+  let index_bytes = Epoch_index.append t.vfs (index_path t.root) entry in
   t.entries <- t.entries @ [ entry ];
   { chunks_total = List.length chunks;
     chunks_new = List.length fresh;
     chunks_salted = List.length salted;
     bytes_logical = String.length seg.body;
-    bytes_written = pack_bytes + String.length (Epoch_index.encode entry) }
+    bytes_written = pack_bytes + index_bytes }
 
 let collisions t = List.rev t.collided
 

@@ -57,6 +57,11 @@ let read_string t =
   t.pos <- t.pos + len;
   s
 
+let skip t n =
+  if n < 0 then corrupt "negative skip %d" n;
+  need t n "skipped bytes";
+  t.pos <- t.pos + n
+
 let expect_byte t b what =
   let got = read_byte t in
   if got <> b then corrupt "bad %s: expected %#x, got %#x" what b got

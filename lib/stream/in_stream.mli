@@ -26,6 +26,10 @@ val read_fixed32 : t -> int
 
 val read_string : t -> string
 
+val skip : t -> int -> unit
+(** Advance past [n] bytes without copying them.
+    @raise Corrupt if [n] is negative or fewer than [n] bytes remain. *)
+
 val expect_byte : t -> int -> string -> unit
 (** [expect_byte t b what] reads one byte and checks it equals [b].
     @raise Corrupt mentioning [what] otherwise. *)

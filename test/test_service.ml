@@ -121,7 +121,11 @@ let mux_roundtrip () =
     List.init 5 (fun i ->
         { Epoch_index.m_tenant = 1000 + (i mod 2); m_entry = sample_entry i })
   in
-  Epoch_index.append_mux_batch vfs path ms;
+  let wrote = Epoch_index.append_mux_batch vfs path ms in
+  check_int "append returns the bytes written"
+    (String.length (vfs.Vfs.read_file path)) wrote;
+  check_int "the empty batch writes nothing" 0
+    (Epoch_index.append_mux_batch vfs path []);
   let loaded, _ = Epoch_index.load_mux vfs path in
   check_int "all entries" 5 (List.length loaded);
   List.iter2
@@ -548,10 +552,75 @@ let hostile_meta () =
   | _ -> Alcotest.fail "open_ accepted shards above Shard.max_count"
   | exception Invalid_argument _ -> ()
 
+(* ------------------------------------------------------------------ *)
+(* Reopen's defensive rejections on a shard file: the entries before a
+   rejected one survive for every tenant, and the file is cut at the
+   rejected entry's first byte.                                         *)
+
+let reopen_rejections () =
+  let vfs = fresh_vfs () in
+  let path = "svc" in
+  let svc = Service.open_ ~vfs ~shards:1 ~records_per_chunk:4 ~path () in
+  let tens =
+    List.map
+      (fun (name, offset) ->
+        let w = make_world ~offset in
+        (name, Service.open_tenant svc w.schema ~name, w))
+      [ ("alice", 0); ("bob", 3000) ]
+  in
+  for r = 0 to 2 do
+    List.iter
+      (fun (_, tn, (w : world)) ->
+        if r > 0 then w.mutate r;
+        ignore (Service.checkpoint tn w.roots : int))
+      tens
+  done;
+  Service.close svc;
+  let idx = Service.shard_index_path path 0 in
+  let committed = vfs.Vfs.read_file idx in
+  let muxes, _ = Epoch_index.parse_mux committed in
+  let last_of name =
+    List.find
+      (fun (m : Epoch_index.mux_entry) ->
+        m.m_tenant = Service.tenant_id name && m.m_entry.epoch = 2)
+      muxes
+  in
+  let alice = last_of "alice" and bob = last_of "bob" in
+  let pack = Pack.open_ ~vfs (Service.pack_path path) in
+  let bad =
+    Test_store.rejected_entries ~chunk_len:(Pack.chunk_len pack) alice.m_entry
+  in
+  List.iter
+    (fun (name, entry) ->
+      vfs.Vfs.truncate idx ~len:(String.length committed);
+      (* Bob's next epoch, valid on its own, goes down with the cut. *)
+      Test_store.append_bytes vfs idx
+        (Epoch_index.encode_mux { alice with m_entry = entry }
+        ^ Epoch_index.encode_mux
+            { bob with m_entry = { bob.m_entry with epoch = 3 } });
+      let svc = Service.open_ ~vfs ~path () in
+      List.iter
+        (fun (tenant, offset) ->
+          let tn =
+            Service.open_tenant svc (make_world ~offset).schema ~name:tenant
+          in
+          check_bool
+            (Printf.sprintf "%s: %s keeps epochs 0..2" name tenant)
+            true
+            (Service.epochs tn = [ 0; 1; 2 ]))
+        [ ("alice", 0); ("bob", 3000) ];
+      Alcotest.(check string)
+        (name ^ ": shard file cut at the bad entry")
+        committed (vfs.Vfs.read_file idx);
+      check_bool (name ^ ": consistent") true (Service.check svc = []);
+      Service.close svc)
+    bad
+
 let suites =
   [ ( "service.shard",
       [ Alcotest.test_case "mapping" `Quick shard_mapping;
-        Alcotest.test_case "mux index roundtrip" `Quick mux_roundtrip ] );
+        Alcotest.test_case "mux index roundtrip" `Quick mux_roundtrip;
+        Alcotest.test_case "reopen rejections" `Quick reopen_rejections ] );
     ( "service.core",
       [ Alcotest.test_case "basics + dedup + resume" `Quick service_basics;
         Alcotest.test_case "group commit fsyncs" `Quick group_commit_fsyncs;

@@ -140,6 +140,13 @@ let chunk_alignment_stability () =
 (* ------------------------------------------------------------------ *)
 (* Pack framing.                                                      *)
 
+(* Append raw bytes to a file and sync. *)
+let append_bytes (vfs : Vfs.t) path s =
+  let w = vfs.Vfs.open_append path in
+  w.Vfs.write s;
+  w.Vfs.sync ();
+  w.Vfs.close ()
+
 let pack_roundtrip_and_torn_tail () =
   let sim = Sim.create () in
   let vfs = Sim.vfs sim in
@@ -168,6 +175,82 @@ let pack_roundtrip_and_torn_tail () =
     (Pack.physical_bytes p2);
   check_string "intact chunks survive" d1 (Pack.read p2 k1)
 
+(* 200 appends of mixed sizes grow the mirror several times over; every
+   chunk reads back the same before and after reopen, and the mirror is
+   exactly the file. *)
+let pack_growth () =
+  let sim = Sim.create () in
+  let vfs = Sim.vfs sim in
+  let p = Pack.open_ ~vfs "g.pack" in
+  let body i =
+    String.init ((i * 37 mod 3000) + (i mod 7)) (fun j ->
+        Char.chr ((i + j) land 0xff))
+  in
+  let chunks =
+    List.init 200 (fun i ->
+        let d = Printf.sprintf "%d:" i ^ body i in
+        (Chunk.key_of d, d))
+  in
+  let rec batches i = function
+    | [] -> ()
+    | l ->
+        let n = 1 + (i mod 3) in
+        let batch = List.filteri (fun j _ -> j < n) l in
+        ignore (Pack.append_batch p batch : int);
+        batches (i + 1) (List.filteri (fun j _ -> j >= n) l)
+  in
+  batches 0 chunks;
+  let check_all name p =
+    List.iter
+      (fun (k, d) ->
+        check_string (name ^ ": chunk reads back") d (Pack.read p k))
+      chunks;
+    check_int (name ^ ": every chunk") 200 (Pack.length p);
+    check_int (name ^ ": physical bytes = file size")
+      (String.length (vfs.Vfs.read_file "g.pack"))
+      (Pack.physical_bytes p)
+  in
+  check_all "appended" p;
+  check_bool "grew past a few doublings" true (Pack.physical_bytes p > 8 * 4096);
+  check_all "reopened" (Pack.open_ ~vfs "g.pack")
+
+(* A reopen that cut a torn tail, then an append: the file is the intact
+   prefix followed by exactly the new frames (what a fresh pack writes for
+   the same batch), and the bytes the vfs handed to the reopen are left as
+   they were — the simulator returns its own file string, so a mirror that
+   aliased it would write the new frames into the torn tail's room. *)
+let pack_torn_tail_then_append () =
+  let sim = Sim.create () in
+  let vfs = Sim.vfs sim in
+  let chunk d = (Chunk.key_of d, d) in
+  let p = Pack.open_ ~vfs "t.pack" in
+  ignore (Pack.append_batch p [ chunk "first"; chunk "second" ] : int);
+  let intact = vfs.Vfs.read_file "t.pack" in
+  (* Half of a frame far longer than the batch appended below. *)
+  let other = Sim.vfs (Sim.create ()) in
+  ignore
+    (Pack.append_batch (Pack.open_ ~vfs:other "x.pack")
+       [ chunk (String.make 4000 't') ]
+      : int);
+  append_bytes vfs "t.pack" (String.sub (other.Vfs.read_file "x.pack") 0 2000);
+  let handed = vfs.Vfs.read_file "t.pack" in
+  let handed_copy = String.init (String.length handed) (String.get handed) in
+  let p = Pack.open_ ~vfs "t.pack" in
+  let batch = [ chunk "third"; chunk (String.make 100 'x') ] in
+  ignore (Pack.append_batch p batch : int);
+  let fresh_vfs = Sim.vfs (Sim.create ()) in
+  ignore (Pack.append_batch (Pack.open_ ~vfs:fresh_vfs "t.pack") batch : int);
+  check_string "intact prefix, then the new frames"
+    (intact ^ fresh_vfs.Vfs.read_file "t.pack")
+    (vfs.Vfs.read_file "t.pack");
+  check_string "the bytes read at reopen are untouched" handed_copy handed;
+  List.iter
+    (fun (k, d) ->
+      check_string "reads back in the open pack" d (Pack.read p k);
+      check_string "reads back after reopen" d
+        (Pack.read (Pack.open_ ~vfs "t.pack") k))
+    (chunk "first" :: chunk "second" :: batch)
+
 let index_roundtrip_and_torn_tail () =
   let sim = Sim.create () in
   let vfs = Sim.vfs sim in
@@ -181,8 +264,12 @@ let index_roundtrip_and_torn_tail () =
       chunks = [ Chunk.key_of "y"; Chunk.key_of "x" ];
       dir = [ { Epoch_index.d_id = 9; d_chunk = 1; d_off = 3 } ] }
   in
-  Epoch_index.append vfs "i.idx" e1;
-  Epoch_index.append vfs "i.idx" e2;
+  List.iter
+    (fun e ->
+      check_int "append returns the bytes written"
+        (String.length (Epoch_index.encode e))
+        (Epoch_index.append vfs "i.idx" e))
+    [ e1; e2 ];
   let entries, valid = Epoch_index.load vfs "i.idx" in
   check_bool "roundtrip" true (entries = [ e1; e2 ]);
   check_int "whole file valid" (String.length (vfs.Vfs.read_file "i.idx")) valid;
@@ -402,11 +489,13 @@ let store_misdirected_pointer () =
     in
     let latest = Option.get (Store.latest_epoch store) in
     let full = Store.entry_at store 0 in
-    Epoch_index.append vfs (Store.index_path store_path)
-      { full with
-        Epoch_index.epoch = latest + 1;
-        kind = Segment.Incremental;
-        dir = dir_of full.Epoch_index.dir };
+    ignore
+      (Epoch_index.append vfs (Store.index_path store_path)
+         { full with
+           Epoch_index.epoch = latest + 1;
+           kind = Segment.Incremental;
+           dir = dir_of full.Epoch_index.dir }
+        : int);
     let store = Store.open_ ~vfs w.schema ~path:store_path in
     check_bool "forged entry survives open" true
       (Store.latest_epoch store = Some (latest + 1));
@@ -440,6 +529,48 @@ let store_misdirected_pointer () =
       | [] -> Alcotest.fail "empty directory")
   in
   expect_restore_error "negative id" store epoch ~mentions:"-5"
+
+(* CRC-valid index entries that crash-consistent operation never writes:
+   each names the latest entry's successor and breaks one of reopen's
+   defensive rules. [chunk_len] sizes a chunk of the pack. *)
+let rejected_entries ~chunk_len (last : Epoch_index.entry) =
+  let next =
+    { last with Epoch_index.epoch = last.epoch + 1; kind = Segment.Incremental }
+  in
+  let d0 = List.hd last.dir in
+  let d0_len = chunk_len (List.nth last.chunks d0.Epoch_index.d_chunk) in
+  [ ( "absent chunk",
+      { next with chunks = Chunk.key_of "never stored" :: List.tl last.chunks } );
+    ( "d_chunk out of range",
+      { next with
+        dir = [ { d0 with d_chunk = List.length last.chunks } ] } );
+    ("d_off at chunk length", { next with dir = [ { d0 with d_off = d0_len } ] });
+    ("epoch gap", { next with epoch = last.epoch + 2 }) ]
+
+(* Reopen keeps exactly the entries before a rejected one and cuts the
+   index file at that entry's first byte — whatever follows it. *)
+let store_reopen_rejections () =
+  let sim = Sim.create () in
+  let vfs = Sim.vfs sim in
+  let _, store, w = drive ~policy:(Policy.Full_every 4) ~rounds:3 vfs in
+  let idx = Store.index_path store_path in
+  let committed = vfs.Vfs.read_file idx in
+  let entries = List.map (Store.entry_at store) (Store.epochs store) in
+  let last = List.nth entries 2 in
+  let pack = Pack.open_ ~vfs (Store.pack_path store_path) in
+  List.iter
+    (fun (name, bad) ->
+      vfs.Vfs.truncate idx ~len:(String.length committed);
+      let after = { bad with Epoch_index.epoch = bad.Epoch_index.epoch + 1 } in
+      append_bytes vfs idx (Epoch_index.encode bad ^ Epoch_index.encode after);
+      let store = Store.open_ ~vfs w.schema ~path:store_path in
+      check_bool (name ^ ": entries before the bad one kept") true
+        (Store.epochs store = [ 0; 1; 2 ]
+        && List.map (Store.entry_at store) [ 0; 1; 2 ] = entries);
+      check_string (name ^ ": index cut at the bad entry") committed
+        (vfs.Vfs.read_file idx);
+      check_bool (name ^ ": consistent") true (Store.check store = []))
+    (rejected_entries ~chunk_len:(Pack.chunk_len pack) last)
 
 (* Ids need not be dense: a restore handles sparse and huge ids, and the
    gaps a registry sweep leaves, identically on every path. *)
@@ -822,7 +953,10 @@ let suites =
       [ Alcotest.test_case "pack roundtrip + torn tail" `Quick
           pack_roundtrip_and_torn_tail;
         Alcotest.test_case "index roundtrip + torn tail" `Quick
-          index_roundtrip_and_torn_tail ] );
+          index_roundtrip_and_torn_tail;
+        Alcotest.test_case "pack growth + reopen" `Quick pack_growth;
+        Alcotest.test_case "pack torn tail then append" `Quick
+          pack_torn_tail_then_append ] );
     ( "store.core",
       [ Alcotest.test_case "restore agrees with chain replay" `Quick
           store_restore_agrees_with_replay;
@@ -833,6 +967,7 @@ let suites =
         Alcotest.test_case "error paths" `Quick store_errors;
         Alcotest.test_case "misdirected directory pointer" `Quick
           store_misdirected_pointer;
+        Alcotest.test_case "reopen rejections" `Quick store_reopen_rejections;
         Alcotest.test_case "sparse huge ids" `Quick sparse_huge_ids;
         Alcotest.test_case "resume at non-zero seq" `Quick
           store_resume_at_nonzero_seq;

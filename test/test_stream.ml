@@ -46,7 +46,11 @@ let crc32_vector () =
   let half = String.length s / 2 in
   let c1 = Crc32.sub s ~pos:0 ~len:half in
   let c2 = Crc32.sub s ~pos:half ~len:(String.length s - half) ~crc:c1 in
-  check_int "incremental" (Crc32.string s) c2
+  check_int "incremental" (Crc32.string s) c2;
+  (* The table index stays in range whatever [?crc] holds. *)
+  check_int "only the low 32 bits of ?crc count"
+    (Crc32.string ~crc:0xffffffff s)
+    (Crc32.string ~crc:(-1) s)
 
 let stream_roundtrip () =
   let d = Out_stream.create () in
@@ -147,6 +151,48 @@ let prop_crc_detects_flip =
         (Char.chr (Char.code (Bytes.get b pos) lxor (1 lsl bit)));
       Crc32.string s <> Crc32.bytes b)
 
+(* The plain bytewise CRC-32, as the reference the slicing-by-8 one is
+   held to. *)
+let reference_crc ?(crc = 0) s ~pos ~len =
+  let c = ref (crc lxor 0xffffffff) in
+  for i = pos to pos + len - 1 do
+    c := !c lxor Char.code s.[i];
+    for _ = 0 to 7 do
+      c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
+    done
+  done;
+  !c lxor 0xffffffff
+
+(* Every window of 0..64 bytes at offsets 0..7 (whatever the 8-byte
+   alignment of the tail), and the whole string, up to 4 KiB. *)
+let prop_crc_reference =
+  QCheck2.Test.make ~name:"crc32 matches the bytewise reference" ~count:200
+    QCheck2.Gen.(string_size ~gen:char (int_range 0 4096))
+    (fun s ->
+      let n = String.length s in
+      Crc32.string s = reference_crc s ~pos:0 ~len:n
+      && List.for_all
+           (fun pos ->
+             List.for_all
+               (fun len ->
+                 pos + len > n
+                 || Crc32.sub s ~pos ~len = reference_crc s ~pos ~len)
+               (List.init 65 Fun.id))
+           (List.init 8 Fun.id))
+
+let prop_crc_continuation =
+  QCheck2.Test.make ~name:"crc32 continues at every split point" ~count:200
+    QCheck2.Gen.(string_size ~gen:char (return 16))
+    (fun s ->
+      List.for_all
+        (fun k ->
+          let head = Crc32.sub s ~pos:0 ~len:k in
+          Crc32.sub ~crc:head s ~pos:k ~len:(16 - k)
+          = reference_crc s ~pos:0 ~len:16
+          && Crc32.string ~crc:head (String.sub s k (16 - k))
+             = Crc32.string s)
+        (List.init 17 Fun.id))
+
 let suites =
   [ ( "stream",
       [ Alcotest.test_case "varint roundtrip" `Quick varint_roundtrip;
@@ -159,4 +205,6 @@ let suites =
         Alcotest.test_case "in_stream errors" `Quick in_stream_errors;
         Alcotest.test_case "of_string_at" `Quick of_string_at;
         QCheck_alcotest.to_alcotest prop_int_roundtrip;
-        QCheck_alcotest.to_alcotest prop_crc_detects_flip ] ) ]
+        QCheck_alcotest.to_alcotest prop_crc_detects_flip;
+        QCheck_alcotest.to_alcotest prop_crc_reference;
+        QCheck_alcotest.to_alcotest prop_crc_continuation ] ) ]
