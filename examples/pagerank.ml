@@ -136,6 +136,10 @@ let () =
       in
       Format.printf "total mass: live %d vs recovered %d (equal: %b)@."
         live_sum sum (sum = live_sum);
+      if sum <> live_sum then begin
+        Sys.remove path;
+        exit 1
+      end;
       (* Top page by rank, from the recovered state. *)
       let best =
         List.fold_left

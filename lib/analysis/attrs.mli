@@ -71,7 +71,6 @@ val set_barrier_plan : t -> barrier_plan -> unit
 val bt_unknown : int
 val bt_static : int
 val bt_dynamic : int
-val et_unknown : int
 val et_spec_time : int
 val et_run_time : int
 

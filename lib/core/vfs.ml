@@ -41,3 +41,15 @@ let real =
     truncate = (fun path ~len -> Unix.truncate path len);
     rename = (fun ~src ~dst -> Sys.rename src dst);
     remove = Sys.remove }
+
+let contents t path = if t.exists path then t.read_file path else ""
+
+type opening = Append | Trunc
+
+let write_synced t opening path f =
+  let w =
+    match opening with Append -> t.open_append path | Trunc -> t.open_trunc path
+  in
+  Fun.protect ~finally:w.close (fun () ->
+      f w.write;
+      w.sync ())

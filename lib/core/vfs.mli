@@ -6,6 +6,10 @@
     errors at any write boundary (see [Ickpt_faultsim.Sim]). The default
     everywhere is {!real}, so existing callers are unaffected.
 
+    Every record file (segment log, pack, epoch indexes, tenant catalog,
+    service meta) is written through {!write_synced} and read back through
+    {!contents} and [Ickpt_stream.In_stream.fold_intact].
+
     The durability contract the storage layer relies on:
     - [writer.write] appends bytes to the open file (visible to subsequent
       reads, but not necessarily durable across a power loss);
@@ -33,3 +37,14 @@ type t = {
 val real : t
 (** The actual filesystem. [sync] flushes the channel and [fsync]s the
     descriptor; [rename] is POSIX [rename(2)] (atomic on one filesystem). *)
+
+val contents : t -> string -> string
+(** A file's bytes; a missing file reads as empty. *)
+
+type opening = Append | Trunc
+
+val write_synced : t -> opening -> string -> ((string -> unit) -> unit) -> unit
+(** [write_synced t opening path f] opens [path] (appending, or truncating
+    it), hands [f] the writer's [write], then syncs: what [f] wrote is
+    durable when this returns. The handle is closed on success and on
+    exception. *)

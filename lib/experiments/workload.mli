@@ -61,9 +61,6 @@ val requires : bool -> reason:string -> check -> check
     [c] made [Not_applicable reason] otherwise — whatever its own
     verdict was. [reason] names the unmet precondition. *)
 
-val pp_check : Format.formatter -> check -> unit
-(** [[PASS] label — detail], [[FAIL] ...], or [[N/A] label — reason]. *)
-
 val pp_checks : Format.formatter -> check list -> unit
 
 val failures : check list -> check list

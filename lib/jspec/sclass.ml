@@ -54,14 +54,6 @@ let rec all_clean s =
          | Unknown -> false)
        s.children
 
-let rec node_count s =
-  1
-  + Array.fold_left
-      (fun acc -> function
-        | Null_child | Unknown | Clean_opaque -> acc
-        | Exact c | Nullable c -> acc + node_count c)
-      0 s.children
-
 let rec tracked_count s =
   (if s.status = Tracked then 1 else 0)
   + Array.fold_left

@@ -66,9 +66,6 @@ val all_clean : shape -> bool
     [Clean] — the whole-subtree case whose traversal specialization
     removes entirely. *)
 
-val node_count : shape -> int
-(** Number of nodes in the shape tree (unknown children count 0). *)
-
 val tracked_count : shape -> int
 
 val pp : Format.formatter -> shape -> unit

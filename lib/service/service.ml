@@ -62,7 +62,7 @@ and t = {
   shard_tbl : shard_state array;
   open_tenants : (int, tenant) Hashtbl.t;
   mutable catalog : (int * string) list;  (* oldest first *)
-  mutable collided : Store.collision list;  (* newest first *)
+  mutable collided : Epochs.collision list;  (* newest first *)
   mutable commit_batches : int;
   mutable committed_epochs : int;
   mutable latencies : float list;
@@ -85,134 +85,54 @@ let meta_magic = 0x534b4349 (* "ICKS" read as LE bytes *)
 let version = 1
 
 let encode_catalog_entry (id, name) =
-  let d = Out_stream.create () in
-  Out_stream.write_fixed32 d catalog_magic;
-  Out_stream.write_byte d version;
-  Out_stream.write_int d id;
-  Out_stream.write_string d name;
-  let crc = Crc32.string (Out_stream.contents d) in
-  Out_stream.write_fixed32 d crc;
-  Out_stream.contents d
+  Out_stream.framed ~magic:catalog_magic ~version (fun d ->
+      Out_stream.write_int d id;
+      Out_stream.write_string d name)
 
-let decode_catalog_entry s ~pos =
-  let inp = In_stream.of_string_at s ~pos in
-  let m = In_stream.read_fixed32 inp in
-  if m <> catalog_magic then
-    raise (In_stream.Corrupt (Printf.sprintf "bad catalog magic %#x" m));
-  let v = In_stream.read_byte inp in
-  if v <> version then
-    raise (In_stream.Corrupt (Printf.sprintf "bad catalog version %d" v));
-  let id = In_stream.read_int inp in
-  let name = In_stream.read_string inp in
-  let body_end = In_stream.pos inp in
-  let crc = In_stream.read_fixed32 inp in
-  if crc <> Crc32.sub s ~pos ~len:(body_end - pos) then
-    raise (In_stream.Corrupt "catalog crc mismatch");
-  ((id, name), In_stream.pos inp)
+let decode_catalog_entry =
+  In_stream.framed ~magic:catalog_magic ~version ~what:"catalog" (fun inp ->
+      let id = In_stream.read_int inp in
+      (id, In_stream.read_string inp))
+
+let read_catalog vfs root =
+  let raw = Vfs.contents vfs (catalog_path root) in
+  fst (In_stream.intact_prefix decode_catalog_entry raw)
 
 let load_catalog vfs path =
-  let raw = if vfs.Vfs.exists path then vfs.Vfs.read_file path else "" in
-  let len = String.length raw in
-  let rec go acc pos =
-    if pos >= len then (List.rev acc, pos)
-    else
-      match decode_catalog_entry raw ~pos with
-      | e, next -> go (e :: acc) next
-      | exception In_stream.Corrupt _ -> (List.rev acc, pos)
-      | exception Invalid_argument _ -> (List.rev acc, pos)
-  in
-  let entries, valid = go [] 0 in
-  if valid < len then vfs.Vfs.truncate path ~len:valid;
+  let raw = Vfs.contents vfs path in
+  let entries, valid = In_stream.intact_prefix decode_catalog_entry raw in
+  if valid < String.length raw then vfs.Vfs.truncate path ~len:valid;
   entries
 
 let append_catalog vfs path entry =
-  let w = vfs.Vfs.open_append path in
-  (try
-     w.Vfs.write (encode_catalog_entry entry);
-     w.Vfs.sync ()
-   with exn ->
-     w.Vfs.close ();
-     raise exn);
-  w.Vfs.close ()
+  Vfs.write_synced vfs Append path (fun write ->
+      write (encode_catalog_entry entry))
 
-let encode_meta ~shards ~records_per_chunk =
-  let d = Out_stream.create () in
-  Out_stream.write_fixed32 d meta_magic;
-  Out_stream.write_byte d version;
-  Out_stream.write_int d shards;
-  Out_stream.write_int d records_per_chunk;
-  let crc = Crc32.string (Out_stream.contents d) in
-  Out_stream.write_fixed32 d crc;
-  Out_stream.contents d
-
-let load_meta vfs path =
-  if not (vfs.Vfs.exists path) then None
-  else
-    let raw = vfs.Vfs.read_file path in
-    match
-      let inp = In_stream.of_string_at raw ~pos:0 in
-      let m = In_stream.read_fixed32 inp in
-      if m <> meta_magic then raise (In_stream.Corrupt "bad meta magic");
-      let v = In_stream.read_byte inp in
-      if v <> version then raise (In_stream.Corrupt "bad meta version");
-      let shards = In_stream.read_int inp in
-      let records_per_chunk = In_stream.read_int inp in
-      let body_end = In_stream.pos inp in
-      let crc = In_stream.read_fixed32 inp in
-      if crc <> Crc32.sub raw ~pos:0 ~len:body_end then
-        raise (In_stream.Corrupt "meta crc mismatch");
+let read_meta vfs root =
+  match
+    In_stream.framed ~magic:meta_magic ~version ~what:"meta"
+      (fun inp ->
+        let shards = In_stream.read_int inp in
+        (shards, In_stream.read_int inp))
+      (Vfs.contents vfs (meta_path root))
+      ~pos:0
+  with
+  | ((shards, records_per_chunk) as meta), _ ->
       if shards < 1 || shards > Shard.max_count || records_per_chunk < 1 then
-        error "%s: corrupt meta (shards %d, records_per_chunk %d)" path shards
-          records_per_chunk;
-      (shards, records_per_chunk)
-    with
-    | meta -> Some meta
-    | exception In_stream.Corrupt _ -> None
-    | exception Invalid_argument _ -> None
+        error "%s: corrupt meta (shards %d, records_per_chunk %d)"
+          (meta_path root) shards records_per_chunk;
+      Some meta
+  | exception (In_stream.Corrupt _ | Invalid_argument _) -> None
 
-let write_meta vfs path ~shards ~records_per_chunk =
-  let w = vfs.Vfs.open_trunc path in
-  (try
-     w.Vfs.write (encode_meta ~shards ~records_per_chunk);
-     w.Vfs.sync ()
-   with exn ->
-     w.Vfs.close ();
-     raise exn);
-  w.Vfs.close ()
+let write_meta vfs root ~shards ~records_per_chunk =
+  Vfs.write_synced vfs Trunc (meta_path root) (fun write ->
+      write
+        (Out_stream.framed ~magic:meta_magic ~version (fun d ->
+             Out_stream.write_int d shards;
+             Out_stream.write_int d records_per_chunk)))
 
 (* ------------------------------------------------------------------ *)
 (* Open: sweep, truncate, validate per shard.                          *)
-
-(* Longest valid prefix of a shard's multiplexed entries: per-tenant
-   epochs contiguous with the tenant's first entry full, every chunk in
-   the pack, directory entries in range. Crash-consistent operation never
-   violates this (the pack batch is synced before the index batch), so
-   rejections are defensive — but a rejection cuts the whole shard file
-   there, preserving the prefix property for every tenant in it. *)
-let valid_mux_prefix pack ms =
-  let expected : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let rec go acc = function
-    | [] -> List.rev acc
-    | (m : Epoch_index.mux_entry) :: rest ->
-        let e = m.m_entry in
-        let ok =
-          (match Hashtbl.find_opt expected m.m_tenant with
-          | None -> e.kind = Segment.Full && e.epoch >= 0
-          | Some n -> e.epoch = n)
-          && Dir.resolves pack e
-        in
-        if ok then begin
-          Hashtbl.replace expected m.m_tenant (e.epoch + 1);
-          go (m :: acc) rest
-        end
-        else List.rev acc
-  in
-  go [] ms
-
-let mux_byte_length ms =
-  List.fold_left
-    (fun acc m -> acc + String.length (Epoch_index.encode_mux m))
-    0 ms
 
 let open_ ?(vfs = Vfs.real) ?(shards = Shard.default_count)
     ?(records_per_chunk = Chunk.default_records_per_chunk)
@@ -222,10 +142,10 @@ let open_ ?(vfs = Vfs.real) ?(shards = Shard.default_count)
   if records_per_chunk < 1 then
     invalid_arg "Service.open_: records_per_chunk < 1";
   let shards, records_per_chunk =
-    match load_meta vfs (meta_path root) with
+    match read_meta vfs root with
     | Some persisted -> persisted
     | None ->
-        write_meta vfs (meta_path root) ~shards ~records_per_chunk;
+        write_meta vfs root ~shards ~records_per_chunk;
         (shards, records_per_chunk)
   in
   let pack = Pack.open_ ~vfs (pack_path root) in
@@ -233,15 +153,8 @@ let open_ ?(vfs = Vfs.real) ?(shards = Shard.default_count)
   let shard_tbl =
     Array.init shards (fun i ->
         let s_index_file = shard_index_path root i in
-        let raw = Epoch_index.contents vfs s_index_file in
-        let loaded, valid_len = Epoch_index.parse_mux raw in
-        if valid_len < String.length raw then
-          vfs.Vfs.truncate s_index_file ~len:valid_len;
-        let committed = valid_mux_prefix pack loaded in
-        if List.length committed < List.length loaded then
-          vfs.Vfs.truncate s_index_file ~len:(mux_byte_length committed);
         { s_index_file;
-          s_committed = committed;
+          s_committed = Epochs.recover Epochs.mux vfs s_index_file pack;
           s_pending = [];
           s_pending_bytes = 0;
           s_batch = None })
@@ -277,79 +190,33 @@ let commit_batch_locked t sstate items =
   match items with
   | [] -> ()
   | _ ->
-      let pending : (int, string) Hashtbl.t = Hashtbl.create 16 in
-      let resolved_items =
+      let pending = Hashtbl.create 16 in
+      let staged =
         List.map
           (fun it ->
-            ( it,
-              List.map
-                (fun (c : Chunk.t) ->
-                  (c, Pack.resolve t.pack ~pending ~key:c.key c.data))
-                it.it_chunks ))
+            Epochs.stage t.pack ~pending ~kind:it.it_kind ~epoch:it.it_seq
+              ~roots:it.it_roots it.it_chunks)
           items
       in
-      let fresh =
-        List.concat_map
-          (fun (_, rs) ->
-            List.filter_map
-              (fun ((c : Chunk.t), r) ->
-                match r with
-                | Pack.Fresh { key; _ } -> Some (key, c.data)
-                | Pack.Dup _ -> None)
-              rs)
-          resolved_items
-      in
-      ignore (Pack.append_batch t.pack fresh : int);
+      ignore
+        (Pack.append_batch t.pack
+           (List.concat_map (fun (st : Epochs.staged) -> st.fresh) staged)
+          : int);
       let muxes =
-        List.map
-          (fun (it, rs) ->
-            let dir =
-              List.concat
-                (List.mapi
-                   (fun i (c : Chunk.t) ->
-                     List.map
-                       (fun (id, off) ->
-                         { Epoch_index.d_id = id; d_chunk = i; d_off = off })
-                       c.records)
-                   it.it_chunks)
-            in
-            let chunks =
-              List.map
-                (fun (_, r) ->
-                  match r with
-                  | Pack.Dup k -> k
-                  | Pack.Fresh { key; _ } -> key)
-                rs
-            in
-            { Epoch_index.m_tenant = it.it_tenant.t_id;
-              m_entry =
-                { Epoch_index.epoch = it.it_seq;
-                  kind = it.it_kind;
-                  roots = it.it_roots;
-                  chunks;
-                  dir } })
-          resolved_items
+        List.map2
+          (fun it (st : Epochs.staged) ->
+            { Epoch_index.m_tenant = it.it_tenant.t_id; m_entry = st.entry })
+          items staged
       in
       ignore
         (Epoch_index.append_mux_batch t.vfs sstate.s_index_file muxes : int);
       (* Durable; mirror in memory. *)
       sstate.s_committed <- sstate.s_committed @ muxes;
       List.iter2
-        (fun (it, rs) (m : Epoch_index.mux_entry) ->
-          it.it_tenant.t_entries <- it.it_tenant.t_entries @ [ m.m_entry ];
-          List.iter
-            (fun ((c : Chunk.t), r) ->
-              match r with
-              | Pack.Fresh { key; attempt } when attempt > 0 ->
-                  t.collided <-
-                    { Store.col_epoch = it.it_seq;
-                      col_content_key = c.key;
-                      col_stored_key = key;
-                      col_attempt = attempt }
-                    :: t.collided
-              | _ -> ())
-            rs)
-        resolved_items muxes;
+        (fun it (st : Epochs.staged) ->
+          it.it_tenant.t_entries <- it.it_tenant.t_entries @ [ st.entry ];
+          t.collided <- List.rev_append st.collisions t.collided)
+        items staged;
       let now = Unix.gettimeofday () in
       List.iter
         (fun it -> t.latencies <- (now -. it.it_enq) :: t.latencies)
@@ -435,10 +302,6 @@ let submit tenant (seg : Segment.t) =
 (* ------------------------------------------------------------------ *)
 (* Tenants.                                                            *)
 
-let segment_of_entry t (e : Epoch_index.entry) =
-  let body = String.concat "" (List.map (fun k -> Pack.read t.pack k) e.chunks) in
-  { Segment.kind = e.kind; seq = e.epoch; roots = e.roots; body }
-
 let open_tenant t schema ~name =
   check_open t;
   let id = tenant_id name in
@@ -466,24 +329,12 @@ let open_tenant t schema ~name =
               t.shard_tbl.(shard).s_committed
           in
           let chain = Chain.create schema in
-          (match entries with
-          | [] -> ()
-          | _ ->
-              (* Resume the chain from the newest full epoch: a full is
-                 self-contained, so the chain accepts it at any seq and the
-                 incrementals after it replay on top. *)
-              let base =
-                List.fold_left
-                  (fun acc (e : Epoch_index.entry) ->
-                    if e.kind = Segment.Full then e.epoch else acc)
-                  (match entries with e :: _ -> e.epoch | [] -> 0)
-                  entries
-              in
-              List.iter
-                (fun (e : Epoch_index.entry) ->
-                  if e.epoch >= base then
-                    Chain.append chain (segment_of_entry t e))
-                entries);
+          (* Resume the chain from the newest full epoch: a full is
+             self-contained, so the chain accepts it at any seq and the
+             incrementals after it replay on top. *)
+          List.iter
+            (fun e -> Chain.append chain (Epochs.segment t.pack e))
+            (Epochs.since_full entries ~epoch:max_int);
           let tn =
             { t_svc = t;
               t_id = id;
@@ -585,61 +436,49 @@ type stats = {
 
 let stats t =
   with_lock t (fun () ->
-      let n_epochs = ref 0 and logical = ref 0 in
-      Array.iter
-        (fun s ->
-          List.iter
-            (fun (m : Epoch_index.mux_entry) ->
-              incr n_epochs;
-              List.iter
-                (fun k -> logical := !logical + Pack.chunk_len t.pack k)
-                m.m_entry.chunks)
-            s.s_committed)
-        t.shard_tbl;
+      let entries =
+        Array.to_list t.shard_tbl
+        |> List.concat_map (fun s ->
+               List.map
+                 (fun (m : Epoch_index.mux_entry) -> m.m_entry)
+                 s.s_committed)
+      in
+      let logical = Epochs.logical_bytes t.pack entries in
       let pack_bytes = Pack.physical_bytes t.pack in
       { n_tenants = List.length t.catalog;
         n_open = Hashtbl.length t.open_tenants;
-        n_epochs = !n_epochs;
+        n_epochs = List.length entries;
         n_chunks = Pack.length t.pack;
-        logical_bytes = !logical;
+        logical_bytes = logical;
         pack_bytes;
         dedup_ratio =
           (if pack_bytes = 0 then 1.0
-           else float_of_int !logical /. float_of_int pack_bytes);
+           else float_of_int logical /. float_of_int pack_bytes);
         commit_batches = t.commit_batches;
         committed_epochs = t.committed_epochs;
         collisions = List.length t.collided })
 
 let check t =
   with_lock t (fun () ->
-      let errs = ref [] in
-      let err fmt = Format.kasprintf (fun s -> errs := s :: !errs) fmt in
       let tenant_label id =
         match List.assoc_opt id t.catalog with
         | Some name -> Printf.sprintf "%S" name
         | None -> Hash64.to_hex id
       in
-      Array.iteri
-        (fun si s ->
-          let expected : (int, int) Hashtbl.t = Hashtbl.create 16 in
-          List.iter
-            (fun (m : Epoch_index.mux_entry) ->
-              let e = m.m_entry in
-              let who = tenant_label m.m_tenant in
-              if Shard.of_id ~shards:t.shards m.m_tenant <> si then
-                err "tenant %s committed on shard %d, hashes to %d" who si
-                  (Shard.of_id ~shards:t.shards m.m_tenant);
-              (match Hashtbl.find_opt expected m.m_tenant with
-              | None ->
-                  if e.kind <> Segment.Full then
-                    err "tenant %s: oldest epoch %d is not full" who e.epoch
-              | Some n when e.epoch <> n ->
-                  err "tenant %s: epoch %d follows %d" who e.epoch (n - 1)
-              | Some _ -> ());
-              Hashtbl.replace expected m.m_tenant (e.epoch + 1);
-              List.iter
-                (err "tenant %s epoch %d: %s" who e.epoch)
-                (Dir.check_entry t.pack e))
-            s.s_committed)
-        t.shard_tbl;
-      List.rev !errs)
+      List.concat
+        (List.mapi
+           (fun si s ->
+             List.filter_map
+               (fun (m : Epoch_index.mux_entry) ->
+                 let home = Shard.of_id ~shards:t.shards m.m_tenant in
+                 if home = si then None
+                 else
+                   Some
+                     (Printf.sprintf
+                        "tenant %s committed on shard %d, hashes to %d"
+                        (tenant_label m.m_tenant) si home))
+               s.s_committed
+             @ Epochs.check Epochs.mux t.pack
+                 ~who:(fun m -> Some ("tenant " ^ tenant_label m.m_tenant))
+                 s.s_committed)
+           (Array.to_list t.shard_tbl)))

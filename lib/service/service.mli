@@ -38,6 +38,13 @@
     of its own epochs — invariant I7, extended; swept by the
     [Ickpt_faultsim.Service_sim] workload of [Ickpt_faultsim.Sweep].
 
+    Where the rules live: staging a batch, the per-tenant chain rules
+    (resume from the newest full epoch, reopen validation, {!check}) and
+    entry → segment are [Ickpt_cas.Epochs], shared with
+    {!Ickpt_cas.Store}; writing and reading back the record files (pack,
+    shard indexes, catalog, meta) is {!Ickpt_core.Vfs.write_synced} and
+    [Ickpt_stream.In_stream.fold_intact].
+
     Thread-safety: one global lock serializes pack access and commits;
     chunk splitting (the CPU-heavy part) happens outside it on the calling
     domain. Calls on {e one} tenant must not race each other; calls on
@@ -64,6 +71,16 @@ val pack_path : string -> string
 val shard_index_path : string -> int -> string
 val catalog_path : string -> string
 val meta_path : string -> string
+
+val read_meta : Vfs.t -> string -> (int * int) option
+(** The [(shards, records_per_chunk)] persisted by the service at [path];
+    [None] when the meta file is missing or does not decode. Performs no
+    writes.
+    @raise Error on an intact meta holding a value out of range. *)
+
+val read_catalog : Vfs.t -> string -> (int * string) list
+(** The intact prefix of the tenant catalog of the service at [path],
+    [(id, name)] oldest first. Performs no writes. *)
 
 val tenant_id : string -> int
 (** The 63-bit id a tenant name hashes to ({!Ickpt_stream.Hash64}). Two
@@ -153,10 +170,11 @@ type stats = {
 
 val stats : t -> stats
 
-val collisions : t -> Store.collision list
-(** Hash collisions absorbed by commits this session, oldest first; each
-    chunk was stored under a salted rehash ({!Ickpt_cas.Chunk.salted_key})
-    instead of failing the tenant's append. *)
+val collisions : t -> Epochs.collision list
+(** Hash collisions absorbed by committed batches this session, oldest
+    first; each chunk was stored under a salted rehash
+    ({!Ickpt_cas.Chunk.salted_key}) instead of failing the tenant's
+    append. *)
 
 val drain_latencies : t -> float list
 (** Commit latencies (seconds from submission to durable) of epochs

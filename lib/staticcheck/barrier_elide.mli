@@ -22,14 +22,12 @@ val site_name : site -> string
 
 val all_sites : site list
 
-val site_region : Phase_model.phase -> site -> Regions.t
-(** The site's static may-write region over statement ids, from the
-    memoized {!Dirty_ai} run of the phase model (inputs havoced per
-    {!Phase_model.input_globals}). For [Lists] this is the join of the
-    [se_reads] and [se_writes] regions. *)
-
 val site_region_for : n_stmts:int -> Phase_model.phase -> site -> Regions.t
-(** {!site_region} rescaled to a workload with [n_stmts] statements. The
+(** The site's static may-write region over statement ids (for [Lists],
+    the join of the [se_reads] and [se_writes] regions), from the memoized
+    {!Dirty_ai} run of the phase model (inputs havoced per
+    {!Phase_model.input_globals}), rescaled to a workload with [n_stmts]
+    statements. The
     phase models use fixed 64-cell attribute arrays to abstract programs
     of any size; by convention the last model cell summarizes every
     statement at or beyond it, so a region reaching the last cell

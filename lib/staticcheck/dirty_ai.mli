@@ -63,5 +63,3 @@ val global_value : result -> string -> Regions.itv
 val pp : Format.formatter -> result -> unit
 (** Per-function write summaries, in program order. *)
 
-val pp_writes : result -> Format.formatter -> Regions.map -> unit
-(** Render a region map with this program's global names. *)

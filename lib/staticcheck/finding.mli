@@ -8,8 +8,6 @@ type severity = Error | Warning
 
 type t = { severity : severity; scope : string; path : string; reason : string }
 
-val severity_name : severity -> string
-
 val of_spec : Spec_lint.diagnostic -> t
 val of_residual : phase:string -> Residual_lint.finding -> t
 

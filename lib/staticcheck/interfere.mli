@@ -36,8 +36,6 @@ type footprint = {
   fp_writes : (string * Regions.t) list;  (** may-write, same keying *)
 }
 
-val pp_footprint : Format.formatter -> footprint -> unit
-
 val footprint_conflict :
   footprint -> footprint -> (string * Regions.t * Regions.t) option
 (** The first global on which the two footprints interfere: a write

@@ -76,9 +76,6 @@ val func_uer : t -> string -> Regions.map
 (** Converged upward-exposed-read summary of one call; empty for unknown
     functions. *)
 
-val func_mw : t -> string -> Regions.map
-(** Converged must-write summary (under-approximate). *)
-
 val pp : Format.formatter -> t -> unit
 (** Function summaries, then per-boundary live regions. *)
 

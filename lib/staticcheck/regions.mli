@@ -34,7 +34,6 @@ val itv_meet : itv -> itv -> itv option
 (** [None] when the intervals are disjoint. *)
 
 val itv_leq : itv -> itv -> bool
-val itv_equal : itv -> itv -> bool
 
 val itv_widen : itv -> itv -> itv
 (** [itv_widen a b]: bounds of [b] that escaped [a] jump to infinity. *)
@@ -48,8 +47,6 @@ val itv_neg : itv -> itv
 val itv_mul : itv -> itv -> itv
 val itv_div : itv -> itv -> itv
 val itv_rem : itv -> itv -> itv
-
-val pp_itv : Format.formatter -> itv -> unit
 
 (** {1 Regions} *)
 

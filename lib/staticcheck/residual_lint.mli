@@ -21,5 +21,4 @@ val lint : ?root:string -> Jspec.Cklang.stmt list -> finding list
 val lint_result : Jspec.Pe.result -> finding list
 (** Lint a specialization result's residual body (root ["checkpoint"]). *)
 
-val pp_finding : Format.formatter -> finding -> unit
 val pp_report : Format.formatter -> finding list -> unit

@@ -22,24 +22,15 @@ type diagnostic = {
   reason : string;
 }
 
-val verdict_name : verdict -> string
-
-val compare_shapes :
-  phase:string ->
-  declared:Jspec.Sclass.shape ->
-  inferred:Jspec.Sclass.shape ->
-  diagnostic list
-(** All disagreements, sorted by path (stable and deterministic). Empty
-    iff the declaration is exactly as tight as the inference. *)
-
 val check_phase :
   klasses:Ickpt_runtime.Model.klass list ->
   Phase_model.phase ->
   declared:Jspec.Sclass.shape ->
   diagnostic list
-(** [compare_shapes] against {!Infer.derived_shape} for the phase. *)
+(** Every disagreement between [declared] and {!Infer.derived_shape} for
+    the phase, sorted by path (stable and deterministic). Empty iff the
+    declaration is exactly as tight as the inference. *)
 
 val has_unsound : diagnostic list -> bool
 
-val pp_diagnostic : Format.formatter -> diagnostic -> unit
 val pp_report : Format.formatter -> diagnostic list -> unit

@@ -82,6 +82,4 @@ val generic_trace :
   Symheap.t -> Symheap.valuation -> outcome
 (** The reference trace: [run] of [program.checkpoint]. *)
 
-val pp_sint : Format.formatter -> sint -> unit
-val pp_place : Format.formatter -> place -> unit
 val pp_event : Format.formatter -> event -> unit

@@ -93,7 +93,3 @@ val materialize :
     generic run on one and a specialized run on the other must write
     identical bytes. *)
 
-val field_value : node_idx:int -> slot:int -> int
-(** The deterministic int-field fill used by {!materialize} (exposed so
-    tests can predict written bytes). Values are [>= 10_000] and distinct
-    per (node, slot). *)

@@ -16,19 +16,10 @@ type t = { slots : Restore.slots; keys : int array; roots : int list }
 
 let fold ~entries ~epoch =
   let e = entry_at entries epoch in
-  let upto =
-    List.filter (fun (x : Epoch_index.entry) -> x.epoch <= epoch) entries
-  in
   (* A full epoch's delta is a complete directory by construction, so fold
      newest-wins from the nearest full at or before [epoch] — nothing older
      matters. *)
-  let base =
-    List.fold_left
-      (fun acc (x : Epoch_index.entry) ->
-        if x.kind = Segment.Full then x.epoch else acc)
-      e.epoch upto
-  in
-  let live = List.filter (fun (x : Epoch_index.entry) -> x.epoch >= base) upto in
+  let live = Epochs.since_full entries ~epoch in
   (* A slot's source is its chunk's position in the concatenation of the
      folded entries' chunk lists. *)
   let keys =
@@ -83,55 +74,3 @@ let restore r ~entries ~epoch =
   Restore.heap_of_slots r.schema d.slots
     ~source:(fun src -> chunk r d.keys.(src))
     ~roots:d.roots
-
-let resolves pack (e : Epoch_index.entry) =
-  match Array.of_list (List.map (Pack.chunk_len pack) e.chunks) with
-  | exception Not_found -> false
-  | lens ->
-      List.for_all
-        (fun { Epoch_index.d_chunk; d_off; _ } ->
-          d_chunk >= 0
-          && d_chunk < Array.length lens
-          && d_off >= 0
-          && d_off < lens.(d_chunk))
-        e.dir
-
-let check_entry pack (e : Epoch_index.entry) =
-  let errs = ref [] in
-  let err fmt = Format.kasprintf (fun s -> errs := s :: !errs) fmt in
-  let hex = Ickpt_stream.Hash64.to_hex in
-  let data =
-    Array.of_list
-      (List.map
-         (fun k ->
-           if not (Pack.mem pack k) then begin
-             err "references missing chunk %s" (hex k);
-             None
-           end
-           else
-             let d = Pack.read pack k in
-             if not (Chunk.key_matches k d) then
-               err "chunk %s content does not match its key" (hex k);
-             Some d)
-         e.chunks)
-  in
-  List.iter
-    (fun { Epoch_index.d_id; d_chunk; d_off } ->
-      if d_chunk < 0 || d_chunk >= Array.length data then
-        err "record %d points at chunk index %d/%d" d_id d_chunk
-          (Array.length data)
-      else
-        match data.(d_chunk) with
-        | None -> ()
-        | Some d when d_off < 0 || d_off >= String.length d ->
-            err "record %d offset %d out of range" d_id d_off
-        | Some d -> (
-            let inp = Ickpt_stream.In_stream.of_string_at d ~pos:d_off in
-            match Ickpt_stream.In_stream.read_int inp with
-            | id when id <> d_id ->
-                err "directory entry for object %d lands on record %d" d_id id
-            | _ -> ()
-            | exception Ickpt_stream.In_stream.Corrupt _ ->
-                err "record %d at offset %d is truncated" d_id d_off))
-    e.dir;
-  List.rev !errs

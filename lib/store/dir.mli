@@ -42,16 +42,3 @@ val restore :
 (** Materialize the heap committed at [epoch]: {!fold}, then decode exactly
     one record per live object ({!Restore.heap_of_slots}), checking that
     each record carries its directory entry's id. Roots are the entry's. *)
-
-val resolves : Pack.t -> Epoch_index.entry -> bool
-(** Does every chunk of the entry exist in the pack, and every directory
-    entry point inside one of the entry's chunks (a chunk index in range,
-    an offset below that chunk's length)? The structural half of reopen's
-    validation: each chunk's length is looked up once, so the test is O(1)
-    per directory entry. Unlike {!check_entry} it decodes nothing. *)
-
-val check_entry : Pack.t -> Epoch_index.entry -> string list
-(** Integrity problems of one entry against the pack: missing chunks,
-    chunks whose bytes do not match their key, and directory entries that
-    point outside the entry's chunks or at a record of another id. [[]]
-    means consistent. *)

@@ -59,73 +59,22 @@ let read_payload inp =
   in
   { epoch; kind; roots; chunks; dir }
 
-let encode e =
-  let d = Out_stream.create () in
-  Out_stream.write_fixed32 d magic;
-  Out_stream.write_byte d version;
-  write_payload d e;
-  let crc = Crc32.string (Out_stream.contents d) in
-  Out_stream.write_fixed32 d crc;
-  Out_stream.contents d
+let encode e = Out_stream.framed ~magic ~version (fun d -> write_payload d e)
 
 let decode s ~pos =
-  let inp = In_stream.of_string_at s ~pos in
-  let m = In_stream.read_fixed32 inp in
-  if m <> magic then
-    raise (In_stream.Corrupt (Printf.sprintf "bad index magic %#x at %d" m pos));
-  let v = In_stream.read_byte inp in
-  if v <> version then
-    raise (In_stream.Corrupt (Printf.sprintf "unsupported index version %d" v));
-  let e = read_payload inp in
-  let body_end = In_stream.pos inp in
-  let crc = In_stream.read_fixed32 inp in
-  if crc <> Crc32.sub s ~pos ~len:(body_end - pos) then
-    raise (In_stream.Corrupt (Printf.sprintf "index crc mismatch at %d" pos));
-  (e, In_stream.pos inp)
+  In_stream.framed ~magic ~version ~what:"index" read_payload s ~pos
 
-let contents vfs path =
-  if vfs.Vfs.exists path then vfs.Vfs.read_file path else ""
-
-(* Every intact entry from the start of [raw], and where the first
-   undecodable one begins. *)
-let parse_with decode raw =
-  let len = String.length raw in
-  let rec go acc pos =
-    if pos >= len then (List.rev acc, pos)
-    else
-      match decode raw ~pos with
-      | e, next -> go (e :: acc) next
-      | exception In_stream.Corrupt _ -> (List.rev acc, pos)
-      | exception Invalid_argument _ -> (List.rev acc, pos)
-  in
-  go [] 0
-
-let parse raw = parse_with decode raw
-
-let load vfs path = parse (contents vfs path)
+let load vfs path = In_stream.intact_prefix decode (Vfs.contents vfs path)
 
 let append vfs path e =
   let bytes = encode e in
-  let w = vfs.Vfs.open_append path in
-  (try
-     w.Vfs.write bytes;
-     w.Vfs.sync ()
-   with exn ->
-     w.Vfs.close ();
-     raise exn);
-  w.Vfs.close ();
+  Vfs.write_synced vfs Append path (fun write -> write bytes);
   String.length bytes
 
 let write_staged vfs ~path entries =
   let tmp = Storage.temp_of ~path in
-  let w = vfs.Vfs.open_trunc tmp in
-  (try
-     List.iter (fun e -> w.Vfs.write (encode e)) entries;
-     w.Vfs.sync ()
-   with exn ->
-     w.Vfs.close ();
-     raise exn);
-  w.Vfs.close ();
+  Vfs.write_synced vfs Trunc tmp (fun write ->
+      List.iter (fun e -> write (encode e)) entries);
   tmp
 
 (* ------------------------------------------------------------------ *)
@@ -137,47 +86,24 @@ let mux_magic = 0x4d4b4349 (* "ICKM" read as LE bytes; value is arbitrary *)
 type mux_entry = { m_tenant : int; m_entry : entry }
 
 let encode_mux m =
-  let d = Out_stream.create () in
-  Out_stream.write_fixed32 d mux_magic;
-  Out_stream.write_byte d version;
-  Out_stream.write_int d m.m_tenant;
-  write_payload d m.m_entry;
-  let crc = Crc32.string (Out_stream.contents d) in
-  Out_stream.write_fixed32 d crc;
-  Out_stream.contents d
+  Out_stream.framed ~magic:mux_magic ~version (fun d ->
+      Out_stream.write_int d m.m_tenant;
+      write_payload d m.m_entry)
 
 let decode_mux s ~pos =
-  let inp = In_stream.of_string_at s ~pos in
-  let m = In_stream.read_fixed32 inp in
-  if m <> mux_magic then
-    raise
-      (In_stream.Corrupt (Printf.sprintf "bad mux index magic %#x at %d" m pos));
-  let v = In_stream.read_byte inp in
-  if v <> version then
-    raise (In_stream.Corrupt (Printf.sprintf "unsupported index version %d" v));
-  let m_tenant = In_stream.read_int inp in
-  let e = read_payload inp in
-  let body_end = In_stream.pos inp in
-  let crc = In_stream.read_fixed32 inp in
-  if crc <> Crc32.sub s ~pos ~len:(body_end - pos) then
-    raise (In_stream.Corrupt (Printf.sprintf "mux index crc mismatch at %d" pos));
-  ({ m_tenant; m_entry = e }, In_stream.pos inp)
+  In_stream.framed ~magic:mux_magic ~version ~what:"mux index"
+    (fun inp ->
+      let m_tenant = In_stream.read_int inp in
+      { m_tenant; m_entry = read_payload inp })
+    s ~pos
 
-let parse_mux raw = parse_with decode_mux raw
-
-let load_mux vfs path = parse_mux (contents vfs path)
+let load_mux vfs path =
+  In_stream.intact_prefix decode_mux (Vfs.contents vfs path)
 
 let append_mux_batch vfs path ms =
   match ms with
   | [] -> 0
   | _ ->
       let bytes = String.concat "" (List.map encode_mux ms) in
-      let w = vfs.Vfs.open_append path in
-      (try
-         w.Vfs.write bytes;
-         w.Vfs.sync ()
-       with exn ->
-         w.Vfs.close ();
-         raise exn);
-      w.Vfs.close ();
+      Vfs.write_synced vfs Append path (fun write -> write bytes);
       String.length bytes

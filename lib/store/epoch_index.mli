@@ -25,7 +25,14 @@
     Appending an entry (write + sync) is the {e commit point} of an epoch:
     chunks are appended to the pack first, so a crash between the two
     leaves orphaned chunks (reclaimed by the next GC) but never a
-    committed epoch with missing data. A torn tail is truncated on load. *)
+    committed epoch with missing data.
+
+    This module is the wire format only. Frames are
+    {!Ickpt_stream.Out_stream.framed}; files are written through
+    {!Ickpt_core.Vfs.write_synced} and read back with
+    {!Ickpt_stream.In_stream.fold_intact}. Which entries form a valid
+    chain — and the truncation of a torn or invalid tail on reopen — is
+    {!Epochs}. *)
 
 open Ickpt_core
 
@@ -45,16 +52,15 @@ type entry = {
 
 val encode : entry -> string
 
-val contents : Vfs.t -> string -> string
-(** An index file's bytes; a missing file is the empty index. *)
-
-val parse : string -> entry list * int
-(** Every intact entry of an index file's bytes (file order) and the byte
-    offset of the first undecodable one — the safe truncation point. *)
+val decode : string -> pos:int -> entry * int
+(** One entry at [pos] and the offset just past it.
+    @raise Ickpt_stream.In_stream.Corrupt unless an intact entry is there. *)
 
 val load : Vfs.t -> string -> entry list * int
-(** {!parse} of the file's {!contents}. Performs no writes; the caller
-    decides whether to truncate. *)
+(** Every intact entry of an index file (file order) and the byte offset
+    of the first undecodable one — the safe truncation point. A missing
+    file is the empty index. Performs no writes; the caller decides
+    whether to truncate. *)
 
 val append : Vfs.t -> string -> entry -> int
 (** Append one entry and sync — the epoch's commit point. Returns the
@@ -81,12 +87,10 @@ type mux_entry = { m_tenant : int; m_entry : entry }
 
 val encode_mux : mux_entry -> string
 
-val parse_mux : string -> mux_entry list * int
-(** Every intact multiplexed entry (file order) and the byte offset of the
-    first undecodable one. *)
+val decode_mux : string -> pos:int -> mux_entry * int
 
 val load_mux : Vfs.t -> string -> mux_entry list * int
-(** {!parse_mux} of the file's {!contents}. Performs no writes. *)
+(** {!load} for a multiplexed index file. Performs no writes. *)
 
 val append_mux_batch : Vfs.t -> string -> mux_entry list -> int
 (** Append the batch in one writer session and one sync — the group-commit

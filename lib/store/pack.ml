@@ -36,8 +36,8 @@ let encode_frame key body =
   add_frame buf key body;
   Buffer.contents buf
 
-(* Decode one frame at [pos]; returns (key, body offset, body len, end pos).
-   Raises In_stream.Corrupt on anything short of an intact frame. *)
+(* Decode one frame at [pos]; returns ((key, body offset, body len), end
+   pos). Raises In_stream.Corrupt on anything short of an intact frame. *)
 let decode_frame s ~pos =
   let inp = In_stream.of_string_at s ~pos in
   let m = In_stream.read_fixed32 inp in
@@ -53,27 +53,22 @@ let decode_frame s ~pos =
   let crc = In_stream.read_fixed32 inp in
   if crc <> Crc32.sub s ~pos ~len:(off + len - pos) then
     raise (In_stream.Corrupt (Printf.sprintf "pack crc mismatch at %d" pos));
-  (key, off, len, In_stream.pos inp)
+  ((key, off, len), In_stream.pos inp)
 
 let load t =
   Hashtbl.reset t.tbl;
   t.order <- [];
-  let raw = if t.vfs.Vfs.exists t.file then t.vfs.Vfs.read_file t.file else "" in
+  let raw = Vfs.contents t.vfs t.file in
   let len = String.length raw in
-  let rec go pos =
-    if pos >= len then pos
-    else
-      match decode_frame raw ~pos with
-      | key, off, blen, next ->
-          if not (Hashtbl.mem t.tbl key) then begin
-            Hashtbl.replace t.tbl key (off, blen);
-            t.order <- key :: t.order
-          end;
-          go next
-      | exception In_stream.Corrupt _ -> pos
-      | exception Invalid_argument _ -> pos
+  let (), valid =
+    In_stream.fold_intact decode_frame raw
+      (fun () (key, off, blen) ->
+        if not (Hashtbl.mem t.tbl key) then begin
+          Hashtbl.replace t.tbl key (off, blen);
+          t.order <- key :: t.order
+        end)
+      ()
   in
-  let valid = go 0 in
   (* Cut a torn tail off before the next append, exactly as Storage does
      for the segment log: garbage after the intact prefix would make every
      later frame unreachable. *)
@@ -135,14 +130,7 @@ let append_batch t batch =
       in
       List.iter (fun (key, body) -> add_frame buf key body) batch;
       let frames = Buffer.contents buf in
-      let w = t.vfs.Vfs.open_append t.file in
-      (try
-         w.Vfs.write frames;
-         w.Vfs.sync ()
-       with e ->
-         w.Vfs.close ();
-         raise e);
-      w.Vfs.close ();
+      Vfs.write_synced t.vfs Append t.file (fun write -> write frames);
       (* Mirror the append in memory: only the new frames are copied, and
          each is decoded (and its CRC checked) once, from [frames]. *)
       let base = t.used and n = String.length frames in
@@ -152,7 +140,7 @@ let append_batch t batch =
       let pos = ref 0 in
       List.iter
         (fun (key, _) ->
-          let k, off, blen, next = decode_frame frames ~pos:!pos in
+          let (k, off, blen), next = decode_frame frames ~pos:!pos in
           assert (k = key);
           Hashtbl.replace t.tbl key (base + off, blen);
           t.order <- key :: t.order;
@@ -210,14 +198,8 @@ let resolve t ~pending ~key data =
 
 let stage_rewrite t ~keep =
   let tmp = Storage.temp_of ~path:t.file in
-  let w = t.vfs.Vfs.open_trunc tmp in
-  (try
-     List.iter
-       (fun key -> if keep key then w.Vfs.write (encode_frame key (read t key)))
-       (keys t);
-     w.Vfs.sync ()
-   with e ->
-     w.Vfs.close ();
-     raise e);
-  w.Vfs.close ();
+  Vfs.write_synced t.vfs Trunc tmp (fun write ->
+      List.iter
+        (fun key -> if keep key then write (encode_frame key (read t key)))
+        (keys t));
   tmp

@@ -26,7 +26,13 @@
     never silently corrupts an epoch — the chunk is stored under a salted
     rehash ({!Chunk.salted_key}) instead, the append succeeds, and the
     event is recorded ({!collisions}) for the caller to surface (the CLI
-    reports it as a finding in the JSON envelope). *)
+    reports it as a finding in the JSON envelope).
+
+    Where the rules live: staging an epoch, the chain rules (newest full
+    epoch, reopen validation, {!check}) and entry → segment are
+    {!Epochs}, shared with [Ickpt_service.Service]; writing and reading
+    back the record files is {!Ickpt_core.Vfs.write_synced} and
+    [Ickpt_stream.In_stream.fold_intact]. *)
 
 open Ickpt_runtime
 open Ickpt_core
@@ -71,15 +77,16 @@ val append_segment : t -> Segment.t -> append_stats
     and the event recorded ({!collisions}).
     @raise Error on kind/sequence violations. *)
 
-type collision = {
-  col_epoch : int;  (** epoch whose append hit the collision *)
-  col_content_key : int;  (** the chunk's true content key, already taken *)
-  col_stored_key : int;  (** the salted key the chunk was stored under *)
-  col_attempt : int;  (** which rung of the salt ladder (>= 1) *)
+type collision = Epochs.collision = {
+  col_epoch : int;
+  col_content_key : int;
+  col_stored_key : int;
+  col_attempt : int;
 }
 
 val collisions : t -> collision list
-(** Collisions hit by appends {e this session}, oldest first. (Collisions
+(** Collisions hit by {e committed} appends this session, oldest first —
+    an append that raises records none. (Collisions
     survive on disk as salted chunks — see {!salted_chunks} — but the
     pairing with the epoch that hit them is session-local.) *)
 

@@ -65,3 +65,30 @@ let skip t n =
 let expect_byte t b what =
   let got = read_byte t in
   if got <> b then corrupt "bad %s: expected %#x, got %#x" what b got
+
+let fold_intact decode data f acc =
+  let len = String.length data in
+  let rec go acc pos =
+    if pos >= len then (acc, pos)
+    else
+      match decode data ~pos with
+      | x, next -> go (f acc x) next
+      | exception (Corrupt _ | Invalid_argument _) -> (acc, pos)
+  in
+  go acc 0
+
+let intact_prefix decode data =
+  let rev, pos = fold_intact decode data (fun acc x -> x :: acc) [] in
+  (List.rev rev, pos)
+
+let framed ~magic ~version ~what read s ~pos =
+  let inp = of_string_at s ~pos in
+  let m = read_fixed32 inp in
+  if m <> magic then corrupt "bad %s magic %#x at %d" what m pos;
+  let v = read_byte inp in
+  if v <> version then corrupt "unsupported %s version %d" what v;
+  let x = read inp in
+  let body_end = inp.pos in
+  if read_fixed32 inp <> Crc32.sub s ~pos ~len:(body_end - pos) then
+    corrupt "%s crc mismatch at %d" what pos;
+  (x, inp.pos)

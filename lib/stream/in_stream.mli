@@ -33,3 +33,26 @@ val skip : t -> int -> unit
 val expect_byte : t -> int -> string -> unit
 (** [expect_byte t b what] reads one byte and checks it equals [b].
     @raise Corrupt mentioning [what] otherwise. *)
+
+val framed :
+  magic:int -> version:int -> what:string -> (t -> 'a) -> string -> pos:int ->
+  'a * int
+(** Decode one {!Out_stream.framed} frame at [pos]: check [magic] and
+    [version], run [read] over the payload, check the CRC. Returns the
+    payload and the offset just past the frame.
+    @raise Corrupt (naming [what]) on a bad magic, version or checksum, or
+    truncation. *)
+
+val fold_intact :
+  (string -> pos:int -> 'a * int) -> string -> ('b -> 'a -> 'b) -> 'b ->
+  'b * int
+(** [fold_intact decode data f init] decodes frames back to back from
+    offset 0, folding [f] over every intact one (file order), and returns
+    the result with the offset of the first byte that does not decode —
+    the end of [data] when all of it does. {!Corrupt} or
+    [Invalid_argument] from [decode] ends the prefix. The one loop every
+    record file (segment log, pack, epoch index, tenant catalog) is read
+    back with; the caller decides whether to truncate. *)
+
+val intact_prefix : (string -> pos:int -> 'a * int) -> string -> 'a list * int
+(** {!fold_intact} collecting the intact items, in file order. *)

@@ -46,3 +46,11 @@ let contents = function
 let reset = function
   | Buffered buf -> Buffer.clear buf
   | Sink count -> count := 0
+
+let framed ~magic ~version write =
+  let d = create () in
+  write_fixed32 d magic;
+  write_byte d version;
+  write d;
+  write_fixed32 d (Crc32.string (contents d));
+  contents d

@@ -40,3 +40,8 @@ val contents : t -> string
 
 val reset : t -> unit
 (** Forget all written data; [size] returns to 0. *)
+
+val framed : magic:int -> version:int -> (t -> unit) -> string
+(** One checksummed record-file frame: [magic] (fixed32), [version]
+    (byte), whatever the callback writes, then the CRC-32 of all of it
+    (fixed32). {!In_stream.framed} reads it back. *)

@@ -421,6 +421,94 @@ let service_salted_collision () =
   check_bool "service checks clean" true (Service.check svc = []);
   Service.close svc
 
+(* A vfs whose writes and syncs raise [Sim.Io_error] while the returned
+   flag is set — a disk that fails and then heals, within one session. *)
+let breakable_vfs inner =
+  let broken = ref false in
+  let guard f x = if !broken then raise (Sim.Io_error "injected") else f x in
+  let wrap w =
+    { w with Vfs.write = guard w.Vfs.write; sync = guard w.Vfs.sync }
+  in
+  ( { inner with
+      Vfs.open_append = (fun p -> wrap (inner.Vfs.open_append p));
+      open_trunc = (fun p -> wrap (inner.Vfs.open_trunc p)) },
+    broken )
+
+(* A collision belongs to an epoch only once that epoch commits: a failed
+   append (and its retries) must not report one. *)
+let store_collision_after_commit () =
+  let inner = fresh_vfs () in
+  let w = make_world ~offset:0 in
+  let c0 =
+    List.hd (Chunk.split ~records_per_chunk:4 w.schema (full_body w.roots))
+  in
+  let pack = Pack.open_ ~vfs:inner (Store.pack_path "s") in
+  ignore (Pack.append_batch pack [ (c0.Chunk.key, "poison") ] : int);
+  let vfs, broken = breakable_vfs inner in
+  let store = Store.open_ ~vfs ~records_per_chunk:4 w.schema ~path:"s" in
+  let seg = (Chain.take_full (Chain.create w.schema) w.roots).Chain.segment in
+  broken := true;
+  for _ = 1 to 2 do
+    match Store.append_segment store seg with
+    | _ -> Alcotest.fail "append on a failing disk succeeded"
+    | exception Sim.Io_error _ ->
+        check_bool "no epoch committed" true (Store.epochs store = []);
+        check_int "no collision reported" 0
+          (List.length (Store.collisions store))
+  done;
+  broken := false;
+  ignore (Store.append_segment store seg : Store.append_stats);
+  check_bool "epoch committed" true (Store.epochs store = [ 0 ]);
+  check_int "exactly one collision" 1 (List.length (Store.collisions store))
+
+(* The same segments through a Store and a one-shard Per_epoch Service
+   tenant, both packs seeded with the same poisoned key, stage alike: the
+   packs are byte-identical, the index entries equal, one collision each. *)
+let store_service_stage_alike () =
+  let w = make_world ~offset:0 in
+  let c0 =
+    List.hd (Chunk.split ~records_per_chunk:4 w.schema (full_body w.roots))
+  in
+  let seeded pack_file =
+    let vfs = fresh_vfs () in
+    ignore
+      (Pack.append_batch (Pack.open_ ~vfs pack_file)
+         [ (c0.Chunk.key, "poison") ]
+        : int);
+    vfs
+  in
+  let svfs = seeded (Store.pack_path "s")
+  and vvfs = seeded (Service.pack_path "svc") in
+  let store = Store.open_ ~vfs:svfs ~records_per_chunk:4 w.schema ~path:"s" in
+  let svc =
+    Service.open_ ~vfs:vvfs ~shards:1 ~records_per_chunk:4
+      ~commit:Service.Per_epoch ~path:"svc" ()
+  in
+  let tn = Service.open_tenant svc w.schema ~name:"twin" in
+  let chain = Chain.create w.schema in
+  for r = 0 to 12 do
+    if r > 0 then w.mutate r;
+    let taken =
+      if r mod 5 = 0 then Chain.take_full chain w.roots
+      else Chain.take_incremental chain w.roots
+    in
+    ignore
+      (Store.append_segment store taken.Chain.segment : Store.append_stats);
+    ignore (Service.append tn taken.Chain.segment : int)
+  done;
+  check_int "store: one collision" 1 (List.length (Store.collisions store));
+  check_int "service: one collision" 1 (List.length (Service.collisions svc));
+  Service.close svc;
+  Alcotest.(check string)
+    "packs byte-identical"
+    (svfs.Vfs.read_file (Store.pack_path "s"))
+    (vvfs.Vfs.read_file (Service.pack_path "svc"));
+  let entries, _ = Epoch_index.load svfs (Store.index_path "s") in
+  let muxes, _ = Epoch_index.load_mux vvfs (Service.shard_index_path "svc" 0) in
+  check_int "13 epochs" 13 (List.length entries);
+  check_bool "index entries equal" true
+    (entries = List.map (fun (m : Epoch_index.mux_entry) -> m.m_entry) muxes)
+
 (* ------------------------------------------------------------------ *)
 (* Property: any interleaving of tenants across domains restores every
    tenant byte-identically to running alone on a private store.        *)
@@ -578,7 +666,7 @@ let reopen_rejections () =
   Service.close svc;
   let idx = Service.shard_index_path path 0 in
   let committed = vfs.Vfs.read_file idx in
-  let muxes, _ = Epoch_index.parse_mux committed in
+  let muxes, _ = Epoch_index.load_mux vfs idx in
   let last_of name =
     List.find
       (fun (m : Epoch_index.mux_entry) ->
@@ -629,7 +717,11 @@ let suites =
     ( "service.collision",
       [ Alcotest.test_case "store salted rehash" `Quick store_salted_collision;
         Alcotest.test_case "service surfaces collision" `Quick
-          service_salted_collision ] );
+          service_salted_collision;
+        Alcotest.test_case "store records after commit" `Quick
+          store_collision_after_commit;
+        Alcotest.test_case "store and service stage alike" `Quick
+          store_service_stage_alike ] );
     ( "service.property",
       [ QCheck_alcotest.to_alcotest prop_interleaving ] );
     ( "service.sweep",
