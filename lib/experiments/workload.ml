@@ -16,24 +16,34 @@ let config ~scale ~list_len ~n_int_fields ~pct ~modified_lists ~last_only =
 
 type measured = { bytes : int; seconds : float }
 
-let measure ?(repeats = 3) t runner =
+(* A cell of the figures can take about a millisecond at small scales,
+   where the best of a few runs is still noise; so a cell runs at least
+   [min_repeats] times and until [min_seconds] of it has been timed. *)
+let min_repeats = 5
+
+let min_seconds = 0.020
+
+let measure t runner =
   let roots = Synth.roots t in
   Synth.base_checkpoint t;
   let bytes = ref 0 in
-  let best = ref infinity in
-  for rep = 1 to repeats do
-    ignore (Synth.mutate_round t);
-    let d =
-      if rep = 1 then Ickpt_stream.Out_stream.create ()
-      else Ickpt_stream.Out_stream.sink ()
-    in
-    let (), s =
-      Clock.time (fun () -> List.iter (fun r -> runner d r) roots)
-    in
-    if rep = 1 then bytes := Ickpt_stream.Out_stream.size d;
-    if s < !best then best := s
-  done;
-  { bytes = !bytes; seconds = !best }
+  let rec go rep ~best ~total =
+    if rep > min_repeats && total >= min_seconds then best
+    else begin
+      ignore (Synth.mutate_round t);
+      let d =
+        if rep = 1 then Ickpt_stream.Out_stream.create ()
+        else Ickpt_stream.Out_stream.sink ()
+      in
+      let (), s =
+        Clock.time (fun () -> List.iter (fun r -> runner d r) roots)
+      in
+      if rep = 1 then bytes := Ickpt_stream.Out_stream.size d;
+      go (rep + 1) ~best:(Float.min best s) ~total:(total +. s)
+    end
+  in
+  let seconds = go 1 ~best:infinity ~total:0. in
+  { bytes = !bytes; seconds }
 
 let generic_core d o = Ickpt_core.Checkpointer.incremental d o
 
@@ -63,10 +73,10 @@ let pp_checks ppf checks =
 
 let failures = List.filter (fun c -> c.status = Fail)
 
-let compare_runners ?repeats cfg ~baseline ~subject =
+let compare_runners cfg ~baseline ~subject =
   let run mk =
     let t = Synth.build cfg in
-    measure ?repeats t (mk t)
+    measure t (mk t)
   in
   let b = run baseline in
   let s = run subject in

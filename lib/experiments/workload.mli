@@ -18,16 +18,17 @@ val config :
 
 type measured = {
   bytes : int;  (** checkpoint size of the first (recorded) run *)
-  seconds : float;  (** best-of-[repeats] construction time *)
+  seconds : float;  (** fastest repetition's construction time *)
 }
 
 val measure :
-  ?repeats:int -> Synth.t ->
+  Synth.t ->
   (Ickpt_stream.Out_stream.t -> Ickpt_runtime.Model.obj -> unit) -> measured
 (** Steady-state measurement: each repetition applies one mutation round
     (per the population's configuration) and times a checkpoint of every
-    structure. The first repetition's byte count is reported; subsequent
-    repetitions keep the fastest wall-clock time. Default 3 repetitions. *)
+    structure. Repetitions continue until there are at least 5 of them and
+    their times sum to at least 20 ms. The first repetition's byte count is
+    reported, and the fastest repetition's wall-clock time. *)
 
 (** {1 Ready-made runners} *)
 
@@ -67,7 +68,7 @@ val failures : check list -> check list
 (** The checks that FAILed ([Not_applicable] ones are not failures). *)
 
 val compare_runners :
-  ?repeats:int -> Synth.config ->
+  Synth.config ->
   baseline:(Synth.t -> Ickpt_stream.Out_stream.t -> Ickpt_runtime.Model.obj -> unit) ->
   subject:(Synth.t -> Ickpt_stream.Out_stream.t -> Ickpt_runtime.Model.obj -> unit) ->
   measured * measured * float

@@ -27,19 +27,19 @@ let fold ~entries ~epoch =
   in
   let slots =
     Restore.slots
-      (match live with x :: _ -> List.length x.Epoch_index.dir | [] -> 0)
+      (match live with x :: _ -> Array.length x.Epoch_index.dir / 3 | [] -> 0)
   in
   ignore
     (List.fold_left
        (fun first (x : Epoch_index.entry) ->
-         let n = List.length x.chunks in
-         List.iter
-           (fun { Epoch_index.d_id; d_chunk; d_off } ->
-             if d_chunk < 0 || d_chunk >= n then
-               error "epoch %d: object %d points at chunk %d of %d" x.epoch
-                 d_id d_chunk n;
-             Restore.set_slot slots ~id:d_id ~src:(first + d_chunk) ~off:d_off)
-           x.dir;
+         let n = List.length x.chunks and dir = x.dir in
+         for i = 0 to (Array.length dir / 3) - 1 do
+           let id = dir.(3 * i) and c = dir.((3 * i) + 1) in
+           if c < 0 || c >= n then
+             error "epoch %d: object %d points at chunk %d of %d" x.epoch id
+               c n;
+           Restore.set_slot slots ~id ~src:(first + c) ~off:dir.((3 * i) + 2)
+         done;
          first + n)
        0 live
       : int);

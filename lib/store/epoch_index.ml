@@ -5,14 +5,12 @@ let magic = 0x584b4349 (* "ICKX" read as LE bytes; value is arbitrary *)
 
 let version = 1
 
-type dir_entry = { d_id : int; d_chunk : int; d_off : int }
-
 type entry = {
   epoch : int;
   kind : Segment.kind;
   roots : int list;
   chunks : int list;
-  dir : dir_entry list;
+  dir : int array;
 }
 
 let kind_byte = function Segment.Full -> 0 | Segment.Incremental -> 1
@@ -27,18 +25,21 @@ let write_payload d e =
   List.iter (Out_stream.write_int d) e.roots;
   Out_stream.write_int d (List.length e.chunks);
   List.iter (Out_stream.write_int d) e.chunks;
-  Out_stream.write_int d (List.length e.dir);
-  List.iter
-    (fun { d_id; d_chunk; d_off } ->
-      Out_stream.write_int d d_id;
-      Out_stream.write_int d d_chunk;
-      Out_stream.write_int d d_off)
-    e.dir
+  if Array.length e.dir mod 3 <> 0 then
+    invalid_arg "Epoch_index: dir is not triples";
+  Out_stream.write_int d (Array.length e.dir / 3);
+  Array.iter (Out_stream.write_int d) e.dir
 
-let read_list inp read =
+(* A count of items at least [width] bytes each (one varint per field) can
+   claim no more than the bytes left, so a forged count is [Corrupt] here
+   rather than an allocation of whatever size it names. *)
+let read_count inp ~width =
   let n = In_stream.read_int inp in
-  if n < 0 then raise (In_stream.Corrupt "negative list length in index entry");
-  List.init n (fun _ -> read inp)
+  if n < 0 || n > In_stream.remaining inp / width then
+    raise (In_stream.Corrupt (Printf.sprintf "bad index entry count %d" n));
+  n
+
+let read_ints inp n = List.init n (fun _ -> In_stream.read_int inp)
 
 let read_payload inp =
   let epoch = In_stream.read_int inp in
@@ -48,15 +49,12 @@ let read_payload inp =
     | 1 -> Segment.Incremental
     | k -> raise (In_stream.Corrupt (Printf.sprintf "bad entry kind %d" k))
   in
-  let roots = read_list inp In_stream.read_int in
-  let chunks = read_list inp In_stream.read_int in
-  let dir =
-    read_list inp (fun inp ->
-        let d_id = In_stream.read_int inp in
-        let d_chunk = In_stream.read_int inp in
-        let d_off = In_stream.read_int inp in
-        { d_id; d_chunk; d_off })
-  in
+  let roots = read_ints inp (read_count inp ~width:1) in
+  let chunks = read_ints inp (read_count inp ~width:1) in
+  let dir = Array.make (3 * read_count inp ~width:3) 0 in
+  for i = 0 to Array.length dir - 1 do
+    dir.(i) <- In_stream.read_int inp
+  done;
   { epoch; kind; roots; chunks; dir }
 
 let encode e = Out_stream.framed ~magic ~version (fun d -> write_payload d e)

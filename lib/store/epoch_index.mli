@@ -10,6 +10,10 @@
       newest-wins from the nearest full epoch yields the per-object
       directory of any epoch.
 
+    In memory the delta is one flat [int array] of [(id, chunk, off)]
+    triples, decoded straight from the varints: one block per entry, not
+    a record and a list cell per object.
+
     Wire layout of one entry:
     {v
     magic   fixed32  "ICKX"
@@ -21,6 +25,9 @@
     ndir    varint   then ndir triples (id, chunk, off) of varints
     crc     fixed32  CRC-32 of everything above
     v}
+
+    A count claiming more items than bytes are left is
+    {!Ickpt_stream.In_stream.Corrupt} before anything is allocated for it.
 
     Appending an entry (write + sync) is the {e commit point} of an epoch:
     chunks are appended to the pack first, so a crash between the two
@@ -36,21 +43,20 @@
 
 open Ickpt_core
 
-type dir_entry = {
-  d_id : int;  (** object record id *)
-  d_chunk : int;  (** index into the entry's [chunks] list *)
-  d_off : int;  (** byte offset of the record within that chunk *)
-}
-
 type entry = {
   epoch : int;
   kind : Segment.kind;
   roots : int list;
   chunks : int list;  (** chunk keys, in body order *)
-  dir : dir_entry list;  (** directory delta, in record write order *)
+  dir : int array;
+      (** directory delta, in record write order: triple [i] is the object
+          record id [dir.(3i)], its chunk's index in [chunks]
+          [dir.(3i+1)] and its byte offset within that chunk
+          [dir.(3i+2)] *)
 }
 
 val encode : entry -> string
+(** @raise Invalid_argument if [dir]'s length is not a multiple of 3. *)
 
 val decode : string -> pos:int -> entry * int
 (** One entry at [pos] and the offset just past it.

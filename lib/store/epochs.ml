@@ -40,15 +40,22 @@ let stage pack ~pending ~kind ~epoch ~roots chunks =
       chunks
   in
   let dir =
-    List.concat
-      (List.mapi
-         (fun i (c : Chunk.t) ->
-           List.map
-             (fun (id, off) ->
-               { Epoch_index.d_id = id; d_chunk = i; d_off = off })
-             c.records)
+    Array.make
+      (List.fold_left (fun n (c : Chunk.t) -> n + (3 * List.length c.records)) 0
          chunks)
+      0
   in
+  let j = ref 0 in
+  List.iteri
+    (fun i (c : Chunk.t) ->
+      List.iter
+        (fun (id, off) ->
+          dir.(!j) <- id;
+          dir.(!j + 1) <- i;
+          dir.(!j + 2) <- off;
+          j := !j + 3)
+        c.records)
+    chunks;
   { fresh = List.rev !fresh;
     entry = { Epoch_index.epoch; kind; roots; chunks = keys; dir };
     collisions = List.rev !collisions }
@@ -92,13 +99,14 @@ let resolves pack (e : Epoch_index.entry) =
   match Array.of_list (List.map (Pack.chunk_len pack) e.chunks) with
   | exception Not_found -> false
   | lens ->
-      List.for_all
-        (fun { Epoch_index.d_chunk; d_off; _ } ->
-          d_chunk >= 0
-          && d_chunk < Array.length lens
-          && d_off >= 0
-          && d_off < lens.(d_chunk))
-        e.dir
+      let rec ok i =
+        i >= Array.length e.dir
+        ||
+        let c = e.dir.(i + 1) and off = e.dir.(i + 2) in
+        c >= 0 && c < Array.length lens && off >= 0 && off < lens.(c)
+        && ok (i + 3)
+      in
+      ok 0
 
 (* Longest valid prefix: per chain, the oldest epoch full and the rest
    contiguous, every entry resolving against the pack. Crash-consistent
@@ -157,25 +165,26 @@ let check_entry pack (e : Epoch_index.entry) =
              Some d)
          e.chunks)
   in
-  List.iter
-    (fun { Epoch_index.d_id; d_chunk; d_off } ->
-      if d_chunk < 0 || d_chunk >= Array.length data then
-        err "record %d points at chunk index %d/%d" d_id d_chunk
-          (Array.length data)
-      else
-        match data.(d_chunk) with
-        | None -> ()
-        | Some d when d_off < 0 || d_off >= String.length d ->
-            err "record %d offset %d out of range" d_id d_off
-        | Some d -> (
-            let inp = In_stream.of_string_at d ~pos:d_off in
-            match In_stream.read_int inp with
-            | id when id <> d_id ->
-                err "directory entry for object %d lands on record %d" d_id id
-            | _ -> ()
-            | exception In_stream.Corrupt _ ->
-                err "record %d at offset %d is truncated" d_id d_off))
-    e.dir;
+  for i = 0 to (Array.length e.dir / 3) - 1 do
+    let d_id = e.dir.(3 * i) and d_chunk = e.dir.((3 * i) + 1) in
+    let d_off = e.dir.((3 * i) + 2) in
+    if d_chunk < 0 || d_chunk >= Array.length data then
+      err "record %d points at chunk index %d/%d" d_id d_chunk
+        (Array.length data)
+    else
+      match data.(d_chunk) with
+      | None -> ()
+      | Some d when d_off < 0 || d_off >= String.length d ->
+          err "record %d offset %d out of range" d_id d_off
+      | Some d -> (
+          let inp = In_stream.of_string_at d ~pos:d_off in
+          match In_stream.read_int inp with
+          | id when id <> d_id ->
+              err "directory entry for object %d lands on record %d" d_id id
+          | _ -> ()
+          | exception In_stream.Corrupt _ ->
+              err "record %d at offset %d is truncated" d_id d_off)
+  done;
   List.rev !errs
 
 let check idx pack ~who items =

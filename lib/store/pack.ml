@@ -5,12 +5,16 @@ let magic = 0x4b504349 (* "ICPK" read as LE bytes; value is arbitrary *)
 
 let version = 1
 
+(* Where a chunk body lives: [len] bytes at [off] of an immutable string —
+   the file bytes read at open, or the frames of the batch that appended
+   it. *)
+type slice = { src : string; off : int; len : int }
+
 type t = {
   vfs : Vfs.t;
   file : string;
-  mutable buf : Bytes.t;  (* the file's intact prefix is [buf.[0 .. used-1]] *)
-  mutable used : int;
-  tbl : (int, int * int) Hashtbl.t;  (* key -> (body offset, body len) *)
+  mutable size : int;  (* bytes of intact frames: the file's length *)
+  tbl : (int, slice) Hashtbl.t;
   mutable order : int list;  (* keys, reverse append order *)
 }
 
@@ -55,36 +59,30 @@ let decode_frame s ~pos =
     raise (In_stream.Corrupt (Printf.sprintf "pack crc mismatch at %d" pos));
   ((key, off, len), In_stream.pos inp)
 
+let add t key slice =
+  if not (Hashtbl.mem t.tbl key) then begin
+    Hashtbl.replace t.tbl key slice;
+    t.order <- key :: t.order
+  end
+
 let load t =
   Hashtbl.reset t.tbl;
   t.order <- [];
   let raw = Vfs.contents t.vfs t.file in
-  let len = String.length raw in
   let (), valid =
     In_stream.fold_intact decode_frame raw
-      (fun () (key, off, blen) ->
-        if not (Hashtbl.mem t.tbl key) then begin
-          Hashtbl.replace t.tbl key (off, blen);
-          t.order <- key :: t.order
-        end)
+      (fun () (key, off, len) -> add t key { src = raw; off; len })
       ()
   in
   (* Cut a torn tail off before the next append, exactly as Storage does
      for the segment log: garbage after the intact prefix would make every
-     later frame unreachable. *)
-  if valid < len then t.vfs.Vfs.truncate t.file ~len:valid;
-  (* A copy, never [raw] itself: a vfs may hand out its own file buffer
-     (the simulator does), and appends write into the mirror. *)
-  let buf = Bytes.create valid in
-  Bytes.blit_string raw 0 buf 0 valid;
-  t.buf <- buf;
-  t.used <- valid
+     later frame unreachable. [raw] keeps the cut bytes, but no slice
+     reaches past [valid]. *)
+  if valid < String.length raw then t.vfs.Vfs.truncate t.file ~len:valid;
+  t.size <- valid
 
 let open_ ?(vfs = Vfs.real) file =
-  let t =
-    { vfs; file; buf = Bytes.empty; used = 0; tbl = Hashtbl.create 256;
-      order = [] }
-  in
+  let t = { vfs; file; size = 0; tbl = Hashtbl.create 256; order = [] } in
   load t;
   t
 
@@ -95,25 +93,16 @@ let path t = t.file
 let mem t key = Hashtbl.mem t.tbl key
 
 let read t key =
-  let off, len = Hashtbl.find t.tbl key in
-  Bytes.sub_string t.buf off len
+  let { src; off; len } = Hashtbl.find t.tbl key in
+  String.sub src off len
 
-let chunk_len t key = snd (Hashtbl.find t.tbl key)
+let chunk_len t key = (Hashtbl.find t.tbl key).len
 
 let keys t = List.rev t.order
 
 let length t = Hashtbl.length t.tbl
 
-let physical_bytes t = t.used
-
-(* Room for [n] more bytes in the mirror, doubling its capacity. *)
-let reserve t n =
-  let need = t.used + n in
-  if need > Bytes.length t.buf then begin
-    let buf = Bytes.create (max need (max 4096 (2 * Bytes.length t.buf))) in
-    Bytes.blit t.buf 0 buf 0 t.used;
-    t.buf <- buf
-  end
+let physical_bytes t = t.size
 
 let append_batch t batch =
   match batch with
@@ -131,42 +120,39 @@ let append_batch t batch =
       List.iter (fun (key, body) -> add_frame buf key body) batch;
       let frames = Buffer.contents buf in
       Vfs.write_synced t.vfs Append t.file (fun write -> write frames);
-      (* Mirror the append in memory: only the new frames are copied, and
-         each is decoded (and its CRC checked) once, from [frames]. *)
-      let base = t.used and n = String.length frames in
-      reserve t n;
-      Bytes.blit_string frames 0 t.buf base n;
-      t.used <- base + n;
+      (* The new chunks are indexed where they already are, in [frames]:
+         each frame is decoded (and its CRC checked) once, nothing is
+         copied. *)
       let pos = ref 0 in
       List.iter
         (fun (key, _) ->
-          let (k, off, blen), next = decode_frame frames ~pos:!pos in
+          let (k, off, len), next = decode_frame frames ~pos:!pos in
           assert (k = key);
-          Hashtbl.replace t.tbl key (base + off, blen);
-          t.order <- key :: t.order;
+          add t key { src = frames; off; len };
           pos := next)
         batch;
-      n
+      t.size <- t.size + String.length frames;
+      String.length frames
 
 type resolution =
   | Dup of int
   | Fresh of { key : int; attempt : int }
 
-(* Does the mirror hold exactly [data] at [off, off + len)? Compared in
-   place, eight bytes at a time, without copying the chunk out. *)
-let equal_at t ~off ~len data =
+(* Does the slice hold exactly [data]? Compared in place, eight bytes at a
+   time, without copying the chunk out. *)
+let equal_at { src; off; len } data =
   len = String.length data
   &&
   let i = ref 0 in
   while
     !i + 8 <= len
     && Int64.equal
-         (Bytes.get_int64_le t.buf (off + !i))
+         (String.get_int64_le src (off + !i))
          (String.get_int64_le data !i)
   do
     i := !i + 8
   done;
-  while !i < len && Bytes.get t.buf (off + !i) = data.[!i] do
+  while !i < len && src.[off + !i] = data.[!i] do
     incr i
   done;
   !i = len
@@ -184,7 +170,7 @@ let resolve t ~pending ~key data =
       let key = if attempt = 0 then key else Chunk.salted_key data ~attempt in
       let same =
         match Hashtbl.find_opt t.tbl key with
-        | Some (off, len) -> Some (equal_at t ~off ~len data)
+        | Some s -> Some (equal_at s data)
         | None -> Option.map (String.equal data) (Hashtbl.find_opt pending key)
       in
       match same with

@@ -11,21 +11,21 @@
     crc     fixed32  CRC-32 of everything above
     v}
 
-    The intact prefix of the file is mirrored in memory in an append-only
-    byte buffer whose capacity doubles as it fills (packs are bounded by
-    the store's retention policy). A chunk read copies the chunk's bytes
-    out of the buffer; {!resolve} compares a key hit against them in
-    place.
+    Nothing is copied to keep the chunks at hand: the key table maps each
+    key to a slice of an immutable string — the bytes read at open, or the
+    encoded frames of the batch that appended the chunk. Opening costs one
+    read of the file and no second buffer; an append costs O(batch), not
+    O(pack). A chunk read copies the chunk's bytes out of its slice;
+    {!resolve} compares a key hit against them in place.
 
-    Every frame is CRC-checked once when it enters the mirror:
+    Every frame is CRC-checked once, when its slice enters the table:
     - on open ({!open_}, {!reload}), every frame of the file is decoded
       and checked; a torn or corrupt tail — the normal outcome of a crash
       mid-append — is truncated away, and anything before it is intact by
       CRC;
     - on {!append_batch}, after the write and sync, each new frame is
       decoded and checked from the batch's own bytes (a self-check of the
-      encoder), and only those bytes are copied into the buffer, so an
-      append costs O(batch), not O(pack).
+      encoder).
 
     All file access goes through {!Ickpt_core.Vfs}. *)
 
@@ -36,9 +36,8 @@ val open_ : ?vfs:Ickpt_core.Vfs.t -> string -> t
     torn tail. *)
 
 val reload : t -> unit
-(** Re-read the file and rebuild the in-memory mirror — used after a GC
-    rewrite commits. The mirror is a copy: the bytes the vfs returned are
-    never written to. *)
+(** Re-read the file and rebuild the key table — used after a GC rewrite
+    commits. The bytes the vfs returned are only ever read. *)
 
 val path : t -> string
 
@@ -88,6 +87,6 @@ val resolve :
 val stage_rewrite : t -> keep:(int -> bool) -> string
 (** Write a pack containing only the kept chunks (in their original order)
     to the staging path ({!Ickpt_core.Storage.temp_of}), sync it, and
-    return that path. The live pack and the in-memory mirror are not
-    touched; the caller commits by renaming the staged file over {!path}
-    and calling {!reload}. *)
+    return that path. The live pack and its key table are not touched;
+    the caller commits by renaming the staged file over {!path} and
+    calling {!reload}. *)

@@ -110,9 +110,7 @@ let sample_entry i =
     kind = (if i = 0 then Segment.Full else Segment.Incremental);
     roots = [ 0; i ];
     chunks = [ 111 + i; 222 + i ];
-    dir =
-      [ { Epoch_index.d_id = 0; d_chunk = 0; d_off = 0 };
-        { Epoch_index.d_id = i + 1; d_chunk = 1; d_off = 7 * i } ] }
+    dir = [| 0; 0; 0; i + 1; 1; 7 * i |] }
 
 let mux_roundtrip () =
   let vfs = fresh_vfs () in

@@ -175,9 +175,9 @@ let pack_roundtrip_and_torn_tail () =
     (Pack.physical_bytes p2);
   check_string "intact chunks survive" d1 (Pack.read p2 k1)
 
-(* 200 appends of mixed sizes grow the mirror several times over; every
-   chunk reads back the same before and after reopen, and the mirror is
-   exactly the file. *)
+(* 200 appends of mixed sizes, one to three chunks each; every chunk reads
+   back the same before and after reopen, and the pack's size is exactly
+   the file's. *)
 let pack_growth () =
   let sim = Sim.create () in
   let vfs = Sim.vfs sim in
@@ -217,8 +217,8 @@ let pack_growth () =
 (* A reopen that cut a torn tail, then an append: the file is the intact
    prefix followed by exactly the new frames (what a fresh pack writes for
    the same batch), and the bytes the vfs handed to the reopen are left as
-   they were — the simulator returns its own file string, so a mirror that
-   aliased it would write the new frames into the torn tail's room. *)
+   they were — the simulator returns its own file string, and the pack's
+   slices point into it. *)
 let pack_torn_tail_then_append () =
   let sim = Sim.create () in
   let vfs = Sim.vfs sim in
@@ -251,18 +251,59 @@ let pack_torn_tail_then_append () =
         (Pack.read (Pack.open_ ~vfs "t.pack") k))
     (chunk "first" :: chunk "second" :: batch)
 
+(* Chunks are slices of immutable strings: the bytes read at open and the
+   frames of each later batch. A chunk from each source keeps resolving as
+   a duplicate and reading back through a torn-tail cut, further appends
+   and a GC's rewrite + reload; the pack's size is the file's each time,
+   and the string the open read is never written to. *)
+let pack_slices () =
+  let sim = Sim.create () in
+  let vfs = Sim.vfs sim in
+  let chunk d = (Chunk.key_of d, d) in
+  let loaded = chunk (String.make 300 'l') in
+  ignore (Pack.append_batch (Pack.open_ ~vfs "s.pack") [ loaded ] : int);
+  append_bytes vfs "s.pack" "ICPK\001torn";
+  let handed = vfs.Vfs.read_file "s.pack" in
+  let handed_copy = String.init (String.length handed) (String.get handed) in
+  let p = Pack.open_ ~vfs "s.pack" in
+  let appended = chunk (String.make 200 'a') in
+  let check_both name =
+    List.iter
+      (fun (k, d) ->
+        check_bool (name ^ ": resolves as a duplicate") true
+          (Pack.resolve p ~pending:(Hashtbl.create 1) ~key:k d = Pack.Dup k);
+        check_string (name ^ ": reads back") d (Pack.read p k))
+      (loaded :: (if Pack.mem p (fst appended) then [ appended ] else []));
+    check_int (name ^ ": physical bytes = file length")
+      (String.length (vfs.Vfs.read_file "s.pack"))
+      (Pack.physical_bytes p)
+  in
+  check_both "after the torn-tail cut";
+  ignore (Pack.append_batch p [ appended ] : int);
+  check_both "after an append";
+  let dropped = chunk "dropped by gc" in
+  ignore (Pack.append_batch p [ dropped; chunk "kept" ] : int);
+  ignore (Pack.append_batch p [ chunk (String.make 5000 'z') ] : int);
+  check_both "after further appends";
+  let tmp = Pack.stage_rewrite p ~keep:(fun k -> k <> fst dropped) in
+  vfs.Vfs.rename ~src:tmp ~dst:"s.pack";
+  Pack.reload p;
+  check_bool "gc dropped the chunk" false (Pack.mem p (fst dropped));
+  check_both "after gc's rewrite and reload";
+  check_string "the string read at open is untouched" handed_copy handed
+
 let index_roundtrip_and_torn_tail () =
   let sim = Sim.create () in
   let vfs = Sim.vfs sim in
   let e1 =
     { Epoch_index.epoch = 0; kind = Segment.Full; roots = [ 7 ];
       chunks = [ Chunk.key_of "x" ];
-      dir = [ { Epoch_index.d_id = 7; d_chunk = 0; d_off = 0 } ] }
+      dir = [| 7; 0; 0 |] }
   in
   let e2 =
     { Epoch_index.epoch = 1; kind = Segment.Incremental; roots = [ 7 ];
       chunks = [ Chunk.key_of "y"; Chunk.key_of "x" ];
-      dir = [ { Epoch_index.d_id = 9; d_chunk = 1; d_off = 3 } ] }
+      dir = [| 9; 1; 3 |] }
   in
   List.iter
     (fun e ->
@@ -508,15 +549,16 @@ let store_misdirected_pointer () =
         if not (contains msg mentions) then
           Alcotest.failf "%s: error %S does not mention %S" name msg mentions
   in
-  (* Point the first record's entry at its neighbour in the same chunk. *)
+  (* Point the first record's entry at its neighbour in the same chunk
+     (directory triples are (id, chunk, off)). *)
   let a = ref 0 and b = ref 0 in
   let store, epoch =
-    forge (function
-      | (x : Epoch_index.dir_entry) :: y :: _ when x.d_chunk = y.d_chunk ->
-          a := x.d_id;
-          b := y.d_id;
-          [ { x with d_off = y.d_off } ]
-      | _ -> Alcotest.fail "expected two records in the first chunk")
+    forge (fun dir ->
+        if Array.length dir < 6 || dir.(1) <> dir.(4) then
+          Alcotest.fail "expected two records in the first chunk";
+        a := dir.(0);
+        b := dir.(3);
+        [| dir.(0); dir.(1); dir.(5) |])
   in
   let lands = Printf.sprintf "object %d lands on record %d" !a !b in
   expect_restore_error "neighbour record" store epoch ~mentions:lands;
@@ -524,9 +566,9 @@ let store_misdirected_pointer () =
     (List.exists (fun e -> contains e lands) (Store.check store));
   (* A negative directory id is the same typed error. *)
   let store, epoch =
-    forge (function
-      | (x : Epoch_index.dir_entry) :: _ -> [ { x with d_id = -5 } ]
-      | [] -> Alcotest.fail "empty directory")
+    forge (fun dir ->
+        if Array.length dir = 0 then Alcotest.fail "empty directory";
+        [| -5; dir.(1); dir.(2) |])
   in
   expect_restore_error "negative id" store epoch ~mentions:"-5"
 
@@ -537,14 +579,14 @@ let rejected_entries ~chunk_len (last : Epoch_index.entry) =
   let next =
     { last with Epoch_index.epoch = last.epoch + 1; kind = Segment.Incremental }
   in
-  let d0 = List.hd last.dir in
-  let d0_len = chunk_len (List.nth last.chunks d0.Epoch_index.d_chunk) in
+  (* The first directory triple (id, chunk, off), re-pointed. *)
+  let id0 = last.dir.(0) and c0 = last.dir.(1) in
+  let c0_len = chunk_len (List.nth last.chunks c0) in
   [ ( "absent chunk",
       { next with chunks = Chunk.key_of "never stored" :: List.tl last.chunks } );
     ( "d_chunk out of range",
-      { next with
-        dir = [ { d0 with d_chunk = List.length last.chunks } ] } );
-    ("d_off at chunk length", { next with dir = [ { d0 with d_off = d0_len } ] });
+      { next with dir = [| id0; List.length last.chunks; last.dir.(2) |] } );
+    ("d_off at chunk length", { next with dir = [| id0; c0; c0_len |] });
     ("epoch gap", { next with epoch = last.epoch + 2 }) ]
 
 (* Reopen keeps exactly the entries before a rejected one and cuts the
@@ -571,6 +613,99 @@ let store_reopen_rejections () =
         (vfs.Vfs.read_file idx);
       check_bool (name ^ ": consistent") true (Store.check store = []))
     (rejected_entries ~chunk_len:(Pack.chunk_len pack) last)
+
+(* CRC-valid entries whose roots, chunks or directory count claims 2^40
+   items: the decoders (plain and mux) reject each count against the bytes
+   left before allocating anything, and reopen cuts the index there. *)
+let index_hostile_counts () =
+  let header s =
+    let inp = In_stream.of_string s in
+    let magic = In_stream.read_fixed32 inp in
+    (magic, In_stream.read_byte inp)
+  in
+  let sample =
+    { Epoch_index.epoch = 3; kind = Segment.Incremental; roots = [];
+      chunks = []; dir = [||] }
+  in
+  let magic, version = header (Epoch_index.encode sample) in
+  let mux_magic, _ =
+    header (Epoch_index.encode_mux { m_tenant = 5; m_entry = sample })
+  in
+  let huge = 1 lsl 40 in
+  let forge ?tenant ~magic (nroots, nchunks, ndir) =
+    Out_stream.framed ~magic ~version (fun d ->
+        Option.iter (Out_stream.write_int d) tenant;
+        Out_stream.write_int d 3;
+        Out_stream.write_byte d 1;
+        List.iter (Out_stream.write_int d) [ nroots; nchunks; ndir; 0; 0 ])
+  in
+  let corrupt name decode s =
+    match decode s ~pos:0 with
+    | _ -> Alcotest.fail (name ^ ": decoded")
+    | exception In_stream.Corrupt _ -> ()
+  in
+  let sim = Sim.create () in
+  let vfs = Sim.vfs sim in
+  let _, _, w = drive ~policy:(Policy.Full_every 4) ~rounds:3 vfs in
+  let idx = Store.index_path store_path in
+  let committed = vfs.Vfs.read_file idx in
+  List.iter
+    (fun (name, counts) ->
+      corrupt name Epoch_index.decode (forge ~magic counts);
+      corrupt (name ^ " (mux)") Epoch_index.decode_mux
+        (forge ~tenant:5 ~magic:mux_magic counts);
+      vfs.Vfs.truncate idx ~len:(String.length committed);
+      append_bytes vfs idx (forge ~magic counts);
+      let store = Store.open_ ~vfs w.schema ~path:store_path in
+      check_bool (name ^ ": earlier entries kept") true
+        (Store.epochs store = [ 0; 1; 2 ]);
+      check_string (name ^ ": index cut at the forged entry") committed
+        (vfs.Vfs.read_file idx))
+    [ ("roots", (huge, 0, 0)); ("chunks", (0, huge, 0)); ("dir", (0, 0, huge)) ]
+
+(* Decoding a directory delta allocates its flat triples and little else:
+   under 6 words per triple on a 100-epoch store (a record and a list cell
+   per triple would be 7 or more). *)
+let index_load_allocation () =
+  let vfs = Sim.vfs (Sim.create ()) in
+  let synth =
+    Ickpt_synth.Synth.build
+      { Ickpt_synth.Synth.default_config with
+        n_structures = 40; pct_modified = 25; modified_lists = 1 }
+  in
+  let schema = synth.Ickpt_synth.Synth.schema in
+  let chain = Chain.create schema in
+  let store = Store.open_ ~vfs schema ~path:store_path in
+  let policy = Policy.Full_every 8 in
+  for r = 0 to 99 do
+    if r > 0 then ignore (Ickpt_synth.Synth.mutate_round synth : int);
+    let roots = Ickpt_synth.Synth.roots synth in
+    let taken =
+      match Policy.decide policy chain with
+      | Segment.Full -> Chain.take_full chain roots
+      | Segment.Incremental -> Chain.take_incremental chain roots
+    in
+    ignore (Store.append_segment store taken.Chain.segment)
+  done;
+  let idx = Store.index_path store_path in
+  (* A minor collection before each reading: the counters account for the
+     young generation only as of the last one. *)
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  let entries, _ = Epoch_index.load vfs idx in
+  Gc.minor ();
+  let words =
+    (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8)
+  in
+  let triples =
+    List.fold_left
+      (fun n (e : Epoch_index.entry) -> n + (Array.length e.dir / 3))
+      0 entries
+  in
+  check_int "100 epochs" 100 (List.length entries);
+  if words >= 6. *. float_of_int triples then
+    Alcotest.failf "%.0f words for %d triples (%.2f per triple)" words triples
+      (words /. float_of_int triples)
 
 (* Ids need not be dense: a restore handles sparse and huge ids, and the
    gaps a registry sweep leaves, identically on every path. *)
@@ -956,7 +1091,11 @@ let suites =
           index_roundtrip_and_torn_tail;
         Alcotest.test_case "pack growth + reopen" `Quick pack_growth;
         Alcotest.test_case "pack torn tail then append" `Quick
-          pack_torn_tail_then_append ] );
+          pack_torn_tail_then_append;
+        Alcotest.test_case "pack slices" `Quick pack_slices;
+        Alcotest.test_case "index hostile counts" `Quick index_hostile_counts;
+        Alcotest.test_case "index load allocation" `Quick
+          index_load_allocation ] );
     ( "store.core",
       [ Alcotest.test_case "restore agrees with chain replay" `Quick
           store_restore_agrees_with_replay;
