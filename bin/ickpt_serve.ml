@@ -35,35 +35,12 @@ let path_arg ~default =
   | None ->
       Arg.(required & pos 0 (some string) None & info [] ~docv:"PATH" ~doc)
 
-let commit_conv =
-  let parse = function
-    | "per-epoch" -> Ok Service.Per_epoch
-    | "group" ->
-        Ok
-          (Service.Group
-             { Async_writer.Batch.max_items = 8;
-               max_bytes = 1 lsl 20;
-               linger = 0. })
-    | "group-async" ->
-        Ok
-          (Service.Group_async
-             { Async_writer.Batch.max_items = 8;
-               max_bytes = 1 lsl 20;
-               linger = 0.001 })
-    | s ->
-        Error
-          (`Msg
-             (Printf.sprintf
-                "unknown commit mode %S (per-epoch, group, group-async)" s))
-  in
-  let print ppf m =
-    Format.pp_print_string ppf
-      (match m with
-      | Service.Per_epoch -> "per-epoch"
-      | Service.Group _ -> "group"
-      | Service.Group_async _ -> "group-async")
-  in
-  Arg.conv (parse, print)
+let commit_modes =
+  [ ("per-epoch", Service.per_epoch);
+    ( "group",
+      Service.Group
+        { Async_writer.Batch.max_items = 8; max_bytes = 1 lsl 20; linger = 0. }
+    ) ]
 
 let collision_findings svc =
   List.map
@@ -95,10 +72,13 @@ let run_cmd =
     Arg.(value & opt int Shard.default_count & info [ "shards" ] ~docv:"N" ~doc)
   in
   let commit_arg =
-    let doc = "Commit mode: per-epoch, group or group-async." in
+    let doc =
+      "Commit mode: " ^ Arg.doc_alts_enum commit_modes
+      ^ " (batches of one, or of up to 8 epochs / 1 MiB per shard)."
+    in
     Arg.(
       value
-      & opt commit_conv Service.Per_epoch
+      & opt (enum commit_modes) Service.per_epoch
       & info [ "commit" ] ~docv:"MODE" ~doc)
   in
   let keep_arg =

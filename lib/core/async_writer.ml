@@ -1,203 +1,133 @@
 module Batch = struct
-  type state = Running | Closed | Failed of exn
-
   type policy = { max_items : int; max_bytes : int; linger : float }
-
-  let default_policy = { max_items = 32; max_bytes = 1 lsl 20; linger = 0. }
-
-  type 'a t = {
-    mutex : Mutex.t;
-    not_empty : Condition.t;
-    not_full : Condition.t;
-    drained : Condition.t;
-    queue : 'a Queue.t;
-    queue_limit : int;
-    policy : policy;
-    size : 'a -> int;
-    sink : 'a list -> unit;
-    mutable state : state;
-    mutable in_flight : int;  (* items in the batch being committed *)
-    mutable n_batches : int;
-    mutable thread : Thread.t option;
-  }
-
-  let locked t f =
-    Mutex.lock t.mutex;
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
-
-  (* Pop a batch: up to max_items items or max_bytes accumulated size,
-     whichever closes first (the first item always boards, however big). *)
-  let pop_batch t =
-    let rec go acc n bytes =
-      if n >= t.policy.max_items || bytes >= t.policy.max_bytes
-         || Queue.is_empty t.queue
-      then List.rev acc
-      else
-        let x = Queue.pop t.queue in
-        go (x :: acc) (n + 1) (bytes + t.size x)
-    in
-    go [] 0 0
-
-  let drain_loop t =
-    let rec next () =
-      Mutex.lock t.mutex;
-      let rec wait can_linger =
-        match t.state with
-        | Failed _ ->
-            (* Never drain into a broken sink: items handed to it after a
-               failure would each fail in turn (and on a half-dead device
-               could even land as garbage past the failure point). They are
-               dropped; the enqueuer learns of the loss from the Failed
-               state. *)
-            Mutex.unlock t.mutex;
-            None
-        | (Running | Closed) when not (Queue.is_empty t.queue) ->
-            (* The group-commit window: with work available but the batch
-               not yet full, dwell [linger] seconds once so slow producers
-               can board, then cut the batch with whatever is there.
-               Skipped when closing — a close wants the queue gone, not
-               padded. *)
-            if
-              can_linger && t.policy.linger > 0. && t.state = Running
-              && Queue.length t.queue < t.policy.max_items
-            then begin
-              Mutex.unlock t.mutex;
-              Thread.delay t.policy.linger;
-              Mutex.lock t.mutex;
-              wait false
-            end
-            else begin
-              let batch = pop_batch t in
-              t.in_flight <- List.length batch;
-              Condition.broadcast t.not_full;
-              Mutex.unlock t.mutex;
-              Some batch
-            end
-        | Closed ->
-            Mutex.unlock t.mutex;
-            None
-        | Running ->
-            Condition.wait t.not_empty t.mutex;
-            wait can_linger
-      in
-      match wait true with
-      | None -> ()
-      | Some batch ->
-          (match t.sink batch with
-          | () ->
-              locked t (fun () ->
-                  t.in_flight <- 0;
-                  t.n_batches <- t.n_batches + 1;
-                  Condition.broadcast t.drained)
-          | exception e ->
-              locked t (fun () ->
-                  t.in_flight <- 0;
-                  t.state <- Failed e;
-                  Condition.broadcast t.drained;
-                  Condition.broadcast t.not_full));
-          next ()
-    in
-    next ()
-
-  let create ?(queue_limit = 64) ?(policy = default_policy) ~size ~sink () =
-    if queue_limit < 1 then invalid_arg "Async_writer.Batch: queue_limit < 1";
-    if policy.max_items < 1 then invalid_arg "Async_writer.Batch: max_items < 1";
-    if policy.max_bytes < 1 then invalid_arg "Async_writer.Batch: max_bytes < 1";
-    let t =
-      { mutex = Mutex.create ();
-        not_empty = Condition.create ();
-        not_full = Condition.create ();
-        drained = Condition.create ();
-        queue = Queue.create ();
-        queue_limit;
-        policy;
-        size;
-        sink;
-        state = Running;
-        in_flight = 0;
-        n_batches = 0;
-        thread = None }
-    in
-    t.thread <- Some (Thread.create drain_loop t);
-    t
-
-  let check_state t =
-    match t.state with
-    | Running -> ()
-    | Closed -> failwith "Async_writer: closed"
-    | Failed e ->
-        failwith ("Async_writer: writer failed: " ^ Printexc.to_string e)
-
-  let enqueue t x =
-    locked t (fun () ->
-        check_state t;
-        while Queue.length t.queue >= t.queue_limit && t.state = Running do
-          Condition.wait t.not_full t.mutex
-        done;
-        check_state t;
-        Queue.push x t.queue;
-        Condition.signal t.not_empty)
-
-  let flush t =
-    locked t (fun () ->
-        while
-          (not (Queue.is_empty t.queue && t.in_flight = 0))
-          && t.state = Running
-        do
-          Condition.wait t.drained t.mutex
-        done;
-        match t.state with Failed _ -> check_state t | Running | Closed -> ())
-
-  let pending t = locked t (fun () -> Queue.length t.queue + t.in_flight)
-
-  let batches t = locked t (fun () -> t.n_batches)
-
-  let close t =
-    let join =
-      locked t (fun () ->
-          match t.state with
-          | Closed -> None
-          | Running | Failed _ ->
-              (match t.state with Running -> t.state <- Closed | _ -> ());
-              Condition.broadcast t.not_empty;
-              Condition.broadcast t.not_full;
-              t.thread)
-    in
-    match join with
-    | None -> ()
-    | Some thread ->
-        (* On Closed the drain thread empties the queue before exiting; on
-           Failed it exits immediately without touching the sink, so closing
-           a failed batch never blocks on an undrainable queue. *)
-        Thread.join thread;
-        locked t (fun () -> t.thread <- None)
 end
 
-(* The segment writer: Batch instantiated with batches of one, so each
-   segment is written and synced individually — the durability granularity
-   the chain's crash model (invariant I7) assumes. *)
-type t = { batch : Segment.t Batch.t; w : Vfs.writer }
+type state = Running | Closed | Failed of exn
+
+type t = {
+  mutex : Mutex.t;
+  not_empty : Condition.t;
+  not_full : Condition.t;
+  drained : Condition.t;
+  queue : Segment.t Queue.t;
+  queue_limit : int;
+  w : Vfs.writer;
+  mutable state : state;
+  mutable in_flight : bool;  (* a segment is being written *)
+  mutable thread : Thread.t option;
+}
+
+let locked t f =
+  Mutex.lock t.mutex;
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
+
+(* Each segment is written and synced by itself — the durability
+   granularity the chain's crash model (invariant I7) assumes. *)
+let drain_loop t =
+  let rec next () =
+    Mutex.lock t.mutex;
+    let rec wait () =
+      match t.state with
+      | Failed _ ->
+          (* Never write into a broken file: segments written after a
+             failure would each fail in turn (and on a half-dead device
+             could even land as garbage past the failure point). They are
+             dropped; the enqueuer learns of the loss from the Failed
+             state. *)
+          None
+      | (Running | Closed) when not (Queue.is_empty t.queue) ->
+          let seg = Queue.pop t.queue in
+          t.in_flight <- true;
+          Condition.broadcast t.not_full;
+          Some seg
+      | Closed -> None
+      | Running ->
+          Condition.wait t.not_empty t.mutex;
+          wait ()
+    in
+    let seg = wait () in
+    Mutex.unlock t.mutex;
+    match seg with
+    | None -> ()
+    | Some seg ->
+        (match
+           t.w.Vfs.write (Segment.encode seg);
+           t.w.Vfs.sync ()
+         with
+        | () ->
+            locked t (fun () ->
+                t.in_flight <- false;
+                Condition.broadcast t.drained)
+        | exception e ->
+            locked t (fun () ->
+                t.in_flight <- false;
+                t.state <- Failed e;
+                Condition.broadcast t.drained;
+                Condition.broadcast t.not_full));
+        next ()
+  in
+  next ()
 
 let create ?(vfs = Vfs.real) ?(queue_limit = 64) ~path () =
   if queue_limit < 1 then invalid_arg "Async_writer.create: queue_limit < 1";
-  let w = vfs.Vfs.open_append path in
-  let sink segs =
-    List.iter
-      (fun seg ->
-        w.Vfs.write (Segment.encode seg);
-        w.Vfs.sync ())
-      segs
+  let t =
+    { mutex = Mutex.create ();
+      not_empty = Condition.create ();
+      not_full = Condition.create ();
+      drained = Condition.create ();
+      queue = Queue.create ();
+      queue_limit;
+      w = vfs.Vfs.open_append path;
+      state = Running;
+      in_flight = false;
+      thread = None }
   in
-  let policy = { Batch.default_policy with Batch.max_items = 1 } in
-  { batch = Batch.create ~queue_limit ~policy ~size:Segment.encoded_size ~sink ();
-    w }
+  t.thread <- Some (Thread.create drain_loop t);
+  t
 
-let enqueue t seg = Batch.enqueue t.batch seg
+let check_state t =
+  match t.state with
+  | Running -> ()
+  | Closed -> failwith "Async_writer: closed"
+  | Failed e -> failwith ("Async_writer: writer failed: " ^ Printexc.to_string e)
 
-let flush t = Batch.flush t.batch
+let enqueue t seg =
+  locked t (fun () ->
+      check_state t;
+      while Queue.length t.queue >= t.queue_limit && t.state = Running do
+        Condition.wait t.not_full t.mutex
+      done;
+      check_state t;
+      Queue.push seg t.queue;
+      Condition.signal t.not_empty)
 
-let pending t = Batch.pending t.batch
+let flush t =
+  locked t (fun () ->
+      while
+        (t.in_flight || not (Queue.is_empty t.queue)) && t.state = Running
+      do
+        Condition.wait t.drained t.mutex
+      done;
+      match t.state with Failed _ -> check_state t | Running | Closed -> ())
+
+let pending t =
+  locked t (fun () -> Queue.length t.queue + Bool.to_int t.in_flight)
 
 let close t =
-  Batch.close t.batch;
-  t.w.Vfs.close ()
+  let join =
+    locked t (fun () ->
+        (match t.state with Running -> t.state <- Closed | Closed | Failed _ -> ());
+        Condition.broadcast t.not_empty;
+        Condition.broadcast t.not_full;
+        let thread = t.thread in
+        t.thread <- None;
+        thread)
+  in
+  match join with
+  | None -> ()
+  | Some thread ->
+      (* On Closed the drain thread empties the queue before exiting; on
+         Failed it exits immediately without writing, so closing a failed
+         writer never blocks on an undrainable queue. *)
+      Thread.join thread;
+      t.w.Vfs.close ()

@@ -15,67 +15,21 @@
     write could interleave garbage into the log. {!close} on a failed
     writer returns promptly instead of waiting for an impossible drain.
 
-    The queueing/draining machinery is factored out as {!Batch}, a
-    polymorphic batching queue whose sink receives {e runs} of items
-    instead of one at a time — the group-commit primitive the multi-tenant
-    service amortizes fsyncs with ([Ickpt_service.Service]). The segment
-    writer below is [Batch] instantiated with batches of one. *)
+    Each segment is written and synced by itself, in its own step — the
+    durability granularity the chain's crash model (invariant I7)
+    assumes. *)
 
-(** A bounded FIFO queue drained in batches by a background thread.
-
-    The sink is handed consecutive runs of items in enqueue order; a batch
-    closes when it reaches [max_items] items or [max_bytes] accumulated
-    size (per the [size] measure), or when the queue runs dry. A positive
-    [linger] makes the drain thread dwell that many seconds after finding
-    work before cutting the batch, giving slow producers a chance to board
-    — the classic group-commit window.
-
-    Failure semantics match the segment writer's: a sink exception marks
-    the batch failed, queued items are dropped (never handed to a broken
-    sink), and the error surfaces at the next [enqueue] or [flush]. *)
+(** The multi-tenant service's group-commit policy
+    ([Ickpt_service.Service.commit_mode]). The service commits inline on
+    the submitting caller's thread, so nothing here reads it; the type
+    stays in this module because callers outside the library build it by
+    this name. *)
 module Batch : sig
-  type 'a t
-
   type policy = {
-    max_items : int;  (** batch size cap; >= 1 *)
-    max_bytes : int;  (** batch byte cap (per the [size] measure); >= 1 *)
-    linger : float;
-        (** seconds to wait for the batch to fill before committing it
-            anyway; [0.] drains whatever is queued immediately *)
+    max_items : int;  (** epochs per batch; >= 1 *)
+    max_bytes : int;  (** segment body bytes per batch; >= 1 *)
+    linger : float;  (** must be [0.]: there is no drain thread to wait *)
   }
-
-  val default_policy : policy
-  (** [{ max_items = 32; max_bytes = 1 lsl 20; linger = 0. }] *)
-
-  val create :
-    ?queue_limit:int ->
-    ?policy:policy ->
-    size:('a -> int) ->
-    sink:('a list -> unit) ->
-    unit ->
-    'a t
-  (** Start a drain thread. [queue_limit] (default 64) bounds in-flight
-      items; [enqueue] blocks when full. [sink] is called with non-empty
-      batches, in enqueue order, never concurrently with itself; it must
-      make its batch durable before returning. *)
-
-  val enqueue : 'a t -> 'a -> unit
-  (** @raise Failure if the batch has failed or was closed. *)
-
-  val flush : 'a t -> unit
-  (** Block until everything enqueued so far has been handed to the sink
-      and the sink has returned. @raise Failure on a failed batch. *)
-
-  val pending : 'a t -> int
-  (** Items queued or in the batch currently being committed. *)
-
-  val batches : 'a t -> int
-  (** Sink invocations so far — the group-commit count an fsync-per-epoch
-      comparison divides by. *)
-
-  val close : 'a t -> unit
-  (** Drain, stop the thread. Idempotent; on a failed batch, drops what is
-      queued and returns promptly. *)
 end
 
 type t

@@ -213,7 +213,7 @@ let measure_row ~sessions ~references ~repeat ~mode_label ~commit ~shards
         restore_identical })
 
 let configs =
-  [ ("per-epoch", Service.Per_epoch, 1, 1);
+  [ ("per-epoch", Service.per_epoch, 1, 1);
     ("group", Service.Group group_policy, 1, 1);
     ("group", Service.Group group_policy, 2, 2);
     ("group", Service.Group group_policy, 4, 4) ]

@@ -6,10 +6,10 @@
     mid-batch never orphans a {e different} tenant's committed epoch.
 
     The workload runs three tenants (two byte-identical, so the shared
-    pack genuinely dedups across them) over two shards in the
-    deterministic inline group-commit mode ([Service.Group], batches of
-    three) — no drain threads, so the op trace is reproducible and the
-    sweep exhaustive. *)
+    pack genuinely dedups across them) over two shards with group commit
+    ([Service.Group], batches of three), which runs inline on the
+    caller's thread, so the op trace is reproducible and the sweep
+    exhaustive. *)
 
 val workload :
   ?rounds:int ->

@@ -17,10 +17,10 @@ let meta_path path = path ^ ".svc"
 
 let tenant_id name = Hash64.string name
 
-type commit_mode =
-  | Per_epoch
-  | Group of Async_writer.Batch.policy
-  | Group_async of Async_writer.Batch.policy
+type commit_mode = Group of Async_writer.Batch.policy
+
+let per_epoch =
+  Group { Async_writer.Batch.max_items = 1; max_bytes = max_int; linger = 0. }
 
 type tenant = {
   t_svc : t;
@@ -34,10 +34,7 @@ type tenant = {
 
 and item = {
   it_tenant : tenant;
-  it_kind : Segment.kind;
-  it_seq : int;
-  it_roots : int list;
-  it_chunks : Chunk.t list;
+  it_epoch : Epochs.item;
   it_body_len : int;
   it_enq : float;
 }
@@ -45,9 +42,8 @@ and item = {
 and shard_state = {
   s_index_file : string;
   mutable s_committed : Epoch_index.mux_entry list;  (* oldest first *)
-  mutable s_pending : item list;  (* oldest first; inline Group mode *)
+  mutable s_pending : item list;  (* oldest first *)
   mutable s_pending_bytes : int;
-  mutable s_batch : item Async_writer.Batch.t option;  (* Group_async *)
 }
 
 and t = {
@@ -56,7 +52,7 @@ and t = {
   shards : int;
   records_per_chunk : int;
   policy : Policy.t;
-  commit : commit_mode;
+  batch : Async_writer.Batch.policy;
   pack : Pack.t;
   lock : Mutex.t;
   shard_tbl : shard_state array;
@@ -136,11 +132,15 @@ let write_meta vfs root ~shards ~records_per_chunk =
 
 let open_ ?(vfs = Vfs.real) ?(shards = Shard.default_count)
     ?(records_per_chunk = Chunk.default_records_per_chunk)
-    ?(policy = Policy.Full_every 8) ?(commit = Per_epoch) ~path:root () =
+    ?(policy = Policy.Full_every 8) ?(commit = per_epoch) ~path:root () =
   if shards < 1 || shards > Shard.max_count then
     invalid_arg "Service.open_: shards outside 1 .. Shard.max_count";
   if records_per_chunk < 1 then
     invalid_arg "Service.open_: records_per_chunk < 1";
+  let (Group batch) = commit in
+  if batch.max_items < 1 then invalid_arg "Service.open_: max_items < 1";
+  if batch.max_bytes < 1 then invalid_arg "Service.open_: max_bytes < 1";
+  if batch.linger <> 0. then invalid_arg "Service.open_: linger <> 0.";
   let shards, records_per_chunk =
     match read_meta vfs root with
     | Some persisted -> persisted
@@ -156,8 +156,7 @@ let open_ ?(vfs = Vfs.real) ?(shards = Shard.default_count)
         { s_index_file;
           s_committed = Epochs.recover Epochs.mux vfs s_index_file pack;
           s_pending = [];
-          s_pending_bytes = 0;
-          s_batch = None })
+          s_pending_bytes = 0 })
   in
   let t =
     { vfs;
@@ -165,7 +164,7 @@ let open_ ?(vfs = Vfs.real) ?(shards = Shard.default_count)
       shards;
       records_per_chunk;
       policy;
-      commit;
+      batch;
       pack;
       lock = Mutex.create ();
       shard_tbl;
@@ -182,41 +181,26 @@ let open_ ?(vfs = Vfs.real) ?(shards = Shard.default_count)
 (* ------------------------------------------------------------------ *)
 (* Committing.                                                         *)
 
-(* Commit a batch of items (all from [sstate]'s shard) as one group: one
-   pack append (write + sync) covering every fresh chunk of every item,
-   then one index batch append (write + sync) — the shared commit point.
-   Caller holds the lock. *)
-let commit_batch_locked t sstate items =
-  match items with
+(* Commit the shard's pending items as one group ({!Epochs.commit}): one
+   pack append covering every fresh chunk of every item, then one index
+   write + sync — the shared commit point. Caller holds the lock. *)
+let commit_locked t s =
+  match s.s_pending with
   | [] -> ()
-  | _ ->
-      let pending = Hashtbl.create 16 in
-      let staged =
-        List.map
-          (fun it ->
-            Epochs.stage t.pack ~pending ~kind:it.it_kind ~epoch:it.it_seq
-              ~roots:it.it_roots it.it_chunks)
-          items
+  | items ->
+      s.s_pending <- [];
+      s.s_pending_bytes <- 0;
+      let c =
+        Epochs.commit Epochs.mux t.vfs ~path:s.s_index_file t.pack
+          (List.map (fun it -> it.it_epoch) items)
       in
-      ignore
-        (Pack.append_batch t.pack
-           (List.concat_map (fun (st : Epochs.staged) -> st.fresh) staged)
-          : int);
-      let muxes =
-        List.map2
-          (fun it (st : Epochs.staged) ->
-            { Epoch_index.m_tenant = it.it_tenant.t_id; m_entry = st.entry })
-          items staged
-      in
-      ignore
-        (Epoch_index.append_mux_batch t.vfs sstate.s_index_file muxes : int);
       (* Durable; mirror in memory. *)
-      sstate.s_committed <- sstate.s_committed @ muxes;
+      s.s_committed <- s.s_committed @ c.entries;
       List.iter2
-        (fun it (st : Epochs.staged) ->
-          it.it_tenant.t_entries <- it.it_tenant.t_entries @ [ st.entry ];
-          t.collided <- List.rev_append st.collisions t.collided)
-        items staged;
+        (fun it (m : Epoch_index.mux_entry) ->
+          it.it_tenant.t_entries <- it.it_tenant.t_entries @ [ m.m_entry ])
+        items c.entries;
+      t.collided <- List.rev_append c.collisions t.collided;
       let now = Unix.gettimeofday () in
       List.iter
         (fun it -> t.latencies <- (now -. it.it_enq) :: t.latencies)
@@ -226,40 +210,7 @@ let commit_batch_locked t sstate items =
 
 let flush t =
   check_open t;
-  match t.commit with
-  | Per_epoch -> ()
-  | Group _ ->
-      with_lock t (fun () ->
-          Array.iter
-            (fun s ->
-              let batch = s.s_pending in
-              s.s_pending <- [];
-              s.s_pending_bytes <- 0;
-              commit_batch_locked t s batch)
-            t.shard_tbl)
-  | Group_async _ ->
-      Array.iter
-        (fun s -> Option.iter Async_writer.Batch.flush s.s_batch)
-        t.shard_tbl
-
-(* Lazily started (under the lock — submits may race from several
-   domains) so the batch sink can close over [t]. *)
-let ensure_batches t =
-  match t.commit with
-  | Per_epoch | Group _ -> ()
-  | Group_async policy ->
-      with_lock t (fun () ->
-          Array.iter
-            (fun s ->
-              if s.s_batch = None then
-                s.s_batch <-
-                  Some
-                    (Async_writer.Batch.create ~policy
-                       ~size:(fun it -> it.it_body_len)
-                       ~sink:(fun items ->
-                         with_lock t (fun () -> commit_batch_locked t s items))
-                       ()))
-            t.shard_tbl)
+  with_lock t (fun () -> Array.iter (commit_locked t) t.shard_tbl)
 
 let submit tenant (seg : Segment.t) =
   let t = tenant.t_svc in
@@ -270,34 +221,23 @@ let submit tenant (seg : Segment.t) =
   in
   let it =
     { it_tenant = tenant;
-      it_kind = seg.kind;
-      it_seq = seg.seq;
-      it_roots = seg.roots;
-      it_chunks = chunks;
+      it_epoch =
+        { Epochs.chain = tenant.t_id;
+          kind = seg.kind;
+          epoch = seg.seq;
+          roots = seg.roots;
+          chunks };
       it_body_len = String.length seg.body;
       it_enq = Unix.gettimeofday () }
   in
   let s = t.shard_tbl.(tenant.t_shard) in
-  match t.commit with
-  | Per_epoch -> with_lock t (fun () -> commit_batch_locked t s [ it ])
-  | Group p ->
-      with_lock t (fun () ->
-          s.s_pending <- s.s_pending @ [ it ];
-          s.s_pending_bytes <- s.s_pending_bytes + it.it_body_len;
-          if
-            List.length s.s_pending >= p.Async_writer.Batch.max_items
-            || s.s_pending_bytes >= p.Async_writer.Batch.max_bytes
-          then begin
-            let batch = s.s_pending in
-            s.s_pending <- [];
-            s.s_pending_bytes <- 0;
-            commit_batch_locked t s batch
-          end)
-  | Group_async _ -> (
-      ensure_batches t;
-      match s.s_batch with
-      | Some b -> Async_writer.Batch.enqueue b it
-      | None -> assert false)
+  with_lock t (fun () ->
+      s.s_pending <- s.s_pending @ [ it ];
+      s.s_pending_bytes <- s.s_pending_bytes + it.it_body_len;
+      if
+        List.length s.s_pending >= t.batch.max_items
+        || s.s_pending_bytes >= t.batch.max_bytes
+      then commit_locked t s)
 
 (* ------------------------------------------------------------------ *)
 (* Tenants.                                                            *)
@@ -400,11 +340,6 @@ let evict t ~name =
 let close t =
   if not t.closed then begin
     flush t;
-    Array.iter
-      (fun s ->
-        Option.iter Async_writer.Batch.close s.s_batch;
-        s.s_batch <- None)
-      t.shard_tbl;
     t.closed <- true
   end
 

@@ -12,33 +12,30 @@
     - [path ^ ".svc"] — the shard count and chunking parameter, persisted
       because the tenant → shard mapping must be stable across reopens.
 
-    {2 Commit modes and group commit}
+    {2 Group commit}
 
     Every committed epoch costs two syncs (pack, then index — the index
-    append is the commit point, exactly as in {!Ickpt_cas.Store}). The
-    {!commit_mode} decides how many epochs share them:
-
-    - {!Per_epoch}: each checkpoint commits by itself — 2 fsyncs/epoch,
-      the {!Ickpt_cas.Store} behavior, the baseline the ablation compares
-      against.
-    - [Group policy]: checkpoints accumulate in a per-shard pending list;
-      whichever appending caller trips the policy's [max_items]/[max_bytes]
-      threshold commits the whole batch inline — 2 fsyncs {e per batch},
-      amortized over every tenant in it. Deterministic (no threads), so
-      the fault simulator sweeps this path byte-by-byte.
-    - [Group_async policy]: a background drain thread per shard
-      ({!Ickpt_core.Async_writer.Batch}) cuts batches by the same policy
-      plus a [linger] window. Lowest producer latency; commit happens off
-      the caller's thread.
+    write is the commit point, exactly as in {!Ickpt_cas.Store}). The
+    {!commit_mode}'s policy decides how many epochs share them:
+    checkpoints accumulate in a per-shard pending list, and whichever
+    caller's submission reaches [max_items] items or [max_bytes] of
+    segment body commits the whole batch inline, under the service lock
+    — 2 fsyncs {e per batch}, amortized over every tenant in it. There is
+    no background thread, so the fault simulator sweeps this path
+    byte-by-byte. {!per_epoch} is the policy with batches of one: each
+    checkpoint is durable when its call returns, 2 fsyncs/epoch — the
+    {!Ickpt_cas.Store} behavior and the baseline the ablation compares
+    against.
 
     A group commit is atomic per batch: the pack chunks of {e all} its
     epochs are synced before the index batch is appended in one write +
-    one sync, so a power loss mid-batch truncates whole index entries off
-    the tail and every tenant independently recovers to a committed prefix
-    of its own epochs — invariant I7, extended; swept by the
+    one sync ([Ickpt_cas.Epochs.commit], the commit {!Ickpt_cas.Store}
+    uses too), so a power loss mid-batch truncates whole index entries
+    off the tail and every tenant independently recovers to a committed
+    prefix of its own epochs — invariant I7, extended; swept by the
     [Ickpt_faultsim.Service_sim] workload of [Ickpt_faultsim.Sweep].
 
-    Where the rules live: staging a batch, the per-tenant chain rules
+    Where the rules live: committing a batch, the per-tenant chain rules
     (resume from the newest full epoch, reopen validation, {!check}) and
     entry → segment are [Ickpt_cas.Epochs], shared with
     {!Ickpt_cas.Store}; writing and reading back the record files (pack,
@@ -63,9 +60,14 @@ type tenant
 (** A handle to one open tenant. Invalidated by {!evict} and {!close}. *)
 
 type commit_mode =
-  | Per_epoch
   | Group of Async_writer.Batch.policy
-  | Group_async of Async_writer.Batch.policy
+      (** Commit a shard's pending epochs once they reach [max_items]
+          items or [max_bytes] bytes of segment body. [linger] must be
+          [0.]: commits happen on the submitting caller's thread. *)
+
+val per_epoch : commit_mode
+(** [Group { max_items = 1; max_bytes = max_int; linger = 0. }]: every
+    epoch commits by itself before its call returns. *)
 
 val pack_path : string -> string
 val shard_index_path : string -> int -> string
@@ -100,10 +102,13 @@ val open_ :
     (default {!Shard.default_count}) and [records_per_chunk] apply to a
     {e new} service; reopening reads both from the meta file and ignores
     the arguments. [policy] (default [Full_every 8]) decides full vs
-    incremental per tenant; [commit] defaults to {!Per_epoch}. Reopening
+    incremental per tenant; [commit] defaults to {!per_epoch}. Reopening
     truncates torn shard-index tails and validates every surviving entry
     (per-tenant contiguity, chunks present), truncating each shard at its
     first invalid entry.
+    @raise Invalid_argument on [shards] outside [1 .. Shard.max_count],
+    [records_per_chunk < 1], or a commit policy with [max_items < 1],
+    [max_bytes < 1] or [linger <> 0.].
     @raise Error if an intact meta file holds a shard count or
     [records_per_chunk] below 1. *)
 
@@ -116,7 +121,7 @@ val open_tenant : t -> Schema.t -> name:string -> tenant
 val checkpoint : tenant -> Model.obj list -> int
 (** Take the next checkpoint of the tenant's heap (kind per the service
     {!Ickpt_core.Policy}) and submit it for commit; returns its epoch.
-    Under a group commit mode the epoch may not be durable yet when this
+    Unless the batch is full, the epoch is not durable yet when this
     returns — {!flush} is the durability barrier. *)
 
 val append : tenant -> Segment.t -> int
@@ -139,8 +144,8 @@ val restore : tenant -> epoch:int -> Heap.t * Model.obj list
     @raise Error on an epoch the tenant never committed. *)
 
 val flush : t -> unit
-(** Commit every pending checkpoint of every tenant. The durability
-    barrier for group commit modes. *)
+(** Commit every pending checkpoint of every tenant: the durability
+    barrier for epochs still waiting for their batch to fill. *)
 
 val evict : t -> name:string -> unit
 (** Flush, then drop the tenant's in-memory state (chain, entry cache).
@@ -148,8 +153,8 @@ val evict : t -> name:string -> unit
     old handle must not be used again. *)
 
 val close : t -> unit
-(** Flush, stop drain threads. Idempotent; the handle (and every tenant
-    handle) must not be used after. *)
+(** Flush. Idempotent; the handle (and every tenant handle) must not be
+    used after. *)
 
 val tenants : t -> (int * string) list
 (** The catalog: every tenant ever opened here, `(id, name)`, oldest

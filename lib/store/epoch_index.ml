@@ -64,11 +64,6 @@ let decode s ~pos =
 
 let load vfs path = In_stream.intact_prefix decode (Vfs.contents vfs path)
 
-let append vfs path e =
-  let bytes = encode e in
-  Vfs.write_synced vfs Append path (fun write -> write bytes);
-  String.length bytes
-
 let write_staged vfs ~path entries =
   let tmp = Storage.temp_of ~path in
   Vfs.write_synced vfs Trunc tmp (fun write ->
@@ -97,11 +92,3 @@ let decode_mux s ~pos =
 
 let load_mux vfs path =
   In_stream.intact_prefix decode_mux (Vfs.contents vfs path)
-
-let append_mux_batch vfs path ms =
-  match ms with
-  | [] -> 0
-  | _ ->
-      let bytes = String.concat "" (List.map encode_mux ms) in
-      Vfs.write_synced vfs Append path (fun write -> write bytes);
-      String.length bytes

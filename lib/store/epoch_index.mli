@@ -35,10 +35,10 @@
     committed epoch with missing data.
 
     This module is the wire format only. Frames are
-    {!Ickpt_stream.Out_stream.framed}; files are written through
-    {!Ickpt_core.Vfs.write_synced} and read back with
-    {!Ickpt_stream.In_stream.fold_intact}. Which entries form a valid
-    chain — and the truncation of a torn or invalid tail on reopen — is
+    {!Ickpt_stream.Out_stream.framed} and read back with
+    {!Ickpt_stream.In_stream.fold_intact}. Committing a batch of entries
+    (pack first, then one synced index write), which entries form a valid
+    chain, and the truncation of a torn or invalid tail on reopen are
     {!Epochs}. *)
 
 open Ickpt_core
@@ -68,10 +68,6 @@ val load : Vfs.t -> string -> entry list * int
     file is the empty index. Performs no writes; the caller decides
     whether to truncate. *)
 
-val append : Vfs.t -> string -> entry -> int
-(** Append one entry and sync — the epoch's commit point. Returns the
-    number of bytes written. *)
-
 val write_staged : Vfs.t -> path:string -> entry list -> string
 (** Write a fresh index holding exactly [entries] to the staging path
     ({!Ickpt_core.Storage.temp_of}[ ~path]), sync it, and return that
@@ -83,11 +79,12 @@ val write_staged : Vfs.t -> path:string -> entry list -> string
     per-shard file, interleaved in commit order. The wire format is the
     plain entry with magic ["ICKM"] and a tenant-id varint between the
     version byte and the payload; per-tenant commit-point ordering is the
-    file order restricted to that tenant. A batch append is {e one} write
-    and {e one} sync — the group-commit point shared by every entry in the
-    batch — so a torn tail cuts whole entries off the end and every
-    tenant's surviving entries remain a committed prefix (the pack is
-    synced before the index batch, as for the plain store). *)
+    file order restricted to that tenant. A batch ({!Epochs.commit}) is
+    {e one} write and {e one} sync — the group-commit point shared by
+    every entry in the batch — so a torn tail cuts whole entries off the
+    end and every tenant's surviving entries remain a committed prefix
+    (the pack is synced before the index batch, as for the plain
+    store). *)
 
 type mux_entry = { m_tenant : int; m_entry : entry }
 
@@ -97,8 +94,3 @@ val decode_mux : string -> pos:int -> mux_entry * int
 
 val load_mux : Vfs.t -> string -> mux_entry list * int
 (** {!load} for a multiplexed index file. Performs no writes. *)
-
-val append_mux_batch : Vfs.t -> string -> mux_entry list -> int
-(** Append the batch in one writer session and one sync — the group-commit
-    point of every epoch in it. Returns the number of bytes written. The
-    empty batch performs no I/O. *)

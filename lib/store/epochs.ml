@@ -11,17 +11,20 @@ type collision = {
 (* ------------------------------------------------------------------ *)
 (* Staging.                                                            *)
 
-type staged = {
-  fresh : (int * string) list;
-  entry : Epoch_index.entry;
-  collisions : collision list;
+type item = {
+  chain : int;
+  kind : Segment.kind;
+  epoch : int;
+  roots : int list;
+  chunks : Chunk.t list;
 }
 
-let stage pack ~pending ~kind ~epoch ~roots chunks =
-  let fresh = ref [] and collisions = ref [] in
-  (* Dedup: a key hit is only a duplicate if the bytes agree. Pack.resolve
-     byte-verifies every hit and, on a genuine collision, degrades to a
-     salted rehash instead of refusing the epoch. *)
+(* Resolve one item's chunks against the pack, pushing its fresh chunks
+   and collisions (newest first) onto the batch's, and build its entry.
+   Dedup: a key hit is only a duplicate if the bytes agree. Pack.resolve
+   byte-verifies every hit and, on a genuine collision, degrades to a
+   salted rehash instead of refusing the epoch. *)
+let stage pack ~pending ~fresh ~collisions it =
   let keys =
     List.map
       (fun (c : Chunk.t) ->
@@ -31,18 +34,18 @@ let stage pack ~pending ~kind ~epoch ~roots chunks =
             fresh := (key, c.data) :: !fresh;
             if attempt > 0 then
               collisions :=
-                { col_epoch = epoch;
+                { col_epoch = it.epoch;
                   col_content_key = c.key;
                   col_stored_key = key;
                   col_attempt = attempt }
                 :: !collisions;
             key)
-      chunks
+      it.chunks
   in
   let dir =
     Array.make
       (List.fold_left (fun n (c : Chunk.t) -> n + (3 * List.length c.records)) 0
-         chunks)
+         it.chunks)
       0
   in
   let j = ref 0 in
@@ -55,10 +58,12 @@ let stage pack ~pending ~kind ~epoch ~roots chunks =
           dir.(!j + 2) <- off;
           j := !j + 3)
         c.records)
-    chunks;
-  { fresh = List.rev !fresh;
-    entry = { Epoch_index.epoch; kind; roots; chunks = keys; dir };
-    collisions = List.rev !collisions }
+    it.chunks;
+  { Epoch_index.epoch = it.epoch;
+    kind = it.kind;
+    roots = it.roots;
+    chunks = keys;
+    dir }
 
 (* ------------------------------------------------------------------ *)
 (* Chain rules.                                                        *)
@@ -76,24 +81,38 @@ let since_full entries ~epoch =
     (fun (e : Epoch_index.entry) -> e.epoch >= base && e.epoch <= epoch)
     entries
 
+(* The continuity rule every chain obeys: its oldest epoch is full with a
+   sequence number >= 0, and each later epoch is its predecessor + 1. *)
+type break = Not_full | Negative | Gap of int
+
+let continuity ~next kind ~epoch =
+  match next with
+  | None when kind <> Segment.Full -> Some Not_full
+  | None when epoch < 0 -> Some Negative
+  | None -> None
+  | Some n -> if epoch = n then None else Some (Gap n)
+
 type 'a index = {
   decode : string -> pos:int -> 'a * int;
   encode : 'a -> string;
   chain : 'a -> int;
   entry : 'a -> Epoch_index.entry;
+  make : int -> Epoch_index.entry -> 'a;
 }
 
 let plain =
   { decode = Epoch_index.decode;
     encode = Epoch_index.encode;
     chain = (fun _ -> 0);
-    entry = Fun.id }
+    entry = Fun.id;
+    make = (fun _ e -> e) }
 
 let mux =
   { decode = Epoch_index.decode_mux;
     encode = Epoch_index.encode_mux;
     chain = (fun m -> m.Epoch_index.m_tenant);
-    entry = (fun m -> m.Epoch_index.m_entry) }
+    entry = (fun m -> m.Epoch_index.m_entry);
+    make = (fun m_tenant m_entry -> { Epoch_index.m_tenant; m_entry }) }
 
 let resolves pack (e : Epoch_index.entry) =
   match Array.of_list (List.map (Pack.chunk_len pack) e.chunks) with
@@ -120,9 +139,9 @@ let valid_prefix idx pack items =
     | x :: rest ->
         let e = idx.entry x in
         let ok =
-          (match Hashtbl.find_opt next (idx.chain x) with
-          | None -> e.kind = Segment.Full && e.epoch >= 0
-          | Some n -> e.epoch = n)
+          continuity ~next:(Hashtbl.find_opt next (idx.chain x)) e.kind
+            ~epoch:e.epoch
+          = None
           && resolves pack e
         in
         if ok then begin
@@ -195,17 +214,47 @@ let check idx pack ~who items =
     (fun x ->
       let e = idx.entry x in
       let who sep = match who x with None -> "" | Some w -> w ^ sep in
-      (match Hashtbl.find_opt next (idx.chain x) with
-      | None ->
-          if e.kind <> Segment.Full then
-            err "%soldest epoch %d is not full" (who ": ") e.epoch
-      | Some n when e.epoch <> n ->
-          err "%sepoch %d follows %d" (who ": ") e.epoch (n - 1)
-      | Some _ -> ());
+      (match
+         continuity ~next:(Hashtbl.find_opt next (idx.chain x)) e.kind
+           ~epoch:e.epoch
+       with
+      | None -> ()
+      | Some Not_full -> err "%soldest epoch %d is not full" (who ": ") e.epoch
+      | Some Negative -> err "%soldest epoch %d is negative" (who ": ") e.epoch
+      | Some (Gap n) -> err "%sepoch %d follows %d" (who ": ") e.epoch (n - 1));
       Hashtbl.replace next (idx.chain x) (e.epoch + 1);
       List.iter (err "%sepoch %d: %s" (who " ") e.epoch) (check_entry pack e))
     items;
   List.rev !errs
+
+(* ------------------------------------------------------------------ *)
+(* Committing.                                                         *)
+
+type 'a committed = {
+  entries : 'a list;
+  collisions : collision list;
+  fresh_chunks : int;
+  bytes_written : int;
+}
+
+let commit idx vfs ~path pack items =
+  let pending = Hashtbl.create 16 and fresh = ref [] and collisions = ref [] in
+  let entries =
+    List.map
+      (fun (it : item) ->
+        idx.make it.chain (stage pack ~pending ~fresh ~collisions it))
+      items
+  in
+  let fresh = List.rev !fresh in
+  let pack_bytes = Pack.append_batch pack fresh in
+  let index_bytes = String.concat "" (List.map idx.encode entries) in
+  if index_bytes <> "" then
+    Vfs.write_synced vfs Append path (fun write -> write index_bytes);
+  (* Committed: only now do its collisions belong to an epoch. *)
+  { entries;
+    collisions = List.rev !collisions;
+    fresh_chunks = List.length fresh;
+    bytes_written = pack_bytes + String.length index_bytes }
 
 (* ------------------------------------------------------------------ *)
 (* Reading entries back.                                               *)

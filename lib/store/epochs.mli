@@ -1,12 +1,8 @@
 (** The epoch core shared by {!Store} (one chain, one index file) and
     [Ickpt_service.Service] (one chain per tenant, multiplexed per-shard
-    index files): how an epoch becomes pack frames plus an index entry,
-    and which entries form a valid chain. Each rule has its one home here.
-
-    Committing is the caller's: it appends {!staged.fresh} to the pack
-    (write + sync), then the entry to its index (write + sync — the commit
-    point), and only then records {!staged.collisions}, so a failed append
-    reports none. *)
+    index files): how a batch of epochs is committed as pack frames plus
+    index entries, and which entries form a valid chain. Each rule has its
+    one home here. *)
 
 open Ickpt_core
 
@@ -16,27 +12,6 @@ type collision = {
   col_stored_key : int;  (** the salted key the chunk was stored under *)
   col_attempt : int;  (** which rung of the salt ladder (>= 1) *)
 }
-
-(** {1 Staging} *)
-
-type staged = {
-  fresh : (int * string) list;  (** [(key, bytes)] to append, in order *)
-  entry : Epoch_index.entry;  (** chunk keys plus directory delta *)
-  collisions : collision list;  (** salted chunks, in chunk order *)
-}
-
-val stage :
-  Pack.t ->
-  pending:(int, string) Hashtbl.t ->
-  kind:Segment.kind ->
-  epoch:int ->
-  roots:int list ->
-  Chunk.t list ->
-  staged
-(** Resolve an epoch's chunks against the pack ({!Pack.resolve}: every key
-    hit byte-verified, collisions climbing the salt ladder). [pending]
-    holds the fresh chunks of earlier epochs of the same pack append, so a
-    batch dedups across its own items. Performs no I/O. *)
 
 (** {1 Chain rules} *)
 
@@ -49,13 +24,26 @@ val since_full : Epoch_index.entry list -> epoch:int -> Epoch_index.entry list
 (** The entries from {!newest_full} up to [epoch]; [~epoch:max_int] gives
     the suffix a chain resumes from. *)
 
-(** How a kind of index file holds entries: its codec, and the chain each
-    item belongs to. *)
+(** Why an epoch cannot extend a chain. *)
+type break =
+  | Not_full  (** the chain is empty and the epoch is incremental *)
+  | Negative  (** the chain is empty and the epoch is below 0 *)
+  | Gap of int  (** the chain expects this epoch instead *)
+
+val continuity : next:int option -> Segment.kind -> epoch:int -> break option
+(** The one continuity rule: a chain's oldest epoch is full with a
+    sequence number [>= 0], and every later one is its predecessor + 1.
+    [next] is the epoch the chain expects ([Some (newest + 1)]), [None]
+    for an empty chain. [None] means the epoch extends the chain. *)
+
+(** How a kind of index file holds entries: its codec, the chain each
+    item belongs to, and how an entry of a chain becomes an item. *)
 type 'a index = {
   decode : string -> pos:int -> 'a * int;
   encode : 'a -> string;
   chain : 'a -> int;
   entry : 'a -> Epoch_index.entry;
+  make : int -> Epoch_index.entry -> 'a;
 }
 
 val plain : Epoch_index.entry index
@@ -63,6 +51,39 @@ val plain : Epoch_index.entry index
 
 val mux : Epoch_index.mux_entry index
 (** A service shard's index: one chain per tenant. *)
+
+(** {1 Committing} *)
+
+(** One epoch to commit. *)
+type item = {
+  chain : int;  (** the chain it extends: a tenant id; ignored by {!plain} *)
+  kind : Segment.kind;
+  epoch : int;
+  roots : int list;
+  chunks : Chunk.t list;  (** the segment body, split *)
+}
+
+(** What a committed batch wrote. *)
+type 'a committed = {
+  entries : 'a list;  (** the index items, in batch order *)
+  collisions : collision list;  (** salted chunks, in batch order *)
+  fresh_chunks : int;  (** chunks appended to the pack *)
+  bytes_written : int;  (** pack plus index bytes *)
+}
+
+val commit :
+  'a index -> Vfs.t -> path:string -> Pack.t -> item list -> 'a committed
+(** Commit a batch of epochs to the index file at [path]: resolve every
+    chunk against the pack ({!Pack.resolve}: each key hit byte-verified,
+    collisions climbing the salt ladder, and one pending table so the
+    batch dedups across its own items), append the fresh chunks in one
+    {!Pack.append_batch} (write + sync), then write the batch's entries
+    to the index in one write + one sync — the commit point of every
+    epoch in it. A crash before that sync leaves at most orphaned chunks
+    and a torn index tail, which {!recover} cuts. The result, collisions
+    included, exists only once the index is synced, so a failed commit
+    reports none. Continuity is not checked here ({!continuity}). The
+    empty batch performs no I/O. *)
 
 val recover : 'a index -> Vfs.t -> string -> Pack.t -> 'a list
 (** The committed entries of an index file, truncating it to them: the

@@ -81,32 +81,33 @@ type append_stats = {
 }
 
 let append_segment t (seg : Segment.t) =
-  (match t.entries, seg.kind with
-  | [], Segment.Incremental ->
+  (match
+     Epochs.continuity ~next:(Option.map succ (latest_epoch t)) seg.kind
+       ~epoch:seg.seq
+   with
+  | None -> ()
+  | Some Not_full ->
       error "incremental segment on an empty store (no full base)"
-  | [], Segment.Full ->
-      if seg.seq < 0 then error "segment seq %d is negative" seg.seq
-  | _ :: _, _ ->
-      let latest = Option.get (latest_epoch t) in
-      if seg.seq <> latest + 1 then
-        error "segment seq %d, expected %d" seg.seq (latest + 1));
+  | Some Negative -> error "segment seq %d is negative" seg.seq
+  | Some (Gap n) -> error "segment seq %d, expected %d" seg.seq n);
   let chunks =
     Chunk.split ~records_per_chunk:t.records_per_chunk t.schema seg.body
   in
-  let st =
-    Epochs.stage t.pack ~pending:(Hashtbl.create 16) ~kind:seg.kind
-      ~epoch:seg.seq ~roots:seg.roots chunks
+  let c =
+    Epochs.commit Epochs.plain t.vfs ~path:(index_path t.root) t.pack
+      [ { Epochs.chain = 0;
+          kind = seg.kind;
+          epoch = seg.seq;
+          roots = seg.roots;
+          chunks } ]
   in
-  let pack_bytes = Pack.append_batch t.pack st.fresh in
-  let index_bytes = Epoch_index.append t.vfs (index_path t.root) st.entry in
-  (* Committed: only now do its collisions belong to an epoch. *)
-  t.entries <- t.entries @ [ st.entry ];
-  t.collided <- List.rev_append st.collisions t.collided;
+  t.entries <- t.entries @ c.entries;
+  t.collided <- List.rev_append c.collisions t.collided;
   { chunks_total = List.length chunks;
-    chunks_new = List.length st.fresh;
-    chunks_salted = List.length st.collisions;
+    chunks_new = c.fresh_chunks;
+    chunks_salted = List.length c.collisions;
     bytes_logical = String.length seg.body;
-    bytes_written = pack_bytes + index_bytes }
+    bytes_written = c.bytes_written }
 
 let collisions t = List.rev t.collided
 

@@ -119,11 +119,14 @@ let mux_roundtrip () =
     List.init 5 (fun i ->
         { Epoch_index.m_tenant = 1000 + (i mod 2); m_entry = sample_entry i })
   in
-  let wrote = Epoch_index.append_mux_batch vfs path ms in
-  check_int "append returns the bytes written"
-    (String.length (vfs.Vfs.read_file path)) wrote;
-  check_int "the empty batch writes nothing" 0
-    (Epoch_index.append_mux_batch vfs path []);
+  Vfs.write_synced vfs Append path (fun write ->
+      write (String.concat "" (List.map Epoch_index.encode_mux ms)));
+  let empty =
+    Epochs.commit Epochs.mux vfs ~path:"empty.idx"
+      (Pack.open_ ~vfs "mux.pack") []
+  in
+  check_int "the empty batch writes nothing" 0 empty.Epochs.bytes_written;
+  check_bool "nor opens the index" false (vfs.Vfs.exists "empty.idx");
   let loaded, _ = Epoch_index.load_mux vfs path in
   check_int "all entries" 5 (List.length loaded);
   List.iter2
@@ -272,7 +275,7 @@ let run_epochs ~vfs ~commit ~tenants ~rounds =
 let group_commit_fsyncs () =
   let vfs_a, syncs_a = counting_vfs (fresh_vfs ()) in
   let st_a =
-    run_epochs ~vfs:vfs_a ~commit:Service.Per_epoch ~tenants:4 ~rounds:6
+    run_epochs ~vfs:vfs_a ~commit:Service.per_epoch ~tenants:4 ~rounds:6
   in
   let vfs_b, syncs_b = counting_vfs (fresh_vfs ()) in
   let st_b =
@@ -313,16 +316,17 @@ let group_flush_barrier () =
   check_int "flush commits" 1 (List.length (Service.epochs tn));
   Service.close svc
 
-let group_async_mode () =
+(* Batches of up to four epochs from three tenants over two shards: every
+   epoch restores to its snapshot, each reports one commit latency, and
+   the batches are fewer than the epochs. *)
+let inline_group_mode () =
   let vfs = fresh_vfs () in
   let svc =
     Service.open_ ~vfs ~shards:2 ~records_per_chunk:4
       ~policy:(Policy.Full_every 3)
       ~commit:
-        (Service.Group_async
-           { Async_writer.Batch.max_items = 4;
-             max_bytes = 1 lsl 20;
-             linger = 0.002 })
+        (Service.Group
+           { Async_writer.Batch.max_items = 4; max_bytes = 1 lsl 20; linger = 0. })
       ~path:"svc" ()
   in
   let tens =
@@ -346,16 +350,33 @@ let group_async_mode () =
       List.iter
         (fun e ->
           let _heap, roots = Service.restore tn ~epoch:e in
-          check_bool "async-committed epoch restores" true
+          check_bool "group-committed epoch restores" true
             (String.equal (full_body roots) (Hashtbl.find snaps (i, e))))
         (Service.epochs tn))
     tens;
-  check_bool "drain thread grouped commits" true
+  check_bool "commits grouped" true
     ((Service.stats svc).Service.commit_batches
     < (Service.stats svc).Service.committed_epochs);
-  check_bool "latencies recorded" true
+  check_bool "one latency per committed epoch" true
     (List.length (Service.drain_latencies svc) = 15);
   Service.close svc
+
+(* A policy that could never cut a batch, or that asks for a drain-thread
+   wait nothing performs, is refused at open. *)
+let policy_rejected () =
+  let open_with p =
+    Service.open_ ~vfs:(fresh_vfs ()) ~commit:(Service.Group p) ~path:"svc" ()
+  in
+  let ok = { Async_writer.Batch.max_items = 2; max_bytes = 64; linger = 0. } in
+  List.iter
+    (fun (what, p) ->
+      match open_with p with
+      | _ -> Alcotest.failf "%s accepted" what
+      | exception Invalid_argument _ -> ())
+    [ ("max_items = 0", { ok with max_items = 0 });
+      ("max_bytes = 0", { ok with max_bytes = 0 });
+      ("linger = 0.001", { ok with linger = 0.001 }) ];
+  Service.close (open_with ok)
 
 (* ------------------------------------------------------------------ *)
 (* Salted rehash on hash collision.                                    *)
@@ -459,7 +480,7 @@ let store_collision_after_commit () =
   check_bool "epoch committed" true (Store.epochs store = [ 0 ]);
   check_int "exactly one collision" 1 (List.length (Store.collisions store))
 
-(* The same segments through a Store and a one-shard Per_epoch Service
+(* The same segments through a Store and a one-shard per-epoch Service
    tenant, both packs seeded with the same poisoned key, stage alike: the
    packs are byte-identical, the index entries equal, one collision each. *)
 let store_service_stage_alike () =
@@ -480,7 +501,7 @@ let store_service_stage_alike () =
   let store = Store.open_ ~vfs:svfs ~records_per_chunk:4 w.schema ~path:"s" in
   let svc =
     Service.open_ ~vfs:vvfs ~shards:1 ~records_per_chunk:4
-      ~commit:Service.Per_epoch ~path:"svc" ()
+      ~commit:Service.per_epoch ~path:"svc" ()
   in
   let tn = Service.open_tenant svc w.schema ~name:"twin" in
   let chain = Chain.create w.schema in
@@ -711,7 +732,8 @@ let suites =
       [ Alcotest.test_case "basics + dedup + resume" `Quick service_basics;
         Alcotest.test_case "group commit fsyncs" `Quick group_commit_fsyncs;
         Alcotest.test_case "flush barrier" `Quick group_flush_barrier;
-        Alcotest.test_case "async group commit" `Quick group_async_mode ] );
+        Alcotest.test_case "inline group commit" `Quick inline_group_mode;
+        Alcotest.test_case "commit policy rejected" `Quick policy_rejected ] );
     ( "service.collision",
       [ Alcotest.test_case "store salted rehash" `Quick store_salted_collision;
         Alcotest.test_case "service surfaces collision" `Quick

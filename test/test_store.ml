@@ -307,9 +307,8 @@ let index_roundtrip_and_torn_tail () =
   in
   List.iter
     (fun e ->
-      check_int "append returns the bytes written"
-        (String.length (Epoch_index.encode e))
-        (Epoch_index.append vfs "i.idx" e))
+      Vfs.write_synced vfs Append "i.idx" (fun write ->
+          write (Epoch_index.encode e)))
     [ e1; e2 ];
   let entries, valid = Epoch_index.load vfs "i.idx" in
   check_bool "roundtrip" true (entries = [ e1; e2 ]);
@@ -530,13 +529,13 @@ let store_misdirected_pointer () =
     in
     let latest = Option.get (Store.latest_epoch store) in
     let full = Store.entry_at store 0 in
-    ignore
-      (Epoch_index.append vfs (Store.index_path store_path)
-         { full with
-           Epoch_index.epoch = latest + 1;
-           kind = Segment.Incremental;
-           dir = dir_of full.Epoch_index.dir }
-        : int);
+    Vfs.write_synced vfs Append (Store.index_path store_path) (fun write ->
+        write
+          (Epoch_index.encode
+             { full with
+               Epoch_index.epoch = latest + 1;
+               kind = Segment.Incremental;
+               dir = dir_of full.Epoch_index.dir }));
     let store = Store.open_ ~vfs w.schema ~path:store_path in
     check_bool "forged entry survives open" true
       (Store.latest_epoch store = Some (latest + 1));
