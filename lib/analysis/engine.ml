@@ -163,24 +163,19 @@ let take_generic ~(mode : mode) chain roots =
     recorded = taken.Chain.stats.Checkpointer.recorded }
 
 (* A specialized checkpoint: [guard] runs first, timed on its own, then
-   [record] writes the residual routines' output, which is appended to
-   the chain by hand as one incremental segment. *)
+   [record] writes the residual routines' output as the body of one
+   incremental segment appended to the chain. *)
 let take_specialized ~guard ~record chain roots =
   let (), guard_seconds = Clock.time guard in
-  let d = Ickpt_stream.Out_stream.create () in
-  let (), seconds = Clock.time (fun () -> record d) in
-  let body = Ickpt_stream.Out_stream.contents d in
-  Chain.append chain
-    { Segment.kind = Segment.Incremental;
-      seq = Chain.next_seq chain;
-      roots =
-        List.map
-          (fun (o : Ickpt_runtime.Model.obj) ->
-            o.Ickpt_runtime.Model.info.Ickpt_runtime.Model.id)
-          roots;
-      body };
-  { bytes = String.length body;
-    seconds;
+  let seconds = ref 0.0 in
+  let seg =
+    Chain.segment ~kind:Segment.Incremental ~seq:(Chain.next_seq chain)
+      (fun d _ -> seconds := snd (Clock.time (fun () -> record d)))
+      roots
+  in
+  Chain.append chain seg;
+  { bytes = Segment.body_size seg;
+    seconds = !seconds;
     traversal_seconds = None;
     guard_seconds;
     recorded = -1 }

@@ -23,89 +23,91 @@ let length t = List.length t.segments
 
 let next_seq t = t.next_seq
 
-let next_kind_is_full t = t.segments = []
+let next t = if t.segments = [] then None else Some t.next_seq
+
+type break = Not_full | Negative | Gap of int
+
+let continuity ~next kind ~epoch =
+  match next with
+  | None when kind <> Segment.Full -> Some Not_full
+  | None when epoch < 0 -> Some Negative
+  | None -> None
+  | Some n -> if epoch = n then None else Some (Gap n)
 
 let append t seg =
-  (match seg.Segment.kind, t.segments with
-  | Segment.Incremental, [] ->
-      invalid "incremental checkpoint with no full base"
-  | Segment.Full, [] ->
-      (* A Full segment is self-contained, so it may start a chain at any
-         sequence number — the store resumes from its oldest retained epoch
-         after GC has dropped earlier ones. The chain adopts its seq. *)
-      if seg.Segment.seq < 0 then
-        invalid "segment seq %d is negative" seg.Segment.seq
-  | (Segment.Incremental | Segment.Full), _ :: _ ->
-      if seg.Segment.seq <> t.next_seq then
-        invalid "segment seq %d, expected %d" seg.Segment.seq t.next_seq);
+  (match continuity ~next:(next t) seg.Segment.kind ~epoch:seg.Segment.seq with
+  | None -> ()
+  | Some Not_full -> invalid "incremental checkpoint with no full base"
+  | Some Negative -> invalid "segment seq %d is negative" seg.Segment.seq
+  | Some (Gap n) -> invalid "segment seq %d, expected %d" seg.Segment.seq n);
   t.segments <- seg :: t.segments;
   t.next_seq <- seg.Segment.seq + 1
 
-let take ~kind runner t roots =
-  let stats = Checkpointer.fresh_stats () in
+let segment ~kind ~seq write roots =
   let d = Out_stream.create () in
-  runner ~stats d roots;
-  let segment =
-    { Segment.kind;
-      seq = t.next_seq;
-      roots = List.map (fun o -> o.Model.info.Model.id) roots;
-      body = Out_stream.contents d }
-  in
+  write d roots;
+  { Segment.kind;
+    seq;
+    roots = List.map (fun o -> o.Model.info.Model.id) roots;
+    body = Out_stream.contents d }
+
+let generic ?stats = function
+  | Segment.Full -> Checkpointer.full_many ?stats
+  | Segment.Incremental -> Checkpointer.incremental_many ?stats
+
+let take ~kind t roots =
+  let stats = Checkpointer.fresh_stats () in
+  let segment = segment ~kind ~seq:t.next_seq (generic ~stats kind) roots in
   append t segment;
   { segment; stats }
 
-let take_full t roots =
-  take ~kind:Segment.Full
-    (fun ~stats d roots -> Checkpointer.full_many ~stats d roots)
-    t roots
+let take_full t roots = take ~kind:Segment.Full t roots
 
 let take_incremental t roots =
   if t.segments = [] then invalid "take_incremental: no full base";
-  take ~kind:Segment.Incremental
-    (fun ~stats d roots -> Checkpointer.incremental_many ~stats d roots)
-    t roots
+  take ~kind:Segment.Incremental t roots
 
-let total_bytes t =
-  List.fold_left (fun acc s -> acc + Segment.body_size s) 0 t.segments
+let body_bytes = List.fold_left (fun acc s -> acc + Segment.body_size s) 0
+
+let total_bytes t = body_bytes t.segments
+
+(* Continuity makes the oldest segment full: the cut always ends on one. *)
+let since_full t ~epoch =
+  let rec cut acc = function
+    | [] -> acc
+    | seg :: older when seg.Segment.seq > epoch -> cut acc older
+    | seg :: older -> (
+        match seg.Segment.kind with
+        | Segment.Full -> seg :: acc
+        | Segment.Incremental -> cut (seg :: acc) older)
+  in
+  cut [] t.segments
+
+let since_full_bytes t =
+  match since_full t ~epoch:max_int with
+  | [] -> 0
+  | _full :: incrementals -> body_bytes incrementals
 
 let recover t =
   match t.segments with
   | [] -> Error "recover: empty chain"
   | newest :: _ -> (
-      let since_full =
-        (* Oldest-first suffix starting at the newest Full segment. *)
-        let rec cut acc = function
-          | [] -> None
-          | seg :: older -> (
-              match seg.Segment.kind with
-              | Segment.Full -> Some (seg :: acc)
-              | Segment.Incremental -> cut (seg :: acc) older)
-        in
-        cut [] t.segments
-      in
-      match since_full with
-      | None -> Error "recover: no full checkpoint in chain"
-      | Some segs -> (
-          try Ok (Restore.of_segments t.schema segs ~roots:newest.Segment.roots)
-          with
-          | Restore.Error msg -> Error ("restore: " ^ msg)
-          | In_stream.Corrupt msg -> Error ("corrupt: " ^ msg)))
+      try
+        Ok (Restore.of_segments t.schema (since_full t ~epoch:max_int)
+              ~roots:newest.Segment.roots)
+      with
+      | Restore.Error msg -> Error ("restore: " ^ msg)
+      | In_stream.Corrupt msg -> Error ("corrupt: " ^ msg))
 
 let compact t =
   match recover t with
   | Error _ when t.segments = [] -> ()
   | Error msg -> invalid "compact: %s" msg
   | Ok (_heap, roots) ->
-      let d = Out_stream.create () in
-      let stats = Checkpointer.fresh_stats () in
-      Checkpointer.full_many ~stats d roots;
       (* The compacted chain is a fresh one: numbering restarts at 0 so a
          persisted compacted log reloads like any other chain. *)
       let seg =
-        { Segment.kind = Segment.Full;
-          seq = 0;
-          roots = List.map (fun o -> o.Model.info.Model.id) roots;
-          body = Out_stream.contents d }
+        segment ~kind:Segment.Full ~seq:0 (generic Segment.Full) roots
       in
       t.segments <- [ seg ];
       t.next_seq <- 1

@@ -19,9 +19,39 @@ val create : Schema.t -> t
 
 val schema : t -> Schema.t
 
+(** {1 The continuity rule}
+
+    One rule for every chain — this one, a [Ickpt_cas.Store]'s and each
+    [Ickpt_service.Service] tenant's: the oldest segment is full with a
+    sequence number [>= 0] (a full is self-contained, so a chain resumed
+    after GC may start at any), and every later one is its predecessor
+    + 1. *)
+
+(** Why a segment cannot extend a chain. *)
+type break =
+  | Not_full  (** the chain is empty and the segment is incremental *)
+  | Negative  (** the chain is empty and the sequence number is below 0 *)
+  | Gap of int  (** the chain expects this sequence number instead *)
+
+val continuity : next:int option -> Segment.kind -> epoch:int -> break option
+(** [None] when a segment of that kind and sequence number extends a
+    chain expecting [next] ({!next}). *)
+
 (** {1 Taking checkpoints} *)
 
 type taken = { segment : Segment.t; stats : Checkpointer.stats }
+
+val segment :
+  kind:Segment.kind -> seq:int ->
+  (Ickpt_stream.Out_stream.t -> Model.obj list -> unit) ->
+  Model.obj list -> Segment.t
+(** [segment ~kind ~seq write roots]: the segment whose body [write]
+    records for [roots]. Appends nothing. *)
+
+val generic :
+  ?stats:Checkpointer.stats -> Segment.kind ->
+  Ickpt_stream.Out_stream.t -> Model.obj list -> unit
+(** {!Checkpointer.full_many} or {!Checkpointer.incremental_many}. *)
 
 val take_full : t -> Model.obj list -> taken
 (** Run the full checkpointer over the roots and append the segment. *)
@@ -32,17 +62,14 @@ val take_incremental : t -> Model.obj list -> taken
 
 val append : t -> Segment.t -> unit
 (** Append an externally produced segment (e.g. built by a specialized
-    checkpointing routine). Validates kind/sequence. On an empty chain a
-    {e Full} segment is accepted at any (non-negative) sequence number and
-    the chain adopts it — a full is self-contained, and the chunk store
-    resumes from its oldest retained epoch after GC has dropped earlier
-    ones. All subsequent segments must be contiguous.
-    @raise Invalid on a sequence gap or a baseless incremental. *)
+    checkpointing routine), checked by {!continuity}.
+    @raise Invalid on a sequence gap, a negative first sequence number or
+    a baseless incremental. *)
 
 val next_seq : t -> int
 
-val next_kind_is_full : t -> bool
-(** True when the chain is empty, i.e. the next checkpoint must be full. *)
+val next : t -> int option
+(** The sequence number the chain expects; [None] when it is empty. *)
 
 (** {1 Inspecting and recovering} *)
 
@@ -53,6 +80,13 @@ val length : t -> int
 
 val total_bytes : t -> int
 (** Sum of body sizes across the chain. *)
+
+val since_full : t -> epoch:int -> Segment.t list
+(** Oldest first, the segments from the newest full one at or before
+    [epoch] through [epoch] — what a replay of [epoch] decodes. *)
+
+val since_full_bytes : t -> int
+(** Body bytes of the incrementals after the newest full segment. *)
 
 val recover : t -> (Heap.t * Model.obj list, string) result
 (** Rebuild the heap from the newest full segment and all subsequent

@@ -1,5 +1,4 @@
 open Ickpt_runtime
-open Ickpt_stream
 
 type external_sink = {
   sink_append : Segment.t -> unit;
@@ -102,37 +101,30 @@ let maybe_compact t =
 
 let check_open t = if t.closed then failwith "Manager: closed"
 
-let checkpoint t roots =
+(* One checkpoint of the policy's kind, its body written by [write kind]. *)
+let take t roots write =
   check_open t;
-  let taken =
-    match Policy.decide t.policy t.chain with
-    | Segment.Full -> Chain.take_full t.chain roots
-    | Segment.Incremental -> Chain.take_incremental t.chain roots
+  let kind =
+    Policy.decide t.policy ~next:(Chain.next t.chain)
+      ~since_full_bytes:(Chain.since_full_bytes t.chain)
   in
-  persist t taken.Chain.segment;
-  maybe_compact t;
-  taken
-
-let checkpoint_with t roots ~body =
-  check_open t;
   let seg =
-    match Policy.decide t.policy t.chain with
-    | Segment.Full -> (Chain.take_full t.chain roots).Chain.segment
-    | Segment.Incremental ->
-        let d = Out_stream.create () in
-        body d roots;
-        let seg =
-          { Segment.kind = Segment.Incremental;
-            seq = Chain.next_seq t.chain;
-            roots = List.map (fun o -> o.Model.info.Model.id) roots;
-            body = Out_stream.contents d }
-        in
-        Chain.append t.chain seg;
-        seg
+    Chain.segment ~kind ~seq:(Chain.next_seq t.chain) (write kind) roots
   in
+  Chain.append t.chain seg;
   persist t seg;
   maybe_compact t;
   seg
+
+let checkpoint t roots =
+  let stats = Checkpointer.fresh_stats () in
+  let segment = take t roots (Chain.generic ~stats) in
+  { Chain.segment; stats }
+
+let checkpoint_with t roots ~body =
+  take t roots (function
+    | Segment.Full -> Chain.generic Segment.Full
+    | Segment.Incremental -> body)
 
 let close t =
   if not t.closed then begin

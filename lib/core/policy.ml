@@ -10,28 +10,16 @@ let pp ppf = function
   | Full_every n -> Format.fprintf ppf "full-every-%d" n
   | Chain_bytes_limit n -> Format.fprintf ppf "chain-bytes-limit-%d" n
 
-(* Newest-first walk accumulating incremental bytes until the first full
-   segment. *)
-let bytes_since_last_full chain =
-  let rec until_full acc = function
-    | [] -> acc
-    | seg :: rest -> (
-        match seg.Segment.kind with
-        | Segment.Full -> acc
-        | Segment.Incremental -> until_full (acc + Segment.body_size seg) rest)
-  in
-  until_full 0 (List.rev (Chain.segments chain))
-
-let decide t chain =
-  if Chain.next_kind_is_full chain then Segment.Full
-  else
-    match t with
-    | Always_full -> Segment.Full
-    | Incremental_after_base -> Segment.Incremental
-    | Full_every n ->
-        if n <= 0 then invalid_arg "Policy.Full_every: n must be positive";
-        if Chain.next_seq chain mod n = 0 then Segment.Full
-        else Segment.Incremental
-    | Chain_bytes_limit limit ->
-        if bytes_since_last_full chain > limit then Segment.Full
-        else Segment.Incremental
+let decide t ~next ~since_full_bytes =
+  match next with
+  | None -> Segment.Full
+  | Some next -> (
+      match t with
+      | Always_full -> Segment.Full
+      | Incremental_after_base -> Segment.Incremental
+      | Full_every n ->
+          if n <= 0 then invalid_arg "Policy.Full_every: n must be positive";
+          if next mod n = 0 then Segment.Full else Segment.Incremental
+      | Chain_bytes_limit limit ->
+          if since_full_bytes > limit then Segment.Full
+          else Segment.Incremental)

@@ -16,6 +16,8 @@ type t =
 
 val pp : Format.formatter -> t -> unit
 
-val decide : t -> Chain.t -> Segment.kind
-(** The kind the next checkpoint should use, given the chain so far.
-    Always [Full] on an empty chain, whatever the policy. *)
+val decide : t -> next:int option -> since_full_bytes:int -> Segment.kind
+(** The kind of a chain's next checkpoint, from the sequence number it
+    expects ({!Chain.next}) and its incremental body bytes since the
+    newest full ({!Chain.since_full_bytes}). Always [Full] on an empty
+    chain ([next = None]), whatever the policy. *)

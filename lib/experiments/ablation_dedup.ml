@@ -26,22 +26,6 @@ type row = {
 
 (* ---- shared measurement ------------------------------------------------- *)
 
-(* The best a log-only restore can do for an arbitrary epoch: accumulate
-   the suffix from the newest full at or before it (what Chain.recover
-   does for the latest). Under incremental-after-base that suffix is the
-   entire prefix — replay cost grows with run length, which is exactly
-   what the epoch index removes. *)
-let replay_segments segs ~target =
-  let upto = List.filter (fun (s : Segment.t) -> s.seq <= target) segs in
-  let rec cut acc = function
-    | [] -> acc
-    | (s : Segment.t) :: older -> (
-        match s.kind with
-        | Segment.Full -> s :: acc
-        | Segment.Incremental -> cut (s :: acc) older)
-  in
-  cut [] (List.rev upto)
-
 (* Store every segment of the chain, then materialize [target] both ways. *)
 let row_of_chain ?(repeats = 3) ~workload ~target chain =
   let schema = Chain.schema chain in
@@ -51,7 +35,12 @@ let row_of_chain ?(repeats = 3) ~workload ~target chain =
       let s = Store.stats store in
       let target = max 0 (min target (List.length segs - 1)) in
       let tseg = List.find (fun (x : Segment.t) -> x.seq = target) segs in
-      let replay = replay_segments segs ~target in
+      (* The best a log-only restore can do for an arbitrary epoch: the
+         suffix from the newest full at or before it. Under
+         incremental-after-base that suffix is the entire prefix — replay
+         cost grows with run length, which is what the epoch index
+         removes. *)
+      let replay = Chain.since_full chain ~epoch:target in
       let (rh, replayed), replay_seconds =
         Clock.best_of ~repeats (fun () ->
             Restore.of_segments schema replay ~roots:tseg.Segment.roots)

@@ -16,4 +16,6 @@ val workload :
   unit ->
   ((string * int) * Ickpt_runtime.Model.obj list) Sweep.workload
 (** Labelled ["service"]. [rounds] (default 4) mutation rounds after the
-    base epochs; each committed state is ((tenant, epoch), roots). *)
+    base epochs; each committed state is ((tenant, epoch), roots), the
+    roots a full checkpoint of the live heap restored into a fresh one —
+    the reference never reads the service back. *)

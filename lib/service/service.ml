@@ -28,14 +28,14 @@ type tenant = {
   t_name : string;
   t_shard : int;
   t_schema : Schema.t;
-  t_chain : Chain.t;
   mutable t_entries : Epoch_index.entry list;  (* committed, oldest first *)
+  mutable t_next : int option;  (* the epoch it expects; None: none yet *)
+  mutable t_since_full : int;  (* incremental body bytes since newest full *)
 }
 
 and item = {
   it_tenant : tenant;
   it_epoch : Epochs.item;
-  it_body_len : int;
   it_enq : float;
 }
 
@@ -212,9 +212,16 @@ let flush t =
   check_open t;
   with_lock t (fun () -> Array.iter (commit_locked t) t.shard_tbl)
 
-let submit tenant (seg : Segment.t) =
+(* Queue [seg] on its shard, committing the batch once full. The counters
+   advance at once: the next epoch extends the taken chain, committed or not. *)
+let append tenant (seg : Segment.t) =
   let t = tenant.t_svc in
   check_open t;
+  (match Chain.continuity ~next:tenant.t_next seg.kind ~epoch:seg.seq with
+  | None -> ()
+  | Some Chain.Not_full -> error "incremental checkpoint with no full base"
+  | Some Chain.Negative -> error "segment seq %d is negative" seg.seq
+  | Some (Chain.Gap n) -> error "segment seq %d, expected %d" seg.seq n);
   let chunks =
     Chunk.split ~records_per_chunk:t.records_per_chunk tenant.t_schema
       seg.body
@@ -227,17 +234,22 @@ let submit tenant (seg : Segment.t) =
           epoch = seg.seq;
           roots = seg.roots;
           chunks };
-      it_body_len = String.length seg.body;
       it_enq = Unix.gettimeofday () }
   in
+  tenant.t_next <- Some (seg.seq + 1);
+  tenant.t_since_full <-
+    (match seg.kind with
+    | Segment.Full -> 0
+    | Segment.Incremental -> tenant.t_since_full + String.length seg.body);
   let s = t.shard_tbl.(tenant.t_shard) in
   with_lock t (fun () ->
       s.s_pending <- s.s_pending @ [ it ];
-      s.s_pending_bytes <- s.s_pending_bytes + it.it_body_len;
+      s.s_pending_bytes <- s.s_pending_bytes + String.length seg.body;
       if
         List.length s.s_pending >= t.batch.max_items
         || s.s_pending_bytes >= t.batch.max_bytes
-      then commit_locked t s)
+      then commit_locked t s);
+  seg.seq
 
 (* ------------------------------------------------------------------ *)
 (* Tenants.                                                            *)
@@ -268,54 +280,41 @@ let open_tenant t schema ~name =
                 if m.m_tenant = id then Some m.m_entry else None)
               t.shard_tbl.(shard).s_committed
           in
-          let chain = Chain.create schema in
-          (* Resume the chain from the newest full epoch: a full is
-             self-contained, so the chain accepts it at any seq and the
-             incrementals after it replay on top. *)
-          List.iter
-            (fun e -> Chain.append chain (Epochs.segment t.pack e))
-            (Epochs.since_full entries ~epoch:max_int);
+          let incrementals =
+            List.filter
+              (fun (e : Epoch_index.entry) -> e.kind = Segment.Incremental)
+              (Epochs.since_full entries ~epoch:max_int)
+          in
           let tn =
             { t_svc = t;
               t_id = id;
               t_name = name;
               t_shard = shard;
               t_schema = schema;
-              t_chain = chain;
-              t_entries = entries }
+              t_entries = entries;
+              t_next = Option.map succ (Epochs.newest entries);
+              t_since_full = Epochs.logical_bytes t.pack incrementals }
           in
           Hashtbl.replace t.open_tenants id tn;
           tn)
 
 let checkpoint tenant roots =
-  let t = tenant.t_svc in
-  check_open t;
-  let taken =
-    match Policy.decide t.policy tenant.t_chain with
-    | Segment.Full -> Chain.take_full tenant.t_chain roots
-    | Segment.Incremental -> Chain.take_incremental tenant.t_chain roots
+  check_open tenant.t_svc;
+  let kind =
+    Policy.decide tenant.t_svc.policy ~next:tenant.t_next
+      ~since_full_bytes:tenant.t_since_full
   in
-  submit tenant taken.Chain.segment;
-  taken.Chain.segment.Segment.seq
-
-let append tenant seg =
-  let t = tenant.t_svc in
-  check_open t;
-  Chain.append tenant.t_chain seg;
-  submit tenant seg;
-  seg.Segment.seq
-
-let recover tenant = Chain.recover tenant.t_chain
+  append tenant
+    (Chain.segment ~kind
+       ~seq:(Option.value tenant.t_next ~default:0)
+       (Chain.generic kind) roots)
 
 let epochs tenant =
   with_lock tenant.t_svc (fun () ->
       List.map (fun (e : Epoch_index.entry) -> e.epoch) tenant.t_entries)
 
 let latest_epoch tenant =
-  with_lock tenant.t_svc (fun () ->
-      match List.rev tenant.t_entries with
-      | [] -> None
-      | e :: _ -> Some e.Epoch_index.epoch)
+  with_lock tenant.t_svc (fun () -> Epochs.newest tenant.t_entries)
 
 let restore tenant ~epoch =
   let t = tenant.t_svc in

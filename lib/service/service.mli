@@ -1,7 +1,10 @@
 (** The multi-tenant checkpoint service: many independent tenant heaps,
-    each with its own {!Ickpt_core.Chain} and epoch numbering, all feeding
+    each with its own checkpoint chain and epoch numbering, all feeding
     {e one} shared deduplicating {!Ickpt_cas.Pack} — so identical state
     dedups {e across} tenants, which is where content addressing pays.
+    A tenant's chain lives only on disk; in memory a tenant is its
+    committed index entries plus the epoch it expects next and its
+    incremental bytes since its newest full ({!Ickpt_core.Policy}'s inputs).
 
     A service at [path] owns:
     - [path ^ ".pack"] — the shared chunk pack;
@@ -35,9 +38,11 @@
     prefix of its own epochs — invariant I7, extended; swept by the
     [Ickpt_faultsim.Service_sim] workload of [Ickpt_faultsim.Sweep].
 
-    Where the rules live: committing a batch, the per-tenant chain rules
-    (resume from the newest full epoch, reopen validation, {!check}) and
-    entry → segment are [Ickpt_cas.Epochs], shared with
+    Where the rules live: the continuity rule is
+    {!Ickpt_core.Chain.continuity}, shared with the in-memory chain and
+    {!Ickpt_cas.Store}; committing a batch, the other per-tenant chain
+    rules (resume from the newest full epoch, reopen validation, {!check})
+    and entry → segment are [Ickpt_cas.Epochs], shared with
     {!Ickpt_cas.Store}; writing and reading back the record files (pack,
     shard indexes, catalog, meta) is {!Ickpt_core.Vfs.write_synced} and
     [Ickpt_stream.In_stream.fold_intact].
@@ -52,7 +57,8 @@ open Ickpt_core
 open Ickpt_cas
 
 exception Error of string
-(** Semantic misuse: tenant-id collision, unknown epoch, use after close. *)
+(** Semantic misuse: tenant-id collision, a segment that breaks its
+    tenant's chain, unknown epoch, use after close. *)
 
 type t
 
@@ -114,8 +120,8 @@ val open_ :
 
 val open_tenant : t -> Schema.t -> name:string -> tenant
 (** Open (creating or resuming) the tenant called [name]. Resuming
-    rebuilds its chain from the suffix of committed epochs starting at the
-    newest full one. Returns the existing handle if already open.
+    derives its counters from its committed entries and reads no chunk.
+    Returns the existing handle if already open.
     @raise Error if [name]'s id collides with a different existing name. *)
 
 val checkpoint : tenant -> Model.obj list -> int
@@ -126,12 +132,9 @@ val checkpoint : tenant -> Model.obj list -> int
 
 val append : tenant -> Segment.t -> int
 (** Submit an externally produced segment as the tenant's next epoch
-    (validated for kind/sequence by the tenant's chain). *)
-
-val recover : tenant -> (Heap.t * Model.obj list, string) result
-(** Rebuild the tenant's state at its newest {e taken} (not necessarily
-    yet committed) epoch from the in-memory chain — the reference
-    materialization the fault sweep snapshots committed states with. *)
+    ({!Ickpt_core.Chain.continuity} over its taken epochs); returns it.
+    @raise Error on a sequence gap, a negative first sequence number or a
+    baseless incremental, submitting nothing. *)
 
 val epochs : tenant -> int list
 (** The tenant's {e committed} epochs, ascending. *)
@@ -148,7 +151,7 @@ val flush : t -> unit
     barrier for epochs still waiting for their batch to fill. *)
 
 val evict : t -> name:string -> unit
-(** Flush, then drop the tenant's in-memory state (chain, entry cache).
+(** Flush, then drop the tenant's in-memory state (entry cache, counters).
     Its committed epochs stay on disk; {!open_tenant} resumes them. The
     old handle must not be used again. *)
 

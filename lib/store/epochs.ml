@@ -68,6 +68,9 @@ let stage pack ~pending ~fresh ~collisions it =
 (* ------------------------------------------------------------------ *)
 (* Chain rules.                                                        *)
 
+let newest entries =
+  List.fold_left (fun _ (e : Epoch_index.entry) -> Some e.epoch) None entries
+
 let newest_full entries ~epoch =
   List.fold_left
     (fun acc (e : Epoch_index.entry) ->
@@ -80,17 +83,6 @@ let since_full entries ~epoch =
   List.filter
     (fun (e : Epoch_index.entry) -> e.epoch >= base && e.epoch <= epoch)
     entries
-
-(* The continuity rule every chain obeys: its oldest epoch is full with a
-   sequence number >= 0, and each later epoch is its predecessor + 1. *)
-type break = Not_full | Negative | Gap of int
-
-let continuity ~next kind ~epoch =
-  match next with
-  | None when kind <> Segment.Full -> Some Not_full
-  | None when epoch < 0 -> Some Negative
-  | None -> None
-  | Some n -> if epoch = n then None else Some (Gap n)
 
 type 'a index = {
   decode : string -> pos:int -> 'a * int;
@@ -139,7 +131,7 @@ let valid_prefix idx pack items =
     | x :: rest ->
         let e = idx.entry x in
         let ok =
-          continuity ~next:(Hashtbl.find_opt next (idx.chain x)) e.kind
+          Chain.continuity ~next:(Hashtbl.find_opt next (idx.chain x)) e.kind
             ~epoch:e.epoch
           = None
           && resolves pack e
@@ -215,13 +207,16 @@ let check idx pack ~who items =
       let e = idx.entry x in
       let who sep = match who x with None -> "" | Some w -> w ^ sep in
       (match
-         continuity ~next:(Hashtbl.find_opt next (idx.chain x)) e.kind
+         Chain.continuity ~next:(Hashtbl.find_opt next (idx.chain x)) e.kind
            ~epoch:e.epoch
        with
       | None -> ()
-      | Some Not_full -> err "%soldest epoch %d is not full" (who ": ") e.epoch
-      | Some Negative -> err "%soldest epoch %d is negative" (who ": ") e.epoch
-      | Some (Gap n) -> err "%sepoch %d follows %d" (who ": ") e.epoch (n - 1));
+      | Some Chain.Not_full ->
+          err "%soldest epoch %d is not full" (who ": ") e.epoch
+      | Some Chain.Negative ->
+          err "%soldest epoch %d is negative" (who ": ") e.epoch
+      | Some (Chain.Gap n) ->
+          err "%sepoch %d follows %d" (who ": ") e.epoch (n - 1));
       Hashtbl.replace next (idx.chain x) (e.epoch + 1);
       List.iter (err "%sepoch %d: %s" (who " ") e.epoch) (check_entry pack e))
     items;

@@ -2,7 +2,7 @@
     [Ickpt_service.Service] (one chain per tenant, multiplexed per-shard
     index files): how a batch of epochs is committed as pack frames plus
     index entries, and which entries form a valid chain. Each rule has its
-    one home here. *)
+    one home here but continuity ({!Ickpt_core.Chain.continuity}). *)
 
 open Ickpt_core
 
@@ -15,6 +15,9 @@ type collision = {
 
 (** {1 Chain rules} *)
 
+val newest : Epoch_index.entry list -> int option
+(** The newest epoch of one chain's entries (oldest first), if any. *)
+
 val newest_full : Epoch_index.entry list -> epoch:int -> int
 (** The newest full epoch at or before [epoch] in one chain's entries
     (oldest first) — the base a restore, resume or GC starts from. The
@@ -23,18 +26,6 @@ val newest_full : Epoch_index.entry list -> epoch:int -> int
 val since_full : Epoch_index.entry list -> epoch:int -> Epoch_index.entry list
 (** The entries from {!newest_full} up to [epoch]; [~epoch:max_int] gives
     the suffix a chain resumes from. *)
-
-(** Why an epoch cannot extend a chain. *)
-type break =
-  | Not_full  (** the chain is empty and the epoch is incremental *)
-  | Negative  (** the chain is empty and the epoch is below 0 *)
-  | Gap of int  (** the chain expects this epoch instead *)
-
-val continuity : next:int option -> Segment.kind -> epoch:int -> break option
-(** The one continuity rule: a chain's oldest epoch is full with a
-    sequence number [>= 0], and every later one is its predecessor + 1.
-    [next] is the epoch the chain expects ([Some (newest + 1)]), [None]
-    for an empty chain. [None] means the epoch extends the chain. *)
 
 (** How a kind of index file holds entries: its codec, the chain each
     item belongs to, and how an entry of a chain becomes an item. *)
@@ -82,8 +73,8 @@ val commit :
     epoch in it. A crash before that sync leaves at most orphaned chunks
     and a torn index tail, which {!recover} cuts. The result, collisions
     included, exists only once the index is synced, so a failed commit
-    reports none. Continuity is not checked here ({!continuity}). The
-    empty batch performs no I/O. *)
+    reports none. Continuity is not checked here
+    ({!Ickpt_core.Chain.continuity}). The empty batch performs no I/O. *)
 
 val recover : 'a index -> Vfs.t -> string -> Pack.t -> 'a list
 (** The committed entries of an index file, truncating it to them: the

@@ -53,10 +53,7 @@ let open_ ?(vfs = Vfs.real) ?(records_per_chunk = Chunk.default_records_per_chun
 
 let epochs t = List.map (fun (e : Epoch_index.entry) -> e.epoch) t.entries
 
-let latest_epoch t =
-  match List.rev t.entries with
-  | [] -> None
-  | e :: _ -> Some e.Epoch_index.epoch
+let latest_epoch t = Epochs.newest t.entries
 
 let entry_at t epoch =
   match
@@ -82,14 +79,14 @@ type append_stats = {
 
 let append_segment t (seg : Segment.t) =
   (match
-     Epochs.continuity ~next:(Option.map succ (latest_epoch t)) seg.kind
+     Chain.continuity ~next:(Option.map succ (latest_epoch t)) seg.kind
        ~epoch:seg.seq
    with
   | None -> ()
-  | Some Not_full ->
+  | Some Chain.Not_full ->
       error "incremental segment on an empty store (no full base)"
-  | Some Negative -> error "segment seq %d is negative" seg.seq
-  | Some (Gap n) -> error "segment seq %d, expected %d" seg.seq n);
+  | Some Chain.Negative -> error "segment seq %d is negative" seg.seq
+  | Some (Chain.Gap n) -> error "segment seq %d, expected %d" seg.seq n);
   let chunks =
     Chunk.split ~records_per_chunk:t.records_per_chunk t.schema seg.body
   in

@@ -28,11 +28,12 @@
     event is recorded ({!collisions}) for the caller to surface (the CLI
     reports it as a finding in the JSON envelope).
 
-    Where the rules live: committing an epoch (pack, then index), the
-    chain rules (continuity, newest full epoch, reopen validation,
-    {!check}) and entry → segment are {!Epochs}, shared with
-    [Ickpt_service.Service]; writing and reading
-    back the record files is {!Ickpt_core.Vfs.write_synced} and
+    Where the rules live: the continuity rule is
+    {!Ickpt_core.Chain.continuity}, shared with the in-memory chain and
+    [Ickpt_service.Service]; committing an epoch (pack, then index), the
+    other chain rules (newest full epoch, reopen validation, {!check}) and
+    entry → segment are {!Epochs}, shared with the service; writing and
+    reading back the record files is {!Ickpt_core.Vfs.write_synced} and
     [Ickpt_stream.In_stream.fold_intact]. *)
 
 open Ickpt_runtime

@@ -418,7 +418,11 @@ let policy_decisions () =
   let env = make_env () in
   let root = build env (Leaf 0) in
   let chain = Chain.create env.schema in
-  let is_full p = Policy.decide p chain = Segment.Full in
+  let is_full p =
+    Policy.decide p ~next:(Chain.next chain)
+      ~since_full_bytes:(Chain.since_full_bytes chain)
+    = Segment.Full
+  in
   check_bool "empty chain always full" true (is_full Policy.Incremental_after_base);
   ignore (Chain.take_full chain [ root ]);
   check_bool "always_full stays full" true (is_full Policy.Always_full);

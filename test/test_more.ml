@@ -285,7 +285,10 @@ let policy_bytes_limit_progression () =
     if n = 0 then List.rev kinds
     else begin
       Ickpt_runtime.Barrier.set_int root 0 n;
-      let kind = Policy.decide policy chain in
+      let kind =
+        Policy.decide policy ~next:(Chain.next chain)
+          ~since_full_bytes:(Chain.since_full_bytes chain)
+      in
       (match kind with
       | Segment.Full -> ignore (Chain.take_full chain [ root ])
       | Segment.Incremental -> ignore (Chain.take_incremental chain [ root ]));
@@ -303,7 +306,10 @@ let policy_full_every_validation () =
   let chain = Chain.create env.Test_util.schema in
   let root = Test_util.build env (Test_util.Leaf 0) in
   ignore (Chain.take_full chain [ root ]);
-  match Policy.decide (Policy.Full_every 0) chain with
+  match
+    Policy.decide (Policy.Full_every 0) ~next:(Chain.next chain)
+      ~since_full_bytes:(Chain.since_full_bytes chain)
+  with
   | _ -> Alcotest.fail "Full_every 0 accepted"
   | exception Invalid_argument _ -> ()
 

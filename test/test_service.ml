@@ -199,7 +199,10 @@ let service_basics () =
     for r = 0 to 5 do
       if r > 0 then w.mutate r;
       let taken =
-        match Policy.decide (Policy.Full_every 3) chain with
+        match
+          Policy.decide (Policy.Full_every 3) ~next:(Chain.next chain)
+            ~since_full_bytes:(Chain.since_full_bytes chain)
+        with
         | Segment.Full -> Chain.take_full chain w.roots
         | Segment.Incremental -> Chain.take_incremental chain w.roots
       in
@@ -529,6 +532,88 @@ let store_service_stage_alike () =
     (entries = List.map (fun (m : Epoch_index.mux_entry) -> m.m_entry) muxes)
 
 (* ------------------------------------------------------------------ *)
+(* A tenant is its committed entries: misuse of [append] is a typed
+   error that leaves no trace, and a tenant resumed before every
+   checkpoint behaves exactly like one that never left.                 *)
+
+let append_misuse () =
+  let vfs = fresh_vfs () in
+  let path = "svc" in
+  let svc = Service.open_ ~vfs ~shards:1 ~records_per_chunk:4 ~path () in
+  let w = make_world ~offset:0 in
+  let tn = Service.open_tenant svc w.schema ~name:"solo" in
+  let seg kind seq =
+    { Segment.kind; seq; roots = [ 0 ]; body = full_body w.roots }
+  in
+  let files = [ Service.pack_path path; Service.shard_index_path path 0 ] in
+  let lengths () =
+    List.map (fun p -> String.length (Vfs.contents vfs p)) files
+  in
+  let rejected what s =
+    let before = lengths () in
+    (match Service.append tn s with
+    | _ -> Alcotest.failf "%s accepted" what
+    | exception Service.Error _ -> ());
+    Service.flush svc;
+    check_bool (what ^ ": nothing submitted") true (lengths () = before)
+  in
+  rejected "negative seq on a new tenant" (seg Segment.Full (-1));
+  rejected "baseless incremental" (seg Segment.Incremental 0);
+  check_int "full base commits" 0 (Service.append tn (seg Segment.Full 0));
+  Service.flush svc;
+  rejected "sequence gap" (seg Segment.Incremental 2);
+  check_int "next epoch commits" 1
+    (Service.append tn (seg Segment.Incremental 1));
+  Service.flush svc;
+  check_bool "epochs 0, 1" true (Service.epochs tn = [ 0; 1 ]);
+  check_bool "consistent" true (Service.check svc = []);
+  Service.close svc
+
+let resume_equivalence () =
+  let path = "svc" and shards = 2 in
+  let run policy ~resume =
+    let vfs = fresh_vfs () in
+    let svc =
+      Service.open_ ~vfs ~shards ~records_per_chunk:4 ~policy ~path ()
+    in
+    let w = make_world ~offset:0 in
+    let tn = ref (Service.open_tenant svc w.schema ~name:"t") in
+    for r = 0 to 11 do
+      if r > 0 then w.mutate r;
+      if resume then begin
+        Service.evict svc ~name:"t";
+        tn := Service.open_tenant svc w.schema ~name:"t"
+      end;
+      check_int "epoch" r (Service.checkpoint !tn w.roots)
+    done;
+    Service.close svc;
+    let indexes = List.init shards (Service.shard_index_path path) in
+    let kinds =
+      List.concat_map
+        (fun idx ->
+          List.map
+            (fun (m : Epoch_index.mux_entry) ->
+              (m.m_entry.epoch, m.m_entry.kind))
+            (fst (Epoch_index.load_mux vfs idx)))
+        indexes
+    in
+    (kinds, List.map (Vfs.contents vfs) (Service.pack_path path :: indexes))
+  in
+  List.iter
+    (fun policy ->
+      let name = Format.asprintf "%a" Policy.pp policy in
+      let kinds, files = run policy ~resume:false in
+      let kinds', files' = run policy ~resume:true in
+      check_bool (name ^ ": same kinds at the same epochs") true
+        (kinds = kinds');
+      check_bool (name ^ ": files byte-identical") true (files = files');
+      check_bool (name ^ ": a full after the base") true
+        (List.exists (fun (e, k) -> e > 0 && k = Segment.Full) kinds);
+      check_bool (name ^ ": incrementals") true
+        (List.exists (fun (_, k) -> k = Segment.Incremental) kinds))
+    [ Policy.Full_every 3; Policy.Chain_bytes_limit 40 ]
+
+(* ------------------------------------------------------------------ *)
 (* Property: any interleaving of tenants across domains restores every
    tenant byte-identically to running alone on a private store.        *)
 
@@ -570,7 +655,10 @@ let interleaving_equivalent seed =
           for r = 0 to rounds - 1 do
             if r > 0 then w.mutate ((seed * 13) + r);
             let taken =
-              match Policy.decide (Policy.Full_every 3) chain with
+              match
+                Policy.decide (Policy.Full_every 3) ~next:(Chain.next chain)
+                  ~since_full_bytes:(Chain.since_full_bytes chain)
+              with
               | Segment.Full -> Chain.take_full chain w.roots
               | Segment.Incremental -> Chain.take_incremental chain w.roots
             in
@@ -733,7 +821,9 @@ let suites =
         Alcotest.test_case "group commit fsyncs" `Quick group_commit_fsyncs;
         Alcotest.test_case "flush barrier" `Quick group_flush_barrier;
         Alcotest.test_case "inline group commit" `Quick inline_group_mode;
-        Alcotest.test_case "commit policy rejected" `Quick policy_rejected ] );
+        Alcotest.test_case "commit policy rejected" `Quick policy_rejected;
+        Alcotest.test_case "append misuse" `Quick append_misuse;
+        Alcotest.test_case "resume equivalence" `Quick resume_equivalence ] );
     ( "service.collision",
       [ Alcotest.test_case "store salted rehash" `Quick store_salted_collision;
         Alcotest.test_case "service surfaces collision" `Quick

@@ -337,7 +337,10 @@ let drive ?(records_per_chunk = 4) ~policy ~rounds vfs =
   for r = 0 to rounds - 1 do
     if r > 0 then w.mutate r;
     let taken =
-      match Policy.decide policy chain with
+      match
+        Policy.decide policy ~next:(Chain.next chain)
+          ~since_full_bytes:(Chain.since_full_bytes chain)
+      with
       | Segment.Full -> Chain.take_full chain w.roots
       | Segment.Incremental -> Chain.take_incremental chain w.roots
     in
@@ -680,7 +683,10 @@ let index_load_allocation () =
     if r > 0 then ignore (Ickpt_synth.Synth.mutate_round synth : int);
     let roots = Ickpt_synth.Synth.roots synth in
     let taken =
-      match Policy.decide policy chain with
+      match
+        Policy.decide policy ~next:(Chain.next chain)
+          ~since_full_bytes:(Chain.since_full_bytes chain)
+      with
       | Segment.Full -> Chain.take_full chain roots
       | Segment.Incremental -> Chain.take_incremental chain roots
     in
@@ -1036,7 +1042,10 @@ let restore_roundtrip_prop =
           for r = 0 to rounds do
             if r > 0 then ignore (Ickpt_synth.Synth.mutate_round t);
             let taken =
-              match Policy.decide policy chain with
+              match
+                Policy.decide policy ~next:(Chain.next chain)
+                  ~since_full_bytes:(Chain.since_full_bytes chain)
+              with
               | Segment.Full -> Chain.take_full chain roots
               | Segment.Incremental -> Chain.take_incremental chain roots
             in
