@@ -38,7 +38,11 @@ let open_existing path =
     Printf.eprintf "no store at %s (missing %s)\n" path (Store.pack_path path);
     exit 2
   end;
-  Store.open_ (Ickpt_runtime.Schema.create ()) ~path
+  match Store.open_ (Ickpt_runtime.Schema.create ()) ~path with
+  | store -> store
+  | exception Store.Error msg ->
+      Printf.eprintf "%s\n" msg;
+      exit 1
 
 let pp_stats ppf (s : Store.stats) =
   Format.fprintf ppf

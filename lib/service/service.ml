@@ -141,22 +141,36 @@ let open_ ?(vfs = Vfs.real) ?(shards = Shard.default_count)
   if batch.max_items < 1 then invalid_arg "Service.open_: max_items < 1";
   if batch.max_bytes < 1 then invalid_arg "Service.open_: max_bytes < 1";
   if batch.linger <> 0. then invalid_arg "Service.open_: linger <> 0.";
+  let meta = read_meta vfs root in
   let shards, records_per_chunk =
-    match read_meta vfs root with
-    | Some persisted -> persisted
-    | None ->
-        write_meta vfs root ~shards ~records_per_chunk;
-        (shards, records_per_chunk)
+    Option.value meta ~default:(shards, records_per_chunk)
   in
-  let pack = Pack.open_ ~vfs (pack_path root) in
+  (* Every shard index is read before anything is written or cut: an older
+     format is refused, and the largest pack length any shard's entries
+     name is the pack prefix a crash cannot have left torn. *)
+  let loaded =
+    Array.init shards (fun i ->
+        try Epochs.load Epochs.mux vfs (shard_index_path root i)
+        with Epoch_index.Unsupported_version msg -> raise (Error msg))
+  in
+  if meta = None then write_meta vfs root ~shards ~records_per_chunk;
+  let pack =
+    Pack.open_ ~vfs
+      ~committed:
+        (Array.fold_left
+           (fun n l -> max n (Epochs.committed_pack_len l))
+           0 loaded)
+      (pack_path root)
+  in
   let catalog = load_catalog vfs (catalog_path root) in
   let shard_tbl =
-    Array.init shards (fun i ->
-        let s_index_file = shard_index_path root i in
-        { s_index_file;
-          s_committed = Epochs.recover Epochs.mux vfs s_index_file pack;
+    Array.mapi
+      (fun i l ->
+        { s_index_file = shard_index_path root i;
+          s_committed = fst (Epochs.recover Epochs.mux vfs l pack);
           s_pending = [];
           s_pending_bytes = 0 })
+      loaded
   in
   let t =
     { vfs;
@@ -399,7 +413,13 @@ let check t =
         | Some name -> Printf.sprintf "%S" name
         | None -> Hash64.to_hex id
       in
-      List.concat
+      Epochs.check_orphans t.pack
+        (Array.to_list t.shard_tbl
+        |> List.concat_map (fun s ->
+               List.map
+                 (fun (m : Epoch_index.mux_entry) -> m.m_entry)
+                 s.s_committed))
+      @ List.concat
         (List.mapi
            (fun si s ->
              List.filter_map

@@ -190,4 +190,5 @@ val drain_latencies : t -> float list
 
 val check : t -> string list
 (** Integrity check over every tenant's committed entries and the shared
-    pack; [[]] means consistent. Salted chunks verify like any other. *)
+    pack (every frame CRC-checked, orphans too); [[]] means consistent.
+    Salted chunks verify like any other. *)

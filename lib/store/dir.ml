@@ -14,11 +14,11 @@ let entry_at entries epoch =
 
 type t = { slots : Restore.slots; keys : int array; roots : int list }
 
-let fold ~entries ~epoch =
+let fold_with pack ~entries ~epoch =
   let e = entry_at entries epoch in
   (* A full epoch's delta is a complete directory by construction, so fold
      newest-wins from the nearest full at or before [epoch] — nothing older
-     matters. *)
+     matters, and nothing older is decoded. *)
   let live = Epochs.since_full entries ~epoch in
   (* A slot's source is its chunk's position in the concatenation of the
      folded entries' chunk lists. *)
@@ -27,23 +27,38 @@ let fold ~entries ~epoch =
   in
   let slots =
     Restore.slots
-      (match live with x :: _ -> Array.length x.Epoch_index.dir / 3 | [] -> 0)
+      (match live with
+      | x :: _ -> Epoch_index.dir_records x.Epoch_index.dir
+      | [] -> 0)
   in
   ignore
     (List.fold_left
        (fun first (x : Epoch_index.entry) ->
-         let n = List.length x.chunks and dir = x.dir in
-         for i = 0 to (Array.length dir / 3) - 1 do
-           let id = dir.(3 * i) and c = dir.((3 * i) + 1) in
-           if c < 0 || c >= n then
-             error "epoch %d: object %d points at chunk %d of %d" x.epoch id
-               c n;
-           Restore.set_slot slots ~id ~src:(first + c) ~off:dir.((3 * i) + 2)
-         done;
-         first + n)
+         let set =
+           match pack with
+           | None ->
+               fun id c off -> Restore.set_slot slots ~id ~src:(first + c) ~off
+           | Some pack ->
+               let lens =
+                 Array.of_list (List.map (Pack.chunk_len pack) x.chunks)
+               in
+               fun id c off ->
+                 if off < 0 || off >= lens.(c) then
+                   error "epoch %d: object %d at offset %d of chunk %d (%d bytes)"
+                     x.epoch id off c lens.(c);
+                 Restore.set_slot slots ~id ~src:(first + c) ~off
+         in
+         (match Epoch_index.iter_dir x set with
+         | () -> ()
+         | exception Ickpt_stream.In_stream.Corrupt msg -> error "%s" msg);
+         first + List.length x.chunks)
        0 live
       : int);
   { slots; keys; roots = e.roots }
+
+let fold ~entries ~epoch = fold_with None ~entries ~epoch
+
+let fold_in pack ~entries ~epoch = fold_with (Some pack) ~entries ~epoch
 
 let find d id =
   Option.map (fun (src, off) -> (d.keys.(src), off)) (Restore.find_slot d.slots id)
@@ -70,7 +85,7 @@ let chunk r key =
 let record r (key, off) = Restore.record_at r.schema (chunk r key) ~pos:off
 
 let restore r ~entries ~epoch =
-  let d = fold ~entries ~epoch in
+  let d = fold_in r.pack ~entries ~epoch in
   Restore.heap_of_slots r.schema d.slots
     ~source:(fun src -> chunk r d.keys.(src))
     ~roots:d.roots

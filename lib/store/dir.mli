@@ -3,24 +3,33 @@
     {!Store} (one tenant, one index file) and [Ickpt_service.Service]
     (many tenants' entry lists demultiplexed from per-shard files).
 
-    {!fold} is the only pass over the directory deltas: it numbers each
-    live object id with a dense slot ({!Ickpt_core.Restore.slots}) holding
-    the chunk and offset of the id's newest record. {!restore} then decodes
-    each slot's record once, straight into the heap. *)
+    {!fold} is the only pass over the directory deltas, and the only
+    place a coded directory is decoded ({!Epoch_index.iter_dir}): it
+    numbers each live object id with a dense slot
+    ({!Ickpt_core.Restore.slots}) holding the chunk and offset of the id's
+    newest record. {!restore} then decodes each slot's record once,
+    straight into the heap. *)
 
 open Ickpt_runtime
 open Ickpt_core
 
 exception Error of string
-(** Raised on an epoch not present in the given entries, or a directory
-    entry pointing past its epoch's chunk list. *)
+(** Raised on an epoch not present in the given entries, a malformed coded
+    directory, or (when folding against a pack) a record offset outside
+    its chunk. *)
 
 type t
 (** The resolved per-object directory of one epoch. *)
 
 val fold : entries:Epoch_index.entry list -> epoch:int -> t
 (** Fold directory deltas newest-wins from the nearest full epoch at or
-    before [epoch]. [entries] must be one chain's entries, oldest first. *)
+    before [epoch], decoding only those entries' directories, into slots
+    sized by that full entry's record count. [entries] must be one chain's
+    entries, oldest first. *)
+
+val fold_in : Pack.t -> entries:Epoch_index.entry list -> epoch:int -> t
+(** {!fold}, checking every record offset against its chunk's length in
+    the pack (which must hold every chunk the entries name). *)
 
 val find : t -> int -> (int * int) option
 (** The (chunk key, byte offset) of an object's record. *)
@@ -41,4 +50,7 @@ val restore :
   reader -> entries:Epoch_index.entry list -> epoch:int -> Heap.t * Model.obj list
 (** Materialize the heap committed at [epoch]: {!fold}, then decode exactly
     one record per live object ({!Restore.heap_of_slots}), checking that
-    each record carries its directory entry's id. Roots are the entry's. *)
+    each record carries its directory entry's id. Roots are the entry's.
+    @raise Error as {!fold_in} the reader's pack.
+    @raise Ickpt_stream.In_stream.Corrupt if a chunk fails its CRC
+    ({!Pack.read}). *)

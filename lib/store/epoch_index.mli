@@ -4,30 +4,42 @@
 
     - the ordered list of chunk keys whose bodies concatenate to the
       epoch's segment body;
+    - the pack's length once the entry's chunks were appended: every
+      chunk the entry names lies before it;
     - a {e directory delta}: for every object record written in this epoch,
       the record id and its position ([chunk index in this entry] ×
       [byte offset within the chunk]). Folding directory deltas
       newest-wins from the nearest full epoch yields the per-object
       directory of any epoch.
 
-    In memory the delta is one flat [int array] of [(id, chunk, off)]
-    triples, decoded straight from the varints: one block per entry, not
-    a record and a list cell per object.
+    The directory is kept coded. Decoding an entry reads its header fields
+    and keeps the directory as a slice of the bytes it was read from;
+    only {!iter_dir} decodes it, so a reopen never touches the records of
+    epochs no restore folds.
 
-    Wire layout of one entry:
+    Wire layout of one entry (format version 2):
     {v
-    magic   fixed32  "ICKX"
-    version byte
-    epoch   varint
-    kind    byte     0 = full, 1 = incremental (as Segment)
-    nroots  varint   then that many root-id varints
-    nchunks varint   then that many chunk-key varints
-    ndir    varint   then ndir triples (id, chunk, off) of varints
-    crc     fixed32  CRC-32 of everything above
+    magic    fixed32  "ICKX"
+    version  byte     2
+    epoch    varint
+    kind     byte     0 = full, 1 = incremental (as Segment)
+    nroots   varint   then that many root-id varints
+    nchunks  varint   then that many chunk-key varints
+    records  varint   directory records
+    pack_len varint   pack length after this entry's batch was appended
+    dirlen   varint   then dirlen bytes of directory:
+                        per chunk, in chunk order: a record count, then
+                        per record (id - previous id) and
+                        (offset - previous offset in this chunk)
+    crc      fixed32  CRC-32 of everything above
     v}
-
-    A count claiming more items than bytes are left is
-    {!Ickpt_stream.In_stream.Corrupt} before anything is allocated for it.
+    Every field is a zigzag varint ({!Ickpt_stream.Varint}); the previous
+    id starts at 0 once per entry, the previous offset at 0 once per
+    chunk. A count claiming more items than bytes are left (a record takes
+    two bytes at least) is {!Ickpt_stream.In_stream.Corrupt} before
+    anything is allocated for it. Version 1 (a flat [(id, chunk, off)]
+    triple per record, no pack length) is not read: {!reject_older}
+    names it, and opening a store or service holding it is a typed error.
 
     Appending an entry (write + sync) is the {e commit point} of an epoch:
     chunks are appended to the pack first, so a crash between the two
@@ -43,23 +55,43 @@
 
 open Ickpt_core
 
+exception Unsupported_version of string
+(** An index file in an older format version (raised by {!Epochs.load});
+    the message names the file and the version. *)
+
+type dir
+(** A coded directory delta: a slice of the bytes it was read from or
+    coded into. *)
+
+val code_dir : (int * int) list list -> dir
+(** Code a directory from each chunk's [(record id, offset within the
+    chunk)] list, in chunk order (as {!Chunk.t}[.records]). *)
+
+val dir_records : dir -> int
+(** Records in the directory. *)
+
 type entry = {
   epoch : int;
   kind : Segment.kind;
   roots : int list;
   chunks : int list;  (** chunk keys, in body order *)
-  dir : int array;
-      (** directory delta, in record write order: triple [i] is the object
-          record id [dir.(3i)], its chunk's index in [chunks]
-          [dir.(3i+1)] and its byte offset within that chunk
-          [dir.(3i+2)] *)
+  pack_len : int;  (** pack length once this entry's batch was appended *)
+  dir : dir;  (** directory delta, coded *)
 }
 
+val iter_dir : entry -> (int -> int -> int -> unit) -> unit
+(** [iter_dir e f] decodes [e]'s directory, calling [f id chunk off] per
+    record in write order: [chunk] indexes [e.chunks], [off] is the byte
+    offset within that chunk.
+    @raise Ickpt_stream.In_stream.Corrupt if the directory does not hold
+    exactly one record group per chunk and {!dir_records} records (after
+    calling [f] on whatever decoded before the fault). *)
+
 val encode : entry -> string
-(** @raise Invalid_argument if [dir]'s length is not a multiple of 3. *)
 
 val decode : string -> pos:int -> entry * int
-(** One entry at [pos] and the offset just past it.
+(** One entry at [pos] and the offset just past it. The entry's directory
+    is a slice of the given string.
     @raise Ickpt_stream.In_stream.Corrupt unless an intact entry is there. *)
 
 val load : Vfs.t -> string -> entry list * int
@@ -68,10 +100,16 @@ val load : Vfs.t -> string -> entry list * int
     file is the empty index. Performs no writes; the caller decides
     whether to truncate. *)
 
-val write_staged : Vfs.t -> path:string -> entry list -> string
+val write_staged : Vfs.t -> path:string -> entry list -> string * int
 (** Write a fresh index holding exactly [entries] to the staging path
     ({!Ickpt_core.Storage.temp_of}[ ~path]), sync it, and return that
-    path. Used by GC; the caller commits by renaming over [path]. *)
+    path and its length. Used by GC; the caller commits by renaming over
+    [path]. *)
+
+val reject_older : path:string -> string -> unit
+(** @raise Unsupported_version if the bytes of the index file [path] begin
+    with a plain or multiplexed entry header of an older format version
+    than this build's. *)
 
 (** {1 Multiplexed (per-shard) index}
 

@@ -20,50 +20,26 @@ type item = {
 }
 
 (* Resolve one item's chunks against the pack, pushing its fresh chunks
-   and collisions (newest first) onto the batch's, and build its entry.
-   Dedup: a key hit is only a duplicate if the bytes agree. Pack.resolve
-   byte-verifies every hit and, on a genuine collision, degrades to a
-   salted rehash instead of refusing the epoch. *)
+   and collisions (newest first) onto the batch's, and return its chunk
+   keys. Dedup: a key hit is only a duplicate if the bytes agree.
+   Pack.resolve byte-verifies every hit and, on a genuine collision,
+   degrades to a salted rehash instead of refusing the epoch. *)
 let stage pack ~pending ~fresh ~collisions it =
-  let keys =
-    List.map
-      (fun (c : Chunk.t) ->
-        match Pack.resolve pack ~pending ~key:c.key c.data with
-        | Pack.Dup key -> key
-        | Pack.Fresh { key; attempt } ->
-            fresh := (key, c.data) :: !fresh;
-            if attempt > 0 then
-              collisions :=
-                { col_epoch = it.epoch;
-                  col_content_key = c.key;
-                  col_stored_key = key;
-                  col_attempt = attempt }
-                :: !collisions;
-            key)
-      it.chunks
-  in
-  let dir =
-    Array.make
-      (List.fold_left (fun n (c : Chunk.t) -> n + (3 * List.length c.records)) 0
-         it.chunks)
-      0
-  in
-  let j = ref 0 in
-  List.iteri
-    (fun i (c : Chunk.t) ->
-      List.iter
-        (fun (id, off) ->
-          dir.(!j) <- id;
-          dir.(!j + 1) <- i;
-          dir.(!j + 2) <- off;
-          j := !j + 3)
-        c.records)
-    it.chunks;
-  { Epoch_index.epoch = it.epoch;
-    kind = it.kind;
-    roots = it.roots;
-    chunks = keys;
-    dir }
+  List.map
+    (fun (c : Chunk.t) ->
+      match Pack.resolve pack ~pending ~key:c.key c.data with
+      | Pack.Dup key -> key
+      | Pack.Fresh { key; attempt } ->
+          fresh := (key, c.data) :: !fresh;
+          if attempt > 0 then
+            collisions :=
+              { col_epoch = it.epoch;
+                col_content_key = c.key;
+                col_stored_key = key;
+                col_attempt = attempt }
+              :: !collisions;
+          key)
+    it.chunks
 
 (* ------------------------------------------------------------------ *)
 (* Chain rules.                                                        *)
@@ -106,29 +82,24 @@ let mux =
     entry = (fun m -> m.Epoch_index.m_entry);
     make = (fun m_tenant m_entry -> { Epoch_index.m_tenant; m_entry }) }
 
+(* An entry resolves when the pack is as long as the entry says it was
+   once its chunks were appended, and holds every chunk it names. Its
+   directory is not decoded here: an offset past its chunk is Dir's error
+   at fold time, and check's finding. *)
 let resolves pack (e : Epoch_index.entry) =
-  match Array.of_list (List.map (Pack.chunk_len pack) e.chunks) with
-  | exception Not_found -> false
-  | lens ->
-      let rec ok i =
-        i >= Array.length e.dir
-        ||
-        let c = e.dir.(i + 1) and off = e.dir.(i + 2) in
-        c >= 0 && c < Array.length lens && off >= 0 && off < lens.(c)
-        && ok (i + 3)
-      in
-      ok 0
+  e.pack_len <= Pack.physical_bytes pack && List.for_all (Pack.mem pack) e.chunks
 
-(* Longest valid prefix: per chain, the oldest epoch full and the rest
-   contiguous, every entry resolving against the pack. Crash-consistent
-   operation never violates this (the pack is synced before the index),
-   so rejections are defensive — but one cuts the whole file there, which
-   keeps every chain in it a committed prefix. *)
+(* Longest valid prefix of [(item, end offset)]s: per chain, the oldest
+   epoch full and the rest contiguous, every entry resolving against the
+   pack. Crash-consistent operation never violates this (the pack is
+   synced before the index), so rejections are defensive — but one cuts
+   the whole file there, which keeps every chain in it a committed
+   prefix. Returns the kept items and the end offset of the last. *)
 let valid_prefix idx pack items =
   let next : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let rec go acc = function
-    | [] -> List.rev acc
-    | x :: rest ->
+  let rec go acc cut = function
+    | [] -> (List.rev acc, cut)
+    | (x, stop) :: rest ->
         let e = idx.entry x in
         let ok =
           Chain.continuity ~next:(Hashtbl.find_opt next (idx.chain x)) e.kind
@@ -138,51 +109,78 @@ let valid_prefix idx pack items =
         in
         if ok then begin
           Hashtbl.replace next (idx.chain x) (e.epoch + 1);
-          go (x :: acc) rest
+          go (x :: acc) stop rest
         end
-        else List.rev acc
+        else (List.rev acc, cut)
   in
-  go [] items
+  go [] 0 items
 
-let recover idx vfs path pack =
+type 'a loaded = {
+  file : string;
+  size : int;
+  items : ('a * int) list;  (* intact items, each with its end offset *)
+  pack_len : int;
+}
+
+let load idx vfs path =
   let raw = Vfs.contents vfs path in
-  let loaded, valid = In_stream.intact_prefix idx.decode raw in
-  let kept = valid_prefix idx pack loaded in
-  (* Encoding is deterministic, so the kept entries re-encode to exactly
-     the on-disk prefix to keep. *)
-  let len =
-    if List.compare_lengths kept loaded = 0 then valid
-    else List.fold_left (fun n x -> n + String.length (idx.encode x)) 0 kept
+  let items, valid =
+    In_stream.intact_prefix
+      (fun s ~pos ->
+        let x, stop = idx.decode s ~pos in
+        ((x, stop), stop))
+      raw
   in
-  if len < String.length raw then vfs.Vfs.truncate path ~len;
-  kept
+  if valid = 0 then Epoch_index.reject_older ~path raw;
+  { file = path;
+    size = String.length raw;
+    items;
+    pack_len =
+      List.fold_left
+        (fun n (x, _) -> max n (idx.entry x).Epoch_index.pack_len)
+        0 items }
+
+let committed_pack_len l = l.pack_len
+
+let recover idx vfs l pack =
+  let kept, len = valid_prefix idx pack l.items in
+  if len < l.size then vfs.Vfs.truncate l.file ~len;
+  (kept, len)
 
 let check_entry pack (e : Epoch_index.entry) =
   let errs = ref [] in
   let err fmt = Format.kasprintf (fun s -> errs := s :: !errs) fmt in
   let hex = Hash64.to_hex in
+  if e.pack_len > Pack.physical_bytes pack then
+    err "names pack length %d past the pack's end (%d)" e.pack_len
+      (Pack.physical_bytes pack);
   let data =
     Array.of_list
       (List.map
          (fun k ->
-           if not (Pack.mem pack k) then begin
-             err "references missing chunk %s" (hex k);
-             None
-           end
-           else
-             let d = Pack.read pack k in
-             if not (Chunk.key_matches k d) then
-               err "chunk %s content does not match its key" (hex k);
-             Some d)
+           match Pack.read pack k with
+           | exception Not_found ->
+               err "references missing chunk %s" (hex k);
+               None
+           | exception In_stream.Corrupt msg ->
+               err "%s" msg;
+               None
+           | d ->
+               if not (Chunk.key_matches k d) then
+                 err "chunk %s content does not match its key" (hex k);
+               Some d)
          e.chunks)
   in
-  for i = 0 to (Array.length e.dir / 3) - 1 do
-    let d_id = e.dir.(3 * i) and d_chunk = e.dir.((3 * i) + 1) in
-    let d_off = e.dir.((3 * i) + 2) in
-    if d_chunk < 0 || d_chunk >= Array.length data then
-      err "record %d points at chunk index %d/%d" d_id d_chunk
-        (Array.length data)
-    else
+  let records = ref [] in
+  (match
+     Epoch_index.iter_dir e (fun id c off -> records := (id, c, off) :: !records)
+   with
+  | () -> ()
+  | exception In_stream.Corrupt msg ->
+      records := [];
+      err "%s" msg);
+  List.iter
+    (fun (d_id, d_chunk, d_off) ->
       match data.(d_chunk) with
       | None -> ()
       | Some d when d_off < 0 || d_off >= String.length d ->
@@ -194,8 +192,8 @@ let check_entry pack (e : Epoch_index.entry) =
               err "directory entry for object %d lands on record %d" d_id id
           | _ -> ()
           | exception In_stream.Corrupt _ ->
-              err "record %d at offset %d is truncated" d_id d_off)
-  done;
+              err "record %d at offset %d is truncated" d_id d_off))
+    (List.rev !records);
   List.rev !errs
 
 let check idx pack ~who items =
@@ -222,6 +220,22 @@ let check idx pack ~who items =
     items;
   List.rev !errs
 
+let check_orphans pack entries =
+  let referenced = Hashtbl.create 256 in
+  List.iter
+    (fun (e : Epoch_index.entry) ->
+      List.iter (fun k -> Hashtbl.replace referenced k ()) e.chunks)
+    entries;
+  List.filter_map
+    (fun k ->
+      if Hashtbl.mem referenced k then None
+      else
+        match Pack.read pack k with
+        | _ -> None
+        | exception In_stream.Corrupt msg ->
+            Some ("orphan frame: " ^ msg))
+    (Pack.keys pack)
+
 (* ------------------------------------------------------------------ *)
 (* Committing.                                                         *)
 
@@ -230,18 +244,31 @@ type 'a committed = {
   collisions : collision list;
   fresh_chunks : int;
   bytes_written : int;
+  index_bytes : int;
 }
 
 let commit idx vfs ~path pack items =
   let pending = Hashtbl.create 16 and fresh = ref [] and collisions = ref [] in
-  let entries =
-    List.map
-      (fun (it : item) ->
-        idx.make it.chain (stage pack ~pending ~fresh ~collisions it))
-      items
+  let keys =
+    List.map (fun (it : item) -> stage pack ~pending ~fresh ~collisions it) items
   in
   let fresh = List.rev !fresh in
   let pack_bytes = Pack.append_batch pack fresh in
+  let pack_len = Pack.physical_bytes pack in
+  let entries =
+    List.map2
+      (fun (it : item) chunks ->
+        idx.make it.chain
+          { Epoch_index.epoch = it.epoch;
+            kind = it.kind;
+            roots = it.roots;
+            chunks;
+            pack_len;
+            dir =
+              Epoch_index.code_dir
+                (List.map (fun (c : Chunk.t) -> c.records) it.chunks) })
+      items keys
+  in
   let index_bytes = String.concat "" (List.map idx.encode entries) in
   if index_bytes <> "" then
     Vfs.write_synced vfs Append path (fun write -> write index_bytes);
@@ -249,7 +276,8 @@ let commit idx vfs ~path pack items =
   { entries;
     collisions = List.rev !collisions;
     fresh_chunks = List.length fresh;
-    bytes_written = pack_bytes + String.length index_bytes }
+    bytes_written = pack_bytes + String.length index_bytes;
+    index_bytes = String.length index_bytes }
 
 (* ------------------------------------------------------------------ *)
 (* Reading entries back.                                               *)

@@ -60,6 +60,7 @@ type 'a committed = {
   collisions : collision list;  (** salted chunks, in batch order *)
   fresh_chunks : int;  (** chunks appended to the pack *)
   bytes_written : int;  (** pack plus index bytes *)
+  index_bytes : int;  (** of them, index bytes *)
 }
 
 val commit :
@@ -70,25 +71,55 @@ val commit :
     batch dedups across its own items), append the fresh chunks in one
     {!Pack.append_batch} (write + sync), then write the batch's entries
     to the index in one write + one sync — the commit point of every
-    epoch in it. A crash before that sync leaves at most orphaned chunks
+    epoch in it. Every entry names the pack's length after the append and
+    carries its directory coded straight from the chunks' records. A crash before that sync leaves at most orphaned chunks
     and a torn index tail, which {!recover} cuts. The result, collisions
     included, exists only once the index is synced, so a failed commit
     reports none. Continuity is not checked here
     ({!Ickpt_core.Chain.continuity}). The empty batch performs no I/O. *)
 
-val recover : 'a index -> Vfs.t -> string -> Pack.t -> 'a list
-(** The committed entries of an index file, truncating it to them: the
-    intact prefix, cut further at the first entry that breaks its chain
-    (oldest not full, an epoch gap) or does not resolve against the pack
-    (a missing chunk, a directory entry outside its chunks). *)
+(** {1 Reopening}
+
+    Reopen is two steps because the pack needs the index and the index the
+    pack: {!load} the index files, open the pack with
+    {!committed_pack_len} (the largest over every index file sharing it),
+    then {!recover} each index against that pack. *)
+
+type 'a loaded
+(** An index file's intact entries, decoded (directories left coded) but
+    not yet checked against a pack. *)
+
+val load : 'a index -> Vfs.t -> string -> 'a loaded
+(** Read an index file's intact prefix. Performs no writes.
+    @raise Epoch_index.Unsupported_version if the file holds no intact
+    entry and begins with an entry header of an older format version. *)
+
+val committed_pack_len : 'a loaded -> int
+(** The largest pack length the loaded entries name (0 for none): the
+    pack frames before it were synced before those entries committed. *)
+
+val recover : 'a index -> Vfs.t -> 'a loaded -> Pack.t -> 'a list * int
+(** The committed entries of a loaded index file and the file's length
+    once truncated to them: the intact prefix, cut further at the first
+    entry that breaks its chain (oldest not full, an epoch gap) or does
+    not resolve against the pack (a missing chunk, a pack length past the
+    pack's end). The cut is the kept entries' decoded end; nothing is
+    re-encoded. Directories are not decoded. *)
 
 val check :
   'a index -> Pack.t -> who:('a -> string option) -> 'a list -> string list
 (** Integrity problems of the given entries, per chain: the oldest epoch
-    full, epochs contiguous, every chunk present with bytes matching its
-    key, every directory entry landing on a record of its id. [who] names
+    full, epochs contiguous, the pack as long as each entry names, every
+    chunk present, intact by CRC and with bytes matching its key, every
+    directory well-formed and each of its records landing on a record of
+    its id inside its chunk. [who] names
     an item's chain in the messages ([None]: no name). [[]] means
     consistent. *)
+
+val check_orphans : Pack.t -> Epoch_index.entry list -> string list
+(** Pack chunks no given entry references (orphans a crash between pack
+    and index append left) that fail their CRC: with {!check} over the
+    same entries, every frame in the pack is checked. *)
 
 (** {1 Reading entries back} *)
 

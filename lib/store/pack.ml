@@ -7,8 +7,15 @@ let version = 1
 
 (* Where a chunk body lives: [len] bytes at [off] of an immutable string —
    the file bytes read at open, or the frames of the batch that appended
-   it. *)
-type slice = { src : string; off : int; len : int }
+   it — in the frame starting at [start]. [checked] once the frame's CRC
+   has been verified. *)
+type slice = {
+  src : string;
+  start : int;
+  off : int;
+  len : int;
+  mutable checked : bool;
+}
 
 type t = {
   vfs : Vfs.t;
@@ -40,9 +47,15 @@ let encode_frame key body =
   add_frame buf key body;
   Buffer.contents buf
 
-(* Decode one frame at [pos]; returns ((key, body offset, body len), end
-   pos). Raises In_stream.Corrupt on anything short of an intact frame. *)
-let decode_frame s ~pos =
+let crc_ok { src; start; off; len; _ } =
+  In_stream.read_fixed32 (In_stream.of_string_at src ~pos:(off + len))
+  = Crc32.sub src ~pos:start ~len:(off + len - start)
+
+(* The frame at [pos], its CRC checked unless it ends at or before
+   [trusted]; returns ((key, slice), end pos). Raises In_stream.Corrupt on
+   anything short of a whole frame with a well-formed header, or on a
+   checked frame whose CRC disagrees. *)
+let frame s ~trusted ~pos =
   let inp = In_stream.of_string_at s ~pos in
   let m = In_stream.read_fixed32 inp in
   if m <> magic then
@@ -54,10 +67,24 @@ let decode_frame s ~pos =
   let len = In_stream.read_int inp in
   let off = In_stream.pos inp in
   In_stream.skip inp len;
-  let crc = In_stream.read_fixed32 inp in
-  if crc <> Crc32.sub s ~pos ~len:(off + len - pos) then
+  In_stream.skip inp 4;
+  let next = In_stream.pos inp in
+  let slice = { src = s; start = pos; off; len; checked = next > trusted } in
+  if slice.checked && not (crc_ok slice) then
     raise (In_stream.Corrupt (Printf.sprintf "pack crc mismatch at %d" pos));
-  ((key, off, len), In_stream.pos inp)
+  ((key, slice), next)
+
+(* A slice's bytes are read only once its frame's CRC holds. *)
+let verified key s =
+  if not s.checked then begin
+    if not (crc_ok s) then
+      raise
+        (In_stream.Corrupt
+           (Printf.sprintf "pack crc mismatch at %d (chunk %s)" s.start
+              (Hash64.to_hex key)));
+    s.checked <- true
+  end;
+  s
 
 let add t key slice =
   if not (Hashtbl.mem t.tbl key) then begin
@@ -65,13 +92,15 @@ let add t key slice =
     t.order <- key :: t.order
   end
 
-let load t =
+let load t ~committed =
   Hashtbl.reset t.tbl;
   t.order <- [];
   let raw = Vfs.contents t.vfs t.file in
   let (), valid =
-    In_stream.fold_intact decode_frame raw
-      (fun () (key, off, len) -> add t key { src = raw; off; len })
+    In_stream.fold_intact
+      (frame ~trusted:(min committed (String.length raw)))
+      raw
+      (fun () (key, slice) -> add t key slice)
       ()
   in
   (* Cut a torn tail off before the next append, exactly as Storage does
@@ -81,19 +110,19 @@ let load t =
   if valid < String.length raw then t.vfs.Vfs.truncate t.file ~len:valid;
   t.size <- valid
 
-let open_ ?(vfs = Vfs.real) file =
+let open_ ?(vfs = Vfs.real) ?(committed = 0) file =
   let t = { vfs; file; size = 0; tbl = Hashtbl.create 256; order = [] } in
-  load t;
+  load t ~committed;
   t
 
-let reload = load
+let reload t = load t ~committed:0
 
 let path t = t.file
 
 let mem t key = Hashtbl.mem t.tbl key
 
 let read t key =
-  let { src; off; len } = Hashtbl.find t.tbl key in
+  let { src; off; len; _ } = verified key (Hashtbl.find t.tbl key) in
   String.sub src off len
 
 let chunk_len t key = (Hashtbl.find t.tbl key).len
@@ -126,9 +155,9 @@ let append_batch t batch =
       let pos = ref 0 in
       List.iter
         (fun (key, _) ->
-          let (k, off, len), next = decode_frame frames ~pos:!pos in
+          let (k, slice), next = frame frames ~trusted:0 ~pos:!pos in
           assert (k = key);
-          add t key { src = frames; off; len };
+          add t key slice;
           pos := next)
         batch;
       t.size <- t.size + String.length frames;
@@ -140,7 +169,7 @@ type resolution =
 
 (* Does the slice hold exactly [data]? Compared in place, eight bytes at a
    time, without copying the chunk out. *)
-let equal_at { src; off; len } data =
+let equal_at { src; off; len; _ } data =
   len = String.length data
   &&
   let i = ref 0 in
@@ -170,7 +199,7 @@ let resolve t ~pending ~key data =
       let key = if attempt = 0 then key else Chunk.salted_key data ~attempt in
       let same =
         match Hashtbl.find_opt t.tbl key with
-        | Some s -> Some (equal_at s data)
+        | Some s -> Some (equal_at (verified key s) data)
         | None -> Option.map (String.equal data) (Hashtbl.find_opt pending key)
       in
       match same with
@@ -184,8 +213,14 @@ let resolve t ~pending ~key data =
 
 let stage_rewrite t ~keep =
   let tmp = Storage.temp_of ~path:t.file in
+  let bytes = ref 0 in
   Vfs.write_synced t.vfs Trunc tmp (fun write ->
       List.iter
-        (fun key -> if keep key then write (encode_frame key (read t key)))
+        (fun key ->
+          if keep key then begin
+            let f = encode_frame key (read t key) in
+            bytes := !bytes + String.length f;
+            write f
+          end)
         (keys t));
-  tmp
+  (tmp, !bytes)

@@ -18,33 +18,51 @@
     O(pack). A chunk read copies the chunk's bytes out of its slice;
     {!resolve} compares a key hit against them in place.
 
-    Every frame is CRC-checked once, when its slice enters the table:
-    - on open ({!open_}, {!reload}), every frame of the file is decoded
-      and checked; a torn or corrupt tail — the normal outcome of a crash
-      mid-append — is truncated away, and anything before it is intact by
-      CRC;
+    Every frame is CRC-checked once, before any of its bytes are used:
+    - on open ({!open_}), the frame headers are walked (magic, version,
+      key, length, the frame inside the file). Frames that end past the
+      [committed] length — the pack length named by the newest committed
+      index entry — are CRC-checked there and then: that is the region a
+      crash mid-append can leave torn or garbled. The first frame that
+      does not walk or fails that check truncates the file. Frames before
+      [committed] were synced before any committed entry named them;
+      their CRC is checked on first use;
+    - on first use: a {!read}, a {!resolve} hit compared against new
+      bytes, or a {!stage_rewrite} copy. A mismatch there is
+      {!Ickpt_stream.In_stream.Corrupt} naming the chunk; the file is not
+      cut, so every other chunk stays readable;
     - on {!append_batch}, after the write and sync, each new frame is
       decoded and checked from the batch's own bytes (a self-check of the
-      encoder).
+      encoder); it is never checked again;
+    - {!reload} checks every frame at once.
+
+    So no unchecked byte reaches a decoder, a dedup comparison, an
+    integrity check or a GC rewrite. {!chunk_len}, {!mem} and {!keys} read
+    only the walked headers.
 
     All file access goes through {!Ickpt_core.Vfs}. *)
 
 type t
 
-val open_ : ?vfs:Ickpt_core.Vfs.t -> string -> t
+val open_ : ?vfs:Ickpt_core.Vfs.t -> ?committed:int -> string -> t
 (** Open (creating if missing) the pack at the given path, truncating any
-    torn tail. *)
+    torn tail. Frames ending at or before [committed] (capped at the file
+    size; default 0, every frame) are CRC-checked on first use instead of
+    now. *)
 
 val reload : t -> unit
-(** Re-read the file and rebuild the key table — used after a GC rewrite
-    commits. The bytes the vfs returned are only ever read. *)
+(** Re-read the file, CRC-checking every frame, and rebuild the key
+    table — used after a GC rewrite commits. The bytes the vfs returned
+    are only ever read. *)
 
 val path : t -> string
 
 val mem : t -> int -> bool
 
 val read : t -> int -> string
-(** Chunk body by key. @raise Not_found for an unknown key. *)
+(** Chunk body by key.
+    @raise Not_found for an unknown key.
+    @raise Ickpt_stream.In_stream.Corrupt if its frame fails its CRC. *)
 
 val chunk_len : t -> int -> int
 (** Body length by key. @raise Not_found for an unknown key. *)
@@ -81,12 +99,15 @@ val resolve :
     byte-verifying every key hit and climbing the salt ladder past
     collisions. [pending] carries fresh chunks of the same batch that are
     not in the pack yet; a [Fresh] result is added to it. Does not write.
+    @raise Ickpt_stream.In_stream.Corrupt if a hit's frame fails its CRC.
     @raise Failure if all [1 + ]{!Chunk.max_salt_attempts} keys collide
     (cryptographically unreachable). *)
 
-val stage_rewrite : t -> keep:(int -> bool) -> string
+val stage_rewrite : t -> keep:(int -> bool) -> string * int
 (** Write a pack containing only the kept chunks (in their original order)
     to the staging path ({!Ickpt_core.Storage.temp_of}), sync it, and
-    return that path. The live pack and its key table are not touched;
+    return that path and its length.
+    @raise Ickpt_stream.In_stream.Corrupt if a kept chunk fails its CRC
+    (nothing is renamed). The live pack and its key table are not touched;
     the caller commits by renaming the staged file over {!path} and
     calling {!reload}. *)

@@ -23,6 +23,7 @@ type t = {
   records_per_chunk : int;
   pack : Pack.t;
   mutable entries : Epoch_index.entry list;  (* oldest first *)
+  mutable index_bytes : int;  (* the index file's length *)
   mutable collided : collision list;  (* newest first; this session only *)
 }
 
@@ -37,6 +38,13 @@ let open_ ?(vfs = Vfs.real) ?(records_per_chunk = Chunk.default_records_per_chun
     schema ~path:root =
   if records_per_chunk < 1 then invalid_arg "Store.open_: records_per_chunk";
   let pack_file = pack_path root and index_file = index_path root in
+  (* The index is read first: an older format is refused before anything
+     is swept or cut, and its entries name the pack prefix a crash cannot
+     have left torn. *)
+  let loaded =
+    try Epochs.load Epochs.plain vfs index_file
+    with Epoch_index.Unsupported_version msg -> raise (Error msg)
+  in
   (* Staged GC temps hold no committed data; a crash before the commit
      rename leaves them behind, and reopen is where they get swept. *)
   List.iter
@@ -44,9 +52,18 @@ let open_ ?(vfs = Vfs.real) ?(records_per_chunk = Chunk.default_records_per_chun
       let tmp = Storage.temp_of ~path:p in
       if vfs.Vfs.exists tmp then vfs.Vfs.remove tmp)
     [ pack_file; index_file ];
-  let pack = Pack.open_ ~vfs pack_file in
-  let entries = Epochs.recover Epochs.plain vfs index_file pack in
-  { vfs; root; schema; records_per_chunk; pack; entries; collided = [] }
+  let pack =
+    Pack.open_ ~vfs ~committed:(Epochs.committed_pack_len loaded) pack_file
+  in
+  let entries, index_bytes = Epochs.recover Epochs.plain vfs loaded pack in
+  { vfs;
+    root;
+    schema;
+    records_per_chunk;
+    pack;
+    entries;
+    index_bytes;
+    collided = [] }
 
 (* ------------------------------------------------------------------ *)
 (* Lookup helpers.                                                     *)
@@ -99,6 +116,7 @@ let append_segment t (seg : Segment.t) =
           chunks } ]
   in
   t.entries <- t.entries @ c.entries;
+  t.index_bytes <- t.index_bytes + c.index_bytes;
   t.collided <- List.rev_append c.collisions t.collided;
   { chunks_total = List.length chunks;
     chunks_new = c.fresh_chunks;
@@ -123,8 +141,8 @@ let restore t ~epoch =
 let diff t a b =
   ignore (entry_at t a : Epoch_index.entry);
   ignore (entry_at t b : Epoch_index.entry);
-  let da = Dir.fold ~entries:t.entries ~epoch:a
-  and db = Dir.fold ~entries:t.entries ~epoch:b in
+  let da = Dir.fold_in t.pack ~entries:t.entries ~epoch:a
+  and db = Dir.fold_in t.pack ~entries:t.entries ~epoch:b in
   let record = Dir.record (Dir.reader t.pack t.schema) in
   let changes = ref [] in
   Dir.iter da (fun id ptr ->
@@ -204,8 +222,18 @@ let gc t ~retain =
       else begin
         let old_bytes = Pack.physical_bytes t.pack in
         let pack_file = pack_path t.root and index_file = index_path t.root in
-        let pack_tmp = Pack.stage_rewrite t.pack ~keep:(Hashtbl.mem kept_keys) in
-        let idx_tmp = Epoch_index.write_staged t.vfs ~path:index_file kept in
+        let pack_tmp, pack_len =
+          Pack.stage_rewrite t.pack ~keep:(Hashtbl.mem kept_keys)
+        in
+        (* Every kept entry names the rewritten pack's length: an old,
+           larger one would have a later reopen trust frames past it
+           unchecked, where an unsynced append may have left a torn tail. *)
+        let kept =
+          List.map (fun (e : Epoch_index.entry) -> { e with pack_len }) kept
+        in
+        let idx_tmp, index_bytes =
+          Epoch_index.write_staged t.vfs ~path:index_file kept
+        in
         (* Commit order matters: the index first. Until the pack rename the
            pack is the OLD one — a superset of the new — so whichever index
            a crash leaves current, its chunks resolve. Renaming the pack
@@ -215,6 +243,7 @@ let gc t ~retain =
         t.vfs.Vfs.rename ~src:pack_tmp ~dst:pack_file;
         Pack.reload t.pack;
         t.entries <- kept;
+        t.index_bytes <- index_bytes;
         { dropped_epochs;
           dropped_chunks;
           reclaimed_bytes = old_bytes - Pack.physical_bytes t.pack }
@@ -230,16 +259,11 @@ type stats = {
 
 let stats t =
   let logical_bytes = Epochs.logical_bytes t.pack t.entries in
-  let index_bytes =
-    List.fold_left
-      (fun acc e -> acc + String.length (Epoch_index.encode e))
-      0 t.entries
-  in
   let pack_bytes = Pack.physical_bytes t.pack in
   { n_epochs = List.length t.entries;
     n_chunks = Pack.length t.pack;
     logical_bytes;
-    physical_bytes = pack_bytes + index_bytes;
+    physical_bytes = pack_bytes + t.index_bytes;
     dedup_ratio =
       (if pack_bytes = 0 then 1.0
        else float_of_int logical_bytes /. float_of_int pack_bytes) }
@@ -260,6 +284,7 @@ let salted_chunks t =
 
 let check t =
   Epochs.check Epochs.plain t.pack ~who:(fun _ -> None) t.entries
+  @ Epochs.check_orphans t.pack t.entries
   @ List.filter_map
       (fun (k, n) ->
         if n < 0 then

@@ -43,19 +43,26 @@ type t
 
 exception Error of string
 (** Semantic store failure: out-of-order epoch, baseless incremental,
-    unknown epoch, hash collision. Frame-level corruption is {e not} an
-    exception — it is truncated away on open. *)
+    unknown epoch, an index in an older format version. Frame-level
+    corruption in a torn tail is {e not} an exception — it is truncated
+    away on open; a committed pack frame that fails its CRC is
+    [Ickpt_stream.In_stream.Corrupt] when first read ({!Pack}). *)
 
 val pack_path : string -> string
 val index_path : string -> string
 
 val open_ :
   ?vfs:Vfs.t -> ?records_per_chunk:int -> Schema.t -> path:string -> t
-(** Open (creating if missing) the store rooted at [path]. Stale staged
-    temps from a crashed {!gc} are swept, torn file tails truncated, and
-    the index validated against the pack — entries from the first
-    inconsistency onwards are dropped (defensively; crash-consistent use
-    never produces them). *)
+(** Open (creating if missing) the store rooted at [path]. The index is
+    read first; then stale staged temps from a crashed {!gc} are swept,
+    the pack opened with the CRC of every frame past the newest committed
+    entry's pack length checked (the rest on first read), torn file tails
+    truncated, and the index validated against the pack — entries from
+    the first inconsistency onwards are dropped (defensively;
+    crash-consistent use never produces them). Directories are not
+    decoded.
+    @raise Error if the index is in an older format version; nothing is
+    swept, cut or written then. *)
 
 val path : t -> string
 val schema : t -> Schema.t
@@ -119,7 +126,11 @@ val restore : t -> epoch:int -> Heap.t * Model.obj list
     before [epoch] (never the whole chain), then decode exactly one record
     per live object, reading each needed chunk once.
     @raise Error on an unknown epoch;
-    @raise Restore.Error on semantic corruption. *)
+    @raise Dir.Error on a malformed directory or a record offset outside
+    its chunk;
+    @raise Restore.Error on semantic corruption;
+    @raise Ickpt_stream.In_stream.Corrupt if a needed chunk fails its
+    CRC. *)
 
 val diff : t -> int -> int -> Diff.change list
 (** [diff t a b] — the changes from epoch [a] to epoch [b], computed in
@@ -163,8 +174,10 @@ val stats : t -> stats
 
 val check : t -> string list
 (** Integrity check; [[]] means consistent. Verifies epoch contiguity,
-    oldest-epoch-is-full, every referenced chunk present with matching
-    content hash, directory entries in range, and refcount consistency. *)
+    oldest-epoch-is-full, every entry's pack length within the pack, every
+    referenced chunk present with matching content hash, every directory
+    well-formed with its records in range, every pack frame (orphans too)
+    intact by CRC, and refcount consistency. *)
 
 (** {1 Manager integration} *)
 

@@ -27,13 +27,14 @@ let write_fixed32 t n =
       Buffer.add_char buf (Char.unsafe_chr ((n lsr 24) land 0xff))
   | Sink count -> count := !count + 4
 
-let write_string t s =
+let write_substring t s ~pos ~len =
   match t with
   | Buffered buf ->
-      Varint.write buf (String.length s);
-      Buffer.add_string buf s
-  | Sink count ->
-      count := !count + Varint.encoded_size (String.length s) + String.length s
+      Varint.write buf len;
+      Buffer.add_substring buf s pos len
+  | Sink count -> count := !count + Varint.encoded_size len + len
+
+let write_string t s = write_substring t s ~pos:0 ~len:(String.length s)
 
 let size = function
   | Buffered buf -> Buffer.length buf

@@ -31,6 +31,10 @@ val write_fixed32 : t -> int -> unit
 val write_string : t -> string -> unit
 (** Length-prefixed string. *)
 
+val write_substring : t -> string -> pos:int -> len:int -> unit
+(** {!write_string} of the [len] bytes of a string at [pos], not copied
+    out first. *)
+
 val size : t -> int
 (** Number of bytes written so far. *)
 

@@ -110,7 +110,8 @@ let sample_entry i =
     kind = (if i = 0 then Segment.Full else Segment.Incremental);
     roots = [ 0; i ];
     chunks = [ 111 + i; 222 + i ];
-    dir = [| 0; 0; 0; i + 1; 1; 7 * i |] }
+    pack_len = 100 * i;
+    dir = Epoch_index.code_dir [ [ (0, 0) ]; [ (i + 1, 7 * i) ] ] }
 
 let mux_roundtrip () =
   let vfs = fresh_vfs () in
@@ -131,7 +132,9 @@ let mux_roundtrip () =
   check_int "all entries" 5 (List.length loaded);
   List.iter2
     (fun (a : Epoch_index.mux_entry) (b : Epoch_index.mux_entry) ->
-      check_bool "roundtrip" true (a = b))
+      check_bool "roundtrip" true
+        (a.m_tenant = b.m_tenant
+        && Test_store.entry_view a.m_entry = Test_store.entry_view b.m_entry))
     ms loaded;
   (* A torn tail cuts whole entries, never corrupts earlier ones. *)
   let raw = vfs.Vfs.read_file path in
@@ -529,7 +532,10 @@ let store_service_stage_alike () =
   let muxes, _ = Epoch_index.load_mux vvfs (Service.shard_index_path "svc" 0) in
   check_int "13 epochs" 13 (List.length entries);
   check_bool "index entries equal" true
-    (entries = List.map (fun (m : Epoch_index.mux_entry) -> m.m_entry) muxes)
+    (List.map Test_store.entry_view entries
+    = List.map
+        (fun (m : Epoch_index.mux_entry) -> Test_store.entry_view m.m_entry)
+        muxes)
 
 (* ------------------------------------------------------------------ *)
 (* A tenant is its committed entries: misuse of [append] is a typed
@@ -783,7 +789,8 @@ let reopen_rejections () =
   let alice = last_of "alice" and bob = last_of "bob" in
   let pack = Pack.open_ ~vfs (Service.pack_path path) in
   let bad =
-    Test_store.rejected_entries ~chunk_len:(Pack.chunk_len pack) alice.m_entry
+    Test_store.rejected_entries ~pack_bytes:(Pack.physical_bytes pack)
+      alice.m_entry
   in
   List.iter
     (fun (name, entry) ->
@@ -809,13 +816,154 @@ let reopen_rejections () =
         committed (vfs.Vfs.read_file idx);
       check_bool (name ^ ": consistent") true (Service.check svc = []);
       Service.close svc)
-    bad
+    bad;
+  (* An offset at its chunk's end survives reopen; alice's fold refuses
+     it, bob's epochs restore, and check lists it. *)
+  vfs.Vfs.truncate idx ~len:(String.length committed);
+  Test_store.append_bytes vfs idx
+    (Epoch_index.encode_mux
+       { alice with
+         m_entry =
+           Test_store.offset_at_chunk_end ~chunk_len:(Pack.chunk_len pack)
+             alice.m_entry });
+  let svc = Service.open_ ~vfs ~path () in
+  let tn name offset =
+    Service.open_tenant svc (make_world ~offset).schema ~name
+  in
+  let alice = tn "alice" 0 and bob = tn "bob" 3000 in
+  check_bool "offset at chunk end: kept by reopen" true
+    (Service.epochs alice = [ 0; 1; 2; 3 ]);
+  (match Service.restore alice ~epoch:3 with
+  | _ -> Alcotest.fail "offset at chunk end: restored"
+  | exception Dir.Error _ -> ());
+  ignore (Service.restore bob ~epoch:2);
+  check_bool "offset at chunk end: check lists it" true
+    (List.exists
+       (fun e -> Test_store.contains e "out of range")
+       (Service.check svc));
+  Service.close svc
+
+(* ------------------------------------------------------------------ *)
+(* Index v2: a version-1 service is refused untouched; random mutations
+   of any service file (shard index, pack, catalog, meta) raise typed
+   errors only, and what restores is what was committed.              *)
+
+(* A two-tenant, two-shard service run for four rounds: its files and
+   every tenant epoch's committed body. *)
+let fuzz_fleet = [ ("alice", 0); ("bob", 3000) ]
+
+let fuzz_service_files () =
+  let vfs = fresh_vfs () in
+  let svc =
+    Service.open_ ~vfs ~shards:2 ~records_per_chunk:4
+      ~policy:(Policy.Full_every 3) ~path:"svc" ()
+  in
+  let bodies = Hashtbl.create 16 in
+  List.iter
+    (fun (name, offset) ->
+      let w = make_world ~offset in
+      let tn = Service.open_tenant svc w.schema ~name in
+      for r = 0 to 3 do
+        if r > 0 then w.mutate r;
+        let e = Service.checkpoint tn w.roots in
+        Hashtbl.replace bodies (name, e) (full_body w.roots)
+      done)
+    fuzz_fleet;
+  Service.close svc;
+  let files =
+    List.filter vfs.Vfs.exists
+      (Service.pack_path "svc" :: Service.catalog_path "svc"
+       :: Service.meta_path "svc"
+       :: List.init 2 (Service.shard_index_path "svc"))
+  in
+  (List.map (fun p -> (p, vfs.Vfs.read_file p)) files, bodies)
+
+let service_index_v1_rejected () =
+  let files, _ = fuzz_service_files () in
+  let vfs = Sim.vfs (Sim.seeded files) in
+  let shard = Service.shard_index_path "svc" 0 in
+  let muxes, _ = Epoch_index.load_mux vfs shard in
+  let v1 =
+    String.concat ""
+      (List.map
+         (fun (m : Epoch_index.mux_entry) ->
+           Test_store.v1_entry ~tenant:m.m_tenant m.m_entry)
+         muxes)
+  in
+  let w = vfs.Vfs.open_trunc shard in
+  w.Vfs.write v1;
+  w.Vfs.sync ();
+  w.Vfs.close ();
+  Test_store.append_bytes vfs (Service.pack_path "svc") "ICPK\001torn";
+  let before = List.map (fun (p, _) -> (p, vfs.Vfs.read_file p)) files in
+  (match Service.open_ ~vfs ~path:"svc" () with
+  | _ -> Alcotest.fail "opened a version-1 shard index"
+  | exception Service.Error msg ->
+      if not (Test_store.contains msg "version 1") then
+        Alcotest.failf "error %S does not name version 1" msg);
+  List.iter
+    (fun (p, d) ->
+      Alcotest.(check string) (p ^ " byte-identical") d (vfs.Vfs.read_file p))
+    before
+
+let fuzz_service =
+  let files, bodies = fuzz_service_files () in
+  QCheck2.Test.make ~count:300
+    ~name:"fuzzed service files: typed errors only"
+    QCheck2.Gen.(
+      pair (int_bound (List.length files - 1)) Test_faultsim.fuzz_ops_gen)
+    (fun (which, ops) ->
+      let target = fst (List.nth files which) in
+      let vfs =
+        Sim.vfs
+          (Sim.seeded
+             (List.map
+                (fun (p, d) ->
+                  ( p,
+                    if p = target then
+                      List.fold_left Test_faultsim.apply_fuzz_op d ops
+                    else d ))
+                files))
+      in
+      let typed f =
+        match f () with
+        | () -> ()
+        | exception
+            ( Service.Error _ | Dir.Error _ | Restore.Error _
+            | In_stream.Corrupt _ ) ->
+            ()
+      in
+      typed (fun () ->
+          let svc = Service.open_ ~vfs ~path:"svc" () in
+          List.iter
+            (fun (name, offset) ->
+              typed (fun () ->
+                  let tn =
+                    Service.open_tenant svc (make_world ~offset).schema ~name
+                  in
+                  List.iter
+                    (fun epoch ->
+                      typed (fun () ->
+                          let _, roots = Service.restore tn ~epoch in
+                          if
+                            Some (full_body roots)
+                            <> Hashtbl.find_opt bodies (name, epoch)
+                          then
+                            QCheck2.Test.fail_reportf "%s epoch %d restored wrong"
+                              name epoch))
+                    (Service.epochs tn)))
+            fuzz_fleet;
+          ignore (Service.check svc : string list));
+      true)
 
 let suites =
   [ ( "service.shard",
       [ Alcotest.test_case "mapping" `Quick shard_mapping;
         Alcotest.test_case "mux index roundtrip" `Quick mux_roundtrip;
-        Alcotest.test_case "reopen rejections" `Quick reopen_rejections ] );
+        Alcotest.test_case "reopen rejections" `Quick reopen_rejections;
+        Alcotest.test_case "index version 1 rejected" `Quick
+          service_index_v1_rejected;
+        QCheck_alcotest.to_alcotest fuzz_service ] );
     ( "service.core",
       [ Alcotest.test_case "basics + dedup + resume" `Quick service_basics;
         Alcotest.test_case "group commit fsyncs" `Quick group_commit_fsyncs;

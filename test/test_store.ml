@@ -17,6 +17,26 @@ let check_string = Alcotest.(check string)
 
 let store_path = "s.ckpt"
 
+(* An entry's directory as [(id, chunk index, offset)] triples, and its
+   coding back from them (records grouped by chunk, write order kept
+   within each). *)
+let dir_triples (e : Epoch_index.entry) =
+  let l = ref [] in
+  Epoch_index.iter_dir e (fun id c off -> l := (id, c, off) :: !l);
+  List.rev !l
+
+let dir_of_triples ~nchunks triples =
+  Epoch_index.code_dir
+    (List.init nchunks (fun c ->
+         List.filter_map
+           (fun (id, c', off) -> if c' = c then Some (id, off) else None)
+           triples))
+
+(* Entries compare by their fields and decoded directories: a decoded
+   directory is a slice of whatever string it was read from. *)
+let entry_view (e : Epoch_index.entry) =
+  (e.epoch, e.kind, e.roots, e.chunks, e.pack_len, dir_triples e)
+
 (* ------------------------------------------------------------------ *)
 (* A small deterministic world (same shape as the crash sims).        *)
 
@@ -285,7 +305,7 @@ let pack_slices () =
   ignore (Pack.append_batch p [ dropped; chunk "kept" ] : int);
   ignore (Pack.append_batch p [ chunk (String.make 5000 'z') ] : int);
   check_both "after further appends";
-  let tmp = Pack.stage_rewrite p ~keep:(fun k -> k <> fst dropped) in
+  let tmp, _ = Pack.stage_rewrite p ~keep:(fun k -> k <> fst dropped) in
   vfs.Vfs.rename ~src:tmp ~dst:"s.pack";
   Pack.reload p;
   check_bool "gc dropped the chunk" false (Pack.mem p (fst dropped));
@@ -297,13 +317,13 @@ let index_roundtrip_and_torn_tail () =
   let vfs = Sim.vfs sim in
   let e1 =
     { Epoch_index.epoch = 0; kind = Segment.Full; roots = [ 7 ];
-      chunks = [ Chunk.key_of "x" ];
-      dir = [| 7; 0; 0 |] }
+      chunks = [ Chunk.key_of "x" ]; pack_len = 40;
+      dir = Epoch_index.code_dir [ [ (7, 0) ] ] }
   in
   let e2 =
     { Epoch_index.epoch = 1; kind = Segment.Incremental; roots = [ 7 ];
-      chunks = [ Chunk.key_of "y"; Chunk.key_of "x" ];
-      dir = [| 9; 1; 3 |] }
+      chunks = [ Chunk.key_of "y"; Chunk.key_of "x" ]; pack_len = 80;
+      dir = Epoch_index.code_dir [ []; [ (9, 3) ] ] }
   in
   List.iter
     (fun e ->
@@ -311,7 +331,8 @@ let index_roundtrip_and_torn_tail () =
           write (Epoch_index.encode e)))
     [ e1; e2 ];
   let entries, valid = Epoch_index.load vfs "i.idx" in
-  check_bool "roundtrip" true (entries = [ e1; e2 ]);
+  let views = List.map entry_view in
+  check_bool "roundtrip" true (views entries = views [ e1; e2 ]);
   check_int "whole file valid" (String.length (vfs.Vfs.read_file "i.idx")) valid;
   (* Torn tail: half an entry. *)
   let half = String.sub (Epoch_index.encode e1) 0 6 in
@@ -320,7 +341,8 @@ let index_roundtrip_and_torn_tail () =
   w.Vfs.sync ();
   w.Vfs.close ();
   let entries2, valid2 = Epoch_index.load vfs "i.idx" in
-  check_bool "intact prefix survives a torn entry" true (entries2 = [ e1; e2 ]);
+  check_bool "intact prefix survives a torn entry" true
+    (views entries2 = views [ e1; e2 ]);
   check_int "valid offset excludes the torn entry" valid valid2
 
 (* ------------------------------------------------------------------ *)
@@ -538,7 +560,9 @@ let store_misdirected_pointer () =
              { full with
                Epoch_index.epoch = latest + 1;
                kind = Segment.Incremental;
-               dir = dir_of full.Epoch_index.dir }));
+               dir =
+                 dir_of_triples ~nchunks:(List.length full.chunks)
+                   (dir_of (dir_triples full)) }));
     let store = Store.open_ ~vfs w.schema ~path:store_path in
     check_bool "forged entry survives open" true
       (Store.latest_epoch store = Some (latest + 1));
@@ -555,12 +579,12 @@ let store_misdirected_pointer () =
      (directory triples are (id, chunk, off)). *)
   let a = ref 0 and b = ref 0 in
   let store, epoch =
-    forge (fun dir ->
-        if Array.length dir < 6 || dir.(1) <> dir.(4) then
-          Alcotest.fail "expected two records in the first chunk";
-        a := dir.(0);
-        b := dir.(3);
-        [| dir.(0); dir.(1); dir.(5) |])
+    forge (function
+      | (ia, ca, _) :: (ib, cb, off_b) :: _ when ca = cb ->
+          a := ia;
+          b := ib;
+          [ (ia, ca, off_b) ]
+      | _ -> Alcotest.fail "expected two records in the first chunk")
   in
   let lands = Printf.sprintf "object %d lands on record %d" !a !b in
   expect_restore_error "neighbour record" store epoch ~mentions:lands;
@@ -568,31 +592,42 @@ let store_misdirected_pointer () =
     (List.exists (fun e -> contains e lands) (Store.check store));
   (* A negative directory id is the same typed error. *)
   let store, epoch =
-    forge (fun dir ->
-        if Array.length dir = 0 then Alcotest.fail "empty directory";
-        [| -5; dir.(1); dir.(2) |])
+    forge (function
+      | (_, c, off) :: _ -> [ (-5, c, off) ]
+      | [] -> Alcotest.fail "empty directory")
   in
   expect_restore_error "negative id" store epoch ~mentions:"-5"
 
 (* CRC-valid index entries that crash-consistent operation never writes:
    each names the latest entry's successor and breaks one of reopen's
-   defensive rules. [chunk_len] sizes a chunk of the pack. *)
-let rejected_entries ~chunk_len (last : Epoch_index.entry) =
+   defensive rules. [pack_bytes] is the pack's length. *)
+let rejected_entries ~pack_bytes (last : Epoch_index.entry) =
   let next =
     { last with Epoch_index.epoch = last.epoch + 1; kind = Segment.Incremental }
   in
-  (* The first directory triple (id, chunk, off), re-pointed. *)
-  let id0 = last.dir.(0) and c0 = last.dir.(1) in
-  let c0_len = chunk_len (List.nth last.chunks c0) in
   [ ( "absent chunk",
       { next with chunks = Chunk.key_of "never stored" :: List.tl last.chunks } );
-    ( "d_chunk out of range",
-      { next with dir = [| id0; List.length last.chunks; last.dir.(2) |] } );
-    ("d_off at chunk length", { next with dir = [| id0; c0; c0_len |] });
+    ("pack length past the pack's end", { next with pack_len = pack_bytes + 1 });
     ("epoch gap", { next with epoch = last.epoch + 2 }) ]
 
+(* The latest entry's successor with its first record's offset at its
+   chunk's length: reopen cannot see it without decoding the directory,
+   so the fold refuses it. *)
+let offset_at_chunk_end ~chunk_len (last : Epoch_index.entry) =
+  match dir_triples last with
+  | [] -> Alcotest.fail "empty directory"
+  | (id, c, _) :: _ ->
+      { last with
+        Epoch_index.epoch = last.epoch + 1;
+        kind = Segment.Incremental;
+        dir =
+          dir_of_triples ~nchunks:(List.length last.chunks)
+            [ (id, c, chunk_len (List.nth last.chunks c)) ] }
+
 (* Reopen keeps exactly the entries before a rejected one and cuts the
-   index file at that entry's first byte — whatever follows it. *)
+   index file at that entry's first byte — whatever follows it. An offset
+   at its chunk's end survives reopen; the fold refuses it with a typed
+   error and check lists it. *)
 let store_reopen_rejections () =
   let sim = Sim.create () in
   let vfs = Sim.vfs sim in
@@ -610,15 +645,30 @@ let store_reopen_rejections () =
       let store = Store.open_ ~vfs w.schema ~path:store_path in
       check_bool (name ^ ": entries before the bad one kept") true
         (Store.epochs store = [ 0; 1; 2 ]
-        && List.map (Store.entry_at store) [ 0; 1; 2 ] = entries);
+        && List.map entry_view (List.map (Store.entry_at store) [ 0; 1; 2 ])
+           = List.map entry_view entries);
       check_string (name ^ ": index cut at the bad entry") committed
         (vfs.Vfs.read_file idx);
       check_bool (name ^ ": consistent") true (Store.check store = []))
-    (rejected_entries ~chunk_len:(Pack.chunk_len pack) last)
+    (rejected_entries ~pack_bytes:(Pack.physical_bytes pack) last);
+  vfs.Vfs.truncate idx ~len:(String.length committed);
+  append_bytes vfs idx
+    (Epoch_index.encode
+       (offset_at_chunk_end ~chunk_len:(Pack.chunk_len pack) last));
+  let store = Store.open_ ~vfs w.schema ~path:store_path in
+  check_bool "offset at chunk end: kept by reopen" true
+    (Store.epochs store = [ 0; 1; 2; 3 ]);
+  (match Store.restore store ~epoch:3 with
+  | _ -> Alcotest.fail "offset at chunk end: restored"
+  | exception Dir.Error _ -> ());
+  ignore (Store.restore store ~epoch:2);
+  check_bool "offset at chunk end: check lists it" true
+    (List.exists (fun e -> contains e "out of range") (Store.check store))
 
-(* CRC-valid entries whose roots, chunks or directory count claims 2^40
-   items: the decoders (plain and mux) reject each count against the bytes
-   left before allocating anything, and reopen cuts the index there. *)
+(* CRC-valid entries whose roots, chunks, directory length or record
+   count claims 2^40 items: the decoders (plain and mux) reject each
+   count against the bytes left before allocating anything, and reopen
+   cuts the index there. *)
 let index_hostile_counts () =
   let header s =
     let inp = In_stream.of_string s in
@@ -627,19 +677,20 @@ let index_hostile_counts () =
   in
   let sample =
     { Epoch_index.epoch = 3; kind = Segment.Incremental; roots = [];
-      chunks = []; dir = [||] }
+      chunks = []; pack_len = 0; dir = Epoch_index.code_dir [] }
   in
   let magic, version = header (Epoch_index.encode sample) in
   let mux_magic, _ =
     header (Epoch_index.encode_mux { m_tenant = 5; m_entry = sample })
   in
   let huge = 1 lsl 40 in
-  let forge ?tenant ~magic (nroots, nchunks, ndir) =
+  let forge ?tenant ~magic (nroots, nchunks, records, dirlen) =
     Out_stream.framed ~magic ~version (fun d ->
         Option.iter (Out_stream.write_int d) tenant;
         Out_stream.write_int d 3;
         Out_stream.write_byte d 1;
-        List.iter (Out_stream.write_int d) [ nroots; nchunks; ndir; 0; 0 ])
+        List.iter (Out_stream.write_int d)
+          [ nroots; nchunks; records; 0; dirlen; 0; 0 ])
   in
   let corrupt name decode s =
     match decode s ~pos:0 with
@@ -663,11 +714,14 @@ let index_hostile_counts () =
         (Store.epochs store = [ 0; 1; 2 ]);
       check_string (name ^ ": index cut at the forged entry") committed
         (vfs.Vfs.read_file idx))
-    [ ("roots", (huge, 0, 0)); ("chunks", (0, huge, 0)); ("dir", (0, 0, huge)) ]
+    [ ("roots", (huge, 0, 0, 0));
+      ("chunks", (0, huge, 0, 0));
+      ("dir", (0, 0, 0, huge));
+      ("records", (0, 0, huge, 2)) ]
 
-(* Decoding a directory delta allocates its flat triples and little else:
-   under 6 words per triple on a 100-epoch store (a record and a list cell
-   per triple would be 7 or more). *)
+(* Loading an index decodes no directory: it allocates a fixed budget per
+   entry (the entry, its directory slice, the decoder's frame state) plus
+   a list cell per root and chunk key, nothing per directory record. *)
 let index_load_allocation () =
   let vfs = Sim.vfs (Sim.create ()) in
   let synth =
@@ -702,15 +756,21 @@ let index_load_allocation () =
   let words =
     (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8)
   in
-  let triples =
+  let cells, records =
     List.fold_left
-      (fun n (e : Epoch_index.entry) -> n + (Array.length e.dir / 3))
-      0 entries
+      (fun (c, r) (e : Epoch_index.entry) ->
+        ( c + List.length e.roots + List.length e.chunks,
+          r + Epoch_index.dir_records e.dir ))
+      (0, 0) entries
   in
-  check_int "100 epochs" 100 (List.length entries);
-  if words >= 6. *. float_of_int triples then
-    Alcotest.failf "%.0f words for %d triples (%.2f per triple)" words triples
-      (words /. float_of_int triples)
+  let n = List.length entries in
+  check_int "100 epochs" 100 n;
+  let per_entry = (words -. (3. *. float_of_int cells)) /. float_of_int n in
+  if per_entry >= 48. then
+    Alcotest.failf
+      "%.0f words for %d entries, %d list cells, %d directory records \
+       (%.1f per entry beyond the cells)"
+      words n cells records per_entry
 
 (* Ids need not be dense: a restore handles sparse and huge ids, and the
    gaps a registry sweep leaves, identically on every path. *)
@@ -983,6 +1043,227 @@ let stale_temp_sweep () =
     (vfs.Vfs.exists (Storage.temp_of ~path:(Store.index_path store_path)))
 
 (* ------------------------------------------------------------------ *)
+(* Index v2 and lazily checked pack frames.                           *)
+
+(* The offset of [sub] in [s]. *)
+let find_sub s sub =
+  let n = String.length sub in
+  let rec go i =
+    if i + n > String.length s then Alcotest.fail "substring not found"
+    else if String.sub s i n = sub then i
+    else go (i + 1)
+  in
+  go 0
+
+let flip_byte (vfs : Vfs.t) path i =
+  let b = Bytes.of_string (vfs.Vfs.read_file path) in
+  Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x5a));
+  let w = vfs.Vfs.open_trunc path in
+  w.Vfs.write (Bytes.to_string b);
+  w.Vfs.sync ();
+  w.Vfs.close ()
+
+(* A version-1 entry as the previous format wrote it: a flat (id, chunk,
+   off) triple per record, no pack length. [tenant] makes it a mux one. *)
+let v1_entry ?tenant (e : Epoch_index.entry) =
+  let magic =
+    In_stream.read_fixed32
+      (In_stream.of_string
+         (match tenant with
+         | None -> Epoch_index.encode e
+         | Some m_tenant -> Epoch_index.encode_mux { m_tenant; m_entry = e }))
+  in
+  let ints d = List.iter (Out_stream.write_int d) in
+  Out_stream.framed ~magic ~version:1 (fun d ->
+      Option.iter (Out_stream.write_int d) tenant;
+      Out_stream.write_int d e.epoch;
+      Out_stream.write_byte d (if e.kind = Segment.Full then 0 else 1);
+      ints d (List.length e.roots :: e.roots);
+      ints d (List.length e.chunks :: e.chunks);
+      let triples = dir_triples e in
+      Out_stream.write_int d (List.length triples);
+      List.iter (fun (id, c, off) -> ints d [ id; c; off ]) triples)
+
+(* A store whose index is in the version-1 format is refused with a typed
+   error naming the version, and neither file is touched. *)
+let index_v1_rejected () =
+  let vfs = Sim.vfs (Sim.create ()) in
+  let _, store, w = drive ~policy:(Policy.Full_every 4) ~rounds:3 vfs in
+  let idx = Store.index_path store_path and pack = Store.pack_path store_path in
+  let v1 =
+    String.concat ""
+      (List.map (fun e -> v1_entry (Store.entry_at store e)) (Store.epochs store))
+  in
+  let w' = vfs.Vfs.open_trunc idx in
+  w'.Vfs.write v1;
+  w'.Vfs.sync ();
+  w'.Vfs.close ();
+  (* A torn tail after the old entries, which a v2 reopen would cut. *)
+  append_bytes vfs pack "ICPK\001torn";
+  let pack_bytes = vfs.Vfs.read_file pack in
+  (match Store.open_ ~vfs w.schema ~path:store_path with
+  | _ -> Alcotest.fail "opened a version-1 index"
+  | exception Store.Error msg ->
+      if not (contains msg "version 1") then
+        Alcotest.failf "error %S does not name version 1" msg);
+  check_string "index byte-identical" v1 (vfs.Vfs.read_file idx);
+  check_string "pack byte-identical" pack_bytes (vfs.Vfs.read_file pack)
+
+(* The coded directory roundtrips: ids jumping either way (negative
+   deltas), chunks with no record, sparse and huge ids, offsets in any
+   order — through code_dir and through an encoded entry. *)
+let coded_dir_roundtrip =
+  let open QCheck2.Gen in
+  let id =
+    oneof
+      [ int_range (-3) 200; int_range 0 (1 lsl 40); return max_int;
+        return min_int ]
+  in
+  let chunk = list_size (int_range 0 5) (pair id (int_range 0 5000)) in
+  QCheck2.Test.make ~count:300 ~name:"coded directory roundtrip"
+    (pair (list_size (int_range 0 6) chunk) (int_range 0 1_000_000))
+    (fun (chunks, pack_len) ->
+      let e =
+        { Epoch_index.epoch = 1; kind = Segment.Incremental; roots = [ 1 ];
+          chunks = List.mapi (fun i _ -> i) chunks; pack_len;
+          dir = Epoch_index.code_dir chunks }
+      in
+      let expected =
+        List.concat
+          (List.mapi (fun c recs -> List.map (fun (i, o) -> (i, c, o)) recs)
+             chunks)
+      in
+      let decoded, _ = Epoch_index.decode (Epoch_index.encode e) ~pos:0 in
+      Epoch_index.dir_records e.dir = List.length expected
+      && dir_triples e = expected
+      && entry_view decoded = entry_view e)
+
+(* A byte flipped inside a committed frame mid-pack does not cut the pack
+   at reopen: the frame is CRC-checked when first read. Epochs whose
+   restore reads that chunk raise a typed error, the others restore, and
+   check lists the chunk. *)
+let committed_frame_flip () =
+  let vfs = Sim.vfs (Sim.create ()) in
+  let chain, store, w = drive ~policy:(Policy.Full_every 4) ~rounds:7 vfs in
+  let latest = Option.get (Store.latest_epoch store) in
+  let first = Store.entry_at store 0 and last = Store.entry_at store latest in
+  let key =
+    List.find (fun k -> not (List.mem k first.chunks)) last.Epoch_index.chunks
+  in
+  let body = Pack.read (Pack.open_ ~vfs (Store.pack_path store_path)) key in
+  let pack = Store.pack_path store_path in
+  let size = String.length (vfs.Vfs.read_file pack) in
+  flip_byte vfs pack (find_sub (vfs.Vfs.read_file pack) body + (String.length body / 2));
+  let store = Store.open_ ~vfs w.schema ~path:store_path in
+  check_int "pack not cut" size (String.length (vfs.Vfs.read_file pack));
+  check_bool "every epoch kept" true (Store.latest_epoch store = Some latest);
+  let entries = List.map (Store.entry_at store) (Store.epochs store) in
+  let failed = ref 0 and restored = ref 0 in
+  List.iter
+    (fun epoch ->
+      let reads = ref false in
+      Dir.iter (Dir.fold ~entries ~epoch) (fun _ (k, _) ->
+          if k = key then reads := true);
+      match Store.restore store ~epoch with
+      | _, roots ->
+          if !reads then Alcotest.failf "epoch %d read the flipped chunk" epoch;
+          incr restored;
+          check_string
+            (Printf.sprintf "epoch %d restores" epoch)
+            (reference_body chain ~epoch) (full_body roots)
+      | exception In_stream.Corrupt _ ->
+          if not !reads then Alcotest.failf "epoch %d failed" epoch;
+          incr failed)
+    (Store.epochs store);
+  check_bool "some epochs fail, some restore" true (!failed > 0 && !restored > 0);
+  check_bool "check lists the chunk" true
+    (List.exists
+       (fun e -> contains e (Hash64.to_hex key) && contains e "crc")
+       (Store.check store))
+
+(* gc rewrites every kept entry with the rewritten pack's length, so a
+   reopen after it still CRC-checks a garbled tail past that length and
+   cuts it. Stats count the files' bytes throughout. *)
+let gc_then_torn_tail () =
+  let vfs = Sim.vfs (Sim.create ()) in
+  let _, store, w = drive ~policy:(Policy.Full_every 3) ~rounds:8 vfs in
+  let files_bytes name store =
+    check_int (name ^ ": stats count the files' bytes")
+      (List.fold_left
+         (fun n p -> n + String.length (vfs.Vfs.read_file p))
+         0
+         [ Store.pack_path store_path; Store.index_path store_path ])
+      (Store.stats store).Store.physical_bytes
+  in
+  files_bytes "appended" store;
+  ignore (Store.gc store ~retain:(Store.Keep_last 2) : Store.gc_stats);
+  files_bytes "gc" store;
+  let pack = Store.pack_path store_path in
+  let gced = vfs.Vfs.read_file pack in
+  List.iter
+    (fun e ->
+      check_int "entry names the rewritten pack" (String.length gced)
+        (Store.entry_at store e).Epoch_index.pack_len)
+    (Store.epochs store);
+  (* A whole frame with its last byte garbled, as a crash mid-append
+     leaves it. *)
+  let other = Sim.vfs (Sim.create ()) in
+  ignore
+    (Pack.append_batch (Pack.open_ ~vfs:other "x.pack")
+       [ (Chunk.key_of "tail", "tail") ]
+      : int);
+  let frame = other.Vfs.read_file "x.pack" in
+  append_bytes vfs pack frame;
+  flip_byte vfs pack (String.length gced + String.length frame - 1);
+  let store = Store.open_ ~vfs w.schema ~path:store_path in
+  check_string "garbled tail cut" gced (vfs.Vfs.read_file pack);
+  files_bytes "reopened" store;
+  check_bool "consistent" true (Store.check store = [])
+
+(* Random mutations (truncate, flip, splice) of a committed index or pack:
+   reopen, restoring every surviving epoch and check raise nothing but
+   typed errors, and what restores is what was committed. *)
+let fuzz_store =
+  let chain, files =
+    let vfs = Sim.vfs (Sim.create ()) in
+    let chain, _, _ = drive ~policy:(Policy.Full_every 3) ~rounds:6 vfs in
+    ( chain,
+      List.map
+        (fun p -> (p, vfs.Vfs.read_file p))
+        [ Store.index_path store_path; Store.pack_path store_path ] )
+  in
+  QCheck2.Test.make ~count:200 ~name:"fuzzed index and pack: typed errors only"
+    QCheck2.Gen.(pair bool Test_faultsim.fuzz_ops_gen)
+    (fun (index, ops) ->
+      let target = fst (List.nth files (if index then 0 else 1)) in
+      let seeded =
+        List.map
+          (fun (p, d) ->
+            (p, if p = target then List.fold_left Test_faultsim.apply_fuzz_op d ops else d))
+          files
+      in
+      let vfs = Sim.vfs (Sim.seeded seeded) in
+      let typed f =
+        match f () with
+        | () -> ()
+        | exception
+            ( Store.Error _ | Dir.Error _ | Restore.Error _
+            | In_stream.Corrupt _ ) ->
+            ()
+      in
+      typed (fun () ->
+          let store = Store.open_ ~vfs (make_world ()).schema ~path:store_path in
+          List.iter
+            (fun epoch ->
+              typed (fun () ->
+                  let _, roots = Store.restore store ~epoch in
+                  if full_body roots <> reference_body chain ~epoch then
+                    QCheck2.Test.fail_reportf "epoch %d restored wrong" epoch))
+            (Store.epochs store);
+          ignore (Store.check store : string list));
+      true)
+
+(* ------------------------------------------------------------------ *)
 (* The crash sweep (extended invariant I7).                           *)
 
 let store_sweep_smoke () =
@@ -1102,6 +1383,11 @@ let suites =
           pack_torn_tail_then_append;
         Alcotest.test_case "pack slices" `Quick pack_slices;
         Alcotest.test_case "index hostile counts" `Quick index_hostile_counts;
+        Alcotest.test_case "index version 1 rejected" `Quick index_v1_rejected;
+        Alcotest.test_case "committed frame flip" `Quick committed_frame_flip;
+        Alcotest.test_case "gc then torn pack tail" `Quick gc_then_torn_tail;
+        QCheck_alcotest.to_alcotest coded_dir_roundtrip;
+        QCheck_alcotest.to_alcotest fuzz_store;
         Alcotest.test_case "index load allocation" `Quick
           index_load_allocation ] );
     ( "store.core",
