@@ -64,8 +64,8 @@ let stats_json (s : Store.stats) =
    what cross-tenant dedup saved each tenant. *)
 let inspect_service path json =
   let open Ickpt_service in
-  let rows = Attrib.rows ~path () in
   let svc = Service.open_ ~path () in
+  let rows = Attrib.rows svc in
   let problems = Service.check svc in
   Service.close svc;
   if json then begin

@@ -2,7 +2,7 @@
    source file (or generate the built-in image-manipulation workload), run
    side-effect / binding-time / evaluation-time analysis with per-iteration
    checkpoints, report statistics, and optionally persist the checkpoint
-   chain for later recovery. *)
+   chain as a store for later recovery. *)
 
 open Cmdliner
 open Ickpt_analysis
@@ -40,7 +40,10 @@ let guard_arg =
   Arg.(value & flag & info [ "guard" ] ~doc)
 
 let chain_arg =
-  let doc = "Write the checkpoint chain to this file." in
+  let doc =
+    "Write the checkpoint chain as a store rooted at $(docv) ($(docv).pack \
+     and $(docv).idx, replacing any store there)."
+  in
   Arg.(value & opt (some string) None & info [ "save-chain" ] ~docv:"PATH" ~doc)
 
 let dump_arg =
@@ -103,9 +106,17 @@ let run file mode bta_min eta_min guard chain_path dump =
   (match chain_path with
   | None -> ()
   | Some path ->
-      Ickpt_core.Storage.write_chain ~path report.Engine.chain;
-      Format.printf "checkpoint chain (%d segments) written to %s@."
-        (Ickpt_core.Chain.length report.Engine.chain)
+      let open Ickpt_cas in
+      let chain = report.Engine.chain in
+      List.iter
+        (fun p -> if Sys.file_exists p then Sys.remove p)
+        [ Store.pack_path path; Store.index_path path ];
+      let store = Store.open_ (Ickpt_core.Chain.schema chain) ~path in
+      List.iter
+        (fun seg -> ignore (Store.append_segment store seg))
+        (Ickpt_core.Chain.segments chain);
+      Format.printf "checkpoint chain (%d segments) written to the store %s@."
+        (Ickpt_core.Chain.length chain)
         path);
   (* Summarize the analysis results themselves. *)
   let attrs = Engine.attrs report in

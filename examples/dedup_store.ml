@@ -1,14 +1,14 @@
 (* The content-addressed store end to end: a long PageRank-style run
-   checkpointed through a store-backed Manager, then the two things the
-   store buys over the plain segment log:
+   checkpointed by the store under a full-every-25 policy, then the two
+   things the store buys over replaying a plain chain of segments:
 
    - dedup: record-aligned chunks are stored once no matter how many
      epochs reference them, so periodic full checkpoints cost little
      extra disk;
    - the epoch index: [Store.restore ~epoch] materializes ANY epoch by
      folding per-object directories from the nearest full — O(live
-     objects) — where replaying the log decodes every record of every
-     segment up to that epoch.
+     objects) — where replaying the chain decodes every record of every
+     segment from the newest full up to that epoch.
 
    The run never converges: a rotating "teleport bonus" keeps a slice of
    pages changing every iteration, so incremental epochs keep arriving
@@ -84,25 +84,21 @@ let () =
       pages
   in
 
-  (* The Manager writes epochs into the store instead of the log file:
-     the path's .pack/.idx pair is the only persistence. *)
+  (* The store runs the checkpoint policy itself: a full checkpoint every
+     25 epochs, incrementals between, each committed as an epoch to the
+     path's .pack/.idx pair. *)
   let path =
     Filename.concat (Filename.get_temp_dir_name ()) "dedup_store.ckpt"
   in
   List.iter
     (fun p -> if Sys.file_exists p then Sys.remove p)
     [ Store.pack_path path; Store.index_path path ];
-  let store = Store.open_ schema ~path in
-  let manager =
-    Manager.create ~policy:(Policy.Full_every 25) schema ~path
-      ~sink:(Store.manager_sink store)
-  in
+  let store = Store.open_ ~policy:(Policy.Full_every 25) schema ~path in
   let roots = Array.to_list pages in
   for r = 0 to n_epochs - 1 do
     if r > 0 then iterate r;
-    ignore (Manager.checkpoint manager roots)
+    ignore (Store.checkpoint store roots)
   done;
-  Manager.close manager;
 
   let s = Store.stats store in
   Format.printf
@@ -145,7 +141,7 @@ let () =
       if e <= target then segments := Store.segment_of_epoch store e :: !segments)
     (Store.epochs store);
   let replay_suffix =
-    (* What a log-only restore must decode: the suffix from the newest
+    (* What a chain replay must decode: the suffix from the newest
        full at or before the target. *)
     let rec cut acc = function
       | [] -> acc

@@ -1,6 +1,6 @@
 (* A second domain for the checkpointing API: an iterative fixed-point
    graph computation (PageRank in integer arithmetic) that checkpoints
-   after every iteration through the Manager.
+   after every iteration into a store.
 
    Two things worth noticing:
 
@@ -20,6 +20,7 @@
 
 open Ickpt_runtime
 open Ickpt_core
+open Ickpt_cas
 
 let n_pages = 2_000
 
@@ -65,10 +66,9 @@ let () =
   Array.iter (fun p -> Hashtbl.replace by_id p.Model.info.Model.id p) pages;
 
   let path = Filename.concat (Filename.get_temp_dir_name ()) "pagerank.ckpt" in
-  if Sys.file_exists path then Sys.remove path;
-  let manager =
-    Manager.create ~policy:(Policy.Full_every 8) ~compact_above:32 schema ~path
-  in
+  let files = [ Store.pack_path path; Store.index_path path ] in
+  List.iter (fun f -> if Sys.file_exists f then Sys.remove f) files;
+  let store = Store.open_ ~policy:(Policy.Full_every 8) schema ~path in
   let roots = Array.to_list pages in
 
   (* The specialized checkpoint routine for a Page: a tracked leaf — no
@@ -110,46 +110,48 @@ let () =
   while !continue && !iteration < 60 do
     incr iteration;
     let changed = iterate () in
-    let seg =
-      Manager.checkpoint_with manager roots ~body:(fun d roots ->
+    let epoch =
+      Store.checkpoint_with store roots ~body:(fun d roots ->
           List.iter (fun r -> runner d r) roots)
     in
     if !iteration <= 6 || changed = 0 then
       Format.printf "  iter %2d: %4d pages changed, checkpoint %s (%s)@."
         !iteration changed
-        (Ickpt_harness.Table.cell_bytes (Segment.body_size seg))
-        (Format.asprintf "%a" Segment.pp_kind seg.Segment.kind);
+        (Ickpt_harness.Table.cell_bytes
+           (Segment.body_size (Store.segment_of_epoch store epoch)))
+        (Format.asprintf "%a" Segment.pp_kind
+           (Store.kind_of_epoch store epoch));
     if changed = 0 then continue := false
   done;
-  Manager.close manager;
 
-  (* Recover into a fresh heap and verify the fixed point survived. *)
-  (match Manager.recover_latest schema ~path with
-  | Error e -> failwith e
-  | Ok (heap', roots') ->
-      Format.printf "recovered %d pages from %s@." (Heap.count heap') path;
-      let sum =
-        List.fold_left (fun acc p -> acc + p.Model.ints.(slot_score)) 0 roots'
-      in
-      let live_sum =
-        Array.fold_left (fun acc p -> acc + p.Model.ints.(slot_score)) 0 pages
-      in
-      Format.printf "total mass: live %d vs recovered %d (equal: %b)@."
-        live_sum sum (sum = live_sum);
-      if sum <> live_sum then begin
-        Sys.remove path;
-        exit 1
-      end;
-      (* Top page by rank, from the recovered state. *)
-      let best =
-        List.fold_left
-          (fun acc p ->
-            if p.Model.ints.(slot_score) > acc.Model.ints.(slot_score) then p
-            else acc)
-          (List.hd roots') roots'
-      in
-      Format.printf "highest-ranked page: #%d with score %d/1000@."
-        best.Model.info.Model.id
-        best.Model.ints.(slot_score));
+  (* Restore the newest epoch into a fresh heap and verify the fixed point
+     survived. *)
+  let heap', roots' =
+    Store.restore store ~epoch:(Option.get (Store.latest_epoch store))
+  in
+  Format.printf "recovered %d pages from %s@." (Heap.count heap') path;
+  let sum =
+    List.fold_left (fun acc p -> acc + p.Model.ints.(slot_score)) 0 roots'
+  in
+  let live_sum =
+    Array.fold_left (fun acc p -> acc + p.Model.ints.(slot_score)) 0 pages
+  in
+  Format.printf "total mass: live %d vs recovered %d (equal: %b)@."
+    live_sum sum (sum = live_sum);
+  if sum <> live_sum then begin
+    List.iter Sys.remove files;
+    exit 1
+  end;
+  (* Top page by rank, from the recovered state. *)
+  let best =
+    List.fold_left
+      (fun acc p ->
+        if p.Model.ints.(slot_score) > acc.Model.ints.(slot_score) then p
+        else acc)
+      (List.hd roots') roots'
+  in
+  Format.printf "highest-ranked page: #%d with score %d/1000@."
+    best.Model.info.Model.id
+    best.Model.ints.(slot_score);
   ignore by_id;
-  Sys.remove path
+  List.iter Sys.remove files

@@ -1,5 +1,6 @@
 (* Quickstart: declare checkpointable classes, build an object graph, take
-   full and incremental checkpoints, mutate, and recover.
+   full and incremental checkpoints, mutate, persist them to a store and
+   recover.
 
    Run with: dune exec examples/quickstart.exe *)
 
@@ -52,19 +53,24 @@ let () =
     incr.Chain.stats.Checkpointer.recorded
     (Segment.body_size incr.Chain.segment);
 
-  (* 6. Persist the chain and recover it into a fresh heap. *)
+  (* 6. Persist the chain as a store (a deduplicating chunk pack plus an
+     epoch index, at file.pack and file.idx) and restore its newest epoch
+     into a fresh heap. *)
   let file = Filename.temp_file "quickstart" ".ckpt" in
-  Storage.write_chain ~path:file chain;
-  let chain', torn = Storage.load_chain schema ~path:file in
-  assert (not torn);
-  (match Chain.recover chain' with
-  | Ok (heap', [ root' ]) ->
-      Format.printf "recovered %d objects from %s@." (Heap.count heap') file;
+  let store = Ickpt_cas.Store.open_ schema ~path:file in
+  List.iter
+    (fun seg -> ignore (Ickpt_cas.Store.append_segment store seg))
+    (Chain.segments chain);
+  let epoch = Option.get (Ickpt_cas.Store.latest_epoch store) in
+  (match Ickpt_cas.Store.restore store ~epoch with
+  | heap', [ root' ] ->
+      Format.printf "restored %d objects from %s (epoch %d)@."
+        (Heap.count heap') file epoch;
       Format.printf "recovered graph equals live graph: %b@."
         (Deep_eq.equal root root')
-  | Ok _ -> assert false
-  | Error e -> failwith e);
-  Sys.remove file;
+  | _ -> assert false);
+  List.iter Sys.remove
+    [ file; Ickpt_cas.Store.pack_path file; Ickpt_cas.Store.index_path file ];
 
   (* 7. Specialize checkpointing for the Path structure: every class is
      statically known, so dispatch disappears; and if we promise the

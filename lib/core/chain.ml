@@ -104,8 +104,8 @@ let compact t =
   | Error _ when t.segments = [] -> ()
   | Error msg -> invalid "compact: %s" msg
   | Ok (_heap, roots) ->
-      (* The compacted chain is a fresh one: numbering restarts at 0 so a
-         persisted compacted log reloads like any other chain. *)
+      (* The compacted chain is a fresh one, so numbering restarts at 0.
+         (A store keeps its epoch numbers across GC instead.) *)
       let seg =
         segment ~kind:Segment.Full ~seq:0 (generic Segment.Full) roots
       in

@@ -5,7 +5,8 @@
     The chain is also the recovery unit: {!recover} replays the newest full
     segment and everything after it. {!compact} folds the whole chain into a
     single full segment (an extension beyond the paper; bounds recovery
-    time and storage). *)
+    time and storage). A chain lives in memory; its durable counterpart
+    is [Ickpt_cas.Store]. *)
 
 open Ickpt_runtime
 
@@ -95,5 +96,7 @@ val recover : t -> (Heap.t * Model.obj list, string) result
 val compact : t -> unit
 (** Replace the chain's segments by a single equivalent full segment
     (obtained by recovery + full re-checkpoint) and restart sequence
-    numbering at 0, so a persisted compacted log reloads like a fresh
-    chain. No-op on an empty chain. *)
+    numbering at 0: the compacted chain is a fresh one, and nothing
+    persisted refers to its old numbers (the chain lives in memory only;
+    a store's GC keeps its epoch numbers instead). No-op on an empty
+    chain. *)

@@ -1,6 +1,8 @@
 (** Checkpoint-kind policies: when an application checkpoints repeatedly
     (e.g. once per analysis iteration, Section 4.2 of the paper), the policy
-    decides whether the next checkpoint is full or incremental. *)
+    decides whether the next checkpoint is full or incremental. The store
+    ([Ickpt_cas.Store.open_ ?policy]) and the service
+    ([Ickpt_service.Service.open_ ?policy]) run it themselves. *)
 
 type t =
   | Always_full  (** the paper's "full checkpointing" baseline *)
@@ -18,6 +20,8 @@ val pp : Format.formatter -> t -> unit
 
 val decide : t -> next:int option -> since_full_bytes:int -> Segment.kind
 (** The kind of a chain's next checkpoint, from the sequence number it
-    expects ({!Chain.next}) and its incremental body bytes since the
-    newest full ({!Chain.since_full_bytes}). Always [Full] on an empty
-    chain ([next = None]), whatever the policy. *)
+    expects and its incremental body bytes since the newest full: an
+    in-memory chain's {!Chain.next} and {!Chain.since_full_bytes}, or a
+    store's or service tenant's, derived from its committed entries
+    ([Ickpt_cas.Epochs.progress]). Always [Full] on an empty chain
+    ([next = None]), whatever the policy. *)

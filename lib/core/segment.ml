@@ -1,91 +1,9 @@
-open Ickpt_stream
-
 type kind = Full | Incremental
 
 type t = { kind : kind; seq : int; roots : int list; body : string }
-
-let version = 1
-
-let magic = 0x49434b50 (* "ICKP" read as LE bytes P K C I; value is arbitrary *)
 
 let pp_kind ppf = function
   | Full -> Format.pp_print_string ppf "full"
   | Incremental -> Format.pp_print_string ppf "incremental"
 
-let kind_byte = function Full -> 0 | Incremental -> 1
-
-let kind_of_byte = function
-  | 0 -> Full
-  | 1 -> Incremental
-  | b -> raise (In_stream.Corrupt (Printf.sprintf "bad segment kind %d" b))
-
-let encode t =
-  let d = Out_stream.create () in
-  Out_stream.write_fixed32 d magic;
-  Out_stream.write_byte d version;
-  Out_stream.write_byte d (kind_byte t.kind);
-  Out_stream.write_int d t.seq;
-  Out_stream.write_int d (List.length t.roots);
-  List.iter (Out_stream.write_int d) t.roots;
-  Out_stream.write_int d (String.length t.body);
-  let header_and_len = Out_stream.contents d in
-  let crc =
-    Crc32.string t.body ~crc:(Crc32.string header_and_len)
-  in
-  let out = Buffer.create (String.length header_and_len + String.length t.body + 4) in
-  Buffer.add_string out header_and_len;
-  Buffer.add_string out t.body;
-  Buffer.add_char out (Char.chr (crc land 0xff));
-  Buffer.add_char out (Char.chr ((crc lsr 8) land 0xff));
-  Buffer.add_char out (Char.chr ((crc lsr 16) land 0xff));
-  Buffer.add_char out (Char.chr ((crc lsr 24) land 0xff));
-  Buffer.contents out
-
-let decode s ~pos =
-  let inp = In_stream.of_string_at s ~pos in
-  let m = In_stream.read_fixed32 inp in
-  if m <> magic then
-    raise (In_stream.Corrupt (Printf.sprintf "bad magic %#x at %d" m pos));
-  let v = In_stream.read_byte inp in
-  if v <> version then
-    raise (In_stream.Corrupt (Printf.sprintf "unsupported version %d" v));
-  let kind = kind_of_byte (In_stream.read_byte inp) in
-  let seq = In_stream.read_int inp in
-  let nroots = In_stream.read_int inp in
-  (* Each root id is at least one byte, so a count beyond the remaining
-     bytes is hostile; checking here keeps List.init small on such input. *)
-  if nroots < 0 || nroots > In_stream.remaining inp then
-    raise (In_stream.Corrupt (Printf.sprintf "bad root count %d" nroots));
-  let roots = List.init nroots (fun _ -> In_stream.read_int inp) in
-  let body_len = In_stream.read_int inp in
-  if body_len < 0 then raise (In_stream.Corrupt "negative body length");
-  (* Compare with the addition on the [remaining] side: [body_len + 4] can
-     overflow to negative on a hostile varint, which used to slip past this
-     check and crash String.sub with Invalid_argument instead of Corrupt. *)
-  if In_stream.remaining inp - 4 < body_len then
-    raise (In_stream.Corrupt "truncated segment body");
-  let body_start = In_stream.pos inp in
-  let body = String.sub s body_start body_len in
-  let crc_inp = In_stream.of_string_at s ~pos:(body_start + body_len) in
-  let crc = In_stream.read_fixed32 crc_inp in
-  let expected = Crc32.sub s ~pos ~len:(body_start + body_len - pos) in
-  if crc <> expected then
-    raise
-      (In_stream.Corrupt
-         (Printf.sprintf "checksum mismatch: stored %#x, computed %#x" crc
-            expected));
-  let t = { kind; seq; roots; body } in
-  (t, body_start + body_len + 4)
-
-let decode_all s =
-  let rec go acc pos =
-    if pos >= String.length s then List.rev acc
-    else
-      let seg, next = decode s ~pos in
-      go (seg :: acc) next
-  in
-  go [] 0
-
 let body_size t = String.length t.body
-
-let encoded_size t = String.length (encode t)

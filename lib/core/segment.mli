@@ -1,43 +1,18 @@
-(** One checkpoint segment: a framed, checksummed blob holding the records
-    produced by a single run of a checkpointer.
-
-    Wire layout:
-    {v
-    magic   fixed32  "ICKP"
-    version byte
-    kind    byte     0 = full, 1 = incremental
-    seq     varint   position in the chain (0-based)
-    nroots  varint   number of root object ids
-    roots   varint*  root ids, in checkpoint order
-    len     varint   body length in bytes
-    body    bytes    concatenated object records
-    crc     fixed32  CRC-32 of everything above
-    v} *)
+(** One checkpoint segment: the records produced by a single run of a
+    checkpointer, with its kind, its position in the chain and the roots
+    it was taken from. A segment has no wire format of its own: stable
+    storage ([Ickpt_cas.Store]) splits its body into chunks and keeps the
+    rest in an epoch-index entry. *)
 
 type kind = Full | Incremental
 
 type t = {
   kind : kind;
-  seq : int;
+  seq : int;  (** position in the chain *)
   roots : int list;  (** ids of the roots the checkpoint was taken from *)
   body : string;  (** object records as written by {!Checkpointer} *)
 }
 
-val version : int
-
 val pp_kind : Format.formatter -> kind -> unit
 
-val encode : t -> string
-
-val decode : string -> pos:int -> t * int
-(** [decode s ~pos] reads one segment starting at [pos] and returns it with
-    the offset just past it.
-    @raise Ickpt_stream.In_stream.Corrupt on bad magic, version, kind,
-    truncation or checksum mismatch. *)
-
-val decode_all : string -> t list
-(** Decode segments back-to-back until end of input. *)
-
 val body_size : t -> int
-
-val encoded_size : t -> int

@@ -44,6 +44,8 @@ let real =
 
 let contents t path = if t.exists path then t.read_file path else ""
 
+let temp_of path = path ^ ".tmp"
+
 type opening = Append | Trunc
 
 let write_synced t opening path f =

@@ -1,14 +1,16 @@
 (** The storage layer's view of the filesystem, as a value.
 
-    Everything {!Storage}, {!Async_writer} and {!Manager} do to stable
-    storage goes through one of these records, so a test harness can swap
-    the real filesystem for a simulated one that injects crashes and I/O
-    errors at any write boundary (see [Ickpt_faultsim.Sim]). The default
-    everywhere is {!real}, so existing callers are unaffected.
+    Everything the store ([Ickpt_cas.Store], its pack and epoch index) and
+    the service ([Ickpt_service.Service]) do to stable storage goes through
+    one of these records, so a test harness can swap the real filesystem
+    for a simulated one that injects crashes and I/O errors at any write
+    boundary (see [Ickpt_faultsim.Sim]). The default everywhere is
+    {!real}.
 
-    Every record file (segment log, pack, epoch indexes, tenant catalog,
-    service meta) is written through {!write_synced} and read back through
-    {!contents} and [Ickpt_stream.In_stream.fold_intact].
+    Every record file (pack, epoch indexes, tenant catalog, service meta)
+    is written through {!write_synced} and read back through {!contents}
+    and [Ickpt_stream.In_stream.fold_intact]; a file rewritten whole (a
+    GC'd pack or index) is staged at {!temp_of} and renamed into place.
 
     The durability contract the storage layer relies on:
     - [writer.write] appends bytes to the open file (visible to subsequent
@@ -40,6 +42,11 @@ val real : t
 
 val contents : t -> string -> string
 (** A file's bytes; a missing file reads as empty. *)
+
+val temp_of : string -> string
+(** The sibling path a rewrite of the given file is staged at before the
+    rename that commits it. It never holds committed data, so opening a
+    store removes one a crash left behind. *)
 
 type opening = Append | Trunc
 

@@ -7,8 +7,8 @@ open Ickpt_analysis
 let name = "dedup"
 
 let title =
-  "Dedup-store ablation: chunk dedup and O(live) epoch restore vs the \
-   plain segment log (extension)"
+  "Dedup-store ablation: chunk dedup and O(live) epoch restore vs chain \
+   replay (extension)"
 
 type row = {
   workload : string;
@@ -35,7 +35,7 @@ let row_of_chain ?(repeats = 3) ~workload ~target chain =
       let s = Store.stats store in
       let target = max 0 (min target (List.length segs - 1)) in
       let tseg = List.find (fun (x : Segment.t) -> x.seq = target) segs in
-      (* The best a log-only restore can do for an arbitrary epoch: the
+      (* The best a chain replay can do for an arbitrary epoch: the
          suffix from the newest full at or before it. Under
          incremental-after-base that suffix is the entire prefix — replay
          cost grows with run length, which is what the epoch index

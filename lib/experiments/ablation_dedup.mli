@@ -1,6 +1,6 @@
 (** Content-addressed store ablation (extension, not in the paper): what
-    the dedup store buys over the plain segment log, on two kinds of
-    workload:
+    the dedup store buys over storing and replaying a plain chain of
+    segments, on two kinds of workload:
 
     - the analysis engine over mini-C programs in {e full} checkpointing
       mode — every epoch re-records the whole annotation heap, so chunk

@@ -18,9 +18,6 @@ let all =
     { name = Ablation_guard.name;
       title = Ablation_guard.title;
       run = Ablation_guard.run };
-    { name = Ablation_crash.name;
-      title = Ablation_crash.title;
-      run = Ablation_crash.run };
     { name = Ablation_barrier.name;
       title = Ablation_barrier.title;
       run = Ablation_barrier.run };

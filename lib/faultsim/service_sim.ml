@@ -27,12 +27,6 @@ let open_service ~vfs =
          { Async_writer.Batch.max_items = 3; max_bytes = max_int; linger = 0. })
     ~path:service_path ()
 
-(* Committed state of an epoch, never read back from the service: a full
-   checkpoint of the live roots (flags already clear), restored afresh. *)
-let snapshot (w : Sweep.world) =
-  let seg = (Chain.take_full (Chain.create w.schema) w.roots).segment in
-  snd (Restore.of_segments w.schema [ seg ] ~roots:seg.roots)
-
 (* [base] fires once every tenant's base epoch is durable. *)
 let run_workload ~rounds vfs ~commit ~base =
   let svc = open_service ~vfs in
@@ -45,7 +39,7 @@ let run_workload ~rounds vfs ~commit ~base =
   in
   let checkpoint (name, tn, (w : Sweep.world)) =
     let epoch = Service.checkpoint tn w.roots in
-    commit ((name, epoch), snapshot w)
+    commit ((name, epoch), Sweep.snapshot w)
   in
   List.iter checkpoint tens;
   Service.flush svc;

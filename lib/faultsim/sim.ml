@@ -2,7 +2,6 @@ open Ickpt_core
 
 exception Crashed
 
-exception Io_error of string
 
 type mode = Torn | Drop_unsynced | Corrupt_tail
 
@@ -18,7 +17,6 @@ let pp_mode ppf m =
 type fault =
   | No_fault
   | Crash_at of { op : int; byte : int; mode : mode }
-  | Fail_write_at of int
 
 type file = { mutable content : string; mutable synced : int }
 
@@ -26,18 +24,16 @@ type t = {
   mutex : Mutex.t;
   files : (string, file) Hashtbl.t;
   fault : fault;
-  write_delay : float;
   mutable ops : int;
   mutable log : (string * int) list;  (* newest first *)
   mutable crashed : bool;
   mutable frozen : (string * string) list;  (* durable snapshot at crash *)
 }
 
-let create ?(fault = No_fault) ?(write_delay = 0.) () =
+let create ?(fault = No_fault) () =
   { mutex = Mutex.create ();
     files = Hashtbl.create 8;
     fault;
-    write_delay;
     ops = 0;
     log = [];
     crashed = false;
@@ -100,14 +96,11 @@ let op t ~kind ~len ~apply =
       apply (min byte len);
       freeze t mode;
       raise Crashed
-  | Fail_write_at op when k >= op && (kind = "write" || kind = "sync") ->
-      raise (Io_error (Printf.sprintf "injected %s failure at op %d" kind k))
   | _ -> apply len
 
 let writer t path =
   { Vfs.write =
       (fun data ->
-        if t.write_delay > 0. then Thread.delay t.write_delay;
         locked t (fun () ->
             let f = find t path in
             op t ~kind:"write" ~len:(String.length data) ~apply:(fun n ->

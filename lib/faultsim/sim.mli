@@ -9,24 +9,20 @@
       current length;
     - [rename] is atomic;
     - a power loss preserves every byte up to the durable mark, and {e any
-      prefix} of what was written after it (an append-only log never loses
+      prefix} of what was written after it (an append-only file never loses
       a middle byte on a journaling filesystem — only a tail), possibly
       with the torn tail corrupted.
 
     Every mutating call ([write], [sync], [truncate], [rename], [remove])
     is one {e op}, numbered globally from 0. A {!fault} names the op at
-    which the machine dies (or the write channel starts failing), letting a
-    harness enumerate "crash after byte N of op K" points exhaustively. *)
+    which the machine dies, letting a harness enumerate "crash after byte
+    N of op K" points exhaustively. *)
 
 exception Crashed
 (** Raised by every vfs operation once the simulated machine has lost
     power. ([writer.close] is the exception: closing a dead handle is a
     harmless no-op, so [Fun.protect] finalizers pass the original
     {!Crashed} through untouched.) *)
-
-exception Io_error of string
-(** An ordinary write error (disk full, EIO): the op fails but the machine
-    keeps running — what {!Ickpt_core.Async_writer} must survive. *)
 
 (** What the torn tail looks like after the power loss. *)
 type mode =
@@ -47,16 +43,11 @@ type fault =
           applied (for non-write ops, [byte = 0] means "before", anything
           else "after"), then the durable state is frozen per [mode] and
           every subsequent operation raises {!Crashed}. *)
-  | Fail_write_at of int
-      (** [write] and [sync] ops numbered >= the given op raise
-          {!Io_error}; everything else keeps working. *)
 
 type t
 
-val create : ?fault:fault -> ?write_delay:float -> unit -> t
-(** An empty simulated filesystem. [write_delay] (seconds) makes each
-    write op dwell before taking effect — lets a test deterministically
-    race the async writer. *)
+val create : ?fault:fault -> unit -> t
+(** An empty simulated filesystem. *)
 
 val seeded : ?fault:fault -> (string * string) list -> t
 (** A filesystem pre-populated with the given [path, contents] pairs, all

@@ -10,48 +10,39 @@ let store_path = "ckpt.store"
    land inside multi-chunk pack appends. *)
 let records_per_chunk = 3
 
-(* Committed state of an epoch, captured on the fault-free run by
-   materializing from the manager's chain (a fresh heap, immune to later
-   mutation of the live one). *)
-let snapshot m =
-  match Chain.recover (Manager.chain m) with
-  | Ok (_heap, roots) -> (Chain.next_seq (Manager.chain m) - 1, roots)
-  | Error e -> failwith ("store_sim: reference recovery failed: " ^ e)
+let open_store ~vfs schema =
+  Store.open_ ~vfs ~records_per_chunk ~policy:(Policy.Full_every 3) schema
+    ~path:store_path
 
 let run_workload ~rounds vfs ~commit ~base =
   let w = Sweep.world ~offset:0 in
-  let store = Store.open_ ~vfs ~records_per_chunk w.schema ~path:store_path in
-  let m =
-    Manager.create ~vfs ~policy:(Policy.Full_every 3)
-      ~sink:(Store.manager_sink store) w.schema ~path:store_path
+  let store = open_store ~vfs w.schema in
+  let checkpoint () =
+    let epoch = Store.checkpoint store w.roots in
+    commit (epoch, Sweep.snapshot w)
   in
-  ignore (Manager.checkpoint m w.roots);
-  commit (snapshot m);
+  checkpoint ();
   base ();
   for r = 1 to rounds do
     w.mutate r;
-    ignore (Manager.checkpoint m w.roots);
-    commit (snapshot m);
+    checkpoint ();
     if r = 3 then ignore (Store.gc store ~retain:(Store.Keep_last 3))
   done
 
 (* -- The invariant check ------------------------------------------------- *)
 
 (* Resume on the survived store: one more checkpoint must itself be
-   restorable. Exercises sink_resume on a post-crash store. *)
+   restorable. Exercises the counters a reopen derives from the
+   post-crash entries. *)
 let second_life ~vfs ~schema =
   match
-    let store = Store.open_ ~vfs ~records_per_chunk schema ~path:store_path in
+    let store = open_store ~vfs schema in
     let latest () =
       snd (Store.restore store ~epoch:(Option.get (Store.latest_epoch store)))
     in
     let roots = latest () in
-    let m =
-      Manager.create ~vfs ~sink:(Store.manager_sink store) schema
-        ~path:store_path
-    in
     List.iter (fun o -> Barrier.set_int o 0 999_983) roots;
-    ignore (Manager.checkpoint m roots);
+    ignore (Store.checkpoint store roots : int);
     Sweep.roots_equal roots (latest ())
   with
   | exception e ->
@@ -61,7 +52,7 @@ let second_life ~vfs ~schema =
 
 let check_recovery vfs snapshots =
   let schema = (Sweep.world ~offset:0).schema in
-  match Store.open_ ~vfs ~records_per_chunk schema ~path:store_path with
+  match open_store ~vfs schema with
   | exception e -> Error ("Store.open_ raised " ^ Printexc.to_string e)
   | store -> (
       match Store.check store with

@@ -2,7 +2,7 @@
     the pack + epoch-index pair (see DESIGN.md §8), as a {!Sweep}
     workload.
 
-    The workload checkpoints through [Manager.create ?sink] with a
+    The workload checkpoints through [Store.checkpoint] with a
     mid-run [Store.gc]. After each crash the store must:
 
     - reopen without raising;

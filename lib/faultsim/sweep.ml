@@ -60,7 +60,7 @@ let run ?(density = 2) w =
         (* A crashed run ends in the power loss itself, or in the failure a
            storage layer reports once its writes stopped landing. *)
         (try w.run (Sim.vfs sim) ~commit:ignore ~base:ignore with
-        | Sim.Crashed | Sim.Io_error _ | Failure _
+        | Sim.Crashed | Failure _
         | Ickpt_service.Service.Error _ ->
             ());
         match w.check (Sim.vfs (Sim.restart sim)) committed with
@@ -101,6 +101,11 @@ let world ~offset =
     Barrier.set_int objs.((r + 3) mod n) 0 (offset + 1001 + (2 * r))
   in
   { schema; roots = [ root ]; mutate }
+
+let snapshot (w : world) =
+  let open Ickpt_core in
+  let seg = (Chain.take_full (Chain.create w.schema) w.roots).segment in
+  snd (Restore.of_segments w.schema [ seg ] ~roots:seg.roots)
 
 let roots_equal a b =
   List.length a = List.length b && List.for_all2 Deep_eq.equal a b

@@ -6,9 +6,9 @@
     A {!workload} is run once fault-free on a {!Sim} to record its
     committed states and op trace; the driver then re-runs it once per
     (op, byte offset, {!Sim.mode}) crash point and hands the surviving
-    files to the workload's recovery check. {!Crash_sim} (the chain log),
-    {!Store_sim} (the pack + epoch index) and {!Service_sim} (the
-    multi-tenant group commit) are workloads of this driver. *)
+    files to the workload's recovery check. {!Store_sim} (the pack +
+    epoch index) and {!Service_sim} (the multi-tenant group commit) are
+    workloads of this driver. *)
 
 open Ickpt_runtime
 
@@ -60,6 +60,12 @@ val world : offset:int -> world
     [mutate r] writes two values unique to round [r], so every committed
     state is pairwise distinct and "recovered state = some committed
     state" is exactly the prefix property. *)
+
+val snapshot : world -> Model.obj list
+(** The world's state as a committed state: a full checkpoint of its live
+    roots, restored into a fresh heap (immune to later mutation), never
+    read back from the storage under test. Take it right after a
+    checkpoint, when the modified flags are already clear. *)
 
 val roots_equal : Model.obj list -> Model.obj list -> bool
 (** Deep equality of two root lists. *)

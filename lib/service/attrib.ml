@@ -17,29 +17,14 @@ type row = {
 let is_service_store ?(vfs = Vfs.real) path =
   vfs.Vfs.exists (Service.meta_path path)
 
-let rows ?(vfs = Vfs.real) ~path () =
-  let shards =
-    match Service.read_meta vfs path with
-    | Some (n, _) -> n
-    | None | (exception Service.Error _) ->
-        (* Unreadable meta: the shard count is whatever files exist. *)
-        let rec count i =
-          if vfs.Vfs.exists (Service.shard_index_path path i) then count (i + 1)
-          else i
-        in
-        max 1 (count 0)
-  in
-  let pack = Pack.open_ ~vfs (Service.pack_path path) in
-  let entries =
-    List.concat
-      (List.init shards (fun i ->
-           fst (Epoch_index.load_mux vfs (Service.shard_index_path path i))))
-  in
+let rows svc =
+  let entries = Service.committed svc in
+  let chunk_len k = Option.value ~default:0 (Service.chunk_len svc k) in
   let names : (int, string) Hashtbl.t = Hashtbl.create 16 in
   List.iter
     (fun (id, name) ->
       if not (Hashtbl.mem names id) then Hashtbl.replace names id name)
-    (Service.read_catalog vfs path);
+    (Service.tenants svc);
   (* Per chunk: the set of tenants referencing it (distinctly). *)
   let referers : (int, (int, unit) Hashtbl.t) Hashtbl.t = Hashtbl.create 256 in
   let tenant_chunks : (int, (int, unit) Hashtbl.t) Hashtbl.t =
@@ -64,7 +49,7 @@ let rows ?(vfs = Vfs.real) ~path () =
       in
       List.iter
         (fun k ->
-          if Pack.mem pack k then bump tenant_logical id (Pack.chunk_len pack k);
+          bump tenant_logical id (chunk_len k);
           Hashtbl.replace mine k ();
           let who =
             match Hashtbl.find_opt referers k with
@@ -100,7 +85,7 @@ let rows ?(vfs = Vfs.real) ~path () =
               | Some h -> Hashtbl.length h
               | None -> 1
             in
-            let len = if Pack.mem pack k then Pack.chunk_len pack k else 0 in
+            let len = chunk_len k in
             private_bytes := !private_bytes + len;
             if n <= 1 then incr owned
             else begin

@@ -1,7 +1,8 @@
 (** Per-tenant attribution on a shared multi-tenant pack: who owns which
     chunks, who shares, and how many bytes sharing saved each tenant —
-    computed from the raw files alone (pack, shard indexes, catalog), so
-    [ickpt_store inspect] can report it without schemas or open tenants. *)
+    computed from an open service's committed entries, catalog and chunk
+    lengths alone, so [ickpt_store inspect] can report it without schemas
+    or open tenants. *)
 
 open Ickpt_core
 
@@ -23,6 +24,7 @@ type row = {
 val is_service_store : ?vfs:Vfs.t -> string -> bool
 (** Does [path] root a multi-tenant service store (meta file present)? *)
 
-val rows : ?vfs:Vfs.t -> path:string -> unit -> row list
-(** One row per cataloged or committing tenant, sorted by name. Reads the
-    intact prefixes of all files; never writes. *)
+val rows : Service.t -> row list
+(** One row per cataloged or committing tenant, sorted by name. Reads no
+    file and no chunk: the service's open recovered and cut the files
+    once. *)

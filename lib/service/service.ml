@@ -29,8 +29,7 @@ type tenant = {
   t_shard : int;
   t_schema : Schema.t;
   mutable t_entries : Epoch_index.entry list;  (* committed, oldest first *)
-  mutable t_next : int option;  (* the epoch it expects; None: none yet *)
-  mutable t_since_full : int;  (* incremental body bytes since newest full *)
+  mutable t_progress : Epochs.progress;  (* of its taken epochs *)
 }
 
 and item = {
@@ -231,7 +230,9 @@ let flush t =
 let append tenant (seg : Segment.t) =
   let t = tenant.t_svc in
   check_open t;
-  (match Chain.continuity ~next:tenant.t_next seg.kind ~epoch:seg.seq with
+  (match
+     Chain.continuity ~next:tenant.t_progress.next seg.kind ~epoch:seg.seq
+   with
   | None -> ()
   | Some Chain.Not_full -> error "incremental checkpoint with no full base"
   | Some Chain.Negative -> error "segment seq %d is negative" seg.seq
@@ -250,11 +251,7 @@ let append tenant (seg : Segment.t) =
           chunks };
       it_enq = Unix.gettimeofday () }
   in
-  tenant.t_next <- Some (seg.seq + 1);
-  tenant.t_since_full <-
-    (match seg.kind with
-    | Segment.Full -> 0
-    | Segment.Incremental -> tenant.t_since_full + String.length seg.body);
+  tenant.t_progress <- Epochs.advance tenant.t_progress seg;
   let s = t.shard_tbl.(tenant.t_shard) in
   with_lock t (fun () ->
       s.s_pending <- s.s_pending @ [ it ];
@@ -294,11 +291,6 @@ let open_tenant t schema ~name =
                 if m.m_tenant = id then Some m.m_entry else None)
               t.shard_tbl.(shard).s_committed
           in
-          let incrementals =
-            List.filter
-              (fun (e : Epoch_index.entry) -> e.kind = Segment.Incremental)
-              (Epochs.since_full entries ~epoch:max_int)
-          in
           let tn =
             { t_svc = t;
               t_id = id;
@@ -306,22 +298,16 @@ let open_tenant t schema ~name =
               t_shard = shard;
               t_schema = schema;
               t_entries = entries;
-              t_next = Option.map succ (Epochs.newest entries);
-              t_since_full = Epochs.logical_bytes t.pack incrementals }
+              t_progress = Epochs.progress t.pack entries }
           in
           Hashtbl.replace t.open_tenants id tn;
           tn)
 
 let checkpoint tenant roots =
   check_open tenant.t_svc;
-  let kind =
-    Policy.decide tenant.t_svc.policy ~next:tenant.t_next
-      ~since_full_bytes:tenant.t_since_full
-  in
   append tenant
-    (Chain.segment ~kind
-       ~seq:(Option.value tenant.t_next ~default:0)
-       (Chain.generic kind) roots)
+    (Epochs.take tenant.t_svc.policy tenant.t_progress
+       (Chain.generic ?stats:None) roots)
 
 let epochs tenant =
   with_lock tenant.t_svc (fun () ->
@@ -369,6 +355,15 @@ let drain_latencies t =
 (* ------------------------------------------------------------------ *)
 (* Stats and integrity.                                                *)
 
+let committed_locked t =
+  Array.to_list t.shard_tbl |> List.concat_map (fun s -> s.s_committed)
+
+let committed t = with_lock t (fun () -> committed_locked t)
+
+let chunk_len t key =
+  with_lock t (fun () ->
+      if Pack.mem t.pack key then Some (Pack.chunk_len t.pack key) else None)
+
 type stats = {
   n_tenants : int;
   n_open : int;
@@ -385,11 +380,9 @@ type stats = {
 let stats t =
   with_lock t (fun () ->
       let entries =
-        Array.to_list t.shard_tbl
-        |> List.concat_map (fun s ->
-               List.map
-                 (fun (m : Epoch_index.mux_entry) -> m.m_entry)
-                 s.s_committed)
+        List.map
+          (fun (m : Epoch_index.mux_entry) -> m.m_entry)
+          (committed_locked t)
       in
       let logical = Epochs.logical_bytes t.pack entries in
       let pack_bytes = Pack.physical_bytes t.pack in
@@ -414,11 +407,9 @@ let check t =
         | None -> Hash64.to_hex id
       in
       Epochs.check_orphans t.pack
-        (Array.to_list t.shard_tbl
-        |> List.concat_map (fun s ->
-               List.map
-                 (fun (m : Epoch_index.mux_entry) -> m.m_entry)
-                 s.s_committed))
+        (List.map
+           (fun (m : Epoch_index.mux_entry) -> m.m_entry)
+           (committed_locked t))
       @ List.concat
         (List.mapi
            (fun si s ->

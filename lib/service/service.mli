@@ -188,6 +188,14 @@ val drain_latencies : t -> float list
 (** Commit latencies (seconds from submission to durable) of epochs
     committed since the last call, unordered; clears the buffer. *)
 
+val committed : t -> Epoch_index.mux_entry list
+(** Every tenant's committed entries, shard by shard, each shard's in
+    commit order; pending checkpoints are not included. *)
+
+val chunk_len : t -> int -> int option
+(** The body length of a chunk in the shared pack by key; [None] when the
+    pack holds no such chunk. Reads only the walked frame headers. *)
+
 val check : t -> string list
 (** Integrity check over every tenant's committed entries and the shared
     pack (every frame CRC-checked, orphans too); [[]] means consistent.

@@ -126,7 +126,7 @@ let decode s ~pos =
 let load vfs path = In_stream.intact_prefix decode (Vfs.contents vfs path)
 
 let write_staged vfs ~path entries =
-  let tmp = Storage.temp_of ~path in
+  let tmp = Vfs.temp_of path in
   let bytes = ref 0 in
   Vfs.write_synced vfs Trunc tmp (fun write ->
       List.iter

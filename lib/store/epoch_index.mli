@@ -102,8 +102,8 @@ val load : Vfs.t -> string -> entry list * int
 
 val write_staged : Vfs.t -> path:string -> entry list -> string * int
 (** Write a fresh index holding exactly [entries] to the staging path
-    ({!Ickpt_core.Storage.temp_of}[ ~path]), sync it, and return that
-    path and its length. Used by GC; the caller commits by renaming over
+    ({!Ickpt_core.Vfs.temp_of}), sync it, and return that path and its
+    length. Used by GC; the caller commits by renaming over
     [path]. *)
 
 val reject_older : path:string -> string -> unit

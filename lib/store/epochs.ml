@@ -293,3 +293,27 @@ let logical_bytes pack entries =
     (fun acc (e : Epoch_index.entry) ->
       List.fold_left (fun acc k -> acc + Pack.chunk_len pack k) acc e.chunks)
     0 entries
+
+type progress = { next : int option; since_full_bytes : int }
+
+let progress pack entries =
+  let incrementals =
+    List.filter
+      (fun (e : Epoch_index.entry) -> e.kind = Segment.Incremental)
+      (since_full entries ~epoch:max_int)
+  in
+  { next = Option.map succ (newest entries);
+    since_full_bytes = logical_bytes pack incrementals }
+
+let advance p (seg : Segment.t) =
+  { next = Some (seg.seq + 1);
+    since_full_bytes =
+      (match seg.kind with
+      | Segment.Full -> 0
+      | Segment.Incremental -> p.since_full_bytes + Segment.body_size seg) }
+
+let take policy p write roots =
+  let kind =
+    Policy.decide policy ~next:p.next ~since_full_bytes:p.since_full_bytes
+  in
+  Chain.segment ~kind ~seq:(Option.value p.next ~default:0) (write kind) roots

@@ -129,3 +129,28 @@ val segment : Pack.t -> Epoch_index.entry -> Segment.t
 
 val logical_bytes : Pack.t -> Epoch_index.entry list -> int
 (** Chunk bytes referenced by the entries, dedup not applied. *)
+
+(** {1 Taking checkpoints} *)
+
+type progress = {
+  next : int option;  (** the epoch the chain expects; [None] when empty *)
+  since_full_bytes : int;  (** incremental body bytes since the newest full *)
+}
+(** What {!Ickpt_core.Policy.decide} reads of a chain. *)
+
+val progress : Pack.t -> Epoch_index.entry list -> progress
+(** One chain's progress, derived from its committed entries (oldest
+    first) without reading a chunk: chunk lengths come from the pack's
+    walked frame headers. *)
+
+val advance : progress -> Segment.t -> progress
+(** The progress once the segment extends the chain. *)
+
+val take :
+  Policy.t -> progress ->
+  (Segment.kind -> Ickpt_stream.Out_stream.t ->
+   Ickpt_runtime.Model.obj list -> unit) ->
+  Ickpt_runtime.Model.obj list -> Segment.t
+(** [take policy p write roots]: the chain's next segment, of the kind
+    [policy] picks for [p], its body recorded by [write kind]. Appends
+    nothing. *)

@@ -103,10 +103,9 @@ let load t ~committed =
       (fun () (key, slice) -> add t key slice)
       ()
   in
-  (* Cut a torn tail off before the next append, exactly as Storage does
-     for the segment log: garbage after the intact prefix would make every
-     later frame unreachable. [raw] keeps the cut bytes, but no slice
-     reaches past [valid]. *)
+  (* Cut a torn tail off before the next append: garbage after the intact
+     prefix would make every later frame unreachable. [raw] keeps the cut
+     bytes, but no slice reaches past [valid]. *)
   if valid < String.length raw then t.vfs.Vfs.truncate t.file ~len:valid;
   t.size <- valid
 
@@ -212,7 +211,7 @@ let resolve t ~pending ~key data =
   go 0
 
 let stage_rewrite t ~keep =
-  let tmp = Storage.temp_of ~path:t.file in
+  let tmp = Vfs.temp_of t.file in
   let bytes = ref 0 in
   Vfs.write_synced t.vfs Trunc tmp (fun write ->
       List.iter

@@ -1,6 +1,5 @@
 (** The chunk pack: one append-only file holding every stored chunk, each
-    in a self-describing checksummed frame (same framing discipline as
-    {!Ickpt_core.Segment}):
+    in a self-describing checksummed frame:
 
     {v
     magic   fixed32  "ICPK"
@@ -105,7 +104,7 @@ val resolve :
 
 val stage_rewrite : t -> keep:(int -> bool) -> string * int
 (** Write a pack containing only the kept chunks (in their original order)
-    to the staging path ({!Ickpt_core.Storage.temp_of}), sync it, and
+    to the staging path ({!Ickpt_core.Vfs.temp_of}), sync it, and
     return that path and its length.
     @raise Ickpt_stream.In_stream.Corrupt if a kept chunk fails its CRC
     (nothing is renamed). The live pack and its key table are not touched;

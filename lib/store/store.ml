@@ -21,8 +21,10 @@ type t = {
   root : string;
   schema : Schema.t;
   records_per_chunk : int;
+  policy : Policy.t;
   pack : Pack.t;
   mutable entries : Epoch_index.entry list;  (* oldest first *)
+  mutable progress : Epochs.progress;
   mutable index_bytes : int;  (* the index file's length *)
   mutable collided : collision list;  (* newest first; this session only *)
 }
@@ -35,7 +37,7 @@ let schema t = t.schema
 (* Open: sweep, truncate, validate.                                    *)
 
 let open_ ?(vfs = Vfs.real) ?(records_per_chunk = Chunk.default_records_per_chunk)
-    schema ~path:root =
+    ?(policy = Policy.Incremental_after_base) schema ~path:root =
   if records_per_chunk < 1 then invalid_arg "Store.open_: records_per_chunk";
   let pack_file = pack_path root and index_file = index_path root in
   (* The index is read first: an older format is refused before anything
@@ -49,7 +51,7 @@ let open_ ?(vfs = Vfs.real) ?(records_per_chunk = Chunk.default_records_per_chun
      rename leaves them behind, and reopen is where they get swept. *)
   List.iter
     (fun p ->
-      let tmp = Storage.temp_of ~path:p in
+      let tmp = Vfs.temp_of p in
       if vfs.Vfs.exists tmp then vfs.Vfs.remove tmp)
     [ pack_file; index_file ];
   let pack =
@@ -60,8 +62,10 @@ let open_ ?(vfs = Vfs.real) ?(records_per_chunk = Chunk.default_records_per_chun
     root;
     schema;
     records_per_chunk;
+    policy;
     pack;
     entries;
+    progress = Epochs.progress pack entries;
     index_bytes;
     collided = [] }
 
@@ -96,8 +100,7 @@ type append_stats = {
 
 let append_segment t (seg : Segment.t) =
   (match
-     Chain.continuity ~next:(Option.map succ (latest_epoch t)) seg.kind
-       ~epoch:seg.seq
+     Chain.continuity ~next:t.progress.next seg.kind ~epoch:seg.seq
    with
   | None -> ()
   | Some Chain.Not_full ->
@@ -116,6 +119,7 @@ let append_segment t (seg : Segment.t) =
           chunks } ]
   in
   t.entries <- t.entries @ c.entries;
+  t.progress <- Epochs.advance t.progress seg;
   t.index_bytes <- t.index_bytes + c.index_bytes;
   t.collided <- List.rev_append c.collisions t.collided;
   { chunks_total = List.length chunks;
@@ -125,6 +129,18 @@ let append_segment t (seg : Segment.t) =
     bytes_written = c.bytes_written }
 
 let collisions t = List.rev t.collided
+
+let take t roots write =
+  let seg = Epochs.take t.policy t.progress write roots in
+  ignore (append_segment t seg : append_stats);
+  seg.seq
+
+let checkpoint t roots = take t roots (Chain.generic ?stats:None)
+
+let checkpoint_with t roots ~body =
+  take t roots (function
+    | Segment.Full -> Chain.generic Segment.Full
+    | Segment.Incremental -> body)
 
 (* ------------------------------------------------------------------ *)
 (* Reading.                                                            *)
@@ -293,14 +309,3 @@ let check t =
                (Ickpt_stream.Hash64.to_hex k))
         else None)
       (refcounts t)
-
-(* ------------------------------------------------------------------ *)
-(* Manager integration.                                                *)
-
-let resume_suffix t =
-  List.map (Epochs.segment t.pack) (Epochs.since_full t.entries ~epoch:max_int)
-
-let manager_sink t =
-  { Manager.sink_append = (fun seg -> ignore (append_segment t seg));
-    sink_resume = (fun () -> resume_suffix t);
-    sink_compact = Some (fun () -> ignore (gc t ~retain:(Keep_last 1))) }

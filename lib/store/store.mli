@@ -1,5 +1,8 @@
-(** The content-addressed checkpoint store: a {!Pack} of deduplicated
-    chunks plus an {!Epoch_index}, opened as one unit.
+(** The content-addressed checkpoint store — the one durable format: a
+    {!Pack} of deduplicated chunks plus an {!Epoch_index}, opened as one
+    unit. The store also runs the checkpoint policy: {!checkpoint} takes
+    the next checkpoint of the kind its {!Ickpt_core.Policy} picks and
+    commits it as the next epoch.
 
     A store at [path] owns two files, [path ^ ".pack"] and [path ^ ".idx"].
     Appending a segment (an {e epoch}) splits its body into record-aligned
@@ -8,6 +11,11 @@
 
     + pack: append new chunks, sync;
     + index: append the entry, sync  —  the {e commit point}.
+
+    Write-out is synchronous: an epoch is durable when its call returns
+    (the paper's asynchronous write-out thread is not reproduced; the
+    service, [Ickpt_service.Service], amortizes the two syncs over a group
+    of epochs instead).
 
     A crash between the two leaves orphaned chunks (space, not
     correctness — the next {!gc} reclaims them); a crash inside either
@@ -31,9 +39,10 @@
     Where the rules live: the continuity rule is
     {!Ickpt_core.Chain.continuity}, shared with the in-memory chain and
     [Ickpt_service.Service]; committing an epoch (pack, then index), the
-    other chain rules (newest full epoch, reopen validation, {!check}) and
-    entry → segment are {!Epochs}, shared with the service; writing and
-    reading back the record files is {!Ickpt_core.Vfs.write_synced} and
+    other chain rules (newest full epoch, reopen validation, {!check}),
+    the policy's inputs ({!Epochs.progress}) and entry → segment are
+    {!Epochs}, shared with the service; writing and reading back the
+    record files is {!Ickpt_core.Vfs.write_synced} and
     [Ickpt_stream.In_stream.fold_intact]. *)
 
 open Ickpt_runtime
@@ -52,8 +61,13 @@ val pack_path : string -> string
 val index_path : string -> string
 
 val open_ :
-  ?vfs:Vfs.t -> ?records_per_chunk:int -> Schema.t -> path:string -> t
-(** Open (creating if missing) the store rooted at [path]. The index is
+  ?vfs:Vfs.t -> ?records_per_chunk:int -> ?policy:Policy.t -> Schema.t ->
+  path:string -> t
+(** Open (creating if missing) the store rooted at [path]. [policy]
+    (default [Incremental_after_base]) decides the kind of each
+    {!checkpoint}; the epoch it expects and its incremental bytes since
+    the newest full are derived from the committed entries, reading no
+    chunk, so a reopened store continues its chain. The index is
     read first; then stale staged temps from a crashed {!gc} are swept,
     the pack opened with the CRC of every frame past the newest committed
     entry's pack length checked (the rest on first read), torn file tails
@@ -67,6 +81,21 @@ val open_ :
 val path : t -> string
 val schema : t -> Schema.t
 
+(** {1 Checkpointing} *)
+
+val checkpoint : t -> Model.obj list -> int
+(** Take the next checkpoint of the roots, of the kind the policy picks
+    (always full on an empty store), with the generic checkpointer, and
+    commit it as the next epoch; returns that epoch. Durable when this
+    returns. *)
+
+val checkpoint_with :
+  t -> Model.obj list ->
+  body:(Ickpt_stream.Out_stream.t -> Model.obj list -> unit) -> int
+(** Like {!checkpoint}, but an incremental's body is recorded by [body] —
+    the hook for specialized checkpointing routines. A full checkpoint
+    (when the policy picks one) uses the generic full checkpointer. *)
+
 (** {1 Appending} *)
 
 type append_stats = {
@@ -79,7 +108,8 @@ type append_stats = {
 }
 
 val append_segment : t -> Segment.t -> append_stats
-(** Store one segment as the next epoch. Its [seq] must be [latest + 1] —
+(** Store one segment (taken elsewhere) as the next epoch; the next
+    {!checkpoint} extends it. Its [seq] must be [latest + 1] —
     or, on an empty store, any non-negative value provided the segment is
     full. Durable (both files synced) when this returns. A hash collision
     does not fail the append: the chunk is stored under a salted rehash
@@ -178,10 +208,3 @@ val check : t -> string list
     referenced chunk present with matching content hash, every directory
     well-formed with its records in range, every pack frame (orphans too)
     intact by CRC, and refcount consistency. *)
-
-(** {1 Manager integration} *)
-
-val manager_sink : t -> Manager.external_sink
-(** Plug the store behind {!Manager.create}[ ?sink]: appends become
-    epochs, resume replays the suffix from the newest full epoch, and
-    [Manager.compact_now] maps to {!gc}[ ~retain:(Keep_last 1)]. *)

@@ -51,7 +51,7 @@ val fold_intact :
     the result with the offset of the first byte that does not decode —
     the end of [data] when all of it does. {!Corrupt} or
     [Invalid_argument] from [decode] ends the prefix. The one loop every
-    record file (segment log, pack, epoch index, tenant catalog) is read
+    record file (pack, epoch index, tenant catalog, service meta) is read
     back with; the caller decides whether to truncate. *)
 
 val intact_prefix : (string -> pos:int -> 'a * int) -> string -> 'a list * int

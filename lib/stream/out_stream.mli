@@ -2,7 +2,7 @@
 
     This is the analog of the paper's [OutputStream] (a [DataOutputStream]
     composed with a [ByteArrayOutputStream]): checkpoints are built in memory
-    and flushed to stable storage separately (see {!Ickpt_core.Storage}).
+    and committed to stable storage separately (see [Ickpt_cas.Store]).
 
     Two flavours exist:
     - a {e buffered} stream that accumulates bytes ({!create});

@@ -264,22 +264,30 @@ let engine_analyses_mode_independent () =
     (Engine.recover_annotations a = Engine.recover_annotations b)
 
 let engine_storage_roundtrip () =
+  let open Ickpt_cas in
   let r = run_engine Engine.Incremental in
   let path =
-    Filename.concat (Filename.get_temp_dir_name ()) "ickpt_engine_chain.log"
+    Filename.concat (Filename.get_temp_dir_name ()) "ickpt_engine_chain"
   in
-  if Sys.file_exists path then Sys.remove path;
-  Ickpt_core.Storage.write_chain ~path r.Engine.chain;
-  let chain, torn =
-    Ickpt_core.Storage.load_chain (Attrs.schema (Engine.attrs r)) ~path
-  in
-  check_bool "not torn" false torn;
+  let files = [ Store.pack_path path; Store.index_path path ] in
+  List.iter (fun p -> if Sys.file_exists p then Sys.remove p) files;
+  let schema = Attrs.schema (Engine.attrs r) in
+  let store = Store.open_ schema ~path in
+  List.iter
+    (fun seg -> ignore (Store.append_segment store seg))
+    (Ickpt_core.Chain.segments r.Engine.chain);
+  let store = Store.open_ schema ~path in
   check_int "segment count" (Ickpt_core.Chain.length r.Engine.chain)
-    (Ickpt_core.Chain.length chain);
-  (match Ickpt_core.Chain.recover chain with
-  | Ok _ -> ()
+    (List.length (Store.epochs store));
+  (match Ickpt_core.Chain.recover r.Engine.chain with
+  | Ok (_, live) ->
+      let _, stored =
+        Store.restore store ~epoch:(Option.get (Store.latest_epoch store))
+      in
+      check_bool "store restores the chain's state" true
+        (List.for_all2 Ickpt_runtime.Deep_eq.equal live stored)
   | Error e -> Alcotest.fail e);
-  Sys.remove path
+  List.iter Sys.remove files
 
 (* ---- declaration inference (future-work feature) ------------------------ *)
 

@@ -100,54 +100,6 @@ let multi_roots_share_visited () =
   Checkpointer.full_many ~stats d [ r1; r2 ];
   check_int "three objects, shared once" 3 stats.Checkpointer.recorded
 
-(* -- Segment ------------------------------------------------------------ *)
-
-let segment_roundtrip () =
-  let seg =
-    { Segment.kind = Segment.Incremental; seq = 3; roots = [ 7; 9 ];
-      body = "some body bytes" }
-  in
-  let s = Segment.encode seg in
-  let seg', next = Segment.decode s ~pos:0 in
-  check_bool "kind" true (seg'.Segment.kind = Segment.Incremental);
-  check_int "seq" 3 seg'.Segment.seq;
-  Alcotest.(check (list int)) "roots" [ 7; 9 ] seg'.Segment.roots;
-  Alcotest.(check string) "body" "some body bytes" seg'.Segment.body;
-  check_int "consumed" (String.length s) next;
-  check_int "encoded_size" (String.length s) (Segment.encoded_size seg)
-
-let segment_detects_corruption () =
-  let seg =
-    { Segment.kind = Segment.Full; seq = 0; roots = [ 0 ]; body = "abcdef" }
-  in
-  let s = Bytes.of_string (Segment.encode seg) in
-  let mid = Bytes.length s / 2 in
-  Bytes.set s mid (Char.chr (Char.code (Bytes.get s mid) lxor 0x40));
-  match Segment.decode (Bytes.to_string s) ~pos:0 with
-  | _ -> Alcotest.fail "corruption not detected"
-  | exception Ickpt_stream.In_stream.Corrupt _ -> ()
-
-let segment_detects_truncation () =
-  let seg =
-    { Segment.kind = Segment.Full; seq = 0; roots = [ 0 ]; body = "abcdef" }
-  in
-  let s = Segment.encode seg in
-  let s = String.sub s 0 (String.length s - 2) in
-  match Segment.decode s ~pos:0 with
-  | _ -> Alcotest.fail "truncation not detected"
-  | exception Ickpt_stream.In_stream.Corrupt _ -> ()
-
-let segment_decode_all () =
-  let mk i =
-    { Segment.kind = (if i = 0 then Segment.Full else Segment.Incremental);
-      seq = i; roots = [ 0 ]; body = String.make (i + 1) 'x' }
-  in
-  let segs = List.init 4 mk in
-  let blob = String.concat "" (List.map Segment.encode segs) in
-  let back = Segment.decode_all blob in
-  check_int "all decoded" 4 (List.length back);
-  List.iteri (fun i seg -> check_int "seq order" i seg.Segment.seq) back
-
 (* -- Restore ------------------------------------------------------------ *)
 
 let restore_roundtrip () =
@@ -341,7 +293,14 @@ let prop_chain_equivalence =
 
 (* -- Storage ------------------------------------------------------------ *)
 
-let temp_path name = Filename.concat (Filename.get_temp_dir_name ()) name
+(* Stable storage is the content-addressed store: a chain's segments
+   become its epochs, and it reopens to their intact prefix. *)
+
+let write_chain schema ~path chain =
+  let store = Ickpt_cas.Store.open_ schema ~path in
+  List.iter
+    (fun seg -> ignore (Ickpt_cas.Store.append_segment store seg))
+    (Chain.segments chain)
 
 let storage_roundtrip () =
   let env = make_env () in
@@ -350,16 +309,20 @@ let storage_roundtrip () =
   ignore (Chain.take_full chain [ root ]);
   Barrier.set_int root 0 11;
   ignore (Chain.take_incremental chain [ root ]);
-  let path = temp_path "ickpt_storage_roundtrip.log" in
-  if Sys.file_exists path then Sys.remove path;
-  Storage.write_chain ~path chain;
-  let chain', torn = Storage.load_chain env.schema ~path in
-  check_bool "not torn" false torn;
-  check_int "both segments" 2 (Chain.length chain');
-  (match Chain.recover chain' with
-  | Ok (_, [ root' ]) -> check_bool "state" true (Deep_eq.equal root root')
+  let path = temp_store "ickpt_storage_roundtrip" in
+  write_chain env.schema ~path chain;
+  let store = Ickpt_cas.Store.open_ env.schema ~path in
+  Alcotest.(check (list int)) "both segments" [ 0; 1 ]
+    (Ickpt_cas.Store.epochs store);
+  List.iter
+    (fun (seg : Segment.t) ->
+      check_bool "segment comes back" true
+        (Ickpt_cas.Store.segment_of_epoch store seg.seq = seg))
+    (Chain.segments chain);
+  (match restore_latest env.schema ~path with
+  | Some (_, [ root' ]) -> check_bool "state" true (Deep_eq.equal root root')
   | _ -> Alcotest.fail "recovery failed");
-  Sys.remove path
+  remove_store path
 
 let storage_append_accumulates () =
   let env = make_env () in
@@ -368,14 +331,18 @@ let storage_append_accumulates () =
   let t1 = Chain.take_full chain [ root ] in
   Barrier.set_int root 0 5;
   let t2 = Chain.take_incremental chain [ root ] in
-  let path = temp_path "ickpt_storage_append.log" in
-  if Sys.file_exists path then Sys.remove path;
-  Storage.append ~path t1.Chain.segment;
-  Storage.append ~path t2.Chain.segment;
-  let { Storage.segments; torn_tail; _ } = Storage.load path in
-  check_bool "not torn" false torn_tail;
-  check_int "two segments" 2 (List.length segments);
-  Sys.remove path
+  let path = temp_store "ickpt_storage_append" in
+  let append seg =
+    (* Each append through its own open: a second life continues the
+       first one's epochs. *)
+    let store = Ickpt_cas.Store.open_ env.schema ~path in
+    ignore (Ickpt_cas.Store.append_segment store seg)
+  in
+  append t1.Chain.segment;
+  append t2.Chain.segment;
+  let store = Ickpt_cas.Store.open_ env.schema ~path in
+  check_int "two epochs" 2 (List.length (Ickpt_cas.Store.epochs store));
+  remove_store path
 
 let storage_torn_tail () =
   let env = make_env () in
@@ -384,33 +351,29 @@ let storage_torn_tail () =
   ignore (Chain.take_full chain [ root ]);
   Barrier.set_int root 0 5;
   ignore (Chain.take_incremental chain [ root ]);
-  let path = temp_path "ickpt_storage_torn.log" in
-  if Sys.file_exists path then Sys.remove path;
-  Storage.write_chain ~path chain;
-  (* Chop a few bytes off the end: simulates a crash mid-write. *)
-  let ic = open_in_bin path in
-  let data = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  let oc = open_out_bin path in
-  output_string oc (String.sub data 0 (String.length data - 3));
-  close_out oc;
-  let { Storage.segments; torn_tail; _ } = Storage.load path in
-  check_bool "torn detected" true torn_tail;
-  check_int "intact prefix survives" 1 (List.length segments);
+  let path = temp_store "ickpt_storage_torn" in
+  write_chain env.schema ~path chain;
+  (* Chop a few bytes off the index: simulates a crash mid-commit. *)
+  let index = Ickpt_cas.Store.index_path path in
+  Unix.truncate index ((Unix.stat index).Unix.st_size - 3);
+  let store = Ickpt_cas.Store.open_ env.schema ~path in
+  Alcotest.(check (list int)) "intact prefix survives" [ 0 ]
+    (Ickpt_cas.Store.epochs store);
+  check_bool "consistent" true (Ickpt_cas.Store.check store = []);
   (* The surviving prefix is still recoverable. *)
-  let chain', _ = Storage.load_chain env.schema ~path in
-  (match Chain.recover chain' with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail e);
-  Sys.remove path
+  (match restore_latest env.schema ~path with
+  | Some _ -> ()
+  | None -> Alcotest.fail "no epoch survived");
+  remove_store path
 
 let storage_missing_file () =
-  let { Storage.segments; torn_tail; bytes_read } =
-    Storage.load (temp_path "ickpt_never_written.log")
-  in
-  check_bool "no segments" true (segments = []);
-  check_bool "not torn" false torn_tail;
-  check_int "no bytes" 0 bytes_read
+  let path = temp_store "ickpt_never_written" in
+  let store = Ickpt_cas.Store.open_ (make_env ()).schema ~path in
+  check_bool "no epochs" true (Ickpt_cas.Store.epochs store = []);
+  check_int "no bytes" 0 (Ickpt_cas.Store.stats store).physical_bytes;
+  check_bool "opening writes no file" false
+    (Sys.file_exists (Ickpt_cas.Store.pack_path path)
+    || Sys.file_exists (Ickpt_cas.Store.index_path path))
 
 (* -- Policy -------------------------------------------------------------- *)
 
@@ -451,11 +414,6 @@ let suites =
         Alcotest.test_case "dag recorded once" `Quick full_records_dag_once;
         Alcotest.test_case "multi roots share visited" `Quick
           multi_roots_share_visited ] );
-    ( "segment",
-      [ Alcotest.test_case "roundtrip" `Quick segment_roundtrip;
-        Alcotest.test_case "detects corruption" `Quick segment_detects_corruption;
-        Alcotest.test_case "detects truncation" `Quick segment_detects_truncation;
-        Alcotest.test_case "decode_all" `Quick segment_decode_all ] );
     ( "restore",
       [ Alcotest.test_case "roundtrip" `Quick restore_roundtrip;
         Alcotest.test_case "unknown class" `Quick restore_unknown_class;

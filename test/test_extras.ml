@@ -1,119 +1,66 @@
-(* Tests for the production-layer extras: asynchronous write-out, the
-   checkpoint manager, checkpoint diffing, the specialized-plan cache and
-   the dead-code consumer of the side-effect analysis. *)
+(* Tests for the production-layer extras: the store as checkpoint manager
+   (policy, specialized bodies, resume, GC), checkpoint diffing, the
+   specialized-plan cache and the dead-code consumer of the side-effect
+   analysis. *)
 
 open Ickpt_runtime
 open Ickpt_core
+open Ickpt_cas
 open Test_util
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-let temp name =
-  let path = Filename.concat (Filename.get_temp_dir_name ()) name in
-  if Sys.file_exists path then Sys.remove path;
-  path
-
-(* ---- async writer ------------------------------------------------------- *)
-
-let seg i body =
-  { Segment.kind = (if i = 0 then Segment.Full else Segment.Incremental);
-    seq = i;
-    roots = [ 0 ];
-    body }
-
-let async_roundtrip () =
-  let path = temp "ickpt_async_roundtrip.log" in
-  let w = Async_writer.create ~path () in
-  for i = 0 to 9 do
-    Async_writer.enqueue w (seg i (String.make (100 * (i + 1)) 'x'))
-  done;
-  Async_writer.flush w;
-  check_int "flushed" 0 (Async_writer.pending w);
-  Async_writer.close w;
-  let { Storage.segments; torn_tail; _ } = Storage.load path in
-  check_bool "not torn" false torn_tail;
-  check_int "all segments" 10 (List.length segments);
-  (* FIFO order preserved *)
-  List.iteri (fun i s -> check_int "order" i s.Segment.seq) segments;
-  Sys.remove path
-
-let async_close_drains () =
-  let path = temp "ickpt_async_drain.log" in
-  let w = Async_writer.create ~queue_limit:2 ~path () in
-  for i = 0 to 19 do
-    Async_writer.enqueue w (seg i "body")
-  done;
-  (* No flush: close must still drain everything. *)
-  Async_writer.close w;
-  check_int "all written" 20 (List.length (Storage.load path).Storage.segments);
-  Sys.remove path
-
-let async_use_after_close () =
-  let path = temp "ickpt_async_closed.log" in
-  let w = Async_writer.create ~path () in
-  Async_writer.close w;
-  Async_writer.close w;
-  (* idempotent *)
-  (match Async_writer.enqueue w (seg 0 "x") with
-  | _ -> Alcotest.fail "enqueue after close accepted"
-  | exception Failure _ -> ());
-  Sys.remove path
-
-(* ---- manager ------------------------------------------------------------ *)
+(* ---- the store as checkpoint manager ---------------------------------- *)
 
 let manager_policy_and_persistence () =
   let env = make_env () in
   let root = build env (Pair (1, 2, Some (Leaf 3), None)) in
-  let path = temp "ickpt_manager.log" in
-  let m =
-    Manager.create ~policy:(Policy.Full_every 3) env.schema ~path
-  in
+  let path = temp_store "ickpt_manager" in
+  let store = Store.open_ ~policy:(Policy.Full_every 3) env.schema ~path in
   (* seq 0 full, 1-2 incremental, 3 full ... *)
   let kinds = ref [] in
   for i = 0 to 5 do
     Barrier.set_int root 0 i;
-    let taken = Manager.checkpoint m [ root ] in
-    kinds := taken.Chain.segment.Segment.kind :: !kinds
+    let epoch = Store.checkpoint store [ root ] in
+    check_int "epochs count up" i epoch;
+    kinds := Store.kind_of_epoch store epoch :: !kinds
   done;
-  Manager.close m;
   let expected =
     Segment.[ Full; Incremental; Incremental; Full; Incremental; Incremental ]
   in
   check_bool "kinds follow policy" true (List.rev !kinds = expected);
   (* Recovery from disk sees the final state. *)
-  (match Manager.recover_latest env.schema ~path with
-  | Ok (_, [ root' ]) -> check_int "final value" 5 root'.Model.ints.(0)
-  | Ok _ -> Alcotest.fail "wrong root count"
-  | Error e -> Alcotest.fail e);
-  Sys.remove path
+  (match restore_latest env.schema ~path with
+  | Some (_, [ root' ]) -> check_int "final value" 5 root'.Model.ints.(0)
+  | _ -> Alcotest.fail "wrong root count");
+  remove_store path
 
-let manager_async_and_compaction () =
+let manager_gc_then_checkpoint () =
   let env = make_env () in
   let root = build env (Leaf 0) in
-  let path = temp "ickpt_manager_async.log" in
-  let m = Manager.create ~async:true ~compact_above:4 env.schema ~path in
+  let path = temp_store "ickpt_manager_gc" in
+  let store = Store.open_ ~policy:(Policy.Full_every 4) env.schema ~path in
   for i = 1 to 10 do
     Barrier.set_int root 0 i;
-    ignore (Manager.checkpoint m [ root ])
+    ignore (Store.checkpoint store [ root ]);
+    if i mod 5 = 0 then ignore (Store.gc store ~retain:(Store.Keep_last 1))
   done;
-  check_bool "auto-compaction bounded the chain" true
-    (Manager.segments_on_disk m <= 5);
-  Manager.flush m;
-  Manager.close m;
-  (match Manager.recover_latest env.schema ~path with
-  | Ok (_, [ root' ]) -> check_int "state survives compaction" 10 root'.Model.ints.(0)
-  | Ok _ -> Alcotest.fail "wrong root count"
-  | Error e -> Alcotest.fail e);
-  Sys.remove path
+  (* GC widened down to epoch 8 (full); epoch 9 extends it. *)
+  Alcotest.(check (list int)) "gc bounded the chain" [ 8; 9 ]
+    (Store.epochs store);
+  (match restore_latest env.schema ~path with
+  | Some (_, [ root' ]) -> check_int "state survives gc" 10 root'.Model.ints.(0)
+  | _ -> Alcotest.fail "wrong root count");
+  remove_store path
 
 let manager_checkpoint_with_specialized () =
   let env = make_env () in
   let root = build env (Pair (7, 8, Some (Leaf 9), None)) in
-  let path = temp "ickpt_manager_spec.log" in
-  let m = Manager.create env.schema ~path in
+  let path = temp_store "ickpt_manager_spec" in
+  let store = Store.open_ env.schema ~path in
   (* base full *)
-  ignore (Manager.checkpoint m [ root ]);
+  ignore (Store.checkpoint store [ root ]);
   Barrier.set_int root 1 42;
   let shape =
     Jspec.Sclass.shape env.pair
@@ -121,43 +68,42 @@ let manager_checkpoint_with_specialized () =
          Jspec.Sclass.Null_child |]
   in
   let runner = Jspec.Compile.residual (Jspec.Pe.specialize shape) in
-  let seg =
-    Manager.checkpoint_with m [ root ] ~body:(fun d roots ->
+  let epoch =
+    Store.checkpoint_with store [ root ] ~body:(fun d roots ->
         List.iter (fun r -> runner d r) roots)
   in
+  check_bool "specialized segment is incremental" true
+    (Store.kind_of_epoch store epoch = Segment.Incremental);
   check_bool "specialized segment recorded something" true
-    (Segment.body_size seg > 0);
-  Manager.close m;
-  (match Manager.recover_latest env.schema ~path with
-  | Ok (_, [ root' ]) -> check_int "specialized write recovered" 42 root'.Model.ints.(1)
-  | Ok _ -> Alcotest.fail "wrong root count"
-  | Error e -> Alcotest.fail e);
-  Sys.remove path
+    (Segment.body_size (Store.segment_of_epoch store epoch) > 0);
+  (match restore_latest env.schema ~path with
+  | Some (_, [ root' ]) ->
+      check_int "specialized write recovered" 42 root'.Model.ints.(1)
+  | _ -> Alcotest.fail "wrong root count");
+  remove_store path
 
 let manager_resumes_sequence () =
   let env = make_env () in
   let root = build env (Leaf 1) in
-  let path = temp "ickpt_manager_resume.log" in
-  let m = Manager.create env.schema ~path in
-  ignore (Manager.checkpoint m [ root ]);
+  let path = temp_store "ickpt_manager_resume" in
+  let store = Store.open_ env.schema ~path in
+  ignore (Store.checkpoint store [ root ]);
   Barrier.touch root;
-  ignore (Manager.checkpoint m [ root ]);
-  Manager.close m;
-  (* A second manager continues the chain instead of restarting it. *)
-  let m2 = Manager.create env.schema ~path in
-  check_int "resumed at seq 2" 2 (Chain.next_seq (Manager.chain m2));
+  ignore (Store.checkpoint store [ root ]);
+  (* A second open continues the chain instead of restarting it. *)
+  let store2 = Store.open_ env.schema ~path in
   Barrier.set_int root 0 99;
-  ignore (Manager.checkpoint m2 [ root ]);
-  Manager.close m2;
-  (match Manager.recover_latest env.schema ~path with
-  | Ok (_, [ root' ]) -> check_int "post-resume state" 99 root'.Model.ints.(0)
-  | Ok _ -> Alcotest.fail "wrong root count"
-  | Error e -> Alcotest.fail e);
-  Sys.remove path
+  check_int "resumed at seq 2" 2 (Store.checkpoint store2 [ root ]);
+  check_bool "resumed incremental" true
+    (Store.kind_of_epoch store2 2 = Segment.Incremental);
+  (match restore_latest env.schema ~path with
+  | Some (_, [ root' ]) -> check_int "post-resume state" 99 root'.Model.ints.(0)
+  | _ -> Alcotest.fail "wrong root count");
+  remove_store path
 
 (* Stateful property: any interleaving of mutations, checkpoints and
-   compactions, ending in a checkpoint, recovers from disk to exactly the
-   live state. *)
+   compactions (GC down to the newest epoch's full base), ending in a
+   checkpoint, recovers from disk to exactly the live state. *)
 type manager_op = Op_mutate of Test_util.mutation | Op_checkpoint | Op_compact
 
 let manager_op_gen =
@@ -176,11 +122,10 @@ let prop_manager_random_ops =
       let root = build env tree in
       let objs = Array.of_list (all_objects root) in
       let path =
-        Filename.concat (Filename.get_temp_dir_name ())
-          (Printf.sprintf "ickpt_mgr_prop_%d.log" (Hashtbl.hash (tree, ops)))
+        temp_store
+          (Printf.sprintf "ickpt_mgr_prop_%d" (Hashtbl.hash (tree, ops)))
       in
-      if Sys.file_exists path then Sys.remove path;
-      let m = Manager.create ~policy:(Policy.Full_every 4) env.schema ~path in
+      let store = Store.open_ ~policy:(Policy.Full_every 4) env.schema ~path in
       List.iter
         (fun op ->
           match op with
@@ -189,16 +134,15 @@ let prop_manager_random_ops =
               let n = Array.length o.Model.ints in
               if n > 0 then Barrier.set_int o (slot mod n) value
               else Barrier.touch o
-          | Op_checkpoint -> ignore (Manager.checkpoint m [ root ])
-          | Op_compact -> Manager.compact_now m)
+          | Op_checkpoint -> ignore (Store.checkpoint store [ root ])
+          | Op_compact -> ignore (Store.gc store ~retain:(Store.Keep_last 1)))
         (ops @ [ Op_checkpoint ]);
-      Manager.close m;
       let ok =
-        match Manager.recover_latest env.schema ~path with
-        | Ok (_, [ root' ]) -> Deep_eq.equal root root'
-        | Ok _ | Error _ -> false
+        match restore_latest env.schema ~path with
+        | Some (_, [ root' ]) -> Deep_eq.equal root root'
+        | _ -> false
       in
-      if Sys.file_exists path then Sys.remove path;
+      remove_store path;
       ok)
 
 (* ---- diff ---------------------------------------------------------------- *)
@@ -413,15 +357,11 @@ let prop_deadcode_preserves_semantics =
       = (Minic.Interp.run transformed).Minic.Interp.return_value)
 
 let suites =
-  [ ( "async-writer",
-      [ Alcotest.test_case "roundtrip" `Quick async_roundtrip;
-        Alcotest.test_case "close drains" `Quick async_close_drains;
-        Alcotest.test_case "use after close" `Quick async_use_after_close ] );
-    ( "manager",
+  [ ( "manager",
       [ Alcotest.test_case "policy and persistence" `Quick
           manager_policy_and_persistence;
-        Alcotest.test_case "async and compaction" `Quick
-          manager_async_and_compaction;
+        Alcotest.test_case "gc then checkpoint" `Quick
+          manager_gc_then_checkpoint;
         Alcotest.test_case "specialized body" `Quick
           manager_checkpoint_with_specialized;
         Alcotest.test_case "resumes sequence" `Quick manager_resumes_sequence;

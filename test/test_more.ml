@@ -1,61 +1,11 @@
-(* Additional hardening tests: wire-format fuzzing, structural assertions
-   on phase-specialized residual code (the essence of paper Figure 6),
-   interpreter instrumentation, and harness utilities. *)
+(* Additional hardening tests: structural assertions on phase-specialized
+   residual code (the essence of paper Figure 6), interpreter
+   instrumentation, and harness utilities. *)
 
 open Ickpt_core
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
-
-(* ---- segment fuzzing ------------------------------------------------------ *)
-
-(* Any single corrupted byte in an encoded segment must be detected: either
-   the decoder raises Corrupt, or — never — silently yields a segment that
-   differs from the original. (Decoding the same bytes must yield the same
-   segment; a flipped byte that still decodes equal is impossible because
-   the CRC covers every byte.) *)
-let prop_segment_bitflip_detected =
-  QCheck2.Test.make ~name:"segment decode detects any byte corruption"
-    ~count:300
-    QCheck2.Gen.(
-      triple
-        (string_size ~gen:printable (int_range 0 60))
-        (int_range 0 10_000) (int_range 0 7))
-    (fun (body, pos_seed, bit) ->
-      let seg =
-        { Segment.kind = Segment.Incremental; seq = 3; roots = [ 1; 2 ]; body }
-      in
-      let encoded = Segment.encode seg in
-      let pos = pos_seed mod String.length encoded in
-      let b = Bytes.of_string encoded in
-      Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor (1 lsl bit)));
-      let corrupted = Bytes.to_string b in
-      if corrupted = encoded then true (* flip was a no-op: impossible, but safe *)
-      else
-        match Segment.decode corrupted ~pos:0 with
-        | _ -> false (* corruption accepted: the property fails *)
-        | exception Ickpt_stream.In_stream.Corrupt _ -> true)
-
-(* Truncation at every possible point is detected. *)
-let segment_truncation_sweep () =
-  let seg =
-    { Segment.kind = Segment.Full; seq = 0; roots = [ 9 ]; body = "abcdefgh" }
-  in
-  let encoded = Segment.encode seg in
-  for len = 0 to String.length encoded - 1 do
-    match Segment.decode (String.sub encoded 0 len) ~pos:0 with
-    | _ -> Alcotest.failf "truncation to %d bytes accepted" len
-    | exception Ickpt_stream.In_stream.Corrupt _ -> ()
-  done
-
-(* Garbage prefixes never decode. *)
-let prop_garbage_never_decodes =
-  QCheck2.Test.make ~name:"random bytes do not decode as a segment" ~count:200
-    QCheck2.Gen.(string_size ~gen:char (int_range 0 64))
-    (fun junk ->
-      match Segment.decode junk ~pos:0 with
-      | _ -> false
-      | exception Ickpt_stream.In_stream.Corrupt _ -> true)
 
 (* ---- Figure 6 structure: the BTA-phase residual code ---------------------- *)
 
@@ -314,11 +264,7 @@ let policy_full_every_validation () =
   | exception Invalid_argument _ -> ()
 
 let suites =
-  [ ( "fuzz",
-      [ QCheck_alcotest.to_alcotest prop_segment_bitflip_detected;
-        Alcotest.test_case "truncation sweep" `Quick segment_truncation_sweep;
-        QCheck_alcotest.to_alcotest prop_garbage_never_decodes ] );
-    ( "residual-structure",
+  [ ( "residual-structure",
       [ Alcotest.test_case "bta residual (Fig 6)" `Quick bta_residual_structure;
         Alcotest.test_case "residual size vs knowledge" `Quick
           residual_size_scales_with_tracking ] );

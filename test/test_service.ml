@@ -197,20 +197,13 @@ let service_basics () =
   let private_pack_bytes i offset =
     let w = make_world ~offset in
     let path = Printf.sprintf "priv%d" i in
-    let store = Store.open_ ~vfs ~records_per_chunk:4 w.schema ~path in
-    let chain = Chain.create w.schema in
+    let store =
+      Store.open_ ~vfs ~records_per_chunk:4 ~policy:(Policy.Full_every 3)
+        w.schema ~path
+    in
     for r = 0 to 5 do
       if r > 0 then w.mutate r;
-      let taken =
-        match
-          Policy.decide (Policy.Full_every 3) ~next:(Chain.next chain)
-            ~since_full_bytes:(Chain.since_full_bytes chain)
-        with
-        | Segment.Full -> Chain.take_full chain w.roots
-        | Segment.Incremental -> Chain.take_incremental chain w.roots
-      in
-      ignore (Store.append_segment store taken.Chain.segment
-              : Store.append_stats)
+      ignore (Store.checkpoint store w.roots : int)
     done;
     String.length (vfs.Vfs.read_file (Store.pack_path path))
   in
@@ -224,7 +217,7 @@ let service_basics () =
     true
     (float_of_int private_sum /. float_of_int shared > 1.3);
   (* Attribution sees the sharing. *)
-  let rows = Attrib.rows ~vfs ~path:"svc" () in
+  let rows = Attrib.rows svc in
   check_int "three rows" 3 (List.length rows);
   let alice = List.find (fun r -> r.Attrib.a_name = "alice") rows in
   let carol = List.find (fun r -> r.Attrib.a_name = "carol") rows in
@@ -446,11 +439,15 @@ let service_salted_collision () =
   check_bool "service checks clean" true (Service.check svc = []);
   Service.close svc
 
-(* A vfs whose writes and syncs raise [Sim.Io_error] while the returned
-   flag is set — a disk that fails and then heals, within one session. *)
+(* An ordinary write error (disk full, EIO): the op fails, the machine
+   keeps running. *)
+exception Io_error
+
+(* A vfs whose writes and syncs raise [Io_error] while the returned flag
+   is set — a disk that fails and then heals, within one session. *)
 let breakable_vfs inner =
   let broken = ref false in
-  let guard f x = if !broken then raise (Sim.Io_error "injected") else f x in
+  let guard f x = if !broken then raise Io_error else f x in
   let wrap w =
     { w with Vfs.write = guard w.Vfs.write; sync = guard w.Vfs.sync }
   in
@@ -476,7 +473,7 @@ let store_collision_after_commit () =
   for _ = 1 to 2 do
     match Store.append_segment store seg with
     | _ -> Alcotest.fail "append on a failing disk succeeded"
-    | exception Sim.Io_error _ ->
+    | exception Io_error ->
         check_bool "no epoch committed" true (Store.epochs store = []);
         check_int "no collision reported" 0
           (List.length (Store.collisions store))
@@ -911,7 +908,7 @@ let fuzz_service =
   QCheck2.Test.make ~count:300
     ~name:"fuzzed service files: typed errors only"
     QCheck2.Gen.(
-      pair (int_bound (List.length files - 1)) Test_faultsim.fuzz_ops_gen)
+      pair (int_bound (List.length files - 1)) Test_util.fuzz_ops_gen)
     (fun (which, ops) ->
       let target = fst (List.nth files which) in
       let vfs =
@@ -921,7 +918,7 @@ let fuzz_service =
                 (fun (p, d) ->
                   ( p,
                     if p = target then
-                      List.fold_left Test_faultsim.apply_fuzz_op d ops
+                      List.fold_left Test_util.apply_fuzz_op d ops
                     else d ))
                 files))
       in
@@ -956,6 +953,59 @@ let fuzz_service =
           ignore (Service.check svc : string list));
       true)
 
+(* [ickpt_store inspect] on a service: open it once, attribute from the
+   open service, check it. A torn pack tail is cut by that one open's
+   recovery, so the attribution and the check match the clean service's,
+   and the pack file is read exactly once. *)
+let inspect_torn_pack () =
+  let path = "svc" in
+  let vfs = fresh_vfs () in
+  let svc = Service.open_ ~vfs ~shards:2 ~records_per_chunk:4 ~path () in
+  List.iter
+    (fun (name, offset) ->
+      let w = make_world ~offset in
+      let tn = Service.open_tenant svc w.schema ~name in
+      for r = 0 to 5 do
+        if r > 0 then w.mutate r;
+        ignore (Service.checkpoint tn w.roots : int)
+      done)
+    [ ("alice", 0); ("bob", 0); ("carol", 5000) ];
+  Service.close svc;
+  let pack = Service.pack_path path in
+  let files =
+    List.map
+      (fun f -> (f, vfs.Vfs.read_file f))
+      (pack :: Service.meta_path path :: Service.catalog_path path
+       :: List.init 2 (Service.shard_index_path path))
+  in
+  let inspect files =
+    let reads = ref 0 in
+    let vfs = Sim.vfs (Sim.seeded files) in
+    let vfs =
+      { vfs with
+        Vfs.read_file =
+          (fun f ->
+            if f = pack then incr reads;
+            vfs.Vfs.read_file f) }
+    in
+    let svc = Service.open_ ~vfs ~path () in
+    let rows = Attrib.rows svc in
+    let problems = Service.check svc in
+    Service.close svc;
+    (rows, problems, !reads)
+  in
+  let rows, problems, _ = inspect files in
+  check_int "three rows" 3 (List.length rows);
+  check_bool "clean service consistent" true (problems = []);
+  let torn =
+    (pack, List.assoc pack files ^ String.make 12 '\x5a')
+    :: List.remove_assoc pack files
+  in
+  let rows', problems', reads = inspect torn in
+  check_bool "same rows as on the clean service" true (rows' = rows);
+  check_bool "same check as on the clean service" true (problems' = problems);
+  check_int "pack read once" 1 reads
+
 let suites =
   [ ( "service.shard",
       [ Alcotest.test_case "mapping" `Quick shard_mapping;
@@ -971,7 +1021,9 @@ let suites =
         Alcotest.test_case "inline group commit" `Quick inline_group_mode;
         Alcotest.test_case "commit policy rejected" `Quick policy_rejected;
         Alcotest.test_case "append misuse" `Quick append_misuse;
-        Alcotest.test_case "resume equivalence" `Quick resume_equivalence ] );
+        Alcotest.test_case "resume equivalence" `Quick resume_equivalence;
+        Alcotest.test_case "inspect cuts a torn pack" `Quick
+          inspect_torn_pack ] );
     ( "service.collision",
       [ Alcotest.test_case "store salted rehash" `Quick store_salted_collision;
         Alcotest.test_case "service surfaces collision" `Quick

@@ -1,8 +1,9 @@
 (* Tests for the content-addressed store: Hash64 vectors, record-aligned
    chunking, pack/index framing and torn-tail handling, dedup, O(live)
-   restore vs chain replay, diff, GC/refcounts, the Manager sink, the
-   stale-temp sweep regression, a smoke run of the store crash sweep, and
-   the QCheck round-trip property over synthetic heaps. *)
+   restore vs chain replay, diff, GC/refcounts, the store as checkpoint
+   manager (policy, resume equivalence), the stale-temp sweep regression,
+   a smoke run of the store crash sweep, and the QCheck round-trip
+   property over synthetic heaps. *)
 
 open Ickpt_stream
 open Ickpt_runtime
@@ -434,11 +435,11 @@ let store_restore_agrees_with_replay () =
   check_int "latest epoch" 7 (Option.get (Store.latest_epoch store));
   List.iter
     (fun (s : Segment.t) ->
-      (* The exact segment comes back: same bytes. *)
-      check_string
+      (* The exact segment comes back. *)
+      check_bool
         (Printf.sprintf "segment_of_epoch %d roundtrips" s.seq)
-        (Segment.encode s)
-        (Segment.encode (Store.segment_of_epoch store s.seq));
+        true
+        (Store.segment_of_epoch store s.seq = s);
       check_bool "kind" true (Store.kind_of_epoch store s.seq = s.kind);
       check_bool "roots" true (Store.roots_of_epoch store s.seq = s.roots);
       let _, replayed = replay_restore chain ~epoch:s.seq in
@@ -910,137 +911,140 @@ let store_gc_retention () =
   check_bool "restore after reopen" true (roots <> [])
 
 (* ------------------------------------------------------------------ *)
-(* Manager integration and the stale-temp sweep.                      *)
+(* The store as checkpoint manager, and the stale-temp sweep.         *)
 
-let manager_sink_lifecycle () =
+let checkpoint_lifecycle () =
   let sim = Sim.create () in
   let vfs = Sim.vfs sim in
   let w = make_world () in
-  let store = Store.open_ ~vfs ~records_per_chunk:4 w.schema ~path:store_path in
-  let m =
-    Manager.create ~vfs ~policy:(Policy.Full_every 3)
-      ~sink:(Store.manager_sink store) w.schema ~path:store_path
+  let store =
+    Store.open_ ~vfs ~records_per_chunk:4 ~policy:(Policy.Full_every 3)
+      w.schema ~path:store_path
   in
-  ignore (Manager.checkpoint m w.roots);
+  ignore (Store.checkpoint store w.roots);
   for r = 1 to 7 do
     w.mutate r;
-    ignore (Manager.checkpoint m w.roots)
+    ignore (Store.checkpoint store w.roots)
   done;
-  check_bool "eight epochs through the sink" true
-    (Store.epochs store = List.init 8 Fun.id);
-  (* Recovery through the chain equals restore through the store. *)
-  let chain_roots =
-    match Chain.recover (Manager.chain m) with
-    | Ok (_, roots) -> roots
-    | Error e -> Alcotest.fail e
-  in
+  check_bool "eight epochs, kinds per policy" true
+    (List.map (Store.kind_of_epoch store) (Store.epochs store)
+    = Segment.[ Full; Incremental; Incremental; Full; Incremental;
+                Incremental; Full; Incremental ]);
   let _, store_roots = Store.restore store ~epoch:7 in
-  check_bool "chain recovery = store restore" true
-    (roots_equal chain_roots store_roots);
-  (* compact_now maps to GC from the newest full; numbering continues. *)
-  Manager.compact_now m;
-  check_bool "compaction keeps from the newest full" true
+  check_bool "restore = live state" true (roots_equal w.roots store_roots);
+  (* GC from the newest full; numbering continues. *)
+  ignore (Store.gc store ~retain:(Store.Keep_last 1));
+  check_bool "gc keeps from the newest full" true
     (Store.epochs store = [ 6; 7 ]);
   w.mutate 99;
-  ignore (Manager.checkpoint m w.roots);
-  check_bool "numbering continues across compaction" true
-    (Store.epochs store = [ 6; 7; 8 ]);
-  Manager.close m;
-  (* A second manager resumes from the store. *)
+  check_int "numbering continues across gc" 8 (Store.checkpoint store w.roots);
+  check_bool "incremental after gc" true
+    (Store.kind_of_epoch store 8 = Segment.Incremental);
+  (* A second open resumes the chain. *)
   let w2 = make_world () in
-  let store2 = Store.open_ ~vfs ~records_per_chunk:4 w2.schema ~path:store_path in
-  let m2 =
-    Manager.create ~vfs ~sink:(Store.manager_sink store2) w2.schema
-      ~path:store_path
+  let store2 =
+    Store.open_ ~vfs ~records_per_chunk:4 ~policy:(Policy.Full_every 3)
+      w2.schema ~path:store_path
   in
   let _, roots = Store.restore store2 ~epoch:8 in
   List.iter (fun o -> Barrier.set_int o 0 424_242) roots;
-  ignore (Manager.checkpoint m2 roots);
-  check_bool "resumed manager appends epoch 9" true
-    (Store.latest_epoch store2 = Some 9);
+  check_int "resumed store takes epoch 9" 9 (Store.checkpoint store2 roots);
+  check_bool "epoch 9 is full per policy" true
+    (Store.kind_of_epoch store2 9 = Segment.Full);
   let _, roots9 = Store.restore store2 ~epoch:9 in
   check_bool "epoch 9 restores the resumed state" true (roots_equal roots roots9)
 
-(* Regression (satellite bugfix): a staged temp left by a crash
-   mid-compaction must be swept on reopen, for both the segment log and
-   the store's files. *)
+(* The store twin of the service's resume equivalence: the counters a
+   reopen derives from committed entries (the epoch expected, incremental
+   bytes since the newest full) pick the same kinds as the ones a store
+   never interrupted advanced in memory, so the files match byte for
+   byte. *)
+let store_resume_equivalence () =
+  let run policy ~resume =
+    let vfs = Sim.vfs (Sim.create ()) in
+    let w = make_world () in
+    let open_ () =
+      Store.open_ ~vfs ~records_per_chunk:4 ~policy w.schema ~path:store_path
+    in
+    let store = ref (open_ ()) in
+    for r = 0 to 11 do
+      if r > 0 then w.mutate r;
+      if resume then store := open_ ();
+      check_int "epoch" r (Store.checkpoint !store w.roots)
+    done;
+    ( List.map
+        (fun e -> (e, Store.kind_of_epoch !store e))
+        (Store.epochs !store),
+      List.map (Vfs.contents vfs)
+        [ Store.pack_path store_path; Store.index_path store_path ] )
+  in
+  List.iter
+    (fun policy ->
+      let name = Format.asprintf "%a" Policy.pp policy in
+      let kinds, files = run policy ~resume:false in
+      let kinds', files' = run policy ~resume:true in
+      check_bool (name ^ ": same kinds at the same epochs") true
+        (kinds = kinds');
+      check_bool (name ^ ": files byte-identical") true (files = files');
+      check_bool (name ^ ": a full after the base") true
+        (List.exists (fun (e, k) -> e > 0 && k = Segment.Full) kinds);
+      check_bool (name ^ ": incrementals") true
+        (List.exists (fun (_, k) -> k = Segment.Incremental) kinds))
+    [ Policy.Full_every 3; Policy.Chain_bytes_limit 40 ]
+
+(* Regression: a staged temp left by a crash mid-GC must be swept on
+   reopen. *)
 let stale_temp_sweep () =
-  (* Manager: seed a valid log plus a stale temp next to it. *)
-  let log = "ckpt.log" in
-  let w = make_world () in
-  let content =
-    let sim = Sim.create () in
-    let m = Manager.create ~vfs:(Sim.vfs sim) w.schema ~path:log in
-    ignore (Manager.checkpoint m w.roots);
-    Manager.close m;
-    List.assoc log (Sim.durable sim)
+  let temps =
+    [ Vfs.temp_of (Store.pack_path store_path);
+      Vfs.temp_of (Store.index_path store_path) ]
   in
-  let sim =
-    Sim.seeded [ (log, content); (Storage.temp_of ~path:log, "stale garbage") ]
+  (* Seeded stale temps are swept by open_. *)
+  let vfs = Sim.vfs (Sim.seeded (List.map (fun t -> (t, "junk")) temps)) in
+  ignore (Store.open_ ~vfs (make_world ()).schema ~path:store_path);
+  List.iter
+    (fun t -> check_bool ("Store.open_ sweeps " ^ t) false (vfs.Vfs.exists t))
+    temps;
+  (* And the crash that actually produces one: die during a GC, between
+     staging the rewritten files and renaming them. *)
+  let three_epochs vfs =
+    let w = make_world () in
+    let store =
+      Store.open_ ~vfs ~policy:(Policy.Full_every 2) w.schema ~path:store_path
+    in
+    ignore (Store.checkpoint store w.roots);
+    w.mutate 1;
+    ignore (Store.checkpoint store w.roots);
+    w.mutate 2;
+    ignore (Store.checkpoint store w.roots);
+    store
   in
-  let vfs = Sim.vfs sim in
-  check_bool "temp seeded" true (vfs.Vfs.exists (Storage.temp_of ~path:log));
-  let w2 = make_world () in
-  let m = Manager.create ~vfs w2.schema ~path:log in
-  check_bool "Manager.create sweeps the stale temp" false
-    (vfs.Vfs.exists (Storage.temp_of ~path:log));
-  ignore (Manager.checkpoint m w2.roots);
-  Manager.close m;
-  (* And the crash that actually produces one: die between staging the
-     compacted log and renaming it. The temp write is the first write op
-     after the pre-crash checkpoints. *)
-  let find_crash_op () =
+  let gc store = ignore (Store.gc store ~retain:(Store.Keep_last 1)) in
+  let before, after =
     let ref_sim = Sim.create () in
-    let vfs = Sim.vfs ref_sim in
-    let m = Manager.create ~vfs ~compact_above:2 w.schema ~path:log in
-    let w3 = make_world () in
-    ignore (Manager.checkpoint m w3.roots);
-    w3.mutate 1;
-    ignore (Manager.checkpoint m w3.roots);
+    let store = three_epochs (Sim.vfs ref_sim) in
     let before = Sim.ops ref_sim in
-    w3.mutate 2;
-    ignore (Manager.checkpoint m w3.roots) (* triggers compaction *);
+    gc store;
     (before, Sim.ops ref_sim)
   in
-  let before, after = find_crash_op () in
   let found = ref false in
   for op = before to after - 1 do
-    let sim = Sim.create ~fault:(Sim.Crash_at { op; byte = 1; mode = Sim.Torn }) () in
-    let vfs = Sim.vfs sim in
-    (try
-       let w3 = make_world () in
-       let m = Manager.create ~vfs ~compact_above:2 w3.schema ~path:log in
-       ignore (Manager.checkpoint m w3.roots);
-       w3.mutate 1;
-       ignore (Manager.checkpoint m w3.roots);
-       w3.mutate 2;
-       ignore (Manager.checkpoint m w3.roots)
-     with Sim.Crashed -> ());
+    let sim =
+      Sim.create ~fault:(Sim.Crash_at { op; byte = 1; mode = Sim.Torn }) ()
+    in
+    (try gc (three_epochs (Sim.vfs sim)) with Sim.Crashed -> ());
     let vfs' = Sim.vfs (Sim.restart sim) in
-    if vfs'.Vfs.exists (Storage.temp_of ~path:log) then begin
+    if List.exists vfs'.Vfs.exists temps then begin
       found := true;
       let w4 = make_world () in
-      let m = Manager.create ~vfs:vfs' w4.schema ~path:log in
-      check_bool "reopen after compaction crash sweeps the temp" false
-        (vfs'.Vfs.exists (Storage.temp_of ~path:log));
-      ignore (Manager.checkpoint m w4.roots);
-      Manager.close m
+      let store = Store.open_ ~vfs:vfs' w4.schema ~path:store_path in
+      check_bool "reopen after a GC crash sweeps the temps" false
+        (List.exists vfs'.Vfs.exists temps);
+      ignore (Store.checkpoint store w4.roots);
+      check_bool "consistent after the sweep" true (Store.check store = [])
     end
   done;
-  check_bool "some crash point left a stale temp" true !found;
-  (* Store: stale GC temps are swept by open_. *)
-  let sim =
-    Sim.seeded
-      [ (Storage.temp_of ~path:(Store.pack_path store_path), "junk");
-        (Storage.temp_of ~path:(Store.index_path store_path), "junk") ]
-  in
-  let vfs = Sim.vfs sim in
-  let w5 = make_world () in
-  ignore (Store.open_ ~vfs w5.schema ~path:store_path);
-  check_bool "Store.open_ sweeps pack temp" false
-    (vfs.Vfs.exists (Storage.temp_of ~path:(Store.pack_path store_path)));
-  check_bool "Store.open_ sweeps index temp" false
-    (vfs.Vfs.exists (Storage.temp_of ~path:(Store.index_path store_path)))
+  check_bool "some crash point left a stale temp" true !found
 
 (* ------------------------------------------------------------------ *)
 (* Index v2 and lazily checked pack frames.                           *)
@@ -1233,13 +1237,15 @@ let fuzz_store =
         [ Store.index_path store_path; Store.pack_path store_path ] )
   in
   QCheck2.Test.make ~count:200 ~name:"fuzzed index and pack: typed errors only"
-    QCheck2.Gen.(pair bool Test_faultsim.fuzz_ops_gen)
+    QCheck2.Gen.(pair bool Test_util.fuzz_ops_gen)
     (fun (index, ops) ->
       let target = fst (List.nth files (if index then 0 else 1)) in
       let seeded =
         List.map
           (fun (p, d) ->
-            (p, if p = target then List.fold_left Test_faultsim.apply_fuzz_op d ops else d))
+            ( p,
+              if p = target then List.fold_left Test_util.apply_fuzz_op d ops
+              else d ))
           files
       in
       let vfs = Sim.vfs (Sim.seeded seeded) in
@@ -1355,12 +1361,10 @@ let restore_roundtrip_prop =
               && List.for_all
                    (fun roots -> String.equal reference (full_body roots))
                    [ replayed; stored; served ]
-              && String.equal
-                   (Segment.encode (Store.segment_of_epoch store e))
-                   (Segment.encode
-                      (List.find
-                         (fun (s : Segment.t) -> s.seq = e)
-                         (Chain.segments chain))))
+              && Store.segment_of_epoch store e
+                 = List.find
+                     (fun (s : Segment.t) -> s.seq = e)
+                     (Chain.segments chain))
             !epochs
           && Store.check store = []
           && Service.check svc = [])
@@ -1406,10 +1410,12 @@ let suites =
           store_resume_at_nonzero_seq;
         Alcotest.test_case "diff matches Diff.segments" `Quick
           store_diff_matches_diff_segments;
-        Alcotest.test_case "gc retention + reopen" `Quick store_gc_retention ]
+        Alcotest.test_case "gc retention + reopen" `Quick store_gc_retention;
+        Alcotest.test_case "resume equivalence" `Quick
+          store_resume_equivalence ]
     );
     ( "store.manager",
-      [ Alcotest.test_case "sink lifecycle" `Quick manager_sink_lifecycle;
+      [ Alcotest.test_case "checkpoint lifecycle" `Quick checkpoint_lifecycle;
         Alcotest.test_case "stale temp sweep (regression)" `Quick
           stale_temp_sweep ] );
     ( "store.sweep",

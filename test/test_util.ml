@@ -112,3 +112,50 @@ let contains_substring haystack needle =
   let nl = String.length needle and hl = String.length haystack in
   let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
   nl = 0 || go 0
+
+(* File mutations for fuzzing the store's and the service's files: a
+   power loss (truncate), a bit rot (flip) and stray bytes (splice). *)
+type fuzz_op = Truncate of int | Flip of int | Splice of string
+
+let fuzz_ops_gen =
+  let open QCheck2.Gen in
+  let op_gen =
+    let* which = int_range 0 2 in
+    match which with
+    | 0 -> map (fun p -> Truncate p) nat
+    | 1 -> map (fun p -> Flip p) nat
+    | _ -> map (fun s -> Splice s) (string_size (int_range 1 12))
+  in
+  list_size (int_range 1 3) op_gen
+
+let apply_fuzz_op data = function
+  | Truncate p -> String.sub data 0 (p mod (String.length data + 1))
+  | Flip p ->
+      if data = "" then data
+      else begin
+        let b = Bytes.of_string data in
+        let i = p mod String.length data in
+        Bytes.set b i
+          (Char.chr (Char.code (Bytes.get b i) lxor (1 + (p mod 255))));
+        Bytes.to_string b
+      end
+  | Splice s -> data ^ s
+
+(* A store path in the temp directory, with no store files left there. *)
+let temp_store name =
+  let path = Filename.concat (Filename.get_temp_dir_name ()) name in
+  List.iter
+    (fun p -> if Sys.file_exists p then Sys.remove p)
+    [ Ickpt_cas.Store.pack_path path; Ickpt_cas.Store.index_path path ];
+  path
+
+let remove_store path =
+  List.iter Sys.remove
+    [ Ickpt_cas.Store.pack_path path; Ickpt_cas.Store.index_path path ]
+
+(* The newest epoch of the store at [path], restored by a fresh open. *)
+let restore_latest schema ~path =
+  let store = Ickpt_cas.Store.open_ schema ~path in
+  Option.map
+    (fun epoch -> Ickpt_cas.Store.restore store ~epoch)
+    (Ickpt_cas.Store.latest_epoch store)
