@@ -257,11 +257,15 @@ let check_cmd =
                ~extra:
                  [ ("tenants", string_of_int st.Service.n_tenants);
                    ("epochs", string_of_int st.Service.n_epochs);
-                   ("chunks", string_of_int st.Service.n_chunks) ]
+                   ("chunks", string_of_int st.Service.n_chunks);
+                   ("pack_cut_bytes", string_of_int st.Service.pack_cut_bytes) ]
                ~exit_code findings)
         else begin
           Format.printf "service %s: %d tenant(s), %d epoch(s), %d chunk(s)@."
             path st.Service.n_tenants st.Service.n_epochs st.Service.n_chunks;
+          if st.Service.pack_cut_bytes > 0 then
+            Format.printf "  torn tail: cut %d byte(s) off %s@."
+              st.Service.pack_cut_bytes (Service.pack_path path);
           match errors with
           | [] -> Format.printf "  check: consistent@."
           | es -> List.iter (fun e -> Format.printf "  check ERROR: %s@." e) es

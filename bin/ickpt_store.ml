@@ -53,9 +53,13 @@ let pp_stats ppf (s : Store.stats) =
 let stats_json (s : Store.stats) =
   Printf.sprintf
     "{\"epochs\": %d, \"chunks\": %d, \"logical_bytes\": %d, \
-     \"physical_bytes\": %d, \"dedup_ratio\": %.3f}"
+     \"physical_bytes\": %d, \"dedup_ratio\": %.3f, \"pack_cut_bytes\": %d}"
     s.Store.n_epochs s.Store.n_chunks s.Store.logical_bytes
-    s.Store.physical_bytes s.Store.dedup_ratio
+    s.Store.physical_bytes s.Store.dedup_ratio s.Store.pack_cut_bytes
+
+(* Opening cuts a torn pack tail; say so, naming the file. *)
+let pp_cut ppf (pack, cut) =
+  if cut > 0 then Format.fprintf ppf "  torn tail: cut %d byte(s) off %s@." cut pack
 
 (* ---- inspect ------------------------------------------------------------- *)
 
@@ -67,12 +71,13 @@ let inspect_service path json =
   let svc = Service.open_ ~path () in
   let rows = Attrib.rows svc in
   let problems = Service.check svc in
+  let cut = (Service.stats svc).Service.pack_cut_bytes in
   Service.close svc;
   if json then begin
     let buf = Buffer.create 512 in
     Buffer.add_string buf
       (Printf.sprintf "{\n  \"path\": %S,\n  \"service\": true,\n  \
-                       \"tenants\": [\n" path);
+                       \"pack_cut_bytes\": %d,\n  \"tenants\": [\n" path cut);
     List.iteri
       (fun i r ->
         Buffer.add_string buf
@@ -93,6 +98,7 @@ let inspect_service path json =
   end
   else begin
     Format.printf "service store %s (%d tenant(s))@." path (List.length rows);
+    pp_cut Format.std_formatter (Service.pack_path path, cut);
     Format.printf
       "  %-12s %7s %7s %7s %7s %12s %12s %12s@." "tenant" "epochs" "chunks"
       "owned" "shared" "logical B" "private B" "saved B";
@@ -148,8 +154,10 @@ let inspect_cmd =
       print_string (Buffer.contents buf)
     end
     else begin
-      Format.printf "store %s@.  %a@.  orphan chunks: %d@." path pp_stats
-        stats orphans;
+      Format.printf "store %s@.  %a@.%a  orphan chunks: %d@." path pp_stats
+        stats pp_cut
+        (Store.pack_path path, stats.Store.pack_cut_bytes)
+        orphans;
       List.iter
         (fun e ->
           let entry = Store.entry_at store e in

@@ -7,12 +7,34 @@ type writer = {
 type t = {
   exists : string -> bool;
   read_file : string -> string;
+  size : string -> int;
+  read_into : string -> pos:int -> bytes -> off:int -> len:int -> unit;
   open_append : string -> writer;
   open_trunc : string -> writer;
   truncate : string -> len:int -> unit;
   rename : src:string -> dst:string -> unit;
   remove : string -> unit;
 }
+
+exception Out_of_range of string
+
+let out_of_range path ~pos ~len ~size =
+  raise
+    (Out_of_range
+       (Printf.sprintf "%s: %d bytes at %d, past the file's %d" path len pos
+          size))
+
+(* A read of [len] bytes at [pos] of a file of [size] bytes, into [buf] at
+   [off]: a window outside the file is the caller's data talking
+   (Out_of_range); one outside the buffer is a bug (Invalid_argument). *)
+let check_file path ~size ~pos ~len =
+  if pos < 0 || len < 0 || pos > size - len then
+    out_of_range path ~pos ~len ~size
+
+let check_window path ~size ~pos ~len buf ~off =
+  check_file path ~size ~pos ~len;
+  if off < 0 || off > Bytes.length buf - len then
+    invalid_arg "Vfs.read_into: window outside the buffer"
 
 let writer_of_channel oc =
   { write = (fun s -> output_string oc s);
@@ -33,6 +55,23 @@ let real =
         Fun.protect
           ~finally:(fun () -> close_in ic)
           (fun () -> really_input_string ic (in_channel_length ic)));
+    size = (fun path -> (Unix.stat path).Unix.st_size);
+    read_into =
+      (fun path ~pos buf ~off ~len ->
+        let fd = Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 in
+        Fun.protect
+          ~finally:(fun () -> Unix.close fd)
+          (fun () ->
+            let size = (Unix.fstat fd).Unix.st_size in
+            check_window path ~size ~pos ~len buf ~off;
+            ignore (Unix.lseek fd pos Unix.SEEK_SET : int);
+            let rec go off len =
+              if len > 0 then
+                match Unix.read fd buf off len with
+                | 0 -> out_of_range path ~pos ~len ~size
+                | n -> go (off + n) (len - n)
+            in
+            go off len));
     open_append =
       (fun path ->
         writer_of_channel
@@ -43,6 +82,12 @@ let real =
     remove = Sys.remove }
 
 let contents t path = if t.exists path then t.read_file path else ""
+
+let read_at t path ~pos ~len =
+  check_file path ~size:(t.size path) ~pos ~len;
+  let buf = Bytes.create len in
+  t.read_into path ~pos buf ~off:0 ~len;
+  Bytes.unsafe_to_string buf
 
 let temp_of path = path ^ ".tmp"
 

@@ -9,7 +9,9 @@
 
     Every record file (pack, epoch indexes, tenant catalog, service meta)
     is written through {!write_synced} and read back through {!contents}
-    and [Ickpt_stream.In_stream.fold_intact]; a file rewritten whole (a
+    and [Ickpt_stream.In_stream.fold_intact], except the pack, which is
+    read positionally ({!field-read_into}, {!read_at}) so that nothing the
+    size of the pack is ever held in memory; a file rewritten whole (a
     GC'd pack or index) is staged at {!temp_of} and renamed into place.
 
     The durability contract the storage layer relies on:
@@ -29,6 +31,15 @@ type writer = {
 type t = {
   exists : string -> bool;
   read_file : string -> string;  (** whole contents; raises if missing *)
+  size : string -> int;  (** length in bytes; raises if missing *)
+  read_into : string -> pos:int -> bytes -> off:int -> len:int -> unit;
+      (** [read_into path ~pos buf ~off ~len] copies the file's bytes
+          [pos .. pos+len-1] into [buf] at [off] — into the caller's
+          buffer, so a streamed read allocates nothing per call. Sees
+          written-but-unsynced bytes, as [read_file] does.
+          @raise Out_of_range if the window is not inside the file.
+          @raise Invalid_argument if it is not inside [buf]. Raises if
+          the file is missing. *)
   open_append : string -> writer;  (** append mode, create if missing *)
   open_trunc : string -> writer;  (** truncate-or-create *)
   truncate : string -> len:int -> unit;  (** cut the file to [len] bytes *)
@@ -36,12 +47,28 @@ type t = {
   remove : string -> unit;
 }
 
+exception Out_of_range of string
+(** A positional read outside the file: the message names the file, the
+    window and the file's length. *)
+
+val check_window :
+  string -> size:int -> pos:int -> len:int -> bytes -> off:int -> unit
+(** [check_window path ~size ~pos ~len buf ~off]: the bounds check every
+    {!field-read_into} makes, for a file of [size] bytes.
+    @raise Out_of_range if [pos .. pos+len-1] is not inside the file.
+    @raise Invalid_argument if [off .. off+len-1] is not inside [buf]. *)
+
 val real : t
 (** The actual filesystem. [sync] flushes the channel and [fsync]s the
     descriptor; [rename] is POSIX [rename(2)] (atomic on one filesystem). *)
 
 val contents : t -> string -> string
 (** A file's bytes; a missing file reads as empty. *)
+
+val read_at : t -> string -> pos:int -> len:int -> string
+(** The file's bytes [pos .. pos+len-1] as a fresh string
+    ({!field-read_into}).
+    @raise Out_of_range if they are not all inside the file. *)
 
 val temp_of : string -> string
 (** The sibling path a rewrite of the given file is staged at before the

@@ -127,6 +127,19 @@ let vfs t =
         locked t (fun () ->
             alive t;
             (find t path).content));
+    size =
+      (fun path ->
+        locked t (fun () ->
+            alive t;
+            String.length (find t path).content));
+    read_into =
+      (fun path ~pos buf ~off ~len ->
+        locked t (fun () ->
+            alive t;
+            let content = (find t path).content in
+            Vfs.check_window path ~size:(String.length content) ~pos ~len buf
+              ~off;
+            Bytes.blit_string content pos buf off len));
     open_append =
       (fun path ->
         locked t (fun () ->

@@ -4,7 +4,7 @@
     assumes of a real disk:
 
     - data handed to [writer.write] is {e visible} (a subsequent
-      [read_file] sees it) but not yet {e durable};
+      [read_file], [size] or [read_into] sees it) but not yet {e durable};
     - [writer.sync] advances the per-file durable ("fsynced") mark to the
       current length;
     - [rename] is atomic;

@@ -375,6 +375,7 @@ type stats = {
   commit_batches : int;
   committed_epochs : int;
   collisions : int;
+  pack_cut_bytes : int;
 }
 
 let stats t =
@@ -397,7 +398,8 @@ let stats t =
            else float_of_int logical /. float_of_int pack_bytes);
         commit_batches = t.commit_batches;
         committed_epochs = t.committed_epochs;
-        collisions = List.length t.collided })
+        collisions = List.length t.collided;
+        pack_cut_bytes = Pack.cut_bytes t.pack })
 
 let check t =
   with_lock t (fun () ->

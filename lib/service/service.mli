@@ -174,6 +174,9 @@ type stats = {
   commit_batches : int;  (** group commits this session (2 fsyncs each) *)
   committed_epochs : int;  (** epochs committed this session *)
   collisions : int;  (** hash collisions absorbed this session *)
+  pack_cut_bytes : int;
+      (** bytes of torn tail cut off the shared pack when it was opened;
+          0 when it was intact *)
 }
 
 val stats : t -> stats

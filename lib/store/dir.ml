@@ -84,8 +84,20 @@ let chunk r key =
 
 let record r (key, off) = Restore.record_at r.schema (chunk r key) ~pos:off
 
+(* The chunks some live record points into, fetched with one
+   Pack.read_many; a chunk every record of which was superseded is not
+   read. *)
 let restore r ~entries ~epoch =
   let d = fold_in r.pack ~entries ~epoch in
-  Restore.heap_of_slots r.schema d.slots
-    ~source:(fun src -> chunk r d.keys.(src))
+  let used = Array.make (Array.length d.keys) false in
+  Restore.iter_slots d.slots (fun _ src _ -> used.(src) <- true);
+  let srcs =
+    Array.of_list
+      (List.filter (Array.get used) (List.init (Array.length d.keys) Fun.id))
+  in
+  let bodies = Array.make (Array.length d.keys) "" in
+  Array.iteri
+    (fun i body -> bodies.(srcs.(i)) <- body)
+    (Pack.read_many r.pack (Array.map (Array.get d.keys) srcs));
+  Restore.heap_of_slots r.schema d.slots ~source:(Array.get bodies)
     ~roots:d.roots

@@ -50,7 +50,8 @@ val restore :
   reader -> entries:Epoch_index.entry list -> epoch:int -> Heap.t * Model.obj list
 (** Materialize the heap committed at [epoch]: {!fold}, then decode exactly
     one record per live object ({!Restore.heap_of_slots}), checking that
-    each record carries its directory entry's id. Roots are the entry's.
+    each record carries its directory entry's id. The chunks live records
+    point into are fetched first, with one {!Pack.read_many}. Roots are the
+    entry's.
     @raise Error as {!fold_in} the reader's pack.
-    @raise Ickpt_stream.In_stream.Corrupt if a chunk fails its CRC
-    ({!Pack.read}). *)
+    @raise Ickpt_stream.In_stream.Corrupt if a chunk fails its CRC. *)

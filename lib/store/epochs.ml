@@ -19,27 +19,42 @@ type item = {
   chunks : Chunk.t list;
 }
 
-(* Resolve one item's chunks against the pack, pushing its fresh chunks
-   and collisions (newest first) onto the batch's, and return its chunk
-   keys. Dedup: a key hit is only a duplicate if the bytes agree.
-   Pack.resolve byte-verifies every hit and, on a genuine collision,
-   degrades to a salted rehash instead of refusing the epoch. *)
-let stage pack ~pending ~fresh ~collisions it =
-  List.map
-    (fun (c : Chunk.t) ->
-      match Pack.resolve pack ~pending ~key:c.key c.data with
-      | Pack.Dup key -> key
-      | Pack.Fresh { key; attempt } ->
-          fresh := (key, c.data) :: !fresh;
-          if attempt > 0 then
-            collisions :=
-              { col_epoch = it.epoch;
-                col_content_key = c.key;
-                col_stored_key = key;
-                col_attempt = attempt }
-              :: !collisions;
-          key)
-    it.chunks
+(* Resolve a batch's chunks against the pack in one {!Pack.resolve}: a key
+   hit is only a duplicate if the bytes agree, and a genuine collision
+   degrades to a salted rehash instead of refusing the epoch. Returns each
+   item's chunk keys, the fresh chunks to append and the collisions, both
+   in batch order. *)
+let stage pack items =
+  let resolved =
+    Array.of_list
+      (Pack.resolve pack
+         (List.concat_map
+            (fun it -> List.map (fun (c : Chunk.t) -> (c.key, c.data)) it.chunks)
+            items))
+  in
+  let next = ref 0 and fresh = ref [] and collisions = ref [] in
+  let keys =
+    List.map
+      (fun it ->
+        List.map
+          (fun (c : Chunk.t) ->
+            incr next;
+            match resolved.(!next - 1) with
+            | Pack.Dup key -> key
+            | Pack.Fresh { key; attempt } ->
+                fresh := (key, c.data) :: !fresh;
+                if attempt > 0 then
+                  collisions :=
+                    { col_epoch = it.epoch;
+                      col_content_key = c.key;
+                      col_stored_key = key;
+                      col_attempt = attempt }
+                    :: !collisions;
+                key)
+          it.chunks)
+      items
+  in
+  (keys, List.rev !fresh, List.rev !collisions)
 
 (* ------------------------------------------------------------------ *)
 (* Chain rules.                                                        *)
@@ -248,11 +263,7 @@ type 'a committed = {
 }
 
 let commit idx vfs ~path pack items =
-  let pending = Hashtbl.create 16 and fresh = ref [] and collisions = ref [] in
-  let keys =
-    List.map (fun (it : item) -> stage pack ~pending ~fresh ~collisions it) items
-  in
-  let fresh = List.rev !fresh in
+  let keys, fresh, collisions = stage pack items in
   let pack_bytes = Pack.append_batch pack fresh in
   let pack_len = Pack.physical_bytes pack in
   let entries =
@@ -274,7 +285,7 @@ let commit idx vfs ~path pack items =
     Vfs.write_synced vfs Append path (fun write -> write index_bytes);
   (* Committed: only now do its collisions belong to an epoch. *)
   { entries;
-    collisions = List.rev !collisions;
+    collisions;
     fresh_chunks = List.length fresh;
     bytes_written = pack_bytes + String.length index_bytes;
     index_bytes = String.length index_bytes }
@@ -286,7 +297,9 @@ let segment pack (e : Epoch_index.entry) =
   { Segment.kind = e.kind;
     seq = e.epoch;
     roots = e.roots;
-    body = String.concat "" (List.map (Pack.read pack) e.chunks) }
+    body =
+      String.concat ""
+        (Array.to_list (Pack.read_many pack (Array.of_list e.chunks))) }
 
 let logical_bytes pack entries =
   List.fold_left

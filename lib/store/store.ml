@@ -271,6 +271,7 @@ type stats = {
   logical_bytes : int;
   physical_bytes : int;
   dedup_ratio : float;
+  pack_cut_bytes : int;
 }
 
 let stats t =
@@ -282,7 +283,8 @@ let stats t =
     physical_bytes = pack_bytes + t.index_bytes;
     dedup_ratio =
       (if pack_bytes = 0 then 1.0
-       else float_of_int logical_bytes /. float_of_int pack_bytes) }
+       else float_of_int logical_bytes /. float_of_int pack_bytes);
+    pack_cut_bytes = Pack.cut_bytes t.pack }
 
 let salted_chunks t =
   List.filter_map

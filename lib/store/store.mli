@@ -198,6 +198,9 @@ type stats = {
   logical_bytes : int;  (** sum of segment body sizes over all epochs *)
   physical_bytes : int;  (** pack + index file bytes *)
   dedup_ratio : float;  (** logical over pack bytes; 1.0 when empty *)
+  pack_cut_bytes : int;
+      (** bytes of torn tail cut off the pack when it was opened (or last
+          reloaded by {!gc}); 0 when it was intact *)
 }
 
 val stats : t -> stats

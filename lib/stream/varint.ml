@@ -14,6 +14,19 @@ let write buf n =
   in
   go (zigzag n)
 
+let set b pos n =
+  let rec go pos n =
+    if n lsr 7 = 0 then begin
+      Bytes.set b pos (Char.unsafe_chr (n land 0x7f));
+      pos + 1
+    end
+    else begin
+      Bytes.set b pos (Char.unsafe_chr (n land 0x7f lor 0x80));
+      go (pos + 1) (n lsr 7)
+    end
+  in
+  go pos (zigzag n)
+
 let encoded_size n =
   let rec go acc n = if n lsr 7 = 0 then acc else go (acc + 1) (n lsr 7) in
   go 1 (zigzag n)

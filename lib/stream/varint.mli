@@ -13,6 +13,11 @@ val unzigzag : int -> int
 val write : Buffer.t -> int -> unit
 (** [write buf n] appends the zigzag-LEB128 encoding of [n] to [buf]. *)
 
+val set : bytes -> int -> int -> int
+(** [set b pos n] writes the encoding {!write} emits for [n] into [b] at
+    [pos] and returns the position just past it.
+    @raise Invalid_argument if it does not fit. *)
+
 val encoded_size : int -> int
 (** [encoded_size n] is the number of bytes {!write} emits for [n]. *)
 

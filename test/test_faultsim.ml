@@ -59,6 +59,47 @@ let sim_rename_atomic () =
     (vfs.Vfs.read_file log);
   Alcotest.(check bool) "source is gone" false (vfs.Vfs.exists "tmp")
 
+(* Positional reads see what [read_file] sees — written-but-unsynced
+   bytes included — refuse a window outside the file with the typed
+   error, and die with the machine. *)
+let sim_read_at () =
+  let sim = Sim.create ~fault:(Sim.Crash_at { op = 3; byte = 0; mode = Sim.Torn }) () in
+  let vfs = Sim.vfs sim in
+  let w = vfs.Vfs.open_append "f" in
+  w.Vfs.write "0123456789";
+  w.Vfs.sync ();
+  w.Vfs.write "abcdef";
+  let whole = vfs.Vfs.read_file "f" in
+  Alcotest.(check int) "size counts unsynced bytes" (String.length whole)
+    (vfs.Vfs.size "f");
+  for pos = 0 to String.length whole do
+    for len = 0 to String.length whole - pos do
+      Alcotest.(check string)
+        (Printf.sprintf "read_at %d %d" pos len)
+        (String.sub whole pos len)
+        (Vfs.read_at vfs "f" ~pos ~len)
+    done
+  done;
+  let buf = Bytes.make 8 '.' in
+  vfs.Vfs.read_into "f" ~pos:12 buf ~off:3 ~len:4;
+  Alcotest.(check string) "read_into fills the window only" "...cdef."
+    (Bytes.to_string buf);
+  List.iter
+    (fun (pos, len) ->
+      match Vfs.read_at vfs "f" ~pos ~len with
+      | s -> Alcotest.failf "read_at %d %d returned %S" pos len s
+      | exception Vfs.Out_of_range _ -> ())
+    [ (-1, 1); (0, -1); (0, 17); (16, 1); (17, 0); (max_int, 1); (1, max_int) ];
+  (match w.Vfs.write "x" with
+  | () -> Alcotest.fail "expected simulated power loss"
+  | exception Sim.Crashed -> ());
+  (match Vfs.read_at vfs "f" ~pos:0 ~len:1 with
+  | _ -> Alcotest.fail "read_at after power loss must raise"
+  | exception Sim.Crashed -> ());
+  match vfs.Vfs.size "f" with
+  | _ -> Alcotest.fail "size after power loss must raise"
+  | exception Sim.Crashed -> ()
+
 (* ------------------------------------------------------------------ *)
 (* Resuming over a torn tail: a second life must cut the garbage a
    power loss left after the last committed entry before it commits,
@@ -211,7 +252,8 @@ let sweep_catches_unsynced_commit () =
 let suites =
   [ ( "faultsim.sim",
       [ Alcotest.test_case "crash modes" `Quick sim_crash_modes;
-        Alcotest.test_case "atomic rename" `Quick sim_rename_atomic ] );
+        Alcotest.test_case "atomic rename" `Quick sim_rename_atomic;
+        Alcotest.test_case "positional reads" `Quick sim_read_at ] );
     ( "faultsim.regressions",
       [ Alcotest.test_case "torn-tail resume roundtrip" `Quick
           torn_tail_resume_roundtrip;

@@ -978,33 +978,51 @@ let inspect_torn_pack () =
       (pack :: Service.meta_path path :: Service.catalog_path path
        :: List.init 2 (Service.shard_index_path path))
   in
+  (* Opening reads the pack once, front to back, through positional reads
+     ([read_into]): never whole, and no byte twice. *)
   let inspect files =
-    let reads = ref 0 in
+    let whole = ref 0 and spans = ref [] in
     let vfs = Sim.vfs (Sim.seeded files) in
     let vfs =
       { vfs with
         Vfs.read_file =
           (fun f ->
-            if f = pack then incr reads;
-            vfs.Vfs.read_file f) }
+            if f = pack then incr whole;
+            vfs.Vfs.read_file f);
+        read_into =
+          (fun f ~pos buf ~off ~len ->
+            if f = pack then spans := (pos, len) :: !spans;
+            vfs.Vfs.read_into f ~pos buf ~off ~len) }
     in
     let svc = Service.open_ ~vfs ~path () in
+    let walked =
+      List.fold_left
+        (fun at (pos, len) -> if pos = at then at + len else -1)
+        0 (List.rev !spans)
+    in
     let rows = Attrib.rows svc in
     let problems = Service.check svc in
+    let cut = (Service.stats svc).Service.pack_cut_bytes in
     Service.close svc;
-    (rows, problems, !reads)
+    (rows, problems, (!whole, walked), cut)
   in
-  let rows, problems, _ = inspect files in
+  let pack_len files = String.length (List.assoc pack files) in
+  let rows, problems, reads, cut = inspect files in
   check_int "three rows" 3 (List.length rows);
   check_bool "clean service consistent" true (problems = []);
+  check_bool "clean pack walked once, never read whole" true
+    (reads = (0, pack_len files));
+  check_int "nothing cut off a clean pack" 0 cut;
   let torn =
     (pack, List.assoc pack files ^ String.make 12 '\x5a')
     :: List.remove_assoc pack files
   in
-  let rows', problems', reads = inspect torn in
+  let rows', problems', reads', cut' = inspect torn in
   check_bool "same rows as on the clean service" true (rows' = rows);
   check_bool "same check as on the clean service" true (problems' = problems);
-  check_int "pack read once" 1 reads
+  check_bool "torn pack walked once, never read whole" true
+    (reads' = (0, pack_len torn));
+  check_int "torn tail cut and reported" 12 cut'
 
 let suites =
   [ ( "service.shard",

@@ -237,9 +237,9 @@ let pack_growth () =
 
 (* A reopen that cut a torn tail, then an append: the file is the intact
    prefix followed by exactly the new frames (what a fresh pack writes for
-   the same batch), and the bytes the vfs handed to the reopen are left as
-   they were — the simulator returns its own file string, and the pack's
-   slices point into it. *)
+   the same batch), and a string the vfs handed out before is left as it
+   was — the simulator returns its own file string, and the pack's reads
+   land in the pack's own buffer. *)
 let pack_torn_tail_then_append () =
   let sim = Sim.create () in
   let vfs = Sim.vfs sim in
@@ -272,11 +272,11 @@ let pack_torn_tail_then_append () =
         (Pack.read (Pack.open_ ~vfs "t.pack") k))
     (chunk "first" :: chunk "second" :: batch)
 
-(* Chunks are slices of immutable strings: the bytes read at open and the
-   frames of each later batch. A chunk from each source keeps resolving as
-   a duplicate and reading back through a torn-tail cut, further appends
-   and a GC's rewrite + reload; the pack's size is the file's each time,
-   and the string the open read is never written to. *)
+(* A chunk that was in the file at open and one appended later keep
+   resolving as duplicates and reading back through a torn-tail cut,
+   further appends and a GC's rewrite + reload; the pack's size is the
+   file's each time, and a string the vfs handed out is never written
+   to. *)
 let pack_slices () =
   let sim = Sim.create () in
   let vfs = Sim.vfs sim in
@@ -292,7 +292,7 @@ let pack_slices () =
     List.iter
       (fun (k, d) ->
         check_bool (name ^ ": resolves as a duplicate") true
-          (Pack.resolve p ~pending:(Hashtbl.create 1) ~key:k d = Pack.Dup k);
+          (Pack.resolve p [ (k, d) ] = [ Pack.Dup k ]);
         check_string (name ^ ": reads back") d (Pack.read p k))
       (loaded :: (if Pack.mem p (fst appended) then [ appended ] else []));
     check_int (name ^ ": physical bytes = file length")
@@ -1224,6 +1224,205 @@ let gc_then_torn_tail () =
   files_bytes "reopened" store;
   check_bool "consistent" true (Store.check store = [])
 
+(* A frame's size on disk, as Pack writes it. *)
+let frame_len key body =
+  let len = String.length body in
+  4 + 1 + Varint.encoded_size key + Varint.encoded_size len + len + 4
+
+(* A body, tagged [tag], whose frame is exactly [size] bytes long. *)
+let body_framed ~tag size =
+  let rec go n =
+    let d = tag ^ String.make (max 0 n) 'p' in
+    match size - frame_len (Chunk.key_of d) d with
+    | 0 -> d
+    | gap -> go (n + gap)
+  in
+  go (size - String.length tag - 30)
+
+(* Random batches, streamed at reopen and read back positionally. The
+   first frame ends [straddle] bytes short of the read buffer's end, so the
+   second frame's header crosses a buffer boundary; one body is longer
+   than the buffer. Any key subset reads back through [read_many] as
+   through per-key [read] and as appended: on the pack that appended it,
+   reopened with every frame CRC-checked by the walk, and reopened with
+   every frame trusted (checked on read). A byte flipped in one chunk of
+   a coalesced run fails that read naming that chunk, and no other; a
+   tear at any byte of the last frame cuts back to the frame before. *)
+let pack_read_many_prop =
+  let gen =
+    QCheck2.Gen.(
+      let* straddle = int_range 1 (Varint.encoded_size max_int + 6) in
+      let* big = int_range 1 5000 in
+      let* batches =
+        list_size (int_range 1 5) (list_size (int_range 1 6) (int_bound 3000))
+      in
+      let* last = int_bound 60 in
+      let* mask = list_size (return 64) bool in
+      let* victim = nat in
+      let* flip = nat in
+      return (straddle, big, batches, last, mask, victim, flip))
+  in
+  QCheck2.Test.make ~count:15 ~name:"read_many over streamed, coalesced frames"
+    gen (fun (straddle, big, batches, last, mask, victim, flip) ->
+      let file = "q.pack" in
+      let tagged i d = Printf.sprintf "%d:" i ^ d in
+      let pad = body_framed ~tag:"pad:" (Pack.read_buffer_size - straddle) in
+      let bodies =
+        [ pad ]
+        :: [ tagged 0 (String.make (Pack.read_buffer_size + big) 'b') ]
+        :: List.mapi
+             (fun b sizes ->
+               List.mapi
+                 (fun i n ->
+                   tagged ((100 * (b + 1)) + i)
+                     (String.init n (fun j ->
+                          Char.chr (((j * 7) + b + i) land 0xff))))
+                 sizes)
+             batches
+      in
+      let batches = List.map (List.map (fun d -> (Chunk.key_of d, d))) bodies in
+      let chunks = List.concat batches in
+      let vfs = Sim.vfs (Sim.create ()) in
+      let p = Pack.open_ ~vfs file in
+      List.iter (fun b -> ignore (Pack.append_batch p b : int)) batches;
+      let before_last = Pack.physical_bytes p in
+      let last_chunk = tagged 999 (String.make last 'z') in
+      let last_key = Chunk.key_of last_chunk in
+      ignore (Pack.append_batch p [ (last_key, last_chunk) ] : int);
+      let chunks = chunks @ [ (last_key, last_chunk) ] in
+      let whole = vfs.Vfs.read_file file in
+      let pick = List.filteri (fun i _ -> List.nth mask (i mod 64)) chunks in
+      let agrees name p =
+        let keys = Array.of_list (List.map fst pick) in
+        let many = Pack.read_many p keys in
+        List.iteri
+          (fun i (k, d) ->
+            if many.(i) <> d || Pack.read p k <> d then
+              QCheck2.Test.fail_reportf "%s: chunk %d read back wrong" name i)
+          pick
+      in
+      agrees "appended" p;
+      agrees "reopened, every frame checked at open" (Pack.open_ ~vfs file);
+      agrees "reopened, every frame trusted"
+        (Pack.open_ ~vfs ~committed:(String.length whole) file);
+      (* One body byte of one chunk (its CRC's last byte when the body is
+         empty); frames lie back to back in append order. *)
+      (match pick with
+      | [] -> ()
+      | _ ->
+          let vk, vd = List.nth pick (victim mod List.length pick) in
+          let rec frame_end pos = function
+            | [] -> assert false
+            | (k, d) :: rest ->
+                let stop = pos + frame_len k d in
+                if k = vk then stop else frame_end stop rest
+          in
+          let stop = frame_end 0 chunks in
+          let at =
+            if vd = "" then stop - 1
+            else stop - 4 - String.length vd + (flip mod String.length vd)
+          in
+          let b = Bytes.of_string whole in
+          Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor 0x41));
+          let vfs = Sim.vfs (Sim.seeded [ (file, Bytes.to_string b) ]) in
+          let p = Pack.open_ ~vfs ~committed:(String.length whole) file in
+          (match Pack.read_many p (Array.of_list (List.map fst pick)) with
+          | _ -> QCheck2.Test.fail_report "flipped chunk read back"
+          | exception In_stream.Corrupt msg ->
+              if not (contains msg (Hash64.to_hex vk)) then
+                QCheck2.Test.fail_reportf "corruption %S names another chunk"
+                  msg);
+          List.iter
+            (fun (k, d) ->
+              if k <> vk && Pack.read p k <> d then
+                QCheck2.Test.fail_report "an intact chunk read back wrong")
+            chunks;
+          let others = List.filter (fun (k, _) -> k <> vk) pick in
+          if
+            Array.to_list
+              (Pack.read_many p (Array.of_list (List.map fst others)))
+            <> List.map snd others
+          then QCheck2.Test.fail_report "the run without the flipped chunk");
+      for len = before_last to String.length whole - 1 do
+        let vfs = Sim.vfs (Sim.seeded [ (file, String.sub whole 0 len) ]) in
+        let p = Pack.open_ ~vfs ~committed:before_last file in
+        if
+          Pack.length p <> List.length chunks - 1
+          || Pack.physical_bytes p <> before_last
+          || Pack.cut_bytes p <> len - before_last
+          || Pack.mem p last_key
+          || String.length (vfs.Vfs.read_file file) <> before_last
+        then QCheck2.Test.fail_reportf "tear at %d not cut back" len
+      done;
+      true)
+
+(* Opening a pack of several MB allocates the key table and one read
+   buffer, not the pack: the major words it allocates stay far below the
+   file's size in words. *)
+let pack_open_allocation () =
+  let dir = Filename.temp_dir "ickpt_pack" "" in
+  let file = Filename.concat dir "a.pack" in
+  Fun.protect
+    ~finally:(fun () ->
+      if Sys.file_exists file then Sys.remove file;
+      Sys.rmdir dir)
+    (fun () ->
+      let p = Pack.open_ file in
+      for b = 0 to 63 do
+        ignore
+          (Pack.append_batch p
+             (List.init 64 (fun i ->
+                  let d =
+                    Printf.sprintf "%d.%d:" b i
+                    ^ String.init 1024 (fun j -> Char.chr (((b * i) + j) land 0xff))
+                  in
+                  (Chunk.key_of d, d)))
+            : int)
+      done;
+      let size = (Unix.stat file).Unix.st_size in
+      check_bool "several MB" true (size > 4_000_000);
+      (* A full major first: the counter would otherwise also take in
+         major-heap words the appends above left unaccounted. *)
+      Gc.full_major ();
+      let before = (Gc.quick_stat ()).Gc.major_words in
+      let p = Pack.open_ ~committed:size file in
+      Gc.minor ();
+      let words = (Gc.quick_stat ()).Gc.major_words -. before in
+      check_int "every chunk" 4096 (Pack.length p);
+      let pack_words = float_of_int (size / (Sys.word_size / 8)) in
+      if words > pack_words /. 8. then
+        Alcotest.failf "open allocated %.0f major words for a %.0f-word pack"
+          words pack_words)
+
+(* gc copies kept frames through read_many, byte for byte as before: the
+   pack and index a gc leaves are pinned by digest (taken from the
+   per-chunk copy this replaced), under both policies. *)
+let gc_files_pinned () =
+  List.iter
+    (fun (policy, expected) ->
+      let vfs = Sim.vfs (Sim.create ()) in
+      let w = Sweep.world ~offset:0 in
+      let store =
+        Store.open_ ~vfs ~records_per_chunk:3 ~policy w.schema ~path:store_path
+      in
+      for r = 0 to 11 do
+        if r > 0 then w.mutate r;
+        ignore (Store.checkpoint store w.roots : int)
+      done;
+      ignore (Store.gc store ~retain:(Store.Keep_last 4) : Store.gc_stats);
+      let got =
+        List.map
+          (fun p -> Digest.to_hex (Digest.string (vfs.Vfs.read_file p)))
+          [ Store.pack_path store_path; Store.index_path store_path ]
+      in
+      Alcotest.(check (list string))
+        (Format.asprintf "%a: pack and index digests" Policy.pp policy)
+        expected got)
+    [ ( Policy.Full_every 3,
+        [ "de32dcde7db224d17559effd3a8a4eaa"; "2406ae3bd28f1d9ee777c94dec19ab24" ] );
+      ( Policy.Chain_bytes_limit 40,
+        [ "475d432120304e261339383d5f0c7f50"; "17da3afef335069a021c84a9ce292084" ] ) ]
+
 (* Random mutations (truncate, flip, splice) of a committed index or pack:
    reopen, restoring every surviving epoch and check raise nothing but
    typed errors, and what restores is what was committed. *)
@@ -1390,6 +1589,9 @@ let suites =
         Alcotest.test_case "index version 1 rejected" `Quick index_v1_rejected;
         Alcotest.test_case "committed frame flip" `Quick committed_frame_flip;
         Alcotest.test_case "gc then torn pack tail" `Quick gc_then_torn_tail;
+        QCheck_alcotest.to_alcotest pack_read_many_prop;
+        Alcotest.test_case "pack open allocation" `Quick pack_open_allocation;
+        Alcotest.test_case "gc files pinned" `Quick gc_files_pinned;
         QCheck_alcotest.to_alcotest coded_dir_roundtrip;
         QCheck_alcotest.to_alcotest fuzz_store;
         Alcotest.test_case "index load allocation" `Quick
