@@ -122,16 +122,12 @@ let inspect_cmd =
     let store = open_existing path in
     let problems = Store.check store in
     let stats = Store.stats store in
-    let orphans =
-      List.length (List.filter (fun (_, n) -> n = 0) (Store.refcounts store))
-    in
     if json then begin
       let buf = Buffer.create 512 in
       Buffer.add_string buf
         (Printf.sprintf "{\n  \"path\": %S,\n  \"stats\": %s,\n" path
            (stats_json stats));
-      Buffer.add_string buf
-        (Printf.sprintf "  \"orphan_chunks\": %d,\n  \"epochs\": [\n" orphans);
+      Buffer.add_string buf "  \"epochs\": [\n";
       let epochs = Store.epochs store in
       List.iteri
         (fun i e ->
@@ -154,10 +150,8 @@ let inspect_cmd =
       print_string (Buffer.contents buf)
     end
     else begin
-      Format.printf "store %s@.  %a@.%a  orphan chunks: %d@." path pp_stats
-        stats pp_cut
-        (Store.pack_path path, stats.Store.pack_cut_bytes)
-        orphans;
+      Format.printf "store %s@.  %a@.%a" path pp_stats stats pp_cut
+        (Store.pack_path path, stats.Store.pack_cut_bytes);
       List.iter
         (fun e ->
           let entry = Store.entry_at store e in

@@ -6,8 +6,8 @@
     mid-run [Store.gc]. After each crash the store must:
 
     - reopen without raising;
-    - pass [Store.check] (contiguous epochs, refcounts consistent,
-      every referenced chunk present and content-verified);
+    - pass [Store.check] (contiguous epochs, every referenced chunk
+      located inside the pack, CRC-intact and content-verified);
     - hold a committed epoch prefix: every surviving epoch was committed
       and restores to exactly its state in the reference run;
     - accept a post-recovery checkpoint that is itself restorable

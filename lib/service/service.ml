@@ -145,31 +145,27 @@ let open_ ?(vfs = Vfs.real) ?(shards = Shard.default_count)
     Option.value meta ~default:(shards, records_per_chunk)
   in
   (* Every shard index is read before anything is written or cut: an older
-     format is refused, and the largest pack length any shard's entries
-     name is the pack prefix a crash cannot have left torn. *)
+     format is refused, and tenants dedup across shards, so the pack's
+     table is built from every shard's entries before any shard is
+     recovered. *)
   let loaded =
-    Array.init shards (fun i ->
+    List.init shards (fun i ->
         try Epochs.load Epochs.mux vfs (shard_index_path root i)
         with Epoch_index.Unsupported_version msg -> raise (Error msg))
   in
   if meta = None then write_meta vfs root ~shards ~records_per_chunk;
-  let pack =
-    Pack.open_ ~vfs
-      ~committed:
-        (Array.fold_left
-           (fun n l -> max n (Epochs.committed_pack_len l))
-           0 loaded)
-      (pack_path root)
-  in
+  let pack = Pack.open_ ~vfs (pack_path root) in
+  let recovered = Epochs.recover Epochs.mux vfs pack loaded in
   let catalog = load_catalog vfs (catalog_path root) in
   let shard_tbl =
-    Array.mapi
-      (fun i l ->
-        { s_index_file = shard_index_path root i;
-          s_committed = fst (Epochs.recover Epochs.mux vfs l pack);
-          s_pending = [];
-          s_pending_bytes = 0 })
-      loaded
+    Array.of_list
+      (List.mapi
+         (fun i (committed, _) ->
+           { s_index_file = shard_index_path root i;
+             s_committed = committed;
+             s_pending = [];
+             s_pending_bytes = 0 })
+         recovered)
   in
   let t =
     { vfs;
@@ -408,11 +404,7 @@ let check t =
         | Some name -> Printf.sprintf "%S" name
         | None -> Hash64.to_hex id
       in
-      Epochs.check_orphans t.pack
-        (List.map
-           (fun (m : Epoch_index.mux_entry) -> m.m_entry)
-           (committed_locked t))
-      @ List.concat
+      List.concat
         (List.mapi
            (fun si s ->
              List.filter_map

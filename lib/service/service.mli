@@ -109,9 +109,11 @@ val open_ :
     {e new} service; reopening reads both from the meta file and ignores
     the arguments. [policy] (default [Full_every 8]) decides full vs
     incremental per tenant; [commit] defaults to {!per_epoch}. Reopening
-    truncates torn shard-index tails and validates every surviving entry
-    (per-tenant contiguity, chunks present), truncating each shard at its
-    first invalid entry.
+    truncates torn shard-index tails, builds the shared pack's key table
+    from every shard's entries (tenants dedup across shards; no pack byte
+    is read), validates every surviving entry (per-tenant contiguity,
+    chunks located), truncating each shard at its first invalid entry,
+    and cuts the pack to what the kept entries locate.
     @raise Invalid_argument on [shards] outside [1 .. Shard.max_count],
     [records_per_chunk < 1], or a commit policy with [max_items < 1],
     [max_bytes < 1] or [linger <> 0.].
@@ -175,8 +177,8 @@ type stats = {
   committed_epochs : int;  (** epochs committed this session *)
   collisions : int;  (** hash collisions absorbed this session *)
   pack_cut_bytes : int;
-      (** bytes of torn tail cut off the shared pack when it was opened;
-          0 when it was intact *)
+      (** bytes cut off the shared pack past the committed length when it
+          was opened; 0 when there were none *)
 }
 
 val stats : t -> stats
@@ -197,9 +199,9 @@ val committed : t -> Epoch_index.mux_entry list
 
 val chunk_len : t -> int -> int option
 (** The body length of a chunk in the shared pack by key; [None] when the
-    pack holds no such chunk. Reads only the walked frame headers. *)
+    pack holds no such chunk. Reads only the pack's key table. *)
 
 val check : t -> string list
 (** Integrity check over every tenant's committed entries and the shared
-    pack (every frame CRC-checked, orphans too); [[]] means consistent.
+    pack (every located chunk CRC-checked); [[]] means consistent.
     Salted chunks verify like any other. *)

@@ -21,7 +21,7 @@ type t = {
 
 val default_records_per_chunk : int
 (** 16 — small enough that a localized mutation dirties one or two chunks,
-    large enough that per-chunk framing overhead stays a few percent. *)
+    large enough that the per-chunk index overhead stays a few percent. *)
 
 val key_of : string -> int
 (** The content key of raw chunk bytes (= {!Ickpt_stream.Hash64.string}). *)

@@ -3,22 +3,79 @@ open Ickpt_stream
 
 let magic = 0x584b4349 (* "ICKX" read as LE bytes; value is arbitrary *)
 
-let version = 2
+let version = 3
 
 exception Unsupported_version of string
 
-type dir = { src : string; off : int; len : int; records : int }
+(* A coded list of [count] items: a slice of the bytes it was read from
+   or coded into. *)
+type slice = { src : string; off : int; len : int; count : int }
+
+type located = slice
+
+type dir = slice
 
 type entry = {
   epoch : int;
   kind : Segment.kind;
   roots : int list;
   chunks : int list;
-  pack_len : int;
+  at : int;
+  located : located;
   dir : dir;
 }
 
 let kind_byte = function Segment.Full -> 0 | Segment.Incremental -> 1
+
+let slice_of d count =
+  let src = Out_stream.contents d in
+  { src; off = 0; len = String.length src; count }
+
+let malformed e what =
+  raise
+    (In_stream.Corrupt (Printf.sprintf "epoch %d: malformed %s" e.epoch what))
+
+(* ------------------------------------------------------------------ *)
+(* The located chunks.                                                 *)
+
+let code_located locs =
+  let d = Out_stream.create () in
+  let prev = ref (-1) in
+  List.iter
+    (fun (i, len, crc) ->
+      Out_stream.write_int d (i - !prev);
+      Out_stream.write_int d len;
+      Out_stream.write_fixed32 d crc;
+      prev := i)
+    locs;
+  slice_of d (List.length locs)
+
+let rec drop n l = match l with _ :: l when n > 0 -> drop (n - 1) l | _ -> l
+
+let iter_located e f =
+  let { src; off; len; count } = e.located in
+  let inp = In_stream.of_string_at src ~pos:off in
+  let rec go chunks pos n =
+    if n > 0 then begin
+      let skip = In_stream.read_int inp in
+      if skip < 1 then malformed e "located chunk index";
+      match drop (skip - 1) chunks with
+      | [] -> malformed e "located chunk index"
+      | key :: rest ->
+          let len = In_stream.read_int inp in
+          if len < 0 || pos > max_int - len then
+            malformed e "located chunk length";
+          f key ~pos ~len ~crc:(In_stream.read_fixed32 inp);
+          go rest (pos + len) (n - 1)
+    end
+  in
+  go e.chunks e.at count;
+  if In_stream.pos inp <> off + len then malformed e "located chunks (length)"
+
+let located_end e =
+  let stop = ref e.at in
+  iter_located e (fun _ ~pos ~len ~crc:_ -> stop := pos + len);
+  !stop
 
 (* ------------------------------------------------------------------ *)
 (* The coded directory.                                                *)
@@ -39,23 +96,17 @@ let code_dir chunks =
           incr records)
         recs)
     chunks;
-  let src = Out_stream.contents d in
-  { src; off = 0; len = String.length src; records = !records }
+  slice_of d !records
 
-let dir_records d = d.records
-
-let malformed e what =
-  raise
-    (In_stream.Corrupt
-       (Printf.sprintf "epoch %d: malformed directory (%s)" e.epoch what))
+let dir_records d = d.count
 
 let iter_dir e f =
-  let { src; off; len; records } = e.dir in
+  let { src; off; len; count } = e.dir in
   let inp = In_stream.of_string_at src ~pos:off in
-  let id = ref 0 and left = ref records in
+  let id = ref 0 and left = ref count in
   for c = 0 to List.length e.chunks - 1 do
     let n = In_stream.read_int inp in
-    if n < 0 || n > !left then malformed e "record count";
+    if n < 0 || n > !left then malformed e "directory (record count)";
     left := !left - n;
     let o = ref 0 in
     for _ = 1 to n do
@@ -64,11 +115,16 @@ let iter_dir e f =
       f !id c !o
     done
   done;
-  if !left <> 0 then malformed e "fewer records than counted";
-  if In_stream.pos inp <> off + len then malformed e "length"
+  if !left <> 0 then malformed e "directory (fewer records than counted)";
+  if In_stream.pos inp <> off + len then malformed e "directory (length)"
 
 (* ------------------------------------------------------------------ *)
 (* Entries.                                                            *)
+
+(* The item count, then the length-prefixed bytes. *)
+let write_slice d s =
+  Out_stream.write_int d s.count;
+  Out_stream.write_substring d s.src ~pos:s.off ~len:s.len
 
 (* The entry payload (everything between the header and the crc) is shared
    between the plain per-store wire format and the multiplexed per-shard
@@ -80,9 +136,9 @@ let write_payload d e =
   List.iter (Out_stream.write_int d) e.roots;
   Out_stream.write_int d (List.length e.chunks);
   List.iter (Out_stream.write_int d) e.chunks;
-  Out_stream.write_int d e.dir.records;
-  Out_stream.write_int d e.pack_len;
-  Out_stream.write_substring d e.dir.src ~pos:e.dir.off ~len:e.dir.len
+  Out_stream.write_int d e.at;
+  write_slice d e.located;
+  write_slice d e.dir
 
 let corrupt fmt = Printf.ksprintf (fun s -> raise (In_stream.Corrupt s)) fmt
 
@@ -97,7 +153,18 @@ let read_count inp ~width =
 
 let read_ints inp n = List.init n (fun _ -> In_stream.read_int inp)
 
-let read_payload src inp =
+(* A coded list of items at least [width] bytes each: its item count, its
+   byte length, then the bytes, kept as a slice of the string read. A forged item
+   count cannot size anything past what the bytes could hold. *)
+let read_slice inp ~width =
+  let count = In_stream.read_int inp in
+  let len = read_count inp ~width:1 in
+  if count < 0 || count > len / width then corrupt "bad item count %d" count;
+  let off = In_stream.pos inp in
+  In_stream.skip inp len;
+  { src = In_stream.source inp; off; len; count }
+
+let read_payload inp =
   let epoch = In_stream.read_int inp in
   let kind =
     match In_stream.read_byte inp with
@@ -107,21 +174,18 @@ let read_payload src inp =
   in
   let roots = read_ints inp (read_count inp ~width:1) in
   let chunks = read_ints inp (read_count inp ~width:1) in
-  let records = In_stream.read_int inp in
-  let pack_len = In_stream.read_int inp in
-  if pack_len < 0 then corrupt "bad pack length %d" pack_len;
-  let len = read_count inp ~width:1 in
-  (* Two varints per record at least: a forged count cannot size a fold's
-     slots past what the directory could hold. *)
-  if records < 0 || records > len / 2 then corrupt "bad record count %d" records;
-  let off = In_stream.pos inp in
-  In_stream.skip inp len;
-  { epoch; kind; roots; chunks; pack_len; dir = { src; off; len; records } }
+  let at = In_stream.read_int inp in
+  if at < 0 then corrupt "bad pack offset %d" at;
+  (* A located chunk takes an index, a length and a fixed32 CRC; a
+     directory record two varints. *)
+  let located = read_slice inp ~width:6 in
+  let dir = read_slice inp ~width:2 in
+  { epoch; kind; roots; chunks; at; located; dir }
 
 let encode e = Out_stream.framed ~magic ~version (fun d -> write_payload d e)
 
 let decode s ~pos =
-  In_stream.framed ~magic ~version ~what:"index" (read_payload s) s ~pos
+  In_stream.framed ~magic ~version ~what:"index" read_payload s ~pos
 
 let load vfs path = In_stream.intact_prefix decode (Vfs.contents vfs path)
 
@@ -154,7 +218,7 @@ let decode_mux s ~pos =
   In_stream.framed ~magic:mux_magic ~version ~what:"mux index"
     (fun inp ->
       let m_tenant = In_stream.read_int inp in
-      { m_tenant; m_entry = read_payload s inp })
+      { m_tenant; m_entry = read_payload inp })
     s ~pos
 
 let load_mux vfs path =

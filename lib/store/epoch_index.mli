@@ -1,50 +1,61 @@
 (** The persistent epoch index: one append-only file of checksummed entries,
-    one per checkpoint epoch. An entry records everything needed to
-    materialize or diff its epoch without replaying the segment chain:
+    one per checkpoint epoch, and the pack's table of contents. An entry
+    records everything needed to locate, materialize or diff its epoch
+    without replaying the segment chain:
 
     - the ordered list of chunk keys whose bodies concatenate to the
       epoch's segment body;
-    - the pack's length once the entry's chunks were appended: every
-      chunk the entry names lies before it;
+    - the chunks it is the first committed entry to reference, {e located}:
+      where in the pack the first of them starts ([at]), then each one's
+      length and CRC-32. They lie back to back from [at], in chunk order,
+      so [at] plus their lengths is where the entry's pack bytes end.
+      Every chunk any committed entry names is located by exactly one
+      committed entry, so the entries alone rebuild the pack's key table,
+      and the pack holds bare chunk bodies ({!Pack});
     - a {e directory delta}: for every object record written in this epoch,
       the record id and its position ([chunk index in this entry] ×
       [byte offset within the chunk]). Folding directory deltas
       newest-wins from the nearest full epoch yields the per-object
       directory of any epoch.
 
-    The directory is kept coded. Decoding an entry reads its header fields
-    and keeps the directory as a slice of the bytes it was read from;
-    only {!iter_dir} decodes it, so a reopen never touches the records of
-    epochs no restore folds.
+    The located chunks and the directory are kept coded. Decoding an entry
+    reads its header fields and keeps both as slices of the bytes it was
+    read from; {!iter_located} and {!iter_dir} decode them, so a reopen
+    decodes the locations (to build the pack's table) but never the
+    records of epochs no restore folds.
 
-    Wire layout of one entry (format version 2):
+    Wire layout of one entry (format version 3):
     {v
     magic    fixed32  "ICKX"
-    version  byte     2
+    version  byte     3
     epoch    varint
     kind     byte     0 = full, 1 = incremental (as Segment)
     nroots   varint   then that many root-id varints
     nchunks  varint   then that many chunk-key varints
+    at       varint   pack offset of the first chunk this entry locates
+    nlocated varint   located chunks
+    loclen   varint   then loclen bytes: per located chunk, in chunk order,
+                        (index - previous index) varint (the previous
+                        index starts at -1), length varint, CRC-32 fixed32
     records  varint   directory records
-    pack_len varint   pack length after this entry's batch was appended
     dirlen   varint   then dirlen bytes of directory:
                         per chunk, in chunk order: a record count, then
                         per record (id - previous id) and
                         (offset - previous offset in this chunk)
     crc      fixed32  CRC-32 of everything above
     v}
-    Every field is a zigzag varint ({!Ickpt_stream.Varint}); the previous
-    id starts at 0 once per entry, the previous offset at 0 once per
-    chunk. A count claiming more items than bytes are left (a record takes
-    two bytes at least) is {!Ickpt_stream.In_stream.Corrupt} before
-    anything is allocated for it. Version 1 (a flat [(id, chunk, off)]
-    triple per record, no pack length) is not read: {!reject_older}
-    names it, and opening a store or service holding it is a typed error.
+    Every varint is zigzag ({!Ickpt_stream.Varint}); the previous id
+    starts at 0 once per entry, the previous offset at 0 once per chunk. A
+    count claiming more items than bytes are left (a located chunk takes
+    six bytes at least, a record two) is {!Ickpt_stream.In_stream.Corrupt}
+    before anything is allocated for it. Versions 1 and 2 (chunks located
+    by self-describing pack frames) are not read: {!reject_older} names
+    them, and opening a store or service holding one is a typed error.
 
     Appending an entry (write + sync) is the {e commit point} of an epoch:
     chunks are appended to the pack first, so a crash between the two
-    leaves orphaned chunks (reclaimed by the next GC) but never a
-    committed epoch with missing data.
+    leaves pack bytes no entry locates, past the committed length, which
+    the next reopen cuts; never a committed epoch with missing data.
 
     This module is the wire format only. Frames are
     {!Ickpt_stream.Out_stream.framed} and read back with
@@ -58,6 +69,14 @@ open Ickpt_core
 exception Unsupported_version of string
 (** An index file in an older format version (raised by {!Epochs.load});
     the message names the file and the version. *)
+
+type located
+(** An entry's located chunks, coded: a slice of the bytes they were read
+    from or coded into. *)
+
+val code_located : (int * int * int) list -> located
+(** Code the located chunks from [(chunk index, length, CRC-32)] triples
+    in ascending chunk index. *)
 
 type dir
 (** A coded directory delta: a slice of the bytes it was read from or
@@ -75,9 +94,25 @@ type entry = {
   kind : Segment.kind;
   roots : int list;
   chunks : int list;  (** chunk keys, in body order *)
-  pack_len : int;  (** pack length once this entry's batch was appended *)
+  at : int;  (** pack offset of the first chunk this entry locates *)
+  located : located;  (** the chunks it is the first to reference *)
   dir : dir;  (** directory delta, coded *)
 }
+
+val iter_located :
+  entry -> (int -> pos:int -> len:int -> crc:int -> unit) -> unit
+(** [iter_located e f] decodes [e]'s located chunks, calling
+    [f key ~pos ~len ~crc] per chunk in pack order: [pos] is where its
+    body starts in the pack.
+    @raise Ickpt_stream.In_stream.Corrupt if an index does not name one
+    of [e.chunks] past the previous one, a length is negative, or the
+    coding does not hold exactly its count (after calling [f] on whatever
+    decoded before the fault). *)
+
+val located_end : entry -> int
+(** Where the entry's located chunks end in the pack ([at] when it
+    locates none). @raise Ickpt_stream.In_stream.Corrupt as
+    {!iter_located}. *)
 
 val iter_dir : entry -> (int -> int -> int -> unit) -> unit
 (** [iter_dir e f] decodes [e]'s directory, calling [f id chunk off] per

@@ -21,9 +21,10 @@ type item = {
 
 (* Resolve a batch's chunks against the pack in one {!Pack.resolve}: a key
    hit is only a duplicate if the bytes agree, and a genuine collision
-   degrades to a salted rehash instead of refusing the epoch. Returns each
-   item's chunk keys, the fresh chunks to append and the collisions, both
-   in batch order. *)
+   degrades to a salted rehash instead of refusing the epoch. Returns, per
+   item, its chunk keys and its fresh chunks as [(chunk index, data)] —
+   the chunks it is the first to reference — and the collisions in batch
+   order. *)
 let stage pack items =
   let resolved =
     Array.of_list
@@ -32,29 +33,33 @@ let stage pack items =
             (fun it -> List.map (fun (c : Chunk.t) -> (c.key, c.data)) it.chunks)
             items))
   in
-  let next = ref 0 and fresh = ref [] and collisions = ref [] in
-  let keys =
+  let next = ref 0 and collisions = ref [] in
+  let staged =
     List.map
       (fun it ->
-        List.map
-          (fun (c : Chunk.t) ->
-            incr next;
-            match resolved.(!next - 1) with
-            | Pack.Dup key -> key
-            | Pack.Fresh { key; attempt } ->
-                fresh := (key, c.data) :: !fresh;
-                if attempt > 0 then
-                  collisions :=
-                    { col_epoch = it.epoch;
-                      col_content_key = c.key;
-                      col_stored_key = key;
-                      col_attempt = attempt }
-                    :: !collisions;
-                key)
-          it.chunks)
+        let fresh = ref [] in
+        let keys =
+          List.mapi
+            (fun i (c : Chunk.t) ->
+              incr next;
+              match resolved.(!next - 1) with
+              | Pack.Dup key -> key
+              | Pack.Fresh { key; attempt } ->
+                  fresh := (i, c.data) :: !fresh;
+                  if attempt > 0 then
+                    collisions :=
+                      { col_epoch = it.epoch;
+                        col_content_key = c.key;
+                        col_stored_key = key;
+                        col_attempt = attempt }
+                      :: !collisions;
+                  key)
+            it.chunks
+        in
+        (keys, List.rev !fresh))
       items
   in
-  (keys, List.rev !fresh, List.rev !collisions)
+  (staged, List.rev !collisions)
 
 (* ------------------------------------------------------------------ *)
 (* Chain rules.                                                        *)
@@ -97,44 +102,45 @@ let mux =
     entry = (fun m -> m.Epoch_index.m_entry);
     make = (fun m_tenant m_entry -> { Epoch_index.m_tenant; m_entry }) }
 
-(* An entry resolves when the pack is as long as the entry says it was
-   once its chunks were appended, and holds every chunk it names. Its
-   directory is not decoded here: an offset past its chunk is Dir's error
-   at fold time, and check's finding. *)
+(* An entry resolves when the chunks it locates lie inside the pack file
+   and every chunk it names is located. Its directory is not decoded
+   here: an offset past its chunk is Dir's error at fold time, and
+   check's finding. *)
 let resolves pack (e : Epoch_index.entry) =
-  e.pack_len <= Pack.physical_bytes pack && List.for_all (Pack.mem pack) e.chunks
+  match Epoch_index.located_end e with
+  | stop ->
+      stop <= Pack.physical_bytes pack && List.for_all (Pack.mem pack) e.chunks
+  | exception In_stream.Corrupt _ -> false
 
 (* Longest valid prefix of [(item, end offset)]s: per chain, the oldest
    epoch full and the rest contiguous, every entry resolving against the
    pack. Crash-consistent operation never violates this (the pack is
    synced before the index), so rejections are defensive — but one cuts
    the whole file there, which keeps every chain in it a committed
-   prefix. Returns the kept items and the end offset of the last. *)
+   prefix. *)
 let valid_prefix idx pack items =
   let next : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let rec go acc cut = function
-    | [] -> (List.rev acc, cut)
-    | (x, stop) :: rest ->
+  let rec go acc = function
+    | [] -> List.rev acc
+    | ((x, _) as item) :: rest ->
         let e = idx.entry x in
-        let ok =
+        if
           Chain.continuity ~next:(Hashtbl.find_opt next (idx.chain x)) e.kind
             ~epoch:e.epoch
           = None
           && resolves pack e
-        in
-        if ok then begin
+        then begin
           Hashtbl.replace next (idx.chain x) (e.epoch + 1);
-          go (x :: acc) stop rest
+          go (item :: acc) rest
         end
-        else (List.rev acc, cut)
+        else List.rev acc
   in
-  go [] 0 items
+  go [] items
 
 type 'a loaded = {
   file : string;
   size : int;
   items : ('a * int) list;  (* intact items, each with its end offset *)
-  pack_len : int;
 }
 
 let load idx vfs path =
@@ -147,28 +153,45 @@ let load idx vfs path =
       raw
   in
   if valid = 0 then Epoch_index.reject_older ~path raw;
-  { file = path;
-    size = String.length raw;
-    items;
-    pack_len =
-      List.fold_left
-        (fun n (x, _) -> max n (idx.entry x).Epoch_index.pack_len)
-        0 items }
+  { file = path; size = String.length raw; items }
 
-let committed_pack_len l = l.pack_len
-
-let recover idx vfs l pack =
-  let kept, len = valid_prefix idx pack l.items in
-  if len < l.size then vfs.Vfs.truncate l.file ~len;
-  (kept, len)
+(* The pack's table is built from every file's entries at once: a chain
+   may dedup against a chunk another file's entry located. An entry cut
+   from one file may have located a chunk an entry of another names, so
+   the table is rebuilt from what was kept until a pass cuts nothing. *)
+let recover idx vfs pack loaded =
+  let entries items = List.map (fun (x, _) -> idx.entry x) items in
+  let rec settle files =
+    Pack.reload pack (List.concat_map entries files);
+    let kept = List.map (valid_prefix idx pack) files in
+    if List.for_all2 (fun a b -> List.compare_lengths a b = 0) kept files
+    then kept
+    else settle kept
+  in
+  let kept = settle (List.map (fun l -> l.items) loaded) in
+  let committed =
+    List.fold_left
+      (fun n x -> max n (Epoch_index.located_end x))
+      0 (List.concat_map entries kept)
+  in
+  Pack.cut pack ~committed;
+  List.map2
+    (fun l items ->
+      let len = List.fold_left (fun _ (_, stop) -> stop) 0 items in
+      if len < l.size then vfs.Vfs.truncate l.file ~len;
+      (List.map fst items, len))
+    loaded kept
 
 let check_entry pack (e : Epoch_index.entry) =
   let errs = ref [] in
   let err fmt = Format.kasprintf (fun s -> errs := s :: !errs) fmt in
   let hex = Hash64.to_hex in
-  if e.pack_len > Pack.physical_bytes pack then
-    err "names pack length %d past the pack's end (%d)" e.pack_len
-      (Pack.physical_bytes pack);
+  (match Epoch_index.located_end e with
+  | stop when stop > Pack.physical_bytes pack ->
+      err "locates chunks up to %d, past the pack's end (%d)" stop
+        (Pack.physical_bytes pack)
+  | _ -> ()
+  | exception In_stream.Corrupt msg -> err "%s" msg);
   let data =
     Array.of_list
       (List.map
@@ -235,22 +258,6 @@ let check idx pack ~who items =
     items;
   List.rev !errs
 
-let check_orphans pack entries =
-  let referenced = Hashtbl.create 256 in
-  List.iter
-    (fun (e : Epoch_index.entry) ->
-      List.iter (fun k -> Hashtbl.replace referenced k ()) e.chunks)
-    entries;
-  List.filter_map
-    (fun k ->
-      if Hashtbl.mem referenced k then None
-      else
-        match Pack.read pack k with
-        | _ -> None
-        | exception In_stream.Corrupt msg ->
-            Some ("orphan frame: " ^ msg))
-    (Pack.keys pack)
-
 (* ------------------------------------------------------------------ *)
 (* Committing.                                                         *)
 
@@ -263,32 +270,82 @@ type 'a committed = {
 }
 
 let commit idx vfs ~path pack items =
-  let keys, fresh, collisions = stage pack items in
-  let pack_bytes = Pack.append_batch pack fresh in
-  let pack_len = Pack.physical_bytes pack in
-  let entries =
-    List.map2
-      (fun (it : item) chunks ->
-        idx.make it.chain
+  let staged, collisions = stage pack items in
+  let start =
+    Pack.append pack
+      (List.concat_map (fun (_, fresh) -> List.map snd fresh) staged)
+  in
+  (* Each entry locates its fresh chunks from where the previous entry's
+     ended: the append wrote them back to back, in batch order. *)
+  let stop, rev_entries =
+    List.fold_left2
+      (fun (at, acc) (it : item) (chunks, fresh) ->
+        let located =
+          List.map
+            (fun (i, data) -> (i, String.length data, Crc32.string data))
+            fresh
+        in
+        let e =
           { Epoch_index.epoch = it.epoch;
             kind = it.kind;
             roots = it.roots;
             chunks;
-            pack_len;
+            at;
+            located = Epoch_index.code_located located;
             dir =
               Epoch_index.code_dir
-                (List.map (fun (c : Chunk.t) -> c.records) it.chunks) })
-      items keys
+                (List.map (fun (c : Chunk.t) -> c.records) it.chunks) }
+        in
+        ( List.fold_left (fun at (_, len, _) -> at + len) at located,
+          idx.make it.chain e :: acc ))
+      (start, []) items staged
   in
+  let entries = List.rev rev_entries in
   let index_bytes = String.concat "" (List.map idx.encode entries) in
   if index_bytes <> "" then
     Vfs.write_synced vfs Append path (fun write -> write index_bytes);
-  (* Committed: only now do its collisions belong to an epoch. *)
+  (* Committed: only now do its chunks join the table, CRC'd from the
+     bytes just written, and its collisions belong to an epoch. *)
+  List.iter (fun x -> Pack.locate pack ~checked:true (idx.entry x)) entries;
   { entries;
     collisions;
-    fresh_chunks = List.length fresh;
-    bytes_written = pack_bytes + String.length index_bytes;
+    fresh_chunks =
+      List.fold_left (fun n (_, fresh) -> n + List.length fresh) 0 staged;
+    bytes_written = stop - start + String.length index_bytes;
     index_bytes = String.length index_bytes }
+
+(* ------------------------------------------------------------------ *)
+(* GC.                                                                 *)
+
+let relocate pack entries =
+  let seen = Hashtbl.create 256 in
+  let at = ref 0 in
+  List.split
+    (List.map
+       (fun (e : Epoch_index.entry) ->
+         let start = !at in
+         let firsts =
+           List.concat
+             (List.mapi
+                (fun i k ->
+                  if Hashtbl.mem seen k then []
+                  else begin
+                    Hashtbl.replace seen k ();
+                    at := !at + Pack.chunk_len pack k;
+                    [ (i, k) ]
+                  end)
+                e.chunks)
+         in
+         ( { e with
+             at = start;
+             located =
+               Epoch_index.code_located
+                 (List.map
+                    (fun (i, k) ->
+                      (i, Pack.chunk_len pack k, Pack.chunk_crc pack k))
+                    firsts) },
+           List.map snd firsts ))
+       entries)
 
 (* ------------------------------------------------------------------ *)
 (* Reading entries back.                                               *)

@@ -1,8 +1,9 @@
 (** The epoch core shared by {!Store} (one chain, one index file) and
     [Ickpt_service.Service] (one chain per tenant, multiplexed per-shard
-    index files): how a batch of epochs is committed as pack frames plus
-    index entries, and which entries form a valid chain. Each rule has its
-    one home here but continuity ({!Ickpt_core.Chain.continuity}). *)
+    index files): how a batch of epochs is committed as pack bodies plus
+    the index entries that locate them, and which entries form a valid
+    chain. Each rule has its one home here but continuity
+    ({!Ickpt_core.Chain.continuity}). *)
 
 open Ickpt_core
 
@@ -69,57 +70,65 @@ val commit :
     chunk against the pack ({!Pack.resolve}: each key hit byte-verified,
     collisions climbing the salt ladder, and one pending table so the
     batch dedups across its own items), append the fresh chunks in one
-    {!Pack.append_batch} (write + sync), then write the batch's entries
-    to the index in one write + one sync — the commit point of every
-    epoch in it. Every entry names the pack's length after the append and
-    carries its directory coded straight from the chunks' records. A crash before that sync leaves at most orphaned chunks
-    and a torn index tail, which {!recover} cuts. The result, collisions
-    included, exists only once the index is synced, so a failed commit
-    reports none. Continuity is not checked here
+    {!Pack.append} (write + sync), then write the batch's entries to the
+    index in one write + one sync — the commit point of every epoch in
+    it. Each entry locates the fresh chunks it is the first to reference,
+    from where the previous entry's ended (the first from the pack file's
+    length before the append), and carries its directory coded straight
+    from the chunks' records. Only once the index write has returned are
+    the entries {!Pack.locate}d, so a failed commit leaves the pack's
+    table as it was and a later batch appends those chunks afresh. A
+    crash before the index sync leaves pack bytes past the committed
+    length and a torn index tail, which {!recover} cuts. The result,
+    collisions included, exists only once the index is synced, so a
+    failed commit reports none. Continuity is not checked here
     ({!Ickpt_core.Chain.continuity}). The empty batch performs no I/O. *)
 
 (** {1 Reopening}
 
-    Reopen is two steps because the pack needs the index and the index the
-    pack: {!load} the index files, open the pack with
-    {!committed_pack_len} (the largest over every index file sharing it),
-    then {!recover} each index against that pack. *)
+    Reopen is two steps: {!load} every index file sharing a pack (an
+    older format is refused before anything is cut), then {!recover}
+    them together against it. *)
 
 type 'a loaded
-(** An index file's intact entries, decoded (directories left coded) but
-    not yet checked against a pack. *)
+(** An index file's intact entries, decoded (located chunks and
+    directories left coded) but not yet checked against a pack. *)
 
 val load : 'a index -> Vfs.t -> string -> 'a loaded
 (** Read an index file's intact prefix. Performs no writes.
     @raise Epoch_index.Unsupported_version if the file holds no intact
     entry and begins with an entry header of an older format version. *)
 
-val committed_pack_len : 'a loaded -> int
-(** The largest pack length the loaded entries name (0 for none): the
-    pack frames before it were synced before those entries committed. *)
-
-val recover : 'a index -> Vfs.t -> 'a loaded -> Pack.t -> 'a list * int
-(** The committed entries of a loaded index file and the file's length
-    once truncated to them: the intact prefix, cut further at the first
-    entry that breaks its chain (oldest not full, an epoch gap) or does
-    not resolve against the pack (a missing chunk, a pack length past the
-    pack's end). The cut is the kept entries' decoded end; nothing is
-    re-encoded. Directories are not decoded. *)
+val recover :
+  'a index -> Vfs.t -> Pack.t -> 'a loaded list -> ('a list * int) list
+(** The committed entries of each loaded index file sharing the pack, and
+    each file's length once truncated to them. The pack's table is built
+    from every file's entries ({!Pack.reload}); each file's intact prefix
+    is then cut at the first entry that breaks its chain (oldest not full,
+    an epoch gap) or does not resolve (its located chunks do not decode or
+    end past the pack file, or a chunk it names is located by no entry),
+    and the table rebuilt from the kept entries until nothing more is cut.
+    Finally the pack is cut to the end of the last chunk a kept entry
+    locates ({!Pack.cut}). No pack byte is read, nothing is re-encoded,
+    and directories are not decoded. *)
 
 val check :
   'a index -> Pack.t -> who:('a -> string option) -> 'a list -> string list
 (** Integrity problems of the given entries, per chain: the oldest epoch
-    full, epochs contiguous, the pack as long as each entry names, every
-    chunk present, intact by CRC and with bytes matching its key, every
-    directory well-formed and each of its records landing on a record of
-    its id inside its chunk. [who] names
-    an item's chain in the messages ([None]: no name). [[]] means
-    consistent. *)
+    full, epochs contiguous, the chunks each entry locates inside the
+    pack, every chunk present, intact by CRC and with bytes matching its
+    key, every directory well-formed and each of its records landing on a
+    record of its id inside its chunk. Every located chunk is named by the
+    entry locating it, so checking every committed entry reads every
+    chunk in the table. [who] names an item's chain in the messages
+    ([None]: no name). [[]] means consistent. *)
 
-val check_orphans : Pack.t -> Epoch_index.entry list -> string list
-(** Pack chunks no given entry references (orphans a crash between pack
-    and index append left) that fail their CRC: with {!check} over the
-    same entries, every frame in the pack is checked. *)
+val relocate :
+  Pack.t -> Epoch_index.entry list -> Epoch_index.entry list * int list list
+(** The entries re-located for a pack rewritten to hold exactly their
+    chunks, from offset 0: each chunk on the first entry that references
+    it, in first-reference order. Returns the entries and, per entry, the
+    keys it now locates — the groups {!Pack.stage_rewrite} writes. *)
 
 (** {1 Reading entries back} *)
 
@@ -141,7 +150,7 @@ type progress = {
 val progress : Pack.t -> Epoch_index.entry list -> progress
 (** One chain's progress, derived from its committed entries (oldest
     first) without reading a chunk: chunk lengths come from the pack's
-    walked frame headers. *)
+    table. *)
 
 val advance : progress -> Segment.t -> progress
 (** The progress once the segment extends the chain. *)

@@ -1,107 +1,105 @@
-(** The chunk pack: one append-only file holding every stored chunk, each
-    in a self-describing checksummed frame:
-
-    {v
-    magic   fixed32  "ICPK"
-    version byte
-    key     varint   content key ({!Ickpt_stream.Hash64})
-    len     varint   chunk length in bytes
-    body    bytes
-    crc     fixed32  CRC-32 of everything above
-    v}
+(** The chunk pack: one append-only file of bare chunk bodies, back to
+    back. The pack describes nothing itself: where each chunk lies, how
+    long it is and its CRC-32 are in the index entry that first committed
+    it ({!Epoch_index.iter_located}), so the entries are the pack's table
+    of contents.
 
     The pack keeps no chunk byte in memory: its key table is flat arrays
-    (key, frame start, body offset, body length, a CRC-checked bit) in
-    append order, behind an open-addressing int table, so resident memory
-    is O(chunks), not O(pack). Opening streams the file front to back
-    through the pack's one buffer of {!read_buffer_size} bytes, reading
-    each byte once and allocating nothing the size of the pack. Chunk
-    bytes are read back positionally ([Ickpt_core.Vfs.read_into]) into
-    the same buffer: {!read_many} reads each run of nearby frames with
-    one call.
+    (key, body offset, body length, CRC-32, a CRC-checked bit), behind an
+    open-addressing int table, so resident memory is O(chunks), not
+    O(pack). The table is filled from committed entries only — by
+    {!reload} when a store or service opens, and by {!locate} once a
+    batch's index write has returned — so the table in a session is the
+    one a reopen builds, and no entry can dedup against a chunk no
+    committed entry locates. Opening reads no pack byte. Chunk bytes are
+    read back positionally ([Ickpt_core.Vfs.read_into]) into the pack's
+    one buffer of {!read_buffer_size} bytes: {!read_many} reads each run
+    of nearby chunks with one call.
 
-    Every frame is CRC-checked once, before any of its bytes are used:
-    - on open ({!open_}), the frame headers are walked (magic, version,
-      key, length, the frame inside the file). Frames that end past the
-      [committed] length — the pack length named by the newest committed
-      index entry — are CRC-checked there and then: that is the region a
-      crash mid-append can leave torn or garbled. The first frame that
-      does not walk or fails that check truncates the file
-      ({!cut_bytes}). Frames before [committed] were synced before any
-      committed entry named them; their CRC is checked on first use;
-    - on first use: a {!read}/{!read_many}, a {!resolve} hit compared
-      against new bytes, or a {!stage_rewrite} copy — from the bytes that
-      read fetched. A mismatch there is {!Ickpt_stream.In_stream.Corrupt}
-      naming the chunk; the file is not cut, so every other chunk stays
-      readable;
-    - on {!append_batch}, after the write and sync, each new frame is
-      decoded and checked from the batch's own bytes (a self-check of the
-      encoder); it is never checked again;
-    - {!reload} checks every frame at once.
-
-    So no unchecked byte reaches a decoder, a dedup comparison, an
-    integrity check or a GC rewrite. {!chunk_len}, {!mem} and {!keys} read
-    only the table.
+    Every chunk this session did not append itself is CRC-checked against
+    its entry's CRC once, on first use, before any of its bytes are
+    used: a {!read}/{!read_many}, a
+    {!resolve} hit compared against new bytes, or a {!stage_rewrite} copy
+    — from the bytes that read fetched. A mismatch is
+    {!Ickpt_stream.In_stream.Corrupt} naming the chunk; every other chunk
+    stays readable. So no unchecked byte reaches a decoder, a dedup
+    comparison, an integrity check or a GC rewrite. {!chunk_len},
+    {!chunk_crc}, {!mem} and {!keys} read only the table.
 
     All file access goes through {!Ickpt_core.Vfs}. *)
 
 type t
 
 val read_buffer_size : int
-(** Bytes of the pack's one read buffer: {!open_} and {!reload} stream
-    the file through it, and {!read_many} reads runs of up to this many
-    bytes into it. *)
+(** Bytes of the pack's one read buffer: {!read_many} reads runs of up to
+    this many bytes into it. *)
 
-val open_ : ?vfs:Ickpt_core.Vfs.t -> ?committed:int -> string -> t
-(** Open the pack at the given path (a missing file is an empty pack,
-    created by the first append), truncating any torn tail. Frames ending
-    at or before [committed] (capped at the file size; default 0, every
-    frame) are CRC-checked on first use instead of now. *)
+val open_ : ?vfs:Ickpt_core.Vfs.t -> string -> t
+(** The pack at the given path (a missing file is an empty pack, created
+    by the first append), with an empty key table. Reads no byte of it. *)
 
-val reload : t -> unit
-(** Re-walk the file, CRC-checking every frame, and rebuild the key
-    table — used after a GC rewrite commits. *)
+val reload : t -> Epoch_index.entry list -> unit
+(** Rebuild the key table from the given entries' located chunks (the
+    first location of a key wins; a malformed entry adds what decoded
+    before the fault) and take the file's length anew. Reads no byte of
+    the pack. *)
+
+val locate : t -> checked:bool -> Epoch_index.entry -> unit
+(** Add one committed entry's located chunks to the table. [checked]
+    says their CRCs were just computed from the bytes this session
+    appended, so their reads skip the check.
+    @raise Ickpt_stream.In_stream.Corrupt if they do not decode. *)
+
+val cut : t -> committed:int -> unit
+(** Truncate the file to [committed] bytes — the end of the last chunk a
+    committed entry locates — if it is longer: the bytes past it belong
+    to no committed epoch. {!cut_bytes} tells how many went. *)
 
 val cut_bytes : t -> int
-(** Bytes the last {!open_} or {!reload} cut off a torn tail (0 when the
-    file was intact). *)
-
-val path : t -> string
+(** Bytes the last {!cut} took off (0 when the file was not longer, and
+    after a {!reload}). *)
 
 val mem : t -> int -> bool
 
 val read : t -> int -> string
 (** Chunk body by key ({!read_many} of one key).
     @raise Not_found for an unknown key.
-    @raise Ickpt_stream.In_stream.Corrupt if its frame fails its CRC. *)
+    @raise Ickpt_stream.In_stream.Corrupt if it fails its CRC. *)
 
 val read_many : t -> int array -> string array
-(** Chunk bodies by key, aligned with the keys. The frames are read in
-    file order into the pack's one buffer, one read per run of frames
+(** Chunk bodies by key, aligned with the keys. The chunks are read in
+    file order into the pack's one buffer, one read per run of chunks
     whose gaps are at most 4 KiB and that fit the buffer together; each
-    frame not yet CRC-checked is checked from those bytes.
+    chunk not yet CRC-checked is checked from those bytes.
     @raise Not_found if any key is unknown (nothing is read).
     @raise Ickpt_stream.In_stream.Corrupt naming the first chunk, in file
-    order, whose frame fails its CRC, or if the file no longer holds a
-    frame the table names. *)
+    order, that fails its CRC, or if the file no longer holds a chunk the
+    table names. *)
 
 val chunk_len : t -> int -> int
 (** Body length by key. @raise Not_found for an unknown key. *)
 
+val chunk_crc : t -> int -> int
+(** CRC-32 of the body, as its entry recorded it.
+    @raise Not_found for an unknown key. *)
+
 val keys : t -> int list
-(** Every stored key, in append order. *)
+(** Every located key, in the order the entries located them. *)
 
 val length : t -> int
-(** Number of stored chunks. *)
+(** Number of located chunks. *)
 
 val physical_bytes : t -> int
-(** Bytes of intact frames on disk (frame overhead included). *)
+(** The file's length, as of the last open, reload, cut or append. *)
 
-val append_batch : t -> (int * string) list -> int
-(** Append the given [(key, body)] chunks in one writer session and sync;
-    they are durable when this returns. Keys already present are a
-    programming error ({!Invalid_argument}). Returns the number of bytes
-    appended. The empty batch performs no I/O. *)
+val append : t -> string list -> int
+(** Append the given bodies in one write and sync; they are durable when
+    this returns. Returns the offset the first one starts at: the file's
+    length before the write, read from the file (not from the table), so
+    a write that landed but whose sync raised moves later batches on. The
+    table is not touched: the caller {!locate}s the entry naming the
+    bodies once that entry is committed. The empty batch writes
+    nothing. *)
 
 type resolution =
   | Dup of int  (** byte-identical chunk already stored, or earlier in the batch *)
@@ -120,17 +118,16 @@ val resolve : t -> (int * string) list -> resolution list
     batch's content-key hits come from one {!read_many}. A [Fresh] chunk
     counts as stored for the rest of the batch, so a later copy of it is a
     [Dup]. Does not write.
-    @raise Ickpt_stream.In_stream.Corrupt if a hit's frame fails its CRC.
+    @raise Ickpt_stream.In_stream.Corrupt if a hit fails its CRC.
     @raise Failure if all [1 + ]{!Chunk.max_salt_attempts} keys collide
     (cryptographically unreachable). *)
 
-val stage_rewrite : t -> keep:(int -> bool) -> string * int
-(** Write a pack containing only the kept chunks (in their original order)
-    to the staging path ({!Ickpt_core.Vfs.temp_of}), sync it, and
-    return that path and its length. The kept frames are read as
-    {!read_many} reads them, one call per run, and written one frame per
-    write.
-    @raise Ickpt_stream.In_stream.Corrupt if a kept chunk fails its CRC
-    (nothing is renamed). The live pack and its key table are not touched;
-    the caller commits by renaming the staged file over {!path} and
-    calling {!reload}. *)
+val stage_rewrite : t -> int list list -> string
+(** Write the bodies of the given keys, group after group and in order
+    within each, to the staging path ({!Ickpt_core.Vfs.temp_of}), one
+    write per body, sync it, and return that path. Each
+    group is read as one {!read_many}.
+    @raise Ickpt_stream.In_stream.Corrupt if a chunk fails its CRC
+    (nothing is renamed). The live pack and its key table are not
+    touched; the caller commits by renaming the staged file over the
+    pack and calling {!reload}. *)

@@ -41,23 +41,27 @@ let open_ ?(vfs = Vfs.real) ?(records_per_chunk = Chunk.default_records_per_chun
   if records_per_chunk < 1 then invalid_arg "Store.open_: records_per_chunk";
   let pack_file = pack_path root and index_file = index_path root in
   (* The index is read first: an older format is refused before anything
-     is swept or cut, and its entries name the pack prefix a crash cannot
-     have left torn. *)
+     is swept or cut, and its entries locate every committed chunk. *)
   let loaded =
     try Epochs.load Epochs.plain vfs index_file
     with Epoch_index.Unsupported_version msg -> raise (Error msg)
   in
-  (* Staged GC temps hold no committed data; a crash before the commit
-     rename leaves them behind, and reopen is where they get swept. *)
-  List.iter
-    (fun p ->
-      let tmp = Vfs.temp_of p in
-      if vfs.Vfs.exists tmp then vfs.Vfs.remove tmp)
-    [ pack_file; index_file ];
-  let pack =
-    Pack.open_ ~vfs ~committed:(Epochs.committed_pack_len loaded) pack_file
+  (* A gc stages the index, then the pack, and commits by renaming the
+     index over the live one, then the pack. A staged index means the gc
+     did not commit: both temps are dropped, the pack's first, so that a
+     crash in between cannot leave a staged pack alone. A staged pack
+     alone means the new index is live: the gc is finished. *)
+  let pack_tmp = Vfs.temp_of pack_file and index_tmp = Vfs.temp_of index_file in
+  if vfs.Vfs.exists index_tmp then begin
+    if vfs.Vfs.exists pack_tmp then vfs.Vfs.remove pack_tmp;
+    vfs.Vfs.remove index_tmp
+  end
+  else if vfs.Vfs.exists pack_tmp then
+    vfs.Vfs.rename ~src:pack_tmp ~dst:pack_file;
+  let pack = Pack.open_ ~vfs pack_file in
+  let entries, index_bytes =
+    List.hd (Epochs.recover Epochs.plain vfs pack [ loaded ])
   in
-  let entries, index_bytes = Epochs.recover Epochs.plain vfs loaded pack in
   { vfs;
     root;
     schema;
@@ -238,26 +242,19 @@ let gc t ~retain =
       else begin
         let old_bytes = Pack.physical_bytes t.pack in
         let pack_file = pack_path t.root and index_file = index_path t.root in
-        let pack_tmp, pack_len =
-          Pack.stage_rewrite t.pack ~keep:(Hashtbl.mem kept_keys)
-        in
-        (* Every kept entry names the rewritten pack's length: an old,
-           larger one would have a later reopen trust frames past it
-           unchecked, where an unsynced append may have left a torn tail. *)
-        let kept =
-          List.map (fun (e : Epoch_index.entry) -> { e with pack_len }) kept
-        in
+        (* The rewritten pack holds the kept chunks in first-reference
+           order, each located on the first kept entry naming it. *)
+        let kept, groups = Epochs.relocate t.pack kept in
+        (* Commit order matters. The index is staged first and renamed
+           first: its rename is the commit point, and a staged pack alone
+           tells the next open to finish the gc (see [open_]). *)
         let idx_tmp, index_bytes =
           Epoch_index.write_staged t.vfs ~path:index_file kept
         in
-        (* Commit order matters: the index first. Until the pack rename the
-           pack is the OLD one — a superset of the new — so whichever index
-           a crash leaves current, its chunks resolve. Renaming the pack
-           first would let a crash strand the old index pointing at dropped
-           chunks. *)
+        let pack_tmp = Pack.stage_rewrite t.pack groups in
         t.vfs.Vfs.rename ~src:idx_tmp ~dst:index_file;
         t.vfs.Vfs.rename ~src:pack_tmp ~dst:pack_file;
-        Pack.reload t.pack;
+        Pack.reload t.pack kept;
         t.entries <- kept;
         t.index_bytes <- index_bytes;
         { dropped_epochs;
@@ -300,14 +297,4 @@ let salted_chunks t =
         find 1)
     (Pack.keys t.pack)
 
-let check t =
-  Epochs.check Epochs.plain t.pack ~who:(fun _ -> None) t.entries
-  @ Epochs.check_orphans t.pack t.entries
-  @ List.filter_map
-      (fun (k, n) ->
-        if n < 0 then
-          Some
-            (Printf.sprintf "chunk %s has negative refcount"
-               (Ickpt_stream.Hash64.to_hex k))
-        else None)
-      (refcounts t)
+let check t = Epochs.check Epochs.plain t.pack ~who:(fun _ -> None) t.entries

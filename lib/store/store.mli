@@ -17,17 +17,20 @@
     service, [Ickpt_service.Service], amortizes the two syncs over a group
     of epochs instead).
 
-    A crash between the two leaves orphaned chunks (space, not
-    correctness — the next {!gc} reclaims them); a crash inside either
-    append leaves a torn tail that reopening truncates. So after a crash
+    The index entry locates the chunks the epoch is the first to
+    reference, so the pack holds bare bodies and reopening reads no pack
+    byte. A crash between the two appends leaves pack bytes past the
+    committed length, and a crash inside either append a torn tail;
+    reopening truncates both. So after a crash
     at {e any} byte of {e any} operation the store reopens to a committed
     epoch prefix — the extension of invariant I7 exercised by the
     [Ickpt_faultsim.Store_sim] workload of [Ickpt_faultsim.Sweep].
 
-    {!gc} rewrites both files through staged temps and commits by renaming
-    the {e index first}: every chunk referenced by the old index is also in
-    the old pack (a superset of the new one), so whichever index is current
-    after a crash, its chunks resolve.
+    {!gc} rewrites both files through staged temps — the index, then the
+    pack — and commits by renaming the {e index first}. A crash before
+    that rename leaves the old files and a staged index, which reopening
+    drops; a crash after it leaves the staged pack alone, which reopening
+    renames into place, finishing the gc.
 
     Chunk keys are 63-bit content hashes; a key hit during dedup is
     verified byte-for-byte against the stored chunk, so a hash collision
@@ -52,10 +55,10 @@ type t
 
 exception Error of string
 (** Semantic store failure: out-of-order epoch, baseless incremental,
-    unknown epoch, an index in an older format version. Frame-level
-    corruption in a torn tail is {e not} an exception — it is truncated
-    away on open; a committed pack frame that fails its CRC is
-    [Ickpt_stream.In_stream.Corrupt] when first read ({!Pack}). *)
+    unknown epoch, an index in an older format version. A torn tail is
+    {e not} an exception — it is truncated away on open; a committed
+    chunk that fails its CRC is [Ickpt_stream.In_stream.Corrupt] when
+    first read ({!Pack}). *)
 
 val pack_path : string -> string
 val index_path : string -> string
@@ -67,14 +70,14 @@ val open_ :
     (default [Incremental_after_base]) decides the kind of each
     {!checkpoint}; the epoch it expects and its incremental bytes since
     the newest full are derived from the committed entries, reading no
-    chunk, so a reopened store continues its chain. The index is
-    read first; then stale staged temps from a crashed {!gc} are swept,
-    the pack opened with the CRC of every frame past the newest committed
-    entry's pack length checked (the rest on first read), torn file tails
-    truncated, and the index validated against the pack — entries from
-    the first inconsistency onwards are dropped (defensively;
-    crash-consistent use never produces them). Directories are not
-    decoded.
+    chunk, so a reopened store continues its chain. The index is read
+    first; then a crashed {!gc} is finished or its staged temps dropped,
+    the pack's key table built from the index entries ({!Epochs.recover}:
+    no pack byte is read; every chunk is CRC-checked on first read), the
+    index validated against it — entries from the first inconsistency
+    onwards are dropped (defensively; crash-consistent use never produces
+    them) — and both files truncated to what the kept entries commit.
+    Directories are not decoded.
     @raise Error if the index is in an older format version; nothing is
     swept, cut or written then. *)
 
@@ -188,9 +191,8 @@ val gc : t -> retain:retention -> gc_stats
     index renamed before pack). *)
 
 val refcounts : t -> (int * int) list
-(** [(chunk key, number of referencing epochs)], every stored chunk
-    included — orphans (from a crash between pack and index append) have
-    count 0. *)
+(** [(chunk key, number of references by committed epochs)], every
+    located chunk included. *)
 
 type stats = {
   n_epochs : int;
@@ -199,15 +201,15 @@ type stats = {
   physical_bytes : int;  (** pack + index file bytes *)
   dedup_ratio : float;  (** logical over pack bytes; 1.0 when empty *)
   pack_cut_bytes : int;
-      (** bytes of torn tail cut off the pack when it was opened (or last
-          reloaded by {!gc}); 0 when it was intact *)
+      (** bytes cut off the pack past the committed length when it was
+          opened; 0 when there were none, and after a {!gc} *)
 }
 
 val stats : t -> stats
 
 val check : t -> string list
 (** Integrity check; [[]] means consistent. Verifies epoch contiguity,
-    oldest-epoch-is-full, every entry's pack length within the pack, every
-    referenced chunk present with matching content hash, every directory
-    well-formed with its records in range, every pack frame (orphans too)
-    intact by CRC, and refcount consistency. *)
+    oldest-epoch-is-full, every entry's located chunks within the pack,
+    every referenced chunk present, intact by CRC and with matching
+    content hash, and every directory well-formed with its records in
+    range. *)

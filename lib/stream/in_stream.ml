@@ -13,6 +13,8 @@ let of_string_at data ~pos =
 
 let pos t = t.pos
 
+let source t = t.data
+
 let remaining t = String.length t.data - t.pos
 
 let at_end t = t.pos >= String.length t.data

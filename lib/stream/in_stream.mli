@@ -13,6 +13,9 @@ val of_string_at : string -> pos:int -> t
 
 val pos : t -> int
 
+val source : t -> string
+(** The string being read, whole. *)
+
 val remaining : t -> int
 
 val at_end : t -> bool

@@ -110,7 +110,8 @@ let sample_entry i =
     kind = (if i = 0 then Segment.Full else Segment.Incremental);
     roots = [ 0; i ];
     chunks = [ 111 + i; 222 + i ];
-    pack_len = 100 * i;
+    at = 100 * i;
+    located = Epoch_index.code_located [ (1, 10 + i, i) ];
     dir = Epoch_index.code_dir [ [ (0, 0) ]; [ (i + 1, 7 * i) ] ] }
 
 let mux_roundtrip () =
@@ -380,6 +381,27 @@ let policy_rejected () =
 (* ------------------------------------------------------------------ *)
 (* Salted rehash on hash collision.                                    *)
 
+(* Poison a pack the way a 63-bit collision would have: a committed full
+   epoch 0 of chain [chain] in the index [idx] names [key] over bytes that
+   are not its content. *)
+let seed_poison ?(chain = 0) index vfs ~pack ~idx key =
+  ignore
+    (Epochs.commit index vfs ~path:idx (Pack.open_ ~vfs pack)
+       [ { Epochs.chain;
+           kind = Segment.Full;
+           epoch = 0;
+           roots = [];
+           chunks = [ { Chunk.key; data = "poison"; records = [] } ] } ]
+      : _ Epochs.committed)
+
+let poisoner = Service.tenant_id "poisoner"
+
+(* [check]'s findings are exactly the seeded epoch's poisoned chunk. *)
+let only_poison problems =
+  match problems with
+  | [ p ] -> Test_store.contains p "content does not match its key"
+  | _ -> false
+
 let store_salted_collision () =
   let vfs = fresh_vfs () in
   let w = make_world ~offset:0 in
@@ -388,20 +410,21 @@ let store_salted_collision () =
   let body = full_body w.roots in
   let chunks = Chunk.split ~records_per_chunk:4 w.schema body in
   let c0 = List.hd chunks in
-  let pack = Pack.open_ ~vfs (Store.pack_path "s") in
-  ignore (Pack.append_batch pack [ (c0.Chunk.key, "not the real bytes") ] : int);
+  seed_poison Epochs.plain vfs ~pack:(Store.pack_path "s")
+    ~idx:(Store.index_path "s") c0.Chunk.key;
   let store = Store.open_ ~vfs ~records_per_chunk:4 w.schema ~path:"s" in
   let chain = Chain.create w.schema in
   let taken = Chain.take_full chain w.roots in
-  let st = Store.append_segment store taken.Chain.segment in
+  let st = Store.append_segment store { taken.Chain.segment with seq = 1 } in
   check_bool "append survived the collision" true (st.Store.chunks_salted >= 1);
-  let _heap, roots = Store.restore store ~epoch:0 in
+  let _heap, roots = Store.restore store ~epoch:1 in
   check_bool "restore is byte-identical despite the salted chunk" true
     (String.equal (full_body roots) body);
-  check_bool "store checks clean" true (Store.check store = []);
+  check_bool "store checks clean but for the seeded epoch" true
+    (only_poison (Store.check store));
   (match Store.collisions store with
   | [ c ] ->
-      check_int "collision epoch" 0 c.Store.col_epoch;
+      check_int "collision epoch" 1 c.Store.col_epoch;
       check_bool "content key is the poisoned one" true
         (c.Store.col_content_key = c0.Chunk.key);
       check_int "first salt rung" 1 c.Store.col_attempt;
@@ -413,8 +436,8 @@ let store_salted_collision () =
     (Store.salted_chunks store
     = [ (Chunk.salted_key c0.Chunk.data ~attempt:1, 1) ]);
   let store2 = Store.open_ ~vfs ~records_per_chunk:4 w.schema ~path:"s" in
-  check_bool "reopen keeps the epoch" true (Store.epochs store2 = [ 0 ]);
-  let _heap, roots2 = Store.restore store2 ~epoch:0 in
+  check_bool "reopen keeps the epochs" true (Store.epochs store2 = [ 0; 1 ]);
+  let _heap, roots2 = Store.restore store2 ~epoch:1 in
   check_bool "reopen restores identically" true
     (String.equal (full_body roots2) body)
 
@@ -424,8 +447,9 @@ let service_salted_collision () =
   let body = full_body w.roots in
   let chunks = Chunk.split ~records_per_chunk:4 w.schema body in
   let c0 = List.hd chunks in
-  let pack = Pack.open_ ~vfs (Service.pack_path "svc") in
-  ignore (Pack.append_batch pack [ (c0.Chunk.key, "poison") ] : int);
+  seed_poison Epochs.mux ~chain:poisoner vfs ~pack:(Service.pack_path "svc")
+    ~idx:(Service.shard_index_path "svc" (Shard.of_id ~shards:2 poisoner))
+    c0.Chunk.key;
   let svc = Service.open_ ~vfs ~shards:2 ~records_per_chunk:4 ~path:"svc" () in
   let tn = Service.open_tenant svc w.schema ~name:"victim" in
   ignore (Service.checkpoint tn w.roots : int);
@@ -436,8 +460,26 @@ let service_salted_collision () =
   let _heap, roots = Service.restore tn ~epoch:0 in
   check_bool "tenant restore unaffected" true
     (String.equal (full_body roots) body);
-  check_bool "service checks clean" true (Service.check svc = []);
+  check_bool "service checks clean but for the seeded epoch" true
+    (only_poison (Service.check svc));
   Service.close svc
+
+(* A vfs counting the bytes read from files ending in [suffix], whole or
+   positionally. *)
+let counting_vfs inner ~suffix =
+  let read = ref 0 in
+  let count path n = if String.ends_with ~suffix path then read := !read + n in
+  ( { inner with
+      Vfs.read_file =
+        (fun p ->
+          let d = inner.Vfs.read_file p in
+          count p (String.length d);
+          d);
+      read_into =
+        (fun p ~pos buf ~off ~len ->
+          count p len;
+          inner.Vfs.read_into p ~pos buf ~off ~len) },
+    read )
 
 (* An ordinary write error (disk full, EIO): the op fails, the machine
    keeps running. *)
@@ -456,6 +498,27 @@ let breakable_vfs inner =
       open_trunc = (fun p -> wrap (inner.Vfs.open_trunc p)) },
     broken )
 
+(* A vfs whose next [op] ("write" or "sync") on a file ending in [suffix]
+   raises [Io_error] instead, once, after the returned flag is set. A
+   failed sync leaves the bytes its write appended in the file, as a
+   flush that fails after [close_out] wrote the buffer anyway does. *)
+let fail_once inner ~suffix ~op =
+  let armed = ref false in
+  let wrap path (w : Vfs.writer) =
+    let guard kind f x =
+      if !armed && kind = op && String.ends_with ~suffix path then begin
+        armed := false;
+        raise Io_error
+      end
+      else f x
+    in
+    { w with Vfs.write = guard "write" w.Vfs.write; sync = guard "sync" w.Vfs.sync }
+  in
+  ( { inner with
+      Vfs.open_append = (fun p -> wrap p (inner.Vfs.open_append p));
+      open_trunc = (fun p -> wrap p (inner.Vfs.open_trunc p)) },
+    armed )
+
 (* A collision belongs to an epoch only once that epoch commits: a failed
    append (and its retries) must not report one. *)
 let store_collision_after_commit () =
@@ -464,23 +527,26 @@ let store_collision_after_commit () =
   let c0 =
     List.hd (Chunk.split ~records_per_chunk:4 w.schema (full_body w.roots))
   in
-  let pack = Pack.open_ ~vfs:inner (Store.pack_path "s") in
-  ignore (Pack.append_batch pack [ (c0.Chunk.key, "poison") ] : int);
+  seed_poison Epochs.plain inner ~pack:(Store.pack_path "s")
+    ~idx:(Store.index_path "s") c0.Chunk.key;
   let vfs, broken = breakable_vfs inner in
   let store = Store.open_ ~vfs ~records_per_chunk:4 w.schema ~path:"s" in
-  let seg = (Chain.take_full (Chain.create w.schema) w.roots).Chain.segment in
+  let seg =
+    { (Chain.take_full (Chain.create w.schema) w.roots).Chain.segment with
+      seq = 1 }
+  in
   broken := true;
   for _ = 1 to 2 do
     match Store.append_segment store seg with
     | _ -> Alcotest.fail "append on a failing disk succeeded"
     | exception Io_error ->
-        check_bool "no epoch committed" true (Store.epochs store = []);
+        check_bool "no epoch committed" true (Store.epochs store = [ 0 ]);
         check_int "no collision reported" 0
           (List.length (Store.collisions store))
   done;
   broken := false;
   ignore (Store.append_segment store seg : Store.append_stats);
-  check_bool "epoch committed" true (Store.epochs store = [ 0 ]);
+  check_bool "epoch committed" true (Store.epochs store = [ 0; 1 ]);
   check_int "exactly one collision" 1 (List.length (Store.collisions store))
 
 (* The same segments through a Store and a one-shard per-epoch Service
@@ -491,16 +557,11 @@ let store_service_stage_alike () =
   let c0 =
     List.hd (Chunk.split ~records_per_chunk:4 w.schema (full_body w.roots))
   in
-  let seeded pack_file =
-    let vfs = fresh_vfs () in
-    ignore
-      (Pack.append_batch (Pack.open_ ~vfs pack_file)
-         [ (c0.Chunk.key, "poison") ]
-        : int);
-    vfs
-  in
-  let svfs = seeded (Store.pack_path "s")
-  and vvfs = seeded (Service.pack_path "svc") in
+  let svfs = fresh_vfs () and vvfs = fresh_vfs () in
+  seed_poison Epochs.plain svfs ~pack:(Store.pack_path "s")
+    ~idx:(Store.index_path "s") c0.Chunk.key;
+  seed_poison Epochs.mux ~chain:poisoner vvfs ~pack:(Service.pack_path "svc")
+    ~idx:(Service.shard_index_path "svc" 0) c0.Chunk.key;
   let store = Store.open_ ~vfs:svfs ~records_per_chunk:4 w.schema ~path:"s" in
   let svc =
     Service.open_ ~vfs:vvfs ~shards:1 ~records_per_chunk:4
@@ -514,9 +575,10 @@ let store_service_stage_alike () =
       if r mod 5 = 0 then Chain.take_full chain w.roots
       else Chain.take_incremental chain w.roots
     in
-    ignore
-      (Store.append_segment store taken.Chain.segment : Store.append_stats);
-    ignore (Service.append tn taken.Chain.segment : int)
+    (* Epoch 0 is the seeded one. *)
+    let seg = { taken.Chain.segment with seq = r + 1 } in
+    ignore (Store.append_segment store seg : Store.append_stats);
+    ignore (Service.append tn seg : int)
   done;
   check_int "store: one collision" 1 (List.length (Store.collisions store));
   check_int "service: one collision" 1 (List.length (Service.collisions svc));
@@ -527,7 +589,7 @@ let store_service_stage_alike () =
     (vvfs.Vfs.read_file (Service.pack_path "svc"));
   let entries, _ = Epoch_index.load svfs (Store.index_path "s") in
   let muxes, _ = Epoch_index.load_mux vvfs (Service.shard_index_path "svc" 0) in
-  check_int "13 epochs" 13 (List.length entries);
+  check_int "the seeded epoch and 13 more" 14 (List.length entries);
   check_bool "index entries equal" true
     (List.map Test_store.entry_view entries
     = List.map
@@ -785,6 +847,7 @@ let reopen_rejections () =
   in
   let alice = last_of "alice" and bob = last_of "bob" in
   let pack = Pack.open_ ~vfs (Service.pack_path path) in
+  Pack.reload pack (List.map (fun (m : Epoch_index.mux_entry) -> m.m_entry) muxes);
   let bad =
     Test_store.rejected_entries ~pack_bytes:(Pack.physical_bytes pack)
       alice.m_entry
@@ -841,7 +904,7 @@ let reopen_rejections () =
   Service.close svc
 
 (* ------------------------------------------------------------------ *)
-(* Index v2: a version-1 service is refused untouched; random mutations
+(* Index v3: an older-version service is refused untouched; random mutations
    of any service file (shard index, pack, catalog, meta) raise typed
    errors only, and what restores is what was committed.              *)
 
@@ -875,29 +938,30 @@ let fuzz_service_files () =
   in
   (List.map (fun p -> (p, vfs.Vfs.read_file p)) files, bodies)
 
-let service_index_v1_rejected () =
+let service_index_version_rejected ~version () =
   let files, _ = fuzz_service_files () in
   let vfs = Sim.vfs (Sim.seeded files) in
   let shard = Service.shard_index_path "svc" 0 in
   let muxes, _ = Epoch_index.load_mux vfs shard in
-  let v1 =
+  let old =
     String.concat ""
       (List.map
          (fun (m : Epoch_index.mux_entry) ->
-           Test_store.v1_entry ~tenant:m.m_tenant m.m_entry)
+           Test_store.old_entry ~version ~tenant:m.m_tenant m.m_entry)
          muxes)
   in
   let w = vfs.Vfs.open_trunc shard in
-  w.Vfs.write v1;
+  w.Vfs.write old;
   w.Vfs.sync ();
   w.Vfs.close ();
   Test_store.append_bytes vfs (Service.pack_path "svc") "ICPK\001torn";
   let before = List.map (fun (p, _) -> (p, vfs.Vfs.read_file p)) files in
+  let named = Printf.sprintf "version %d" version in
   (match Service.open_ ~vfs ~path:"svc" () with
-  | _ -> Alcotest.fail "opened a version-1 shard index"
+  | _ -> Alcotest.failf "opened a version-%d shard index" version
   | exception Service.Error msg ->
-      if not (Test_store.contains msg "version 1") then
-        Alcotest.failf "error %S does not name version 1" msg);
+      if not (Test_store.contains msg named) then
+        Alcotest.failf "error %S does not name %s" msg named);
   List.iter
     (fun (p, d) ->
       Alcotest.(check string) (p ^ " byte-identical") d (vfs.Vfs.read_file p))
@@ -954,9 +1018,9 @@ let fuzz_service =
       true)
 
 (* [ickpt_store inspect] on a service: open it once, attribute from the
-   open service, check it. A torn pack tail is cut by that one open's
-   recovery, so the attribution and the check match the clean service's,
-   and the pack file is read exactly once. *)
+   open service, check it. Bytes appended to the pack past the committed
+   length are cut by that one open's recovery, so the attribution and the
+   check match the clean service's, and the open reads no pack byte. *)
 let inspect_torn_pack () =
   let path = "svc" in
   let vfs = fresh_vfs () in
@@ -978,51 +1042,165 @@ let inspect_torn_pack () =
       (pack :: Service.meta_path path :: Service.catalog_path path
        :: List.init 2 (Service.shard_index_path path))
   in
-  (* Opening reads the pack once, front to back, through positional reads
-     ([read_into]): never whole, and no byte twice. *)
   let inspect files =
-    let whole = ref 0 and spans = ref [] in
-    let vfs = Sim.vfs (Sim.seeded files) in
-    let vfs =
-      { vfs with
-        Vfs.read_file =
-          (fun f ->
-            if f = pack then incr whole;
-            vfs.Vfs.read_file f);
-        read_into =
-          (fun f ~pos buf ~off ~len ->
-            if f = pack then spans := (pos, len) :: !spans;
-            vfs.Vfs.read_into f ~pos buf ~off ~len) }
-    in
+    let vfs, read = counting_vfs (Sim.vfs (Sim.seeded files)) ~suffix:".pack" in
     let svc = Service.open_ ~vfs ~path () in
-    let walked =
-      List.fold_left
-        (fun at (pos, len) -> if pos = at then at + len else -1)
-        0 (List.rev !spans)
-    in
+    let read_at_open = !read in
     let rows = Attrib.rows svc in
     let problems = Service.check svc in
     let cut = (Service.stats svc).Service.pack_cut_bytes in
     Service.close svc;
-    (rows, problems, (!whole, walked), cut)
+    (rows, problems, read_at_open, cut)
   in
-  let pack_len files = String.length (List.assoc pack files) in
-  let rows, problems, reads, cut = inspect files in
+  let rows, problems, read, cut = inspect files in
   check_int "three rows" 3 (List.length rows);
   check_bool "clean service consistent" true (problems = []);
-  check_bool "clean pack walked once, never read whole" true
-    (reads = (0, pack_len files));
+  check_int "open reads no byte of a clean pack" 0 read;
   check_int "nothing cut off a clean pack" 0 cut;
   let torn =
     (pack, List.assoc pack files ^ String.make 12 '\x5a')
     :: List.remove_assoc pack files
   in
-  let rows', problems', reads', cut' = inspect torn in
+  let rows', problems', read', cut' = inspect torn in
   check_bool "same rows as on the clean service" true (rows' = rows);
   check_bool "same check as on the clean service" true (problems' = problems);
-  check_bool "torn pack walked once, never read whole" true
-    (reads' = (0, pack_len torn));
+  check_int "open reads no byte of a torn pack" 0 read';
   check_int "torn tail cut and reported" 12 cut'
+
+(* Reopening a store or a service reads no pack byte: the entries locate
+   every chunk. Bytes appended past the committed length are cut exactly
+   and reported. *)
+let reopen_reads_no_pack_byte () =
+  let w = make_world ~offset:0 in
+  let inner = fresh_vfs () in
+  let store = Store.open_ ~vfs:inner ~records_per_chunk:4 w.schema ~path:"s" in
+  let svc =
+    Service.open_ ~vfs:inner ~shards:2 ~records_per_chunk:4 ~path:"svc" ()
+  in
+  let tns =
+    List.map
+      (fun name -> Service.open_tenant svc w.schema ~name)
+      [ "alice"; "bob"; "carol" ]
+  in
+  for r = 0 to 19 do
+    if r > 0 then w.mutate r;
+    ignore (Store.checkpoint store w.roots : int);
+    List.iter (fun tn -> ignore (Service.checkpoint tn w.roots : int)) tns
+  done;
+  Service.close svc;
+  let vfs, read = counting_vfs inner ~suffix:".pack" in
+  let reopen () =
+    read := 0;
+    let store = Store.open_ ~vfs w.schema ~path:"s" in
+    check_int "Store.open_ reads no pack byte" 0 !read;
+    check_int "20 epochs" 20 (List.length (Store.epochs store));
+    let svc = Service.open_ ~vfs ~path:"svc" () in
+    check_int "Service.open_ reads no pack byte" 0 !read;
+    (store, svc)
+  in
+  let packs = [ Store.pack_path "s"; Service.pack_path "svc" ] in
+  let committed = List.map inner.Vfs.read_file packs in
+  ignore (reopen () : Store.t * Service.t);
+  List.iter (fun p -> Test_store.append_bytes inner p "past the end") packs;
+  let store, svc = reopen () in
+  check_int "store: cut reported" 12 (Store.stats store).Store.pack_cut_bytes;
+  check_int "service: cut reported" 12 (Service.stats svc).Service.pack_cut_bytes;
+  List.iter2
+    (fun p d -> Alcotest.(check string) (p ^ " cut exactly") d (inner.Vfs.read_file p))
+    packs committed;
+  check_bool "store consistent" true (Store.check store = []);
+  check_bool "service consistent" true (Service.check svc = []);
+  Service.close svc
+
+(* A pack write that lands but whose sync raises: the next batch starts
+   where the file ends, not where the failed batch started, so every chunk
+   is located where its bytes are. The re-appended epoch restores as the
+   live heap in session and after a reopen, through a store and through
+   the shared pack of a service. *)
+let failed_pack_sync () =
+  let w = make_world ~offset:0 in
+  let inner = fresh_vfs () in
+  let vfs, armed = fail_once inner ~suffix:".pack" ~op:"sync" in
+  let store = Store.open_ ~vfs ~records_per_chunk:4 w.schema ~path:"s" in
+  let svc = Service.open_ ~vfs ~shards:2 ~records_per_chunk:4 ~path:"svc" () in
+  let tn = Service.open_tenant svc w.schema ~name:"alice" in
+  let fails f =
+    armed := true;
+    match f () with
+    | _ -> Alcotest.fail "a failed pack sync committed"
+    | exception Io_error -> ()
+  in
+  fails (fun () -> Store.checkpoint store w.roots);
+  fails (fun () -> Service.checkpoint tn w.roots);
+  check_bool "store: nothing committed" true (Store.epochs store = []);
+  (* The tenant resumes from its committed entries: none. *)
+  Service.evict svc ~name:"alice";
+  let tn = Service.open_tenant svc w.schema ~name:"alice" in
+  check_bool "service: nothing committed" true (Service.epochs tn = []);
+  w.mutate 1;
+  let live = full_body w.roots in
+  check_int "store: epoch 0 again" 0 (Store.checkpoint store w.roots);
+  check_int "service: epoch 0 again" 0 (Service.checkpoint tn w.roots);
+  let agrees name (_, roots) =
+    Alcotest.(check string) (name ^ " restores the live heap") live
+      (full_body roots)
+  in
+  agrees "store" (Store.restore store ~epoch:0);
+  agrees "service" (Service.restore tn ~epoch:0);
+  check_bool "store consistent" true (Store.check store = []);
+  check_bool "service consistent" true (Service.check svc = []);
+  Service.close svc;
+  let store = Store.open_ ~vfs:inner w.schema ~path:"s" in
+  let svc = Service.open_ ~vfs:inner ~path:"svc" () in
+  agrees "reopened store" (Store.restore store ~epoch:0);
+  agrees "reopened service"
+    (Service.restore (Service.open_tenant svc w.schema ~name:"alice") ~epoch:0);
+  Service.close svc
+
+(* The pack syncs but the index write raises; the disk heals; another
+   tenant commits an epoch whose chunks are the failed batch's. Those
+   chunks were located by no committed entry, so that epoch must carry
+   them itself: after a reopen every committed epoch restores and the
+   service checks clean. *)
+let failed_index_write () =
+  let inner = fresh_vfs () in
+  let vfs, armed = fail_once inner ~suffix:".idx" ~op:"write" in
+  let svc =
+    Service.open_ ~vfs ~shards:2 ~records_per_chunk:4
+      ~policy:Policy.Always_full ~path:"svc" ()
+  in
+  let alice_w = make_world ~offset:0 and bob_w = make_world ~offset:0 in
+  let alice = Service.open_tenant svc alice_w.schema ~name:"alice" in
+  let bob = Service.open_tenant svc bob_w.schema ~name:"bob" in
+  ignore (Service.checkpoint alice alice_w.roots : int);
+  let alice0 = full_body alice_w.roots in
+  alice_w.mutate 1;
+  armed := true;
+  (match Service.checkpoint alice alice_w.roots with
+  | _ -> Alcotest.fail "a failed index write committed"
+  | exception Io_error -> ());
+  bob_w.mutate 1;
+  ignore (Service.checkpoint bob bob_w.roots : int);
+  let bob0 = full_body bob_w.roots in
+  Alcotest.(check string)
+    "bob's epoch 0 is alice's failed epoch 1, chunk for chunk"
+    (full_body alice_w.roots) bob0;
+  let committed = [ ("alice", alice_w, alice0); ("bob", bob_w, bob0) ] in
+  let restores svc =
+    List.iter
+      (fun (name, (w : world), body) ->
+        let tn = Service.open_tenant svc w.schema ~name in
+        check_bool (name ^ ": epoch 0 committed") true (Service.epochs tn = [ 0 ]);
+        Alcotest.(check string) (name ^ ": epoch 0 restores") body
+          (full_body (snd (Service.restore tn ~epoch:0))))
+      committed;
+    check_bool "consistent" true (Service.check svc = [])
+  in
+  restores svc;
+  Service.close svc;
+  let svc = Service.open_ ~vfs:inner ~path:"svc" () in
+  restores svc;
+  Service.close svc
 
 let suites =
   [ ( "service.shard",
@@ -1030,8 +1208,10 @@ let suites =
         Alcotest.test_case "mux index roundtrip" `Quick mux_roundtrip;
         Alcotest.test_case "reopen rejections" `Quick reopen_rejections;
         Alcotest.test_case "index version 1 rejected" `Quick
-          service_index_v1_rejected;
-        QCheck_alcotest.to_alcotest fuzz_service ] );
+          (service_index_version_rejected ~version:1);
+        QCheck_alcotest.to_alcotest fuzz_service;
+        Alcotest.test_case "index version 2 rejected" `Quick
+          (service_index_version_rejected ~version:2) ] );
     ( "service.core",
       [ Alcotest.test_case "basics + dedup + resume" `Quick service_basics;
         Alcotest.test_case "group commit fsyncs" `Quick group_commit_fsyncs;
@@ -1041,7 +1221,11 @@ let suites =
         Alcotest.test_case "append misuse" `Quick append_misuse;
         Alcotest.test_case "resume equivalence" `Quick resume_equivalence;
         Alcotest.test_case "inspect cuts a torn pack" `Quick
-          inspect_torn_pack ] );
+          inspect_torn_pack;
+        Alcotest.test_case "reopen reads no pack byte" `Quick
+          reopen_reads_no_pack_byte;
+        Alcotest.test_case "failed pack sync" `Quick failed_pack_sync;
+        Alcotest.test_case "failed index write" `Quick failed_index_write ] );
     ( "service.collision",
       [ Alcotest.test_case "store salted rehash" `Quick store_salted_collision;
         Alcotest.test_case "service surfaces collision" `Quick

@@ -33,10 +33,37 @@ let dir_of_triples ~nchunks triples =
            (fun (id, c', off) -> if c' = c then Some (id, off) else None)
            triples))
 
-(* Entries compare by their fields and decoded directories: a decoded
-   directory is a slice of whatever string it was read from. *)
+(* An entry's located chunks as [(key, pos, len, crc)]. *)
+let located_list (e : Epoch_index.entry) =
+  let l = ref [] in
+  Epoch_index.iter_located e (fun k ~pos ~len ~crc ->
+      l := (k, pos, len, crc) :: !l);
+  List.rev !l
+
+(* Entries compare by their fields and decoded slices: a decoded slice is
+   part of whatever string it was read from. *)
 let entry_view (e : Epoch_index.entry) =
-  (e.epoch, e.kind, e.roots, e.chunks, e.pack_len, dir_triples e)
+  (e.epoch, e.kind, e.roots, e.chunks, located_list e, dir_triples e)
+
+(* Commit [(key, data)] chunks as one full entry of the bare index [idx]
+   next to the pack: the way a chunk enters a pack's table. *)
+let commit_chunks ?(idx = "p.idx") vfs pack ~epoch chunks =
+  Epochs.commit Epochs.plain vfs ~path:idx pack
+    [ { Epochs.chain = 0;
+        kind = Segment.Full;
+        epoch;
+        roots = [];
+        chunks =
+          List.map (fun (key, data) -> { Chunk.key; data; records = [] }) chunks
+      } ]
+
+(* Reopen the pack [file] from the index [idx], as a store does. *)
+let reopen_pack ?(idx = "p.idx") vfs file =
+  let pack = Pack.open_ ~vfs file in
+  ignore
+    (Epochs.recover Epochs.plain vfs pack [ Epochs.load Epochs.plain vfs idx ]
+      : (Epoch_index.entry list * int) list);
+  pack
 
 (* ------------------------------------------------------------------ *)
 (* A small deterministic world (same shape as the crash sims).        *)
@@ -174,26 +201,30 @@ let pack_roundtrip_and_torn_tail () =
   let p = Pack.open_ ~vfs "p.pack" in
   let d1 = "chunk one body" and d2 = "chunk two" in
   let k1 = Chunk.key_of d1 and k2 = Chunk.key_of d2 in
-  let wrote = Pack.append_batch p [ (k1, d1); (k2, d2) ] in
-  check_bool "frames cost bytes" true (wrote > String.length (d1 ^ d2));
+  let c = commit_chunks vfs p ~epoch:0 [ (k1, d1); (k2, d2) ] in
+  check_string "the pack holds the bare bodies" (d1 ^ d2)
+    (vfs.Vfs.read_file "p.pack");
+  check_int "pack bytes written" (String.length (d1 ^ d2))
+    (c.Epochs.bytes_written - c.Epochs.index_bytes);
   check_string "read back 1" d1 (Pack.read p k1);
   check_string "read back 2" d2 (Pack.read p k2);
   check_bool "mem" true (Pack.mem p k1 && Pack.mem p k2);
   check_int "chunk_len" (String.length d2) (Pack.chunk_len p k2);
+  check_int "chunk_crc" (Crc32.string d2) (Pack.chunk_crc p k2);
   check_int "length" 2 (Pack.length p);
-  (match Pack.append_batch p [ (k1, d1) ] with
-  | _ -> Alcotest.fail "duplicate key accepted"
-  | exception Invalid_argument _ -> ());
-  (* A torn frame at the tail is truncated away on reopen. *)
+  check_int "a stored chunk is not appended again" 0
+    (commit_chunks vfs p ~epoch:1 [ (k1, d1) ]).Epochs.fresh_chunks;
+  (* Bytes past the committed length are cut away on reopen. *)
   let intact = Pack.physical_bytes p in
   let w = vfs.Vfs.open_append "p.pack" in
   w.Vfs.write "ICPKgarbage-not-a-frame";
   w.Vfs.sync ();
   w.Vfs.close ();
-  let p2 = Pack.open_ ~vfs "p.pack" in
+  let p2 = reopen_pack vfs "p.pack" in
   check_int "torn tail dropped" 2 (Pack.length p2);
-  check_int "file truncated to the intact prefix" intact
+  check_int "file truncated to the committed length" intact
     (Pack.physical_bytes p2);
+  check_int "cut reported" 23 (Pack.cut_bytes p2);
   check_string "intact chunks survive" d1 (Pack.read p2 k1)
 
 (* 200 appends of mixed sizes, one to three chunks each; every chunk reads
@@ -217,7 +248,7 @@ let pack_growth () =
     | l ->
         let n = 1 + (i mod 3) in
         let batch = List.filteri (fun j _ -> j < n) l in
-        ignore (Pack.append_batch p batch : int);
+        ignore (commit_chunks vfs p ~epoch:i batch : _ Epochs.committed);
         batches (i + 1) (List.filteri (fun j _ -> j >= n) l)
   in
   batches 0 chunks;
@@ -233,46 +264,40 @@ let pack_growth () =
   in
   check_all "appended" p;
   check_bool "grew past a few doublings" true (Pack.physical_bytes p > 8 * 4096);
-  check_all "reopened" (Pack.open_ ~vfs "g.pack")
+  check_all "reopened" (reopen_pack vfs "g.pack")
 
 (* A reopen that cut a torn tail, then an append: the file is the intact
-   prefix followed by exactly the new frames (what a fresh pack writes for
-   the same batch), and a string the vfs handed out before is left as it
-   was — the simulator returns its own file string, and the pack's reads
-   land in the pack's own buffer. *)
+   prefix followed by exactly the new bodies, and a string the vfs handed
+   out before is left as it was — the simulator returns its own file
+   string, and the pack's reads land in the pack's own buffer. *)
 let pack_torn_tail_then_append () =
   let sim = Sim.create () in
   let vfs = Sim.vfs sim in
   let chunk d = (Chunk.key_of d, d) in
   let p = Pack.open_ ~vfs "t.pack" in
-  ignore (Pack.append_batch p [ chunk "first"; chunk "second" ] : int);
-  let intact = vfs.Vfs.read_file "t.pack" in
-  (* Half of a frame far longer than the batch appended below. *)
-  let other = Sim.vfs (Sim.create ()) in
   ignore
-    (Pack.append_batch (Pack.open_ ~vfs:other "x.pack")
-       [ chunk (String.make 4000 't') ]
-      : int);
-  append_bytes vfs "t.pack" (String.sub (other.Vfs.read_file "x.pack") 0 2000);
+    (commit_chunks vfs p ~epoch:0 [ chunk "first"; chunk "second" ]
+      : _ Epochs.committed);
+  let intact = vfs.Vfs.read_file "t.pack" in
+  (* Half of a body far longer than the batch appended below. *)
+  append_bytes vfs "t.pack" (String.make 2000 't');
   let handed = vfs.Vfs.read_file "t.pack" in
   let handed_copy = String.init (String.length handed) (String.get handed) in
-  let p = Pack.open_ ~vfs "t.pack" in
+  let p = reopen_pack vfs "t.pack" in
   let batch = [ chunk "third"; chunk (String.make 100 'x') ] in
-  ignore (Pack.append_batch p batch : int);
-  let fresh_vfs = Sim.vfs (Sim.create ()) in
-  ignore (Pack.append_batch (Pack.open_ ~vfs:fresh_vfs "t.pack") batch : int);
-  check_string "intact prefix, then the new frames"
-    (intact ^ fresh_vfs.Vfs.read_file "t.pack")
+  ignore (commit_chunks vfs p ~epoch:1 batch : _ Epochs.committed);
+  check_string "intact prefix, then the new bodies"
+    (intact ^ String.concat "" (List.map snd batch))
     (vfs.Vfs.read_file "t.pack");
   check_string "the bytes read at reopen are untouched" handed_copy handed;
   List.iter
     (fun (k, d) ->
       check_string "reads back in the open pack" d (Pack.read p k);
       check_string "reads back after reopen" d
-        (Pack.read (Pack.open_ ~vfs "t.pack") k))
+        (Pack.read (reopen_pack vfs "t.pack") k))
     (chunk "first" :: chunk "second" :: batch)
 
-(* A chunk that was in the file at open and one appended later keep
+(* A chunk that was committed before a reopen and one appended later keep
    resolving as duplicates and reading back through a torn-tail cut,
    further appends and a GC's rewrite + reload; the pack's size is the
    file's each time, and a string the vfs handed out is never written
@@ -282,11 +307,16 @@ let pack_slices () =
   let vfs = Sim.vfs sim in
   let chunk d = (Chunk.key_of d, d) in
   let loaded = chunk (String.make 300 'l') in
-  ignore (Pack.append_batch (Pack.open_ ~vfs "s.pack") [ loaded ] : int);
-  append_bytes vfs "s.pack" "ICPK\001torn";
-  let handed = vfs.Vfs.read_file "s.pack" in
+  let entries = ref [] in
+  let commit p epoch batch =
+    let c = commit_chunks vfs p ~epoch batch in
+    entries := !entries @ c.Epochs.entries
+  in
+  commit (Pack.open_ ~vfs "p.pack") 0 [ loaded ];
+  append_bytes vfs "p.pack" "ICPK\001torn";
+  let handed = vfs.Vfs.read_file "p.pack" in
   let handed_copy = String.init (String.length handed) (String.get handed) in
-  let p = Pack.open_ ~vfs "s.pack" in
+  let p = reopen_pack vfs "p.pack" in
   let appended = chunk (String.make 200 'a') in
   let check_both name =
     List.iter
@@ -296,19 +326,22 @@ let pack_slices () =
         check_string (name ^ ": reads back") d (Pack.read p k))
       (loaded :: (if Pack.mem p (fst appended) then [ appended ] else []));
     check_int (name ^ ": physical bytes = file length")
-      (String.length (vfs.Vfs.read_file "s.pack"))
+      (String.length (vfs.Vfs.read_file "p.pack"))
       (Pack.physical_bytes p)
   in
   check_both "after the torn-tail cut";
-  ignore (Pack.append_batch p [ appended ] : int);
+  commit p 1 [ appended ];
   check_both "after an append";
   let dropped = chunk "dropped by gc" in
-  ignore (Pack.append_batch p [ dropped; chunk "kept" ] : int);
-  ignore (Pack.append_batch p [ chunk (String.make 5000 'z') ] : int);
+  commit p 2 [ dropped ];
+  commit p 3 [ chunk "kept"; chunk (String.make 5000 'z') ];
   check_both "after further appends";
-  let tmp, _ = Pack.stage_rewrite p ~keep:(fun k -> k <> fst dropped) in
-  vfs.Vfs.rename ~src:tmp ~dst:"s.pack";
-  Pack.reload p;
+  let kept, groups =
+    Epochs.relocate p (List.filter (fun e -> e.Epoch_index.epoch <> 2) !entries)
+  in
+  let tmp = Pack.stage_rewrite p groups in
+  vfs.Vfs.rename ~src:tmp ~dst:"p.pack";
+  Pack.reload p kept;
   check_bool "gc dropped the chunk" false (Pack.mem p (fst dropped));
   check_both "after gc's rewrite and reload";
   check_string "the string read at open is untouched" handed_copy handed
@@ -318,12 +351,14 @@ let index_roundtrip_and_torn_tail () =
   let vfs = Sim.vfs sim in
   let e1 =
     { Epoch_index.epoch = 0; kind = Segment.Full; roots = [ 7 ];
-      chunks = [ Chunk.key_of "x" ]; pack_len = 40;
+      chunks = [ Chunk.key_of "x" ]; at = 0;
+      located = Epoch_index.code_located [ (0, 1, Crc32.string "x") ];
       dir = Epoch_index.code_dir [ [ (7, 0) ] ] }
   in
   let e2 =
     { Epoch_index.epoch = 1; kind = Segment.Incremental; roots = [ 7 ];
-      chunks = [ Chunk.key_of "y"; Chunk.key_of "x" ]; pack_len = 80;
+      chunks = [ Chunk.key_of "y"; Chunk.key_of "x" ]; at = 1;
+      located = Epoch_index.code_located [ (0, 1, Crc32.string "y") ];
       dir = Epoch_index.code_dir [ []; [ (9, 3) ] ] }
   in
   List.iter
@@ -603,12 +638,24 @@ let store_misdirected_pointer () =
    each names the latest entry's successor and breaks one of reopen's
    defensive rules. [pack_bytes] is the pack's length. *)
 let rejected_entries ~pack_bytes (last : Epoch_index.entry) =
+  (* A successor that dedups every chunk: it locates none. *)
   let next =
-    { last with Epoch_index.epoch = last.epoch + 1; kind = Segment.Incremental }
+    { last with
+      Epoch_index.epoch = last.epoch + 1;
+      kind = Segment.Incremental;
+      at = Epoch_index.located_end last;
+      located = Epoch_index.code_located [] }
   in
   [ ( "absent chunk",
       { next with chunks = Chunk.key_of "never stored" :: List.tl last.chunks } );
-    ("pack length past the pack's end", { next with pack_len = pack_bytes + 1 });
+    ( "chunk located past the pack's end",
+      { next with
+        at = pack_bytes;
+        located = Epoch_index.code_located [ (0, 1, 0) ] } );
+    ( "located chunk outside the chunk list",
+      { next with
+        located =
+          Epoch_index.code_located [ (List.length last.chunks, 0, 0) ] } );
     ("epoch gap", { next with epoch = last.epoch + 2 }) ]
 
 (* The latest entry's successor with its first record's offset at its
@@ -637,7 +684,7 @@ let store_reopen_rejections () =
   let committed = vfs.Vfs.read_file idx in
   let entries = List.map (Store.entry_at store) (Store.epochs store) in
   let last = List.nth entries 2 in
-  let pack = Pack.open_ ~vfs (Store.pack_path store_path) in
+  let pack = reopen_pack ~idx vfs (Store.pack_path store_path) in
   List.iter
     (fun (name, bad) ->
       vfs.Vfs.truncate idx ~len:(String.length committed);
@@ -678,20 +725,24 @@ let index_hostile_counts () =
   in
   let sample =
     { Epoch_index.epoch = 3; kind = Segment.Incremental; roots = [];
-      chunks = []; pack_len = 0; dir = Epoch_index.code_dir [] }
+      chunks = []; at = 0; located = Epoch_index.code_located [];
+      dir = Epoch_index.code_dir [] }
   in
   let magic, version = header (Epoch_index.encode sample) in
   let mux_magic, _ =
     header (Epoch_index.encode_mux { m_tenant = 5; m_entry = sample })
   in
   let huge = 1 lsl 40 in
-  let forge ?tenant ~magic (nroots, nchunks, records, dirlen) =
+  (* The counts in wire order: roots, chunks, located chunks and their
+     bytes, records and their bytes ([at] is 0). *)
+  let forge ?tenant ~magic (nroots, nchunks, nlocated, loclen, records, dirlen)
+      =
     Out_stream.framed ~magic ~version (fun d ->
         Option.iter (Out_stream.write_int d) tenant;
         Out_stream.write_int d 3;
         Out_stream.write_byte d 1;
         List.iter (Out_stream.write_int d)
-          [ nroots; nchunks; records; 0; dirlen; 0; 0 ])
+          [ nroots; nchunks; 0; nlocated; loclen; records; dirlen; 0; 0 ])
   in
   let corrupt name decode s =
     match decode s ~pos:0 with
@@ -715,10 +766,12 @@ let index_hostile_counts () =
         (Store.epochs store = [ 0; 1; 2 ]);
       check_string (name ^ ": index cut at the forged entry") committed
         (vfs.Vfs.read_file idx))
-    [ ("roots", (huge, 0, 0, 0));
-      ("chunks", (0, huge, 0, 0));
-      ("dir", (0, 0, 0, huge));
-      ("records", (0, 0, huge, 2)) ]
+    [ ("roots", (huge, 0, 0, 0, 0, 0));
+      ("chunks", (0, huge, 0, 0, 0, 0));
+      ("located bytes", (0, 0, 0, huge, 0, 0));
+      ("located chunks", (0, 0, huge, 6, 0, 0));
+      ("dir", (0, 0, 0, 0, 0, huge));
+      ("records", (0, 0, 0, 0, huge, 2)) ]
 
 (* Loading an index decodes no directory: it allocates a fixed budget per
    entry (the entry, its directory slice, the decoder's frame state) plus
@@ -1047,7 +1100,7 @@ let stale_temp_sweep () =
   check_bool "some crash point left a stale temp" true !found
 
 (* ------------------------------------------------------------------ *)
-(* Index v2 and lazily checked pack frames.                           *)
+(* Index v3 and chunks CRC-checked on first read.                     *)
 
 (* The offset of [sub] in [s]. *)
 let find_sub s sub =
@@ -1067,9 +1120,12 @@ let flip_byte (vfs : Vfs.t) path i =
   w.Vfs.sync ();
   w.Vfs.close ()
 
-(* A version-1 entry as the previous format wrote it: a flat (id, chunk,
-   off) triple per record, no pack length. [tenant] makes it a mux one. *)
-let v1_entry ?tenant (e : Epoch_index.entry) =
+(* An entry as an older format wrote it. Version 1: a flat (id, chunk,
+   off) triple per record, no pack length. Version 2: a record count, the
+   pack's length after the entry's batch and the coded directory (coded
+   as version 3 codes it), chunks located by pack frames. [tenant] makes
+   it a mux one. *)
+let old_entry ~version ?tenant (e : Epoch_index.entry) =
   let magic =
     In_stream.read_fixed32
       (In_stream.of_string
@@ -1078,39 +1134,62 @@ let v1_entry ?tenant (e : Epoch_index.entry) =
          | Some m_tenant -> Epoch_index.encode_mux { m_tenant; m_entry = e }))
   in
   let ints d = List.iter (Out_stream.write_int d) in
-  Out_stream.framed ~magic ~version:1 (fun d ->
+  let triples = dir_triples e in
+  Out_stream.framed ~magic ~version (fun d ->
       Option.iter (Out_stream.write_int d) tenant;
       Out_stream.write_int d e.epoch;
       Out_stream.write_byte d (if e.kind = Segment.Full then 0 else 1);
       ints d (List.length e.roots :: e.roots);
       ints d (List.length e.chunks :: e.chunks);
-      let triples = dir_triples e in
-      Out_stream.write_int d (List.length triples);
-      List.iter (fun (id, c, off) -> ints d [ id; c; off ]) triples)
+      if version = 1 then begin
+        Out_stream.write_int d (List.length triples);
+        List.iter (fun (id, c, off) -> ints d [ id; c; off ]) triples
+      end
+      else begin
+        let dir = Out_stream.create () and id = ref 0 in
+        List.iteri
+          (fun c _ ->
+            let recs = List.filter (fun (_, c', _) -> c' = c) triples in
+            Out_stream.write_int dir (List.length recs);
+            let off = ref 0 in
+            List.iter
+              (fun (i, _, o) ->
+                ints dir [ i - !id; o - !off ];
+                id := i;
+                off := o)
+              recs)
+          e.chunks;
+        let dir = Out_stream.contents dir in
+        ints d [ List.length triples; Epoch_index.located_end e ];
+        Out_stream.write_string d dir
+      end)
 
-(* A store whose index is in the version-1 format is refused with a typed
-   error naming the version, and neither file is touched. *)
-let index_v1_rejected () =
+(* A store whose index is in an older format version is refused with a
+   typed error naming the version, and neither file is touched. *)
+let index_version_rejected ~version () =
   let vfs = Sim.vfs (Sim.create ()) in
   let _, store, w = drive ~policy:(Policy.Full_every 4) ~rounds:3 vfs in
   let idx = Store.index_path store_path and pack = Store.pack_path store_path in
-  let v1 =
+  let old =
     String.concat ""
-      (List.map (fun e -> v1_entry (Store.entry_at store e)) (Store.epochs store))
+      (List.map
+         (fun e -> old_entry ~version (Store.entry_at store e))
+         (Store.epochs store))
   in
   let w' = vfs.Vfs.open_trunc idx in
-  w'.Vfs.write v1;
+  w'.Vfs.write old;
   w'.Vfs.sync ();
   w'.Vfs.close ();
-  (* A torn tail after the old entries, which a v2 reopen would cut. *)
+  (* A torn tail after the old entries, which a reopen would cut. *)
   append_bytes vfs pack "ICPK\001torn";
   let pack_bytes = vfs.Vfs.read_file pack in
+  let named = Printf.sprintf "version %d" version in
   (match Store.open_ ~vfs w.schema ~path:store_path with
-  | _ -> Alcotest.fail "opened a version-1 index"
+  | _ -> Alcotest.failf "opened a version-%d index" version
   | exception Store.Error msg ->
-      if not (contains msg "version 1") then
-        Alcotest.failf "error %S does not name version 1" msg);
-  check_string "index byte-identical" v1 (vfs.Vfs.read_file idx);
+      if not (contains msg named) then
+        Alcotest.failf "error %S does not name %s" msg named);
+  check_string "index byte-identical" old (vfs.Vfs.read_file idx);
   check_string "pack byte-identical" pack_bytes (vfs.Vfs.read_file pack)
 
 (* The coded directory roundtrips: ids jumping either way (negative
@@ -1126,10 +1205,17 @@ let coded_dir_roundtrip =
   let chunk = list_size (int_range 0 5) (pair id (int_range 0 5000)) in
   QCheck2.Test.make ~count:300 ~name:"coded directory roundtrip"
     (pair (list_size (int_range 0 6) chunk) (int_range 0 1_000_000))
-    (fun (chunks, pack_len) ->
+    (fun (chunks, at) ->
+      (* Every other chunk located, with made-up lengths and CRCs. *)
+      let located =
+        List.filter_map
+          (fun i -> if i mod 2 = 0 then Some (i, 7 * i, 0xfffffff0 + i) else None)
+          (List.init (List.length chunks) Fun.id)
+      in
       let e =
         { Epoch_index.epoch = 1; kind = Segment.Incremental; roots = [ 1 ];
-          chunks = List.mapi (fun i _ -> i) chunks; pack_len;
+          chunks = List.mapi (fun i _ -> i) chunks; at;
+          located = Epoch_index.code_located located;
           dir = Epoch_index.code_dir chunks }
       in
       let expected =
@@ -1137,13 +1223,19 @@ let coded_dir_roundtrip =
           (List.mapi (fun c recs -> List.map (fun (i, o) -> (i, c, o)) recs)
              chunks)
       in
+      let _, expected_located =
+        List.fold_left_map
+          (fun pos (i, len, crc) -> (pos + len, (i, pos, len, crc)))
+          at located
+      in
       let decoded, _ = Epoch_index.decode (Epoch_index.encode e) ~pos:0 in
       Epoch_index.dir_records e.dir = List.length expected
       && dir_triples e = expected
+      && located_list e = expected_located
       && entry_view decoded = entry_view e)
 
-(* A byte flipped inside a committed frame mid-pack does not cut the pack
-   at reopen: the frame is CRC-checked when first read. Epochs whose
+(* A byte flipped inside a committed chunk mid-pack does not cut the pack
+   at reopen: the chunk is CRC-checked when first read. Epochs whose
    restore reads that chunk raise a typed error, the others restore, and
    check lists the chunk. *)
 let committed_frame_flip () =
@@ -1154,8 +1246,8 @@ let committed_frame_flip () =
   let key =
     List.find (fun k -> not (List.mem k first.chunks)) last.Epoch_index.chunks
   in
-  let body = Pack.read (Pack.open_ ~vfs (Store.pack_path store_path)) key in
   let pack = Store.pack_path store_path in
+  let body = Pack.read (reopen_pack ~idx:(Store.index_path store_path) vfs pack) key in
   let size = String.length (vfs.Vfs.read_file pack) in
   flip_byte vfs pack (find_sub (vfs.Vfs.read_file pack) body + (String.length body / 2));
   let store = Store.open_ ~vfs w.schema ~path:store_path in
@@ -1185,9 +1277,10 @@ let committed_frame_flip () =
        (fun e -> contains e (Hash64.to_hex key) && contains e "crc")
        (Store.check store))
 
-(* gc rewrites every kept entry with the rewritten pack's length, so a
-   reopen after it still CRC-checks a garbled tail past that length and
-   cuts it. Stats count the files' bytes throughout. *)
+(* gc re-locates every kept chunk in the rewritten pack, so the kept
+   entries end exactly where it does, and a reopen after it still cuts
+   whatever an append left past that length. Stats count the files' bytes
+   throughout. *)
 let gc_then_torn_tail () =
   let vfs = Sim.vfs (Sim.create ()) in
   let _, store, w = drive ~policy:(Policy.Full_every 3) ~rounds:8 vfs in
@@ -1204,72 +1297,49 @@ let gc_then_torn_tail () =
   files_bytes "gc" store;
   let pack = Store.pack_path store_path in
   let gced = vfs.Vfs.read_file pack in
-  List.iter
-    (fun e ->
-      check_int "entry names the rewritten pack" (String.length gced)
-        (Store.entry_at store e).Epoch_index.pack_len)
-    (Store.epochs store);
-  (* A whole frame with its last byte garbled, as a crash mid-append
-     leaves it. *)
-  let other = Sim.vfs (Sim.create ()) in
-  ignore
-    (Pack.append_batch (Pack.open_ ~vfs:other "x.pack")
-       [ (Chunk.key_of "tail", "tail") ]
-      : int);
-  let frame = other.Vfs.read_file "x.pack" in
-  append_bytes vfs pack frame;
-  flip_byte vfs pack (String.length gced + String.length frame - 1);
+  check_int "the kept entries end where the rewritten pack does"
+    (String.length gced)
+    (List.fold_left
+       (fun n e -> max n (Epoch_index.located_end (Store.entry_at store e)))
+       0 (Store.epochs store));
+  (* A body with its last byte garbled, as a crash mid-append leaves it. *)
+  append_bytes vfs pack "tail";
+  flip_byte vfs pack (String.length gced + 3);
   let store = Store.open_ ~vfs w.schema ~path:store_path in
   check_string "garbled tail cut" gced (vfs.Vfs.read_file pack);
+  check_int "cut reported" 4 (Store.stats store).Store.pack_cut_bytes;
   files_bytes "reopened" store;
   check_bool "consistent" true (Store.check store = [])
 
-(* A frame's size on disk, as Pack writes it. *)
-let frame_len key body =
-  let len = String.length body in
-  4 + 1 + Varint.encoded_size key + Varint.encoded_size len + len + 4
-
-(* A body, tagged [tag], whose frame is exactly [size] bytes long. *)
-let body_framed ~tag size =
-  let rec go n =
-    let d = tag ^ String.make (max 0 n) 'p' in
-    match size - frame_len (Chunk.key_of d) d with
-    | 0 -> d
-    | gap -> go (n + gap)
-  in
-  go (size - String.length tag - 30)
-
-(* Random batches, streamed at reopen and read back positionally. The
-   first frame ends [straddle] bytes short of the read buffer's end, so the
-   second frame's header crosses a buffer boundary; one body is longer
-   than the buffer. Any key subset reads back through [read_many] as
-   through per-key [read] and as appended: on the pack that appended it,
-   reopened with every frame CRC-checked by the walk, and reopened with
-   every frame trusted (checked on read). A byte flipped in one chunk of
-   a coalesced run fails that read naming that chunk, and no other; a
-   tear at any byte of the last frame cuts back to the frame before. *)
+(* Random batches read back positionally. The first body ends [straddle]
+   bytes short of the read buffer's end; one body is longer than the
+   buffer. Any key subset reads back through [read_many] as through
+   per-key [read] and as appended: on the pack that appended it and
+   reopened (every chunk then CRC-checked on read). A byte flipped in one
+   chunk of a coalesced run fails that read naming that chunk, and no
+   other; a tear at any byte of the last batch cuts back to the batch
+   before. *)
 let pack_read_many_prop =
   let gen =
     QCheck2.Gen.(
-      let* straddle = int_range 1 (Varint.encoded_size max_int + 6) in
+      let* straddle = int_range 1 30 in
       let* big = int_range 1 5000 in
       let* batches =
         list_size (int_range 1 5) (list_size (int_range 1 6) (int_bound 3000))
       in
-      let* last = int_bound 60 in
+      let* last = int_range 1 60 in
       let* mask = list_size (return 64) bool in
       let* victim = nat in
       let* flip = nat in
       return (straddle, big, batches, last, mask, victim, flip))
   in
-  QCheck2.Test.make ~count:15 ~name:"read_many over streamed, coalesced frames"
+  QCheck2.Test.make ~count:15 ~name:"read_many over coalesced runs"
     gen (fun (straddle, big, batches, last, mask, victim, flip) ->
       let file = "q.pack" in
       let tagged i d = Printf.sprintf "%d:" i ^ d in
-      let pad = body_framed ~tag:"pad:" (Pack.read_buffer_size - straddle) in
       let bodies =
-        [ pad ]
-        :: [ tagged 0 (String.make (Pack.read_buffer_size + big) 'b') ]
+        [ tagged 0 (String.make (Pack.read_buffer_size - straddle - 2) 'p') ]
+        :: [ tagged 1 (String.make (Pack.read_buffer_size + big) 'b') ]
         :: List.mapi
              (fun b sizes ->
                List.mapi
@@ -1284,13 +1354,21 @@ let pack_read_many_prop =
       let chunks = List.concat batches in
       let vfs = Sim.vfs (Sim.create ()) in
       let p = Pack.open_ ~vfs file in
-      List.iter (fun b -> ignore (Pack.append_batch p b : int)) batches;
+      List.iteri
+        (fun epoch b ->
+          ignore (commit_chunks vfs p ~epoch b : _ Epochs.committed))
+        batches;
       let before_last = Pack.physical_bytes p in
+      let index_before_last = vfs.Vfs.read_file "p.idx" in
       let last_chunk = tagged 999 (String.make last 'z') in
       let last_key = Chunk.key_of last_chunk in
-      ignore (Pack.append_batch p [ (last_key, last_chunk) ] : int);
+      ignore
+        (commit_chunks vfs p ~epoch:(List.length batches)
+           [ (last_key, last_chunk) ]
+          : _ Epochs.committed);
       let chunks = chunks @ [ (last_key, last_chunk) ] in
       let whole = vfs.Vfs.read_file file in
+      let index = vfs.Vfs.read_file "p.idx" in
       let pick = List.filteri (fun i _ -> List.nth mask (i mod 64)) chunks in
       let agrees name p =
         let keys = Array.of_list (List.map fst pick) in
@@ -1302,30 +1380,25 @@ let pack_read_many_prop =
           pick
       in
       agrees "appended" p;
-      agrees "reopened, every frame checked at open" (Pack.open_ ~vfs file);
-      agrees "reopened, every frame trusted"
-        (Pack.open_ ~vfs ~committed:(String.length whole) file);
-      (* One body byte of one chunk (its CRC's last byte when the body is
-         empty); frames lie back to back in append order. *)
+      agrees "reopened" (reopen_pack vfs file);
+      (* One body byte of one chunk; bodies lie back to back in append
+         order. *)
       (match pick with
       | [] -> ()
       | _ ->
           let vk, vd = List.nth pick (victim mod List.length pick) in
-          let rec frame_end pos = function
+          let rec body_at pos = function
             | [] -> assert false
             | (k, d) :: rest ->
-                let stop = pos + frame_len k d in
-                if k = vk then stop else frame_end stop rest
+                if k = vk then pos else body_at (pos + String.length d) rest
           in
-          let stop = frame_end 0 chunks in
-          let at =
-            if vd = "" then stop - 1
-            else stop - 4 - String.length vd + (flip mod String.length vd)
-          in
+          let at = body_at 0 chunks + (flip mod String.length vd) in
           let b = Bytes.of_string whole in
           Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor 0x41));
-          let vfs = Sim.vfs (Sim.seeded [ (file, Bytes.to_string b) ]) in
-          let p = Pack.open_ ~vfs ~committed:(String.length whole) file in
+          let vfs =
+            Sim.vfs (Sim.seeded [ (file, Bytes.to_string b); ("p.idx", index) ])
+          in
+          let p = reopen_pack vfs file in
           (match Pack.read_many p (Array.of_list (List.map fst pick)) with
           | _ -> QCheck2.Test.fail_report "flipped chunk read back"
           | exception In_stream.Corrupt msg ->
@@ -1343,9 +1416,14 @@ let pack_read_many_prop =
               (Pack.read_many p (Array.of_list (List.map fst others)))
             <> List.map snd others
           then QCheck2.Test.fail_report "the run without the flipped chunk");
+      (* A tear anywhere in the last batch, its entry never written. *)
       for len = before_last to String.length whole - 1 do
-        let vfs = Sim.vfs (Sim.seeded [ (file, String.sub whole 0 len) ]) in
-        let p = Pack.open_ ~vfs ~committed:before_last file in
+        let vfs =
+          Sim.vfs
+            (Sim.seeded
+               [ (file, String.sub whole 0 len); ("p.idx", index_before_last) ])
+        in
+        let p = reopen_pack vfs file in
         if
           Pack.length p <> List.length chunks - 1
           || Pack.physical_bytes p <> before_last
@@ -1356,28 +1434,28 @@ let pack_read_many_prop =
       done;
       true)
 
-(* Opening a pack of several MB allocates the key table and one read
-   buffer, not the pack: the major words it allocates stay far below the
-   file's size in words. *)
+(* Reopening a pack of several MB allocates the key table, not the pack:
+   the major words it allocates stay far below the file's size in
+   words. *)
 let pack_open_allocation () =
   let dir = Filename.temp_dir "ickpt_pack" "" in
-  let file = Filename.concat dir "a.pack" in
+  let file = Filename.concat dir "a.pack" and idx = Filename.concat dir "a.idx" in
   Fun.protect
     ~finally:(fun () ->
-      if Sys.file_exists file then Sys.remove file;
+      List.iter (fun f -> if Sys.file_exists f then Sys.remove f) [ file; idx ];
       Sys.rmdir dir)
     (fun () ->
       let p = Pack.open_ file in
       for b = 0 to 63 do
         ignore
-          (Pack.append_batch p
+          (commit_chunks ~idx Vfs.real p ~epoch:b
              (List.init 64 (fun i ->
                   let d =
                     Printf.sprintf "%d.%d:" b i
                     ^ String.init 1024 (fun j -> Char.chr (((b * i) + j) land 0xff))
                   in
                   (Chunk.key_of d, d)))
-            : int)
+            : _ Epochs.committed)
       done;
       let size = (Unix.stat file).Unix.st_size in
       check_bool "several MB" true (size > 4_000_000);
@@ -1385,7 +1463,7 @@ let pack_open_allocation () =
          major-heap words the appends above left unaccounted. *)
       Gc.full_major ();
       let before = (Gc.quick_stat ()).Gc.major_words in
-      let p = Pack.open_ ~committed:size file in
+      let p = reopen_pack ~idx Vfs.real file in
       Gc.minor ();
       let words = (Gc.quick_stat ()).Gc.major_words -. before in
       check_int "every chunk" 4096 (Pack.length p);
@@ -1394,9 +1472,10 @@ let pack_open_allocation () =
         Alcotest.failf "open allocated %.0f major words for a %.0f-word pack"
           words pack_words)
 
-(* gc copies kept frames through read_many, byte for byte as before: the
-   pack and index a gc leaves are pinned by digest (taken from the
-   per-chunk copy this replaced), under both policies. *)
+(* gc rewrites the pack as the kept chunks' bodies in first-reference
+   order — each chunk where the first kept entry naming it locates it —
+   and the pack and index a gc leaves are pinned by digest, under both
+   policies. *)
 let gc_files_pinned () =
   List.iter
     (fun (policy, expected) ->
@@ -1410,6 +1489,28 @@ let gc_files_pinned () =
         ignore (Store.checkpoint store w.roots : int)
       done;
       ignore (Store.gc store ~retain:(Store.Keep_last 4) : Store.gc_stats);
+      let entries = List.map (Store.entry_at store) (Store.epochs store) in
+      let pack =
+        reopen_pack ~idx:(Store.index_path store_path) vfs
+          (Store.pack_path store_path)
+      in
+      let seen = Hashtbl.create 64 in
+      let first_refs =
+        List.concat_map
+          (fun (e : Epoch_index.entry) ->
+            List.filter
+              (fun k ->
+                let fresh = not (Hashtbl.mem seen k) in
+                Hashtbl.replace seen k ();
+                fresh)
+              e.chunks)
+          entries
+      in
+      check_string
+        (Format.asprintf "%a: kept bodies in first-reference order" Policy.pp
+           policy)
+        (String.concat "" (List.map (Pack.read pack) first_refs))
+        (vfs.Vfs.read_file (Store.pack_path store_path));
       let got =
         List.map
           (fun p -> Digest.to_hex (Digest.string (vfs.Vfs.read_file p)))
@@ -1419,9 +1520,9 @@ let gc_files_pinned () =
         (Format.asprintf "%a: pack and index digests" Policy.pp policy)
         expected got)
     [ ( Policy.Full_every 3,
-        [ "de32dcde7db224d17559effd3a8a4eaa"; "2406ae3bd28f1d9ee777c94dec19ab24" ] );
+        [ "ce23eded29df8f275c0b405a8a3186b3"; "4c464abdfcca29ccf1a5be05142f45dc" ] );
       ( Policy.Chain_bytes_limit 40,
-        [ "475d432120304e261339383d5f0c7f50"; "17da3afef335069a021c84a9ce292084" ] ) ]
+        [ "855503d7c3e540f0d08a0108bf00623d"; "2513763abcb80678eba7531b6b63e3dd" ] ) ]
 
 (* Random mutations (truncate, flip, splice) of a committed index or pack:
    reopen, restoring every surviving epoch and check raise nothing but
@@ -1586,7 +1687,8 @@ let suites =
           pack_torn_tail_then_append;
         Alcotest.test_case "pack slices" `Quick pack_slices;
         Alcotest.test_case "index hostile counts" `Quick index_hostile_counts;
-        Alcotest.test_case "index version 1 rejected" `Quick index_v1_rejected;
+        Alcotest.test_case "index version 1 rejected" `Quick
+          (index_version_rejected ~version:1);
         Alcotest.test_case "committed frame flip" `Quick committed_frame_flip;
         Alcotest.test_case "gc then torn pack tail" `Quick gc_then_torn_tail;
         QCheck_alcotest.to_alcotest pack_read_many_prop;
@@ -1595,7 +1697,9 @@ let suites =
         QCheck_alcotest.to_alcotest coded_dir_roundtrip;
         QCheck_alcotest.to_alcotest fuzz_store;
         Alcotest.test_case "index load allocation" `Quick
-          index_load_allocation ] );
+          index_load_allocation;
+        Alcotest.test_case "index version 2 rejected" `Quick
+          (index_version_rejected ~version:2) ] );
     ( "store.core",
       [ Alcotest.test_case "restore agrees with chain replay" `Quick
           store_restore_agrees_with_replay;
