@@ -73,15 +73,21 @@ let crash_cmd =
     Arg.(value & opt int 2 & info [ "density" ] ~docv:"N" ~doc)
   in
   let configs_arg =
-    let doc = "Sweeps to run: $(b,store), $(b,service) (default: both)." in
+    let doc =
+      "Sweeps to run: $(b,store), $(b,service) (power losses), \
+       $(b,store/io-error), $(b,service/io-error) (one-shot I/O errors); \
+       default: all four."
+    in
     Arg.(value & pos_all string [] & info [] ~docv:"SWEEP" ~doc)
   in
   let crash rounds density labels =
     let sweep w = (w.Sweep.label, fun () -> Sweep.run ~density w) in
-    let sweeps =
-      [ sweep (Store_sim.workload ?rounds ());
-        sweep (Service_sim.workload ?rounds ()) ]
+    let errors w =
+      (w.Sweep.label ^ "/io-error", fun () -> Sweep.run_errors ~density w)
     in
+    let store = Store_sim.workload ?rounds ()
+    and service = Service_sim.workload ?rounds () in
+    let sweeps = [ sweep store; sweep service; errors store; errors service ] in
     let selected =
       List.filter
         (fun (label, _) -> labels = [] || List.mem label labels)
@@ -95,8 +101,9 @@ let crash_cmd =
       else `Error (false, "crash-consistency violations found")
   in
   let doc =
-    "sweep simulated power-loss points over the store and the service, and \
-     verify recovery is always prefix-consistent"
+    "sweep simulated power-loss points, and one-shot I/O errors at the same \
+     points, over the store and the service, and verify recovery is always \
+     prefix-consistent and keeps every epoch reported durable"
   in
   Cmd.v (Cmd.info "crash" ~doc)
     Term.(ret (const crash $ rounds_arg $ density_arg $ configs_arg))

@@ -2,6 +2,7 @@ open Ickpt_core
 
 exception Crashed
 
+exception Io_error
 
 type mode = Torn | Drop_unsynced | Corrupt_tail
 
@@ -17,6 +18,7 @@ let pp_mode ppf m =
 type fault =
   | No_fault
   | Crash_at of { op : int; byte : int; mode : mode }
+  | Fail_at of { op : int; byte : int }
 
 type file = { mutable content : string; mutable synced : int }
 
@@ -96,6 +98,9 @@ let op t ~kind ~len ~apply =
       apply (min byte len);
       freeze t mode;
       raise Crashed
+  | Fail_at { op; byte } when op = k ->
+      apply (min byte len);
+      raise Io_error
   | _ -> apply len
 
 let writer t path =

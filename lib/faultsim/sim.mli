@@ -16,13 +16,18 @@
     Every mutating call ([write], [sync], [truncate], [rename], [remove])
     is one {e op}, numbered globally from 0. A {!fault} names the op at
     which the machine dies, letting a harness enumerate "crash after byte
-    N of op K" points exhaustively. *)
+    N of op K" points exhaustively — or the one op that fails with an
+    ordinary I/O error while the machine keeps running. *)
 
 exception Crashed
 (** Raised by every vfs operation once the simulated machine has lost
     power. ([writer.close] is the exception: closing a dead handle is a
     harmless no-op, so [Fun.protect] finalizers pass the original
     {!Crashed} through untouched.) *)
+
+exception Io_error
+(** Raised by the op a {!Fail_at} fault names: an ordinary write error
+    (disk full, EIO), after which every op works again. *)
 
 (** What the torn tail looks like after the power loss. *)
 type mode =
@@ -43,6 +48,10 @@ type fault =
           applied (for non-write ops, [byte = 0] means "before", anything
           else "after"), then the durable state is frozen per [mode] and
           every subsequent operation raises {!Crashed}. *)
+  | Fail_at of { op : int; byte : int }
+      (** A one-shot I/O error at op [op]: its first [byte] bytes are
+          applied (as for {!Crash_at}), then it raises {!Io_error}; the
+          machine keeps running and every later op works. *)
 
 type t
 

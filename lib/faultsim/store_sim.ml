@@ -14,19 +14,23 @@ let open_store ~vfs schema =
   Store.open_ ~vfs ~records_per_chunk ~policy:(Policy.Full_every 3) schema
     ~path:store_path
 
+(* An I/O error loses the checkpoint or gc it hits; the run goes on. *)
 let run_workload ~rounds vfs ~commit ~base =
   let w = Sweep.world ~offset:0 in
   let store = open_store ~vfs w.schema in
+  let io f = try f () with Sim.Io_error -> () in
   let checkpoint () =
-    let epoch = Store.checkpoint store w.roots in
-    commit (epoch, Sweep.snapshot w)
+    io (fun () ->
+        let epoch = Store.checkpoint store w.roots in
+        commit (epoch, Sweep.snapshot w))
   in
   checkpoint ();
   base ();
   for r = 1 to rounds do
     w.mutate r;
     checkpoint ();
-    if r = 3 then ignore (Store.gc store ~retain:(Store.Keep_last 3))
+    if r = 3 then
+      io (fun () -> ignore (Store.gc store ~retain:(Store.Keep_last 3)))
   done
 
 (* -- The invariant check ------------------------------------------------- *)
@@ -50,7 +54,7 @@ let second_life ~vfs ~schema =
   | false -> Error "checkpoint appended after recovery is not restorable"
   | true -> Ok ()
 
-let check_recovery vfs snapshots =
+let check_recovery vfs ~exact snapshots =
   let schema = (Sweep.world ~offset:0).schema in
   match open_store ~vfs schema with
   | exception e -> Error ("Store.open_ raised " ^ Printexc.to_string e)
@@ -62,7 +66,7 @@ let check_recovery vfs snapshots =
           | [] -> Error "no committed epoch survived"
           | epochs ->
               let restore epoch = snd (Store.restore store ~epoch) in
-              Result.bind (Sweep.check_epochs ~restore snapshots epochs)
+              Result.bind (Sweep.check_epochs ~exact ~restore snapshots epochs)
                 (fun () -> second_life ~vfs ~schema)))
 
 let workload ?(rounds = 5) () =

@@ -3,7 +3,7 @@ open Ickpt_runtime
 type violation = {
   v_op : int;
   v_byte : int;
-  v_mode : Sim.mode;
+  v_mode : Sim.mode option;
   v_reason : string;
 }
 
@@ -18,7 +18,7 @@ type 's workload = {
   label : string;
   seed : (string * string) list;
   run : Ickpt_core.Vfs.t -> commit:('s -> unit) -> base:(unit -> unit) -> unit;
-  check : Ickpt_core.Vfs.t -> 's list -> (unit, string) result;
+  check : Ickpt_core.Vfs.t -> exact:bool -> 's list -> (unit, string) result;
 }
 
 (* -- Crash-point enumeration --------------------------------------------- *)
@@ -39,15 +39,18 @@ let enumerate op_log ~from_op ~density =
          List.map (fun b -> (k, b)) bytes)
        op_log)
 
-let run ?(density = 2) w =
-  (* Fault-free reference run: committed states + the op trace to crash. *)
+(* The fault-free reference run: its committed states and the crash
+   points of its op trace. *)
+let reference ~density w =
   let ref_sim = Sim.seeded w.seed in
   let committed = ref [] and from_op = ref 0 in
   w.run (Sim.vfs ref_sim)
     ~commit:(fun s -> committed := s :: !committed)
     ~base:(fun () -> from_op := Sim.ops ref_sim);
-  let committed = List.rev !committed in
-  let points = enumerate (Sim.op_log ref_sim) ~from_op:!from_op ~density in
+  (List.rev !committed, enumerate (Sim.op_log ref_sim) ~from_op:!from_op ~density)
+
+let run ?(density = 2) w =
+  let committed, points = reference ~density w in
   let crashes =
     List.concat_map
       (fun (op, byte) -> List.map (fun mode -> (op, byte, mode)) Sim.modes)
@@ -63,15 +66,44 @@ let run ?(density = 2) w =
         | Sim.Crashed | Failure _
         | Ickpt_service.Service.Error _ ->
             ());
-        match w.check (Sim.vfs (Sim.restart sim)) committed with
+        match w.check (Sim.vfs (Sim.restart sim)) ~exact:false committed with
         | Ok () -> None
         | Error v_reason ->
-            Some { v_op = op; v_byte = byte; v_mode = mode; v_reason })
+            Some { v_op = op; v_byte = byte; v_mode = Some mode; v_reason })
       crashes
   in
   { r_label = w.label;
     r_points = List.length points;
     r_runs = List.length crashes;
+    r_violations = violations }
+
+let run_errors ?(density = 2) w =
+  let _, points = reference ~density w in
+  let violations =
+    List.filter_map
+      (fun (op, byte) ->
+        let sim = Sim.seeded ~fault:(Sim.Fail_at { op; byte }) w.seed in
+        let committed = ref [] in
+        let verdict =
+          match
+            w.run (Sim.vfs sim)
+              ~commit:(fun s -> committed := s :: !committed)
+              ~base:ignore
+          with
+          | exception e -> Error ("the run raised " ^ Printexc.to_string e)
+          | () ->
+              w.check (Sim.vfs (Sim.restart sim)) ~exact:true
+                (List.rev !committed)
+        in
+        match verdict with
+        | Ok () -> None
+        | Error v_reason ->
+            Some { v_op = op; v_byte = byte; v_mode = None; v_reason })
+      points
+  in
+  { r_label = w.label ^ "/io-error";
+    r_points = List.length points;
+    r_runs = List.length points;
     r_violations = violations }
 
 (* -- Shared pieces of the workloads -------------------------------------- *)
@@ -110,27 +142,45 @@ let snapshot (w : world) =
 let roots_equal a b =
   List.length a = List.length b && List.for_all2 Deep_eq.equal a b
 
-let check_epochs ~restore committed epochs =
-  List.fold_left
-    (fun acc e ->
-      Result.bind acc (fun () ->
-          match List.assoc_opt e committed with
-          | None -> Error (Printf.sprintf "epoch %d was never committed" e)
-          | Some expected ->
-              if roots_equal expected (restore e) then Ok ()
-              else
-                Error
-                  (Printf.sprintf
-                     "epoch %d does not restore to its committed state" e)))
-    (Ok ()) epochs
+let check_epochs ~exact ~restore committed epochs =
+  (* A gc may drop the oldest epochs; nothing else may go. *)
+  let lost =
+    match epochs with
+    | oldest :: _ when exact ->
+        List.filter
+          (fun (e, _) -> e >= oldest && not (List.mem e epochs))
+          committed
+    | _ -> []
+  in
+  match lost with
+  | (e, _) :: _ ->
+      Error (Printf.sprintf "epoch %d was reported durable but is gone" e)
+  | [] ->
+      List.fold_left
+        (fun acc e ->
+          Result.bind acc (fun () ->
+              match List.assoc_opt e committed with
+              | None -> Error (Printf.sprintf "epoch %d was never committed" e)
+              | Some expected ->
+                  if roots_equal expected (restore e) then Ok ()
+                  else
+                    Error
+                      (Printf.sprintf
+                         "epoch %d does not restore to its committed state" e)))
+        (Ok ()) epochs
 
 (* -- Verdicts ------------------------------------------------------------- *)
 
 let ok r = r.r_violations = []
 
 let pp_violation ppf v =
-  Format.fprintf ppf "crash at op %d byte %d (%a): %s" v.v_op v.v_byte
-    Sim.pp_mode v.v_mode v.v_reason
+  match v.v_mode with
+  | Some mode ->
+      Format.fprintf ppf "crash at op %d byte %d (%a): %s" v.v_op v.v_byte
+        Sim.pp_mode mode v.v_reason
+  | None ->
+      Format.fprintf ppf "I/O error at op %d byte %d: %s" v.v_op v.v_byte
+        v.v_reason
 
 let pp_report ppf r =
   Format.fprintf ppf "%-40s %4d points %5d runs  %s" r.r_label r.r_points
@@ -144,7 +194,9 @@ let pp_summary ppf reports =
   let bad = List.filter (fun r -> not (ok r)) reports in
   let runs = List.fold_left (fun a r -> a + r.r_runs) 0 reports in
   if bad = [] then
-    Format.fprintf ppf "crash sweep: %d configs, %d injected crashes, all recoveries prefix-consistent@."
+    Format.fprintf ppf
+      "crash sweep: %d configs, %d injected faults, all recoveries \
+       prefix-consistent@."
       (List.length reports) runs
   else
     Format.fprintf ppf "crash sweep: %d of %d configs FAILED@." (List.length bad)

@@ -1,7 +1,9 @@
 (** The crash-sweep driver behind invariant I7 (DESIGN.md): after a power
     loss at any byte of any operation, recovery yields a committed prefix
     of the checkpoint history and the recovered storage accepts further
-    checkpoints.
+    checkpoints. Its I/O-error variant ({!run_errors}) fails one operation
+    instead, the machine running on: every epoch the run was told is
+    durable must then survive a reopen and restore to the state taken.
 
     A {!workload} is run once fault-free on a {!Sim} to record its
     committed states and op trace; the driver then re-runs it once per
@@ -15,7 +17,7 @@ open Ickpt_runtime
 type violation = {
   v_op : int;  (** op index the crash was injected at *)
   v_byte : int;  (** bytes of that op applied before the power loss *)
-  v_mode : Sim.mode;
+  v_mode : Sim.mode option;  (** [None]: a one-shot I/O error ({!run_errors}) *)
   v_reason : string;
 }
 
@@ -32,13 +34,18 @@ type 's workload = {
       (** files durable before the run starts; [[]] for a fresh disk *)
   run : Ickpt_core.Vfs.t -> commit:('s -> unit) -> base:(unit -> unit) -> unit;
       (** The deterministic workload. It calls [commit s] with the state
-          [s] of every checkpoint it commits, and [base ()] once a crash
-          from that op on must be recoverable (before a fresh store's base
-          checkpoint is durable there is legitimately nothing to recover).
-          A run that never calls [base] is swept from op 0. *)
-  check : Ickpt_core.Vfs.t -> 's list -> (unit, string) result;
-      (** Recovery on the surviving files, given every committed state of
-          the fault-free run, oldest first. *)
+          [s] of every checkpoint once the storage reports it durable, and
+          [base ()] once a crash from that op on must be recoverable
+          (before a fresh store's base checkpoint is durable there is
+          legitimately nothing to recover). A run that never calls [base]
+          is swept from op 0. It catches {!Sim.Io_error}, which only
+          {!run_errors} injects, and goes on checkpointing. *)
+  check : Ickpt_core.Vfs.t -> exact:bool -> 's list -> (unit, string) result;
+      (** Recovery on the surviving files, given committed states, oldest
+          first: every state of the fault-free run ([~exact:false]: a
+          crash may lose the ones after it), or exactly the states the
+          faulty run was told are durable ([~exact:true]: each must
+          survive). *)
 }
 
 val run : ?density:int -> 's workload -> report
@@ -46,6 +53,14 @@ val run : ?density:int -> 's workload -> report
     that many evenly spaced interior byte offsets per write op on top of
     the always-tested [{0; 1; len-1; len}]; other ops crash before or
     after. *)
+
+val run_errors : ?density:int -> 's workload -> report
+(** At each point {!run} enumerates, run the workload once with a
+    one-shot {!Sim.Fail_at} error there instead of a power loss (so
+    [r_runs = r_points]), and check the files it leaves with [~exact:true]
+    against the states it reported durable; a run that raises is a
+    violation. The report's label is the workload's with ["/io-error"]
+    appended. *)
 
 (** {2 Shared pieces of the workloads} *)
 
@@ -71,12 +86,15 @@ val roots_equal : Model.obj list -> Model.obj list -> bool
 (** Deep equality of two root lists. *)
 
 val check_epochs :
+  exact:bool ->
   restore:(int -> Model.obj list) ->
   (int * Model.obj list) list ->
   int list ->
   (unit, string) result
-(** [check_epochs ~restore committed epochs]: every surviving epoch was
-    committed, and restores to its committed roots. *)
+(** [check_epochs ~exact ~restore committed epochs]: every surviving epoch
+    was committed, and restores to its committed roots; with [exact],
+    every committed epoch from the oldest survivor on survives too (a gc
+    may have dropped older ones). *)
 
 (** {2 Verdicts} *)
 

@@ -56,6 +56,8 @@ and t = {
   lock : Mutex.t;
   shard_tbl : shard_state array;
   open_tenants : (int, tenant) Hashtbl.t;
+  full_due : (int, unit) Hashtbl.t;
+      (* evicted tenants whose next epoch must be full ({!Epochs.failed}) *)
   mutable catalog : (int * string) list;  (* oldest first *)
   mutable collided : Epochs.collision list;  (* newest first *)
   mutable commit_batches : int;
@@ -178,6 +180,7 @@ let open_ ?(vfs = Vfs.real) ?(shards = Shard.default_count)
       lock = Mutex.create ();
       shard_tbl;
       open_tenants = Hashtbl.create 16;
+      full_due = Hashtbl.create 4;
       catalog;
       collided = [];
       commit_batches = 0;
@@ -200,8 +203,20 @@ let commit_locked t s =
       s.s_pending <- [];
       s.s_pending_bytes <- 0;
       let c =
-        Epochs.commit Epochs.mux t.vfs ~path:s.s_index_file t.pack
-          (List.map (fun it -> it.it_epoch) items)
+        try
+          Epochs.commit Epochs.mux t.vfs ~path:s.s_index_file t.pack
+            (List.map (fun it -> it.it_epoch) items)
+        with e ->
+          (* The batch is lost. Each of its tenants goes back to its
+             committed entries, and its next epoch is full: taking the lost
+             ones cleared the modified flags. *)
+          let bt = Printexc.get_raw_backtrace () in
+          List.iter
+            (fun it ->
+              let tn = it.it_tenant in
+              tn.t_progress <- Epochs.failed t.pack tn.t_entries)
+            items;
+          Printexc.raise_with_backtrace e bt
       in
       (* Durable; mirror in memory. *)
       s.s_committed <- s.s_committed @ c.entries;
@@ -222,7 +237,8 @@ let flush t =
   with_lock t (fun () -> Array.iter (commit_locked t) t.shard_tbl)
 
 (* Queue [seg] on its shard, committing the batch once full. The counters
-   advance at once: the next epoch extends the taken chain, committed or not. *)
+   advance at once: the next epoch extends the taken chain. A failed
+   commit sets them back ({!commit_locked}). *)
 let append tenant (seg : Segment.t) =
   let t = tenant.t_svc in
   check_open t;
@@ -233,6 +249,9 @@ let append tenant (seg : Segment.t) =
   | Some Chain.Not_full -> error "incremental checkpoint with no full base"
   | Some Chain.Negative -> error "segment seq %d is negative" seg.seq
   | Some (Chain.Gap n) -> error "segment seq %d, expected %d" seg.seq n);
+  if tenant.t_progress.full_due && seg.kind = Segment.Incremental then
+    error "incremental segment %d after a failed commit (a full is due)"
+      seg.seq;
   let chunks =
     Chunk.split ~records_per_chunk:t.records_per_chunk tenant.t_schema
       seg.body
@@ -294,7 +313,9 @@ let open_tenant t schema ~name =
               t_shard = shard;
               t_schema = schema;
               t_entries = entries;
-              t_progress = Epochs.progress t.pack entries }
+              t_progress =
+                (if Hashtbl.mem t.full_due id then Epochs.failed t.pack entries
+                 else Epochs.progress t.pack entries) }
           in
           Hashtbl.replace t.open_tenants id tn;
           tn)
@@ -330,7 +351,12 @@ let restore tenant ~epoch =
 let evict t ~name =
   check_open t;
   flush t;
-  with_lock t (fun () -> Hashtbl.remove t.open_tenants (tenant_id name))
+  let id = tenant_id name in
+  with_lock t (fun () ->
+      (match Hashtbl.find_opt t.open_tenants id with
+      | Some tn when tn.t_progress.full_due -> Hashtbl.replace t.full_due id ()
+      | _ -> Hashtbl.remove t.full_due id);
+      Hashtbl.remove t.open_tenants id)
 
 let close t =
   if not t.closed then begin

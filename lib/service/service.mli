@@ -130,13 +130,21 @@ val checkpoint : tenant -> Model.obj list -> int
 (** Take the next checkpoint of the tenant's heap (kind per the service
     {!Ickpt_core.Policy}) and submit it for commit; returns its epoch.
     Unless the batch is full, the epoch is not durable yet when this
-    returns — {!flush} is the durability barrier. *)
+    returns — {!flush} is the durability barrier.
+
+    A commit that raises (an I/O error: the call that filled the batch,
+    {!flush}, {!restore}, {!evict} or {!close} raises it) loses its whole
+    batch. Each tenant with an epoch in it goes back to its committed
+    entries: its next checkpoint is numbered right after its newest
+    committed epoch, and is full, since taking the lost epochs cleared its
+    heap's modified flags. That holds across {!evict}. *)
 
 val append : tenant -> Segment.t -> int
 (** Submit an externally produced segment as the tenant's next epoch
     ({!Ickpt_core.Chain.continuity} over its taken epochs); returns it.
-    @raise Error on a sequence gap, a negative first sequence number or a
-    baseless incremental, submitting nothing. *)
+    @raise Error on a sequence gap, a negative first sequence number, a
+    baseless incremental, or an incremental while a full is due after a
+    failed commit (see {!checkpoint}), submitting nothing. *)
 
 val epochs : tenant -> int list
 (** The tenant's {e committed} epochs, ascending. *)

@@ -72,6 +72,8 @@ let iter_located e f =
   go e.chunks e.at count;
   if In_stream.pos inp <> off + len then malformed e "located chunks (length)"
 
+let located_count e = e.located.count
+
 let located_end e =
   let stop = ref e.at in
   iter_located e (fun _ ~pos ~len ~crc:_ -> stop := pos + len);
@@ -153,6 +155,24 @@ let read_count inp ~width =
 
 let read_ints inp n = List.init n (fun _ -> In_stream.read_int inp)
 
+(* [l]'s first [i] elements, then [tail]. *)
+let rec copy i l tail =
+  match l with y :: l when i > 0 -> y :: copy (i - 1) l tail | _ -> tail
+
+(* [n] ids that are [prev]'s when they read the same: walking [prev]
+   along the bytes ([i] ids read so far, [l] the rest of [prev])
+   allocates nothing, and [prev] itself is returned. At the first id that
+   differs, the list is built: [prev]'s ids before it, then the rest as
+   read. *)
+let rec read_roots inp n ~prev i l =
+  if i = n then if l = [] then prev else copy n prev []
+  else
+    let x = In_stream.read_int inp in
+    match l with
+    | y :: l when y = x -> read_roots inp n ~prev (i + 1) l
+    | _ ->
+        copy i prev (x :: List.init (n - i - 1) (fun _ -> In_stream.read_int inp))
+
 (* A coded list of items at least [width] bytes each: its item count, its
    byte length, then the bytes, kept as a slice of the string read. A forged item
    count cannot size anything past what the bytes could hold. *)
@@ -164,7 +184,7 @@ let read_slice inp ~width =
   In_stream.skip inp len;
   { src = In_stream.source inp; off; len; count }
 
-let read_payload inp =
+let read_payload ~prev inp =
   let epoch = In_stream.read_int inp in
   let kind =
     match In_stream.read_byte inp with
@@ -172,7 +192,7 @@ let read_payload inp =
     | 1 -> Segment.Incremental
     | k -> corrupt "bad entry kind %d" k
   in
-  let roots = read_ints inp (read_count inp ~width:1) in
+  let roots = read_roots inp (read_count inp ~width:1) ~prev 0 prev in
   let chunks = read_ints inp (read_count inp ~width:1) in
   let at = In_stream.read_int inp in
   if at < 0 then corrupt "bad pack offset %d" at;
@@ -184,10 +204,17 @@ let read_payload inp =
 
 let encode e = Out_stream.framed ~magic ~version (fun d -> write_payload d e)
 
-let decode s ~pos =
-  In_stream.framed ~magic ~version ~what:"index" read_payload s ~pos
+(* Without [prev], one reader serves every entry: no closure per entry. *)
+let read_entry = read_payload ~prev:[]
 
-let load vfs path = In_stream.intact_prefix decode (Vfs.contents vfs path)
+let decode ?prev s ~pos =
+  let read =
+    match prev with None -> read_entry | Some prev -> read_payload ~prev
+  in
+  In_stream.framed ~magic ~version ~what:"index" read s ~pos
+
+let load vfs path =
+  In_stream.intact_prefix (fun s ~pos -> decode s ~pos) (Vfs.contents vfs path)
 
 let write_staged vfs ~path entries =
   let tmp = Vfs.temp_of path in
@@ -214,15 +241,15 @@ let encode_mux m =
       Out_stream.write_int d m.m_tenant;
       write_payload d m.m_entry)
 
-let decode_mux s ~pos =
+let decode_mux ?(prev = fun _ -> []) s ~pos =
   In_stream.framed ~magic:mux_magic ~version ~what:"mux index"
     (fun inp ->
       let m_tenant = In_stream.read_int inp in
-      { m_tenant; m_entry = read_payload inp })
+      { m_tenant; m_entry = read_payload ~prev:(prev m_tenant) inp })
     s ~pos
 
 let load_mux vfs path =
-  In_stream.intact_prefix decode_mux (Vfs.contents vfs path)
+  In_stream.intact_prefix (fun s ~pos -> decode_mux s ~pos) (Vfs.contents vfs path)
 
 let reject_older ~path raw =
   if String.length raw >= 5 then begin

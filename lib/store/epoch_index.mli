@@ -109,10 +109,15 @@ val iter_located :
     coding does not hold exactly its count (after calling [f] on whatever
     decoded before the fault). *)
 
+val located_count : entry -> int
+(** How many chunks the entry locates, as its coding counts them: read
+    without decoding anything. *)
+
 val located_end : entry -> int
 (** Where the entry's located chunks end in the pack ([at] when it
-    locates none). @raise Ickpt_stream.In_stream.Corrupt as
-    {!iter_located}. *)
+    locates none), decoding them. A reopen takes each entry's end from
+    {!Pack.reload} instead, which decodes them once to build the key
+    table. @raise Ickpt_stream.In_stream.Corrupt as {!iter_located}. *)
 
 val iter_dir : entry -> (int -> int -> int -> unit) -> unit
 (** [iter_dir e f] decodes [e]'s directory, calling [f id chunk off] per
@@ -124,9 +129,12 @@ val iter_dir : entry -> (int -> int -> int -> unit) -> unit
 
 val encode : entry -> string
 
-val decode : string -> pos:int -> entry * int
+val decode : ?prev:int list -> string -> pos:int -> entry * int
 (** One entry at [pos] and the offset just past it. The entry's directory
-    is a slice of the given string.
+    is a slice of the given string. [prev] (default [[]]) is the roots of
+    the previous entry of the same chain: when this entry's roots are the
+    same ids, its [roots] is that very list, and no list cell is
+    allocated for them.
     @raise Ickpt_stream.In_stream.Corrupt unless an intact entry is there. *)
 
 val load : Vfs.t -> string -> entry list * int
@@ -163,7 +171,10 @@ type mux_entry = { m_tenant : int; m_entry : entry }
 
 val encode_mux : mux_entry -> string
 
-val decode_mux : string -> pos:int -> mux_entry * int
+val decode_mux :
+  ?prev:(int -> int list) -> string -> pos:int -> mux_entry * int
+(** {!decode} for a multiplexed entry; [prev tenant] is the roots of that
+    tenant's previous entry. *)
 
 val load_mux : Vfs.t -> string -> mux_entry list * int
 (** {!load} for a multiplexed index file. Performs no writes. *)

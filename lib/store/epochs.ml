@@ -81,7 +81,7 @@ let since_full entries ~epoch =
     entries
 
 type 'a index = {
-  decode : string -> pos:int -> 'a * int;
+  decode : (int -> int list) -> string -> pos:int -> 'a * int;
   encode : 'a -> string;
   chain : 'a -> int;
   entry : 'a -> Epoch_index.entry;
@@ -89,53 +89,51 @@ type 'a index = {
 }
 
 let plain =
-  { decode = Epoch_index.decode;
+  { decode = (fun prev s ~pos -> Epoch_index.decode ~prev:(prev 0) s ~pos);
     encode = Epoch_index.encode;
     chain = (fun _ -> 0);
     entry = Fun.id;
     make = (fun _ e -> e) }
 
 let mux =
-  { decode = Epoch_index.decode_mux;
+  { decode = (fun prev s ~pos -> Epoch_index.decode_mux ~prev s ~pos);
     encode = Epoch_index.encode_mux;
     chain = (fun m -> m.Epoch_index.m_tenant);
     entry = (fun m -> m.Epoch_index.m_entry);
     make = (fun m_tenant m_entry -> { Epoch_index.m_tenant; m_entry }) }
 
-(* An entry resolves when the chunks it locates lie inside the pack file
-   and every chunk it names is located. Its directory is not decoded
-   here: an offset past its chunk is Dir's error at fold time, and
-   check's finding. *)
-let resolves pack (e : Epoch_index.entry) =
-  match Epoch_index.located_end e with
-  | stop ->
-      stop <= Pack.physical_bytes pack && List.for_all (Pack.mem pack) e.chunks
-  | exception In_stream.Corrupt _ -> false
-
-(* Longest valid prefix of [(item, end offset)]s: per chain, the oldest
-   epoch full and the rest contiguous, every entry resolving against the
-   pack. Crash-consistent operation never violates this (the pack is
-   synced before the index), so rejections are defensive — but one cuts
-   the whole file there, which keeps every chain in it a committed
-   prefix. *)
-let valid_prefix idx pack items =
+(* Longest valid prefix of one file's [(item, end offset)]s, given each
+   entry's located end ([None]: its located chunks do not decode), and the
+   largest located end it keeps: per chain, the oldest epoch full and the
+   rest contiguous, every entry resolving against the pack — its located
+   chunks inside the pack file and every chunk it names located. Its
+   directory is not decoded here: an offset past its chunk is Dir's error
+   at fold time, and check's finding. Crash-consistent operation never
+   violates this (the pack is synced before the index), so rejections are
+   defensive — but one cuts the whole file there, which keeps every chain
+   in it a committed prefix. *)
+let valid_prefix idx pack items ends =
   let next : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let rec go acc = function
-    | [] -> List.rev acc
-    | ((x, _) as item) :: rest ->
+  let size = Pack.physical_bytes pack in
+  let rec go acc committed items ends =
+    let cut () = (List.rev acc, committed) in
+    match (items, ends) with
+    | ((x, _) as item) :: items, Some stop :: ends ->
         let e = idx.entry x in
         if
           Chain.continuity ~next:(Hashtbl.find_opt next (idx.chain x)) e.kind
             ~epoch:e.epoch
           = None
-          && resolves pack e
+          && stop <= size
+          && List.for_all (Pack.mem pack) e.chunks
         then begin
           Hashtbl.replace next (idx.chain x) (e.epoch + 1);
-          go (item :: acc) rest
+          go (item :: acc) (max committed stop) items ends
         end
-        else List.rev acc
+        else cut ()
+    | _ -> cut ()
   in
-  go [] items
+  go [] 0 items ends
 
 type 'a loaded = {
   file : string;
@@ -143,40 +141,54 @@ type 'a loaded = {
   items : ('a * int) list;  (* intact items, each with its end offset *)
 }
 
+(* Each entry's roots are decoded against the previous entry of its chain,
+   so a chain whose roots do not change holds one list. *)
 let load idx vfs path =
   let raw = Vfs.contents vfs path in
+  let roots : (int, int list) Hashtbl.t = Hashtbl.create 16 in
+  let prev chain = Option.value (Hashtbl.find_opt roots chain) ~default:[] in
   let items, valid =
     In_stream.intact_prefix
       (fun s ~pos ->
-        let x, stop = idx.decode s ~pos in
+        let x, stop = idx.decode prev s ~pos in
+        Hashtbl.replace roots (idx.chain x) (idx.entry x).roots;
         ((x, stop), stop))
       raw
   in
   if valid = 0 then Epoch_index.reject_older ~path raw;
   { file = path; size = String.length raw; items }
 
+let rec drop n l = match l with _ :: l when n > 0 -> drop (n - 1) l | _ -> l
+
 (* The pack's table is built from every file's entries at once: a chain
-   may dedup against a chunk another file's entry located. An entry cut
-   from one file may have located a chunk an entry of another names, so
-   the table is rebuilt from what was kept until a pass cuts nothing. *)
+   may dedup against a chunk another file's entry located. Building it
+   yields every entry's located end, which judges the entry and sizes the
+   pack. An entry cut from one file may have located a chunk an entry of
+   another names, so the table is rebuilt from what was kept until a pass
+   cuts nothing. *)
 let recover idx vfs pack loaded =
-  let entries items = List.map (fun (x, _) -> idx.entry x) items in
   let rec settle files =
-    Pack.reload pack (List.concat_map entries files);
-    let kept = List.map (valid_prefix idx pack) files in
-    if List.for_all2 (fun a b -> List.compare_lengths a b = 0) kept files
+    let ends =
+      ref
+        (Pack.reload pack
+           (List.concat_map (List.map (fun (x, _) -> idx.entry x)) files))
+    in
+    let kept =
+      List.map
+        (fun items ->
+          let k = valid_prefix idx pack items !ends in
+          ends := drop (List.length items) !ends;
+          k)
+        files
+    in
+    if List.for_all2 (fun (a, _) b -> List.compare_lengths a b = 0) kept files
     then kept
-    else settle kept
+    else settle (List.map fst kept)
   in
   let kept = settle (List.map (fun l -> l.items) loaded) in
-  let committed =
-    List.fold_left
-      (fun n x -> max n (Epoch_index.located_end x))
-      0 (List.concat_map entries kept)
-  in
-  Pack.cut pack ~committed;
+  Pack.cut pack ~committed:(List.fold_left (fun n (_, c) -> max n c) 0 kept);
   List.map2
-    (fun l items ->
+    (fun l (items, _) ->
       let len = List.fold_left (fun _ (_, stop) -> stop) 0 items in
       if len < l.size then vfs.Vfs.truncate l.file ~len;
       (List.map fst items, len))
@@ -302,11 +314,22 @@ let commit idx vfs ~path pack items =
   in
   let entries = List.rev rev_entries in
   let index_bytes = String.concat "" (List.map idx.encode entries) in
-  if index_bytes <> "" then
-    Vfs.write_synced vfs Append path (fun write -> write index_bytes);
+  if index_bytes <> "" then begin
+    let before = if vfs.Vfs.exists path then vfs.Vfs.size path else 0 in
+    try Vfs.write_synced vfs Append path (fun write -> write index_bytes)
+    with e ->
+      (* Not committed: whatever part of the batch landed is cut, so the
+         next batch is not appended after torn bytes a reopen stops at. *)
+      let bt = Printexc.get_raw_backtrace () in
+      if vfs.Vfs.exists path && vfs.Vfs.size path > before then
+        vfs.Vfs.truncate path ~len:before;
+      Printexc.raise_with_backtrace e bt
+  end;
   (* Committed: only now do its chunks join the table, CRC'd from the
      bytes just written, and its collisions belong to an epoch. *)
-  List.iter (fun x -> Pack.locate pack ~checked:true (idx.entry x)) entries;
+  List.iter
+    (fun x -> ignore (Pack.locate pack ~checked:true (idx.entry x) : int))
+    entries;
   { entries;
     collisions;
     fresh_chunks =
@@ -364,7 +387,7 @@ let logical_bytes pack entries =
       List.fold_left (fun acc k -> acc + Pack.chunk_len pack k) acc e.chunks)
     0 entries
 
-type progress = { next : int option; since_full_bytes : int }
+type progress = { next : int option; since_full_bytes : int; full_due : bool }
 
 let progress pack entries =
   let incrementals =
@@ -373,17 +396,23 @@ let progress pack entries =
       (since_full entries ~epoch:max_int)
   in
   { next = Option.map succ (newest entries);
-    since_full_bytes = logical_bytes pack incrementals }
+    since_full_bytes = logical_bytes pack incrementals;
+    full_due = false }
+
+let failed pack entries = { (progress pack entries) with full_due = true }
 
 let advance p (seg : Segment.t) =
-  { next = Some (seg.seq + 1);
-    since_full_bytes =
-      (match seg.kind with
-      | Segment.Full -> 0
-      | Segment.Incremental -> p.since_full_bytes + Segment.body_size seg) }
+  match seg.kind with
+  | Segment.Full ->
+      { next = Some (seg.seq + 1); since_full_bytes = 0; full_due = false }
+  | Segment.Incremental ->
+      { p with
+        next = Some (seg.seq + 1);
+        since_full_bytes = p.since_full_bytes + Segment.body_size seg }
 
 let take policy p write roots =
   let kind =
-    Policy.decide policy ~next:p.next ~since_full_bytes:p.since_full_bytes
+    if p.full_due then Segment.Full
+    else Policy.decide policy ~next:p.next ~since_full_bytes:p.since_full_bytes
   in
   Chain.segment ~kind ~seq:(Option.value p.next ~default:0) (write kind) roots

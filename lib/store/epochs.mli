@@ -29,9 +29,12 @@ val since_full : Epoch_index.entry list -> epoch:int -> Epoch_index.entry list
     the suffix a chain resumes from. *)
 
 (** How a kind of index file holds entries: its codec, the chain each
-    item belongs to, and how an entry of a chain becomes an item. *)
+    item belongs to, and how an entry of a chain becomes an item. [decode
+    prev] decodes an item whose roots are shared with [prev chain], the
+    roots of its chain's previous item, when they are the same ids
+    ({!Epoch_index.decode}). *)
 type 'a index = {
-  decode : string -> pos:int -> 'a * int;
+  decode : (int -> int list) -> string -> pos:int -> 'a * int;
   encode : 'a -> string;
   chain : 'a -> int;
   entry : 'a -> Epoch_index.entry;
@@ -77,7 +80,11 @@ val commit :
     length before the append), and carries its directory coded straight
     from the chunks' records. Only once the index write has returned are
     the entries {!Pack.locate}d, so a failed commit leaves the pack's
-    table as it was and a later batch appends those chunks afresh. A
+    table as it was and a later batch appends those chunks afresh. If the
+    index write or its sync raises, the index is truncated back to its
+    length before the write, so no torn bytes stay in front of the next
+    batch's entries, and the exception is re-raised: none of the batch's
+    epochs is committed. A
     crash before the index sync leaves pack bytes past the committed
     length and a torn index tail, which {!recover} cuts. The result,
     collisions included, exists only once the index is synced, so a
@@ -95,7 +102,11 @@ type 'a loaded
     directories left coded) but not yet checked against a pack. *)
 
 val load : 'a index -> Vfs.t -> string -> 'a loaded
-(** Read an index file's intact prefix. Performs no writes.
+(** Read an index file's intact prefix. Each entry's roots are decoded
+    against the previous entry of its chain (its tenant's, in a
+    multiplexed file): when they are the same ids the entry holds that
+    same list, so a chain whose roots do not change allocates them once.
+    Performs no writes.
     @raise Epoch_index.Unsupported_version if the file holds no intact
     entry and begins with an entry header of an older format version. *)
 
@@ -103,14 +114,16 @@ val recover :
   'a index -> Vfs.t -> Pack.t -> 'a loaded list -> ('a list * int) list
 (** The committed entries of each loaded index file sharing the pack, and
     each file's length once truncated to them. The pack's table is built
-    from every file's entries ({!Pack.reload}); each file's intact prefix
+    from every file's entries in one presized pass ({!Pack.reload}),
+    which also yields each entry's located end; each file's intact prefix
     is then cut at the first entry that breaks its chain (oldest not full,
     an epoch gap) or does not resolve (its located chunks do not decode or
     end past the pack file, or a chunk it names is located by no entry),
-    and the table rebuilt from the kept entries until nothing more is cut.
-    Finally the pack is cut to the end of the last chunk a kept entry
-    locates ({!Pack.cut}). No pack byte is read, nothing is re-encoded,
-    and directories are not decoded. *)
+    and the table rebuilt from the kept entries until nothing more is cut
+    (on an intact store, the first pass cuts nothing). Finally the pack is
+    cut to the largest located end of a kept entry ({!Pack.cut}). No pack
+    byte is read, each entry's located chunks are decoded once per pass,
+    nothing is re-encoded, and directories are not decoded. *)
 
 val check :
   'a index -> Pack.t -> who:('a -> string option) -> 'a list -> string list
@@ -144,16 +157,25 @@ val logical_bytes : Pack.t -> Epoch_index.entry list -> int
 type progress = {
   next : int option;  (** the epoch the chain expects; [None] when empty *)
   since_full_bytes : int;  (** incremental body bytes since the newest full *)
+  full_due : bool;
+      (** a taken epoch failed to commit: taking it cleared the heap's
+          modified flags, so the chain's next epoch must be full *)
 }
 (** What {!Ickpt_core.Policy.decide} reads of a chain. *)
 
 val progress : Pack.t -> Epoch_index.entry list -> progress
 (** One chain's progress, derived from its committed entries (oldest
     first) without reading a chunk: chunk lengths come from the pack's
-    table. *)
+    table. [full_due] is [false]. *)
+
+val failed : Pack.t -> Epoch_index.entry list -> progress
+(** The progress of a chain whose taken epochs past its committed entries
+    were lost to a failed commit: numbered on from the committed entries,
+    with [full_due] set. *)
 
 val advance : progress -> Segment.t -> progress
-(** The progress once the segment extends the chain. *)
+(** The progress once the segment extends the chain. A full segment
+    clears [full_due]. *)
 
 val take :
   Policy.t -> progress ->
@@ -161,5 +183,5 @@ val take :
    Ickpt_runtime.Model.obj list -> unit) ->
   Ickpt_runtime.Model.obj list -> Segment.t
 (** [take policy p write roots]: the chain's next segment, of the kind
-    [policy] picks for [p], its body recorded by [write kind]. Appends
-    nothing. *)
+    [policy] picks for [p] — full while [p.full_due] — its body recorded
+    by [write kind]. Appends nothing. *)

@@ -84,23 +84,37 @@ let stop t s = t.offs.(s) + t.lens.(s)
 let file_size t = if t.vfs.Vfs.exists t.file then t.vfs.Vfs.size t.file else 0
 
 let locate t ~checked e =
+  let stop = ref e.Epoch_index.at in
   Epoch_index.iter_located e (fun key ~pos ~len ~crc ->
-      add t ~key ~off:pos ~len ~crc ~checked)
+      add t ~key ~off:pos ~len ~crc ~checked;
+      stop := pos + len);
+  !stop
 
+let rec pow2_at_least n p = if p >= n then p else pow2_at_least n (2 * p)
+
+(* The arrays are sized once, for every chunk the entries count plus
+   [initial] more for the session's own appends, and the table to keep
+   them at most half full: building it neither grows nor rehashes. *)
 let reload t entries =
+  let cap =
+    List.fold_left (fun n e -> n + Epoch_index.located_count e) initial entries
+  in
   t.n <- 0;
-  t.keys <- Array.make initial 0;
-  t.offs <- Array.make initial 0;
-  t.lens <- Array.make initial 0;
-  t.crcs <- Array.make initial 0;
-  t.checked <- Bytes.make initial '\000';
-  t.table <- Array.make (2 * initial) 0;
+  t.keys <- Array.make cap 0;
+  t.offs <- Array.make cap 0;
+  t.lens <- Array.make cap 0;
+  t.crcs <- Array.make cap 0;
+  t.checked <- Bytes.make cap '\000';
+  t.table <- Array.make (pow2_at_least (2 * cap) 1) 0;
   t.size <- file_size t;
   t.cut <- 0;
   (* A malformed entry locates what decoded before the fault; it does not
      resolve, so whoever reloads with it drops it and reloads again. *)
-  List.iter
-    (fun e -> try locate t ~checked:false e with In_stream.Corrupt _ -> ())
+  List.map
+    (fun e ->
+      match locate t ~checked:false e with
+      | stop -> Some stop
+      | exception In_stream.Corrupt _ -> None)
     entries
 
 let open_ ?(vfs = Vfs.real) file =
@@ -109,7 +123,7 @@ let open_ ?(vfs = Vfs.real) file =
       lens = [||]; crcs = [||]; checked = Bytes.empty; table = [||];
       buf = Bytes.empty }
   in
-  reload t [];
+  ignore (reload t [] : int option list);
   t
 
 let cut t ~committed =

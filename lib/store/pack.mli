@@ -38,16 +38,21 @@ val open_ : ?vfs:Ickpt_core.Vfs.t -> string -> t
 (** The pack at the given path (a missing file is an empty pack, created
     by the first append), with an empty key table. Reads no byte of it. *)
 
-val reload : t -> Epoch_index.entry list -> unit
+val reload : t -> Epoch_index.entry list -> int option list
 (** Rebuild the key table from the given entries' located chunks (the
     first location of a key wins; a malformed entry adds what decoded
-    before the fault) and take the file's length anew. Reads no byte of
-    the pack. *)
+    before the fault) and take the file's length anew. Returns, aligned
+    with the entries, where each one's located chunks end in the pack
+    ({!Epoch_index.located_end}), or [None] for an entry whose located
+    chunks do not decode: each entry's chunks are decoded once. The table
+    is sized once, from the entries' {!Epoch_index.located_count}s, so
+    building it neither grows nor rehashes. Reads no byte of the pack. *)
 
-val locate : t -> checked:bool -> Epoch_index.entry -> unit
-(** Add one committed entry's located chunks to the table. [checked]
-    says their CRCs were just computed from the bytes this session
-    appended, so their reads skip the check.
+val locate : t -> checked:bool -> Epoch_index.entry -> int
+(** Add one committed entry's located chunks to the table and return
+    where they end in the pack. [checked] says their CRCs were just
+    computed from the bytes this session appended, so their reads skip
+    the check.
     @raise Ickpt_stream.In_stream.Corrupt if they do not decode. *)
 
 val cut : t -> committed:int -> unit

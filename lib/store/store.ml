@@ -111,16 +111,26 @@ let append_segment t (seg : Segment.t) =
       error "incremental segment on an empty store (no full base)"
   | Some Chain.Negative -> error "segment seq %d is negative" seg.seq
   | Some (Chain.Gap n) -> error "segment seq %d, expected %d" seg.seq n);
+  if t.progress.full_due && seg.kind = Segment.Incremental then
+    error "incremental segment %d after a failed commit (a full is due)"
+      seg.seq;
   let chunks =
     Chunk.split ~records_per_chunk:t.records_per_chunk t.schema seg.body
   in
   let c =
-    Epochs.commit Epochs.plain t.vfs ~path:(index_path t.root) t.pack
-      [ { Epochs.chain = 0;
-          kind = seg.kind;
-          epoch = seg.seq;
-          roots = seg.roots;
-          chunks } ]
+    try
+      Epochs.commit Epochs.plain t.vfs ~path:(index_path t.root) t.pack
+        [ { Epochs.chain = 0;
+            kind = seg.kind;
+            epoch = seg.seq;
+            roots = seg.roots;
+            chunks } ]
+    with e ->
+      (* The segment is lost, and with it the modified flags its taking
+         cleared: only a full epoch can follow. *)
+      let bt = Printexc.get_raw_backtrace () in
+      t.progress <- { t.progress with full_due = true };
+      Printexc.raise_with_backtrace e bt
   in
   t.entries <- t.entries @ c.entries;
   t.progress <- Epochs.advance t.progress seg;
@@ -254,7 +264,7 @@ let gc t ~retain =
         let pack_tmp = Pack.stage_rewrite t.pack groups in
         t.vfs.Vfs.rename ~src:idx_tmp ~dst:index_file;
         t.vfs.Vfs.rename ~src:pack_tmp ~dst:pack_file;
-        Pack.reload t.pack kept;
+        ignore (Pack.reload t.pack kept : int option list);
         t.entries <- kept;
         t.index_bytes <- index_bytes;
         { dropped_epochs;

@@ -90,7 +90,11 @@ val checkpoint : t -> Model.obj list -> int
 (** Take the next checkpoint of the roots, of the kind the policy picks
     (always full on an empty store), with the generic checkpointer, and
     commit it as the next epoch; returns that epoch. Durable when this
-    returns. *)
+    returns. If the commit raises (an I/O error), the epoch is not
+    committed and the store's next checkpoint is full, numbered right
+    after its newest committed epoch: taking the lost one cleared the
+    heap's modified flags. The store remembers this in memory only; a
+    reopened store knows nothing of it. *)
 
 val checkpoint_with :
   t -> Model.obj list ->
@@ -117,7 +121,8 @@ val append_segment : t -> Segment.t -> append_stats
     full. Durable (both files synced) when this returns. A hash collision
     does not fail the append: the chunk is stored under a salted rehash
     and the event recorded ({!collisions}).
-    @raise Error on kind/sequence violations. *)
+    @raise Error on kind/sequence violations, and on an incremental after
+    a failed commit, until a full one commits (see {!checkpoint}). *)
 
 type collision = Epochs.collision = {
   col_epoch : int;

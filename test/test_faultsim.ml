@@ -48,6 +48,25 @@ let sim_crash_modes () =
   Alcotest.(check bool) "corrupt-tail flips an unsynced byte" true
     (corrupted <> "aaabbbc")
 
+(* A one-shot I/O error applies part of its op and raises; the machine
+   keeps running and nothing is frozen. *)
+let sim_io_error () =
+  let sim = Sim.create ~fault:(Sim.Fail_at { op = 2; byte = 2 }) () in
+  let vfs = Sim.vfs sim in
+  let w = vfs.Vfs.open_append "f" in
+  w.Vfs.write "aaa";
+  w.Vfs.sync ();
+  (match w.Vfs.write "bbb" with
+  | () -> Alcotest.fail "expected an I/O error"
+  | exception Sim.Io_error -> ());
+  Alcotest.(check bool) "machine still up" false (Sim.crashed sim);
+  Alcotest.(check string) "the failed write landed in part" "aaabb"
+    (vfs.Vfs.read_file "f");
+  w.Vfs.write "c";
+  w.Vfs.sync ();
+  Alcotest.(check string) "later ops work" "aaabbc"
+    (List.assoc "f" (Sim.durable (Sim.restart sim)))
+
 let sim_rename_atomic () =
   let sim = Sim.seeded [ (log, "old") ] in
   let vfs = Sim.vfs sim in
@@ -205,10 +224,14 @@ let check_tally (r : Sweep.report) ~points ~runs =
     (r.r_label ^ ": points, runs") (points, runs) (r.r_points, r.r_runs)
 
 (* The tallies [ickpt_bench crash] prints: a driver or workload change
-   that silently drops crash points fails here. *)
+   that silently drops crash points fails here. The I/O-error sweeps fail
+   one op at each crash point instead, once, and every epoch reported
+   durable must survive and restore as taken. *)
 let sweep_default_tallies () =
   check_tally (Sweep.run (Store_sim.workload ())) ~points:80 ~runs:240;
-  check_tally (Sweep.run (Service_sim.workload ())) ~points:72 ~runs:216
+  check_tally (Sweep.run (Service_sim.workload ())) ~points:72 ~runs:216;
+  check_tally (Sweep.run_errors (Store_sim.workload ())) ~points:80 ~runs:80;
+  check_tally (Sweep.run_errors (Service_sim.workload ())) ~points:72 ~runs:72
 
 (* A fake workload: a log of one-byte records, each "committed" once
    written, with or without a sync. Recovery keeps the longest committed
@@ -229,7 +252,7 @@ let byte_log ~sync =
             if r = "a" then base ())
           [ "a"; "b"; "c" ]);
     check =
-      (fun vfs committed ->
+      (fun vfs ~exact:_ committed ->
         let got = if vfs.Vfs.exists log then vfs.Vfs.read_file log else "" in
         if List.exists (fun prefix -> String.starts_with ~prefix got) committed
         then Ok ()
@@ -245,7 +268,7 @@ let sweep_catches_unsynced_commit () =
     "every drop-unsynced crash is caught" true
     (List.length
        (List.filter
-          (fun v -> v.Sweep.v_mode = Sim.Drop_unsynced)
+          (fun v -> v.Sweep.v_mode = Some Sim.Drop_unsynced)
           r.Sweep.r_violations)
     = r.Sweep.r_points)
 
@@ -253,7 +276,8 @@ let suites =
   [ ( "faultsim.sim",
       [ Alcotest.test_case "crash modes" `Quick sim_crash_modes;
         Alcotest.test_case "atomic rename" `Quick sim_rename_atomic;
-        Alcotest.test_case "positional reads" `Quick sim_read_at ] );
+        Alcotest.test_case "positional reads" `Quick sim_read_at;
+        Alcotest.test_case "one-shot I/O error" `Quick sim_io_error ] );
     ( "faultsim.regressions",
       [ Alcotest.test_case "torn-tail resume roundtrip" `Quick
           torn_tail_resume_roundtrip;

@@ -519,6 +519,27 @@ let fail_once inner ~suffix ~op =
       open_trunc = (fun p -> wrap p (inner.Vfs.open_trunc p)) },
     armed )
 
+(* A vfs whose next write to a file ending in [suffix], once the returned
+   flag is set, lands only the first half of its bytes and then raises
+   [Io_error]: a torn write, on a machine that keeps running. *)
+let tear_once inner ~suffix =
+  let armed = ref false in
+  let wrap path (w : Vfs.writer) =
+    { w with
+      Vfs.write =
+        (fun data ->
+          if !armed && String.ends_with ~suffix path then begin
+            armed := false;
+            w.Vfs.write (String.sub data 0 (String.length data / 2));
+            raise Io_error
+          end
+          else w.Vfs.write data) }
+  in
+  ( { inner with
+      Vfs.open_append = (fun p -> wrap p (inner.Vfs.open_append p));
+      open_trunc = (fun p -> wrap p (inner.Vfs.open_trunc p)) },
+    armed )
+
 (* A collision belongs to an epoch only once that epoch commits: a failed
    append (and its retries) must not report one. *)
 let store_collision_after_commit () =
@@ -847,7 +868,10 @@ let reopen_rejections () =
   in
   let alice = last_of "alice" and bob = last_of "bob" in
   let pack = Pack.open_ ~vfs (Service.pack_path path) in
-  Pack.reload pack (List.map (fun (m : Epoch_index.mux_entry) -> m.m_entry) muxes);
+  ignore
+    (Pack.reload pack
+       (List.map (fun (m : Epoch_index.mux_entry) -> m.m_entry) muxes)
+      : int option list);
   let bad =
     Test_store.rejected_entries ~pack_bytes:(Pack.physical_bytes pack)
       alice.m_entry
@@ -994,8 +1018,42 @@ let fuzz_service =
             | In_stream.Corrupt _ ) ->
             ()
       in
+      (* With the catalog and meta intact (two shards), the reopen keeps
+         exactly the entries, index lengths and pack length the reference
+         keeps. *)
+      let shard_files = List.init 2 (Service.shard_index_path "svc") in
+      let expected =
+        if target = Service.catalog_path "svc" || target = Service.meta_path "svc"
+        then None
+        else
+          Some
+            (Test_store.reference_recover
+               ~decode:(fun s ~pos ->
+                 let (m : Epoch_index.mux_entry), stop =
+                   Epoch_index.decode_mux s ~pos
+                 in
+                 ((m.m_entry, m.m_tenant), stop))
+               ~pack_size:(Test_store.file_length vfs (Service.pack_path "svc"))
+               (List.map (Vfs.contents vfs) shard_files))
+      in
       typed (fun () ->
           let svc = Service.open_ ~vfs ~path:"svc" () in
+          Option.iter
+            (fun (files, pack) ->
+              let got =
+                ( List.map
+                    (fun (m : Epoch_index.mux_entry) ->
+                      (m.m_tenant, m.m_entry.epoch))
+                    (Service.committed svc),
+                  List.map (Test_store.file_length vfs) shard_files,
+                  Test_store.file_length vfs (Service.pack_path "svc") )
+              in
+              if got <> (List.concat_map fst files, List.map snd files, pack)
+              then
+                QCheck2.Test.fail_reportf
+                  "reopen kept other entries, index or pack lengths than \
+                   the reference")
+            expected;
           List.iter
             (fun (name, offset) ->
               typed (fun () ->
@@ -1202,6 +1260,206 @@ let failed_index_write () =
   restores svc;
   Service.close svc
 
+(* Every epoch a chain reported durable — [(epoch, body)] — restores as
+   taken, and they are all its epochs. *)
+let restores_as_taken what ~epochs ~restore taken =
+  Alcotest.(check (list int))
+    (what ^ ": epochs") (List.rev_map fst taken) epochs;
+  List.iter
+    (fun (e, body) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s: epoch %d restores as taken" what e)
+        body
+        (full_body (snd (restore e))))
+    taken
+
+(* A commit whose index write raises loses its epoch, and taking that
+   epoch cleared the heap's modified flags: the chain's next epoch is a
+   full one, numbered right after its newest committed epoch, and an
+   incremental is refused until it commits. For the service, the tenant
+   sharing the shard keeps its chain, and a tenant evicted while a full is
+   due still takes one when reopened. Every epoch reported durable
+   restores as taken, in session and after a reopen. *)
+let failed_commit_next_full () =
+  let inner = fresh_vfs () in
+  let vfs, armed = fail_once inner ~suffix:".idx" ~op:"write" in
+  let fails what f =
+    armed := true;
+    match f () with
+    | _ -> Alcotest.failf "%s: a failed index write committed" what
+    | exception Io_error -> ()
+  in
+  let incremental seq =
+    { Segment.kind = Segment.Incremental; seq; roots = [ 0 ]; body = "" }
+  in
+  (* The store. *)
+  let w = make_world ~offset:0 in
+  let store = Store.open_ ~vfs ~records_per_chunk:4 w.schema ~path:"s" in
+  let taken = ref [] in
+  let take r =
+    w.mutate r;
+    let e = Store.checkpoint store w.roots in
+    taken := (e, full_body w.roots) :: !taken
+  in
+  take 0;
+  w.mutate 1;
+  fails "store" (fun () -> Store.checkpoint store w.roots);
+  (match Store.append_segment store (incremental 1) with
+  | _ -> Alcotest.fail "store: an incremental after a failed commit"
+  | exception Store.Error _ -> ());
+  take 2;
+  take 3;
+  Alcotest.(check (list bool))
+    "store: full after the failed commit, then incremental" [ true; false ]
+    (List.map (fun e -> Store.kind_of_epoch store e = Segment.Full) [ 1; 2 ]);
+  let check_store store =
+    restores_as_taken "store" ~epochs:(Store.epochs store)
+      ~restore:(fun epoch -> Store.restore store ~epoch)
+      !taken
+  in
+  check_store store;
+  check_store (Store.open_ ~vfs:inner w.schema ~path:"s");
+  (* The service: alice and bob share its one shard. *)
+  let svc = Service.open_ ~vfs ~shards:1 ~records_per_chunk:4 ~path:"svc" () in
+  let alice_w = make_world ~offset:0 and bob_w = make_world ~offset:3000 in
+  let alice = ref (Service.open_tenant svc alice_w.schema ~name:"alice") in
+  let bob = Service.open_tenant svc bob_w.schema ~name:"bob" in
+  let alice_taken = ref [] and bob_taken = ref [] in
+  let take tn (w : world) taken r =
+    w.mutate r;
+    let e = Service.checkpoint tn w.roots in
+    taken := (e, full_body w.roots) :: !taken
+  in
+  take !alice alice_w alice_taken 0;
+  take bob bob_w bob_taken 0;
+  alice_w.mutate 1;
+  fails "service" (fun () -> Service.checkpoint !alice alice_w.roots);
+  (match Service.append !alice (incremental 1) with
+  | _ -> Alcotest.fail "service: an incremental after a failed commit"
+  | exception Service.Error _ -> ());
+  take !alice alice_w alice_taken 2;
+  take bob bob_w bob_taken 1;
+  alice_w.mutate 3;
+  fails "service" (fun () -> Service.checkpoint !alice alice_w.roots);
+  Service.evict svc ~name:"alice";
+  alice := Service.open_tenant svc alice_w.schema ~name:"alice";
+  take !alice alice_w alice_taken 4;
+  take !alice alice_w alice_taken 5;
+  take bob bob_w bob_taken 2;
+  let check_service svc =
+    List.iter
+      (fun (name, (w : world), taken) ->
+        let tn = Service.open_tenant svc w.schema ~name in
+        restores_as_taken name ~epochs:(Service.epochs tn)
+          ~restore:(fun epoch -> Service.restore tn ~epoch)
+          taken)
+      [ ("alice", alice_w, !alice_taken); ("bob", bob_w, !bob_taken) ];
+    check_bool "service consistent" true (Service.check svc = [])
+  in
+  check_service svc;
+  Service.close svc;
+  let svc = Service.open_ ~vfs:inner ~path:"svc" () in
+  check_service svc;
+  Service.close svc
+
+(* An index write that lands half an entry and then raises leaves no torn
+   bytes behind: the epochs committed after it survive a reopen. *)
+let torn_index_write () =
+  let inner = fresh_vfs () in
+  let vfs, armed = tear_once inner ~suffix:".idx" in
+  let tears f =
+    armed := true;
+    match f () with
+    | _ -> Alcotest.fail "a torn index write committed"
+    | exception Io_error -> ()
+  in
+  let w = make_world ~offset:0 in
+  let store = Store.open_ ~vfs ~records_per_chunk:4 w.schema ~path:"s" in
+  let svc = Service.open_ ~vfs ~shards:1 ~records_per_chunk:4 ~path:"svc" () in
+  let tw = make_world ~offset:0 in
+  let tn = Service.open_tenant svc tw.schema ~name:"alice" in
+  let taken = ref [] and tn_taken = ref [] in
+  for r = 0 to 4 do
+    w.mutate r;
+    tw.mutate r;
+    if r = 1 then begin
+      tears (fun () -> Store.checkpoint store w.roots);
+      tears (fun () -> Service.checkpoint tn tw.roots)
+    end
+    else begin
+      let e = Store.checkpoint store w.roots in
+      taken := (e, full_body w.roots) :: !taken;
+      let e = Service.checkpoint tn tw.roots in
+      tn_taken := (e, full_body tw.roots) :: !tn_taken
+    end
+  done;
+  Service.close svc;
+  let store = Store.open_ ~vfs:inner w.schema ~path:"s" in
+  restores_as_taken "store" ~epochs:(Store.epochs store)
+    ~restore:(fun epoch -> Store.restore store ~epoch)
+    !taken;
+  check_bool "store consistent" true (Store.check store = []);
+  let svc = Service.open_ ~vfs:inner ~path:"svc" () in
+  let tn = Service.open_tenant svc tw.schema ~name:"alice" in
+  restores_as_taken "service" ~epochs:(Service.epochs tn)
+    ~restore:(fun epoch -> Service.restore tn ~epoch)
+    !tn_taken;
+  check_bool "service consistent" true (Service.check svc = []);
+  Service.close svc
+
+(* On a shard where two tenants interleave, each tenant's entries share
+   roots with its own previous entry, not with the other tenant's: after a
+   reopen, alice's unchanged roots are one list, bob's changing ones are
+   his own, and every epoch restores as taken. *)
+let mux_shared_roots () =
+  let vfs = fresh_vfs () in
+  let svc = Service.open_ ~vfs ~shards:1 ~records_per_chunk:4 ~path:"svc" () in
+  let alice_w = make_world ~offset:0 and bob_w = make_world ~offset:3000 in
+  let alice = Service.open_tenant svc alice_w.schema ~name:"alice" in
+  let bob = Service.open_tenant svc bob_w.schema ~name:"bob" in
+  let bob_root = List.hd bob_w.roots in
+  let bob_qa = Option.get bob_root.Model.children.(0) in
+  let bob_roots = [| [ bob_root ]; [ bob_root; bob_qa ]; [ bob_root; bob_qa ]; [ bob_qa ] |] in
+  let alice_taken = ref [] and bob_taken = ref [] in
+  Array.iteri
+    (fun r rs ->
+      alice_w.mutate r;
+      bob_w.mutate r;
+      let e = Service.checkpoint alice alice_w.roots in
+      alice_taken := (e, full_body alice_w.roots) :: !alice_taken;
+      let e = Service.checkpoint bob rs in
+      bob_taken := (e, full_body rs) :: !bob_taken)
+    bob_roots;
+  Service.close svc;
+  let svc = Service.open_ ~vfs ~path:"svc" () in
+  let roots name =
+    List.filter_map
+      (fun (m : Epoch_index.mux_entry) ->
+        if m.m_tenant = Service.tenant_id name then Some m.m_entry.roots
+        else None)
+      (Service.committed svc)
+  in
+  let ids rs = List.map (fun o -> o.Model.info.Model.id) rs in
+  let alice_roots = roots "alice" and bob_got = roots "bob" in
+  check_bool "alice: her roots as taken" true
+    (List.for_all (fun r -> r = ids alice_w.roots) alice_roots);
+  check_bool "alice: one list" true
+    (List.for_all (fun r -> r == List.hd alice_roots) alice_roots);
+  check_bool "bob: his roots as taken" true
+    (bob_got = Array.to_list (Array.map ids bob_roots));
+  Alcotest.(check (list bool))
+    "bob: shared exactly where unchanged" [ false; true; false ]
+    (List.map2 ( == ) (List.tl bob_got)
+       (List.filteri (fun i _ -> i < 3) bob_got));
+  List.iter
+    (fun (name, (w : world), taken) ->
+      let tn = Service.open_tenant svc w.schema ~name in
+      restores_as_taken name ~epochs:(Service.epochs tn)
+        ~restore:(fun epoch -> Service.restore tn ~epoch)
+        taken)
+    [ ("alice", alice_w, !alice_taken); ("bob", bob_w, !bob_taken) ];
+  Service.close svc
+
 let suites =
   [ ( "service.shard",
       [ Alcotest.test_case "mapping" `Quick shard_mapping;
@@ -1225,7 +1483,11 @@ let suites =
         Alcotest.test_case "reopen reads no pack byte" `Quick
           reopen_reads_no_pack_byte;
         Alcotest.test_case "failed pack sync" `Quick failed_pack_sync;
-        Alcotest.test_case "failed index write" `Quick failed_index_write ] );
+        Alcotest.test_case "failed index write" `Quick failed_index_write;
+        Alcotest.test_case "failed commit: next epoch full" `Quick
+          failed_commit_next_full;
+        Alcotest.test_case "torn index write" `Quick torn_index_write;
+        Alcotest.test_case "mux shared roots" `Quick mux_shared_roots ] );
     ( "service.collision",
       [ Alcotest.test_case "store salted rehash" `Quick store_salted_collision;
         Alcotest.test_case "service surfaces collision" `Quick

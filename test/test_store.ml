@@ -341,7 +341,7 @@ let pack_slices () =
   in
   let tmp = Pack.stage_rewrite p groups in
   vfs.Vfs.rename ~src:tmp ~dst:"p.pack";
-  Pack.reload p kept;
+  ignore (Pack.reload p kept : int option list);
   check_bool "gc dropped the chunk" false (Pack.mem p (fst dropped));
   check_both "after gc's rewrite and reload";
   check_string "the string read at open is untouched" handed_copy handed
@@ -756,8 +756,8 @@ let index_hostile_counts () =
   let committed = vfs.Vfs.read_file idx in
   List.iter
     (fun (name, counts) ->
-      corrupt name Epoch_index.decode (forge ~magic counts);
-      corrupt (name ^ " (mux)") Epoch_index.decode_mux
+      corrupt name (Epoch_index.decode ?prev:None) (forge ~magic counts);
+      corrupt (name ^ " (mux)") (Epoch_index.decode_mux ?prev:None)
         (forge ~tenant:5 ~magic:mux_magic counts);
       vfs.Vfs.truncate idx ~len:(String.length committed);
       append_bytes vfs idx (forge ~magic counts);
@@ -1472,6 +1472,67 @@ let pack_open_allocation () =
         Alcotest.failf "open allocated %.0f major words for a %.0f-word pack"
           words pack_words)
 
+(* Reloading a table of 4,096 located chunks allocates each of its arrays
+   once, sized from the entries' counts: no doubling, no rehash. Growing
+   from 256 slots allocates about 11.6 words per chunk (47,707 words);
+   sized once, about 8.5 (four int arrays and a byte per slot, the table
+   twice the slots rounded up to a power of two). *)
+let pack_reload_allocation () =
+  let vfs = Sim.vfs (Sim.create ()) in
+  let p = Pack.open_ ~vfs "a.pack" in
+  let entries =
+    List.init 64 (fun b ->
+        List.hd
+          (commit_chunks vfs p ~epoch:b
+             (List.init 64 (fun i ->
+                  let d = Printf.sprintf "%d.%d" b i in
+                  (Chunk.key_of d, d))))
+            .Epochs.entries)
+  in
+  let p = Pack.open_ ~vfs "a.pack" in
+  Gc.full_major ();
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  let ends = Pack.reload p entries in
+  Gc.minor ();
+  let words = (Gc.quick_stat ()).Gc.major_words -. before in
+  check_int "every chunk" 4096 (Pack.length p);
+  check_bool "every entry's located end" true
+    (ends = List.map (fun e -> Some (Epoch_index.located_end e)) entries);
+  if words > 9. *. 4096. then
+    Alcotest.failf "reload allocated %.0f major words for 4096 chunks" words
+
+(* A chain's entries whose roots are the same ids share one list after a
+   reopen; where the roots change, each entry keeps its own, and every
+   epoch restores as taken. *)
+let shared_roots () =
+  let vfs = Sim.vfs (Sim.create ()) in
+  let w = make_world () in
+  let root = List.hd w.roots in
+  let qa = Option.get root.Model.children.(0) in
+  let roots = [| [ root ]; [ root ]; [ root ]; [ root; qa ]; [ root; qa ]; [ qa ]; [ qa ] |] in
+  let store = Store.open_ ~vfs ~records_per_chunk:4 w.schema ~path:store_path in
+  let bodies =
+    Array.mapi
+      (fun r rs ->
+        w.mutate r;
+        check_int "epoch" r (Store.checkpoint store rs);
+        full_body rs)
+      roots
+  in
+  let store = Store.open_ ~vfs w.schema ~path:store_path in
+  let ids rs = List.map (fun o -> o.Model.info.Model.id) rs in
+  Array.iteri
+    (fun e rs ->
+      check_bool "roots as taken" true (Store.roots_of_epoch store e = ids rs);
+      check_string "restores as taken" bodies.(e)
+        (full_body (snd (Store.restore store ~epoch:e)));
+      if e > 0 then
+        check_bool
+          (Printf.sprintf "epoch %d shares epoch %d's roots" e (e - 1))
+          (ids rs = ids roots.(e - 1))
+          (Store.roots_of_epoch store e == Store.roots_of_epoch store (e - 1)))
+    roots
+
 (* gc rewrites the pack as the kept chunks' bodies in first-reference
    order — each chunk where the first kept entry naming it locates it —
    and the pack and index a gc leaves are pinned by digest, under both
@@ -1524,9 +1585,77 @@ let gc_files_pinned () =
       ( Policy.Chain_bytes_limit 40,
         [ "855503d7c3e540f0d08a0108bf00623d"; "2513763abcb80678eba7531b6b63e3dd" ] ) ]
 
+(* The reopen rule restated on [Epoch_index.located_end], as a reference
+   for the one-pass [Epochs.recover]. [files] are the index files' raw
+   bytes, [decode] reads one item as (entry, chain); [pack_size] is the
+   pack file's length. Returns each file's kept [(chain, epoch)]s and
+   length, and the pack's length once cut. [None] when no file can be
+   read at all as this format (older versions are refused, not cut). *)
+let reference_recover ~decode ~pack_size files =
+  let intact raw =
+    fst
+      (In_stream.intact_prefix
+         (fun s ~pos ->
+           let (e, chain), stop = decode s ~pos in
+           ((e, chain, stop), stop))
+         raw)
+  in
+  let rec settle files =
+    let located = Hashtbl.create 64 in
+    List.iter
+      (List.iter (fun (e, _, _) ->
+           try
+             Epoch_index.iter_located e (fun k ~pos:_ ~len:_ ~crc:_ ->
+                 Hashtbl.replace located k ())
+           with In_stream.Corrupt _ -> ()))
+      files;
+    let resolves (e : Epoch_index.entry) =
+      match Epoch_index.located_end e with
+      | stop -> stop <= pack_size && List.for_all (Hashtbl.mem located) e.chunks
+      | exception In_stream.Corrupt _ -> false
+    in
+    let prefix items =
+      let next = Hashtbl.create 8 in
+      let rec go acc = function
+        | (((e : Epoch_index.entry), chain, _) as it) :: rest
+          when Chain.continuity ~next:(Hashtbl.find_opt next chain) e.kind
+                 ~epoch:e.epoch
+               = None
+               && resolves e ->
+            Hashtbl.replace next chain (e.epoch + 1);
+            go (it :: acc) rest
+        | _ -> List.rev acc
+      in
+      go [] items
+    in
+    let kept = List.map prefix files in
+    if List.for_all2 (fun a b -> List.compare_lengths a b = 0) kept files
+    then kept
+    else settle kept
+  in
+  let kept = settle (List.map intact files) in
+  let committed =
+    List.fold_left
+      (fun n (e, _, _) -> max n (Epoch_index.located_end e))
+      0 (List.concat kept)
+  in
+  ( List.map
+      (fun items ->
+        ( List.map (fun ((e : Epoch_index.entry), chain, _) -> (chain, e.epoch)) items,
+          List.fold_left (fun _ (_, _, stop) -> stop) 0 items ))
+      kept,
+    min pack_size committed )
+
+let plain_item s ~pos =
+  let e, stop = Epoch_index.decode s ~pos in
+  ((e, 0), stop)
+
+let file_length (vfs : Vfs.t) p = if vfs.Vfs.exists p then vfs.Vfs.size p else 0
+
 (* Random mutations (truncate, flip, splice) of a committed index or pack:
    reopen, restoring every surviving epoch and check raise nothing but
-   typed errors, and what restores is what was committed. *)
+   typed errors, and what restores is what was committed. The reopen keeps
+   exactly the entries, index length and pack length the reference keeps. *)
 let fuzz_store =
   let chain, files =
     let vfs = Sim.vfs (Sim.create ()) in
@@ -1557,8 +1686,27 @@ let fuzz_store =
             | In_stream.Corrupt _ ) ->
             ()
       in
+      let idx = Store.index_path store_path
+      and pack = Store.pack_path store_path in
+      let expected =
+        reference_recover ~decode:plain_item ~pack_size:(file_length vfs pack)
+          [ vfs.Vfs.read_file idx ]
+      in
       typed (fun () ->
           let store = Store.open_ ~vfs (make_world ()).schema ~path:store_path in
+          let got =
+            ( [ ( List.map (fun e -> (0, e)) (Store.epochs store),
+                  file_length vfs idx ) ],
+              file_length vfs pack )
+          in
+          if got <> expected then
+            QCheck2.Test.fail_reportf
+              "reopen kept %d epochs, %d index bytes, %d pack bytes; the \
+               reference %d, %d, %d"
+              (List.length (fst (List.hd (fst got))))
+              (snd (List.hd (fst got))) (snd got)
+              (List.length (fst (List.hd (fst expected))))
+              (snd (List.hd (fst expected))) (snd expected);
           List.iter
             (fun epoch ->
               typed (fun () ->
@@ -1699,7 +1847,9 @@ let suites =
         Alcotest.test_case "index load allocation" `Quick
           index_load_allocation;
         Alcotest.test_case "index version 2 rejected" `Quick
-          (index_version_rejected ~version:2) ] );
+          (index_version_rejected ~version:2);
+        Alcotest.test_case "pack reload allocation" `Quick
+          pack_reload_allocation ] );
     ( "store.core",
       [ Alcotest.test_case "restore agrees with chain replay" `Quick
           store_restore_agrees_with_replay;
@@ -1718,7 +1868,8 @@ let suites =
           store_diff_matches_diff_segments;
         Alcotest.test_case "gc retention + reopen" `Quick store_gc_retention;
         Alcotest.test_case "resume equivalence" `Quick
-          store_resume_equivalence ]
+          store_resume_equivalence;
+        Alcotest.test_case "shared roots" `Quick shared_roots ]
     );
     ( "store.manager",
       [ Alcotest.test_case "checkpoint lifecycle" `Quick checkpoint_lifecycle;
