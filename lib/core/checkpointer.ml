@@ -10,52 +10,37 @@ type stats = {
 let fresh_stats () = { visited = 0; recorded = 0; skipped = 0 }
 
 (* The paper's Figure 1, [Checkpoint.checkpoint]. The two [Model.record]/
-   [Model.fold] calls are virtual dispatches through the vtable. *)
-let rec visit_incremental d stats o =
-  stats.visited <- stats.visited + 1;
-  let info = o.Model.info in
-  if info.Model.modified then begin
-    Out_stream.write_int d info.Model.id;
-    Out_stream.write_int d o.Model.klass.Model.kid;
-    Model.record o d;
-    info.Model.modified <- false;
-    stats.recorded <- stats.recorded + 1
-  end
-  else stats.skipped <- stats.skipped + 1;
-  Model.fold o (visit_incremental d stats)
-
-let incremental ?(stats = fresh_stats ()) d root = visit_incremental d stats root
-
-let full ?(stats = fresh_stats ()) d root =
-  let seen = Hashtbl.create 1024 in
+   [Model.fold] calls are virtual dispatches through the vtable. The
+   visitor is one closure per call, so visiting an object allocates
+   nothing. *)
+let incremental_many ?(stats = fresh_stats ()) d roots =
   let rec visit o =
     stats.visited <- stats.visited + 1;
-    let id = o.Model.info.Model.id in
-    if not (Hashtbl.mem seen id) then begin
-      Hashtbl.add seen id ();
-      Out_stream.write_int d id;
+    let info = o.Model.info in
+    if info.Model.modified then begin
+      Out_stream.write_int d info.Model.id;
       Out_stream.write_int d o.Model.klass.Model.kid;
       Model.record o d;
-      o.Model.info.Model.modified <- false;
-      stats.recorded <- stats.recorded + 1;
-      Model.fold o visit
+      info.Model.modified <- false;
+      stats.recorded <- stats.recorded + 1
     end
+    else stats.skipped <- stats.skipped + 1;
+    Model.fold o visit
   in
-  visit root
+  List.iter visit roots
 
-let incremental_many ?stats d roots =
-  List.iter (incremental ?stats d) roots
+let incremental ?stats d root = incremental_many ?stats d [ root ]
 
+(* One visited set across roots, so an object reachable from two roots is
+   still recorded once. It is an int table with no payload: marking an
+   object allocates nothing until the table doubles. *)
 let full_many ?(stats = fresh_stats ()) d roots =
-  (* Share the visited set across roots so an object reachable from two
-     roots is still recorded once. *)
-  let seen = Hashtbl.create 1024 in
+  let seen = Idtbl.create 64 in
   let rec visit o =
     stats.visited <- stats.visited + 1;
-    let id = o.Model.info.Model.id in
-    if not (Hashtbl.mem seen id) then begin
-      Hashtbl.add seen id ();
-      Out_stream.write_int d id;
+    let fresh = Idtbl.length seen in
+    if Idtbl.add seen o.Model.info.Model.id = fresh then begin
+      Out_stream.write_int d o.Model.info.Model.id;
       Out_stream.write_int d o.Model.klass.Model.kid;
       Model.record o d;
       o.Model.info.Model.modified <- false;
@@ -65,13 +50,16 @@ let full_many ?(stats = fresh_stats ()) d roots =
   in
   List.iter visit roots
 
-let rec visit_full_tree d stats o =
-  stats.visited <- stats.visited + 1;
-  Out_stream.write_int d o.Model.info.Model.id;
-  Out_stream.write_int d o.Model.klass.Model.kid;
-  Model.record o d;
-  o.Model.info.Model.modified <- false;
-  stats.recorded <- stats.recorded + 1;
-  Model.fold o (visit_full_tree d stats)
+let full ?stats d root = full_many ?stats d [ root ]
 
-let full_tree ?(stats = fresh_stats ()) d root = visit_full_tree d stats root
+let full_tree ?(stats = fresh_stats ()) d root =
+  let rec visit o =
+    stats.visited <- stats.visited + 1;
+    Out_stream.write_int d o.Model.info.Model.id;
+    Out_stream.write_int d o.Model.klass.Model.kid;
+    Model.record o d;
+    o.Model.info.Model.modified <- false;
+    stats.recorded <- stats.recorded + 1;
+    Model.fold o visit
+  in
+  visit root

@@ -38,17 +38,16 @@ let records_of_body schema body =
   go []
 
 (* Framing-only walk: same decoding as [read_record] but the field values
-   are skipped, so chunking a body or locating its records costs varint
-   skipping, not arrays. Calls [f rec_id offset length] per record. *)
+   are skipped by their bytes, so chunking a body or locating its records
+   costs a byte loop, not arrays. Calls [f rec_id offset length] per
+   record. *)
 let iter_frames schema body f =
   let inp = In_stream.of_string body in
   while not (In_stream.at_end inp) do
     let start = In_stream.pos inp in
     let rec_id = In_stream.read_int inp in
     let klass = find_class schema (In_stream.read_int inp) ~id:rec_id in
-    for _ = 1 to klass.Model.n_ints + klass.Model.n_children do
-      ignore (In_stream.read_int inp : int)
-    done;
+    In_stream.skip_varints inp (klass.Model.n_ints + klass.Model.n_children);
     f rec_id start (In_stream.pos inp - start)
   done
 
@@ -62,45 +61,17 @@ let record_at schema s ~pos = read_record schema (In_stream.of_string_at s ~pos)
 (* ------------------------------------------------------------------ *)
 (* Dense slots: the newest-wins id -> record-location fold.            *)
 
-(* An open-addressing table from id to slot: [table] holds [slot + 1] per
-   bucket (0 = empty) and the id of a slot is [ids.(slot)], so a probe
-   compares ids without a second key array. Ids come from disk, so the
-   bucket index must not degrade on adversarial ones: the multiply-and-fold
-   puts every bit of the id into the low bits the mask keeps. The table is
-   at most half full, so probes stay short and always reach an empty
-   bucket. *)
+(* [ids] numbers every id with a slot; per slot, the source and offset of
+   its newest record. *)
 type slots = {
-  mutable table : int array;
-  mutable ids : int array;
+  ids : Idtbl.t;
   mutable srcs : int array;
   mutable offs : int array;
-  mutable n : int;
 }
-
-let hash x =
-  let h = x * 0x9e3779b97f4a7c1 in
-  h lxor (h lsr 32)
-
-let rec pow2_above n k = if k > n then k else pow2_above n (2 * k)
 
 let slots hint =
   let cap = max 16 hint in
-  { table = Array.make (pow2_above (2 * cap) 16) 0;
-    ids = Array.make cap 0;
-    srcs = Array.make cap 0;
-    offs = Array.make cap 0;
-    n = 0 }
-
-(* The bucket holding [id], or the empty bucket where it would go. *)
-let bucket t id =
-  let mask = Array.length t.table - 1 in
-  let rec probe i =
-    let e = t.table.(i) in
-    if e = 0 || t.ids.(e - 1) = id then i else probe ((i + 1) land mask)
-  in
-  probe (hash id land mask)
-
-let find t id = t.table.(bucket t id) - 1
+  { ids = Idtbl.create cap; srcs = Array.make cap 0; offs = Array.make cap 0 }
 
 let grow a n =
   let b = Array.make (2 * n) 0 in
@@ -108,69 +79,53 @@ let grow a n =
   b
 
 let set_slot t ~id ~src ~off =
-  let b = bucket t id in
-  let s =
-    if t.table.(b) > 0 then t.table.(b) - 1
-    else begin
-      let s = t.n in
-      if s = Array.length t.ids then begin
-        t.ids <- grow t.ids s;
-        t.srcs <- grow t.srcs s;
-        t.offs <- grow t.offs s
-      end;
-      t.ids.(s) <- id;
-      t.table.(b) <- s + 1;
-      t.n <- s + 1;
-      if 2 * t.n > Array.length t.table then begin
-        t.table <- Array.make (2 * Array.length t.table) 0;
-        for s = 0 to t.n - 1 do
-          t.table.(bucket t t.ids.(s)) <- s + 1
-        done
-      end;
-      s
-    end
-  in
+  let s = Idtbl.add t.ids id in
+  if s = Array.length t.srcs then begin
+    t.srcs <- grow t.srcs s;
+    t.offs <- grow t.offs s
+  end;
   t.srcs.(s) <- src;
   t.offs.(s) <- off
 
 let find_slot t id =
-  match find t id with
+  match Idtbl.find t.ids id with
   | -1 -> None
   | s -> Some (t.srcs.(s), t.offs.(s))
 
 let iter_slots t f =
-  for s = 0 to t.n - 1 do
-    f t.ids.(s) t.srcs.(s) t.offs.(s)
-  done
+  Idtbl.iter t.ids (fun s id -> f id t.srcs.(s) t.offs.(s))
 
 let heap_of_slots schema t ~source ~roots =
-  let heap = Heap.create ~capacity:t.n schema in
+  let n = Idtbl.length t.ids in
   (* Child slots of every object, flat in slot-then-field order, -1 for
      null: children may be decoded after their parent, so pointers are
      patched once every object exists. *)
-  let kids = ref (Array.make (max 16 (2 * t.n)) 0) and n_kids = ref 0 in
+  let kids = ref (Array.make (max 16 (2 * n)) 0) and n_kids = ref 0 in
   let push_kid k =
     if !n_kids = Array.length !kids then kids := grow !kids !n_kids;
     !kids.(!n_kids) <- k;
     incr n_kids
   in
-  let cur_src = ref (-1) and cur = ref "" in
+  (* One cursor per source, moved to each record. *)
+  let cur_src = ref (-1) and cur = ref (In_stream.of_string "") in
   let decode s =
-    let id = t.ids.(s) and src = t.srcs.(s) and off = t.offs.(s) in
+    let id = Idtbl.key t.ids s and src = t.srcs.(s) and off = t.offs.(s) in
     if id < 0 then error "negative object id %d" id;
     if src <> !cur_src then begin
-      cur := source src;
+      cur := In_stream.of_string (source src);
       cur_src := src
     end;
-    if off < 0 || off >= String.length !cur then
+    let inp = !cur in
+    let len = String.length (In_stream.source inp) in
+    if off < 0 || off >= len then
       error "object %d: record offset %d outside its data (%d bytes)" id off
-        (String.length !cur);
-    let inp = In_stream.of_string_at !cur ~pos:off in
+        len;
+    In_stream.seek inp off;
     let rec_id = In_stream.read_int inp in
     if rec_id <> id then
       error "directory entry for object %d lands on record %d" id rec_id;
     let klass = find_class schema (In_stream.read_int inp) ~id in
-    let o = Heap.alloc_with_id heap klass ~id ~modified:false in
+    let o = Heap.make_obj klass ~id ~modified:false in
     let ints = o.Model.ints in
     for i = 0 to klass.Model.n_ints - 1 do
       ints.(i) <- In_stream.read_int inp
@@ -179,14 +134,14 @@ let heap_of_slots schema t ~source ~roots =
       let cid = In_stream.read_int inp in
       if cid = Model.null_id then push_kid (-1)
       else
-        match find t cid with
+        match Idtbl.find t.ids cid with
         | -1 -> error "object %d references missing child %d (slot %d)" id cid j
         | k -> push_kid k
     done;
     o
   in
   (* [Array.init] applies [decode] to the slots in order. *)
-  let objs = Array.init t.n decode in
+  let objs = Array.init n decode in
   let kids = !kids and k = ref 0 in
   Array.iter
     (fun (o : Model.obj) ->
@@ -198,11 +153,14 @@ let heap_of_slots schema t ~source ~roots =
       done)
     objs;
   let root id =
-    match find t id with
+    match Idtbl.find t.ids id with
     | -1 -> error "root object %d not present in checkpoint" id
     | s -> objs.(s)
   in
-  (heap, List.map root roots)
+  let roots = List.map root roots in
+  (* The slot table already numbers every object: it becomes the heap's
+     registry as it is. *)
+  (Heap.adopt schema t.ids objs, roots)
 
 let of_segments schema segments ~roots =
   let bodies =

@@ -39,9 +39,16 @@ val records_of_body : Schema.t -> string -> record list
 
 val scan_body : Schema.t -> string -> (int * int * int) list
 (** The framing of a body without its contents: one [(rec_id, offset,
-    length)] per record, in write order. This is what the chunk store
-    aligns its chunk boundaries on.
+    length)] per record, in write order: {!iter_frames}, collected.
     @raise Error on an unknown class id. *)
+
+val iter_frames : Schema.t -> string -> (int -> int -> int -> unit) -> unit
+(** The framing of a body without its contents: [f rec_id offset length]
+    per record, in write order. Field values are skipped by their bytes,
+    not decoded. This is what the chunk store aligns its chunk boundaries
+    on.
+    @raise Error on an unknown class id.
+    @raise Ickpt_stream.In_stream.Corrupt on a truncated record. *)
 
 val record_at : Schema.t -> string -> pos:int -> record
 (** Decode the single record starting at [pos] — the point lookup a
@@ -71,7 +78,9 @@ val heap_of_slots :
   roots:int list ->
   Heap.t * Model.obj list
 (** Decode every slot's record once into a fresh heap, then link children
-    and resolve [roots] (returned in order) through the slot table.
+    and resolve [roots] (returned in order) through the slot table. The
+    slot table becomes the heap's registry ({!Heap.adopt}): the slots must
+    not be used afterwards.
     [source src] gives the bytes a slot's offset points into; it is asked
     again only when consecutive slots change source.
     @raise Error when a record's id is not its slot's, or on an unknown

@@ -54,9 +54,26 @@ let attr_test ~name runner_of =
 
 let spec shape = Jspec.Compile.residual (Jspec.Pe.specialize shape)
 
+(* The write path, per layer, on one compound structure: a generic full
+   checkpoint into a buffered stream reset per run (so the buffer is
+   grown once and reused), and the chunk split of that body. *)
+let write_tests () =
+  let t, root, _ = synth_unit ~last_only:false in
+  let roots = [ root ] in
+  let d = Ickpt_stream.Out_stream.create () in
+  Ickpt_core.Checkpointer.full_many d roots;
+  let body = Ickpt_stream.Out_stream.contents d in
+  [ Test.make ~name:"write-full-many"
+      (Staged.stage (fun () ->
+           Ickpt_stream.Out_stream.reset d;
+           Ickpt_core.Checkpointer.full_many d roots));
+    Test.make ~name:"write-chunk-split"
+      (Staged.stage (fun () ->
+           ignore (Ickpt_cas.Chunk.split t.Synth.schema body))) ]
+
 let tests () =
   Test.make_grouped ~name:"icheckpoint"
-    [ attr_test ~name:"table1-bta-incremental" (fun _ d o ->
+    ([ attr_test ~name:"table1-bta-incremental" (fun _ d o ->
           Ickpt_core.Checkpointer.incremental d o);
       attr_test ~name:"table1-bta-specialized" (fun attrs ->
           spec (Attrs.bta_shape attrs));
@@ -86,6 +103,7 @@ let tests () =
           Backend.native.Backend.run_generic);
       synth_test ~name:"table2-native-spec" ~last_only:false (fun t ->
           spec (Synth.shape_modified_lists t)) ]
+    @ write_tests ())
 
 let run ?(quota = 0.25) ppf =
   let ols =

@@ -16,4 +16,6 @@
 val workload :
   ?rounds:int -> unit -> (int * Ickpt_runtime.Model.obj list) Sweep.workload
 (** Labelled ["store"]. [rounds] checkpoints after the base one (default
-    5, with a GC after round 3); each committed state is (epoch, roots). *)
+    5, with a GC after round 3 that keeps only epoch 3, the newest full:
+    it drops epochs 0-2, so its staged writes and both renames are
+    swept); each committed state is (epoch, roots). *)

@@ -1,5 +1,9 @@
 (** The live heap: allocation, unique-id management and the id → object
-    registry that both incremental recording and restoration rely on. *)
+    registry that both incremental recording and restoration rely on.
+
+    The registry is an {!Ickpt_stream.Idtbl} from id to slot plus one
+    object per slot, so it iterates in allocation order and a restore can
+    hand over the slot table it has already filled ({!adopt}). *)
 
 type t
 
@@ -18,6 +22,18 @@ val alloc_with_id : t -> Model.klass -> id:int -> modified:bool -> Model.obj
 (** Restoration-path allocation with a caller-chosen id.
     @raise Invalid_argument if [id] is already live or negative. *)
 
+val make_obj : Model.klass -> id:int -> modified:bool -> Model.obj
+(** A fresh object with zeroed scalars and null children, registered in no
+    heap: restoration builds every object with it, then {!adopt}s them. *)
+
+val adopt : Schema.t -> Ickpt_stream.Idtbl.t -> Model.obj array -> t
+(** [adopt schema ids objs] is a heap whose registry is [ids] itself, slot
+    [s] holding [objs.(s)]: restoration numbers every object once and
+    registers none again. The heap takes both over; the caller must not
+    use them afterwards.
+    @raise Invalid_argument if an object's id is negative or not its
+    slot's key. *)
+
 val find : t -> int -> Model.obj option
 
 val find_exn : t -> int -> Model.obj
@@ -26,6 +42,7 @@ val find_exn : t -> int -> Model.obj
 val count : t -> int
 
 val iter : t -> (Model.obj -> unit) -> unit
+(** In registration (allocation) order. *)
 
 val next_id : t -> int
 (** The id the next {!alloc} will use (for tests and stats). *)
@@ -40,4 +57,5 @@ val sweep : t -> roots:Model.obj list -> int
     returning how many were dropped. The analog of a GC sweep for the
     registry: replaced substructure (e.g. superseded side-effect lists)
     otherwise accumulates as unreachable-but-registered garbage. Live
-    object ids and the allocation counter are unaffected. *)
+    object ids, their order and the allocation counter are unaffected;
+    the registry is rebuilt from the survivors. *)

@@ -1,12 +1,11 @@
 type t = {
-  mutable klasses : Model.klass list;  (* reverse declaration order *)
-  by_kid : (int, Model.klass) Hashtbl.t;
+  mutable by_kid : Model.klass array;  (* indexed by kid, [next_kid] used *)
   by_name : (string, Model.klass) Hashtbl.t;
   mutable next_kid : int;
 }
 
 let create () =
-  { klasses = []; by_kid = Hashtbl.create 16; by_name = Hashtbl.create 16;
+  { by_kid = [||]; by_name = Hashtbl.create 16;
     next_kid = 0 }
 
 let declare t ~name ?parent ~ints ~children () =
@@ -30,15 +29,25 @@ let declare t ~name ?parent ~ints ~children () =
       fold_m = Model.default_fold }
   in
   t.next_kid <- t.next_kid + 1;
-  t.klasses <- k :: t.klasses;
-  Hashtbl.add t.by_kid k.Model.kid k;
+  if k.Model.kid = Array.length t.by_kid then begin
+    (* The new class fills the fresh cells until their own classes come. *)
+    let a = Array.make (max 16 (2 * k.Model.kid)) k in
+    Array.blit t.by_kid 0 a 0 k.Model.kid;
+    t.by_kid <- a
+  end;
+  t.by_kid.(k.Model.kid) <- k;
   Hashtbl.add t.by_name name k;
   k
 
-let find t kid = Hashtbl.find t.by_kid kid
+let find t kid =
+  if kid < 0 || kid >= t.next_kid then raise Not_found;
+  Array.unsafe_get t.by_kid kid
 
 let find_name t name = Hashtbl.find t.by_name name
 
 let count t = t.next_kid
 
-let iter t f = List.iter f (List.rev t.klasses)
+let iter t f =
+  for kid = 0 to t.next_kid - 1 do
+    f t.by_kid.(kid)
+  done

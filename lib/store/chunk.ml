@@ -26,20 +26,22 @@ let key_matches key data =
   in
   go 1
 
+(* One pass: chunks are cut as the frame walk yields records. *)
 let split ?(records_per_chunk = default_records_per_chunk) schema body =
   if records_per_chunk < 1 then invalid_arg "Chunk.split: records_per_chunk";
-  let frames = Restore.scan_body schema body in
-  let rec chunks frames acc =
-    match frames with
-    | [] -> List.rev acc
-    | (_, start, _) :: _ ->
-        let rec take n stop recs = function
-          | (id, off, len) :: rest when n < records_per_chunk ->
-              take (n + 1) (off + len) ((id, off - start) :: recs) rest
-          | rest -> (stop, List.rev recs, rest)
-        in
-        let stop, records, rest = take 0 start [] frames in
-        let data = String.sub body start (stop - start) in
-        chunks rest ({ key = key_of data; data; records } :: acc)
+  let chunks = ref [] and recs = ref [] and n = ref 0 in
+  let start = ref 0 and stop = ref 0 in
+  let cut () =
+    let data = String.sub body !start (!stop - !start) in
+    chunks := { key = key_of data; data; records = List.rev !recs } :: !chunks;
+    recs := [];
+    n := 0;
+    start := !stop
   in
-  chunks frames []
+  Restore.iter_frames schema body (fun id off len ->
+      recs := (id, off - !start) :: !recs;
+      stop := off + len;
+      incr n;
+      if !n = records_per_chunk then cut ());
+  if !n > 0 then cut ();
+  List.rev !chunks

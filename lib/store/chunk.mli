@@ -46,5 +46,8 @@ val split :
   ?records_per_chunk:int -> Ickpt_runtime.Schema.t -> string -> t list
 (** Split a segment body. The empty body yields [[]]; every other body
     yields chunks whose [data] concatenates back to the body.
+    Chunks are cut in one walk over the body's records
+    ({!Ickpt_core.Restore.iter_frames}).
     @raise Invalid_argument if [records_per_chunk < 1].
-    @raise Ickpt_core.Restore.Error on an unknown class id in the body. *)
+    @raise Ickpt_core.Restore.Error on an unknown class id in the body.
+    @raise Ickpt_stream.In_stream.Corrupt on a truncated record. *)

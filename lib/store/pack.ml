@@ -2,41 +2,23 @@ open Ickpt_core
 open Ickpt_stream
 
 (* The key table: one slot per located chunk, in the order the entries
-   located them, as flat arrays: the chunk's key, where its body starts in
-   the file and how long it is, its CRC-32, and whether that CRC has held.
-   No chunk byte is kept. [table] is open addressing from key to slot:
-   [slot + 1] per bucket, 0 = empty, at most half full. Keys come from
-   disk, so the bucket index folds every bit of the key into the low bits
-   the mask keeps (as [Restore.slots] does for object ids). *)
+   located them ([keys] numbers them), and per slot, as flat arrays: where
+   the chunk's body starts in the file and how long it is, its CRC-32, and
+   whether that CRC has held. No chunk byte is kept. *)
 type t = {
   vfs : Vfs.t;
   file : string;
   mutable size : int;  (* the file's length when last opened, cut or appended *)
   mutable cut : int;  (* bytes the last reopen cut off past the committed length *)
-  mutable n : int;
-  mutable keys : int array;
+  mutable keys : Idtbl.t;
   mutable offs : int array;
   mutable lens : int array;
   mutable crcs : int array;
   mutable checked : Bytes.t;  (* '\001' once the slot's CRC has held *)
-  mutable table : int array;
   mutable buf : Bytes.t;  (* the one read buffer, allocated on first use *)
 }
 
-let hash x =
-  let h = x * 0x9e3779b97f4a7c1 in
-  h lxor (h lsr 32)
-
-(* The bucket holding [key], or the empty bucket where it would go. *)
-let bucket t key =
-  let mask = Array.length t.table - 1 in
-  let rec probe i =
-    let e = t.table.(i) in
-    if e = 0 || t.keys.(e - 1) = key then i else probe ((i + 1) land mask)
-  in
-  probe (hash key land mask)
-
-let slot t key = t.table.(bucket t key) - 1
+let slot t key = Idtbl.find t.keys key
 
 let slot_exn t key =
   match slot t key with -1 -> raise Not_found | s -> s
@@ -51,29 +33,18 @@ let initial = 256
 (* The chunk becomes the next slot unless its key is already located: the
    first location of a key wins, as a dedup hit would. *)
 let add t ~key ~off ~len ~crc ~checked =
-  let b = bucket t key in
-  if t.table.(b) = 0 then begin
-    let s = t.n in
-    if s = Array.length t.keys then begin
-      t.keys <- grow t.keys s;
+  let s = Idtbl.length t.keys in
+  if Idtbl.add t.keys key = s then begin
+    if s = Array.length t.offs then begin
       t.offs <- grow t.offs s;
       t.lens <- grow t.lens s;
       t.crcs <- grow t.crcs s;
       t.checked <- Bytes.extend t.checked 0 s
     end;
-    t.keys.(s) <- key;
     t.offs.(s) <- off;
     t.lens.(s) <- len;
     t.crcs.(s) <- crc;
-    Bytes.set t.checked s (if checked then '\001' else '\000');
-    t.table.(b) <- s + 1;
-    t.n <- s + 1;
-    if 2 * t.n > Array.length t.table then begin
-      t.table <- Array.make (2 * Array.length t.table) 0;
-      for s = 0 to t.n - 1 do
-        t.table.(bucket t t.keys.(s)) <- s + 1
-      done
-    end
+    Bytes.set t.checked s (if checked then '\001' else '\000')
   end
 
 let stop t s = t.offs.(s) + t.lens.(s)
@@ -90,22 +61,18 @@ let locate t ~checked e =
       stop := pos + len);
   !stop
 
-let rec pow2_at_least n p = if p >= n then p else pow2_at_least n (2 * p)
-
-(* The arrays are sized once, for every chunk the entries count plus
-   [initial] more for the session's own appends, and the table to keep
-   them at most half full: building it neither grows nor rehashes. *)
+(* The table and arrays are sized once, for every chunk the entries count
+   plus [initial] more for the session's own appends: building them
+   neither grows nor rehashes. *)
 let reload t entries =
   let cap =
     List.fold_left (fun n e -> n + Epoch_index.located_count e) initial entries
   in
-  t.n <- 0;
-  t.keys <- Array.make cap 0;
+  t.keys <- Idtbl.create cap;
   t.offs <- Array.make cap 0;
   t.lens <- Array.make cap 0;
   t.crcs <- Array.make cap 0;
   t.checked <- Bytes.make cap '\000';
-  t.table <- Array.make (pow2_at_least (2 * cap) 1) 0;
   t.size <- file_size t;
   t.cut <- 0;
   (* A malformed entry locates what decoded before the fault; it does not
@@ -119,9 +86,8 @@ let reload t entries =
 
 let open_ ?(vfs = Vfs.real) file =
   let t =
-    { vfs; file; size = 0; cut = 0; n = 0; keys = [||]; offs = [||];
-      lens = [||]; crcs = [||]; checked = Bytes.empty; table = [||];
-      buf = Bytes.empty }
+    { vfs; file; size = 0; cut = 0; keys = Idtbl.create 0; offs = [||];
+      lens = [||]; crcs = [||]; checked = Bytes.empty; buf = Bytes.empty }
   in
   ignore (reload t [] : int option list);
   t
@@ -139,9 +105,9 @@ let chunk_len t key = t.lens.(slot_exn t key)
 
 let chunk_crc t key = t.crcs.(slot_exn t key)
 
-let keys t = List.init t.n (Array.get t.keys)
+let keys t = List.init (Idtbl.length t.keys) (Idtbl.key t.keys)
 
-let length t = t.n
+let length t = Idtbl.length t.keys
 
 let physical_bytes t = t.size
 
@@ -169,7 +135,7 @@ let check_in t s run ~base =
       raise
         (In_stream.Corrupt
            (Printf.sprintf "pack crc mismatch at %d (chunk %s)" t.offs.(s)
-              (Hash64.to_hex t.keys.(s))));
+              (Hash64.to_hex (Idtbl.key t.keys s))));
     Bytes.set t.checked s '\001'
   end
 
@@ -285,7 +251,8 @@ let resolve t batch =
     (Array.map (fun i -> slot t (fst chunks.(i))) hits)
     (fun j run off len ->
       stored_equal.(hits.(j)) <- equal_at run off len (snd chunks.(hits.(j))));
-  let pending = Hashtbl.create 16 in
+  let pending = Idtbl.create (Array.length chunks)
+  and pending_data = Array.make (Array.length chunks) "" in
   List.mapi
     (fun i (key, data) ->
       let rec go attempt =
@@ -296,8 +263,10 @@ let resolve t batch =
             if attempt = 0 then key else Chunk.salted_key data ~attempt
           in
           let same =
-            if not (mem t key) then
-              Option.map (String.equal data) (Hashtbl.find_opt pending key)
+            if not (mem t key) then (
+              match Idtbl.find pending key with
+              | -1 -> None
+              | p -> Some (String.equal data pending_data.(p)))
             else if attempt = 0 then Some stored_equal.(i)
             else Some (String.equal data (read t key))
           in
@@ -305,7 +274,7 @@ let resolve t batch =
           | Some true -> Dup key
           | Some false -> go (attempt + 1)
           | None ->
-              Hashtbl.replace pending key data;
+              pending_data.(Idtbl.add pending key) <- data;
               Fresh { key; attempt }
       in
       go 0)

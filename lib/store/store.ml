@@ -27,6 +27,9 @@ type t = {
   mutable progress : Epochs.progress;
   mutable index_bytes : int;  (* the index file's length *)
   mutable collided : collision list;  (* newest first; this session only *)
+  mutable gc_unfinished : bool;
+      (* a gc committed (its index is live) but its pack is not yet in
+         place and in the table *)
 }
 
 let path t = t.root
@@ -71,7 +74,24 @@ let open_ ?(vfs = Vfs.real) ?(records_per_chunk = Chunk.default_records_per_chun
     entries;
     progress = Epochs.progress pack entries;
     index_bytes;
-    collided = [] }
+    collided = [];
+    gc_unfinished = false }
+
+(* The second half of a committed gc, as [open_] finishes it: the staged
+   pack is renamed into place, then the table is rebuilt from the new
+   entries. Until it has run, the pack is not touched: every use of it
+   comes through [pack], which runs it first, so a failure here is retried
+   on the next use. *)
+let finish_gc t =
+  let pack_file = pack_path t.root in
+  let pack_tmp = Vfs.temp_of pack_file in
+  if t.vfs.Vfs.exists pack_tmp then t.vfs.Vfs.rename ~src:pack_tmp ~dst:pack_file;
+  ignore (Pack.reload t.pack t.entries : int option list);
+  t.gc_unfinished <- false
+
+let pack t =
+  if t.gc_unfinished then finish_gc t;
+  t.pack
 
 (* ------------------------------------------------------------------ *)
 (* Lookup helpers.                                                     *)
@@ -119,7 +139,7 @@ let append_segment t (seg : Segment.t) =
   in
   let c =
     try
-      Epochs.commit Epochs.plain t.vfs ~path:(index_path t.root) t.pack
+      Epochs.commit Epochs.plain t.vfs ~path:(index_path t.root) (pack t)
         [ { Epochs.chain = 0;
             kind = seg.kind;
             epoch = seg.seq;
@@ -159,11 +179,11 @@ let checkpoint_with t roots ~body =
 (* ------------------------------------------------------------------ *)
 (* Reading.                                                            *)
 
-let segment_of_epoch t epoch = Epochs.segment t.pack (entry_at t epoch)
+let segment_of_epoch t epoch = Epochs.segment (pack t) (entry_at t epoch)
 
 let restore t ~epoch =
   ignore (entry_at t epoch : Epoch_index.entry);
-  Dir.restore (Dir.reader t.pack t.schema) ~entries:t.entries ~epoch
+  Dir.restore (Dir.reader (pack t) t.schema) ~entries:t.entries ~epoch
 
 (* ------------------------------------------------------------------ *)
 (* Diff.                                                               *)
@@ -171,9 +191,10 @@ let restore t ~epoch =
 let diff t a b =
   ignore (entry_at t a : Epoch_index.entry);
   ignore (entry_at t b : Epoch_index.entry);
-  let da = Dir.fold_in t.pack ~entries:t.entries ~epoch:a
-  and db = Dir.fold_in t.pack ~entries:t.entries ~epoch:b in
-  let record = Dir.record (Dir.reader t.pack t.schema) in
+  let pack = pack t in
+  let da = Dir.fold_in pack ~entries:t.entries ~epoch:a
+  and db = Dir.fold_in pack ~entries:t.entries ~epoch:b in
+  let record = Dir.record (Dir.reader pack t.schema) in
   let changes = ref [] in
   Dir.iter da (fun id ptr ->
       match Dir.find db id with
@@ -196,8 +217,9 @@ let diff t a b =
 (* Space: refcounts, GC, stats, check.                                 *)
 
 let refcounts t =
+  let keys = Pack.keys (pack t) in
   let counts : (int, int) Hashtbl.t = Hashtbl.create 256 in
-  List.iter (fun k -> Hashtbl.replace counts k 0) (Pack.keys t.pack);
+  List.iter (fun k -> Hashtbl.replace counts k 0) keys;
   List.iter
     (fun (e : Epoch_index.entry) ->
       (* A chunk referenced twice by one epoch still counts that epoch
@@ -208,7 +230,7 @@ let refcounts t =
           Hashtbl.replace counts k (1 + Option.value ~default:0 (Hashtbl.find_opt counts k)))
         e.chunks)
     t.entries;
-  List.map (fun k -> (k, Hashtbl.find counts k)) (Pack.keys t.pack)
+  List.map (fun k -> (k, Hashtbl.find counts k)) keys
 
 type retention = Keep_all | Keep_last of int | Keep_from of int
 
@@ -221,6 +243,7 @@ type gc_stats = {
 let no_gc = { dropped_epochs = 0; dropped_chunks = 0; reclaimed_bytes = 0 }
 
 let gc t ~retain =
+  let pack = pack t in
   match t.entries with
   | [] -> no_gc
   | oldest :: _ ->
@@ -245,31 +268,43 @@ let gc t ~retain =
           List.iter (fun k -> Hashtbl.replace kept_keys k ()) e.chunks)
         kept;
       let dropped_chunks =
-        List.length (List.filter (fun k -> not (Hashtbl.mem kept_keys k)) (Pack.keys t.pack))
+        List.length (List.filter (fun k -> not (Hashtbl.mem kept_keys k)) (Pack.keys pack))
       in
       let dropped_epochs = List.length t.entries - List.length kept in
       if dropped_epochs = 0 && dropped_chunks = 0 then no_gc
       else begin
-        let old_bytes = Pack.physical_bytes t.pack in
-        let pack_file = pack_path t.root and index_file = index_path t.root in
+        let old_bytes = Pack.physical_bytes pack in
+        let index_file = index_path t.root in
         (* The rewritten pack holds the kept chunks in first-reference
            order, each located on the first kept entry naming it. *)
-        let kept, groups = Epochs.relocate t.pack kept in
+        let kept, groups = Epochs.relocate pack kept in
         (* Commit order matters. The index is staged first and renamed
            first: its rename is the commit point, and a staged pack alone
            tells the next open to finish the gc (see [open_]). *)
         let idx_tmp, index_bytes =
           Epoch_index.write_staged t.vfs ~path:index_file kept
         in
-        let pack_tmp = Pack.stage_rewrite t.pack groups in
-        t.vfs.Vfs.rename ~src:idx_tmp ~dst:index_file;
-        t.vfs.Vfs.rename ~src:pack_tmp ~dst:pack_file;
-        ignore (Pack.reload t.pack kept : int option list);
+        ignore (Pack.stage_rewrite pack groups : string);
+        (* The rename has landed once the staged index is gone, even if
+           the call raised: from then on the session is on the new
+           entries, and the pack's half is [finish_gc]'s, now or on the
+           next use of the pack. *)
+        let failed =
+          match t.vfs.Vfs.rename ~src:idx_tmp ~dst:index_file with
+          | () -> None
+          | exception e ->
+              let bt = Printexc.get_raw_backtrace () in
+              if t.vfs.Vfs.exists idx_tmp then Printexc.raise_with_backtrace e bt;
+              Some (e, bt)
+        in
         t.entries <- kept;
         t.index_bytes <- index_bytes;
+        t.gc_unfinished <- true;
+        finish_gc t;
+        Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) failed;
         { dropped_epochs;
           dropped_chunks;
-          reclaimed_bytes = old_bytes - Pack.physical_bytes t.pack }
+          reclaimed_bytes = old_bytes - Pack.physical_bytes pack }
       end
 
 type stats = {
@@ -282,21 +317,23 @@ type stats = {
 }
 
 let stats t =
-  let logical_bytes = Epochs.logical_bytes t.pack t.entries in
-  let pack_bytes = Pack.physical_bytes t.pack in
+  let pack = pack t in
+  let logical_bytes = Epochs.logical_bytes pack t.entries in
+  let pack_bytes = Pack.physical_bytes pack in
   { n_epochs = List.length t.entries;
-    n_chunks = Pack.length t.pack;
+    n_chunks = Pack.length pack;
     logical_bytes;
     physical_bytes = pack_bytes + t.index_bytes;
     dedup_ratio =
       (if pack_bytes = 0 then 1.0
        else float_of_int logical_bytes /. float_of_int pack_bytes);
-    pack_cut_bytes = Pack.cut_bytes t.pack }
+    pack_cut_bytes = Pack.cut_bytes pack }
 
 let salted_chunks t =
+  let pack = pack t in
   List.filter_map
     (fun k ->
-      let data = Pack.read t.pack k in
+      let data = Pack.read pack k in
       if Chunk.key_of data = k then None
       else
         let rec find attempt =
@@ -305,6 +342,6 @@ let salted_chunks t =
           else find (attempt + 1)
         in
         find 1)
-    (Pack.keys t.pack)
+    (Pack.keys pack)
 
-let check t = Epochs.check Epochs.plain t.pack ~who:(fun _ -> None) t.entries
+let check t = Epochs.check Epochs.plain (pack t) ~who:(fun _ -> None) t.entries

@@ -193,7 +193,12 @@ val gc : t -> retain:retention -> gc_stats
 (** Drop epochs outside the retention window and every chunk no retained
     epoch references. The floor is widened down to the nearest full epoch
     so every retained epoch stays restorable. Crash-safe (staged temps,
-    index renamed before pack). *)
+    index renamed before pack). The index rename is the commit point: once
+    it has landed — even if the call raised — the session is on the kept
+    epochs, and if renaming the pack into place or reloading its table
+    then raises, the next use of the store finishes it first, as {!open_}
+    would. A gc that raises may thus have committed; the session follows
+    the disk either way. *)
 
 val refcounts : t -> (int * int) list
 (** [(chunk key, number of references by committed epochs)], every

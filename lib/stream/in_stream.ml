@@ -38,6 +38,27 @@ let rec read_varint t acc shift pos =
 
 let read_int t = read_varint t 0 0 t.pos
 
+(* Skips [n] varints by their bytes alone: a varint ends at its first
+   byte below 0x80. A truncated one raises what [read_int] would, naming
+   where it starts. *)
+let skip_varints t n =
+  let data = t.data in
+  let len = String.length data in
+  let pos = ref t.pos and start = ref t.pos and left = ref n in
+  while !left > 0 do
+    if !pos >= len then corrupt "truncated varint at %d" !start;
+    if Char.code (String.unsafe_get data !pos) < 0x80 then begin
+      decr left;
+      start := !pos + 1
+    end;
+    incr pos
+  done;
+  t.pos <- !pos
+
+let seek t pos =
+  if pos < 0 || pos > String.length t.data then invalid_arg "In_stream.seek";
+  t.pos <- pos
+
 let read_byte t =
   need t 1 "byte";
   let b = Char.code (String.unsafe_get t.data t.pos) in

@@ -23,6 +23,15 @@ val at_end : t -> bool
 val read_int : t -> int
 (** @raise Corrupt on truncated input. *)
 
+val skip_varints : t -> int -> unit
+(** Advance past [n] varints without decoding them.
+    @raise Corrupt on truncated input, as {!read_int} would. *)
+
+val seek : t -> int -> unit
+(** Move the cursor to [pos] of the same string: one stream serves many
+    reads at scattered offsets.
+    @raise Invalid_argument outside [0 .. String.length (source t)]. *)
+
 val read_byte : t -> int
 
 val read_fixed32 : t -> int

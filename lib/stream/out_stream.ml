@@ -1,57 +1,75 @@
-type t =
-  | Buffered of Buffer.t
-  | Sink of int ref
+(* One flat buffer and a position. A sink keeps no bytes and only counts:
+   its [pos] is the size it would have written. Every write makes one
+   capacity check, then stores unchecked. *)
+type t = { mutable buf : Bytes.t; mutable pos : int; sink : bool }
 
-let create ?(initial_size = 4096) () = Buffered (Buffer.create initial_size)
+let create ?(initial_size = 4096) () =
+  { buf = Bytes.create (max 16 initial_size); pos = 0; sink = false }
 
-let sink () = Sink (ref 0)
+let sink () = { buf = Bytes.empty; pos = 0; sink = true }
 
-let is_sink = function Sink _ -> true | Buffered _ -> false
+let is_sink t = t.sink
+
+(* Room for [n] more bytes, doubling. Only a buffered stream calls it. *)
+let grow t n =
+  let need = t.pos + n in
+  let cap = ref (2 * Bytes.length t.buf) in
+  while !cap < need do
+    cap := 2 * !cap
+  done;
+  let buf = Bytes.create !cap in
+  Bytes.blit t.buf 0 buf 0 t.pos;
+  t.buf <- buf
 
 let write_int t n =
-  match t with
-  | Buffered buf -> Varint.write buf n
-  | Sink count -> count := !count + Varint.encoded_size n
+  if t.sink then t.pos <- t.pos + Varint.encoded_size n
+  else begin
+    if t.pos + Varint.max_size > Bytes.length t.buf then grow t Varint.max_size;
+    t.pos <- Varint.unsafe_set t.buf t.pos n
+  end
 
 let write_byte t n =
-  match t with
-  | Buffered buf -> Buffer.add_char buf (Char.unsafe_chr (n land 0xff))
-  | Sink count -> incr count
+  if not t.sink then begin
+    if t.pos >= Bytes.length t.buf then grow t 1;
+    Bytes.unsafe_set t.buf t.pos (Char.unsafe_chr (n land 0xff))
+  end;
+  t.pos <- t.pos + 1
 
 let write_fixed32 t n =
-  match t with
-  | Buffered buf ->
-      Buffer.add_char buf (Char.unsafe_chr (n land 0xff));
-      Buffer.add_char buf (Char.unsafe_chr ((n lsr 8) land 0xff));
-      Buffer.add_char buf (Char.unsafe_chr ((n lsr 16) land 0xff));
-      Buffer.add_char buf (Char.unsafe_chr ((n lsr 24) land 0xff))
-  | Sink count -> count := !count + 4
+  if not t.sink then begin
+    if t.pos + 4 > Bytes.length t.buf then grow t 4;
+    let b = t.buf and p = t.pos in
+    Bytes.unsafe_set b p (Char.unsafe_chr (n land 0xff));
+    Bytes.unsafe_set b (p + 1) (Char.unsafe_chr ((n lsr 8) land 0xff));
+    Bytes.unsafe_set b (p + 2) (Char.unsafe_chr ((n lsr 16) land 0xff));
+    Bytes.unsafe_set b (p + 3) (Char.unsafe_chr ((n lsr 24) land 0xff))
+  end;
+  t.pos <- t.pos + 4
 
 let write_substring t s ~pos ~len =
-  match t with
-  | Buffered buf ->
-      Varint.write buf len;
-      Buffer.add_substring buf s pos len
-  | Sink count -> count := !count + Varint.encoded_size len + len
+  if pos < 0 || len < 0 || pos > String.length s - len then
+    invalid_arg "Out_stream.write_substring";
+  write_int t len;
+  if not t.sink then begin
+    if t.pos + len > Bytes.length t.buf then grow t len;
+    Bytes.unsafe_blit_string s pos t.buf t.pos len
+  end;
+  t.pos <- t.pos + len
 
 let write_string t s = write_substring t s ~pos:0 ~len:(String.length s)
 
-let size = function
-  | Buffered buf -> Buffer.length buf
-  | Sink count -> !count
+let size t = t.pos
 
-let contents = function
-  | Buffered buf -> Buffer.contents buf
-  | Sink _ -> invalid_arg "Out_stream.contents: sink stream"
+let contents t =
+  if t.sink then invalid_arg "Out_stream.contents: sink stream";
+  Bytes.sub_string t.buf 0 t.pos
 
-let reset = function
-  | Buffered buf -> Buffer.clear buf
-  | Sink count -> count := 0
+let reset t = t.pos <- 0
 
 let framed ~magic ~version write =
   let d = create () in
   write_fixed32 d magic;
   write_byte d version;
   write d;
-  write_fixed32 d (Crc32.string (contents d));
+  write_fixed32 d (Crc32.sub (Bytes.unsafe_to_string d.buf) ~pos:0 ~len:d.pos);
   contents d

@@ -5,7 +5,9 @@
     and committed to stable storage separately (see [Ickpt_cas.Store]).
 
     Two flavours exist:
-    - a {e buffered} stream that accumulates bytes ({!create});
+    - a {e buffered} stream that accumulates bytes ({!create}) in one
+      growable byte buffer: a write makes one capacity check, then stores
+      unchecked, and allocates nothing unless the buffer doubles;
     - a {e sink} that counts bytes without storing them ({!sink}), used to
       measure pure traversal/encoding cost and for size estimation. *)
 
@@ -43,7 +45,8 @@ val contents : t -> string
     @raise Invalid_argument on a sink stream. *)
 
 val reset : t -> unit
-(** Forget all written data; [size] returns to 0. *)
+(** Forget all written data; [size] returns to 0. A buffered stream keeps
+    its buffer, so writing the same amount again allocates nothing. *)
 
 val framed : magic:int -> version:int -> (t -> unit) -> string
 (** One checksummed record-file frame: [magic] (fixed32), [version]

@@ -2,34 +2,37 @@ let zigzag n = (n lsl 1) lxor (n asr (Sys.int_size - 1))
 
 let unzigzag n = (n lsr 1) lxor (-(n land 1))
 
-let write buf n =
-  let rec go n =
-    (* [n] is treated as unsigned from here on; zigzag guarantees n >= 0
-       except for min_int, which the lsr below still terminates on. *)
-    if n lsr 7 = 0 then Buffer.add_char buf (Char.unsafe_chr (n land 0x7f))
-    else begin
-      Buffer.add_char buf (Char.unsafe_chr (n land 0x7f lor 0x80));
-      go (n lsr 7)
-    end
-  in
-  go (zigzag n)
+(* A zigzagged native int has at most [Sys.int_size] significant bits. *)
+let max_size = (Sys.int_size + 6) / 7
 
-let set b pos n =
-  let rec go pos n =
-    if n lsr 7 = 0 then begin
-      Bytes.set b pos (Char.unsafe_chr (n land 0x7f));
-      pos + 1
-    end
-    else begin
-      Bytes.set b pos (Char.unsafe_chr (n land 0x7f lor 0x80));
-      go (pos + 1) (n lsr 7)
-    end
-  in
-  go pos (zigzag n)
+(* Top-level loops, not local closures: a value is encoded without
+   allocating. [n] is treated as unsigned from here on; zigzag guarantees
+   n >= 0 except for min_int, which [lsr] still terminates on. *)
+let rec add_unsigned buf n =
+  if n lsr 7 = 0 then Buffer.add_char buf (Char.unsafe_chr n)
+  else begin
+    Buffer.add_char buf (Char.unsafe_chr (n land 0x7f lor 0x80));
+    add_unsigned buf (n lsr 7)
+  end
 
-let encoded_size n =
-  let rec go acc n = if n lsr 7 = 0 then acc else go (acc + 1) (n lsr 7) in
-  go 1 (zigzag n)
+let write buf n = add_unsigned buf (zigzag n)
+
+let rec set_unsigned b pos n =
+  if n lsr 7 = 0 then begin
+    Bytes.unsafe_set b pos (Char.unsafe_chr n);
+    pos + 1
+  end
+  else begin
+    Bytes.unsafe_set b pos (Char.unsafe_chr (n land 0x7f lor 0x80));
+    set_unsigned b (pos + 1) (n lsr 7)
+  end
+
+let unsafe_set b pos n = set_unsigned b pos (zigzag n)
+
+let rec size_unsigned acc n =
+  if n lsr 7 = 0 then acc else size_unsigned (acc + 1) (n lsr 7)
+
+let encoded_size n = size_unsigned 1 (zigzag n)
 
 let read s pos =
   let len = String.length s in

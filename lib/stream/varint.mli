@@ -10,13 +10,16 @@ val zigzag : int -> int
 val unzigzag : int -> int
 (** Inverse of {!zigzag}. *)
 
+val max_size : int
+(** The longest encoding of a native int: 9 bytes on 64-bit platforms. *)
+
 val write : Buffer.t -> int -> unit
 (** [write buf n] appends the zigzag-LEB128 encoding of [n] to [buf]. *)
 
-val set : bytes -> int -> int -> int
-(** [set b pos n] writes the encoding {!write} emits for [n] into [b] at
-    [pos] and returns the position just past it.
-    @raise Invalid_argument if it does not fit. *)
+val unsafe_set : bytes -> int -> int -> int
+(** [unsafe_set b pos n] writes the encoding {!write} emits for [n] into
+    [b] at [pos] and returns the position just past it. Unchecked: the
+    caller guarantees [pos + max_size <= Bytes.length b]. *)
 
 val encoded_size : int -> int
 (** [encoded_size n] is the number of bytes {!write} emits for [n]. *)

@@ -403,6 +403,33 @@ let policy_decisions () =
   check_bool "huge limit stays incremental" false
     (is_full (Policy.Chain_bytes_limit max_int))
 
+(* The write path allocates nothing per value: a full take of the
+   6,500-object synthetic heap into a buffered stream allocates at most
+   one minor word per object (the visited set and the buffer are large
+   blocks, allocated on the major heap as they double). *)
+let full_take_allocation () =
+  let synth =
+    Ickpt_synth.Synth.build
+      { Ickpt_synth.Synth.default_config with Ickpt_synth.Synth.n_structures = 250 }
+  in
+  let roots = Ickpt_synth.Synth.roots synth in
+  let objects = Heap.count synth.Ickpt_synth.Synth.heap in
+  check_int "objects" 6_500 objects;
+  let take () =
+    let d = Ickpt_stream.Out_stream.create () in
+    Checkpointer.full_many d roots;
+    d
+  in
+  ignore (take ());
+  let before = Gc.minor_words () in
+  let d = take () in
+  let words = Gc.minor_words () -. before in
+  check_bool "every object recorded" true
+    (Ickpt_stream.Out_stream.size d > 20 * objects);
+  if words > float_of_int objects then
+    Alcotest.failf "a full take of %d objects allocated %.0f minor words"
+      objects words
+
 let suites =
   [ ( "checkpointer",
       [ Alcotest.test_case "fresh records all" `Quick incremental_fresh_records_all;
@@ -412,6 +439,7 @@ let suites =
         Alcotest.test_case "full == incremental on fresh tree" `Quick
           full_equals_incremental_on_fresh_tree;
         Alcotest.test_case "dag recorded once" `Quick full_records_dag_once;
+        Alcotest.test_case "full take allocation" `Quick full_take_allocation;
         Alcotest.test_case "multi roots share visited" `Quick
           multi_roots_share_visited ] );
     ( "restore",

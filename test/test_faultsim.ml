@@ -228,10 +228,48 @@ let check_tally (r : Sweep.report) ~points ~runs =
    one op at each crash point instead, once, and every epoch reported
    durable must survive and restore as taken. *)
 let sweep_default_tallies () =
-  check_tally (Sweep.run (Store_sim.workload ())) ~points:80 ~runs:240;
+  check_tally (Sweep.run (Store_sim.workload ())) ~points:111 ~runs:333;
   check_tally (Sweep.run (Service_sim.workload ())) ~points:72 ~runs:216;
-  check_tally (Sweep.run_errors (Store_sim.workload ())) ~points:80 ~runs:80;
+  check_tally (Sweep.run_errors (Store_sim.workload ())) ~points:111 ~runs:111;
   check_tally (Sweep.run_errors (Service_sim.workload ())) ~points:72 ~runs:72
+
+(* The store workload's gc drops epochs 0-2, so it renames the staged
+   index, then the staged pack. An I/O error that lets the index rename
+   land, or stops the pack rename, must still leave every epoch reported
+   durable — those before the gc that it kept, and those after it —
+   restorable after a reopen. *)
+let gc_rename_faults () =
+  let w = Store_sim.workload () in
+  let reference = Sim.create () in
+  w.run (Sim.vfs reference) ~commit:ignore ~base:ignore;
+  let renames =
+    List.concat
+      (List.mapi
+         (fun i (kind, _) -> if kind = "rename" then [ i ] else [])
+         (Sim.op_log reference))
+  in
+  match renames with
+  | [ index_op; pack_op ] ->
+      List.iter
+        (fun (what, op, byte) ->
+          let sim = Sim.create ~fault:(Sim.Fail_at { op; byte }) () in
+          let durable = ref [] in
+          w.run (Sim.vfs sim)
+            ~commit:(fun s -> durable := s :: !durable)
+            ~base:ignore;
+          Alcotest.(check (list int))
+            (what ^ ": epochs reported durable") [ 0; 1; 2; 3; 4; 5 ]
+            (List.rev_map fst !durable);
+          match
+            w.check (Sim.vfs (Sim.restart sim)) ~exact:true
+              (List.rev !durable)
+          with
+          | Ok () -> ()
+          | Error msg -> Alcotest.failf "%s: %s" what msg)
+        [ ("index rename lands, then fails", index_op, 1);
+          ("pack rename fails", pack_op, 0) ]
+  | ops ->
+      Alcotest.failf "expected the gc's two renames, got %d" (List.length ops)
 
 (* A fake workload: a log of one-byte records, each "committed" once
    written, with or without a sync. Recovery keeps the longest committed
@@ -285,5 +323,6 @@ let suites =
           compaction_crash_atomic ] );
     ( "faultsim.sweep",
       [ Alcotest.test_case "default tallies" `Quick sweep_default_tallies;
+        Alcotest.test_case "gc rename faults" `Quick gc_rename_faults;
         Alcotest.test_case "catches an unsynced commit" `Quick
           sweep_catches_unsynced_commit ] ) ]

@@ -229,6 +229,67 @@ let prop_build_then_mutate_differs =
         not (Deep_eq.equal a b)
       end)
 
+(* The registry after a sweep: survivors keep their ids, their objects and
+   their allocation order; the dropped ones are gone and their ids free;
+   the counter does not move back. The same holds for a heap a restore
+   adopted, whose order is its slot order. *)
+let heap_after_sweep () =
+  let env = make_env () in
+  let heap = env.heap in
+  let objs =
+    Array.init 200 (fun i ->
+        if i mod 7 = 3 then
+          Heap.alloc_with_id heap env.pair ~id:((i lsl 40) + 5) ~modified:false
+        else Heap.alloc heap env.pair)
+  in
+  (* Every third object hangs off a chain from objs.(0); the rest are
+     garbage. *)
+  let kept = List.filter (fun i -> i mod 3 = 0) (List.init 200 Fun.id) in
+  let rec link = function
+    | a :: (b :: _ as rest) ->
+        objs.(a).Model.children.(0) <- Some objs.(b);
+        link rest
+    | _ -> ()
+  in
+  link kept;
+  let next = Heap.next_id heap in
+  check_int "dropped" (200 - List.length kept)
+    (Heap.sweep heap ~roots:[ objs.(0) ]);
+  check_int "count" (List.length kept) (Heap.count heap);
+  let order = ref [] in
+  Heap.iter heap (fun o -> order := o :: !order);
+  check_bool "iter: the survivors, in allocation order" true
+    (List.for_all2 ( == ) (List.rev !order) (List.map (Array.get objs) kept));
+  Array.iteri
+    (fun i o ->
+      let id = o.Model.info.Model.id in
+      match Heap.find heap id with
+      | Some o' -> check_bool "survivor found" true (i mod 3 = 0 && o' == o)
+      | None -> check_bool "dropped not found" true (i mod 3 <> 0))
+    objs;
+  check_int "counter unchanged" next (Heap.next_id heap);
+  let again = objs.(1).Model.info.Model.id in
+  let reused = Heap.alloc_with_id heap env.leaf ~id:again ~modified:false in
+  check_bool "a dropped id is free again" true
+    (match Heap.find heap again with Some o -> o == reused | None -> false);
+  check_int "a fresh object after the sweep" next
+    (Heap.alloc heap env.leaf).Model.info.Model.id;
+  check_int "count after" (List.length kept + 2) (Heap.count heap);
+  (* A restored heap adopts the slot table: it iterates in slot order. *)
+  let chain = Ickpt_core.Chain.create env.schema in
+  let seg = (Ickpt_core.Chain.take_full chain [ objs.(0) ]).segment in
+  let restored, _ =
+    Ickpt_core.Restore.of_segments env.schema [ seg ] ~roots:seg.roots
+  in
+  let ids = ref [] in
+  Heap.iter restored (fun o -> ids := o.Model.info.Model.id :: !ids);
+  Alcotest.(check (list int)) "restored heap: record order"
+    (List.map (fun i -> objs.(i).Model.info.Model.id) kept)
+    (List.rev !ids);
+  check_int "restored next id"
+    (1 + List.fold_left max 0 (List.map (fun i -> objs.(i).Model.info.Model.id) kept))
+    (Heap.next_id restored)
+
 let suites =
   [ ( "runtime",
       [ Alcotest.test_case "schema layout" `Quick schema_layout;
@@ -240,6 +301,7 @@ let suites =
         Alcotest.test_case "barrier children" `Quick barrier_children;
         Alcotest.test_case "barrier trace" `Quick barrier_trace;
         Alcotest.test_case "heap modified count" `Quick heap_modified_count;
+        Alcotest.test_case "heap after sweep" `Quick heap_after_sweep;
         Alcotest.test_case "is_instance" `Quick is_instance_hierarchy;
         Alcotest.test_case "default record layout" `Quick default_record_layout;
         Alcotest.test_case "default fold visits" `Quick default_fold_visits;

@@ -185,6 +185,119 @@ let chunk_alignment_stability () =
   check_bool "the mutated chunk does not" true
     (List.hd (keys after) <> List.hd (keys before))
 
+(* The two-pass split [Chunk.split] replaced, kept as its oracle: every
+   record's framing is decoded into a list first, its fields read one
+   varint at a time, then the list is cut every [records_per_chunk]. *)
+let reference_split ~records_per_chunk schema body =
+  let inp = In_stream.of_string body in
+  let frames = ref [] in
+  while not (In_stream.at_end inp) do
+    let start = In_stream.pos inp in
+    let id = In_stream.read_int inp in
+    let kid = In_stream.read_int inp in
+    let klass =
+      match Schema.find schema kid with
+      | k -> k
+      | exception Not_found ->
+          raise
+            (Restore.Error
+               (Printf.sprintf "unknown class id %d in record %d" kid id))
+    in
+    for _ = 1 to klass.Model.n_ints + klass.Model.n_children do
+      ignore (In_stream.read_int inp : int)
+    done;
+    frames := (id, start, In_stream.pos inp - start) :: !frames
+  done;
+  let rec chunks frames acc =
+    match frames with
+    | [] -> List.rev acc
+    | (_, start, _) :: _ ->
+        let rec take n stop recs = function
+          | (id, off, len) :: rest when n < records_per_chunk ->
+              take (n + 1) (off + len) ((id, off - start) :: recs) rest
+          | rest -> (stop, List.rev recs, rest)
+        in
+        let stop, records, rest = take 0 start [] frames in
+        let data = String.sub body start (stop - start) in
+        chunks rest ({ Chunk.key = Chunk.key_of data; data; records } :: acc)
+  in
+  chunks (List.rev !frames) []
+
+(* Same chunks, or the same typed error with the same message. *)
+let split_outcome f =
+  match f () with
+  | chunks -> Ok (chunks : Chunk.t list)
+  | exception Restore.Error msg -> Error ("Restore.Error: " ^ msg)
+  | exception In_stream.Corrupt msg -> Error ("Corrupt: " ^ msg)
+
+let split_agrees ~records_per_chunk schema body =
+  split_outcome (fun () -> Chunk.split ~records_per_chunk schema body)
+  = split_outcome (fun () -> reference_split ~records_per_chunk schema body)
+
+(* Synthetic full and incremental bodies, at several chunk sizes, and
+   every prefix of a small one (truncated records). *)
+let chunk_split_oracle () =
+  let synth =
+    Ickpt_synth.Synth.build
+      { Ickpt_synth.Synth.default_config with
+        Ickpt_synth.Synth.n_structures = 60;
+        pct_modified = 25;
+        modified_lists = 1 }
+  in
+  let schema = synth.Ickpt_synth.Synth.schema in
+  let roots = Ickpt_synth.Synth.roots synth in
+  let full = full_body roots in
+  ignore (Ickpt_synth.Synth.mutate_round synth : int);
+  let incremental =
+    let d = Out_stream.create () in
+    Checkpointer.incremental_many d roots;
+    Out_stream.contents d
+  in
+  List.iter
+    (fun (what, body) ->
+      List.iter
+        (fun records_per_chunk ->
+          check_bool
+            (Printf.sprintf "%s body, %d records per chunk" what
+               records_per_chunk)
+            true
+            (split_agrees ~records_per_chunk schema body))
+        [ 1; 3; 16; 100_000 ])
+    [ ("full", full); ("incremental", incremental) ];
+  check_bool "the synthetic bodies split without error" true
+    (Result.is_ok
+       (split_outcome (fun () -> Chunk.split schema full))
+    && Result.is_ok (split_outcome (fun () -> Chunk.split schema incremental)));
+  let w = make_world () in
+  let small = full_body w.roots in
+  for cut = 0 to String.length small do
+    check_bool
+      (Printf.sprintf "prefix of %d bytes" cut)
+      true
+      (split_agrees ~records_per_chunk:2 w.schema (String.sub small 0 cut))
+  done
+
+(* Random trees' bodies, cut anywhere, with one byte anywhere replaced
+   (an unknown class id, a truncated varint), and plain random bytes. *)
+let chunk_split_prop =
+  QCheck2.Test.make ~name:"one-pass split = two-pass split" ~count:300
+    QCheck2.Gen.(
+      quad Test_util.tree_gen (int_range 1 5) (pair nat nat)
+        (string_size ~gen:char (int_range 0 40)))
+    (fun (tree, records_per_chunk, (cut, flip), noise) ->
+      let env = Test_util.make_env () in
+      let body = full_body [ Test_util.build env tree ] in
+      let n = String.length body in
+      let cut_body = String.sub body 0 (cut mod (n + 1)) in
+      let flipped =
+        let b = Bytes.of_string body in
+        Bytes.set b (flip mod n) (Char.chr (flip / n mod 256));
+        Bytes.to_string b
+      in
+      List.for_all
+        (split_agrees ~records_per_chunk env.Test_util.schema)
+        [ body; cut_body; flipped; noise ])
+
 (* ------------------------------------------------------------------ *)
 (* Pack framing.                                                      *)
 
@@ -1724,7 +1837,7 @@ let store_sweep_smoke () =
   let r = Sweep.run ~density:1 (Store_sim.workload ~rounds:4 ()) in
   if not (Sweep.ok r) then Alcotest.failf "%a" Sweep.pp_report r;
   Alcotest.(check (pair int int))
-    "exact points, runs" (56, 168) (r.Sweep.r_points, r.Sweep.r_runs)
+    "exact points, runs" (84, 252) (r.Sweep.r_points, r.Sweep.r_runs)
 
 (* ------------------------------------------------------------------ *)
 (* QCheck satellite: random synth heaps, all four policies.           *)
@@ -1824,7 +1937,9 @@ let suites =
     ( "store.chunk",
       [ Alcotest.test_case "split roundtrip" `Quick chunk_split_roundtrip;
         Alcotest.test_case "alignment stability" `Quick
-          chunk_alignment_stability ] );
+          chunk_alignment_stability;
+        Alcotest.test_case "one-pass split oracle" `Quick chunk_split_oracle;
+        QCheck_alcotest.to_alcotest chunk_split_prop ] );
     ( "store.framing",
       [ Alcotest.test_case "pack roundtrip + torn tail" `Quick
           pack_roundtrip_and_torn_tail;

@@ -193,6 +193,154 @@ let prop_crc_continuation =
              = Crc32.string s)
         (List.init 17 Fun.id))
 
+(* The flat stream is held to a reference encoder over [Buffer], written
+   here independently of [Varint]: zigzag, then base-128 groups, least
+   significant first, the high bit set on all but the last. *)
+type op =
+  | Int of int
+  | Byte of int
+  | Fixed32 of int
+  | Substring of string * int * int
+
+let reference_bytes ops =
+  let b = Buffer.create 64 in
+  let varint n =
+    let u = ref ((n lsl 1) lxor (n asr 62)) in
+    while !u lsr 7 <> 0 do
+      Buffer.add_char b (Char.chr (!u land 0x7f lor 0x80));
+      u := !u lsr 7
+    done;
+    Buffer.add_char b (Char.chr !u)
+  in
+  List.iter
+    (function
+      | Int n -> varint n
+      | Byte n -> Buffer.add_char b (Char.chr (n land 0xff))
+      | Fixed32 n ->
+          for i = 0 to 3 do
+            Buffer.add_char b (Char.chr ((n lsr (8 * i)) land 0xff))
+          done
+      | Substring (s, pos, len) ->
+          varint len;
+          Buffer.add_string b (String.sub s pos len))
+    ops;
+  Buffer.contents b
+
+let write_op d = function
+  | Int n -> Out_stream.write_int d n
+  | Byte n -> Out_stream.write_byte d n
+  | Fixed32 n -> Out_stream.write_fixed32 d n
+  | Substring (s, pos, len) -> Out_stream.write_substring d s ~pos ~len
+
+let op_gen =
+  let open QCheck2.Gen in
+  let edge = oneofl [ 0; -1; 1; 63; 64; -64; -65; 127; 128; max_int; min_int;
+                      max_int - 1; min_int + 1; 1 lsl 62; -(1 lsl 62) ] in
+  frequency
+    [ (6, map (fun n -> Int n) (frequency [ (3, int); (2, edge); (2, small_signed_int) ]));
+      (2, map (fun n -> Byte n) int);
+      (2, map (fun n -> Fixed32 n) (frequency [ (3, int); (1, edge) ]));
+      (1,
+        map2
+          (fun s (a, b) ->
+            let n = String.length s in
+            let pos = if n = 0 then 0 else a mod (n + 1) in
+            Substring (s, pos, if n = 0 then 0 else b mod (n - pos + 1)))
+          (string_size ~gen:char (int_range 0 300))
+          (pair nat nat)) ]
+
+let prop_out_stream_reference =
+  QCheck2.Test.make ~name:"flat out_stream = Buffer reference" ~count:300
+    QCheck2.Gen.(pair (int_range 1 64) (list_size (int_range 0 400) op_gen))
+    (fun (initial_size, ops) ->
+      let expected = reference_bytes ops in
+      (* A tiny buffer grows many times; a reset one is reused. *)
+      let d = Out_stream.create ~initial_size () and sink = Out_stream.sink () in
+      List.iter (write_op d) ops;
+      List.iter (write_op sink) ops;
+      let first = Out_stream.contents d in
+      Out_stream.reset d;
+      List.iter (write_op d) ops;
+      first = expected
+      && Out_stream.contents d = expected
+      && Out_stream.size sink = String.length expected
+      && Out_stream.size d = String.length expected)
+
+(* [skip_varints] stops where reading the varints one by one stops, and a
+   truncated input raises the same error. *)
+let prop_skip_varints =
+  QCheck2.Test.make ~name:"skip_varints = read_int n times" ~count:300
+    QCheck2.Gen.(
+      triple (list_size (int_range 0 30) int) (int_range 0 40) (int_range 0 400))
+    (fun (ints, n, cut) ->
+      let d = Out_stream.create () in
+      List.iter (Out_stream.write_int d) ints;
+      let s = Out_stream.contents d in
+      let s = String.sub s 0 (min cut (String.length s)) in
+      let outcome f =
+        let inp = In_stream.of_string s in
+        match f inp with
+        | () -> Ok (In_stream.pos inp)
+        | exception In_stream.Corrupt msg -> Error msg
+      in
+      outcome (fun inp -> In_stream.skip_varints inp n)
+      = outcome (fun inp ->
+            for _ = 1 to n do
+              ignore (In_stream.read_int inp : int)
+            done))
+
+(* The id table against a [Hashtbl] model: slots are dense, in insertion
+   order, and survive growth from a presize of 1. Keys are adversarial
+   for a masked hash: negative, multiples of large powers of two, and
+   repeats. *)
+let key_gen =
+  let open QCheck2.Gen in
+  frequency
+    [ (3, int);
+      (2, map2 (fun k i -> i lsl k) (int_range 20 40) (int_range (-500) 500));
+      (2, int_range (-50) 50);
+      (1, oneofl [ min_int; max_int; 0; -1 ]) ]
+
+let prop_idtbl_model =
+  QCheck2.Test.make ~name:"idtbl = Hashtbl model" ~count:300
+    QCheck2.Gen.(pair (int_range 1 8) (list_size (int_range 0 3000) key_gen))
+    (fun (presize, keys) ->
+      let t = Idtbl.create presize and model = Hashtbl.create 16 in
+      let order = ref [] in
+      let adds_agree =
+        List.for_all
+          (fun k ->
+            let expected =
+              match Hashtbl.find_opt model k with
+              | Some s -> s
+              | None ->
+                  let s = Hashtbl.length model in
+                  Hashtbl.add model k s;
+                  order := k :: !order;
+                  s
+            in
+            Idtbl.add t k = expected)
+          keys
+      in
+      let seen = ref [] in
+      Idtbl.iter t (fun s k -> seen := (s, k) :: !seen);
+      adds_agree
+      && Idtbl.length t = Hashtbl.length model
+      && Hashtbl.fold
+           (fun k s ok -> ok && Idtbl.find t k = s && Idtbl.key t s = k)
+           model true
+      && List.rev !seen = List.mapi (fun s k -> (s, k)) (List.rev !order)
+      && List.for_all
+           (fun k -> Hashtbl.mem model k || (Idtbl.find t k = -1 && not (Idtbl.mem t k)))
+           [ 7; -7; 1 lsl 50; min_int + 3 ])
+
+let idtbl_bounds () =
+  let t = Idtbl.create 0 in
+  check_int "empty" (-1) (Idtbl.find t 0);
+  check_int "first slot" 0 (Idtbl.add t 0);
+  Alcotest.check_raises "key past the end" (Invalid_argument "Idtbl.key")
+    (fun () -> ignore (Idtbl.key t 1))
+
 let suites =
   [ ( "stream",
       [ Alcotest.test_case "varint roundtrip" `Quick varint_roundtrip;
@@ -207,4 +355,9 @@ let suites =
         QCheck_alcotest.to_alcotest prop_int_roundtrip;
         QCheck_alcotest.to_alcotest prop_crc_detects_flip;
         QCheck_alcotest.to_alcotest prop_crc_reference;
-        QCheck_alcotest.to_alcotest prop_crc_continuation ] ) ]
+        QCheck_alcotest.to_alcotest prop_crc_continuation;
+        QCheck_alcotest.to_alcotest prop_out_stream_reference;
+        QCheck_alcotest.to_alcotest prop_skip_varints ] );
+    ( "idtbl",
+      [ QCheck_alcotest.to_alcotest prop_idtbl_model;
+        Alcotest.test_case "bounds" `Quick idtbl_bounds ] ) ]
