@@ -43,13 +43,13 @@ let append t seg =
   t.segments <- seg :: t.segments;
   t.next_seq <- seg.Segment.seq + 1
 
-let segment ~kind ~seq write roots =
-  let d = Out_stream.create () in
-  write d roots;
+let segment ?(out = Out_stream.create ()) ~kind ~seq write roots =
+  Out_stream.reset out;
+  write out roots;
   { Segment.kind;
     seq;
     roots = List.map (fun o -> o.Model.info.Model.id) roots;
-    body = Out_stream.contents d }
+    body = Out_stream.contents out }
 
 let generic ?stats = function
   | Segment.Full -> Checkpointer.full_many ?stats

@@ -43,11 +43,14 @@ val continuity : next:int option -> Segment.kind -> epoch:int -> break option
 type taken = { segment : Segment.t; stats : Checkpointer.stats }
 
 val segment :
-  kind:Segment.kind -> seq:int ->
+  ?out:Ickpt_stream.Out_stream.t -> kind:Segment.kind -> seq:int ->
   (Ickpt_stream.Out_stream.t -> Model.obj list -> unit) ->
   Model.obj list -> Segment.t
 (** [segment ~kind ~seq write roots]: the segment whose body [write]
-    records for [roots]. Appends nothing. *)
+    records for [roots], into [out] once it is reset (a fresh stream by
+    default): a caller that keeps one stream across takes grows its
+    buffer once. The body is a copy of what was written. Appends
+    nothing. *)
 
 val generic :
   ?stats:Checkpointer.stats -> Segment.kind ->

@@ -31,11 +31,25 @@ let incremental_many ?(stats = fresh_stats ()) d roots =
 
 let incremental ?stats d root = incremental_many ?stats d [ root ]
 
+(* One visited set per domain, kept between takes and cleared rather than
+   regrown from nothing each time. A take checks it out, leaving [None], so
+   a take nested in another's [record] (or in another thread of the
+   domain) makes a table of its own; the last one returned is kept. *)
+let visited : Idtbl.t option Atomic.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Atomic.make None)
+
 (* One visited set across roots, so an object reachable from two roots is
    still recorded once. It is an int table with no payload: marking an
    object allocates nothing until the table doubles. *)
 let full_many ?(stats = fresh_stats ()) d roots =
-  let seen = Idtbl.create 64 in
+  let kept = Domain.DLS.get visited in
+  let seen =
+    match Atomic.exchange kept None with
+    | Some seen ->
+        Idtbl.clear seen;
+        seen
+    | None -> Idtbl.create 64
+  in
   let rec visit o =
     stats.visited <- stats.visited + 1;
     let fresh = Idtbl.length seen in
@@ -48,7 +62,8 @@ let full_many ?(stats = fresh_stats ()) d roots =
       Model.fold o visit
     end
   in
-  List.iter visit roots
+  List.iter visit roots;
+  Atomic.set kept (Some seen)
 
 let full ?stats d root = full_many ?stats d [ root ]
 

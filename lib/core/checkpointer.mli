@@ -40,6 +40,12 @@ val incremental_many :
 
 val full_many :
   ?stats:stats -> Ickpt_stream.Out_stream.t -> Model.obj list -> unit
+(** {!full} over every root with one visited set, so an object reachable
+    from two roots is recorded once. The visited set is kept per domain
+    and cleared between takes, so a take of a heap no larger than one
+    taken before allocates none of it; a take nested in another (from a
+    [record] method) or running beside it in another thread gets a table
+    of its own. *)
 
 val full_tree : ?stats:stats -> Ickpt_stream.Out_stream.t -> Model.obj -> unit
 (** Like {!full} but without the visited set: every object reachable along

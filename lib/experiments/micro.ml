@@ -56,20 +56,39 @@ let spec shape = Jspec.Compile.residual (Jspec.Pe.specialize shape)
 
 (* The write path, per layer, on one compound structure: a generic full
    checkpoint into a buffered stream reset per run (so the buffer is
-   grown once and reused), and the chunk split of that body. *)
+   grown once and reused), the chunk split of that body, the resolve of
+   its chunks against a pack (in a simulated filesystem) that already
+   holds them all, so every chunk is a hit compared in place, and the
+   coding of its directory. *)
 let write_tests () =
+  let open Ickpt_cas in
   let t, root, _ = synth_unit ~last_only:false in
   let roots = [ root ] in
   let d = Ickpt_stream.Out_stream.create () in
   Ickpt_core.Checkpointer.full_many d roots;
   let body = Ickpt_stream.Out_stream.contents d in
+  let chunks = Chunk.split t.Synth.schema body in
+  let vfs = Ickpt_faultsim.Sim.vfs (Ickpt_faultsim.Sim.create ()) in
+  let pack = Pack.open_ ~vfs "micro.pack" in
+  ignore
+    (Epochs.commit Epochs.plain vfs ~path:"micro.idx" pack
+       [ { Epochs.chain = 0;
+           kind = Ickpt_core.Segment.Full;
+           epoch = 0;
+           roots = [];
+           chunks } ]
+      : _ Epochs.committed);
+  let records = List.map (fun (c : Chunk.t) -> c.records) chunks in
   [ Test.make ~name:"write-full-many"
       (Staged.stage (fun () ->
            Ickpt_stream.Out_stream.reset d;
            Ickpt_core.Checkpointer.full_many d roots));
     Test.make ~name:"write-chunk-split"
-      (Staged.stage (fun () ->
-           ignore (Ickpt_cas.Chunk.split t.Synth.schema body))) ]
+      (Staged.stage (fun () -> ignore (Chunk.split t.Synth.schema body)));
+    Test.make ~name:"write-resolve-full"
+      (Staged.stage (fun () -> ignore (Pack.resolve pack chunks)));
+    Test.make ~name:"write-code-dir"
+      (Staged.stage (fun () -> ignore (Epoch_index.code_dir records))) ]
 
 let tests () =
   Test.make_grouped ~name:"icheckpoint"

@@ -30,6 +30,7 @@ type tenant = {
   t_schema : Schema.t;
   mutable t_entries : Epoch_index.entry list;  (* committed, oldest first *)
   mutable t_progress : Epochs.progress;  (* of its taken epochs *)
+  t_out : Out_stream.t;  (* the stream its takes write into *)
 }
 
 and item = {
@@ -56,8 +57,6 @@ and t = {
   lock : Mutex.t;
   shard_tbl : shard_state array;
   open_tenants : (int, tenant) Hashtbl.t;
-  full_due : (int, unit) Hashtbl.t;
-      (* evicted tenants whose next epoch must be full ({!Epochs.failed}) *)
   mutable catalog : (int * string) list;  (* oldest first *)
   mutable collided : Epochs.collision list;  (* newest first *)
   mutable commit_batches : int;
@@ -180,7 +179,6 @@ let open_ ?(vfs = Vfs.real) ?(shards = Shard.default_count)
       lock = Mutex.create ();
       shard_tbl;
       open_tenants = Hashtbl.create 16;
-      full_due = Hashtbl.create 4;
       catalog;
       collided = [];
       commit_batches = 0;
@@ -208,13 +206,15 @@ let commit_locked t s =
             (List.map (fun it -> it.it_epoch) items)
         with e ->
           (* The batch is lost. Each of its tenants goes back to its
-             committed entries, and its next epoch is full: taking the lost
-             ones cleared the modified flags. *)
+             committed entries, and its next epoch is full, in this process
+             even across an evict or a reopen: taking the lost ones cleared
+             the modified flags. *)
           let bt = Printexc.get_raw_backtrace () in
           List.iter
             (fun it ->
               let tn = it.it_tenant in
-              tn.t_progress <- Epochs.failed t.pack tn.t_entries)
+              tn.t_progress <- Epochs.failed t.pack tn.t_entries;
+              Epochs.mark_due ~file:t.root ~chain:tn.t_id)
             items;
           Printexc.raise_with_backtrace e bt
       in
@@ -222,7 +222,8 @@ let commit_locked t s =
       s.s_committed <- s.s_committed @ c.entries;
       List.iter2
         (fun it (m : Epoch_index.mux_entry) ->
-          it.it_tenant.t_entries <- it.it_tenant.t_entries @ [ m.m_entry ])
+          it.it_tenant.t_entries <- it.it_tenant.t_entries @ [ m.m_entry ];
+          Epochs.note_commit ~file:t.root ~chain:m.m_tenant m.m_entry.kind)
         items c.entries;
       t.collided <- List.rev_append c.collisions t.collided;
       let now = Unix.gettimeofday () in
@@ -313,9 +314,8 @@ let open_tenant t schema ~name =
               t_shard = shard;
               t_schema = schema;
               t_entries = entries;
-              t_progress =
-                (if Hashtbl.mem t.full_due id then Epochs.failed t.pack entries
-                 else Epochs.progress t.pack entries) }
+              t_progress = Epochs.resume ~file:t.root ~chain:id t.pack entries;
+              t_out = Out_stream.create () }
           in
           Hashtbl.replace t.open_tenants id tn;
           tn)
@@ -323,7 +323,7 @@ let open_tenant t schema ~name =
 let checkpoint tenant roots =
   check_open tenant.t_svc;
   append tenant
-    (Epochs.take tenant.t_svc.policy tenant.t_progress
+    (Epochs.take tenant.t_svc.policy tenant.t_progress ~out:tenant.t_out
        (Chain.generic ?stats:None) roots)
 
 let epochs tenant =
@@ -352,11 +352,7 @@ let evict t ~name =
   check_open t;
   flush t;
   let id = tenant_id name in
-  with_lock t (fun () ->
-      (match Hashtbl.find_opt t.open_tenants id with
-      | Some tn when tn.t_progress.full_due -> Hashtbl.replace t.full_due id ()
-      | _ -> Hashtbl.remove t.full_due id);
-      Hashtbl.remove t.open_tenants id)
+  with_lock t (fun () -> Hashtbl.remove t.open_tenants id)
 
 let close t =
   if not t.closed then begin

@@ -137,7 +137,12 @@ val checkpoint : tenant -> Model.obj list -> int
     batch. Each tenant with an epoch in it goes back to its committed
     entries: its next checkpoint is numbered right after its newest
     committed epoch, and is full, since taking the lost epochs cleared its
-    heap's modified flags. That holds across {!evict}. *)
+    heap's modified flags. The process remembers this per (service root,
+    tenant) until a full epoch of the tenant commits
+    ({!Ickpt_cas.Epochs.mark_due}), so it holds across {!evict} and across
+    a reopen of the service in the same process. Each tenant's takes
+    write into one stream it keeps, so a full take does not regrow its
+    buffer. *)
 
 val append : tenant -> Segment.t -> int
 (** Submit an externally produced segment as the tenant's next epoch

@@ -10,13 +10,20 @@
     chunking is stable).
 
     The chunk key is the {!Ickpt_stream.Hash64} of the chunk bytes — equal
-    bytes always give equal keys, which is what the store dedups on. *)
+    bytes always give equal keys, which is what the store dedups on.
+
+    A chunk is a {e slice} of the body it was split from, not a copy: the
+    write path hashes, compares, CRCs and appends the bytes where they
+    lie, and its directory is one flat int array. *)
 
 type t = {
-  key : int;  (** {!Ickpt_stream.Hash64.string} of [data] *)
-  data : string;  (** the chunk bytes: whole records, concatenated *)
-  records : (int * int) list;
-      (** [(rec_id, offset of the record within data)], in write order *)
+  key : int;  (** {!Ickpt_stream.Hash64.sub} of the slice *)
+  src : string;  (** the string the chunk is a slice of *)
+  off : int;  (** where the chunk's bytes start in [src] *)
+  len : int;  (** how many bytes it has: whole records, concatenated *)
+  records : int array;
+      (** flat [(rec_id, offset of the record within the chunk)] pairs,
+          in write order: record [r]'s id at [2r], its offset at [2r+1] *)
 }
 
 val default_records_per_chunk : int
@@ -26,28 +33,32 @@ val default_records_per_chunk : int
 val key_of : string -> int
 (** The content key of raw chunk bytes (= {!Ickpt_stream.Hash64.string}). *)
 
+val of_string : string -> t
+(** The whole string as one chunk, keyed by its content, with no records:
+    how a caller holding bare chunk bytes hands them to the pack. *)
+
 val max_salt_attempts : int
 (** 8 — the rehash ladder a 63-bit collision climbs before the store gives
     up (probability of needing even the second rung is negligible). *)
 
-val salted_key : string -> attempt:int -> int
+val salted_key : t -> attempt:int -> int
 (** The [attempt]-th fallback key for chunk bytes whose content key is
     already taken by different bytes (a {!Ickpt_stream.Hash64} collision):
     the hash of a salt prefix plus the bytes. Deterministic, so a reopened
     store re-derives the same ladder and dedups salted chunks too.
     @raise Invalid_argument unless [1 <= attempt <= max_salt_attempts]. *)
 
-val key_matches : int -> string -> bool
-(** [key_matches key data] — is [key] a legitimate stored key for [data]:
-    its content key or any rung of the salt ladder? The integrity checks
-    use this so salted chunks verify like any other. *)
+val key_matches : int -> t -> bool
+(** [key_matches key c] — is [key] a legitimate stored key for [c]'s
+    bytes: their content key or any rung of the salt ladder? The integrity
+    checks use this so salted chunks verify like any other. *)
 
 val split :
   ?records_per_chunk:int -> Ickpt_runtime.Schema.t -> string -> t list
 (** Split a segment body. The empty body yields [[]]; every other body
-    yields chunks whose [data] concatenates back to the body.
-    Chunks are cut in one walk over the body's records
-    ({!Ickpt_core.Restore.iter_frames}).
+    yields slices of it that tile it, in order. Chunks are cut in one walk
+    over the body's records ({!Ickpt_core.Restore.iter_frames}); no byte
+    of the body is copied.
     @raise Invalid_argument if [records_per_chunk < 1].
     @raise Ickpt_core.Restore.Error on an unknown class id in the body.
     @raise Ickpt_stream.In_stream.Corrupt on a truncated record. *)

@@ -82,23 +82,33 @@ let located_end e =
 (* ------------------------------------------------------------------ *)
 (* The coded directory.                                                *)
 
+(* The stream is presized at two bytes a record and one a chunk, plus the
+   room a last varint needs, which holds a body's usual small id and
+   offset deltas without doubling. *)
 let code_dir chunks =
-  let d = Out_stream.create () in
-  let id = ref 0 and records = ref 0 in
+  let records =
+    List.fold_left (fun n recs -> n + (Array.length recs / 2)) 0 chunks
+  in
+  let d =
+    Out_stream.create
+      ~initial_size:((2 * records) + List.length chunks + Varint.max_size)
+      ()
+  in
+  let id = ref 0 in
   List.iter
     (fun recs ->
-      Out_stream.write_int d (List.length recs);
+      let n = Array.length recs / 2 in
+      Out_stream.write_int d n;
       let off = ref 0 in
-      List.iter
-        (fun (i, o) ->
-          Out_stream.write_int d (i - !id);
-          Out_stream.write_int d (o - !off);
-          id := i;
-          off := o;
-          incr records)
-        recs)
+      for r = 0 to n - 1 do
+        let i = recs.(2 * r) and o = recs.((2 * r) + 1) in
+        Out_stream.write_int d (i - !id);
+        Out_stream.write_int d (o - !off);
+        id := i;
+        off := o
+      done)
     chunks;
-  slice_of d !records
+  slice_of d records
 
 let dir_records d = d.count
 

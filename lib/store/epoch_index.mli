@@ -82,9 +82,10 @@ type dir
 (** A coded directory delta: a slice of the bytes it was read from or
     coded into. *)
 
-val code_dir : (int * int) list list -> dir
-(** Code a directory from each chunk's [(record id, offset within the
-    chunk)] list, in chunk order (as {!Chunk.t}[.records]). *)
+val code_dir : int array list -> dir
+(** Code a directory from each chunk's flat [(record id, offset within the
+    chunk)] pairs, in chunk order (as {!Chunk.t}[.records]: record [r]'s
+    id at [2r], its offset at [2r+1]), into a stream presized for them. *)
 
 val dir_records : dir -> int
 (** Records in the directory. *)

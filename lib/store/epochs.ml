@@ -22,16 +22,13 @@ type item = {
 (* Resolve a batch's chunks against the pack in one {!Pack.resolve}: a key
    hit is only a duplicate if the bytes agree, and a genuine collision
    degrades to a salted rehash instead of refusing the epoch. Returns, per
-   item, its chunk keys and its fresh chunks as [(chunk index, data)] —
+   item, its chunk keys and its fresh chunks as [(chunk index, chunk)] —
    the chunks it is the first to reference — and the collisions in batch
    order. *)
 let stage pack items =
   let resolved =
     Array.of_list
-      (Pack.resolve pack
-         (List.concat_map
-            (fun it -> List.map (fun (c : Chunk.t) -> (c.key, c.data)) it.chunks)
-            items))
+      (Pack.resolve pack (List.concat_map (fun it -> it.chunks) items))
   in
   let next = ref 0 and collisions = ref [] in
   let staged =
@@ -45,7 +42,7 @@ let stage pack items =
               match resolved.(!next - 1) with
               | Pack.Dup key -> key
               | Pack.Fresh { key; attempt } ->
-                  fresh := (i, c.data) :: !fresh;
+                  fresh := (i, c) :: !fresh;
                   if attempt > 0 then
                     collisions :=
                       { col_epoch = it.epoch;
@@ -216,7 +213,7 @@ let check_entry pack (e : Epoch_index.entry) =
                err "%s" msg;
                None
            | d ->
-               if not (Chunk.key_matches k d) then
+               if not (Chunk.key_matches k (Chunk.of_string d)) then
                  err "chunk %s content does not match its key" (hex k);
                Some d)
          e.chunks)
@@ -294,7 +291,8 @@ let commit idx vfs ~path pack items =
       (fun (at, acc) (it : item) (chunks, fresh) ->
         let located =
           List.map
-            (fun (i, data) -> (i, String.length data, Crc32.string data))
+            (fun (i, (c : Chunk.t)) ->
+              (i, c.len, Crc32.sub c.src ~pos:c.off ~len:c.len))
             fresh
         in
         let e =
@@ -389,6 +387,25 @@ let logical_bytes pack entries =
 
 type progress = { next : int option; since_full_bytes : int; full_due : bool }
 
+(* The chains whose next epoch must be full, for the whole process: the
+   heap whose modified flags a lost take cleared outlives the store or
+   service value that took it, so a reopen in the same process must still
+   take a full. Keyed by a file and a chain in it. *)
+let due : (string * int, unit) Hashtbl.t = Hashtbl.create 8
+
+let due_lock = Mutex.create ()
+
+let with_due f =
+  Mutex.lock due_lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock due_lock) f
+
+let mark_due ~file ~chain =
+  with_due (fun () -> Hashtbl.replace due (file, chain) ())
+
+let note_commit ~file ~chain kind =
+  if kind = Segment.Full then
+    with_due (fun () -> Hashtbl.remove due (file, chain))
+
 let progress pack entries =
   let incrementals =
     List.filter
@@ -401,6 +418,11 @@ let progress pack entries =
 
 let failed pack entries = { (progress pack entries) with full_due = true }
 
+let resume ~file ~chain pack entries =
+  if with_due (fun () -> Hashtbl.mem due (file, chain)) then
+    failed pack entries
+  else progress pack entries
+
 let advance p (seg : Segment.t) =
   match seg.kind with
   | Segment.Full ->
@@ -410,9 +432,10 @@ let advance p (seg : Segment.t) =
         next = Some (seg.seq + 1);
         since_full_bytes = p.since_full_bytes + Segment.body_size seg }
 
-let take policy p write roots =
+let take policy p ~out write roots =
   let kind =
     if p.full_due then Segment.Full
     else Policy.decide policy ~next:p.next ~since_full_bytes:p.since_full_bytes
   in
-  Chain.segment ~kind ~seq:(Option.value p.next ~default:0) (write kind) roots
+  Chain.segment ~out ~kind ~seq:(Option.value p.next ~default:0) (write kind)
+    roots

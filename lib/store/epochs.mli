@@ -173,15 +173,34 @@ val failed : Pack.t -> Epoch_index.entry list -> progress
     were lost to a failed commit: numbered on from the committed entries,
     with [full_due] set. *)
 
+(** A lost take cleared the modified flags of a heap that lives on in the
+    process, whatever store or service value took it: the process keeps,
+    per chain, that its next epoch must be full until a full one commits.
+    A chain is named by a [file] (a store's index file, a service's root)
+    and a [chain] in it (0, a tenant id). *)
+
+val mark_due : file:string -> chain:int -> unit
+(** A commit of the chain failed: its next epoch must be full, in this
+    process, across reopens. *)
+
+val note_commit : file:string -> chain:int -> Segment.kind -> unit
+(** An epoch of that kind committed on the chain: a full one clears what
+    {!mark_due} set. *)
+
+val resume : file:string -> chain:int -> Pack.t -> Epoch_index.entry list -> progress
+(** The progress a reopened chain resumes with: {!failed} if a full is
+    due for it in this process ({!mark_due}), else {!progress}. *)
+
 val advance : progress -> Segment.t -> progress
 (** The progress once the segment extends the chain. A full segment
     clears [full_due]. *)
 
 val take :
-  Policy.t -> progress ->
+  Policy.t -> progress -> out:Ickpt_stream.Out_stream.t ->
   (Segment.kind -> Ickpt_stream.Out_stream.t ->
    Ickpt_runtime.Model.obj list -> unit) ->
   Ickpt_runtime.Model.obj list -> Segment.t
-(** [take policy p write roots]: the chain's next segment, of the kind
+(** [take policy p ~out write roots]: the chain's next segment, of the kind
     [policy] picks for [p] — full while [p.full_due] — its body recorded
-    by [write kind]. Appends nothing. *)
+    by [write kind] into [out], which is reset first: a stream kept across
+    takes is grown once, not per take. Appends nothing. *)

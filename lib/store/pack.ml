@@ -196,14 +196,24 @@ let read t key = (read_many t [| key |]).(0)
 (* ------------------------------------------------------------------ *)
 (* Appends.                                                            *)
 
-let append t bodies =
+(* The slices are blitted into one buffer, written once. *)
+let append t (chunks : Chunk.t list) =
   let start = file_size t in
-  (match bodies with
+  let total = List.fold_left (fun n (c : Chunk.t) -> n + c.len) 0 chunks in
+  (match chunks with
   | [] -> ()
   | _ ->
+      let buf = Bytes.create total in
+      ignore
+        (List.fold_left
+           (fun at (c : Chunk.t) ->
+             Bytes.blit_string c.src c.off buf at c.len;
+             at + c.len)
+           0 chunks
+          : int);
       Vfs.write_synced t.vfs Append t.file (fun write ->
-          write (String.concat "" bodies)));
-  t.size <- List.fold_left (fun n b -> n + String.length b) start bodies;
+          write (Bytes.unsafe_to_string buf)));
+  t.size <- start + total;
   start
 
 type resolution =
@@ -212,24 +222,34 @@ type resolution =
 
 external get64u : string -> int -> int64 = "%caml_string_get64u"
 
-(* Does [run.[off .. off+len-1]] hold exactly [data]? Compared in place,
-   eight bytes at a time, unchecked once the window is known to lie
-   inside both strings. *)
-let equal_at run off len data =
-  len = String.length data
+(* Does [run.[off .. off+len-1]] hold exactly [c]'s bytes? Compared in
+   place, eight bytes at a time, unchecked once both windows are known to
+   lie inside their strings. *)
+let equal_at run off len (c : Chunk.t) =
+  len = c.len
   && off >= 0
   && off <= String.length run - len
+  && c.off >= 0
+  && c.off <= String.length c.src - len
   &&
+  let src = c.src and coff = c.off in
   let i = ref 0 in
-  while !i + 8 <= len && get64u run (off + !i) = get64u data !i do
+  while !i + 8 <= len && get64u run (off + !i) = get64u src (coff + !i) do
     i := !i + 8
   done;
   while
-    !i < len && String.unsafe_get run (off + !i) = String.unsafe_get data !i
+    !i < len && String.unsafe_get run (off + !i) = String.unsafe_get src (coff + !i)
   do
     incr i
   done;
   !i = len
+
+(* Is the stored chunk under [key] byte-identical to [c]? *)
+let equal_stored t key c =
+  let same = ref false in
+  visit t [| slot_exn t key |] (fun _ run off len ->
+      same := equal_at run off len c);
+  !same
 
 (* Walk the salt ladder per chunk: the content key first, then salted
    rehashes. A key hit only counts as a duplicate if the bytes agree —
@@ -240,41 +260,40 @@ let equal_at run off len data =
    too. *)
 let resolve t batch =
   let chunks = Array.of_list batch in
+  let n = Array.length chunks in
+  let key i = chunks.(i).Chunk.key in
   let hits =
-    Array.of_list
-      (List.filter
-         (fun i -> mem t (fst chunks.(i)))
-         (List.init (Array.length chunks) Fun.id))
+    Array.of_list (List.filter (fun i -> mem t (key i)) (List.init n Fun.id))
   in
-  let stored_equal = Array.make (Array.length chunks) false in
+  let stored_equal = Array.make n false in
   visit t
-    (Array.map (fun i -> slot t (fst chunks.(i))) hits)
+    (Array.map (fun i -> slot t (key i)) hits)
     (fun j run off len ->
-      stored_equal.(hits.(j)) <- equal_at run off len (snd chunks.(hits.(j))));
-  let pending = Idtbl.create (Array.length chunks)
-  and pending_data = Array.make (Array.length chunks) "" in
+      let i = hits.(j) in
+      stored_equal.(i) <- equal_at run off len chunks.(i));
+  let pending = Idtbl.create n and pending_chunks = Array.copy chunks in
   List.mapi
-    (fun i (key, data) ->
+    (fun i (c : Chunk.t) ->
       let rec go attempt =
         if attempt > Chunk.max_salt_attempts then
           failwith "Pack.resolve: salted rehash attempts exhausted"
         else
-          let key =
-            if attempt = 0 then key else Chunk.salted_key data ~attempt
-          in
+          let key = if attempt = 0 then c.key else Chunk.salted_key c ~attempt in
           let same =
             if not (mem t key) then (
               match Idtbl.find pending key with
               | -1 -> None
-              | p -> Some (String.equal data pending_data.(p)))
+              | p ->
+                  let q = pending_chunks.(p) in
+                  Some (equal_at q.Chunk.src q.Chunk.off q.Chunk.len c))
             else if attempt = 0 then Some stored_equal.(i)
-            else Some (String.equal data (read t key))
+            else Some (equal_stored t key c)
           in
           match same with
           | Some true -> Dup key
           | Some false -> go (attempt + 1)
           | None ->
-              pending_data.(Idtbl.add pending key) <- data;
+              pending_chunks.(Idtbl.add pending key) <- c;
               Fresh { key; attempt }
       in
       go 0)

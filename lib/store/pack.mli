@@ -97,9 +97,10 @@ val length : t -> int
 val physical_bytes : t -> int
 (** The file's length, as of the last open, reload, cut or append. *)
 
-val append : t -> string list -> int
-(** Append the given bodies in one write and sync; they are durable when
-    this returns. Returns the offset the first one starts at: the file's
+val append : t -> Chunk.t list -> int
+(** Append the given chunks' bytes, back to back, in one write and sync:
+    their slices are blitted into one buffer, so nothing else is copied.
+    They are durable when this returns. Returns the offset the first one starts at: the file's
     length before the write, read from the file (not from the table), so
     a write that landed but whose sync raised moves later batches on. The
     table is not touched: the caller {!locate}s the entry naming the
@@ -115,12 +116,14 @@ type resolution =
           [attempt]-th {!Chunk.salted_key} — the graceful-degradation path a
           shared multi-tenant pack takes instead of refusing the append. *)
 
-val resolve : t -> (int * string) list -> resolution list
-(** [resolve t batch] resolves one batch of [(key, data)] chunks, where
-    [key] is the content key of [data] ({!Chunk.key_of}), to the keys they
-    live (or should live) under, in order: every key hit is byte-verified
-    and the salt ladder climbed past collisions. The stored bytes of the
-    batch's content-key hits come from one {!read_many}. A [Fresh] chunk
+val resolve : t -> Chunk.t list -> resolution list
+(** [resolve t batch] resolves one batch of chunks, each keyed by its
+    content ([Chunk.t.key]), to the keys they live (or should live) under,
+    in order: every key hit is byte-verified and the salt ladder climbed
+    past collisions. Every comparison is in place: a chunk's slice against
+    the read run holding the stored chunk (the batch's content-key hits
+    are fetched the way one {!read_many} fetches them) or against an
+    earlier chunk's slice. A [Fresh] chunk
     counts as stored for the rest of the batch, so a later copy of it is a
     [Dup]. Does not write.
     @raise Ickpt_stream.In_stream.Corrupt if a hit fails its CRC.

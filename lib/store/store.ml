@@ -30,6 +30,7 @@ type t = {
   mutable gc_unfinished : bool;
       (* a gc committed (its index is live) but its pack is not yet in
          place and in the table *)
+  out : Ickpt_stream.Out_stream.t;  (* the stream every take writes into *)
 }
 
 let path t = t.root
@@ -72,10 +73,11 @@ let open_ ?(vfs = Vfs.real) ?(records_per_chunk = Chunk.default_records_per_chun
     policy;
     pack;
     entries;
-    progress = Epochs.progress pack entries;
+    progress = Epochs.resume ~file:index_file ~chain:0 pack entries;
     index_bytes;
     collided = [];
-    gc_unfinished = false }
+    gc_unfinished = false;
+    out = Ickpt_stream.Out_stream.create () }
 
 (* The second half of a committed gc, as [open_] finishes it: the staged
    pack is renamed into place, then the table is rebuilt from the new
@@ -137,9 +139,10 @@ let append_segment t (seg : Segment.t) =
   let chunks =
     Chunk.split ~records_per_chunk:t.records_per_chunk t.schema seg.body
   in
+  let index_file = index_path t.root in
   let c =
     try
-      Epochs.commit Epochs.plain t.vfs ~path:(index_path t.root) (pack t)
+      Epochs.commit Epochs.plain t.vfs ~path:index_file (pack t)
         [ { Epochs.chain = 0;
             kind = seg.kind;
             epoch = seg.seq;
@@ -150,8 +153,10 @@ let append_segment t (seg : Segment.t) =
          cleared: only a full epoch can follow. *)
       let bt = Printexc.get_raw_backtrace () in
       t.progress <- { t.progress with full_due = true };
+      Epochs.mark_due ~file:index_file ~chain:0;
       Printexc.raise_with_backtrace e bt
   in
+  Epochs.note_commit ~file:index_file ~chain:0 seg.kind;
   t.entries <- t.entries @ c.entries;
   t.progress <- Epochs.advance t.progress seg;
   t.index_bytes <- t.index_bytes + c.index_bytes;
@@ -165,7 +170,7 @@ let append_segment t (seg : Segment.t) =
 let collisions t = List.rev t.collided
 
 let take t roots write =
-  let seg = Epochs.take t.policy t.progress write roots in
+  let seg = Epochs.take t.policy t.progress ~out:t.out write roots in
   ignore (append_segment t seg : append_stats);
   seg.seq
 
@@ -333,12 +338,12 @@ let salted_chunks t =
   let pack = pack t in
   List.filter_map
     (fun k ->
-      let data = Pack.read pack k in
-      if Chunk.key_of data = k then None
+      let c = Chunk.of_string (Pack.read pack k) in
+      if c.key = k then None
       else
         let rec find attempt =
           if attempt > Chunk.max_salt_attempts then None
-          else if Chunk.salted_key data ~attempt = k then Some (k, attempt)
+          else if Chunk.salted_key c ~attempt = k then Some (k, attempt)
           else find (attempt + 1)
         in
         find 1)

@@ -77,7 +77,9 @@ val open_ :
     index validated against it — entries from the first inconsistency
     onwards are dropped (defensively; crash-consistent use never produces
     them) — and both files truncated to what the kept entries commit.
-    Directories are not decoded.
+    Directories are not decoded. If a commit to this index failed earlier
+    in the process and no full epoch has committed since, the store's
+    next checkpoint is full ({!checkpoint}).
     @raise Error if the index is in an older format version; nothing is
     swept, cut or written then. *)
 
@@ -93,8 +95,10 @@ val checkpoint : t -> Model.obj list -> int
     returns. If the commit raises (an I/O error), the epoch is not
     committed and the store's next checkpoint is full, numbered right
     after its newest committed epoch: taking the lost one cleared the
-    heap's modified flags. The store remembers this in memory only; a
-    reopened store knows nothing of it. *)
+    heap's modified flags. The process remembers this per index file
+    ({!Epochs.mark_due}) until a full epoch commits, so a store reopened
+    in the same process takes a full too. Every take writes into one
+    stream the store keeps, so a full take does not regrow its buffer. *)
 
 val checkpoint_with :
   t -> Model.obj list ->

@@ -18,6 +18,13 @@ val sub : ?h:int -> string -> pos:int -> len:int -> int
 (** Hash of the substring [s.[pos .. pos+len-1]].
     @raise Invalid_argument on an out-of-range window. *)
 
+val tiles : string -> int array -> int array
+(** [tiles s cuts] is, for each [i < Array.length cuts - 1], the hash
+    ({!sub}) of the slice [s.[cuts.(i) .. cuts.(i+1)-1]] — the chunk keys
+    of a body cut at those offsets, hashed four slices at a time.
+    @raise Invalid_argument unless
+    [0 <= cuts.(0) <= cuts.(1) <= ... <= String.length s]. *)
+
 val bytes : ?h:int -> bytes -> int
 
 val to_hex : int -> string

@@ -22,6 +22,12 @@ let create hint =
 
 let length t = t.n
 
+(* Only the buckets need emptying: a slot's key is read only while a
+   bucket points at it. *)
+let clear t =
+  Array.fill t.table 0 (Array.length t.table) 0;
+  t.n <- 0
+
 (* The bucket holding [key], or the empty bucket where it would go. *)
 let rec probe table keys mask key i =
   let e = Array.unsafe_get table i in

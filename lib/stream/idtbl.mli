@@ -5,8 +5,8 @@
     directory (a record's source and offset per slot), the pack's key
     table (a chunk's offset, length and CRC per slot), the heap registry
     (the object per slot) and the full checkpoint's visited set (no
-    payload at all). Keys cannot be removed; a user that drops keys builds
-    a fresh table from the ones it keeps.
+    payload at all). Keys cannot be removed one by one; a user that drops
+    keys builds a fresh table from the ones it keeps, or {!clear}s it.
 
     Open addressing with linear probing, at most half full. Keys come from
     disk, so the bucket index must not degrade on adversarial ones (all
@@ -21,6 +21,10 @@ val create : int -> t
 
 val length : t -> int
 (** Keys added so far; the next new key gets this slot. *)
+
+val clear : t -> unit
+(** Remove every key, keeping the table's capacity: refilling it with as
+    many keys as it held neither grows nor rehashes it. *)
 
 val find : t -> int -> int
 (** The slot of a key, or [-1] if it is absent. *)

@@ -39,18 +39,24 @@ let rec read_varint t acc shift pos =
 let read_int t = read_varint t 0 0 t.pos
 
 (* Skips [n] varints by their bytes alone: a varint ends at its first
-   byte below 0x80. A truncated one raises what [read_int] would, naming
-   where it starts. *)
+   byte below 0x80, so each byte counts [1 - b lsr 7] varints, with no
+   branch on the byte. A truncated one raises what [read_int] would,
+   naming where it starts: just past the last end before the cut. *)
 let skip_varints t n =
   let data = t.data in
   let len = String.length data in
-  let pos = ref t.pos and start = ref t.pos and left = ref n in
+  let pos = ref t.pos and left = ref n in
   while !left > 0 do
-    if !pos >= len then corrupt "truncated varint at %d" !start;
-    if Char.code (String.unsafe_get data !pos) < 0x80 then begin
-      decr left;
-      start := !pos + 1
+    if !pos >= len then begin
+      let start = ref !pos in
+      while
+        !start > t.pos && Char.code (String.unsafe_get data (!start - 1)) >= 0x80
+      do
+        decr start
+      done;
+      corrupt "truncated varint at %d" !start
     end;
+    left := !left - 1 + (Char.code (String.unsafe_get data !pos) lsr 7);
     incr pos
   done;
   t.pos <- !pos

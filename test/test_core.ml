@@ -430,6 +430,65 @@ let full_take_allocation () =
     Alcotest.failf "a full take of %d objects allocated %.0f minor words"
       objects words
 
+(* A DAG whose ids start at 0 in its own heap: two of them share ids, so a
+   take that saw the other's visited set would skip or repeat records. *)
+let dag_env () =
+  let env = make_env () in
+  let shared = build env (Node (1, 2, 3, Some (Leaf 4), None, Some (Leaf 5))) in
+  let root = build env (Pair (6, 7, None, Some (Leaf 8))) in
+  root.Model.children.(0) <- Some shared;
+  let other = build env (Pair (9, 10, None, None)) in
+  other.Model.children.(0) <- Some shared;
+  other.Model.children.(1) <- Some root;
+  (env, [ root; other ])
+
+let full_bytes roots =
+  let d = Ickpt_stream.Out_stream.create () in
+  Checkpointer.full_many d roots;
+  Ickpt_stream.Out_stream.contents d
+
+(* A take nested in another one's [record] (its class's method runs a full
+   take of a second heap) gets a visited set of its own: the outer take
+   writes the bytes it writes alone, and so does every inner one. *)
+let full_many_nested () =
+  let outer_env, outer = dag_env () and _, inner = dag_env () in
+  let outer_alone = full_bytes outer and inner_alone = full_bytes inner in
+  let inner_takes = ref [] in
+  let pair = outer_env.pair in
+  let record = pair.Model.record_m in
+  pair.Model.record_m <-
+    (fun o d ->
+      inner_takes := full_bytes inner :: !inner_takes;
+      record o d);
+  let nested =
+    Fun.protect
+      ~finally:(fun () -> pair.Model.record_m <- record)
+      (fun () -> full_bytes outer)
+  in
+  Alcotest.(check string) "outer take as alone" outer_alone nested;
+  check_bool "inner takes ran" true (List.length !inner_takes >= 2);
+  List.iter (Alcotest.(check string) "inner take as alone" inner_alone)
+    !inner_takes;
+  Alcotest.(check string) "the kept table still serves" outer_alone
+    (full_bytes outer)
+
+(* Two domains taking their own heaps over and over, each with its own
+   kept table, write what a sequential take writes. *)
+let full_many_domains () =
+  let heaps = [ dag_env (); dag_env () ] in
+  let sequential = List.map (fun (_, roots) -> full_bytes roots) heaps in
+  let workers =
+    List.map
+      (fun (_, roots) ->
+        Domain.spawn (fun () -> List.init 200 (fun _ -> full_bytes roots)))
+      heaps
+  in
+  List.iter2
+    (fun expected worker ->
+      List.iter (Alcotest.(check string) "as sequential" expected)
+        (Domain.join worker))
+    sequential workers
+
 let suites =
   [ ( "checkpointer",
       [ Alcotest.test_case "fresh records all" `Quick incremental_fresh_records_all;
@@ -440,6 +499,9 @@ let suites =
           full_equals_incremental_on_fresh_tree;
         Alcotest.test_case "dag recorded once" `Quick full_records_dag_once;
         Alcotest.test_case "full take allocation" `Quick full_take_allocation;
+        Alcotest.test_case "nested full take" `Quick full_many_nested;
+        Alcotest.test_case "full takes on two domains" `Quick
+          full_many_domains;
         Alcotest.test_case "multi roots share visited" `Quick
           multi_roots_share_visited ] );
     ( "restore",

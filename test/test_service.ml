@@ -112,7 +112,7 @@ let sample_entry i =
     chunks = [ 111 + i; 222 + i ];
     at = 100 * i;
     located = Epoch_index.code_located [ (1, 10 + i, i) ];
-    dir = Epoch_index.code_dir [ [ (0, 0) ]; [ (i + 1, 7 * i) ] ] }
+    dir = Epoch_index.code_dir [ [| 0; 0 |]; [| i + 1; 7 * i |] ] }
 
 let mux_roundtrip () =
   let vfs = fresh_vfs () in
@@ -391,7 +391,7 @@ let seed_poison ?(chain = 0) index vfs ~pack ~idx key =
            kind = Segment.Full;
            epoch = 0;
            roots = [];
-           chunks = [ { Chunk.key; data = "poison"; records = [] } ] } ]
+           chunks = [ { (Chunk.of_string "poison") with key } ] } ]
       : _ Epochs.committed)
 
 let poisoner = Service.tenant_id "poisoner"
@@ -429,12 +429,12 @@ let store_salted_collision () =
         (c.Store.col_content_key = c0.Chunk.key);
       check_int "first salt rung" 1 c.Store.col_attempt;
       check_bool "stored under the salted key" true
-        (c.Store.col_stored_key = Chunk.salted_key c0.Chunk.data ~attempt:1)
+        (c.Store.col_stored_key = Chunk.salted_key c0 ~attempt:1)
   | cs -> Alcotest.failf "expected exactly one collision, got %d" (List.length cs));
   (* Salting is detectable from disk alone, and survives reopen. *)
   check_bool "salted chunk detected on disk" true
     (Store.salted_chunks store
-    = [ (Chunk.salted_key c0.Chunk.data ~attempt:1, 1) ]);
+    = [ (Chunk.salted_key c0 ~attempt:1, 1) ]);
   let store2 = Store.open_ ~vfs ~records_per_chunk:4 w.schema ~path:"s" in
   check_bool "reopen keeps the epochs" true (Store.epochs store2 = [ 0; 1 ]);
   let _heap, roots2 = Store.restore store2 ~epoch:1 in
@@ -1362,6 +1362,94 @@ let failed_commit_next_full () =
   check_service svc;
   Service.close svc
 
+(* Whether a full is due belongs to the live heap, not to the store or
+   service value that took the lost epoch. [steps] takes epochs 0 and 1,
+   then a third whose index write fails ([Sim.Fail_at] on that write, its
+   op number read off a fault-free run of the same steps). Reopened in the
+   same process over the same heap, the store's (or the tenant's) next
+   epoch is full and restores equal to the live heap; once it has
+   committed, the next one is incremental again. *)
+let full_due_across_reopen () =
+  let index_write_op steps =
+    let sim = Sim.create () and before = ref 0 in
+    ignore (steps (Sim.vfs sim) (make_world ~offset:0) (fun () ->
+                before := Sim.ops sim)
+             : int);
+    let op = ref (-1) in
+    List.iteri
+      (fun i (kind, _) -> if i >= !before && kind = "write" then op := i)
+      (Sim.op_log sim);
+    !op
+  in
+  let check_reopened what ~steps ~reopen =
+    let op = index_write_op steps in
+    let vfs = Sim.vfs (Sim.create ~fault:(Sim.Fail_at { op; byte = 0 }) ()) in
+    let w = make_world ~offset:0 in
+    (match steps vfs w ignore with
+    | _ -> Alcotest.failf "%s: the failed index write committed" what
+    | exception Sim.Io_error -> ());
+    let epochs, take, kind, restore = reopen vfs w in
+    Alcotest.(check (list int)) (what ^ ": committed epochs") [ 0; 1 ]
+      (epochs ());
+    List.iter
+      (fun (r, expected) ->
+        w.mutate r;
+        let e = take () in
+        check_bool
+          (Printf.sprintf "%s: epoch %d is %s" what e
+             (if expected = Segment.Full then "full" else "incremental"))
+          true
+          (kind e = expected);
+        Alcotest.(check string)
+          (Printf.sprintf "%s: epoch %d restores the live heap" what e)
+          (full_body w.roots)
+          (full_body (restore e)))
+      [ (3, Segment.Full); (4, Segment.Incremental) ]
+  in
+  let takes take (w : world) mark =
+    w.mutate 0;
+    ignore (take w : int);
+    w.mutate 1;
+    ignore (take w : int);
+    w.mutate 2;
+    mark ();
+    take w
+  in
+  check_reopened "store"
+    ~steps:(fun vfs (w : world) mark ->
+      let store = Store.open_ ~vfs ~records_per_chunk:4 w.schema ~path:"due" in
+      takes (fun w -> Store.checkpoint store w.roots) w mark)
+    ~reopen:(fun vfs w ->
+      let store = Store.open_ ~vfs ~records_per_chunk:4 w.schema ~path:"due" in
+      ( (fun () -> Store.epochs store),
+        (fun () -> Store.checkpoint store w.roots),
+        Store.kind_of_epoch store,
+        fun e -> snd (Store.restore store ~epoch:e) ));
+  let tenant vfs (w : world) =
+    Service.open_tenant
+      (Service.open_ ~vfs ~shards:1 ~records_per_chunk:4 ~path:"due-svc" ())
+      w.schema ~name:"alice"
+  in
+  check_reopened "service"
+    ~steps:(fun vfs w mark ->
+      let tn = tenant vfs w in
+      takes (fun w -> Service.checkpoint tn w.roots) w mark)
+    ~reopen:(fun vfs w ->
+      let tn = tenant vfs w in
+      let kind e =
+        let entry =
+          List.find
+            (fun (m : Epoch_index.mux_entry) -> m.m_entry.epoch = e)
+            (Epoch_index.load_mux vfs (Service.shard_index_path "due-svc" 0)
+            |> fst)
+        in
+        entry.m_entry.kind
+      in
+      ( (fun () -> Service.epochs tn),
+        (fun () -> Service.checkpoint tn w.roots),
+        kind,
+        fun e -> snd (Service.restore tn ~epoch:e) ))
+
 (* An index write that lands half an entry and then raises leaves no torn
    bytes behind: the epochs committed after it survive a reopen. *)
 let torn_index_write () =
@@ -1487,7 +1575,9 @@ let suites =
         Alcotest.test_case "failed commit: next epoch full" `Quick
           failed_commit_next_full;
         Alcotest.test_case "torn index write" `Quick torn_index_write;
-        Alcotest.test_case "mux shared roots" `Quick mux_shared_roots ] );
+        Alcotest.test_case "mux shared roots" `Quick mux_shared_roots;
+        Alcotest.test_case "full due across a reopen" `Quick
+          full_due_across_reopen ] );
     ( "service.collision",
       [ Alcotest.test_case "store salted rehash" `Quick store_salted_collision;
         Alcotest.test_case "service surfaces collision" `Quick

@@ -26,12 +26,23 @@ let dir_triples (e : Epoch_index.entry) =
   Epoch_index.iter_dir e (fun id c off -> l := (id, c, off) :: !l);
   List.rev !l
 
+(* Flat [(id, offset)] pairs, as a chunk's records are kept. *)
+let flat pairs = Array.of_list (List.concat_map (fun (i, o) -> [ i; o ]) pairs)
+
 let dir_of_triples ~nchunks triples =
   Epoch_index.code_dir
     (List.init nchunks (fun c ->
-         List.filter_map
-           (fun (id, c', off) -> if c' = c then Some (id, off) else None)
-           triples))
+         flat
+           (List.filter_map
+              (fun (id, c', off) -> if c' = c then Some (id, off) else None)
+              triples)))
+
+(* A chunk's bytes, and its records as [(id, offset)] pairs. *)
+let chunk_data (c : Chunk.t) = String.sub c.src c.off c.len
+
+let record_pairs (c : Chunk.t) =
+  List.init (Array.length c.records / 2) (fun r ->
+      (c.records.(2 * r), c.records.((2 * r) + 1)))
 
 (* An entry's located chunks as [(key, pos, len, crc)]. *)
 let located_list (e : Epoch_index.entry) =
@@ -54,7 +65,7 @@ let commit_chunks ?(idx = "p.idx") vfs pack ~epoch chunks =
         epoch;
         roots = [];
         chunks =
-          List.map (fun (key, data) -> { Chunk.key; data; records = [] }) chunks
+          List.map (fun (key, data) -> { (Chunk.of_string data) with key }) chunks
       } ]
 
 (* Reopen the pack [file] from the index [idx], as a store does. *)
@@ -151,21 +162,22 @@ let chunk_split_roundtrip () =
     (List.length (Chunk.split w.schema ""));
   let chunks = Chunk.split ~records_per_chunk:2 w.schema body in
   check_string "chunks concatenate to the body" body
-    (String.concat "" (List.map (fun (c : Chunk.t) -> c.data) chunks));
+    (String.concat "" (List.map chunk_data chunks));
   List.iter
     (fun (c : Chunk.t) ->
+      check_bool "a slice of the body" true (c.src == body);
       check_bool "at most records_per_chunk records" true
-        (List.length c.records <= 2);
-      check_int "key is the content hash" (Chunk.key_of c.data) c.key;
+        (List.length (record_pairs c) <= 2);
+      check_int "key is the content hash" (Chunk.key_of (chunk_data c)) c.key;
       List.iter
         (fun (id, off) ->
-          let r = Restore.record_at w.schema c.data ~pos:off in
+          let r = Restore.record_at w.schema (chunk_data c) ~pos:off in
           check_int "directory offset decodes the right record" id
             r.Restore.rec_id)
-        c.records)
+        (record_pairs c))
     chunks;
   check_int "records partition the body" 15
-    (List.fold_left (fun a (c : Chunk.t) -> a + List.length c.records) 0 chunks)
+    (List.fold_left (fun a c -> a + List.length (record_pairs c)) 0 chunks)
 
 (* A localized mutation must leave every chunk after the affected one
    byte-identical — the record-index alignment that makes dedup work. *)
@@ -219,19 +231,38 @@ let reference_split ~records_per_chunk schema body =
         in
         let stop, records, rest = take 0 start [] frames in
         let data = String.sub body start (stop - start) in
-        chunks rest ({ Chunk.key = Chunk.key_of data; data; records } :: acc)
+        chunks rest ((Chunk.key_of data, data, records) :: acc)
   in
   chunks (List.rev !frames) []
 
 (* Same chunks, or the same typed error with the same message. *)
 let split_outcome f =
   match f () with
-  | chunks -> Ok (chunks : Chunk.t list)
+  | chunks -> Ok chunks
   | exception Restore.Error msg -> Error ("Restore.Error: " ^ msg)
   | exception In_stream.Corrupt msg -> Error ("Corrupt: " ^ msg)
 
+(* The split's slices tile the body, in order, each keyed by the hash of
+   its bytes in place; as [(key, bytes, records)] they are the oracle's
+   chunks. *)
+let split_view body chunks =
+  let stop =
+    List.fold_left
+      (fun at (c : Chunk.t) ->
+        if not (c.src == body && c.off = at && c.len > 0) then
+          Alcotest.failf "chunk at %d does not follow at %d" c.off at;
+        if c.key <> Hash64.sub body ~pos:c.off ~len:c.len then
+          Alcotest.failf "chunk at %d: key is not its slice's hash" c.off;
+        at + c.len)
+      0 chunks
+  in
+  if stop <> String.length body then
+    Alcotest.failf "chunks end at %d of %d" stop (String.length body);
+  List.map (fun c -> (c.Chunk.key, chunk_data c, record_pairs c)) chunks
+
 let split_agrees ~records_per_chunk schema body =
-  split_outcome (fun () -> Chunk.split ~records_per_chunk schema body)
+  split_outcome (fun () ->
+      split_view body (Chunk.split ~records_per_chunk schema body))
   = split_outcome (fun () -> reference_split ~records_per_chunk schema body)
 
 (* Synthetic full and incremental bodies, at several chunk sizes, and
@@ -435,7 +466,7 @@ let pack_slices () =
     List.iter
       (fun (k, d) ->
         check_bool (name ^ ": resolves as a duplicate") true
-          (Pack.resolve p [ (k, d) ] = [ Pack.Dup k ]);
+          (Pack.resolve p [ Chunk.of_string d ] = [ Pack.Dup k ]);
         check_string (name ^ ": reads back") d (Pack.read p k))
       (loaded :: (if Pack.mem p (fst appended) then [ appended ] else []));
     check_int (name ^ ": physical bytes = file length")
@@ -466,13 +497,13 @@ let index_roundtrip_and_torn_tail () =
     { Epoch_index.epoch = 0; kind = Segment.Full; roots = [ 7 ];
       chunks = [ Chunk.key_of "x" ]; at = 0;
       located = Epoch_index.code_located [ (0, 1, Crc32.string "x") ];
-      dir = Epoch_index.code_dir [ [ (7, 0) ] ] }
+      dir = Epoch_index.code_dir [ [| 7; 0 |] ] }
   in
   let e2 =
     { Epoch_index.epoch = 1; kind = Segment.Incremental; roots = [ 7 ];
       chunks = [ Chunk.key_of "y"; Chunk.key_of "x" ]; at = 1;
       located = Epoch_index.code_located [ (0, 1, Crc32.string "y") ];
-      dir = Epoch_index.code_dir [ []; [ (9, 3) ] ] }
+      dir = Epoch_index.code_dir [ [||]; [| 9; 3 |] ] }
   in
   List.iter
     (fun e ->
@@ -1329,7 +1360,7 @@ let coded_dir_roundtrip =
         { Epoch_index.epoch = 1; kind = Segment.Incremental; roots = [ 1 ];
           chunks = List.mapi (fun i _ -> i) chunks; at;
           located = Epoch_index.code_located located;
-          dir = Epoch_index.code_dir chunks }
+          dir = Epoch_index.code_dir (List.map flat chunks) }
       in
       let expected =
         List.concat
@@ -1613,6 +1644,92 @@ let pack_reload_allocation () =
     (ends = List.map (fun e -> Some (Epoch_index.located_end e)) entries);
   if words > 9. *. 4096. then
     Alcotest.failf "reload allocated %.0f major words for 4096 chunks" words
+
+(* Chunks that are slices of larger strings, at any offset, resolve and
+   append by their bytes alone: the pack holds just the slices' bytes, a
+   stored chunk's bytes sliced from another string are a duplicate, a
+   forged key over other bytes climbs the salt ladder (the salted key
+   hashes the slice in place), and a later slice of a batch dedups
+   against an earlier one. *)
+let pack_resolve_slices () =
+  let vfs = Sim.vfs (Sim.create ()) in
+  let p = Pack.open_ ~vfs "r.pack" in
+  let slice src off len =
+    { Chunk.key = Hash64.sub src ~pos:off ~len; src; off; len; records = [||] }
+  in
+  let commit epoch chunks =
+    Epochs.commit Epochs.plain vfs ~path:"r.idx" p
+      [ { Epochs.chain = 0; kind = Segment.Full; epoch; roots = []; chunks } ]
+  in
+  let body = "..AAAA..BBBBB.." in
+  let a = slice body 2 4 and b = slice body 8 5 in
+  ignore (commit 0 [ a; b ] : _ Epochs.committed);
+  check_string "the pack holds the slices' bytes" "AAAABBBBB"
+    (vfs.Vfs.read_file "r.pack");
+  check_bool "the same bytes elsewhere are a duplicate" true
+    (Pack.resolve p [ slice "zzzAAAA" 3 4; slice "BBBBB" 0 5 ]
+    = [ Pack.Dup a.key; Pack.Dup b.key ]);
+  let forged = { (slice "xxCCCCxx" 2 4) with key = a.key } in
+  let salted = Chunk.salted_key (Chunk.of_string "CCCC") ~attempt:1 in
+  check_int "the salted key hashes the slice in place" salted
+    (Chunk.salted_key forged ~attempt:1);
+  check_bool "a forged key climbs the ladder" true
+    (Pack.resolve p [ forged ] = [ Pack.Fresh { key = salted; attempt = 1 } ]);
+  let d = "DDDDxDDDD" in
+  let d1 = slice d 0 4 and d2 = slice d 5 4 in
+  check_bool "a batch dedups its own slices" true
+    (Pack.resolve p [ d1; d2 ]
+    = [ Pack.Fresh { key = d1.key; attempt = 0 }; Pack.Dup d1.key ]);
+  let c = commit 1 [ forged; d1; d2 ] in
+  check_int "one collision" 1 (List.length c.Epochs.collisions);
+  check_string "the salted chunk reads back" "CCCC" (Pack.read p salted);
+  check_string "the pack grew by the fresh slices" "AAAABBBBBCCCCDDDD"
+    (vfs.Vfs.read_file "r.pack")
+
+(* A take into a kept stream regrows nothing. Once a first full take has
+   grown the stream (and the domain's visited set), a second full take of
+   the 6,500-object synth heap through {!Epochs.take} allocates about its
+   body, the copy the segment keeps (20,502 words for a 157,691-byte
+   body); and a second full {!Store.checkpoint}, whose every chunk is a
+   duplicate, within six bodies (89,565 words, with the split's flat
+   directories, the resolve, the entry and the simulator's copy of the
+   index file; with a fresh stream and visited set per take, and the
+   split copying each chunk, 274,801). *)
+let take_stream_allocation () =
+  let synth =
+    Ickpt_synth.Synth.build
+      { Ickpt_synth.Synth.default_config with Ickpt_synth.Synth.n_structures = 250 }
+  in
+  let roots = Ickpt_synth.Synth.roots synth in
+  (* Minor words from [Gc.minor_words], exact at any point; words
+     allocated on the major heap directly are its words less those
+     promoted, which the counters update together. *)
+  let allocated f =
+    let minor0 = Gc.minor_words () and _, promoted0, major0 = Gc.counters () in
+    let x = f () in
+    let minor1 = Gc.minor_words () and _, promoted1, major1 = Gc.counters () in
+    (x, minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+  in
+  let full = { Epochs.next = Some 1; since_full_bytes = 0; full_due = true } in
+  let out = Out_stream.create () in
+  let take () = Epochs.take Policy.Always_full full ~out Chain.generic roots in
+  ignore (take () : Segment.t);
+  let seg, words = allocated take in
+  let body_words = float_of_int ((String.length seg.Segment.body / 8) + 1) in
+  check_bool "a full body" true (String.length seg.body > 150_000);
+  if words > body_words +. 1024. then
+    Alcotest.failf "a full take into a kept stream allocated %.0f words (body: %.0f)"
+      words body_words;
+  let vfs = Sim.vfs (Sim.create ()) in
+  let store =
+    Store.open_ ~vfs ~policy:Policy.Always_full
+      synth.Ickpt_synth.Synth.schema ~path:store_path
+  in
+  ignore (Store.checkpoint store roots : int);
+  let _, words = allocated (fun () -> Store.checkpoint store roots) in
+  if words > 6. *. body_words then
+    Alcotest.failf "a second full checkpoint allocated %.0f words (body: %.0f)"
+      words body_words
 
 (* A chain's entries whose roots are the same ids share one list after a
    reopen; where the roots change, each entry keeps its own, and every
@@ -1964,7 +2081,10 @@ let suites =
         Alcotest.test_case "index version 2 rejected" `Quick
           (index_version_rejected ~version:2);
         Alcotest.test_case "pack reload allocation" `Quick
-          pack_reload_allocation ] );
+          pack_reload_allocation;
+        Alcotest.test_case "pack resolves slices" `Quick pack_resolve_slices;
+        Alcotest.test_case "take stream allocation" `Quick
+          take_stream_allocation ] );
     ( "store.core",
       [ Alcotest.test_case "restore agrees with chain replay" `Quick
           store_restore_agrees_with_replay;

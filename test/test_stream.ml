@@ -334,6 +334,87 @@ let prop_idtbl_model =
            (fun k -> Hashtbl.mem model k || (Idtbl.find t k = -1 && not (Idtbl.mem t k)))
            [ 7; -7; 1 lsl 50; min_int + 3 ])
 
+(* Adds interleaved with clears, against a [Hashtbl] model cleared in
+   step: after a clear every key is gone and slots restart at 0, and a
+   table refilled past what it held before still agrees. *)
+let prop_idtbl_clear =
+  QCheck2.Test.make ~name:"idtbl clear = Hashtbl model" ~count:300
+    QCheck2.Gen.(
+      pair (int_range 1 8)
+        (list_size (int_range 0 40)
+           (option (list_size (int_range 0 300) key_gen))))
+    (fun (presize, ops) ->
+      let t = Idtbl.create presize and model = Hashtbl.create 16 in
+      let agrees () =
+        Idtbl.length t = Hashtbl.length model
+        && Hashtbl.fold
+             (fun k s ok -> ok && Idtbl.find t k = s && Idtbl.key t s = k)
+             model true
+      in
+      List.for_all
+        (function
+          | None ->
+              Idtbl.clear t;
+              Hashtbl.reset model;
+              Idtbl.length t = 0
+              && List.for_all
+                   (fun k -> not (Idtbl.mem t k))
+                   [ 0; 7; -7; 1 lsl 50; min_int ]
+          | Some keys ->
+              List.for_all
+                (fun k ->
+                  let expected =
+                    match Hashtbl.find_opt model k with
+                    | Some s -> s
+                    | None ->
+                        let s = Hashtbl.length model in
+                        Hashtbl.add model k s;
+                        s
+                  in
+                  Idtbl.add t k = expected)
+                keys
+              && agrees ())
+        ops)
+
+(* The tiled hash is {!Hash64.sub} per slice, whatever the slice lengths
+   (empty ones, groups of four of unequal length, a ragged tail), and
+   refuses cuts that are not ascending offsets into the string. *)
+let prop_hash_tiles =
+  QCheck2.Test.make ~name:"hash64 tiles = sub per slice" ~count:300
+    QCheck2.Gen.(
+      pair
+        (string_size ~gen:char (int_range 0 600))
+        (list_size (int_range 0 20) (int_range 0 80)))
+    (fun (s, lens) ->
+      let n = String.length s in
+      let _, rev_cuts =
+        List.fold_left
+          (fun (at, acc) l ->
+            let at = min n (at + l) in
+            (at, at :: acc))
+          (0, [ 0 ]) lens
+      in
+      let cuts = Array.of_list (List.rev rev_cuts) in
+      let keys = Hash64.tiles s cuts in
+      Array.length keys = Array.length cuts - 1
+      && Array.for_all Fun.id
+           (Array.mapi
+              (fun i k ->
+                k = Hash64.sub s ~pos:cuts.(i) ~len:(cuts.(i + 1) - cuts.(i)))
+              keys))
+
+let hash_tiles_bounds () =
+  let refused cuts =
+    match Hash64.tiles "abcdef" cuts with
+    | _ -> Alcotest.failf "cuts accepted"
+    | exception Invalid_argument _ -> ()
+  in
+  refused [| -1; 2 |];
+  refused [| 3; 2 |];
+  refused [| 0; 7 |];
+  check_int "no cut, no key" 0 (Array.length (Hash64.tiles "abc" [||]));
+  check_int "one cut, no key" 0 (Array.length (Hash64.tiles "abc" [| 1 |]))
+
 let idtbl_bounds () =
   let t = Idtbl.create 0 in
   check_int "empty" (-1) (Idtbl.find t 0);
@@ -360,4 +441,8 @@ let suites =
         QCheck_alcotest.to_alcotest prop_skip_varints ] );
     ( "idtbl",
       [ QCheck_alcotest.to_alcotest prop_idtbl_model;
-        Alcotest.test_case "bounds" `Quick idtbl_bounds ] ) ]
+        QCheck_alcotest.to_alcotest prop_idtbl_clear;
+        Alcotest.test_case "bounds" `Quick idtbl_bounds ] );
+    ( "hash64",
+      [ QCheck_alcotest.to_alcotest prop_hash_tiles;
+        Alcotest.test_case "tiles bounds" `Quick hash_tiles_bounds ] ) ]
