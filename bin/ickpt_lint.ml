@@ -161,12 +161,13 @@ let run_lint file workload seed_unsound no_effects json =
       (Minic.Check.global_count env);
   (* 1. Effect inference over the workload. *)
   if (not no_effects) && not json then begin
-    let summaries = Staticcheck.Effects.compute env in
+    let effects = Staticcheck.Dirty_ai.analyze env in
     Format.printf "@[<v 2>effects (interprocedural, per call):@,%a@]@."
-      (Format.pp_print_list ~pp_sep:Format.pp_print_cut (fun ppf (fname, eff) ->
-           Format.fprintf ppf "@[<h>%-18s %a@]" fname
-             (Staticcheck.Effects.pp env) eff))
-      (Staticcheck.Effects.all summaries)
+      (Format.pp_print_list ~pp_sep:Format.pp_print_cut (fun ppf f ->
+           Format.fprintf ppf "@[<h>%-18s %a@]" f.Minic.Ast.f_name
+             (Staticcheck.Dirty_ai.pp_effects effects)
+             f.Minic.Ast.f_name))
+      program.Minic.Ast.funcs
   end;
   (* 2. Spec-lint the shipped phase declarations. *)
   let attrs = Attrs.create ~n_stmts:(max 1 (Minic.Ast.stmt_count program)) in

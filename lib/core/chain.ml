@@ -69,8 +69,6 @@ let take_incremental t roots =
 
 let body_bytes = List.fold_left (fun acc s -> acc + Segment.body_size s) 0
 
-let total_bytes t = body_bytes t.segments
-
 (* Continuity makes the oldest segment full: the cut always ends on one. *)
 let since_full t ~epoch =
   let rec cut acc = function
@@ -98,16 +96,3 @@ let recover t =
       with
       | Restore.Error msg -> Error ("restore: " ^ msg)
       | In_stream.Corrupt msg -> Error ("corrupt: " ^ msg))
-
-let compact t =
-  match recover t with
-  | Error _ when t.segments = [] -> ()
-  | Error msg -> invalid "compact: %s" msg
-  | Ok (_heap, roots) ->
-      (* The compacted chain is a fresh one, so numbering restarts at 0.
-         (A store keeps its epoch numbers across GC instead.) *)
-      let seg =
-        segment ~kind:Segment.Full ~seq:0 (generic Segment.Full) roots
-      in
-      t.segments <- [ seg ];
-      t.next_seq <- 1

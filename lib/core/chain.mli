@@ -3,10 +3,8 @@
     produces. The chain owns sequence numbering and validates ordering.
 
     The chain is also the recovery unit: {!recover} replays the newest full
-    segment and everything after it. {!compact} folds the whole chain into a
-    single full segment (an extension beyond the paper; bounds recovery
-    time and storage). A chain lives in memory; its durable counterpart
-    is [Ickpt_cas.Store]. *)
+    segment and everything after it. A chain lives in memory; its durable
+    counterpart is [Ickpt_cas.Store]. *)
 
 open Ickpt_runtime
 
@@ -82,9 +80,6 @@ val segments : t -> Segment.t list
 
 val length : t -> int
 
-val total_bytes : t -> int
-(** Sum of body sizes across the chain. *)
-
 val since_full : t -> epoch:int -> Segment.t list
 (** Oldest first, the segments from the newest full one at or before
     [epoch] through [epoch] — what a replay of [epoch] decodes. *)
@@ -95,11 +90,3 @@ val since_full_bytes : t -> int
 val recover : t -> (Heap.t * Model.obj list, string) result
 (** Rebuild the heap from the newest full segment and all subsequent
     incrementals; returns the roots recorded in the newest segment. *)
-
-val compact : t -> unit
-(** Replace the chain's segments by a single equivalent full segment
-    (obtained by recovery + full re-checkpoint) and restart sequence
-    numbering at 0: the compacted chain is a fresh one, and nothing
-    persisted refers to its old numbers (the chain lives in memory only;
-    a store's GC keeps its epoch numbers instead). No-op on an empty
-    chain. *)

@@ -12,9 +12,6 @@ let all =
     { name = Fig10.name; title = Fig10.title; run = Fig10.run };
     { name = Fig11.name; title = Fig11.title; run = Fig11.run };
     { name = Table2.name; title = Table2.title; run = Table2.run };
-    { name = Ablation_recovery.name;
-      title = Ablation_recovery.title;
-      run = Ablation_recovery.run };
     { name = Ablation_guard.name;
       title = Ablation_guard.title;
       run = Ablation_guard.run };

@@ -103,3 +103,17 @@ let is_global_array env x =
   List.exists
     (fun g -> g.v_name = x && match g.v_typ with T_array _ -> true | _ -> false)
     env.program.globals
+
+let global_name env id =
+  match List.find_opt (fun (_, i) -> i = id) env.global_ids with
+  | Some (name, _) -> name
+  | None -> Printf.sprintf "g%d" id
+
+let extent_of_typ = function T_array n -> (0, max 0 (n - 1)) | _ -> (0, 0)
+
+let extent env x =
+  List.find_opt (fun g -> g.v_name = x) env.program.globals
+  |> Option.map (fun g -> extent_of_typ g.v_typ)
+
+let extents env =
+  Array.of_list (List.map (fun g -> extent_of_typ g.v_typ) env.program.globals)

@@ -26,3 +26,14 @@ val global_id : env -> string -> int option
 val global_count : env -> int
 
 val is_global_array : env -> string -> bool
+
+val global_name : env -> int -> string
+(** The global with that dense id; ["g<id>"] for an id no global has. *)
+
+val extent : env -> string -> (int * int) option
+(** The cells of a global, inclusive: [(0, n - 1)] for an [n]-cell array
+    ([(0, 0)] when [n = 0]), [(0, 0)] for a scalar; [None] for a name no
+    global has. *)
+
+val extents : env -> (int * int) array
+(** Every global's {!extent}, indexed by global id. *)

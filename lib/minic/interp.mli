@@ -23,6 +23,10 @@ type global_store = {
           implementations never see an out-of-bounds index *)
 }
 
+val hashtable_store : Ast.program -> global_store
+(** A plain in-memory store: scalars from their initializers, arrays
+    zeroed. *)
+
 type outcome = {
   return_value : int option;  (** [main]'s return, if it returned a value *)
   steps : int;  (** statements executed *)
@@ -49,8 +53,7 @@ module Session : sig
 
   val start : ?max_steps:int -> ?store:global_store -> Ast.program -> t
   (** Check the program and set up [main]'s activation; nothing executes.
-      [store] defaults to a plain hashtable: scalars from their
-      initializers, arrays zeroed, no instrumentation. *)
+      [store] defaults to {!hashtable_store}: no instrumentation. *)
 
   val exec_block : t -> Ast.block -> unit
   (** Execute statements in [main]'s scope. @raise Halted on return. *)

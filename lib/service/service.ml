@@ -80,8 +80,15 @@ let meta_magic = 0x534b4349 (* "ICKS" read as LE bytes *)
 
 let version = 1
 
+(* One frame's bytes: catalog entries and the meta file are written one
+   frame at a time. *)
+let frame ~magic write =
+  let d = Out_stream.create ~initial_size:64 () in
+  Out_stream.framed d ~magic ~version write;
+  Out_stream.contents d
+
 let encode_catalog_entry (id, name) =
-  Out_stream.framed ~magic:catalog_magic ~version (fun d ->
+  frame ~magic:catalog_magic (fun d ->
       Out_stream.write_int d id;
       Out_stream.write_string d name)
 
@@ -123,7 +130,7 @@ let read_meta vfs root =
 let write_meta vfs root ~shards ~records_per_chunk =
   Vfs.write_synced vfs Trunc (meta_path root) (fun write ->
       write
-        (Out_stream.framed ~magic:meta_magic ~version (fun d ->
+        (frame ~magic:meta_magic (fun d ->
              Out_stream.write_int d shards;
              Out_stream.write_int d records_per_chunk)))
 

@@ -4,7 +4,6 @@ type phase_result = {
   ph : Phase_discover.phase;
   ph_env : Minic.Check.env;
   ph_havoc : string list;
-  ph_effects : Effects.t;
   ph_dirty : Dirty_ai.result;
   ph_regions : (string * Regions.t) list;
   ph_shapes : (string * Sclass.shape) list;
@@ -156,9 +155,6 @@ let infer ?(seed_unsound = false) ?(seed_dead = false) ?max_vars ?cache
             ph_regions
         in
         let ph_verdicts = List.map (fun (g, s) -> (g, validate s)) ph_shapes in
-        let ph_effects =
-          Effects.of_func (Effects.compute ph_env) "main"
-        in
         let ph_wplan =
           Barrier_elide.workload_plan ~phase:ph.Phase_discover.p_name encoding
             ph_regions
@@ -197,7 +193,7 @@ let infer ?(seed_unsound = false) ?(seed_dead = false) ?max_vars ?cache
           Barrier_elide.workload_plan_live ~phase:ph.Phase_discover.p_name
             ph_regions ph_live
         in
-        { ph; ph_env; ph_havoc; ph_effects; ph_dirty; ph_regions; ph_shapes;
+        { ph; ph_env; ph_havoc; ph_dirty; ph_regions; ph_shapes;
           ph_verdicts; ph_wplan; ph_live; ph_min_regions; ph_min_shapes;
           ph_min_verdicts; ph_live_wplan })
       phases
@@ -308,9 +304,8 @@ let pp ppf t =
       | [] -> ()
       | h ->
           Format.fprintf ppf "  havoc on entry: %s@," (String.concat ", " h));
-      Format.fprintf ppf "  effects: %a@,"
-        (Effects.pp pr.ph_env)
-        pr.ph_effects;
+      Format.fprintf ppf "  effects: %a@," (Dirty_ai.pp_effects pr.ph_dirty)
+        "main";
       Format.fprintf ppf "  @[<v>%a@]@,"
         (Format.pp_print_list (fun ppf (g, s) ->
              let v = List.assoc g pr.ph_verdicts in

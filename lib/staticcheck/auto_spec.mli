@@ -6,7 +6,7 @@
     program ──Phase_discover──► checkpoint rounds
             ──Shape_infer─────► heap encoding (roots, klasses)
     per phase:
-            ──Effects/Dirty_ai► may-write regions (entry havoc converged)
+            ──Dirty_ai────────► may-read/write regions (entry havoc converged)
             ──Shape_infer─────► inferred Sclass.shape per root
             ──Jspec.Pe────────► residual checkpointer (via Spec_cache)
             ──Tv.verify───────► verdict; non-Verified = hard Error
@@ -31,8 +31,7 @@ type phase_result = {
   ph : Phase_discover.phase;
   ph_env : Minic.Check.env;  (** env of the one-round analysis program *)
   ph_havoc : string list;  (** converged entry havoc *)
-  ph_effects : Effects.t;  (** transitive read/write effects of one round *)
-  ph_dirty : Dirty_ai.result;
+  ph_dirty : Dirty_ai.result;  (** read/write effects of one round *)
   ph_regions : (string * Regions.t) list;
       (** clamped may-write region per original global, declaration order *)
   ph_shapes : (string * Sclass.shape) list;  (** inferred, same order *)

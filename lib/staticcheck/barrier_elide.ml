@@ -3,24 +3,8 @@ type site = Lists | Bt | Et
 let site_name = function Lists -> "se-lists" | Bt -> "bt" | Et -> "et"
 let all_sites = [ Lists; Bt; Et ]
 
-(* One Dirty_ai run per phase, shared by every plan (and by the runtime
-   oracle), mirroring Phase_model's own memoization. *)
-let results : (Phase_model.phase, Dirty_ai.result) Hashtbl.t = Hashtbl.create 3
-
-let result phase =
-  match Hashtbl.find_opt results phase with
-  | Some r -> r
-  | None ->
-      let r =
-        Dirty_ai.analyze
-          ~havoc:(Phase_model.input_globals phase)
-          (Phase_model.env phase)
-      in
-      Hashtbl.add results phase r;
-      r
-
 let site_region phase site =
-  let r = result phase in
+  let r = (Infer.derive phase).Infer.effects in
   match site with
   | Lists ->
       Regions.join
@@ -32,13 +16,9 @@ let site_region phase site =
 (* A site's extent is the attribute array length of the phase model: one
    cell per statement. *)
 let site_extent phase =
-  match
-    List.find_opt
-      (fun g -> g.Minic.Ast.v_name = Phase_model.g_bt)
-      (Phase_model.program phase).Minic.Ast.globals
-  with
-  | Some { Minic.Ast.v_typ = Minic.Ast.T_array n; _ } -> n
-  | _ -> 0
+  match Minic.Check.extent (Phase_model.env phase) Phase_model.g_bt with
+  | Some (_, hi) -> hi + 1
+  | None -> 0
 
 (* The phase models abstract a program of arbitrarily many statements
    with fixed-size attribute arrays; the last model cell summarizes

@@ -24,10 +24,10 @@ val all_sites : site list
 
 val site_region_for : n_stmts:int -> Phase_model.phase -> site -> Regions.t
 (** The site's static may-write region over statement ids (for [Lists],
-    the join of the [se_reads] and [se_writes] regions), from the memoized
-    {!Dirty_ai} run of the phase model (inputs havoced per
-    {!Phase_model.input_globals}), rescaled to a workload with [n_stmts]
-    statements. The
+    the join of the [se_reads] and [se_writes] regions), from the
+    phase's memoized {!Infer.derive} (its {!Dirty_ai} run, inputs havoced
+    per {!Phase_model.input_globals}), rescaled to a workload with
+    [n_stmts] statements. The
     phase models use fixed 64-cell attribute arrays to abstract programs
     of any size; by convention the last model cell summarizes every
     statement at or beyond it, so a region reaching the last cell

@@ -5,10 +5,17 @@ module Smap = Map.Make (String)
 type result = {
   env : Minic.Check.env;
   rounds : int;
-  (* transitive may-write regions, converged *)
-  summaries : (string, Regions.map) Hashtbl.t;
+  (* transitive may-read and may-write regions, converged *)
+  reads : (string, Regions.map) Hashtbl.t;
+  writes : (string, Regions.map) Hashtbl.t;
   (* flow-insensitive value approximation per global (elements, for arrays) *)
   gval : Regions.itv array;
+}
+
+(* The effects one function body has had so far in this round. *)
+type effects = {
+  mutable fx_reads : Regions.map;
+  mutable fx_writes : Regions.map;
 }
 
 (* Plain-join rounds before switching to widening: two precise rounds
@@ -19,23 +26,21 @@ let default_widen_delay = 3
 (* Backstop only; the widening argument makes it unreachable. *)
 let max_rounds = 200
 
-let extent_of_typ = function
-  | T_int | T_void -> (0, 0)
-  | T_array n -> (0, n - 1)
+let summary tbl f =
+  match Hashtbl.find_opt tbl f with Some m -> m | None -> Regions.map_empty
 
 let analyze ?(havoc = []) ?(widen_delay = default_widen_delay)
     (env : Minic.Check.env) =
   let p = env.Minic.Check.program in
   let gid x = Minic.Check.global_id env x in
   let n_globals = Minic.Check.global_count env in
-  let gtyp = Array.make n_globals T_int in
-  List.iter
-    (fun g ->
-      match gid g.v_name with
-      | Some id -> gtyp.(id) <- g.v_typ
-      | None -> ())
-    p.globals;
-  let extent id = extent_of_typ gtyp.(id) in
+  let extent = Minic.Check.extents env in
+  (* An access outside the extent crashes the concrete run, so clamping
+     a may-read or may-write region to the global is sound. *)
+  let clamp id r =
+    let lo, hi = extent.(id) in
+    Regions.clamp ~lo ~hi r
+  in
   (* Arrays start zeroed; scalars at their initializer. A global no
      function ever writes keeps this value forever — the constants that
      make loop bounds decidable. *)
@@ -62,12 +67,8 @@ let analyze ?(havoc = []) ?(widen_delay = default_widen_delay)
     Hashtbl.create 16
   in
   let rets : (string, Regions.itv) Hashtbl.t = Hashtbl.create 16 in
-  let summaries : (string, Regions.map) Hashtbl.t = Hashtbl.create 16 in
-  let summary_of f =
-    match Hashtbl.find_opt summaries f with
-    | Some m -> m
-    | None -> Regions.map_empty
-  in
+  let reads : (string, Regions.map) Hashtbl.t = Hashtbl.create 16 in
+  let writes : (string, Regions.map) Hashtbl.t = Hashtbl.create 16 in
   let round_no = ref 0 in
   let changed = ref true in
   let stabilize old now =
@@ -79,11 +80,12 @@ let analyze ?(havoc = []) ?(widen_delay = default_widen_delay)
       else Regions.itv_join old now
     end
   in
-  let write_global acc id region value =
-    let lo, hi = extent id in
-    (* A store outside the extent crashes the concrete run, so clamping
-       the may-write region to the array is sound. *)
-    acc := Regions.map_add id (Regions.clamp ~lo ~hi region) !acc;
+  let read_global fx id region =
+    fx.fx_reads <- Regions.map_add id (clamp id region) fx.fx_reads;
+    gval.(id)
+  in
+  let write_global fx id region value =
+    fx.fx_writes <- Regions.map_add id (clamp id region) fx.fx_writes;
     gval_pending.(id) <- stabilize gval_pending.(id) value
   in
   let mark_called f =
@@ -157,9 +159,9 @@ let analyze ?(havoc = []) ?(widen_delay = default_widen_delay)
     else `Unknown
   in
   let bool_itv = Regions.itv 0 1 in
-  (* [eval acc f e]: the value interval of [e] in frame [f], joining the
-     write effects of any calls into [acc]. *)
-  let rec eval acc f e : Regions.itv =
+  (* [eval fx f e]: the value interval of [e] in frame [f], joining its
+     global reads and the effects of any calls into [fx]. *)
+  let rec eval fx f e : Regions.itv =
     match e with
     | E_int n -> Regions.itv_point n
     | E_var x -> (
@@ -167,22 +169,24 @@ let analyze ?(havoc = []) ?(widen_delay = default_widen_delay)
         | Some v -> v
         | None -> (
             match gid x with
-            | Some id -> gval.(id)
+            | Some id -> read_global fx id (Regions.point 0)
             | None -> Regions.itv_full))
     | E_index (a, i) ->
-        let (_ : Regions.itv) = eval acc f i in
+        let vi = eval fx f i in
         if Smap.mem a f then Regions.itv_full
         else (
-          match gid a with Some id -> gval.(id) | None -> Regions.itv_full)
-    | E_unop (U_neg, e) -> Regions.itv_neg (eval acc f e)
+          match gid a with
+          | Some id -> read_global fx id (Regions.of_itv vi)
+          | None -> Regions.itv_full)
+    | E_unop (U_neg, e) -> Regions.itv_neg (eval fx f e)
     | E_unop (U_not, e) -> (
-        match truthiness (eval acc f e) with
+        match truthiness (eval fx f e) with
         | `False -> Regions.itv_point 1
         | `True -> Regions.itv_point 0
         | `Unknown -> bool_itv)
     | E_binop (op, l, r) -> (
-        let vl = eval acc f l in
-        let vr = eval acc f r in
+        let vl = eval fx f l in
+        let vr = eval fx f r in
         let open Regions in
         match op with
         | B_add -> itv_add vl vr
@@ -226,8 +230,9 @@ let analyze ?(havoc = []) ?(widen_delay = default_widen_delay)
             | _ -> bool_itv))
     | E_call (g, args) ->
         mark_called g;
-        List.iteri (fun i v -> raise_param g i v) (List.map (eval acc f) args);
-        acc := Regions.map_join !acc (summary_of g);
+        List.iteri (fun i v -> raise_param g i v) (List.map (eval fx f) args);
+        fx.fx_reads <- Regions.map_join fx.fx_reads (summary reads g);
+        fx.fx_writes <- Regions.map_join fx.fx_writes (summary writes g);
         (match Hashtbl.find_opt rets g with
         | Some r -> r
         | None ->
@@ -251,11 +256,11 @@ let analyze ?(havoc = []) ?(widen_delay = default_widen_delay)
     | B_ge -> B_le
     | op -> op
   in
-  let refine_var acc x op rhs f =
+  let refine_var fx x op rhs f =
     match Smap.find_opt x f with
     | None -> Some f (* globals are not flow-refined *)
     | Some vx ->
-        let vr = eval acc f rhs in
+        let vr = eval fx f rhs in
         let open Regions in
         let bound =
           match op with
@@ -279,99 +284,82 @@ let analyze ?(havoc = []) ?(widen_delay = default_widen_delay)
             | None -> None
             | Some v' -> Some (Smap.add x v' f)))
   in
-  let rec refine acc cond sense fr =
+  let rec refine fx cond sense fr =
     match fr with
     | None -> None
     | Some f -> (
         match cond with
-        | E_unop (U_not, e) -> refine acc e (not sense) fr
+        | E_unop (U_not, e) -> refine fx e (not sense) fr
         | E_binop (B_and, l, r) when sense ->
-            refine acc r true (refine acc l true fr)
+            refine fx r true (refine fx l true fr)
         | E_binop (B_or, l, r) when not sense ->
-            refine acc r false (refine acc l false fr)
+            refine fx r false (refine fx l false fr)
         | E_binop (op, E_var x, rhs) ->
-            refine_var acc x (if sense then op else negate op) rhs f
+            refine_var fx x (if sense then op else negate op) rhs f
         | E_binop (op, lhs, E_var x) ->
-            refine_var acc x (mirror (if sense then op else negate op)) lhs f
+            refine_var fx x (mirror (if sense then op else negate op)) lhs f
         | E_var x when Smap.mem x f ->
-            refine_var acc x (if sense then B_ne else B_eq) (E_int 0) f
+            refine_var fx x (if sense then B_ne else B_eq) (E_int 0) f
         | _ -> fr)
   in
   (* ---- statements ---- *)
-  (* [exec_stmt] returns the post-frame and joins the statement subtree's
-     may-writes into [acc] and the returned map. *)
-  let rec exec_block fname acc fr stmts =
-    List.fold_left
-      (fun (fr, w) s ->
-        let fr', ws = exec_stmt fname acc fr s in
-        (fr', Regions.map_join w ws))
-      (fr, Regions.map_empty) stmts
-  and exec_stmt fname acc fr (s : stmt) =
+  (* [exec_stmt] returns the post-frame and joins the statement's
+     effects into [fx]. *)
+  let rec exec_block fname fx fr stmts =
+    List.fold_left (exec_stmt fname fx) fr stmts
+  and exec_stmt fname fx fr (s : stmt) =
     match fr with
-    | None -> (None, Regions.map_empty)
-    | Some f ->
-        let sub = ref Regions.map_empty in
-        let fr' =
-          match s.node with
-          | S_assign (x, e) ->
-              let v = eval sub f e in
-              if Smap.mem x f then Some (Smap.add x v f)
-              else begin
-                (match gid x with
-                | Some id -> write_global sub id (Regions.point 0) v
-                | None -> ());
-                fr
-              end
-          | S_store (a, i, e) ->
-              let vi = eval sub f i in
-              let v = eval sub f e in
-              if not (Smap.mem a f) then
-                (match gid a with
-                | Some id -> write_global sub id (Regions.of_itv vi) v
-                | None -> ());
-              fr
-          | S_expr e ->
-              let (_ : Regions.itv) = eval sub f e in
-              fr
-          | S_return None -> None
-          | S_return (Some e) ->
-              raise_ret fname (eval sub f e);
-              None
-          | S_if (c, t, e) -> (
-              let vc = eval sub f c in
-              match truthiness vc with
-              | `True ->
-                  let fr', w = exec_block fname acc (refine sub c true fr) t in
-                  sub := Regions.map_join !sub w;
-                  fr'
-              | `False ->
-                  let fr', w = exec_block fname acc (refine sub c false fr) e in
-                  sub := Regions.map_join !sub w;
-                  fr'
-              | `Unknown ->
-                  let frt, wt = exec_block fname acc (refine sub c true fr) t in
-                  let fre, we = exec_block fname acc (refine sub c false fr) e in
-                  sub := Regions.map_join !sub (Regions.map_join wt we);
-                  frame_join frt fre)
-          | S_while (c, b) ->
-              let rec fix head n =
-                let out, w = exec_block fname acc (refine sub c true head) b in
-                sub := Regions.map_join !sub w;
-                let head' = frame_join head out in
-                if frame_leq head' head then head
-                else fix (if n >= 2 then frame_widen head head' else head') (n + 1)
-              in
-              let stable = fix fr 0 in
-              (match stable with
-              | Some f' ->
-                  (* the guard itself runs once more on exit *)
-                  let (_ : Regions.itv) = eval sub f' c in
-                  ()
+    | None -> None
+    | Some f -> (
+        match s.node with
+        | S_assign (x, e) ->
+            let v = eval fx f e in
+            if Smap.mem x f then Some (Smap.add x v f)
+            else begin
+              (match gid x with
+              | Some id -> write_global fx id (Regions.point 0) v
               | None -> ());
-              refine sub c false stable
-        in
-        acc := Regions.map_join !acc !sub;
-        (fr', !sub)
+              fr
+            end
+        | S_store (a, i, e) ->
+            let vi = eval fx f i in
+            let v = eval fx f e in
+            if not (Smap.mem a f) then
+              (match gid a with
+              | Some id -> write_global fx id (Regions.of_itv vi) v
+              | None -> ());
+            fr
+        | S_expr e ->
+            let (_ : Regions.itv) = eval fx f e in
+            fr
+        | S_return None -> None
+        | S_return (Some e) ->
+            raise_ret fname (eval fx f e);
+            None
+        | S_if (c, t, e) -> (
+            match truthiness (eval fx f c) with
+            | `True -> exec_block fname fx (refine fx c true fr) t
+            | `False -> exec_block fname fx (refine fx c false fr) e
+            | `Unknown ->
+                frame_join
+                  (exec_block fname fx (refine fx c true fr) t)
+                  (exec_block fname fx (refine fx c false fr) e))
+        | S_while (c, b) ->
+            let rec fix head n =
+              let out = exec_block fname fx (refine fx c true head) b in
+              let head' = frame_join head out in
+              if frame_leq head' head then head
+              else
+                fix (if n >= 2 then frame_widen head head' else head') (n + 1)
+            in
+            let stable = fix fr 0 in
+            (match stable with
+            | Some f' ->
+                (* the guard itself runs once more on exit *)
+                let (_ : Regions.itv) = eval fx f' c in
+                ()
+            | None -> ());
+            refine fx c false stable)
   in
   (* ---- function-level fixpoint ---- *)
   let analyze_func (f : func) =
@@ -396,19 +384,25 @@ let analyze ?(havoc = []) ?(widen_delay = default_widen_delay)
             | T_array _ | T_void -> Smap.add l.v_name Regions.itv_full m)
           with_params f.f_locals
       in
-      let acc = ref Regions.map_empty in
-      let (_ : _ * Regions.map) =
-        exec_block f.f_name acc (Some frame0) f.f_body
+      let fx =
+        { fx_reads = Regions.map_empty; fx_writes = Regions.map_empty }
       in
-      let old = summary_of f.f_name in
-      (* Plain join: stores are clamped to their array's extent, so the
-         summary lattice is finite — no widening needed (and widening
+      ignore
+        (exec_block f.f_name fx (Some frame0) f.f_body
+          : Regions.itv Smap.t option);
+      (* Plain join: accesses are clamped to their global's extent, so
+         the summary lattice is finite — no widening needed (and widening
          here would leak +oo bounds past the clamp). *)
-      let now = Regions.map_join old !acc in
-      if not (Regions.map_leq now old) then begin
-        changed := true;
-        Hashtbl.replace summaries f.f_name now
-      end
+      let update tbl effects =
+        let old = summary tbl f.f_name in
+        let now = Regions.map_join old effects in
+        if not (Regions.map_leq now old) then begin
+          changed := true;
+          Hashtbl.replace tbl f.f_name now
+        end
+      in
+      update reads fx.fx_reads;
+      update writes fx.fx_writes
     end
   in
   while !changed && !round_no < max_rounds do
@@ -417,47 +411,25 @@ let analyze ?(havoc = []) ?(widen_delay = default_widen_delay)
     List.iter analyze_func p.funcs;
     Array.blit gval_pending 0 gval 0 n_globals
   done;
-  { env; rounds = !round_no; summaries; gval }
+  { env; rounds = !round_no; reads; writes; gval }
 
 let env r = r.env
 let rounds r = r.rounds
-
-let func_writes r f =
-  match Hashtbl.find_opt r.summaries f with
-  | Some m -> m
-  | None -> Regions.map_empty
-
+let func_reads r f = summary r.reads f
+let func_writes r f = summary r.writes f
+let main_reads r = func_reads r "main"
 let main_writes r = func_writes r "main"
-
-let global_typ r name =
-  match
-    List.find_opt (fun g -> g.v_name = name) r.env.Minic.Check.program.globals
-  with
-  | Some g -> g.v_typ
-  | None -> T_int
 
 let write_region r name =
   match Minic.Check.global_id r.env name with
+  | Some id -> Regions.region_of (main_writes r) id
   | None -> Regions.bot
-  | Some id ->
-      let lo, hi = extent_of_typ (global_typ r name) in
-      Regions.clamp ~lo ~hi (Regions.region_of (main_writes r) id)
 
 let global_value r name =
   match Minic.Check.global_id r.env name with
   | Some id -> r.gval.(id)
   | None -> Regions.itv_full
 
-let pp_writes r ppf m =
-  Regions.pp_map
-    ~name:(Effects.global_name r.env)
-    ~is_array:(fun gid ->
-      Minic.Check.is_global_array r.env (Effects.global_name r.env gid))
-    ppf m
-
-let pp ppf r =
-  Format.fprintf ppf "@[<v>%a@]"
-    (Format.pp_print_list ~pp_sep:Format.pp_print_cut (fun ppf (f : func) ->
-         Format.fprintf ppf "@[<h>%-18s writes %a@]" f.f_name (pp_writes r)
-           (func_writes r f.f_name)))
-    r.env.Minic.Check.program.funcs
+let pp_effects r ppf f =
+  Format.fprintf ppf "@[<h>reads %a writes %a@]" (Regions.pp_map r.env)
+    (func_reads r f) (Regions.pp_map r.env) (func_writes r f)

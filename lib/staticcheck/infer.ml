@@ -1,22 +1,35 @@
 type derivation = {
   phase : Phase_model.phase;
-  effects : Effects.t;
+  effects : Dirty_ai.result;
   writes_lists : bool;
   writes_bt : bool;
   writes_et : bool;
 }
 
+(* One analysis per phase model, shared by every derivation and by
+   Barrier_elide's plans, mirroring Phase_model's own memoization. *)
+let derivations : (Phase_model.phase, derivation) Hashtbl.t = Hashtbl.create 3
+
 let derive phase =
-  let env = Phase_model.env phase in
-  let summaries = Effects.compute env in
-  let eff = Effects.of_func summaries "main" in
-  { phase;
-    effects = eff;
-    writes_lists =
-      Effects.writes_name env eff Phase_model.g_se_reads
-      || Effects.writes_name env eff Phase_model.g_se_writes;
-    writes_bt = Effects.writes_name env eff Phase_model.g_bt;
-    writes_et = Effects.writes_name env eff Phase_model.g_et }
+  match Hashtbl.find_opt derivations phase with
+  | Some d -> d
+  | None ->
+      let effects =
+        Dirty_ai.analyze
+          ~havoc:(Phase_model.input_globals phase)
+          (Phase_model.env phase)
+      in
+      let writes g = not (Regions.is_bot (Dirty_ai.write_region effects g)) in
+      let d =
+        { phase;
+          effects;
+          writes_lists =
+            writes Phase_model.g_se_reads || writes Phase_model.g_se_writes;
+          writes_bt = writes Phase_model.g_bt;
+          writes_et = writes Phase_model.g_et }
+      in
+      Hashtbl.add derivations phase d;
+      d
 
 (* The attribute tree's spine (Attributes, BTEntry, ETEntry) is always
    Clean: no phase API can repoint it, and no model global maps to it.

@@ -1,20 +1,22 @@
 (** Derivation of specialization classes from static effect analysis.
 
-    Running {!Effects} over a {!Phase_model} yields, per phase, which
-    attribute-tree leaves the phase can possibly modify; {!shape} turns
-    that into the [Sclass.shape] the phase *should* declare. For the
+    Running {!Dirty_ai} over a {!Phase_model}, with the model's input
+    tables havoced ({!Phase_model.input_globals}), yields, per phase,
+    which attribute-tree leaves the phase can possibly modify; {!shape}
+    turns that into the [Sclass.shape] the phase *should* declare. For the
     paper's three phases this reproduces the hand-written shapes in
     [Ickpt_analysis.Attrs] — but derived, not trusted. *)
 
 type derivation = {
   phase : Phase_model.phase;
-  effects : Effects.t;  (** transitive effect of one phase run *)
+  effects : Dirty_ai.result;  (** the effect analysis of one phase run *)
   writes_lists : bool;  (** the [SEEntry] list slots may change *)
   writes_bt : bool;
   writes_et : bool;
 }
 
 val derive : Phase_model.phase -> derivation
+(** Memoized per phase. *)
 
 val shape :
   klasses:Ickpt_runtime.Model.klass list -> derivation -> Jspec.Sclass.shape

@@ -13,22 +13,6 @@ type footprint = {
 
 (* ---- footprint plumbing ---------------------------------------------------- *)
 
-let extent env name =
-  let rec find = function
-    | [] -> None
-    | d :: rest -> if d.Ast.v_name = name then Some d.Ast.v_typ else find rest
-  in
-  match find env.Check.program.Ast.globals with
-  | Some (Ast.T_array n) when n > 0 -> Some (0, n - 1)
-  | Some (Ast.T_array _) -> Some (0, 0)
-  | Some _ -> Some (0, 0)
-  | None -> None
-
-let clamp_named env name r =
-  match extent env name with
-  | Some (lo, hi) -> Regions.clamp ~lo ~hi r
-  | None -> r
-
 let assoc_region name l =
   match List.assoc_opt name l with Some r -> r | None -> Regions.bot
 
@@ -46,19 +30,8 @@ let named_of_map env m =
     (fun gid r acc ->
       if Regions.is_bot r then acc
       else
-        let name = Effects.global_name env gid in
-        assoc_add name (clamp_named env name r) acc)
-    m []
-
-let seg_to_region = function
-  | Effects.Cells cells -> Regions.of_list (Effects.Int_set.elements cells)
-  | Effects.Whole -> Regions.top
-
-let named_of_segs env m =
-  Effects.Gid_map.fold
-    (fun gid seg acc ->
-      let name = Effects.global_name env gid in
-      assoc_add name (clamp_named env name (seg_to_region seg)) acc)
+        let name = Check.global_name env gid in
+        assoc_add name (Regions.clamp_global env name r) acc)
     m []
 
 let fp_region fp name =
@@ -190,14 +163,16 @@ let rec eval cx locals arrays e =
           if List.mem v arrays then
             raise (Refuse (Printf.sprintf "local array %s in body" v))
           else begin
-            add_read cx v (clamp_named cx.cx_env v (Regions.point 0));
+            add_read cx v
+              (Regions.clamp_global cx.cx_env v (Regions.point 0));
             Dirty_ai.global_value cx.cx_dirty v
           end)
   | Ast.E_index (a, i) ->
       let iv = eval cx locals arrays i in
       if List.mem_assoc a locals || List.mem a arrays then
         raise (Refuse (Printf.sprintf "local array %s in body" a));
-      add_read cx a (clamp_named cx.cx_env a (Regions.of_itv iv));
+      add_read cx a
+        (Regions.clamp_global cx.cx_env a (Regions.of_itv iv));
       Dirty_ai.global_value cx.cx_dirty a
   | Ast.E_unop (Ast.U_neg, e) -> Regions.itv_neg (eval cx locals arrays e)
   | Ast.E_unop (Ast.U_not, e) ->
@@ -227,7 +202,8 @@ let rec exec cx locals arrays s =
       if List.mem_assoc v locals then
         List.map (fun (n, st) -> if n = v then (n, Set iv) else (n, st)) locals
       else begin
-        add_write cx v (clamp_named cx.cx_env v (Regions.point 0));
+        add_write cx v
+          (Regions.clamp_global cx.cx_env v (Regions.point 0));
         locals
       end
   | Ast.S_store (a, i, e) ->
@@ -235,7 +211,8 @@ let rec exec cx locals arrays s =
         raise (Refuse (Printf.sprintf "local array %s in body" a));
       let iv = eval cx locals arrays i in
       ignore (eval cx locals arrays e);
-      add_write cx a (clamp_named cx.cx_env a (Regions.of_itv iv));
+      add_write cx a
+        (Regions.clamp_global cx.cx_env a (Regions.of_itv iv));
       locals
   | Ast.S_expr e ->
       ignore (eval cx locals arrays e);
@@ -266,7 +243,7 @@ let rec const_of cx e =
   match e with
   | Ast.E_int n -> Some n
   | Ast.E_var v -> (
-      match extent cx.cx_env v with
+      match Check.extent cx.cx_env v with
       | None -> None (* a local: not a statically known bound *)
       | Some _ ->
           let iv = Dirty_ai.global_value cx.cx_dirty v in
@@ -443,8 +420,9 @@ let build_sweep cx program domains ca =
 (* ---- phase footprints and grouping ----------------------------------------- *)
 
 let phase_footprint (pr : Auto_spec.phase_result) =
-  { fp_reads = named_of_segs pr.Auto_spec.ph_env pr.Auto_spec.ph_effects.Effects.reads;
-    fp_writes = named_of_map pr.Auto_spec.ph_env (Dirty_ai.main_writes pr.Auto_spec.ph_dirty) }
+  let named = named_of_map pr.Auto_spec.ph_env in
+  { fp_reads = named (Dirty_ai.main_reads pr.Auto_spec.ph_dirty);
+    fp_writes = named (Dirty_ai.main_writes pr.Auto_spec.ph_dirty) }
 
 (* ---- the schedule ---------------------------------------------------------- *)
 

@@ -14,10 +14,6 @@ type t = {
    widening fallback kicks in. *)
 let max_fix = 200
 
-let extent_of_typ = function
-  | T_int | T_void -> (0, 0)
-  | T_array n -> (0, n - 1)
-
 let analyze ?dirty (env : Minic.Check.env) (phases : Phase_discover.phase list)
     =
   let p = env.Minic.Check.program in
@@ -25,23 +21,15 @@ let analyze ?dirty (env : Minic.Check.env) (phases : Phase_discover.phase list)
     match dirty with Some d -> d | None -> Dirty_ai.analyze env
   in
   let gid x = Minic.Check.global_id env x in
-  let n_globals = Minic.Check.global_count env in
-  let gtyp = Array.make (max 1 n_globals) T_int in
-  List.iter
-    (fun g ->
-      match gid g.v_name with
-      | Some id -> gtyp.(id) <- g.v_typ
-      | None -> ())
-    p.globals;
-  let extent id = extent_of_typ gtyp.(id) in
+  let extent = Minic.Check.extents env in
   let clamp id r =
-    let lo, hi = extent id in
+    let lo, hi = extent.(id) in
     Regions.clamp ~lo ~hi r
   in
   (* Remove [cut] from the binding for [id]: the under-approximate kill
      of backward liveness (complement within the extent, then meet). *)
   let kill_region m id cut =
-    let lo, hi = extent id in
+    let lo, hi = extent.(id) in
     let r =
       Regions.meet (Regions.region_of m id)
         (Regions.complement_in ~lo ~hi cut)
@@ -225,7 +213,7 @@ let analyze ?dirty (env : Minic.Check.env) (phases : Phase_discover.phase list)
   and map_diff r killed =
     Regions.Gid_map.fold
       (fun id reg acc ->
-        let lo, hi = extent id in
+        let lo, hi = extent.(id) in
         let exposed =
           Regions.meet (clamp id reg)
             (Regions.complement_in ~lo ~hi (Regions.region_of killed id))
@@ -446,19 +434,6 @@ let analyze ?dirty (env : Minic.Check.env) (phases : Phase_discover.phase list)
 let env t = t.l_env
 let rounds t = t.l_rounds
 
-let global_typ env name =
-  match
-    List.find_opt
-      (fun g -> g.v_name = name)
-      env.Minic.Check.program.globals
-  with
-  | Some g -> g.v_typ
-  | None -> T_int
-
-let clamp_for env name r =
-  let lo, hi = extent_of_typ (global_typ env name) in
-  Regions.clamp ~lo ~hi r
-
 let boundary_map t index =
   match List.assoc_opt index t.l_boundaries with
   | Some m -> m
@@ -467,7 +442,8 @@ let boundary_map t index =
 let boundary t index =
   let m = boundary_map t index in
   List.map
-    (fun (name, id) -> (name, clamp_for t.l_env name (Regions.region_of m id)))
+    (fun (name, id) ->
+      (name, Regions.clamp_global t.l_env name (Regions.region_of m id)))
     t.l_env.Minic.Check.global_ids
 
 let func_uer t f =
@@ -480,22 +456,16 @@ let func_mw t f =
   | Some m -> m
   | None -> Regions.map_empty
 
-let pp_map t ppf m =
-  Regions.pp_map
-    ~name:(Effects.global_name t.l_env)
-    ~is_array:(fun gid ->
-      Minic.Check.is_global_array t.l_env (Effects.global_name t.l_env gid))
-    ppf m
-
 let pp ppf t =
+  let pp_map = Regions.pp_map t.l_env in
   Format.fprintf ppf "@[<v>";
   List.iter
     (fun (f : func) ->
-      Format.fprintf ppf "@[<h>%-18s UER %a  MW %a@]@," f.f_name (pp_map t)
-        (func_uer t f.f_name) (pp_map t) (func_mw t f.f_name))
+      Format.fprintf ppf "@[<h>%-18s UER %a  MW %a@]@," f.f_name pp_map
+        (func_uer t f.f_name) pp_map (func_mw t f.f_name))
     t.l_env.Minic.Check.program.funcs;
   List.iter
     (fun (i, m) ->
-      Format.fprintf ppf "@[<h>boundary %-2d live %a@]@," i (pp_map t) m)
+      Format.fprintf ppf "@[<h>boundary %-2d live %a@]@," i pp_map m)
     t.l_boundaries;
   Format.fprintf ppf "@]"

@@ -78,6 +78,3 @@ val func_uer : t -> string -> Regions.map
 
 val pp : Format.formatter -> t -> unit
 (** Function summaries, then per-boundary live regions. *)
-
-val pp_map : t -> Format.formatter -> Regions.map -> unit
-(** Render a region map with this program's global names. *)

@@ -9,7 +9,7 @@
     {!Setup} phase.
 
     For each phase it also synthesizes the {e one-round analysis program}
-    that [Effects] and [Dirty_ai] run on: the original globals and
+    that [Dirty_ai] runs on: the original globals and
     functions, [main]'s locals lifted to zero-initialized globals (renamed
     only on collision; the driver havocs them instead of trusting the
     fake initializer), and a fresh nullary [main] whose body is exactly

@@ -223,6 +223,11 @@ let disjoint a b = is_bot (meet a b)
 
 let clamp ~lo ~hi r = meet r (interval lo hi)
 
+let clamp_global env name r =
+  match Minic.Check.extent env name with
+  | Some (lo, hi) -> clamp ~lo ~hi r
+  | None -> r
+
 let complement_in ~lo ~hi r =
   match clamp ~lo ~hi r with
   | Bot -> interval lo hi
@@ -269,7 +274,7 @@ let map_add gid r m =
   if is_bot r then m
   else Gid_map.update gid (function None -> Some r | Some r' -> Some (join r r')) m
 
-let pp_map ~name ~is_array ppf m =
+let pp_map env ppf m =
   let bindings = List.filter (fun (_, r) -> not (is_bot r)) (Gid_map.bindings m) in
   if bindings = [] then Format.pp_print_string ppf "{}"
   else
@@ -277,6 +282,8 @@ let pp_map ~name ~is_array ppf m =
       (Format.pp_print_list
          ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
          (fun ppf (gid, r) ->
-           if is_array gid then Format.fprintf ppf "%s[%a]" (name gid) pp r
-           else Format.pp_print_string ppf (name gid)))
+           let name = Minic.Check.global_name env gid in
+           if Minic.Check.is_global_array env name then
+             Format.fprintf ppf "%s[%a]" name pp r
+           else Format.pp_print_string ppf name))
       bindings

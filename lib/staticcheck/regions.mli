@@ -2,12 +2,11 @@
 
     A region describes which part of one storage location an effect can
     touch — a set of array cells as sorted disjoint intervals, a scalar
-    as the singleton cell [0], [Top] for "any cell". This refines
-    {!Effects.seg}: where [Effects] widens any computed index to the
-    whole array, a region keeps interval bounds derived from loop guards
-    ([temp[8..55]] for a blur pass over the interior rows), which is
-    what lets the barrier-elision planner prove the complement
-    definitely clean.
+    as the singleton cell [0], [Top] for "any cell". Where a cell set
+    would widen any computed index to the whole array, a region keeps
+    interval bounds derived from loop guards ([temp[8..55]] for a blur
+    pass over the interior rows), which is what lets the barrier-elision
+    planner prove the complement definitely clean.
 
     Interval bounds use [min_int]/[max_int] as -oo/+oo; the helpers in
     {!section-itv} saturate instead of overflowing. The lattice has the
@@ -86,6 +85,10 @@ val clamp : lo:int -> hi:int -> t -> t
 (** Meet with [[lo, hi]] — e.g. restrict a store region to the extent of
     the written array. [Top] clamps to the full extent. *)
 
+val clamp_global : Minic.Check.env -> string -> t -> t
+(** {!clamp} to the named global's {!Minic.Check.extent}; a name no
+    global has leaves the region as it is. *)
+
 val complement_in : lo:int -> hi:int -> t -> t
 (** The cells of [[lo, hi]] {e not} in the region — the definitely-clean
     residue of a may-write region. *)
@@ -113,8 +116,6 @@ val map_add : int -> t -> map -> map
 val region_of : map -> int -> t
 (** [Bot] when the global is unbound (never written). *)
 
-val pp_map :
-  name:(int -> string) ->
-  is_array:(int -> bool) ->
-  Format.formatter -> map -> unit
-(** e.g. [writes {kernel[0..8], temp[8..55], changed}]. *)
+val pp_map : Minic.Check.env -> Format.formatter -> map -> unit
+(** With the env's global names, e.g. [{kernel[0..8], temp[8..55],
+    changed}]. *)

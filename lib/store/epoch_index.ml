@@ -212,7 +212,14 @@ let read_payload ~prev inp =
   let dir = read_slice inp ~width:2 in
   { epoch; kind; roots; chunks; at; located; dir }
 
-let encode e = Out_stream.framed ~magic ~version (fun d -> write_payload d e)
+let encode d e = Out_stream.framed d ~magic ~version (fun d -> write_payload d e)
+
+(* A frame's size with every varint at its widest: ten fixed bytes
+   (magic, version, kind, crc), the mux's tenant id, eight counts and
+   scalars, the roots and chunk keys, and the two slices' bytes. *)
+let encoded_bound e =
+  10 + e.located.len + e.dir.len
+  + (Varint.max_size * (9 + List.length e.roots + List.length e.chunks))
 
 (* Without [prev], one reader serves every entry: no closure per entry. *)
 let read_entry = read_payload ~prev:[]
@@ -226,17 +233,17 @@ let decode ?prev s ~pos =
 let load vfs path =
   In_stream.intact_prefix (fun s ~pos -> decode s ~pos) (Vfs.contents vfs path)
 
+let encode_batch encode ~entry items =
+  let bound = List.fold_left (fun n x -> n + encoded_bound (entry x)) 0 items in
+  let d = Out_stream.create ~initial_size:bound () in
+  List.iter (encode d) items;
+  Out_stream.contents d
+
 let write_staged vfs ~path entries =
   let tmp = Vfs.temp_of path in
-  let bytes = ref 0 in
-  Vfs.write_synced vfs Trunc tmp (fun write ->
-      List.iter
-        (fun e ->
-          let s = encode e in
-          bytes := !bytes + String.length s;
-          write s)
-        entries);
-  (tmp, !bytes)
+  let bytes = encode_batch encode ~entry:Fun.id entries in
+  Vfs.write_synced vfs Trunc tmp (fun write -> write bytes);
+  (tmp, String.length bytes)
 
 (* ------------------------------------------------------------------ *)
 (* Multiplexed (per-shard) index: many tenants' entries interleaved in
@@ -246,8 +253,8 @@ let mux_magic = 0x4d4b4349 (* "ICKM" read as LE bytes; value is arbitrary *)
 
 type mux_entry = { m_tenant : int; m_entry : entry }
 
-let encode_mux m =
-  Out_stream.framed ~magic:mux_magic ~version (fun d ->
+let encode_mux d m =
+  Out_stream.framed d ~magic:mux_magic ~version (fun d ->
       Out_stream.write_int d m.m_tenant;
       write_payload d m.m_entry)
 

@@ -128,7 +128,15 @@ val iter_dir : entry -> (int -> int -> int -> unit) -> unit
     exactly one record group per chunk and {!dir_records} records (after
     calling [f] on whatever decoded before the fault). *)
 
-val encode : entry -> string
+val encode : Ickpt_stream.Out_stream.t -> entry -> unit
+(** Append the entry's frame to the stream. *)
+
+val encode_batch :
+  (Ickpt_stream.Out_stream.t -> 'a -> unit) -> entry:('a -> entry) ->
+  'a list -> string
+(** [encode_batch encode ~entry items]: the frames of [items] back to
+    back, as [encode] appends them ({!encode} or {!encode_mux}), into one
+    stream presized to hold them all. *)
 
 val decode : ?prev:int list -> string -> pos:int -> entry * int
 (** One entry at [pos] and the offset just past it. The entry's directory
@@ -170,7 +178,7 @@ val reject_older : path:string -> string -> unit
 
 type mux_entry = { m_tenant : int; m_entry : entry }
 
-val encode_mux : mux_entry -> string
+val encode_mux : Ickpt_stream.Out_stream.t -> mux_entry -> unit
 
 val decode_mux :
   ?prev:(int -> int list) -> string -> pos:int -> mux_entry * int

@@ -79,7 +79,7 @@ let since_full entries ~epoch =
 
 type 'a index = {
   decode : (int -> int list) -> string -> pos:int -> 'a * int;
-  encode : 'a -> string;
+  encode : Out_stream.t -> 'a -> unit;
   chain : 'a -> int;
   entry : 'a -> Epoch_index.entry;
   make : int -> Epoch_index.entry -> 'a;
@@ -311,7 +311,7 @@ let commit idx vfs ~path pack items =
       (start, []) items staged
   in
   let entries = List.rev rev_entries in
-  let index_bytes = String.concat "" (List.map idx.encode entries) in
+  let index_bytes = Epoch_index.encode_batch idx.encode ~entry:idx.entry entries in
   if index_bytes <> "" then begin
     let before = if vfs.Vfs.exists path then vfs.Vfs.size path else 0 in
     try Vfs.write_synced vfs Append path (fun write -> write index_bytes)

@@ -32,10 +32,10 @@ val since_full : Epoch_index.entry list -> epoch:int -> Epoch_index.entry list
     item belongs to, and how an entry of a chain becomes an item. [decode
     prev] decodes an item whose roots are shared with [prev chain], the
     roots of its chain's previous item, when they are the same ids
-    ({!Epoch_index.decode}). *)
+    ({!Epoch_index.decode}); [encode] appends an item's frame. *)
 type 'a index = {
   decode : (int -> int list) -> string -> pos:int -> 'a * int;
-  encode : 'a -> string;
+  encode : Ickpt_stream.Out_stream.t -> 'a -> unit;
   chain : 'a -> int;
   entry : 'a -> Epoch_index.entry;
   make : int -> Epoch_index.entry -> 'a;

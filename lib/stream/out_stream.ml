@@ -66,10 +66,10 @@ let contents t =
 
 let reset t = t.pos <- 0
 
-let framed ~magic ~version write =
-  let d = create () in
-  write_fixed32 d magic;
-  write_byte d version;
-  write d;
-  write_fixed32 d (Crc32.sub (Bytes.unsafe_to_string d.buf) ~pos:0 ~len:d.pos);
-  contents d
+let framed t ~magic ~version write =
+  let start = t.pos in
+  write_fixed32 t magic;
+  write_byte t version;
+  write t;
+  write_fixed32 t
+    (Crc32.sub (Bytes.unsafe_to_string t.buf) ~pos:start ~len:(t.pos - start))

@@ -48,7 +48,10 @@ val reset : t -> unit
 (** Forget all written data; [size] returns to 0. A buffered stream keeps
     its buffer, so writing the same amount again allocates nothing. *)
 
-val framed : magic:int -> version:int -> (t -> unit) -> string
-(** One checksummed record-file frame: [magic] (fixed32), [version]
-    (byte), whatever the callback writes, then the CRC-32 of all of it
-    (fixed32). {!In_stream.framed} reads it back. *)
+val framed : t -> magic:int -> version:int -> (t -> unit) -> unit
+(** Append one checksummed record-file frame: [magic] (fixed32),
+    [version] (byte), whatever the callback writes, then the CRC-32 of
+    the frame's bytes so far (fixed32). Frames appended back to back form
+    a record file's bytes; {!In_stream.framed} reads one back.
+    @raise Invalid_argument on a sink stream (there are no bytes to
+    checksum). *)

@@ -246,33 +246,6 @@ let chain_recover_matches_live () =
   | Ok _ -> Alcotest.fail "wrong root count"
   | Error e -> Alcotest.fail e
 
-let chain_compact_preserves_state () =
-  let env = make_env () in
-  let root = simple_root env in
-  let chain = Chain.create env.schema in
-  ignore (Chain.take_full chain [ root ]);
-  apply_mutations root [ { victim = 0; slot = 1; value = 77 } ];
-  ignore (Chain.take_incremental chain [ root ]);
-  let before =
-    match Chain.recover chain with Ok (_, [ r ]) -> r | _ -> assert false
-  in
-  Chain.compact chain;
-  check_int "single segment" 1 (Chain.length chain);
-  match Chain.recover chain with
-  | Ok (_, [ after ]) ->
-      check_bool "equal after compact" true (Deep_eq.equal before after)
-  | _ -> Alcotest.fail "recovery failed after compact"
-
-let chain_total_bytes () =
-  let env = make_env () in
-  let root = simple_root env in
-  let chain = Chain.create env.schema in
-  let t1 = Chain.take_full chain [ root ] in
-  let t2 = Chain.take_incremental chain [ root ] in
-  check_int "sum of bodies"
-    (Segment.body_size t1.Chain.segment + Segment.body_size t2.Chain.segment)
-    (Chain.total_bytes chain)
-
 (* Property (I2): recovery after any mutation script equals the live heap. *)
 let prop_chain_equivalence =
   QCheck2.Test.make ~name:"chain recovery == live state (random)" ~count:100
@@ -515,9 +488,6 @@ let suites =
       [ Alcotest.test_case "requires full base" `Quick chain_requires_full_base;
         Alcotest.test_case "seq validation" `Quick chain_seq_validation;
         Alcotest.test_case "recover matches live" `Quick chain_recover_matches_live;
-        Alcotest.test_case "compact preserves state" `Quick
-          chain_compact_preserves_state;
-        Alcotest.test_case "total bytes" `Quick chain_total_bytes;
         QCheck_alcotest.to_alcotest prop_chain_equivalence ] );
     ( "storage",
       [ Alcotest.test_case "roundtrip" `Quick storage_roundtrip;

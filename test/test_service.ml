@@ -12,6 +12,9 @@ open Ickpt_faultsim
 open Ickpt_cas
 open Ickpt_service
 
+let encode_mux_entry m =
+  Test_util.stream_bytes (fun d -> Epoch_index.encode_mux d m)
+
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
@@ -122,7 +125,7 @@ let mux_roundtrip () =
         { Epoch_index.m_tenant = 1000 + (i mod 2); m_entry = sample_entry i })
   in
   Vfs.write_synced vfs Append path (fun write ->
-      write (String.concat "" (List.map Epoch_index.encode_mux ms)));
+      write (String.concat "" (List.map encode_mux_entry ms)));
   let empty =
     Epochs.commit Epochs.mux vfs ~path:"empty.idx"
       (Pack.open_ ~vfs "mux.pack") []
@@ -881,8 +884,8 @@ let reopen_rejections () =
       vfs.Vfs.truncate idx ~len:(String.length committed);
       (* Bob's next epoch, valid on its own, goes down with the cut. *)
       Test_store.append_bytes vfs idx
-        (Epoch_index.encode_mux { alice with m_entry = entry }
-        ^ Epoch_index.encode_mux
+        (encode_mux_entry { alice with m_entry = entry }
+        ^ encode_mux_entry
             { bob with m_entry = { bob.m_entry with epoch = 3 } });
       let svc = Service.open_ ~vfs ~path () in
       List.iter
@@ -905,7 +908,7 @@ let reopen_rejections () =
      it, bob's epochs restore, and check lists it. *)
   vfs.Vfs.truncate idx ~len:(String.length committed);
   Test_store.append_bytes vfs idx
-    (Epoch_index.encode_mux
+    (encode_mux_entry
        { alice with
          m_entry =
            Test_store.offset_at_chunk_end ~chunk_len:(Pack.chunk_len pack)

@@ -14,69 +14,109 @@ let check_ints = Alcotest.(check (list int))
 
 (* ---- effect inference ---------------------------------------------------- *)
 
-let cells l = Effects.Cells (Effects.Int_set.of_list l)
+let region = Alcotest.testable Regions.pp Regions.equal
+
+(* One global's region in a function's read or write summary. *)
+let effect side r f g =
+  let env = Dirty_ai.env r in
+  Regions.region_of (side r f) (Option.get (Minic.Check.global_id env g))
+
+let reads = effect Dirty_ai.func_reads
+let writes = effect Dirty_ai.func_writes
+
+let pure r f =
+  Regions.Gid_map.is_empty (Dirty_ai.func_reads r f)
+  && Regions.Gid_map.is_empty (Dirty_ai.func_writes r f)
+
+(* Every global cell one run of [main] reads, noted by its store. *)
+let observed_reads program =
+  let read = ref [] in
+  let base = Minic.Interp.hashtable_store program in
+  let store =
+    { base with
+      gs_get = (fun x -> read := (x, 0) :: !read; base.gs_get x);
+      gs_get_cell = (fun a i -> read := (a, i) :: !read; base.gs_get_cell a i) }
+  in
+  let s = Minic.Interp.Session.start ~store program in
+  (match Minic.Ast.find_func program "main" with
+  | Some main -> (
+      try Minic.Interp.Session.exec_block s main.f_body
+      with Minic.Interp.Session.Halted _ -> ())
+  | None -> ());
+  !read
+
+(* The read analogue of I8: every cell read lies in [main_reads]. *)
+let reads_covered r cells =
+  let env = Dirty_ai.env r in
+  List.for_all
+    (fun (x, i) ->
+      match Minic.Check.global_id env x with
+      | Some id -> Regions.mem i (Regions.region_of (Dirty_ai.main_reads r) id)
+      | None -> false)
+    cells
 
 let effects_seg_lattice () =
-  check_bool "cells union" true
-    (Effects.seg_equal (cells [ 1; 2; 3 ])
-       (Effects.seg_join (cells [ 1; 2 ]) (cells [ 2; 3 ])));
-  check_bool "whole absorbs" true
-    (Effects.seg_equal Effects.Whole
-       (Effects.seg_join Effects.Whole (cells [ 0 ])));
-  (* Large unions widen to Whole so the fixpoint lattice stays finite. *)
-  let a = cells (List.init 40 Fun.id) in
-  let b = cells (List.init 40 (fun i -> i + 35)) in
-  check_bool "wide union widens" true
-    (Effects.seg_equal Effects.Whole (Effects.seg_join a b))
+  (* Summaries join per global on the Regions lattice, clamped to the
+     global's extent: a computed index that may reach anything covers
+     exactly the array, and constant cells stay precise. *)
+  Alcotest.check region "cells union" (Regions.interval 1 3)
+    (Regions.join (Regions.of_list [ 1; 2 ]) (Regions.of_list [ 2; 3 ]));
+  Alcotest.check region "top absorbs" Regions.top
+    (Regions.join Regions.top (Regions.point 0));
+  Alcotest.check region "top clamps to the extent" (Regions.interval 0 8)
+    (Regions.clamp ~lo:0 ~hi:8 Regions.top);
+  Alcotest.check region "cells outside the extent drop" (Regions.of_list [ 3; 7 ])
+    (Regions.clamp ~lo:0 ~hi:7 (Regions.of_list [ 3; 7; 9 ]))
 
 let effects_small_program () =
   let p = Minic.Gen.small_program () in
-  let env = Minic.Check.check p in
-  let s = Effects.compute env in
-  check_bool "double is pure" true
-    (Effects.equal Effects.empty (Effects.of_func s "double"));
-  let fill = Effects.of_func s "fill" in
-  check_bool "fill writes buf whole" true
-    (match Effects.write_seg env fill "buf" with
-    | Some Effects.Whole -> true
-    | _ -> false);
-  check_bool "fill does not read a" false (Effects.reads_name env fill "a");
-  let main = Effects.of_func s "main" in
-  check_bool "main writes a" true (Effects.writes_name env main "a");
-  check_bool "main writes buf transitively" true
-    (Effects.writes_name env main "buf");
+  let r = Dirty_ai.analyze (Minic.Check.check p) in
+  check_bool "every read covered" true (reads_covered r (observed_reads p));
+  check_bool "double is pure" true (pure r "double");
+  (* The loop guard bounds p to 0..7: the whole of buf. *)
+  Alcotest.check region "fill writes buf whole" (Regions.interval 0 7)
+    (writes r "fill" "buf");
+  check_bool "fill does not read a" true (Regions.is_bot (reads r "fill" "a"));
+  check_bool "main writes a" false (Regions.is_bot (writes r "main" "a"));
+  check_bool "main writes buf transitively" false
+    (Regions.is_bot (writes r "main" "buf"));
   (* Constant-index reads stay precise even through the summary join. *)
-  let gid = Option.get (Minic.Check.global_id env "buf") in
-  match Effects.Gid_map.find_opt gid main.Effects.reads with
-  | Some (Effects.Cells set) ->
-      check_ints "main reads buf[3,7]" [ 3; 7 ] (Effects.Int_set.elements set)
-  | _ -> Alcotest.fail "expected precise read cells for buf"
+  Alcotest.check region "main reads buf[3,7]" (Regions.of_list [ 3; 7 ])
+    (reads r "main" "buf")
 
 let effects_image_program () =
   let p = Minic.Gen.image_program ~n_filters:2 () in
-  let env = Minic.Check.check p in
-  let s = Effects.compute env in
-  check_bool "clamp is pure" true
-    (Effects.equal Effects.empty (Effects.of_func s "clamp"));
-  let f0 = Effects.of_func s "filter_0" in
+  let r = Dirty_ai.analyze (Minic.Check.check p) in
+  check_bool "every read covered" true (reads_covered r (observed_reads p));
+  check_bool "clamp is pure" true (pure r "clamp");
   (* The nine constant-index tap stores stay a precise segment... *)
-  check_bool "filter writes kernel[0..8]" true
-    (match Effects.write_seg env f0 "kernel" with
-    | Some seg -> Effects.seg_equal seg (cells [ 0; 1; 2; 3; 4; 5; 6; 7; 8 ])
-    | None -> false);
-  (* ...computed-index stores widen, and the commit shows through the
-     call: filter_0 itself never assigns image. *)
-  check_bool "filter writes temp whole" true
-    (match Effects.write_seg env f0 "temp" with
-    | Some Effects.Whole -> true
-    | _ -> false);
-  check_bool "filter writes image via commit_temp" true
-    (Effects.writes_name env f0 "image");
-  check_bool "filter reads height" true (Effects.reads_name env f0 "height");
-  let main = Effects.of_func s "main" in
+  Alcotest.check region "filter writes kernel[0..8]" (Regions.interval 0 8)
+    (writes r "filter_0" "kernel");
+  (* ...computed-index stores keep the loop guard's bounds (the interior
+     rows of the 24x16 image), and the commit shows through the call:
+     filter_0 itself never assigns image. *)
+  Alcotest.check region "filter writes temp[25..358]" (Regions.interval 25 358)
+    (writes r "filter_0" "temp");
+  Alcotest.check region "filter writes image via commit_temp"
+    (Regions.interval 25 358) (writes r "filter_0" "image");
+  check_bool "filter reads height" false
+    (Regions.is_bot (reads r "filter_0" "height"));
   check_bool "main accumulates filter writes" true
-    (Effects.writes_name env main "kernel"
-    && Effects.writes_name env main "image")
+    ((not (Regions.is_bot (writes r "main" "kernel")))
+    && not (Regions.is_bot (writes r "main" "image")))
+
+let prop_reads_sound =
+  QCheck2.Test.make ~name:"dirty-ai: may-reads cover every run's reads"
+    ~count:300
+    ~print:(fun seed ->
+      Printf.sprintf "seed %d:\n%s" seed
+        (Minic.Pp.to_string (Minic.Gen.random_program ~seed ())))
+    QCheck2.Gen.(int_range 0 100_000)
+    (fun seed ->
+      let program = Minic.Gen.random_program ~seed () in
+      let cells = observed_reads program in
+      cells <> []
+      && reads_covered (Dirty_ai.analyze (Minic.Check.check program)) cells)
 
 (* ---- phase models and derivation ----------------------------------------- *)
 
@@ -109,9 +149,8 @@ let derivation_flags () =
     && (not d_eta.Infer.writes_lists)
     && not d_eta.Infer.writes_bt);
   (* ETA consults binding times but must not change them. *)
-  check_bool "eta reads bt" true
-    (Effects.reads_name (Phase_model.env Phase_model.Eta) d_eta.Infer.effects
-       Phase_model.g_bt)
+  check_bool "eta reads bt" false
+    (Regions.is_bot (reads d_eta.Infer.effects "main" Phase_model.g_bt))
 
 let derived_shapes_match_shipped () =
   let attrs = Attrs.create ~n_stmts:1 in
@@ -303,30 +342,9 @@ let finding_dedup () =
 
 (* ---- lattice properties (QCheck) ------------------------------------------ *)
 
-(* Random generators for the two static lattices: Effects (finite sets
-   of cells per global, Whole as top) and Regions (interval sets). *)
-
-let seg_gen =
-  let open QCheck2.Gen in
-  oneof
-    [ return Effects.Whole;
-      map
-        (fun l -> Effects.Cells (Effects.Int_set.of_list l))
-        (list_size (int_range 0 6) (int_range 0 12)) ]
-
-let effects_gen =
-  let open QCheck2.Gen in
-  let map_gen =
-    map
-      (List.fold_left
-         (fun m (g, s) ->
-           Effects.Gid_map.update g
-             (function None -> Some s | Some s0 -> Some (Effects.seg_join s0 s))
-             m)
-         Effects.Gid_map.empty)
-      (list_size (int_range 0 4) (pair (int_range 0 5) seg_gen))
-  in
-  map2 (fun reads writes -> { Effects.reads; writes }) map_gen map_gen
+(* Random generators for the static lattices: Regions (interval sets)
+   and the effect summaries built from them (a may-read and a may-write
+   region map, as Dirty_ai's fixpoint joins them). *)
 
 let region_gen =
   let open QCheck2.Gen in
@@ -340,25 +358,43 @@ let region_gen =
         (list_size (int_range 1 5)
            (pair (int_range (-20) 40) (int_range 0 10))) ]
 
+let effects_gen =
+  let open QCheck2.Gen in
+  let map_gen =
+    map
+      (List.fold_left (fun m (g, r) -> Regions.map_add g r m) Regions.map_empty)
+      (list_size (int_range 0 4) (pair (int_range 0 5) region_gen))
+  in
+  pair map_gen map_gen
+
+let effects_join (r, w) (r', w') = (Regions.map_join r r', Regions.map_join w w')
+
+(* Equality as the fixpoint decides it: each below the other. *)
+let effects_equal (r, w) (r', w') =
+  let eq a b = Regions.map_leq a b && Regions.map_leq b a in
+  eq r r' && eq w w'
+
 let prop_effects_join_comm =
   QCheck2.Test.make ~name:"effects: join commutative" ~count:200
     QCheck2.Gen.(pair effects_gen effects_gen)
-    (fun (a, b) -> Effects.equal (Effects.join a b) (Effects.join b a))
+    (fun (a, b) -> effects_equal (effects_join a b) (effects_join b a))
 
 let prop_effects_join_assoc =
   QCheck2.Test.make ~name:"effects: join associative" ~count:200
     QCheck2.Gen.(triple effects_gen effects_gen effects_gen)
     (fun (a, b, c) ->
-      Effects.equal
-        (Effects.join a (Effects.join b c))
-        (Effects.join (Effects.join a b) c))
+      effects_equal
+        (effects_join a (effects_join b c))
+        (effects_join (effects_join a b) c))
+
+let effects_empty = (Regions.map_empty, Regions.map_empty)
 
 let prop_effects_join_idem =
   QCheck2.Test.make ~name:"effects: join idempotent, empty neutral" ~count:200
     effects_gen
     (fun a ->
-      Effects.equal (Effects.join a a) a
-      && Effects.equal (Effects.join a Effects.empty) a)
+      effects_equal (effects_join a a) a
+      && effects_equal (effects_join a effects_empty) a)
 
 let prop_effects_join_absorbs =
   QCheck2.Test.make ~name:"effects: fixpoint chain stabilizes (absorption)"
@@ -367,8 +403,8 @@ let prop_effects_join_absorbs =
     (fun l ->
       (* the converged summary absorbs every contribution — exactly why
          the interprocedural fixpoint terminates *)
-      let total = List.fold_left Effects.join Effects.empty l in
-      List.for_all (fun x -> Effects.equal (Effects.join total x) total) l)
+      let total = List.fold_left effects_join effects_empty l in
+      List.for_all (fun x -> effects_equal (effects_join total x) total) l)
 
 let prop_regions_join_comm =
   QCheck2.Test.make ~name:"regions: join commutative" ~count:300
@@ -472,7 +508,8 @@ let suites =
   [ ( "effects",
       [ Alcotest.test_case "segment lattice" `Quick effects_seg_lattice;
         Alcotest.test_case "small program" `Quick effects_small_program;
-        Alcotest.test_case "image program" `Quick effects_image_program ] );
+        Alcotest.test_case "image program" `Quick effects_image_program;
+        QCheck_alcotest.to_alcotest prop_reads_sound ] );
     ( "infer",
       [ Alcotest.test_case "models well-formed" `Quick models_wellformed;
         Alcotest.test_case "derivation flags" `Quick derivation_flags;

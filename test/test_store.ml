@@ -12,6 +12,14 @@ open Ickpt_faultsim
 open Ickpt_cas
 module Service = Ickpt_service.Service
 
+let encode_entry e = Test_util.stream_bytes (fun d -> Epoch_index.encode d e)
+
+let encode_mux_entry m =
+  Test_util.stream_bytes (fun d -> Epoch_index.encode_mux d m)
+
+let framed ~magic ~version write =
+  Test_util.stream_bytes (fun d -> Out_stream.framed d ~magic ~version write)
+
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
@@ -508,14 +516,14 @@ let index_roundtrip_and_torn_tail () =
   List.iter
     (fun e ->
       Vfs.write_synced vfs Append "i.idx" (fun write ->
-          write (Epoch_index.encode e)))
+          write (encode_entry e)))
     [ e1; e2 ];
   let entries, valid = Epoch_index.load vfs "i.idx" in
   let views = List.map entry_view in
   check_bool "roundtrip" true (views entries = views [ e1; e2 ]);
   check_int "whole file valid" (String.length (vfs.Vfs.read_file "i.idx")) valid;
   (* Torn tail: half an entry. *)
-  let half = String.sub (Epoch_index.encode e1) 0 6 in
+  let half = String.sub (encode_entry e1) 0 6 in
   let w = vfs.Vfs.open_append "i.idx" in
   w.Vfs.write half;
   w.Vfs.sync ();
@@ -736,7 +744,7 @@ let store_misdirected_pointer () =
     let full = Store.entry_at store 0 in
     Vfs.write_synced vfs Append (Store.index_path store_path) (fun write ->
         write
-          (Epoch_index.encode
+          (encode_entry
              { full with
                Epoch_index.epoch = latest + 1;
                kind = Segment.Incremental;
@@ -833,7 +841,7 @@ let store_reopen_rejections () =
     (fun (name, bad) ->
       vfs.Vfs.truncate idx ~len:(String.length committed);
       let after = { bad with Epoch_index.epoch = bad.Epoch_index.epoch + 1 } in
-      append_bytes vfs idx (Epoch_index.encode bad ^ Epoch_index.encode after);
+      append_bytes vfs idx (encode_entry bad ^ encode_entry after);
       let store = Store.open_ ~vfs w.schema ~path:store_path in
       check_bool (name ^ ": entries before the bad one kept") true
         (Store.epochs store = [ 0; 1; 2 ]
@@ -845,7 +853,7 @@ let store_reopen_rejections () =
     (rejected_entries ~pack_bytes:(Pack.physical_bytes pack) last);
   vfs.Vfs.truncate idx ~len:(String.length committed);
   append_bytes vfs idx
-    (Epoch_index.encode
+    (encode_entry
        (offset_at_chunk_end ~chunk_len:(Pack.chunk_len pack) last));
   let store = Store.open_ ~vfs w.schema ~path:store_path in
   check_bool "offset at chunk end: kept by reopen" true
@@ -872,16 +880,16 @@ let index_hostile_counts () =
       chunks = []; at = 0; located = Epoch_index.code_located [];
       dir = Epoch_index.code_dir [] }
   in
-  let magic, version = header (Epoch_index.encode sample) in
+  let magic, version = header (encode_entry sample) in
   let mux_magic, _ =
-    header (Epoch_index.encode_mux { m_tenant = 5; m_entry = sample })
+    header (encode_mux_entry { m_tenant = 5; m_entry = sample })
   in
   let huge = 1 lsl 40 in
   (* The counts in wire order: roots, chunks, located chunks and their
      bytes, records and their bytes ([at] is 0). *)
   let forge ?tenant ~magic (nroots, nchunks, nlocated, loclen, records, dirlen)
       =
-    Out_stream.framed ~magic ~version (fun d ->
+    framed ~magic ~version (fun d ->
         Option.iter (Out_stream.write_int d) tenant;
         Out_stream.write_int d 3;
         Out_stream.write_byte d 1;
@@ -1274,12 +1282,12 @@ let old_entry ~version ?tenant (e : Epoch_index.entry) =
     In_stream.read_fixed32
       (In_stream.of_string
          (match tenant with
-         | None -> Epoch_index.encode e
-         | Some m_tenant -> Epoch_index.encode_mux { m_tenant; m_entry = e }))
+         | None -> encode_entry e
+         | Some m_tenant -> encode_mux_entry { m_tenant; m_entry = e }))
   in
   let ints d = List.iter (Out_stream.write_int d) in
   let triples = dir_triples e in
-  Out_stream.framed ~magic ~version (fun d ->
+  framed ~magic ~version (fun d ->
       Option.iter (Out_stream.write_int d) tenant;
       Out_stream.write_int d e.epoch;
       Out_stream.write_byte d (if e.kind = Segment.Full then 0 else 1);
@@ -1372,7 +1380,7 @@ let coded_dir_roundtrip =
           (fun pos (i, len, crc) -> (pos + len, (i, pos, len, crc)))
           at located
       in
-      let decoded, _ = Epoch_index.decode (Epoch_index.encode e) ~pos:0 in
+      let decoded, _ = Epoch_index.decode (encode_entry e) ~pos:0 in
       Epoch_index.dir_records e.dir = List.length expected
       && dir_triples e = expected
       && located_list e = expected_located
@@ -1686,6 +1694,16 @@ let pack_resolve_slices () =
   check_string "the pack grew by the fresh slices" "AAAABBBBBCCCCDDDD"
     (vfs.Vfs.read_file "r.pack")
 
+(* [f ()] and the words it allocated: minor words from
+   [Gc.minor_words], exact at any point; words allocated on the major
+   heap directly are its words less those promoted, which the counters
+   update together. *)
+let allocated f =
+  let minor0 = Gc.minor_words () and _, promoted0, major0 = Gc.counters () in
+  let x = f () in
+  let minor1 = Gc.minor_words () and _, promoted1, major1 = Gc.counters () in
+  (x, minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+
 (* A take into a kept stream regrows nothing. Once a first full take has
    grown the stream (and the domain's visited set), a second full take of
    the 6,500-object synth heap through {!Epochs.take} allocates about its
@@ -1701,15 +1719,6 @@ let take_stream_allocation () =
       { Ickpt_synth.Synth.default_config with Ickpt_synth.Synth.n_structures = 250 }
   in
   let roots = Ickpt_synth.Synth.roots synth in
-  (* Minor words from [Gc.minor_words], exact at any point; words
-     allocated on the major heap directly are its words less those
-     promoted, which the counters update together. *)
-  let allocated f =
-    let minor0 = Gc.minor_words () and _, promoted0, major0 = Gc.counters () in
-    let x = f () in
-    let minor1 = Gc.minor_words () and _, promoted1, major1 = Gc.counters () in
-    (x, minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
-  in
   let full = { Epochs.next = Some 1; since_full_bytes = 0; full_due = true } in
   let out = Out_stream.create () in
   let take () = Epochs.take Policy.Always_full full ~out Chain.generic roots in
@@ -1730,6 +1739,38 @@ let take_stream_allocation () =
   if words > 6. *. body_words then
     Alcotest.failf "a second full checkpoint allocated %.0f words (body: %.0f)"
       words body_words
+
+(* The index frames of a batch are encoded into one stream presized to
+   hold them and written once: a gc's rewrite of twelve full entries (a
+   213,893-byte index) allocates the presized stream, its contents and
+   the simulator's two copies of the file, about four times the index's
+   size (110k words). Encoding each entry into a fresh 4-KiB stream that
+   doubles its way up to the entry, then copying each frame out of it,
+   was eleven times (298k words). *)
+let index_encode_allocation () =
+  let synth =
+    Ickpt_synth.Synth.build
+      { Ickpt_synth.Synth.default_config with Ickpt_synth.Synth.n_structures = 250 }
+  in
+  let roots = Ickpt_synth.Synth.roots synth in
+  let vfs = Sim.vfs (Sim.create ()) in
+  let store =
+    Store.open_ ~vfs ~policy:Policy.Always_full
+      synth.Ickpt_synth.Synth.schema ~path:store_path
+  in
+  for _ = 1 to 12 do
+    ignore (Store.checkpoint store roots : int)
+  done;
+  let entries = List.map (Store.entry_at store) (Store.epochs store) in
+  let path = Store.index_path store_path in
+  ignore (Epoch_index.write_staged vfs ~path entries : string * int);
+  let (_, bytes), words =
+    allocated (fun () -> Epoch_index.write_staged vfs ~path entries)
+  in
+  let index_words = float_of_int (bytes / 8) in
+  check_bool "full entries" true (bytes > 12 * 10_000);
+  if words > 5. *. index_words then
+    Alcotest.failf "rewriting a %d-byte index allocated %.0f words" bytes words
 
 (* A chain's entries whose roots are the same ids share one list after a
    reopen; where the roots change, each entry keeps its own, and every
@@ -2084,7 +2125,9 @@ let suites =
           pack_reload_allocation;
         Alcotest.test_case "pack resolves slices" `Quick pack_resolve_slices;
         Alcotest.test_case "take stream allocation" `Quick
-          take_stream_allocation ] );
+          take_stream_allocation;
+        Alcotest.test_case "index encode allocation" `Quick
+          index_encode_allocation ] );
     ( "store.core",
       [ Alcotest.test_case "restore agrees with chain replay" `Quick
           store_restore_agrees_with_replay;

@@ -159,3 +159,9 @@ let restore_latest schema ~path =
   Option.map
     (fun epoch -> Ickpt_cas.Store.restore store ~epoch)
     (Ickpt_cas.Store.latest_epoch store)
+
+(* The bytes [write] appends to a fresh stream, e.g. one index frame. *)
+let stream_bytes write =
+  let d = Ickpt_stream.Out_stream.create () in
+  write d;
+  Ickpt_stream.Out_stream.contents d
