@@ -21,12 +21,10 @@ let read_record schema inp =
   let rec_id = In_stream.read_int inp in
   let rec_kid = In_stream.read_int inp in
   let klass = find_class schema rec_kid ~id:rec_id in
-  let rec_ints =
-    Array.init klass.Model.n_ints (fun _ -> In_stream.read_int inp)
-  in
-  let rec_child_ids =
-    Array.init klass.Model.n_children (fun _ -> In_stream.read_int inp)
-  in
+  let rec_ints = Array.make klass.Model.n_ints 0 in
+  In_stream.read_ints inp rec_ints klass.Model.n_ints;
+  let rec_child_ids = Array.make klass.Model.n_children 0 in
+  In_stream.read_ints inp rec_child_ids klass.Model.n_children;
   { rec_id; rec_kid; rec_ints; rec_child_ids }
 
 let records_of_body schema body =
@@ -95,63 +93,69 @@ let find_slot t id =
 let iter_slots t f =
   Idtbl.iter t.ids (fun s id -> f id t.srcs.(s) t.offs.(s))
 
-let heap_of_slots schema t ~source ~roots =
+let heap_of_slots schema t ~source ~start ~len ~roots =
   let n = Idtbl.length t.ids in
-  (* Child slots of every object, flat in slot-then-field order, -1 for
-     null: children may be decoded after their parent, so pointers are
-     patched once every object exists. *)
-  let kids = ref (Array.make (max 16 (2 * n)) 0) and n_kids = ref 0 in
-  let push_kid k =
-    if !n_kids = Array.length !kids then kids := grow !kids !n_kids;
-    !kids.(!n_kids) <- k;
-    incr n_kids
-  in
-  (* One cursor per source, moved to each record. *)
+  (* Built objects by slot, filled from the top down: a child whose slot
+     is above its parent's is already here when the parent is decoded.
+     The others (a new object pointing to an older one, a cycle's back
+     edge) wait in [patches] as (children, field, child slot). *)
+  let objs = ref [||] and patches = ref [] in
+  (* A record's fields, read in one batch; grown to the widest class. *)
+  let fields = ref (Array.make 16 0) in
+  (* One cursor per source string, its window moved to each record: from
+     the record to its source's end. *)
   let cur_src = ref (-1) and cur = ref (In_stream.of_string "") in
   let decode s =
     let id = Idtbl.key t.ids s and src = t.srcs.(s) and off = t.offs.(s) in
     if id < 0 then error "negative object id %d" id;
     if src <> !cur_src then begin
-      cur := In_stream.of_string (source src);
+      let data = source src in
+      if data != In_stream.source !cur then cur := In_stream.of_string data;
       cur_src := src
     end;
-    let inp = !cur in
-    let len = String.length (In_stream.source inp) in
+    let inp = !cur and len = len.(src) in
     if off < 0 || off >= len then
       error "object %d: record offset %d outside its data (%d bytes)" id off
         len;
-    In_stream.seek inp off;
+    In_stream.window inp ~pos:(start.(src) + off) ~len:(len - off);
     let rec_id = In_stream.read_int inp in
     if rec_id <> id then
       error "directory entry for object %d lands on record %d" id rec_id;
     let klass = find_class schema (In_stream.read_int inp) ~id in
-    let o = Heap.make_obj klass ~id ~modified:false in
-    let ints = o.Model.ints in
-    for i = 0 to klass.Model.n_ints - 1 do
-      ints.(i) <- In_stream.read_int inp
-    done;
-    for j = 0 to klass.Model.n_children - 1 do
-      let cid = In_stream.read_int inp in
-      if cid = Model.null_id then push_kid (-1)
-      else
+    let n_ints = klass.Model.n_ints and n_children = klass.Model.n_children in
+    if n_ints + n_children > Array.length !fields then
+      fields := Array.make (n_ints + n_children) 0;
+    let fields = !fields in
+    In_stream.read_ints inp fields (n_ints + n_children);
+    let children = Array.make n_children None in
+    let o =
+      { Model.info = { Model.id; modified = false };
+        klass;
+        ints = Array.sub fields 0 n_ints;
+        children }
+    in
+    for j = 0 to n_children - 1 do
+      let cid = fields.(n_ints + j) in
+      if cid <> Model.null_id then
         match Idtbl.find t.ids cid with
         | -1 -> error "object %d references missing child %d (slot %d)" id cid j
-        | k -> push_kid k
+        | k when k > s -> children.(j) <- Some !objs.(k)
+        | k when k = s -> children.(j) <- Some o
+        | k -> patches := (children, j, k) :: !patches
     done;
     o
   in
-  (* [Array.init] applies [decode] to the slots in order. *)
-  let objs = Array.init n decode in
-  let kids = !kids and k = ref 0 in
-  Array.iter
-    (fun (o : Model.obj) ->
-      let children = o.Model.children in
-      for j = 0 to Array.length children - 1 do
-        let c = kids.(!k) in
-        if c >= 0 then children.(j) <- Some objs.(c);
-        incr k
-      done)
-    objs;
+  (* The newest slot's object fills the array until each slot's own
+     comes. *)
+  if n > 0 then begin
+    let a = Array.make n (decode (n - 1)) in
+    objs := a;
+    for s = n - 2 downto 0 do
+      a.(s) <- decode s
+    done
+  end;
+  let objs = !objs in
+  List.iter (fun (children, j, k) -> children.(j) <- Some objs.(k)) !patches;
   let root id =
     match Idtbl.find t.ids id with
     | -1 -> error "root object %d not present in checkpoint" id
@@ -171,4 +175,6 @@ let of_segments schema segments ~roots =
     (fun src body ->
       iter_frames schema body (fun id off _ -> set_slot t ~id ~src ~off))
     bodies;
-  heap_of_slots schema t ~source:(Array.get bodies) ~roots
+  heap_of_slots schema t ~source:(Array.get bodies)
+    ~start:(Array.make (Array.length bodies) 0)
+    ~len:(Array.map String.length bodies) ~roots

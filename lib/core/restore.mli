@@ -9,12 +9,18 @@
       for the same id move its slot to the newer location (records are
       complete local states, so replacement is exact);
     + {e decode}: decode each slot's record once, straight into the object
-      it describes, then patch child pointers through the slot table.
+      it describes, with its children. Slots are decoded from the newest
+      down, so a child whose slot is above its parent's is already built
+      and is linked as the parent is decoded; only a child below its
+      parent (a new object pointing to an older one, a cycle's back edge)
+      is linked afterwards, from a list of those fields.
 
     Both chain replay ({!of_segments}) and the content-addressed store's
-    per-object directory go through the one decode, {!heap_of_slots}. No
-    array is sized by an id's value, so memory stays O(live objects)
-    whatever ids a record carries.
+    per-object directory go through the one decode, {!heap_of_slots}, over
+    slices: a segment body whole, or a chunk where it lies in the pack's
+    fetch buffer. No body or chunk is copied, and no array is sized by an
+    id's value, so memory stays O(live objects) whatever ids a record
+    carries.
 
     Restored objects come back with a clear [modified] flag — their state is
     exactly the checkpointed one. *)
@@ -75,17 +81,26 @@ val heap_of_slots :
   Schema.t ->
   slots ->
   source:(int -> string) ->
+  start:int array ->
+  len:int array ->
   roots:int list ->
   Heap.t * Model.obj list
-(** Decode every slot's record once into a fresh heap, then link children
-    and resolve [roots] (returned in order) through the slot table. The
-    slot table becomes the heap's registry ({!Heap.adopt}): the slots must
-    not be used afterwards.
-    [source src] gives the bytes a slot's offset points into; it is asked
-    again only when consecutive slots change source.
-    @raise Error when a record's id is not its slot's, or on an unknown
-    class, dangling child or missing root. *)
+(** Decode every slot's record once into a fresh heap, from the newest
+    slot down, linking each child as its parent is decoded when the
+    child's slot is above the parent's, and the rest once every object
+    exists; resolve [roots] (returned in order) through the slot table.
+    The slot table becomes the heap's registry ({!Heap.adopt}): the slots
+    must not be used afterwards.
+    Source [src] is the slice of [source src] of [len.(src)] bytes from
+    [start.(src)]; a slot's offset is relative to its source's slice, and
+    a record is read within that slice only. [source src] is asked again
+    only when consecutive slots change source.
+    @raise Error when a record's id is not its slot's, on a negative id,
+    an offset outside its slice, an unknown class, a dangling child or a
+    missing root.
+    @raise Ickpt_stream.In_stream.Corrupt when a record runs past its
+    slice's end, whatever bytes follow it. *)
 
 val of_segments : Schema.t -> Segment.t list -> roots:int list -> Heap.t * Model.obj list
 (** Chain replay: fold the records of the segments (oldest first) into
-    slots, then {!heap_of_slots}. *)
+    slots, then {!heap_of_slots} over the bodies, each its own slice. *)

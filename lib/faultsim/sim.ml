@@ -20,7 +20,28 @@ type fault =
   | Crash_at of { op : int; byte : int; mode : mode }
   | Fail_at of { op : int; byte : int }
 
-type file = { mutable content : string; mutable synced : int }
+(* A file's bytes are [buf.[0 .. len-1]]: appends fill the buffer's spare
+   room and double it when it runs out, so an append copies its own bytes,
+   not the file. *)
+type file = { mutable buf : Bytes.t; mutable len : int; mutable synced : int }
+
+let file_of content =
+  { buf = Bytes.of_string content;
+    len = String.length content;
+    synced = String.length content }
+
+let empty () = { buf = Bytes.empty; len = 0; synced = 0 }
+
+let content f = Bytes.sub_string f.buf 0 f.len
+
+let append f data n =
+  if f.len + n > Bytes.length f.buf then begin
+    let b = Bytes.create (max (f.len + n) (2 * Bytes.length f.buf)) in
+    Bytes.blit f.buf 0 b 0 f.len;
+    f.buf <- b
+  end;
+  Bytes.blit_string data 0 f.buf f.len n;
+  f.len <- f.len + n
 
 type t = {
   mutex : Mutex.t;
@@ -44,8 +65,7 @@ let create ?(fault = No_fault) () =
 let seeded ?fault entries =
   let t = create ?fault () in
   List.iter
-    (fun (path, content) ->
-      Hashtbl.replace t.files path { content; synced = String.length content })
+    (fun (path, content) -> Hashtbl.replace t.files path (file_of content))
     entries;
   t
 
@@ -69,19 +89,19 @@ let freeze t mode =
   t.frozen <-
     Hashtbl.fold
       (fun path f acc ->
-        let n = String.length f.content in
+        let n = f.len in
         let survives =
           match mode with
-          | Torn -> f.content
-          | Drop_unsynced -> String.sub f.content 0 (min f.synced n)
+          | Torn -> content f
+          | Drop_unsynced -> Bytes.sub_string f.buf 0 (min f.synced n)
           | Corrupt_tail ->
               if n > f.synced then begin
-                let b = Bytes.of_string f.content in
+                let b = Bytes.sub f.buf 0 n in
                 Bytes.set b (n - 1)
                   (Char.chr (Char.code (Bytes.get b (n - 1)) lxor 0x5a));
-                Bytes.to_string b
+                Bytes.unsafe_to_string b
               end
-              else f.content
+              else content f
         in
         (path, survives) :: acc)
       t.files []
@@ -108,14 +128,14 @@ let writer t path =
       (fun data ->
         locked t (fun () ->
             let f = find t path in
-            op t ~kind:"write" ~len:(String.length data) ~apply:(fun n ->
-                f.content <- f.content ^ String.sub data 0 n)));
+            op t ~kind:"write" ~len:(String.length data)
+              ~apply:(append f data)));
     sync =
       (fun () ->
         locked t (fun () ->
             let f = find t path in
             op t ~kind:"sync" ~len:1 ~apply:(fun n ->
-                if n > 0 then f.synced <- String.length f.content)));
+                if n > 0 then f.synced <- f.len)));
     (* Closing a handle of a dead (or live) machine is always harmless:
        keeping it exception-free lets Fun.protect finalizers propagate the
        original Crashed instead of wrapping it in Finally_raised. *)
@@ -131,32 +151,31 @@ let vfs t =
       (fun path ->
         locked t (fun () ->
             alive t;
-            (find t path).content));
+            content (find t path)));
     size =
       (fun path ->
         locked t (fun () ->
             alive t;
-            String.length (find t path).content));
+            (find t path).len));
     read_into =
       (fun path ~pos buf ~off ~len ->
         locked t (fun () ->
             alive t;
-            let content = (find t path).content in
-            Vfs.check_window path ~size:(String.length content) ~pos ~len buf
-              ~off;
-            Bytes.blit_string content pos buf off len));
+            let f = find t path in
+            Vfs.check_window path ~size:f.len ~pos ~len buf ~off;
+            Bytes.blit f.buf pos buf off len));
     open_append =
       (fun path ->
         locked t (fun () ->
             alive t;
             if not (Hashtbl.mem t.files path) then
-              Hashtbl.replace t.files path { content = ""; synced = 0 });
+              Hashtbl.replace t.files path (empty ()));
         writer t path);
     open_trunc =
       (fun path ->
         locked t (fun () ->
             alive t;
-            Hashtbl.replace t.files path { content = ""; synced = 0 });
+            Hashtbl.replace t.files path (empty ()));
         writer t path);
     truncate =
       (fun path ~len ->
@@ -164,7 +183,7 @@ let vfs t =
             let f = find t path in
             op t ~kind:"truncate" ~len:1 ~apply:(fun n ->
                 if n > 0 then begin
-                  f.content <- String.sub f.content 0 (min len (String.length f.content));
+                  f.len <- min len f.len;
                   f.synced <- min f.synced len
                 end)));
     rename =
@@ -193,6 +212,6 @@ let durable t =
   locked t (fun () ->
       if t.crashed then t.frozen
       else
-        Hashtbl.fold (fun path f acc -> (path, f.content) :: acc) t.files [])
+        Hashtbl.fold (fun path f acc -> (path, content f) :: acc) t.files [])
 
 let restart t = seeded (durable t)

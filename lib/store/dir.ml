@@ -12,7 +12,14 @@ let entry_at entries epoch =
   | Some e -> e
   | None -> error "unknown epoch %d" epoch
 
-type t = { slots : Restore.slots; keys : int array; roots : int list }
+(* [lens] is each source's chunk length when folded against a pack, and
+   empty otherwise. *)
+type t = {
+  slots : Restore.slots;
+  keys : int array;
+  lens : int array;
+  roots : int list;
+}
 
 let fold_with pack ~entries ~epoch =
   let e = entry_at entries epoch in
@@ -24,6 +31,11 @@ let fold_with pack ~entries ~epoch =
      folded entries' chunk lists. *)
   let keys =
     Array.of_list (List.concat_map (fun (x : Epoch_index.entry) -> x.chunks) live)
+  in
+  let lens =
+    match pack with
+    | None -> [||]
+    | Some pack -> Array.map (Pack.chunk_len pack) keys
   in
   let slots =
     Restore.slots
@@ -38,15 +50,13 @@ let fold_with pack ~entries ~epoch =
            match pack with
            | None ->
                fun id c off -> Restore.set_slot slots ~id ~src:(first + c) ~off
-           | Some pack ->
-               let lens =
-                 Array.of_list (List.map (Pack.chunk_len pack) x.chunks)
-               in
+           | Some _ ->
                fun id c off ->
-                 if off < 0 || off >= lens.(c) then
+                 let src = first + c in
+                 if off < 0 || off >= lens.(src) then
                    error "epoch %d: object %d at offset %d of chunk %d (%d bytes)"
-                     x.epoch id off c lens.(c);
-                 Restore.set_slot slots ~id ~src:(first + c) ~off
+                     x.epoch id off c lens.(src);
+                 Restore.set_slot slots ~id ~src ~off
          in
          (match Epoch_index.iter_dir x set with
          | () -> ()
@@ -54,7 +64,7 @@ let fold_with pack ~entries ~epoch =
          first + List.length x.chunks)
        0 live
       : int);
-  { slots; keys; roots = e.roots }
+  { slots; keys; lens; roots = e.roots }
 
 let fold ~entries ~epoch = fold_with None ~entries ~epoch
 
@@ -84,20 +94,23 @@ let chunk r key =
 
 let record r (key, off) = Restore.record_at r.schema (chunk r key) ~pos:off
 
-(* The chunks some live record points into, fetched with one
-   Pack.read_many; a chunk every record of which was superseded is not
-   read. *)
+(* The chunks some live record points into, fetched with one Pack.fetch
+   and decoded where they lie in its buffer; a chunk every record of which
+   was superseded is not read. *)
 let restore r ~entries ~epoch =
   let d = fold_in r.pack ~entries ~epoch in
-  let used = Array.make (Array.length d.keys) false in
-  Restore.iter_slots d.slots (fun _ src _ -> used.(src) <- true);
-  let srcs =
-    Array.of_list
-      (List.filter (Array.get used) (List.init (Array.length d.keys) Fun.id))
-  in
-  let bodies = Array.make (Array.length d.keys) "" in
-  Array.iteri
-    (fun i body -> bodies.(srcs.(i)) <- body)
-    (Pack.read_many r.pack (Array.map (Array.get d.keys) srcs));
-  Restore.heap_of_slots r.schema d.slots ~source:(Array.get bodies)
-    ~roots:d.roots
+  let n = Array.length d.keys in
+  (* [start] marks with 0 the sources some slot points into, then holds
+     where each of those lies in the fetch buffer. *)
+  let start = Array.make n (-1) in
+  Restore.iter_slots d.slots (fun _ src _ -> start.(src) <- 0);
+  let srcs = ref [] in
+  for src = n - 1 downto 0 do
+    if start.(src) = 0 then srcs := src :: !srcs
+  done;
+  let srcs = Array.of_list !srcs in
+  let buf, at = Pack.fetch r.pack (Array.map (Array.get d.keys) srcs) in
+  Array.iteri (fun i src -> start.(src) <- at.(i)) srcs;
+  Restore.heap_of_slots r.schema d.slots
+    ~source:(fun _ -> buf)
+    ~start ~len:d.lens ~roots:d.roots

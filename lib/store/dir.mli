@@ -8,7 +8,8 @@
     numbers each live object id with a dense slot
     ({!Ickpt_core.Restore.slots}) holding the chunk and offset of the id's
     newest record. {!restore} then decodes each slot's record once,
-    straight into the heap. *)
+    straight into the heap, where its chunk lies in the pack's fetch
+    buffer ({!Pack.fetch}): no chunk is copied. *)
 
 open Ickpt_runtime
 open Ickpt_core
@@ -49,9 +50,14 @@ val record : reader -> int * int -> Restore.record
 val restore :
   reader -> entries:Epoch_index.entry list -> epoch:int -> Heap.t * Model.obj list
 (** Materialize the heap committed at [epoch]: {!fold}, then decode exactly
-    one record per live object ({!Restore.heap_of_slots}), checking that
-    each record carries its directory entry's id. The chunks live records
-    point into are fetched first, with one {!Pack.read_many}. Roots are the
+    one record per live object ({!Restore.heap_of_slots}), in one pass
+    from the newest slot down, checking that each record carries its
+    directory entry's id. The chunks live records point into are fetched
+    first, with one {!Pack.fetch}, and each is decoded as its slice of
+    the fetch buffer: a record that runs past its chunk's end is corrupt
+    even when the next fetched chunk follows it there. Roots are the
     entry's.
     @raise Error as {!fold_in} the reader's pack.
-    @raise Ickpt_stream.In_stream.Corrupt if a chunk fails its CRC. *)
+    @raise Ickpt_core.Restore.Error as {!Restore.heap_of_slots}.
+    @raise Ickpt_stream.In_stream.Corrupt if a chunk fails its CRC or a
+    record runs past its chunk's end. *)

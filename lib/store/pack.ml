@@ -15,7 +15,7 @@ type t = {
   mutable lens : int array;
   mutable crcs : int array;
   mutable checked : Bytes.t;  (* '\001' once the slot's CRC has held *)
-  mutable buf : Bytes.t;  (* the one read buffer, allocated on first use *)
+  mutable buf : Bytes.t;  (* the one fetch buffer, grown on demand *)
 }
 
 let slot t key = Idtbl.find t.keys key
@@ -118,20 +118,15 @@ let cut_bytes t = t.cut
 
 let read_buffer_size = 65536
 
-let buffer t =
-  if Bytes.length t.buf = 0 then t.buf <- Bytes.create read_buffer_size;
-  t.buf
-
 (* Chunks whose gap is at most this many bytes share one read: reading
    the gap costs less than a second call. *)
 let coalesce_gap = 4096
 
-(* Check slot [s]'s CRC, unless it has held before, from [run], the
-   file's bytes from [base] on. *)
-let check_in t s run ~base =
+(* Check slot [s]'s CRC, unless it has held before, where its body lies in
+   [buf] from [at] on. *)
+let check_in t s buf ~at =
   if Bytes.get t.checked s = '\000' then begin
-    if Crc32.sub run ~pos:(t.offs.(s) - base) ~len:t.lens.(s) <> t.crcs.(s)
-    then
+    if Crc32.sub buf ~pos:at ~len:t.lens.(s) <> t.crcs.(s) then
       raise
         (In_stream.Corrupt
            (Printf.sprintf "pack crc mismatch at %d (chunk %s)" t.offs.(s)
@@ -139,57 +134,71 @@ let check_in t s run ~base =
     Bytes.set t.checked s '\001'
   end
 
-(* Fetch the chunks of [slots] in file order, one read into the pack's
-   buffer per run of chunks whose gaps are at most [coalesce_gap] and that
-   fit the buffer together (a bigger chunk is read into a string of its
-   own); CRC-check each unchecked one from those bytes; and call [f i run
-   off len] per index [i] of [slots], its body being
-   [run.[off .. off+len-1]]. [run] may be the buffer: [f] must not keep
+(* The end of the run that starts at [order.(i)]: the first index past it
+   and the file offset where its bytes end. A run takes the next chunk
+   while the gap is at most [coalesce_gap] and the run stays within
+   [read_buffer_size] (a longer chunk is a run of its own). *)
+let run_end t slots order i =
+  let n = Array.length order in
+  let base = t.offs.(slots.(order.(i))) in
+  let j = ref (i + 1) and last = ref (stop t slots.(order.(i))) in
+  while
+    !j < n
+    &&
+    let s = slots.(order.(!j)) in
+    t.offs.(s) - !last <= coalesce_gap && stop t s - base <= read_buffer_size
+  do
+    last := max !last (stop t slots.(order.(!j)));
+    incr j
+  done;
+  (!j, !last)
+
+(* Fetch the chunks under [keys] into the pack's one buffer: in file
+   order, one read per run of chunks (see [run_end]), the runs back to
+   back, the buffer grown first to hold them all. Each chunk not yet
+   checked is CRC-checked in place, in file order, before any is returned.
+   Returns the buffer and, per key, where that chunk's body starts in it.
+   The buffer is overwritten by the pack's next read: nothing may keep
    it. *)
-let visit t slots f =
+let fetch t keys =
+  let slots = Array.map (slot_exn t) keys in
   let n = Array.length slots in
   (* Sort the indices by body offset. Each key packs (offset, index) into
      one int: offsets lie inside the file, and n is an array length. *)
   let order = Array.init n (fun i -> (t.offs.(slots.(i)) * n) + i) in
   Array.sort Int.compare order;
   let order = Array.map (fun v -> v mod n) order in
-  let i = ref 0 in
+  let total = ref 0 and i = ref 0 in
   while !i < n do
-    let first = slots.(order.(!i)) in
-    let base = t.offs.(first) in
-    let j = ref (!i + 1) and last = ref (stop t first) in
-    while
-      !j < n
-      &&
-      let s = slots.(order.(!j)) in
-      t.offs.(s) - !last <= coalesce_gap && stop t s - base <= read_buffer_size
-    do
-      last := max !last (stop t slots.(order.(!j)));
-      incr j
+    let j, last = run_end t slots order !i in
+    total := !total + last - t.offs.(slots.(order.(!i)));
+    i := j
+  done;
+  if Bytes.length t.buf < !total then
+    t.buf <-
+      Bytes.create
+        (max !total (max read_buffer_size (2 * Bytes.length t.buf)));
+  let buf = Bytes.unsafe_to_string t.buf in
+  let starts = Array.make n 0 in
+  let at = ref 0 in
+  i := 0;
+  while !i < n do
+    let j, last = run_end t slots order !i in
+    let base = t.offs.(slots.(order.(!i))) in
+    (try t.vfs.Vfs.read_into t.file ~pos:base t.buf ~off:!at ~len:(last - base)
+     with Vfs.Out_of_range msg -> raise (In_stream.Corrupt msg));
+    for k = !i to j - 1 do
+      starts.(order.(k)) <- !at + t.offs.(slots.(order.(k))) - base
     done;
-    let len = !last - base in
-    let run =
-      try
-        if len > read_buffer_size then Vfs.read_at t.vfs t.file ~pos:base ~len
-        else begin
-          t.vfs.Vfs.read_into t.file ~pos:base (buffer t) ~off:0 ~len;
-          Bytes.unsafe_to_string (buffer t)
-        end
-      with Vfs.Out_of_range msg -> raise (In_stream.Corrupt msg)
-    in
-    for k = !i to !j - 1 do
-      let s = slots.(order.(k)) in
-      check_in t s run ~base;
-      f order.(k) run (t.offs.(s) - base) t.lens.(s)
-    done;
-    i := !j
-  done
+    at := !at + last - base;
+    i := j
+  done;
+  Array.iter (fun k -> check_in t slots.(k) buf ~at:starts.(k)) order;
+  (buf, starts)
 
 let read_many t keys =
-  let out = Array.make (Array.length keys) "" in
-  visit t (Array.map (slot_exn t) keys) (fun i run off len ->
-      out.(i) <- String.sub run off len);
-  out
+  let buf, starts = fetch t keys in
+  Array.mapi (fun i key -> String.sub buf starts.(i) (chunk_len t key)) keys
 
 let read t key = (read_many t [| key |]).(0)
 
@@ -246,15 +255,13 @@ let equal_at run off len (c : Chunk.t) =
 
 (* Is the stored chunk under [key] byte-identical to [c]? *)
 let equal_stored t key c =
-  let same = ref false in
-  visit t [| slot_exn t key |] (fun _ run off len ->
-      same := equal_at run off len c);
-  !same
+  let buf, starts = fetch t [| key |] in
+  equal_at buf starts.(0) (chunk_len t key) c
 
 (* Walk the salt ladder per chunk: the content key first, then salted
    rehashes. A key hit only counts as a duplicate if the bytes agree —
    otherwise it is a collision and the next rung is tried. Every
-   content-key hit of the batch is compared in one {!visit}; a salted rung
+   content-key hit of the batch is compared in one {!fetch}; a salted rung
    (a collision happened) reads its own. [pending] holds the batch's fresh
    chunks, so the rest of the batch dedups (and collides) against them
    too. *)
@@ -266,11 +273,12 @@ let resolve t batch =
     Array.of_list (List.filter (fun i -> mem t (key i)) (List.init n Fun.id))
   in
   let stored_equal = Array.make n false in
-  visit t
-    (Array.map (fun i -> slot t (key i)) hits)
-    (fun j run off len ->
-      let i = hits.(j) in
-      stored_equal.(i) <- equal_at run off len chunks.(i));
+  let buf, starts = fetch t (Array.map key hits) in
+  Array.iteri
+    (fun j i ->
+      stored_equal.(i) <-
+        equal_at buf starts.(j) (chunk_len t (key i)) chunks.(i))
+    hits;
   let pending = Idtbl.create n and pending_chunks = Array.copy chunks in
   List.mapi
     (fun i (c : Chunk.t) ->

@@ -13,14 +13,16 @@
     one a reopen builds, and no entry can dedup against a chunk no
     committed entry locates. Opening reads no pack byte. Chunk bytes are
     read back positionally ([Ickpt_core.Vfs.read_into]) into the pack's
-    one buffer of {!read_buffer_size} bytes: {!read_many} reads each run
-    of nearby chunks with one call.
+    one fetch buffer: {!fetch} reads each run of nearby chunks with one
+    call, the runs back to back, and hands out each chunk as a slice of
+    the buffer. The pack keeps the buffer and grows it to the largest
+    fetch (at least {!read_buffer_size} bytes).
 
     Every chunk this session did not append itself is CRC-checked against
     its entry's CRC once, on first use, before any of its bytes are
-    used: a {!read}/{!read_many}, a
-    {!resolve} hit compared against new bytes, or a {!stage_rewrite} copy
-    — from the bytes that read fetched. A mismatch is
+    used: a {!fetch} (so a {!read}/{!read_many}), a {!resolve} hit
+    compared against new bytes, or a {!stage_rewrite} copy — in place, in
+    the fetch buffer. A mismatch is
     {!Ickpt_stream.In_stream.Corrupt} naming the chunk; every other chunk
     stays readable. So no unchecked byte reaches a decoder, a dedup
     comparison, an integrity check or a GC rewrite. {!chunk_len},
@@ -31,8 +33,8 @@
 type t
 
 val read_buffer_size : int
-(** Bytes of the pack's one read buffer: {!read_many} reads runs of up to
-    this many bytes into it. *)
+(** The longest run one read call fetches (a longer chunk is a run of its
+    own), and the fetch buffer's least size. *)
 
 val open_ : ?vfs:Ickpt_core.Vfs.t -> string -> t
 (** The pack at the given path (a missing file is an empty pack, created
@@ -66,20 +68,33 @@ val cut_bytes : t -> int
 
 val mem : t -> int -> bool
 
-val read : t -> int -> string
-(** Chunk body by key ({!read_many} of one key).
-    @raise Not_found for an unknown key.
-    @raise Ickpt_stream.In_stream.Corrupt if it fails its CRC. *)
-
-val read_many : t -> int array -> string array
-(** Chunk bodies by key, aligned with the keys. The chunks are read in
-    file order into the pack's one buffer, one read per run of chunks
-    whose gaps are at most 4 KiB and that fit the buffer together; each
-    chunk not yet CRC-checked is checked from those bytes.
+val fetch : t -> int array -> string * int array
+(** [fetch t keys] reads the chunks under [keys] into the pack's fetch
+    buffer and returns it with, aligned with the keys, where each body
+    starts in it: key [i]'s body is the slice of length
+    [chunk_len t keys.(i)] at [starts.(i)]. The chunks are read in file
+    order, one read per run of chunks whose gaps are at most 4 KiB and
+    that fit {!read_buffer_size} together, the runs back to back (a key
+    named twice is read once when its copies share a run); each chunk not
+    yet CRC-checked is checked there, in place, before this returns. No
+    chunk is copied. The buffer is the pack's and the next read of the
+    pack overwrites it: a caller decodes or copies what it needs before
+    that, and keeps neither the buffer nor a slice of it.
     @raise Not_found if any key is unknown (nothing is read).
     @raise Ickpt_stream.In_stream.Corrupt naming the first chunk, in file
     order, that fails its CRC, or if the file no longer holds a chunk the
     table names. *)
+
+val read : t -> int -> string
+(** Chunk body by key, copied out of a {!fetch} of one key.
+    @raise Not_found for an unknown key.
+    @raise Ickpt_stream.In_stream.Corrupt if it fails its CRC. *)
+
+val read_many : t -> int array -> string array
+(** Chunk bodies by key, aligned with the keys: one {!fetch}, each body
+    then copied out of the buffer into a string of its own.
+    @raise Not_found if any key is unknown (nothing is read).
+    @raise Ickpt_stream.In_stream.Corrupt as {!fetch}. *)
 
 val chunk_len : t -> int -> int
 (** Body length by key. @raise Not_found for an unknown key. *)
@@ -121,8 +136,8 @@ val resolve : t -> Chunk.t list -> resolution list
     content ([Chunk.t.key]), to the keys they live (or should live) under,
     in order: every key hit is byte-verified and the salt ladder climbed
     past collisions. Every comparison is in place: a chunk's slice against
-    the read run holding the stored chunk (the batch's content-key hits
-    are fetched the way one {!read_many} fetches them) or against an
+    the fetch buffer holding the stored chunk (the batch's content-key
+    hits are fetched by one {!fetch}) or against an
     earlier chunk's slice. A [Fresh] chunk
     counts as stored for the rest of the batch, so a later copy of it is a
     [Dup]. Does not write.

@@ -1,53 +1,79 @@
-type t = { data : string; mutable pos : int }
+(* [stop] is where the readable bytes end: the string's length, or the
+   end of the last window. *)
+type t = { data : string; mutable pos : int; mutable stop : int }
 
 exception Corrupt of string
 
 let corrupt fmt = Format.kasprintf (fun s -> raise (Corrupt s)) fmt
 
-let of_string data = { data; pos = 0 }
+let of_string data = { data; pos = 0; stop = String.length data }
 
 let of_string_at data ~pos =
   if pos < 0 || pos > String.length data then
     invalid_arg "In_stream.of_string_at";
-  { data; pos }
+  { data; pos; stop = String.length data }
 
 let pos t = t.pos
 
 let source t = t.data
 
-let remaining t = String.length t.data - t.pos
+let remaining t = t.stop - t.pos
 
-let at_end t = t.pos >= String.length t.data
+let at_end t = t.pos >= t.stop
 
 let need t n what =
   if remaining t < n then
     corrupt "truncated input reading %s at offset %d (need %d, have %d)" what
       t.pos n (remaining t)
 
+(* [Varint.unzigzag], spelt out: modules are compiled opaquely in the
+   default build, so a call to another module is never inlined, and this
+   runs once per varint read. *)
+let unzigzag n = (n lsr 1) lxor -(n land 1)
+
 (* Decodes in place — no tuple, no exception handler — since every field of
    every record comes through here. *)
 let rec read_varint t acc shift pos =
-  if pos >= String.length t.data then corrupt "truncated varint at %d" t.pos;
+  if pos >= t.stop then corrupt "truncated varint at %d" t.pos;
   let b = Char.code (String.unsafe_get t.data pos) in
   let acc = acc lor ((b land 0x7f) lsl shift) in
   if b land 0x80 = 0 then begin
     t.pos <- pos + 1;
-    Varint.unzigzag acc
+    unzigzag acc
   end
   else read_varint t acc (shift + 7) (pos + 1)
 
 let read_int t = read_varint t 0 0 t.pos
+
+(* A record's fields in one loop: the position stays in a local, and each
+   varint is accumulated in place. *)
+let read_ints t dst n =
+  if n < 0 || n > Array.length dst then invalid_arg "In_stream.read_ints";
+  let data = t.data and stop = t.stop in
+  let pos = ref t.pos in
+  for i = 0 to n - 1 do
+    let start = !pos and acc = ref 0 and shift = ref 0 and more = ref true in
+    while !more do
+      if !pos >= stop then corrupt "truncated varint at %d" start;
+      let b = Char.code (String.unsafe_get data !pos) in
+      acc := !acc lor ((b land 0x7f) lsl !shift);
+      shift := !shift + 7;
+      incr pos;
+      more := b >= 0x80
+    done;
+    Array.unsafe_set dst i (unzigzag !acc)
+  done;
+  t.pos <- !pos
 
 (* Skips [n] varints by their bytes alone: a varint ends at its first
    byte below 0x80, so each byte counts [1 - b lsr 7] varints, with no
    branch on the byte. A truncated one raises what [read_int] would,
    naming where it starts: just past the last end before the cut. *)
 let skip_varints t n =
-  let data = t.data in
-  let len = String.length data in
+  let data = t.data and stop = t.stop in
   let pos = ref t.pos and left = ref n in
   while !left > 0 do
-    if !pos >= len then begin
+    if !pos >= stop then begin
       let start = ref !pos in
       while
         !start > t.pos && Char.code (String.unsafe_get data (!start - 1)) >= 0x80
@@ -61,9 +87,11 @@ let skip_varints t n =
   done;
   t.pos <- !pos
 
-let seek t pos =
-  if pos < 0 || pos > String.length t.data then invalid_arg "In_stream.seek";
-  t.pos <- pos
+let window t ~pos ~len =
+  if pos < 0 || len < 0 || pos > String.length t.data - len then
+    invalid_arg "In_stream.window";
+  t.pos <- pos;
+  t.stop <- pos + len
 
 let read_byte t =
   need t 1 "byte";

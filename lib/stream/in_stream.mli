@@ -23,14 +23,25 @@ val at_end : t -> bool
 val read_int : t -> int
 (** @raise Corrupt on truncated input. *)
 
+val read_ints : t -> int array -> int -> unit
+(** [read_ints t dst n] decodes the next [n] varints into
+    [dst.(0 .. n-1)], in one loop: what [n] calls of {!read_int} would
+    read, with the same error.
+    @raise Corrupt on truncated input (the varints before the cut are
+    written).
+    @raise Invalid_argument unless [0 <= n <= Array.length dst]. *)
+
 val skip_varints : t -> int -> unit
 (** Advance past [n] varints without decoding them.
     @raise Corrupt on truncated input, as {!read_int} would. *)
 
-val seek : t -> int -> unit
-(** Move the cursor to [pos] of the same string: one stream serves many
-    reads at scattered offsets.
-    @raise Invalid_argument outside [0 .. String.length (source t)]. *)
+val window : t -> pos:int -> len:int -> unit
+(** Move the cursor to [pos] and end the readable bytes at [pos + len]:
+    a read past it is {!Corrupt} even where the string goes on. One stream
+    serves many reads of slices at scattered offsets this way, without
+    copying or allocating.
+    @raise Invalid_argument unless [0 <= pos], [0 <= len] and
+    [pos + len <= String.length (source t)]. *)
 
 val read_byte : t -> int
 

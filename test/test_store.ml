@@ -786,6 +786,54 @@ let store_misdirected_pointer () =
   in
   expect_restore_error "negative id" store epoch ~mentions:"-5"
 
+(* A record cut short at its chunk's end, with another fetched chunk right
+   after it in the pack and so in the fetch buffer: read on, object 1's
+   missing last child id would be object 2's id. The restore must find the
+   cut, not decode into the neighbour. *)
+let record_past_chunk_end () =
+  let schema = Schema.create () in
+  let leaf = Schema.declare schema ~name:"Leaf" ~ints:1 ~children:0 () in
+  let pair = Schema.declare schema ~name:"Pair" ~ints:2 ~children:2 () in
+  let record fields =
+    Test_util.stream_bytes (fun d -> List.iter (Out_stream.write_int d) fields)
+  in
+  let cut = record [ 1; pair.Model.kid; 10; 20; Model.null_id ]
+  and next = record [ 2; leaf.Model.kid; 7 ] in
+  let body = cut ^ next in
+  (* The same bytes as one chunk decode, into the neighbour. *)
+  check_bool "whole, the bytes read on into object 2" true
+    ((Restore.record_at schema body ~pos:0).Restore.rec_child_ids
+    = [| Model.null_id; 2 |]);
+  let chunk off len id =
+    { Chunk.key = Hash64.sub body ~pos:off ~len; src = body; off; len;
+      records = [| id; 0 |] }
+  in
+  let chunks =
+    [ chunk 0 (String.length cut) 1;
+      chunk (String.length cut) (String.length next) 2 ]
+  in
+  let vfs = Sim.vfs (Sim.create ()) in
+  let pack = Pack.open_ ~vfs "h.pack" in
+  let committed =
+    Epochs.commit Epochs.plain vfs ~path:"h.idx" pack
+      [ { Epochs.chain = 0; kind = Segment.Full; epoch = 0; roots = [ 1 ];
+          chunks } ]
+  in
+  let restore pack =
+    Dir.restore (Dir.reader pack schema) ~entries:committed.Epochs.entries
+      ~epoch:0
+  in
+  List.iter
+    (fun (name, pack) ->
+      let keys = Array.of_list (List.map (fun (c : Chunk.t) -> c.key) chunks) in
+      let _, starts = Pack.fetch pack keys in
+      check_bool (name ^ ": fetched back to back") true
+        (starts.(1) = starts.(0) + String.length cut);
+      match restore pack with
+      | _ -> Alcotest.failf "%s: a record past its chunk's end restored" name
+      | exception In_stream.Corrupt _ -> ())
+    [ ("appended", pack); ("reopened", reopen_pack ~idx:"h.idx" vfs "h.pack") ]
+
 (* CRC-valid index entries that crash-consistent operation never writes:
    each names the latest entry's successor and breaks one of reopen's
    defensive rules. [pack_bytes] is the pack's length. *)
@@ -953,6 +1001,10 @@ let index_load_allocation () =
     ignore (Store.append_segment store taken.Chain.segment)
   done;
   let idx = Store.index_path store_path in
+  (* The load reads a file already in memory, so only the decoder's words
+     are counted, not the simulator's copy of the file. *)
+  let data = vfs.Vfs.read_file idx in
+  let vfs = { vfs with Vfs.read_file = (fun _ -> data) } in
   (* A minor collection before each reading: the counters account for the
      young generation only as of the last one. *)
   Gc.minor ();
@@ -1704,15 +1756,62 @@ let allocated f =
   let minor1 = Gc.minor_words () and _, promoted1, major1 = Gc.counters () in
   (x, minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
 
+
+(* A restore allocates the heap it builds and little else: decoded where
+   its chunks lie in the pack's fetch buffer, each object built once with
+   its children. Restoring the fifteenth epoch (seven incrementals past a
+   full) of the 6,500-object synth heap builds 147,250 heap words and
+   allocates about 11 more per object: the fold's slots, whose table
+   becomes the heap's registry, and the object array. Copying each chunk
+   out of the read buffer, a child-slot array and a second pass that
+   links every child took about 22 per object. *)
+let restore_allocation () =
+  let synth =
+    Ickpt_synth.Synth.build
+      { Ickpt_synth.Synth.default_config with Ickpt_synth.Synth.n_structures = 250 }
+  in
+  let roots = Ickpt_synth.Synth.roots synth in
+  let vfs = Sim.vfs (Sim.create ()) in
+  let store =
+    Store.open_ ~vfs ~policy:(Policy.Full_every 8)
+      synth.Ickpt_synth.Synth.schema ~path:store_path
+  in
+  for r = 0 to 15 do
+    if r > 0 then ignore (Ickpt_synth.Synth.mutate_round synth : int);
+    ignore (Store.checkpoint store roots : int)
+  done;
+  (* The first restore grows the fetch buffer. *)
+  ignore (Store.restore store ~epoch:15);
+  let (heap, restored), words =
+    allocated (fun () -> Store.restore store ~epoch:15)
+  in
+  check_bool "restores as taken" true (roots_equal roots restored);
+  let block n = if n = 0 then 0 else n + 1 in
+  let heap_words = ref 0 in
+  Heap.iter heap (fun o ->
+      let some = Array.fold_left (fun n c -> if c = None then n else n + 2) 0 in
+      heap_words :=
+        !heap_words + 3 + 5
+        + block (Array.length o.Model.ints)
+        + block (Array.length o.Model.children)
+        + some o.Model.children);
+  let n = Heap.count heap in
+  check_int "objects" 6500 n;
+  let extra = (words -. float_of_int !heap_words) /. float_of_int n in
+  if extra > 14. then
+    Alcotest.failf
+      "a restore allocated %.0f words: %d of heap, %.1f more per object" words
+      !heap_words extra
+
 (* A take into a kept stream regrows nothing. Once a first full take has
    grown the stream (and the domain's visited set), a second full take of
    the 6,500-object synth heap through {!Epochs.take} allocates about its
    body, the copy the segment keeps (20,502 words for a 157,691-byte
    body); and a second full {!Store.checkpoint}, whose every chunk is a
-   duplicate, within six bodies (89,565 words, with the split's flat
-   directories, the resolve, the entry and the simulator's copy of the
-   index file; with a fresh stream and visited set per take, and the
-   split copying each chunk, 274,801). *)
+   duplicate, within six bodies (94,691 words, with the split's flat
+   directories, the resolve, the entry and the simulator's index file
+   doubling its buffer; with a fresh stream and visited set per take,
+   and the split copying each chunk, 274,801). *)
 let take_stream_allocation () =
   let synth =
     Ickpt_synth.Synth.build
@@ -1743,8 +1842,8 @@ let take_stream_allocation () =
 (* The index frames of a batch are encoded into one stream presized to
    hold them and written once: a gc's rewrite of twelve full entries (a
    213,893-byte index) allocates the presized stream, its contents and
-   the simulator's two copies of the file, about four times the index's
-   size (110k words). Encoding each entry into a fresh 4-KiB stream that
+   the simulator's copy of the file, about three times the index's size
+   (83k words). Encoding each entry into a fresh 4-KiB stream that
    doubles its way up to the entry, then copying each frame out of it,
    was eleven times (298k words). *)
 let index_encode_allocation () =
@@ -1998,6 +2097,122 @@ let store_sweep_smoke () =
     "exact points, runs" (84, 252) (r.Sweep.r_points, r.Sweep.r_runs)
 
 (* ------------------------------------------------------------------ *)
+(* Reshaping scripts: the restore's forward references.               *)
+
+(* Beyond int writes, a script grows new objects under old ones, each new
+   one pointing back at an older object, and relinks children to objects
+   that exist: sharing, and cycles where [cyclic]. A restore decodes slots
+   from the newest down, so a new object pointing to an older one, and a
+   cycle's back edge, are the children it links afterwards. *)
+type reshape =
+  | Write of Test_util.mutation
+  | Grow of { parent : int; slot : int; target : int; value : int }
+  | Relink of { parent : int; slot : int; target : int }
+
+let reshape_gen =
+  QCheck2.Gen.(
+    frequency
+      [ (2, map (fun m -> Write m) Test_util.mutation_gen);
+        ( 2,
+          map3
+            (fun (parent, slot) target value ->
+              Grow { parent; slot; target; value })
+            (pair small_nat small_nat) small_nat small_int );
+        ( 2,
+          map3
+            (fun parent slot target -> Relink { parent; slot; target })
+            small_nat small_nat small_nat ) ])
+
+let rec reaches ~seen o target =
+  o == target
+  || (not (Hashtbl.mem seen o.Model.info.Model.id))
+     && begin
+          Hashtbl.add seen o.Model.info.Model.id ();
+          Array.exists
+            (function None -> false | Some c -> reaches ~seen c target)
+            o.Model.children
+        end
+
+let apply_reshape (env : Test_util.env) root ~cyclic op =
+  let objs = Array.of_list (Test_util.all_objects root) in
+  let pick i = objs.(i mod Array.length objs) in
+  let parents =
+    Array.of_list
+      (List.filter
+         (fun o -> Array.length o.Model.children > 0)
+         (Array.to_list objs))
+  in
+  let link parent slot child =
+    let p = parents.(parent mod Array.length parents) in
+    let slot = slot mod Array.length p.Model.children in
+    if cyclic || not (reaches ~seen:(Hashtbl.create 16) child p) then
+      Barrier.set_child p slot (Some child)
+  in
+  match op with
+  | Write m -> Test_util.apply_mutations root [ m ]
+  | Grow { parent; slot; target; value } ->
+      let o = Heap.alloc env.heap env.pair in
+      o.Model.ints.(0) <- value;
+      o.Model.children.(0) <- Some (pick target);
+      link parent slot o
+  | Relink { parent; slot; target } -> link parent slot (pick target)
+
+let reshape_prop =
+  QCheck2.Test.make ~count:100
+    ~name:"restores with forward references and cycles = replay"
+    QCheck2.Gen.(
+      triple bool Test_util.tree_gen
+        (list_size (int_range 1 5) (list_size (int_range 0 6) reshape_gen)))
+    (fun (cyclic, tree, rounds) ->
+      let env = Test_util.make_env () in
+      (* A pair at the root, so every script has an object to link under. *)
+      let root = Test_util.build env (Test_util.Pair (0, 0, Some tree, None)) in
+      (* An incremental take walks the graph with no visited set, so
+         cyclic graphs are checkpointed full. *)
+      let policy = if cyclic then Policy.Always_full else Policy.Full_every 3 in
+      let vfs = Sim.vfs (Sim.create ()) in
+      let chain = Chain.create env.schema in
+      let store =
+        Store.open_ ~vfs ~records_per_chunk:2 env.schema ~path:store_path
+      in
+      let taken =
+        List.mapi
+          (fun r ops ->
+            if r > 0 then List.iter (apply_reshape env root ~cyclic) ops;
+            let t =
+              match
+                Policy.decide policy ~next:(Chain.next chain)
+                  ~since_full_bytes:(Chain.since_full_bytes chain)
+              with
+              | Segment.Full -> Chain.take_full chain [ root ]
+              | Segment.Incremental -> Chain.take_incremental chain [ root ]
+            in
+            ignore (Store.append_segment store t.Chain.segment);
+            full_body [ root ])
+          ([] :: rounds)
+      in
+      let latest = List.length rounds in
+      let agree name store =
+        List.iteri
+          (fun e live ->
+            let _, stored = Store.restore store ~epoch:e in
+            let _, replayed = replay_restore chain ~epoch:e in
+            if full_body stored <> live || full_body replayed <> live then
+              QCheck2.Test.fail_reportf "%s: epoch %d differs from replay" name
+                e;
+            if reference_body chain ~epoch:e <> live then
+              QCheck2.Test.fail_reportf
+                "%s: epoch %d differs from the reference" name e;
+            if e = latest && not (roots_equal [ root ] stored) then
+              QCheck2.Test.fail_reportf
+                "%s: the latest epoch differs from the live heap" name)
+          taken
+      in
+      agree "in session" store;
+      agree "reopened" (Store.open_ ~vfs env.schema ~path:store_path);
+      true)
+
+(* ------------------------------------------------------------------ *)
 (* QCheck satellite: random synth heaps, all four policies.           *)
 
 let policies =
@@ -2127,7 +2342,8 @@ let suites =
         Alcotest.test_case "take stream allocation" `Quick
           take_stream_allocation;
         Alcotest.test_case "index encode allocation" `Quick
-          index_encode_allocation ] );
+          index_encode_allocation;
+        Alcotest.test_case "restore allocation" `Quick restore_allocation ] );
     ( "store.core",
       [ Alcotest.test_case "restore agrees with chain replay" `Quick
           store_restore_agrees_with_replay;
@@ -2138,6 +2354,8 @@ let suites =
         Alcotest.test_case "error paths" `Quick store_errors;
         Alcotest.test_case "misdirected directory pointer" `Quick
           store_misdirected_pointer;
+        Alcotest.test_case "record past its chunk's end" `Quick
+          record_past_chunk_end;
         Alcotest.test_case "reopen rejections" `Quick store_reopen_rejections;
         Alcotest.test_case "sparse huge ids" `Quick sparse_huge_ids;
         Alcotest.test_case "resume at non-zero seq" `Quick
@@ -2155,5 +2373,7 @@ let suites =
           stale_temp_sweep ] );
     ( "store.sweep",
       [ Alcotest.test_case "crash sweep smoke" `Slow store_sweep_smoke ] );
-    ( "store.property", [ QCheck_alcotest.to_alcotest restore_roundtrip_prop ] )
+    ( "store.property",
+      [ QCheck_alcotest.to_alcotest restore_roundtrip_prop;
+        QCheck_alcotest.to_alcotest reshape_prop ] )
   ]

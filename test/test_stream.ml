@@ -120,6 +120,45 @@ let of_string_at () =
   Alcotest.check_raises "bad pos" (Invalid_argument "In_stream.of_string_at")
     (fun () -> ignore (In_stream.of_string_at s ~pos:100))
 
+(* [read_ints] reads what as many [read_int]s would, with the same error
+   where they would fail: at the end of a window, whatever bytes follow it
+   in the string. *)
+let prop_read_ints =
+  QCheck2.Test.make ~name:"read_ints = read_int, within a window" ~count:300
+    QCheck2.Gen.(
+      triple
+        (list (frequency [ (5, int); (1, small_int) ]))
+        nat
+        (string_size ~gen:char (int_range 0 8)))
+    (fun (ints, cut, tail) ->
+      let d = Out_stream.create () in
+      List.iter (Out_stream.write_int d) ints;
+      let body = Out_stream.contents d in
+      let s = "ab" ^ body ^ tail and len = cut mod (String.length body + 1) in
+      let n = List.length ints in
+      let one = In_stream.of_string s and many = In_stream.of_string s in
+      In_stream.window one ~pos:2 ~len;
+      In_stream.window many ~pos:2 ~len;
+      let singly =
+        let a = Array.make n 0 in
+        match
+          for i = 0 to n - 1 do
+            a.(i) <- In_stream.read_int one
+          done
+        with
+        | () -> Ok a
+        | exception In_stream.Corrupt m -> Error m
+      in
+      let batched =
+        let a = Array.make n 0 in
+        match In_stream.read_ints many a n with
+        | () -> Ok a
+        | exception In_stream.Corrupt m -> Error m
+      in
+      singly = batched
+      && (len < String.length body || singly = Ok (Array.of_list ints))
+      && (Result.is_error singly || In_stream.pos one = In_stream.pos many))
+
 (* Property: any int sequence survives a write/read roundtrip, and the sink
    stream always reports the same size as the buffered stream. *)
 let prop_int_roundtrip =
@@ -151,7 +190,7 @@ let prop_crc_detects_flip =
         (Char.chr (Char.code (Bytes.get b pos) lxor (1 lsl bit)));
       Crc32.string s <> Crc32.bytes b)
 
-(* The plain bytewise CRC-32, as the reference the slicing-by-8 one is
+(* The plain bytewise CRC-32, as the reference the slicing-by-16 one is
    held to. *)
 let reference_crc ?(crc = 0) s ~pos ~len =
   let c = ref (crc lxor 0xffffffff) in
@@ -163,8 +202,9 @@ let reference_crc ?(crc = 0) s ~pos ~len =
   done;
   !c lxor 0xffffffff
 
-(* Every window of 0..64 bytes at offsets 0..7 (whatever the 8-byte
-   alignment of the tail), and the whole string, up to 4 KiB. *)
+(* Every window of 0..64 bytes (none, some or four 16-byte blocks, and
+   every tail length) at offsets 0..15 (every alignment of the 8-byte
+   loads), and the whole string, up to 4 KiB. *)
 let prop_crc_reference =
   QCheck2.Test.make ~name:"crc32 matches the bytewise reference" ~count:200
     QCheck2.Gen.(string_size ~gen:char (int_range 0 4096))
@@ -178,20 +218,22 @@ let prop_crc_reference =
                  pos + len > n
                  || Crc32.sub s ~pos ~len = reference_crc s ~pos ~len)
                (List.init 65 Fun.id))
-           (List.init 8 Fun.id))
+           (List.init 16 Fun.id))
 
+(* Split anywhere in 40 bytes, so either side may hold a 16-byte block
+   and a tail. *)
 let prop_crc_continuation =
   QCheck2.Test.make ~name:"crc32 continues at every split point" ~count:200
-    QCheck2.Gen.(string_size ~gen:char (return 16))
+    QCheck2.Gen.(string_size ~gen:char (return 40))
     (fun s ->
       List.for_all
         (fun k ->
           let head = Crc32.sub s ~pos:0 ~len:k in
-          Crc32.sub ~crc:head s ~pos:k ~len:(16 - k)
-          = reference_crc s ~pos:0 ~len:16
-          && Crc32.string ~crc:head (String.sub s k (16 - k))
+          Crc32.sub ~crc:head s ~pos:k ~len:(40 - k)
+          = reference_crc s ~pos:0 ~len:40
+          && Crc32.string ~crc:head (String.sub s k (40 - k))
              = Crc32.string s)
-        (List.init 17 Fun.id))
+        (List.init 41 Fun.id))
 
 (* The flat stream is held to a reference encoder over [Buffer], written
    here independently of [Varint]: zigzag, then base-128 groups, least
@@ -436,6 +478,7 @@ let suites =
         QCheck_alcotest.to_alcotest prop_int_roundtrip;
         QCheck_alcotest.to_alcotest prop_crc_detects_flip;
         QCheck_alcotest.to_alcotest prop_crc_reference;
+        QCheck_alcotest.to_alcotest prop_read_ints;
         QCheck_alcotest.to_alcotest prop_crc_continuation;
         QCheck_alcotest.to_alcotest prop_out_stream_reference;
         QCheck_alcotest.to_alcotest prop_skip_varints ] );
