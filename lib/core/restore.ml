@@ -35,19 +35,52 @@ let records_of_body schema body =
   in
   go []
 
-(* Framing-only walk: same decoding as [read_record] but the field values
+(* Framing only: the same decoding as [read_record], but the field values
    are skipped by their bytes, so chunking a body or locating its records
-   costs a byte loop, not arrays. Calls [f rec_id offset length] per
-   record. *)
+   costs a byte loop, not arrays. Returns the record's id. *)
+let skip_frame schema inp =
+  let rec_id = In_stream.read_int inp in
+  let klass = find_class schema (In_stream.read_int inp) ~id:rec_id in
+  In_stream.skip_varints inp (klass.Model.n_ints + klass.Model.n_children);
+  rec_id
+
+(* Calls [f rec_id offset length] per record. *)
 let iter_frames schema body f =
   let inp = In_stream.of_string body in
   while not (In_stream.at_end inp) do
     let start = In_stream.pos inp in
-    let rec_id = In_stream.read_int inp in
-    let klass = find_class schema (In_stream.read_int inp) ~id:rec_id in
-    In_stream.skip_varints inp (klass.Model.n_ints + klass.Model.n_children);
+    let rec_id = skip_frame schema inp in
     f rec_id start (In_stream.pos inp - start)
   done
+
+(* The arrays are not trimmed to the count: sized by a good hint, they
+   are allocated once and never copied. *)
+let frames ?(hint = 0) schema body =
+  let inp = In_stream.of_string body in
+  let ids = ref (Array.make (max 16 hint) 0) in
+  let offs = ref (Array.make (max 16 hint) 0) and n = ref 0 in
+  let grow a =
+    let b = Array.make (2 * Array.length a) 0 in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  in
+  while not (In_stream.at_end inp) do
+    let r = !n in
+    if r = Array.length !ids then begin
+      ids := grow !ids;
+      offs := grow !offs
+    end;
+    Array.unsafe_set !offs r (In_stream.pos inp);
+    Array.unsafe_set !ids r (skip_frame schema inp);
+    n := r + 1
+  done;
+  (!ids, !offs, !n)
+
+let frame_len schema s ~pos ~len =
+  let inp = In_stream.of_string_at s ~pos in
+  In_stream.window inp ~pos ~len;
+  ignore (skip_frame schema inp : int);
+  In_stream.pos inp - pos
 
 let scan_body schema body =
   let frames = ref [] in

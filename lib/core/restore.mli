@@ -56,6 +56,23 @@ val iter_frames : Schema.t -> string -> (int -> int -> int -> unit) -> unit
     @raise Error on an unknown class id.
     @raise Ickpt_stream.In_stream.Corrupt on a truncated record. *)
 
+val frames : ?hint:int -> Schema.t -> string -> int array * int array * int
+(** [frames schema body] is [(ids, offs, n)], the framing of a body: its
+    [n] records' ids and where each starts, in write order, in the first
+    [n] cells of [ids] and [offs] ({!iter_frames} without a call per
+    record). [hint] (the record count expected) sizes the arrays before
+    they grow; they are not trimmed to [n], so a hint at or above the
+    count costs one allocation each and no copy.
+    @raise Error on an unknown class id.
+    @raise Ickpt_stream.In_stream.Corrupt on a truncated record. *)
+
+val frame_len : Schema.t -> string -> pos:int -> len:int -> int
+(** The length of the record that starts at [pos], read within the
+    [len] bytes from [pos] on: its framing only, as {!iter_frames}.
+    @raise Error on an unknown class id.
+    @raise Ickpt_stream.In_stream.Corrupt if the record runs past those
+    bytes. *)
+
 val record_at : Schema.t -> string -> pos:int -> record
 (** Decode the single record starting at [pos] — the point lookup a
     per-object directory entry resolves to. *)

@@ -8,7 +8,7 @@ type t = {
   exists : string -> bool;
   read_file : string -> string;
   size : string -> int;
-  read_into : string -> pos:int -> bytes -> off:int -> len:int -> unit;
+  read_into : string -> bytes -> (int * int * int) list -> unit;
   open_append : string -> writer;
   open_trunc : string -> writer;
   truncate : string -> len:int -> unit;
@@ -57,21 +57,24 @@ let real =
           (fun () -> really_input_string ic (in_channel_length ic)));
     size = (fun path -> (Unix.stat path).Unix.st_size);
     read_into =
-      (fun path ~pos buf ~off ~len ->
+      (fun path buf runs ->
         let fd = Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 in
         Fun.protect
           ~finally:(fun () -> Unix.close fd)
           (fun () ->
             let size = (Unix.fstat fd).Unix.st_size in
-            check_window path ~size ~pos ~len buf ~off;
-            ignore (Unix.lseek fd pos Unix.SEEK_SET : int);
-            let rec go off len =
-              if len > 0 then
-                match Unix.read fd buf off len with
-                | 0 -> out_of_range path ~pos ~len ~size
-                | n -> go (off + n) (len - n)
-            in
-            go off len));
+            List.iter
+              (fun (pos, off, len) ->
+                check_window path ~size ~pos ~len buf ~off;
+                ignore (Unix.lseek fd pos Unix.SEEK_SET : int);
+                let rec go off len =
+                  if len > 0 then
+                    match Unix.read fd buf off len with
+                    | 0 -> out_of_range path ~pos ~len ~size
+                    | n -> go (off + n) (len - n)
+                in
+                go off len)
+              runs));
     open_append =
       (fun path ->
         writer_of_channel
@@ -86,7 +89,7 @@ let contents t path = if t.exists path then t.read_file path else ""
 let read_at t path ~pos ~len =
   check_file path ~size:(t.size path) ~pos ~len;
   let buf = Bytes.create len in
-  t.read_into path ~pos buf ~off:0 ~len;
+  t.read_into path buf [ (pos, 0, len) ];
   Bytes.unsafe_to_string buf
 
 let temp_of path = path ^ ".tmp"

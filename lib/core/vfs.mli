@@ -32,12 +32,15 @@ type t = {
   exists : string -> bool;
   read_file : string -> string;  (** whole contents; raises if missing *)
   size : string -> int;  (** length in bytes; raises if missing *)
-  read_into : string -> pos:int -> bytes -> off:int -> len:int -> unit;
-      (** [read_into path ~pos buf ~off ~len] copies the file's bytes
-          [pos .. pos+len-1] into [buf] at [off] — into the caller's
-          buffer, so a streamed read allocates nothing per call. Sees
-          written-but-unsynced bytes, as [read_file] does.
-          @raise Out_of_range if the window is not inside the file.
+  read_into : string -> bytes -> (int * int * int) list -> unit;
+      (** [read_into path buf runs] copies, for each [(pos, off, len)] of
+          [runs] in order, the file's bytes [pos .. pos+len-1] into [buf]
+          at [off] — into the caller's buffer, so a streamed read
+          allocates nothing per run. All of a fetch's runs are one call:
+          {!real} opens the file and reads its length once for them all.
+          Sees written-but-unsynced bytes, as [read_file] does.
+          @raise Out_of_range if a window is not inside the file (the
+          runs before it are copied).
           @raise Invalid_argument if it is not inside [buf]. Raises if
           the file is missing. *)
   open_append : string -> writer;  (** append mode, create if missing *)
@@ -53,8 +56,8 @@ exception Out_of_range of string
 
 val check_window :
   string -> size:int -> pos:int -> len:int -> bytes -> off:int -> unit
-(** [check_window path ~size ~pos ~len buf ~off]: the bounds check every
-    {!field-read_into} makes, for a file of [size] bytes.
+(** [check_window path ~size ~pos ~len buf ~off]: the bounds check
+    {!field-read_into} makes per run, for a file of [size] bytes.
     @raise Out_of_range if [pos .. pos+len-1] is not inside the file.
     @raise Invalid_argument if [off .. off+len-1] is not inside [buf]. *)
 

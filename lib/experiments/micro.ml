@@ -71,12 +71,14 @@ let write_tests () =
   let vfs = Ickpt_faultsim.Sim.vfs (Ickpt_faultsim.Sim.create ()) in
   let pack = Pack.open_ ~vfs "micro.pack" in
   ignore
-    (Epochs.commit Epochs.plain vfs ~path:"micro.idx" pack
+    (Epochs.commit
+       ~committed:(fun _ -> ([], Epochs.kept ()))
+       Epochs.plain vfs ~path:"micro.idx" pack
        [ { Epochs.chain = 0;
            kind = Ickpt_core.Segment.Full;
            epoch = 0;
            roots = [];
-           chunks } ]
+           body = Split chunks } ]
       : _ Epochs.committed);
   let records = List.map (fun (c : Chunk.t) -> c.records) chunks in
   [ Test.make ~name:"write-full-many"

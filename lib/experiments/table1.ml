@@ -16,37 +16,40 @@ let title = "Table 1: program analysis engine (BTA / ETA phases)"
 
 let repeats = 7
 
-(* Steady-state measurement on converged analysis state: each repetition
-   re-dirties every annotation of the phase (the paper's max-checkpoint
-   case, like a first iteration) and times one checkpoint of all the
-   attribute roots. *)
-let measure_ckp attrs ~dirty runner =
+(* The runners timed in rounds, interleaved: each round calls [before]
+   and then times one checkpoint of all the attribute roots, runner after
+   runner, so a drift of the host moves every runner's times alike.
+   Rounds go on until there are [repeats] of them and every runner has
+   [Workload.min_seconds] timed, as a figure's cell does. Per runner: the
+   bytes of its first round and the time of its best one. *)
+let measure_rounds attrs ~before runners =
   let roots = Attrs.roots attrs in
-  let bytes = ref 0 in
-  let best = ref infinity in
-  for rep = 1 to repeats do
-    dirty ();
-    let d =
-      if rep = 1 then Ickpt_stream.Out_stream.create ()
-      else Ickpt_stream.Out_stream.sink ()
-    in
-    let (), s = Clock.time (fun () -> List.iter (fun r -> runner d r) roots) in
-    if rep = 1 then bytes := Ickpt_stream.Out_stream.size d;
-    if s < !best then best := s
-  done;
-  (!bytes, !best)
+  let k = Array.length runners in
+  let bytes = Array.make k 0 and best = Array.make k infinity in
+  let total = Array.make k 0. in
+  let rec go rep =
+    if rep <= repeats || Array.exists (fun t -> t < Workload.min_seconds) total
+    then begin
+      Array.iteri
+        (fun i runner ->
+          before ();
+          let d =
+            if rep = 1 then Ickpt_stream.Out_stream.create ()
+            else Ickpt_stream.Out_stream.sink ()
+          in
+          let (), s =
+            Clock.time (fun () -> List.iter (fun r -> runner d r) roots)
+          in
+          if rep = 1 then bytes.(i) <- Ickpt_stream.Out_stream.size d;
+          best.(i) <- Float.min best.(i) s;
+          total.(i) <- total.(i) +. s)
+        runners;
+      go (rep + 1)
+    end
+  in
+  go 1;
+  (bytes, best)
 
-(* Pure traversal: the heap is clean, so the runner tests and walks but
-   records nothing. *)
-let measure_traversal attrs runner =
-  let roots = Attrs.roots attrs in
-  let best = ref infinity in
-  for _ = 1 to repeats do
-    let d = Ickpt_stream.Out_stream.sink () in
-    let (), s = Clock.time (fun () -> List.iter (fun r -> runner d r) roots) in
-    if s < !best then best := s
-  done;
-  !best
 
 let min_max = function
   | [] -> (0, 0)
@@ -123,16 +126,21 @@ let run ~scale ppf =
   in
   let results = Hashtbl.create 16 in
   let measure_phase phase_name dirty shape =
-    let srunner = spec_runner shape in
-    List.iter
-      (fun (label, runner) ->
-        let bytes, s = measure_ckp attrs ~dirty runner in
-        let trav = measure_traversal attrs runner in
-        Hashtbl.replace results (phase_name, label) (bytes, s, trav);
+    let labels = [| "full"; "incremental"; "specialized" |] in
+    let runners = [| full; incr; spec_runner shape |] in
+    (* Checkpoints on converged analysis state, every annotation of the
+       phase re-dirtied before each (the paper's max-checkpoint case, like
+       a first iteration); then pure traversals of the clean heap, which
+       test and walk but record nothing. *)
+    let bytes, s = measure_rounds attrs ~before:dirty runners in
+    let _, trav = measure_rounds attrs ~before:ignore runners in
+    Array.iteri
+      (fun i label ->
+        Hashtbl.replace results (phase_name, label) (bytes.(i), s.(i), trav.(i));
         Table.add_row time_table
-          [ phase_name; label; Table.cell_bytes bytes; Table.cell_seconds s;
-            Table.cell_seconds trav ])
-      [ ("full", full); ("incremental", incr); ("specialized", srunner) ]
+          [ phase_name; label; Table.cell_bytes bytes.(i);
+            Table.cell_seconds s.(i); Table.cell_seconds trav.(i) ])
+      labels
   in
   measure_phase "bta" flip_bt (Attrs.bta_shape attrs);
   measure_phase "eta" flip_et (Attrs.eta_shape attrs);

@@ -21,6 +21,10 @@ type measured = {
   seconds : float;  (** fastest repetition's construction time *)
 }
 
+val min_seconds : float
+(** 0.020 — the least time, in seconds, a measured cell's repetitions
+    sum to. *)
+
 val measure :
   Synth.t ->
   (Ickpt_stream.Out_stream.t -> Ickpt_runtime.Model.obj -> unit) -> measured

@@ -158,12 +158,15 @@ let vfs t =
             alive t;
             (find t path).len));
     read_into =
-      (fun path ~pos buf ~off ~len ->
+      (fun path buf runs ->
         locked t (fun () ->
             alive t;
             let f = find t path in
-            Vfs.check_window path ~size:f.len ~pos ~len buf ~off;
-            Bytes.blit f.buf pos buf off len));
+            List.iter
+              (fun (pos, off, len) ->
+                Vfs.check_window path ~size:f.len ~pos ~len buf ~off;
+                Bytes.blit f.buf pos buf off len)
+              runs));
     open_append =
       (fun path ->
         locked t (fun () ->

@@ -253,6 +253,19 @@ let random_program ~seed () =
         (fun (a, len) -> { v_name = a; v_typ = T_array len; v_init = 0 })
         arrays
   in
+  (* A read of an array cell, in bounds: at the loop counter [i] (below
+     8, the shortest array's length), at an affine index folded into the
+     array by a positive-literal mod, or at a scalar's (scalars stay
+     non-negative). *)
+  let read () =
+    let a, len = pick arrays in
+    match int 0 2 with
+    | 0 -> idx a (v "i")
+    | 1 -> idx a (((v "i" *: n (int 1 5)) +: n (int 0 7)) %: n len)
+    | _ -> idx a (v (pick scalars) %: n len)
+  in
+  (* A stored value, half the time with an array cell read into it. *)
+  let value e = if int 0 1 = 0 then e else e +: read () in
   (* One store into a random array, indexed by the worker's loop counter
      [i] (always in [0, bound-1], bound <= 8). *)
   let store_stmt () =
@@ -261,17 +274,19 @@ let random_program ~seed () =
     match int 0 2 with
     | 0 ->
         (* literal index *)
-        [ store a (n (int 0 (len - 1))) (v "i" +: n (int 0 99)) ]
+        [ store a (n (int 0 (len - 1))) (value (v "i" +: n (int 0 99))) ]
     | 1 ->
         (* affine index, folded into the array by a positive-literal mod *)
         let stride = int 1 5 and off = int 0 7 in
-        [ store a (((v "i" *: n stride) +: n off) %: n len) (v s +: v "i") ]
+        [ store a
+            (((v "i" *: n stride) +: n off) %: n len)
+            (value (v s +: v "i")) ]
     | _ ->
         (* value-dependent (hashed) index: an LCG step keeps the scalar
            non-negative, then scatters a write through it *)
         let m = pick [ 251; 509; 1021; 4093 ] in
         [ assign s (((v s *: n (int 3 75)) +: n (int 1 74)) %: n m);
-          store a (v s %: n len) (v s +: v "i") ]
+          store a (v s %: n len) (value (v s +: v "i")) ]
   in
   let n_workers = int 2 4 in
   let workers =

@@ -23,7 +23,9 @@ val static_globals : string list
 val random_program : seed:int -> unit -> Ast.program
 (** A deterministically random annotation-free workload (same seed, same
     program): 2–4 scalars, 1–3 arrays, worker functions storing through
-    literal, affine and value-dependent indices under bounded loops, and
+    literal, affine and value-dependent indices under bounded loops (half
+    the stored values read an array cell, at the loop counter, an affine
+    or a value-dependent index), and
     a [main] of optional setup calls plus one or two checkpoint-round
     loops. Always checks, terminates, stays in bounds, and keeps scalars
     non-negative — the property-test input for the automatic inference

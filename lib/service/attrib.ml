@@ -39,6 +39,7 @@ let rows svc =
     (fun (m : Epoch_index.mux_entry) ->
       let id = m.m_tenant in
       bump tenant_epochs id 1;
+      bump tenant_logical id m.m_entry.size;
       let mine =
         match Hashtbl.find_opt tenant_chunks id with
         | Some h -> h
@@ -49,7 +50,6 @@ let rows svc =
       in
       List.iter
         (fun k ->
-          bump tenant_logical id (chunk_len k);
           Hashtbl.replace mine k ();
           let who =
             match Hashtbl.find_opt referers k with

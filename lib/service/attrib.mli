@@ -13,7 +13,7 @@ type row = {
   a_chunks : int;  (** distinct chunks referenced *)
   a_owned : int;  (** of those, referenced by this tenant alone *)
   a_shared : int;  (** referenced by at least one other tenant too *)
-  a_logical_bytes : int;  (** chunk bytes summed over every epoch *)
+  a_logical_bytes : int;  (** segment body bytes summed over every epoch *)
   a_private_bytes : int;  (** pack bytes a private store would need
                               (distinct chunks, bodies only) *)
   a_saved_bytes : int;  (** equal-split share of the bytes cross-tenant

@@ -31,6 +31,7 @@ type tenant = {
   mutable t_entries : Epoch_index.entry list;  (* committed, oldest first *)
   mutable t_progress : Epochs.progress;  (* of its taken epochs *)
   t_out : Out_stream.t;  (* the stream its takes write into *)
+  t_kept : Epochs.kept;  (* what its next fold reads *)
 }
 
 and item = {
@@ -209,7 +210,12 @@ let commit_locked t s =
       s.s_pending_bytes <- 0;
       let c =
         try
-          Epochs.commit Epochs.mux t.vfs ~path:s.s_index_file t.pack
+          Epochs.commit
+            ~committed:(fun id ->
+              match List.find_opt (fun it -> it.it_tenant.t_id = id) items with
+              | Some it -> (it.it_tenant.t_entries, it.it_tenant.t_kept)
+              | None -> ([], Epochs.kept ()))
+            Epochs.mux t.vfs ~path:s.s_index_file t.pack
             (List.map (fun it -> it.it_epoch) items)
         with e ->
           (* The batch is lost. Each of its tenants goes back to its
@@ -220,7 +226,7 @@ let commit_locked t s =
           List.iter
             (fun it ->
               let tn = it.it_tenant in
-              tn.t_progress <- Epochs.failed t.pack tn.t_entries;
+              tn.t_progress <- Epochs.failed tn.t_entries;
               Epochs.mark_due ~file:t.root ~chain:tn.t_id)
             items;
           Printexc.raise_with_backtrace e bt
@@ -260,9 +266,13 @@ let append tenant (seg : Segment.t) =
   if tenant.t_progress.full_due && seg.kind = Segment.Incremental then
     error "incremental segment %d after a failed commit (a full is due)"
       seg.seq;
-  let chunks =
-    Chunk.split ~records_per_chunk:t.records_per_chunk tenant.t_schema
-      seg.body
+  (* The body is walked here, outside the lock: a malformed one is
+     refused before it joins a batch. Its arrays are sized by the
+     tenant's committed entries, read without the lock: a stale list only
+     misjudges the size. *)
+  let body =
+    Epochs.body tenant.t_schema ~records_per_chunk:t.records_per_chunk
+      tenant.t_entries seg
   in
   let it =
     { it_tenant = tenant;
@@ -271,7 +281,7 @@ let append tenant (seg : Segment.t) =
           kind = seg.kind;
           epoch = seg.seq;
           roots = seg.roots;
-          chunks };
+          body };
       it_enq = Unix.gettimeofday () }
   in
   tenant.t_progress <- Epochs.advance tenant.t_progress seg;
@@ -321,8 +331,9 @@ let open_tenant t schema ~name =
               t_shard = shard;
               t_schema = schema;
               t_entries = entries;
-              t_progress = Epochs.resume ~file:t.root ~chain:id t.pack entries;
-              t_out = Out_stream.create () }
+              t_progress = Epochs.resume ~file:t.root ~chain:id entries;
+              t_out = Out_stream.create ();
+              t_kept = Epochs.kept () }
           in
           Hashtbl.replace t.open_tenants id tn;
           tn)
@@ -338,7 +349,7 @@ let epochs tenant =
       List.map (fun (e : Epoch_index.entry) -> e.epoch) tenant.t_entries)
 
 let latest_epoch tenant =
-  with_lock tenant.t_svc (fun () -> Epochs.newest tenant.t_entries)
+  with_lock tenant.t_svc (fun () -> Epoch_index.newest tenant.t_entries)
 
 let restore tenant ~epoch =
   let t = tenant.t_svc in
@@ -410,7 +421,7 @@ let stats t =
           (fun (m : Epoch_index.mux_entry) -> m.m_entry)
           (committed_locked t)
       in
-      let logical = Epochs.logical_bytes t.pack entries in
+      let logical = Epochs.logical_bytes entries in
       let pack_bytes = Pack.physical_bytes t.pack in
       { n_tenants = List.length t.catalog;
         n_open = Hashtbl.length t.open_tenants;

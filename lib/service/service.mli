@@ -183,7 +183,7 @@ type stats = {
   n_open : int;  (** tenants currently open *)
   n_epochs : int;  (** committed epochs, all tenants *)
   n_chunks : int;  (** chunks in the shared pack *)
-  logical_bytes : int;  (** sum of chunk bytes referenced by all epochs *)
+  logical_bytes : int;  (** sum of segment body bytes over all epochs *)
   pack_bytes : int;  (** physical pack bytes *)
   dedup_ratio : float;  (** logical over pack bytes; 1.0 when empty *)
   commit_batches : int;  (** group commits this session (2 fsyncs each) *)

@@ -16,6 +16,28 @@ let key_of s = Hash64.string s
 let of_string src =
   { key = key_of src; src; off = 0; len = String.length src; records = [||] }
 
+external get64u : string -> int -> int64 = "%caml_string_get64u"
+
+(* Compared in place, eight bytes at a time, unchecked once both windows
+   are known to lie inside their strings. *)
+let equal_sub a aoff b boff len =
+  len >= 0
+  && aoff >= 0
+  && aoff <= String.length a - len
+  && boff >= 0
+  && boff <= String.length b - len
+  &&
+  let i = ref 0 in
+  while !i + 8 <= len && get64u a (aoff + !i) = get64u b (boff + !i) do
+    i := !i + 8
+  done;
+  while
+    !i < len && String.unsafe_get a (aoff + !i) = String.unsafe_get b (boff + !i)
+  do
+    incr i
+  done;
+  !i = len
+
 let max_salt_attempts = 8
 
 (* The hash of the salt prefix followed by the slice: FNV runs on over the
@@ -36,45 +58,34 @@ let key_matches key c =
   in
   go 1
 
-(* One pass: chunks are cut as the frame walk yields records, each
-   chunk's records gathered in one scratch array and copied out flat. The
-   keys are hashed once the cuts are known, four slices at a time
+(* The keys are hashed once the cuts are known, four slices at a time
    ({!Hash64.tiles}); a chunk is a slice of the body. *)
+let of_frames ?(records_per_chunk = default_records_per_chunk) body ~ids ~offs
+    ~n =
+  if records_per_chunk < 1 then invalid_arg "Chunk.of_frames: records_per_chunk";
+  if n < 0 || n > Array.length ids || n > Array.length offs then
+    invalid_arg "Chunk.of_frames: n";
+  let count = (n + records_per_chunk - 1) / records_per_chunk in
+  let cuts =
+    Array.init (count + 1) (fun k ->
+        if k = count then String.length body else offs.(k * records_per_chunk))
+  in
+  let keys = Hash64.tiles body cuts in
+  List.init count (fun k ->
+      let first = k * records_per_chunk in
+      let m = min n (first + records_per_chunk) - first in
+      let records = Array.make (2 * m) 0 in
+      for i = 0 to m - 1 do
+        records.(2 * i) <- ids.(first + i);
+        records.((2 * i) + 1) <- offs.(first + i) - cuts.(k)
+      done;
+      { key = keys.(k);
+        src = body;
+        off = cuts.(k);
+        len = cuts.(k + 1) - cuts.(k);
+        records })
+
 let split ?(records_per_chunk = default_records_per_chunk) schema body =
   if records_per_chunk < 1 then invalid_arg "Chunk.split: records_per_chunk";
-  let recs = ref (Array.make (2 * min records_per_chunk 64) 0) in
-  let cuts = ref (Array.make 64 0) and dirs = ref [] in
-  let count = ref 0 and n = ref 0 and stop = ref 0 in
-  let cut () =
-    dirs := Array.sub !recs 0 (2 * !n) :: !dirs;
-    incr count;
-    if !count = Array.length !cuts then
-      cuts := Array.append !cuts (Array.make !count 0);
-    !cuts.(!count) <- !stop;
-    n := 0
-  in
-  Restore.iter_frames schema body (fun id off len ->
-      let i = 2 * !n in
-      if i = Array.length !recs then
-        recs := Array.append !recs (Array.make i 0);
-      Array.unsafe_set !recs i id;
-      Array.unsafe_set !recs (i + 1) (off - !cuts.(!count));
-      stop := off + len;
-      incr n;
-      if !n = records_per_chunk then cut ());
-  if !n > 0 then cut ();
-  let cuts = Array.sub !cuts 0 (!count + 1) in
-  let keys = Hash64.tiles body cuts in
-  let rec build k dirs acc =
-    match dirs with
-    | [] -> acc
-    | records :: dirs ->
-        build (k - 1) dirs
-          ({ key = keys.(k);
-             src = body;
-             off = cuts.(k);
-             len = cuts.(k + 1) - cuts.(k);
-             records }
-          :: acc)
-  in
-  build (!count - 1) !dirs []
+  let ids, offs, n = Restore.frames schema body in
+  of_frames ~records_per_chunk body ~ids ~offs ~n

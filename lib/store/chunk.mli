@@ -37,6 +37,11 @@ val of_string : string -> t
 (** The whole string as one chunk, keyed by its content, with no records:
     how a caller holding bare chunk bytes hands them to the pack. *)
 
+val equal_sub : string -> int -> string -> int -> int -> bool
+(** [equal_sub a aoff b boff len]: are [a.[aoff .. aoff+len-1]] and
+    [b.[boff .. boff+len-1]] the same bytes? [false] when either window is
+    not inside its string. Compared in place, eight bytes at a time. *)
+
 val max_salt_attempts : int
 (** 8 — the rehash ladder a 63-bit collision climbs before the store gives
     up (probability of needing even the second rung is negligible). *)
@@ -56,9 +61,20 @@ val key_matches : int -> t -> bool
 val split :
   ?records_per_chunk:int -> Ickpt_runtime.Schema.t -> string -> t list
 (** Split a segment body. The empty body yields [[]]; every other body
-    yields slices of it that tile it, in order. Chunks are cut in one walk
-    over the body's records ({!Ickpt_core.Restore.iter_frames}); no byte
-    of the body is copied.
+    yields slices of it that tile it, in order: the body is framed
+    ({!Ickpt_core.Restore.frames}), then cut ({!of_frames}); no byte of it
+    is copied.
     @raise Invalid_argument if [records_per_chunk < 1].
     @raise Ickpt_core.Restore.Error on an unknown class id in the body.
     @raise Ickpt_stream.In_stream.Corrupt on a truncated record. *)
+
+val of_frames :
+  ?records_per_chunk:int -> string -> ids:int array -> offs:int array ->
+  n:int -> t list
+(** [of_frames body ~ids ~offs ~n] cuts a body whose [n] records are
+    known: record [r < n] has id [ids.(r)] and starts at [offs.(r)]
+    (ascending, the first at 0), and ends where the next starts or the
+    body ends; cells from [n] on are ignored. The chunks are cut every
+    [records_per_chunk] records, without reading a record.
+    @raise Invalid_argument if [records_per_chunk < 1], or if either
+    array is shorter than [n]. *)

@@ -26,7 +26,7 @@ let fold_with pack ~entries ~epoch =
   (* A full epoch's delta is a complete directory by construction, so fold
      newest-wins from the nearest full at or before [epoch] — nothing older
      matters, and nothing older is decoded. *)
-  let live = Epochs.since_full entries ~epoch in
+  let live = Epoch_index.since_full entries ~epoch in
   (* A slot's source is its chunk's position in the concatenation of the
      folded entries' chunk lists. *)
   let keys =

@@ -3,7 +3,7 @@ open Ickpt_stream
 
 let magic = 0x584b4349 (* "ICKX" read as LE bytes; value is arbitrary *)
 
-let version = 3
+let version = 4
 
 exception Unsupported_version of string
 
@@ -18,6 +18,8 @@ type dir = slice
 type entry = {
   epoch : int;
   kind : Segment.kind;
+  folded : bool;
+  size : int;
   roots : int list;
   chunks : int list;
   at : int;
@@ -25,7 +27,10 @@ type entry = {
   dir : dir;
 }
 
-let kind_byte = function Segment.Full -> 0 | Segment.Incremental -> 1
+let kind_byte e =
+  match e.kind with
+  | Segment.Full -> if e.folded then 2 else 0
+  | Segment.Incremental -> 1
 
 let slice_of d count =
   let src = Out_stream.contents d in
@@ -110,13 +115,39 @@ let code_dir chunks =
     chunks;
   slice_of d records
 
+(* A folded directory: its run count, then per run the chunk's index,
+   a record count and the records, the offset restarting at 0 per run. *)
+let code_runs ~chunks ~counts ~ids ~offs =
+  let runs = Array.length chunks and n = Array.length ids in
+  let d =
+    Out_stream.create
+      ~initial_size:((2 * n) + (3 * runs) + (2 * Varint.max_size))
+      ()
+  in
+  Out_stream.write_int d runs;
+  let prev = ref 0 and r = ref 0 in
+  for run = 0 to runs - 1 do
+    Out_stream.write_int d chunks.(run);
+    Out_stream.write_int d counts.(run);
+    let o = ref 0 in
+    for _ = 1 to counts.(run) do
+      let i = ids.(!r) and off = offs.(!r) in
+      Out_stream.write_int d (i - !prev);
+      Out_stream.write_int d (off - !o);
+      prev := i;
+      o := off;
+      incr r
+    done
+  done;
+  slice_of d n
+
 let dir_records d = d.count
 
 let iter_dir e f =
   let { src; off; len; count } = e.dir in
   let inp = In_stream.of_string_at src ~pos:off in
   let id = ref 0 and left = ref count in
-  for c = 0 to List.length e.chunks - 1 do
+  let group c =
     let n = In_stream.read_int inp in
     if n < 0 || n > !left then malformed e "directory (record count)";
     left := !left - n;
@@ -126,9 +157,38 @@ let iter_dir e f =
       o := !o + In_stream.read_int inp;
       f !id c !o
     done
-  done;
+  in
+  let nchunks = List.length e.chunks in
+  if e.folded then begin
+    let runs = In_stream.read_int inp in
+    if runs < 0 || runs > len then malformed e "directory (run count)";
+    for _ = 1 to runs do
+      let c = In_stream.read_int inp in
+      if c < 0 || c >= nchunks then malformed e "directory (run chunk)";
+      group c
+    done
+  end
+  else
+    for c = 0 to nchunks - 1 do
+      group c
+    done;
   if !left <> 0 then malformed e "directory (fewer records than counted)";
   if In_stream.pos inp <> off + len then malformed e "directory (length)"
+
+(* ------------------------------------------------------------------ *)
+(* Chain rules over one chain's entries, oldest first.                 *)
+
+let newest entries = List.fold_left (fun _ e -> Some e.epoch) None entries
+
+let newest_full entries ~epoch =
+  List.fold_left
+    (fun acc e -> if e.kind = Segment.Full && e.epoch <= epoch then e.epoch else acc)
+    (match entries with e :: _ -> e.epoch | [] -> epoch)
+    entries
+
+let since_full entries ~epoch =
+  let base = newest_full entries ~epoch in
+  List.filter (fun e -> e.epoch >= base && e.epoch <= epoch) entries
 
 (* ------------------------------------------------------------------ *)
 (* Entries.                                                            *)
@@ -143,7 +203,8 @@ let write_slice d s =
    one — only the header differs (the mux adds a tenant id). *)
 let write_payload d e =
   Out_stream.write_int d e.epoch;
-  Out_stream.write_byte d (kind_byte e.kind);
+  Out_stream.write_byte d (kind_byte e);
+  Out_stream.write_int d e.size;
   Out_stream.write_int d (List.length e.roots);
   List.iter (Out_stream.write_int d) e.roots;
   Out_stream.write_int d (List.length e.chunks);
@@ -196,12 +257,12 @@ let read_slice inp ~width =
 
 let read_payload ~prev inp =
   let epoch = In_stream.read_int inp in
-  let kind =
-    match In_stream.read_byte inp with
-    | 0 -> Segment.Full
-    | 1 -> Segment.Incremental
-    | k -> corrupt "bad entry kind %d" k
-  in
+  let k = In_stream.read_byte inp in
+  if k > 2 then corrupt "bad entry kind %d" k;
+  let kind = if k = 1 then Segment.Incremental else Segment.Full
+  and folded = k = 2 in
+  let size = In_stream.read_int inp in
+  if size < 0 then corrupt "bad body size %d" size;
   let roots = read_roots inp (read_count inp ~width:1) ~prev 0 prev in
   let chunks = read_ints inp (read_count inp ~width:1) in
   let at = In_stream.read_int inp in
@@ -210,16 +271,16 @@ let read_payload ~prev inp =
      directory record two varints. *)
   let located = read_slice inp ~width:6 in
   let dir = read_slice inp ~width:2 in
-  { epoch; kind; roots; chunks; at; located; dir }
+  { epoch; kind; folded; size; roots; chunks; at; located; dir }
 
 let encode d e = Out_stream.framed d ~magic ~version (fun d -> write_payload d e)
 
 (* A frame's size with every varint at its widest: ten fixed bytes
-   (magic, version, kind, crc), the mux's tenant id, eight counts and
+   (magic, version, kind, crc), the mux's tenant id, nine counts and
    scalars, the roots and chunk keys, and the two slices' bytes. *)
 let encoded_bound e =
   10 + e.located.len + e.dir.len
-  + (Varint.max_size * (9 + List.length e.roots + List.length e.chunks))
+  + (Varint.max_size * (10 + List.length e.roots + List.length e.chunks))
 
 (* Without [prev], one reader serves every entry: no closure per entry. *)
 let read_entry = read_payload ~prev:[]

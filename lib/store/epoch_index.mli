@@ -18,18 +18,28 @@
       newest-wins from the nearest full epoch yields the per-object
       directory of any epoch.
 
+    A {e whole} entry's chunks tile its segment body, in order. A
+    {e folded} full ({!Epochs.commit}) names each chunk once, in order of
+    first reference, and its directory lists the body's records in body
+    order as runs, each naming the chunk it lies in by its index in
+    [chunks]: records unchanged since the chain's committed state stay
+    where they already lie, in chunks older entries located, and only the
+    rest are in chunks of its own. Either way the directory of a full is
+    complete, and [size] is the body's length.
+
     The located chunks and the directory are kept coded. Decoding an entry
     reads its header fields and keeps both as slices of the bytes it was
     read from; {!iter_located} and {!iter_dir} decode them, so a reopen
     decodes the locations (to build the pack's table) but never the
     records of epochs no restore folds.
 
-    Wire layout of one entry (format version 3):
+    Wire layout of one entry (format version 4):
     {v
     magic    fixed32  "ICKX"
-    version  byte     3
+    version  byte     4
     epoch    varint
-    kind     byte     0 = full, 1 = incremental (as Segment)
+    kind     byte     0 = full, 1 = incremental, 2 = folded full
+    size     varint   the segment body's length
     nroots   varint   then that many root-id varints
     nchunks  varint   then that many chunk-key varints
     at       varint   pack offset of the first chunk this entry locates
@@ -38,19 +48,23 @@
                         (index - previous index) varint (the previous
                         index starts at -1), length varint, CRC-32 fixed32
     records  varint   directory records
-    dirlen   varint   then dirlen bytes of directory:
-                        per chunk, in chunk order: a record count, then
-                        per record (id - previous id) and
-                        (offset - previous offset in this chunk)
+    dirlen   varint   then dirlen bytes of directory. Whole:
+                        per chunk, in chunk order, a record group.
+                        Folded: a run count, then per run in body
+                        order the chunk's index and a record group.
+                        A record group: a record count, then per
+                        record (id - previous id) and
+                        (offset - previous offset in this group)
     crc      fixed32  CRC-32 of everything above
     v}
     Every varint is zigzag ({!Ickpt_stream.Varint}); the previous id
-    starts at 0 once per entry, the previous offset at 0 once per chunk. A
+    starts at 0 once per entry, the previous offset at 0 once per group. A
     count claiming more items than bytes are left (a located chunk takes
     six bytes at least, a record two) is {!Ickpt_stream.In_stream.Corrupt}
     before anything is allocated for it. Versions 1 and 2 (chunks located
-    by self-describing pack frames) are not read: {!reject_older} names
-    them, and opening a store or service holding one is a typed error.
+    by self-describing pack frames) and 3 (no body size, no folded fulls)
+    are not read: {!reject_older} names them, and opening a store or
+    service holding one is a typed error.
 
     Appending an entry (write + sync) is the {e commit point} of an epoch:
     chunks are appended to the pack first, so a crash between the two
@@ -87,14 +101,27 @@ val code_dir : int array list -> dir
     chunk)] pairs, in chunk order (as {!Chunk.t}[.records]: record [r]'s
     id at [2r], its offset at [2r+1]), into a stream presized for them. *)
 
+val code_runs :
+  chunks:int array -> counts:int array -> ids:int array -> offs:int array ->
+  dir
+(** Code a folded directory from its runs in body order: run [k] is
+    [counts.(k)] records in the chunk whose index in the entry's [chunks]
+    is [chunks.(k)]. Record [r] (in body order, from 0) has id [ids.(r)]
+    and lies at offset [offs.(r)] in its chunk; the counts sum to the
+    records. *)
+
 val dir_records : dir -> int
 (** Records in the directory. *)
 
 type entry = {
   epoch : int;
   kind : Segment.kind;
+  folded : bool;  (** a folded full: [chunks] each once, [dir] as runs *)
+  size : int;  (** the segment body's length *)
   roots : int list;
-  chunks : int list;  (** chunk keys, in body order *)
+  chunks : int list;
+      (** chunk keys: in body order (whole), or each once in order of
+          first reference (folded) *)
   at : int;  (** pack offset of the first chunk this entry locates *)
   located : located;  (** the chunks it is the first to reference *)
   dir : dir;  (** directory delta, coded *)
@@ -122,11 +149,26 @@ val located_end : entry -> int
 
 val iter_dir : entry -> (int -> int -> int -> unit) -> unit
 (** [iter_dir e f] decodes [e]'s directory, calling [f id chunk off] per
-    record in write order: [chunk] indexes [e.chunks], [off] is the byte
+    record in body order: [chunk] indexes [e.chunks], [off] is the byte
     offset within that chunk.
     @raise Ickpt_stream.In_stream.Corrupt if the directory does not hold
-    exactly one record group per chunk and {!dir_records} records (after
-    calling [f] on whatever decoded before the fault). *)
+    exactly one record group per chunk (whole) or per run naming one of
+    [e.chunks] (folded), and {!dir_records} records (after calling [f] on
+    whatever decoded before the fault). *)
+
+(** {1 Chain rules} over one chain's entries, oldest first. *)
+
+val newest : entry list -> int option
+(** The newest epoch, if any. *)
+
+val newest_full : entry list -> epoch:int -> int
+(** The newest full epoch at or before [epoch] — the base a restore,
+    resume or GC starts from. The oldest entry's epoch when none is
+    full. *)
+
+val since_full : entry list -> epoch:int -> entry list
+(** The entries from {!newest_full} up to [epoch]; [~epoch:max_int] gives
+    the suffix a chain resumes from. *)
 
 val encode : Ickpt_stream.Out_stream.t -> entry -> unit
 (** Append the entry's frame to the stream. *)

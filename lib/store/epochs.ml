@@ -11,29 +11,324 @@ type collision = {
 (* ------------------------------------------------------------------ *)
 (* Staging.                                                            *)
 
+type body =
+  | Split of Chunk.t list
+  | Framed of {
+      body : string;
+      ids : int array;
+      offs : int array;
+      n : int;
+      records_per_chunk : int;
+    }
+
+(* A body holds about as many records as the chain's newest entry of its
+   kind: a full as many, an incremental up to a quarter more. *)
+let body schema ~records_per_chunk entries (seg : Segment.t) =
+  let newest =
+    List.fold_left
+      (fun n (e : Epoch_index.entry) ->
+        if e.kind = seg.kind then Epoch_index.dir_records e.dir else n)
+      0 entries
+  in
+  let hint =
+    match seg.kind with
+    | Segment.Full -> newest
+    | Segment.Incremental -> newest + (newest / 4)
+  in
+  let ids, offs, n = Restore.frames ~hint schema seg.body in
+  Framed { body = seg.body; ids; offs; n; records_per_chunk }
+
 type item = {
   chain : int;
   kind : Segment.kind;
   epoch : int;
   roots : int list;
-  chunks : Chunk.t list;
+  body : body;
 }
 
-(* Resolve a batch's chunks against the pack in one {!Pack.resolve}: a key
-   hit is only a duplicate if the bytes agree, and a genuine collision
-   degrades to a salted rehash instead of refusing the epoch. Returns, per
-   item, its chunk keys and its fresh chunks as [(chunk index, chunk)] —
-   the chunks it is the first to reference — and the collisions in batch
-   order. *)
-let stage pack items =
-  let resolved =
+(* ------------------------------------------------------------------ *)
+(* Folding a full.                                                     *)
+
+let min_live_percent = 50
+
+(* Where a record lies, as one int: a chunk number above [off_bits], the
+   offset within that chunk below. A folded full numbers chunks sources
+   first — the chunks of the chain's entries since its newest full, in
+   entry order — then its own new chunks. *)
+let off_bits = 31
+
+let off_mask = (1 lsl off_bits) - 1
+
+let place s off = if off < 0 || off > off_mask then -1 else (s lsl off_bits) lor off
+
+(* A folded full's records, in body order: each one's id and its offset
+   within the chunk it lies in; the sources' keys; and its runs, as each
+   one's chunk number and record count. *)
+type runs = {
+  ids : int array;
+  offs : int array;
+  sources : int array;
+  run_chunks : int array;
+  run_counts : int array;
+}
+
+(* What an item commits: its body's length, the chunks to resolve against
+   the pack, and for a folded full where its records lie (otherwise the
+   chunks tile the body). *)
+type plan = { size : int; fresh : Chunk.t list; runs : runs option }
+
+(* A full entry's records in body order: their ids, and their places in
+   the entry's own chunk numbering. *)
+type records = { full : Epoch_index.entry; ids : int array; at : int array }
+
+type kept = { mutable newest : records option }
+
+let kept () = { newest = None }
+
+let records_of (e : Epoch_index.entry) =
+  let nb = Epoch_index.dir_records e.dir in
+  let ids = Array.make nb 0 and at = Array.make nb 0 and b = ref 0 in
+  Epoch_index.iter_dir e (fun id c off ->
+      ids.(!b) <- id;
+      at.(!b) <- place c off;
+      incr b);
+  { full = e; ids; at }
+
+(* The chain's newest committed record of an id, as a place ([-1]: none),
+   given the entries since its newest full. That full's directory holds
+   every live id in body order ([kept] holds it when it is that full's,
+   and gives it up: its places are overwritten here), and an
+   incremental's records come in the same order, so both are
+   matched to it by position: a cursor walks ahead for an id, and the
+   full's ids are tabled the first time a walk runs off its end (an id it
+   lacks, or an order that differs). The incrementals' records, oldest
+   first, replace the full's places; the ids the full lacks are
+   tabled. [live] is marked at each chunk number some record lies in. *)
+let live_places kept ~live = function
+  | [] -> fun _ -> -1
+  | (base : Epoch_index.entry) :: newer_entries ->
+      let { ids; at; _ } =
+        match kept.newest with
+        | Some r when r.full == base ->
+            kept.newest <- None;
+            r
+        | _ -> records_of base
+      in
+      let nb = Array.length ids in
+      let by_id = ref None in
+      let table () =
+        match !by_id with
+        | Some t -> t
+        | None ->
+            let tbl = Idtbl.create nb and index = Array.make nb 0 in
+            Array.iteri
+              (fun i id ->
+                let fresh = Idtbl.length tbl in
+                if Idtbl.add tbl id = fresh then index.(fresh) <- i)
+              ids;
+            by_id := Some (tbl, index);
+            (tbl, index)
+      in
+      (* The index of [id] among the full's records, looked for from
+         [from] on until the table is built, or [-1]. *)
+      let index_of id ~from =
+        let rec scan k =
+          if k < nb then if ids.(k) = id then k else scan (k + 1)
+          else
+            let tbl, index = table () in
+            match Idtbl.find tbl id with -1 -> -1 | slot -> index.(slot)
+        in
+        match !by_id with
+        | None -> scan from
+        | Some (tbl, index) -> (
+            match Idtbl.find tbl id with -1 -> -1 | slot -> index.(slot))
+      in
+      let extra = Idtbl.create 64 and extra_at = ref (Array.make 64 0) in
+      ignore
+        (List.fold_left
+           (fun first (e : Epoch_index.entry) ->
+             let cursor = ref 0 in
+             Epoch_index.iter_dir e (fun id c off ->
+                 let p = place (first + c) off in
+                 match index_of id ~from:!cursor with
+                 | -1 ->
+                     let slot = Idtbl.add extra id in
+                     if slot = Array.length !extra_at then
+                       extra_at := Array.append !extra_at (Array.make slot 0);
+                     !extra_at.(slot) <- p
+                 | k ->
+                     at.(k) <- p;
+                     cursor := k + 1);
+             first + List.length e.chunks)
+           (List.length base.chunks) newer_entries
+          : int);
+      let mark p = if p >= 0 then Bytes.set live (p lsr off_bits) '\001' in
+      Array.iter mark at;
+      for j = 0 to Idtbl.length extra - 1 do
+        mark !extra_at.(j)
+      done;
+      let cursor = ref 0 in
+      fun id ->
+        let k = !cursor in
+        if k < nb && ids.(k) = id then begin
+          cursor := k + 1;
+          at.(k)
+        end
+        else
+          match index_of id ~from:k with
+          | -1 -> (
+              match Idtbl.find extra id with -1 -> -1 | j -> !extra_at.(j))
+          | k ->
+              cursor := k + 1;
+              at.(k)
+
+(* Fold a full against its chain's committed entries. Record [r < n] of
+   [body] has id [ids.(r)] and starts at [offs.(r)], the records tiling
+   the body. Each is compared byte for byte with the chain's newest
+   committed record of its id; an equal one stays where that one lies,
+   unless the records staying in its chunk would be less than
+   [min_live_percent] of the chunk's bytes. The rest are copied, in body
+   order, into new chunks. [None] when no record stays; otherwise [offs]
+   is reused for the records' offsets within their chunks. *)
+let fold_full ~records_per_chunk pack (entries, kept) ~body ~ids ~offs ~n =
+  let live_entries = Epoch_index.since_full entries ~epoch:max_int in
+  let sources =
     Array.of_list
-      (Pack.resolve pack (List.concat_map (fun it -> it.chunks) items))
+      (List.concat_map (fun (e : Epoch_index.entry) -> e.chunks) live_entries)
+  in
+  let nsrc = Array.length sources in
+  let lens = Array.map (Pack.chunk_len pack) sources in
+  let wanted = Bytes.make nsrc '\000' in
+  let find = live_places kept ~live:wanted live_entries in
+  (* Only the chunks some live record lies in are read. *)
+  let start = Array.make nsrc 0 and k = ref 0 in
+  Bytes.iteri
+    (fun s c ->
+      if c <> '\000' then begin
+        start.(!k) <- s;
+        incr k
+      end)
+    wanted;
+  let fetched = Array.sub start 0 !k in
+  let buf, at = Pack.fetch pack (Array.map (Array.get sources) fetched) in
+  Array.iteri (fun i s -> start.(s) <- at.(i)) fetched;
+  let stop r = if r + 1 < n then offs.(r + 1) else String.length body in
+  (* Per record, the place of the live record it equals ([-1]: none). *)
+  let places = Array.make n (-1) and live = Array.make nsrc 0 in
+  for r = 0 to n - 1 do
+    let p = find ids.(r) in
+    if p >= 0 then begin
+      let s = p lsr off_bits and o = p land off_mask in
+      let off = offs.(r) in
+      let len = stop r - off in
+      if o + len <= lens.(s) && Chunk.equal_sub buf (start.(s) + o) body off len
+      then begin
+        places.(r) <- p;
+        live.(s) <- live.(s) + len
+      end
+    end
+  done;
+  (* A source too little of which stays gives its records up. *)
+  Array.iteri
+    (fun s l -> if l * 100 < min_live_percent * lens.(s) then live.(s) <- 0)
+    live;
+  let kept = ref 0 in
+  for r = 0 to n - 1 do
+    let p = places.(r) in
+    if p >= 0 then
+      if live.(p lsr off_bits) = 0 then places.(r) <- -1 else incr kept
+  done;
+  if !kept = 0 then None
+  else begin
+    (* The moved records, back to back: the new chunks' body. The last
+       pass turns [offs] from where each record starts in the body into
+       where it starts in its chunk, and cuts the runs. *)
+    let moved = Array.fold_left ( - ) (String.length body) live in
+    let m = n - !kept in
+    let bytes = Bytes.create moved in
+    let new_ids = Array.make m 0 and new_offs = Array.make m 0 in
+    let run_chunks = ref (Array.make 64 0) and run_counts = ref (Array.make 64 0) in
+    let runs = ref 0 and q = ref 0 and at = ref 0 in
+    for r = 0 to n - 1 do
+      let len = stop r - offs.(r) in
+      let chunk =
+        if places.(r) >= 0 then begin
+          offs.(r) <- places.(r) land off_mask;
+          places.(r) lsr off_bits
+        end
+        else begin
+          let k = !q / records_per_chunk in
+          Bytes.blit_string body offs.(r) bytes !at len;
+          new_ids.(!q) <- ids.(r);
+          new_offs.(!q) <- !at;
+          offs.(r) <- !at - new_offs.(k * records_per_chunk);
+          at := !at + len;
+          incr q;
+          nsrc + k
+        end
+      in
+      if !runs = 0 || !run_chunks.(!runs - 1) <> chunk then begin
+        if !runs = Array.length !run_chunks then begin
+          run_chunks := Array.append !run_chunks (Array.make !runs 0);
+          run_counts := Array.append !run_counts (Array.make !runs 0)
+        end;
+        !run_chunks.(!runs) <- chunk;
+        incr runs
+      end;
+      !run_counts.(!runs - 1) <- !run_counts.(!runs - 1) + 1
+    done;
+    (* The runs keep the arrays: trimmed to the records they hold. *)
+    let trim a = if Array.length a = n then a else Array.sub a 0 n in
+    Some
+      { size = String.length body;
+        fresh =
+          Chunk.of_frames ~records_per_chunk (Bytes.unsafe_to_string bytes)
+            ~ids:new_ids ~offs:new_offs ~n:m;
+        runs =
+          Some
+            { ids = trim ids;
+              offs = trim offs;
+              sources;
+              run_chunks = Array.sub !run_chunks 0 !runs;
+              run_counts = Array.sub !run_counts 0 !runs } }
+  end
+
+let whole chunks =
+  { size = List.fold_left (fun n (c : Chunk.t) -> n + c.len) 0 chunks;
+    fresh = chunks;
+    runs = None }
+
+(* A framed full on a chain with committed entries is folded against
+   them; any other item, a full none of whose records stays, and one
+   whose fold meets a corrupt chunk or directory are committed whole. *)
+let plan committed pack (it : item) =
+  match it.body with
+  | Split chunks -> whole chunks
+  | Framed { body; ids; offs; n; records_per_chunk } -> (
+      let folded =
+        match (it.kind, committed it.chain) with
+        | Segment.Full, ((_ :: _, _) as chain) -> (
+            try fold_full ~records_per_chunk pack chain ~body ~ids ~offs ~n
+            with In_stream.Corrupt _ -> None)
+        | _ -> None
+      in
+      match folded with
+      | Some p -> p
+      | None -> whole (Chunk.of_frames ~records_per_chunk body ~ids ~offs ~n))
+
+(* Resolve a batch's new chunks against the pack in one {!Pack.resolve}: a
+   key hit is only a duplicate if the bytes agree, and a genuine collision
+   degrades to a salted rehash instead of refusing the epoch. Returns, per
+   plan, its new chunks' keys and the chunks it is the first to reference
+   as [(index, chunk)], and the collisions in batch order. *)
+let stage pack items plans =
+  let resolved =
+    Array.of_list (Pack.resolve pack (List.concat_map (fun p -> p.fresh) plans))
   in
   let next = ref 0 and collisions = ref [] in
   let staged =
-    List.map
-      (fun it ->
+    List.map2
+      (fun (it : item) p ->
         let fresh = ref [] in
         let keys =
           List.mapi
@@ -51,31 +346,15 @@ let stage pack items =
                         col_attempt = attempt }
                       :: !collisions;
                   key)
-            it.chunks
+            p.fresh
         in
-        (keys, List.rev !fresh))
-      items
+        (Array.of_list keys, List.rev !fresh))
+      items plans
   in
   (staged, List.rev !collisions)
 
 (* ------------------------------------------------------------------ *)
 (* Chain rules.                                                        *)
-
-let newest entries =
-  List.fold_left (fun _ (e : Epoch_index.entry) -> Some e.epoch) None entries
-
-let newest_full entries ~epoch =
-  List.fold_left
-    (fun acc (e : Epoch_index.entry) ->
-      if e.kind = Segment.Full && e.epoch <= epoch then e.epoch else acc)
-    (match entries with e :: _ -> e.Epoch_index.epoch | [] -> epoch)
-    entries
-
-let since_full entries ~epoch =
-  let base = newest_full entries ~epoch in
-  List.filter
-    (fun (e : Epoch_index.entry) -> e.epoch >= base && e.epoch <= epoch)
-    entries
 
 type 'a index = {
   decode : (int -> int list) -> string -> pos:int -> 'a * int;
@@ -278,8 +557,80 @@ type 'a committed = {
   index_bytes : int;
 }
 
-let commit idx vfs ~path pack items =
-  let staged, collisions = stage pack items in
+(* The entry of a staged item whose located chunks start at [at]. A
+   whole item's chunks are its split, in body order; a folded full's are
+   each chunk its runs name, once, in order of first reference, and its
+   fresh chunks are located in that order, which is the order they were
+   cut in. *)
+let entry_of (it : item) p (keys, fresh) ~at =
+  let crc (c : Chunk.t) = Crc32.sub c.src ~pos:c.off ~len:c.len in
+  let chunks, located, folded, dir, records =
+    match p.runs with
+    | None ->
+        ( Array.to_list keys,
+          List.map (fun (i, (c : Chunk.t)) -> (i, c.len, crc c)) fresh,
+          false,
+          Epoch_index.code_dir (List.map (fun (c : Chunk.t) -> c.records) p.fresh),
+          fun full ->
+            let n =
+              List.fold_left
+                (fun n (c : Chunk.t) -> n + (Array.length c.records / 2))
+                0 p.fresh
+            in
+            let ids = Array.make n 0 and at = Array.make n 0 and r = ref 0 in
+            List.iteri
+              (fun i (c : Chunk.t) ->
+                for j = 0 to (Array.length c.records / 2) - 1 do
+                  ids.(!r) <- c.records.(2 * j);
+                  at.(!r) <- place i c.records.((2 * j) + 1);
+                  incr r
+                done)
+              p.fresh;
+            { full; ids; at } )
+    | Some f ->
+        let nsrc = Array.length f.sources in
+        let ords = Idtbl.create (nsrc + Array.length keys) in
+        let chunks =
+          Array.map
+            (fun chunk ->
+              Idtbl.add ords
+                (if chunk < nsrc then f.sources.(chunk) else keys.(chunk - nsrc)))
+            f.run_chunks
+        in
+        ( List.init (Idtbl.length ords) (Idtbl.key ords),
+          List.map
+            (fun (i, (c : Chunk.t)) -> (Idtbl.find ords keys.(i), c.len, crc c))
+            fresh,
+          true,
+          Epoch_index.code_runs ~chunks ~counts:f.run_counts ~ids:f.ids
+            ~offs:f.offs,
+          fun full ->
+            let at = Array.make (Array.length f.ids) 0 and r = ref 0 in
+            Array.iteri
+              (fun k count ->
+                for _ = 1 to count do
+                  at.(!r) <- place chunks.(k) f.offs.(!r);
+                  incr r
+                done)
+              f.run_counts;
+            { full; ids = f.ids; at } )
+  in
+  let e =
+    { Epoch_index.epoch = it.epoch;
+      kind = it.kind;
+      folded;
+      size = p.size;
+      roots = it.roots;
+      chunks;
+      at;
+      located = Epoch_index.code_located located;
+      dir }
+  in
+  (e, fun () -> records e)
+
+let commit ~committed idx vfs ~path pack items =
+  let plans = List.map (plan committed pack) items in
+  let staged, collisions = stage pack items plans in
   let start =
     Pack.append pack
       (List.concat_map (fun (_, fresh) -> List.map snd fresh) staged)
@@ -288,29 +639,13 @@ let commit idx vfs ~path pack items =
      ended: the append wrote them back to back, in batch order. *)
   let stop, rev_entries =
     List.fold_left2
-      (fun (at, acc) (it : item) (chunks, fresh) ->
-        let located =
-          List.map
-            (fun (i, (c : Chunk.t)) ->
-              (i, c.len, Crc32.sub c.src ~pos:c.off ~len:c.len))
-            fresh
-        in
-        let e =
-          { Epoch_index.epoch = it.epoch;
-            kind = it.kind;
-            roots = it.roots;
-            chunks;
-            at;
-            located = Epoch_index.code_located located;
-            dir =
-              Epoch_index.code_dir
-                (List.map (fun (c : Chunk.t) -> c.records) it.chunks) }
-        in
-        ( List.fold_left (fun at (_, len, _) -> at + len) at located,
-          idx.make it.chain e :: acc ))
-      (start, []) items staged
+      (fun (at, acc) (it, p) st ->
+        let e, records = entry_of it p st ~at in
+        ( List.fold_left (fun at (_, (c : Chunk.t)) -> at + c.len) at (snd st),
+          (idx.make it.chain e, (it, records)) :: acc ))
+      (start, []) (List.combine items plans) staged
   in
-  let entries = List.rev rev_entries in
+  let entries, records = List.split (List.rev rev_entries) in
   let index_bytes = Epoch_index.encode_batch idx.encode ~entry:idx.entry entries in
   if index_bytes <> "" then begin
     let before = if vfs.Vfs.exists path then vfs.Vfs.size path else 0 in
@@ -328,6 +663,12 @@ let commit idx vfs ~path pack items =
   List.iter
     (fun x -> ignore (Pack.locate pack ~checked:true (idx.entry x) : int))
     entries;
+  (* A chain's next fold reads its newest full's records from here. *)
+  List.iter
+    (fun ((it : item), records) ->
+      if it.kind = Segment.Full then
+        (snd (committed it.chain)).newest <- Some (records ()))
+    records;
   { entries;
     collisions;
     fresh_chunks =
@@ -371,19 +712,33 @@ let relocate pack entries =
 (* ------------------------------------------------------------------ *)
 (* Reading entries back.                                               *)
 
-let segment pack (e : Epoch_index.entry) =
+(* A folded full's body is its records copied out in body order, each
+   as long as the schema frames it, within its chunk. *)
+let folded_body schema pack (e : Epoch_index.entry) =
+  let keys = Array.of_list e.chunks in
+  let buf, starts = Pack.fetch pack keys in
+  let body = Buffer.create e.size in
+  Epoch_index.iter_dir e (fun _ c off ->
+      let pos = starts.(c) + off in
+      let len =
+        Restore.frame_len schema buf ~pos
+          ~len:(max 0 (Pack.chunk_len pack keys.(c) - off))
+      in
+      Buffer.add_substring body buf pos len);
+  Buffer.contents body
+
+let segment schema pack (e : Epoch_index.entry) =
   { Segment.kind = e.kind;
     seq = e.epoch;
     roots = e.roots;
     body =
-      String.concat ""
-        (Array.to_list (Pack.read_many pack (Array.of_list e.chunks))) }
+      (if e.folded then folded_body schema pack e
+       else
+         String.concat ""
+           (Array.to_list (Pack.read_many pack (Array.of_list e.chunks)))) }
 
-let logical_bytes pack entries =
-  List.fold_left
-    (fun acc (e : Epoch_index.entry) ->
-      List.fold_left (fun acc k -> acc + Pack.chunk_len pack k) acc e.chunks)
-    0 entries
+let logical_bytes entries =
+  List.fold_left (fun acc (e : Epoch_index.entry) -> acc + e.size) 0 entries
 
 type progress = { next : int option; since_full_bytes : int; full_due : bool }
 
@@ -406,22 +761,22 @@ let note_commit ~file ~chain kind =
   if kind = Segment.Full then
     with_due (fun () -> Hashtbl.remove due (file, chain))
 
-let progress pack entries =
+let progress entries =
   let incrementals =
     List.filter
       (fun (e : Epoch_index.entry) -> e.kind = Segment.Incremental)
-      (since_full entries ~epoch:max_int)
+      (Epoch_index.since_full entries ~epoch:max_int)
   in
-  { next = Option.map succ (newest entries);
-    since_full_bytes = logical_bytes pack incrementals;
+  { next = Option.map succ (Epoch_index.newest entries);
+    since_full_bytes = logical_bytes incrementals;
     full_due = false }
 
-let failed pack entries = { (progress pack entries) with full_due = true }
+let failed entries = { (progress entries) with full_due = true }
 
-let resume ~file ~chain pack entries =
+let resume ~file ~chain entries =
   if with_due (fun () -> Hashtbl.mem due (file, chain)) then
-    failed pack entries
-  else progress pack entries
+    failed entries
+  else progress entries
 
 let advance p (seg : Segment.t) =
   match seg.kind with

@@ -14,19 +14,10 @@ type collision = {
   col_attempt : int;  (** which rung of the salt ladder (>= 1) *)
 }
 
-(** {1 Chain rules} *)
+(** {1 Chain rules}
 
-val newest : Epoch_index.entry list -> int option
-(** The newest epoch of one chain's entries (oldest first), if any. *)
-
-val newest_full : Epoch_index.entry list -> epoch:int -> int
-(** The newest full epoch at or before [epoch] in one chain's entries
-    (oldest first) — the base a restore, resume or GC starts from. The
-    oldest entry's epoch when none is full. *)
-
-val since_full : Epoch_index.entry list -> epoch:int -> Epoch_index.entry list
-(** The entries from {!newest_full} up to [epoch]; [~epoch:max_int] gives
-    the suffix a chain resumes from. *)
+    The base a restore, resume or gc starts from is
+    {!Epoch_index.newest_full}/{!Epoch_index.since_full}. *)
 
 (** How a kind of index file holds entries: its codec, the chain each
     item belongs to, and how an entry of a chain becomes an item. [decode
@@ -49,13 +40,40 @@ val mux : Epoch_index.mux_entry index
 
 (** {1 Committing} *)
 
+(** A segment body to commit. *)
+type body =
+  | Split of Chunk.t list
+      (** cut already: committed whole, as these chunks, under their keys *)
+  | Framed of {
+      body : string;
+      ids : int array;
+      offs : int array;
+      n : int;
+      records_per_chunk : int;
+    }
+      (** whole, with its [n] records' ids and offsets in the first [n]
+          cells of [ids] and [offs] ({!Ickpt_core.Restore.frames}):
+          {!commit} folds it, or cuts it every [records_per_chunk] records
+          ({!Chunk.of_frames}) *)
+
+val body :
+  Ickpt_runtime.Schema.t -> records_per_chunk:int -> Epoch_index.entry list ->
+  Segment.t -> body
+(** [body schema ~records_per_chunk entries seg]: the segment's body as
+    {!commit} takes it, its framing walked once ([Framed]). Its arrays are
+    sized by the record count of the newest entry of the segment's kind
+    among the chain's committed [entries]: a full's by that count, an
+    incremental's by a quarter more.
+    @raise Ickpt_core.Restore.Error on an unknown class id.
+    @raise Ickpt_stream.In_stream.Corrupt on a truncated record. *)
+
 (** One epoch to commit. *)
 type item = {
   chain : int;  (** the chain it extends: a tenant id; ignored by {!plain} *)
   kind : Segment.kind;
   epoch : int;
   roots : int list;
-  chunks : Chunk.t list;  (** the segment body, split *)
+  body : body;
 }
 
 (** What a committed batch wrote. *)
@@ -67,28 +85,64 @@ type 'a committed = {
   index_bytes : int;  (** of them, index bytes *)
 }
 
+val min_live_percent : int
+(** 50 — a folded full leaves a record in an older chunk only if the
+    records it leaves there are at least this percentage of the chunk's
+    bytes; otherwise they are copied into its new chunks with the changed
+    ones. *)
+
+type kept
+(** What a chain keeps between {!commit}s for its next fold: its newest
+    full's records in body order, so that a fold does not decode that
+    full's directory again. Each store keeps one, a service one per
+    tenant. *)
+
+val kept : unit -> kept
+(** Nothing kept yet. *)
+
 val commit :
+  committed:(int -> Epoch_index.entry list * kept) ->
   'a index -> Vfs.t -> path:string -> Pack.t -> item list -> 'a committed
-(** Commit a batch of epochs to the index file at [path]: resolve every
-    chunk against the pack ({!Pack.resolve}: each key hit byte-verified,
-    collisions climbing the salt ladder, and one pending table so the
-    batch dedups across its own items), append the fresh chunks in one
-    {!Pack.append} (write + sync), then write the batch's entries to the
-    index in one write + one sync — the commit point of every epoch in
-    it. Each entry locates the fresh chunks it is the first to reference,
-    from where the previous entry's ended (the first from the pack file's
-    length before the append), and carries its directory coded straight
-    from the chunks' records. Only once the index write has returned are
-    the entries {!Pack.locate}d, so a failed commit leaves the pack's
-    table as it was and a later batch appends those chunks afresh. If the
-    index write or its sync raises, the index is truncated back to its
-    length before the write, so no torn bytes stay in front of the next
-    batch's entries, and the exception is re-raised: none of the batch's
-    epochs is committed. A
+(** Commit a batch of epochs to the index file at [path].
+
+    [committed chain] is the chain's committed entries, oldest first, and
+    what it keeps. A [Framed] full item whose chain has committed entries
+    is {e folded}: each of its body's records is compared byte for byte
+    with the chain's newest committed record of the same id, found in the
+    directories since the chain's newest full, and the chunks some of
+    those records lie in are read with one {!Pack.fetch}. A record equal
+    to it stays where it lies. Only committed state is read, never an
+    item of the same batch. The other records, and every record left in
+    an older chunk of which this full would reference less than
+    {!min_live_percent} percent of the bytes, are copied in body order
+    into new chunks, cut every [records_per_chunk] records. The entry is
+    a full with a complete directory ({!Epoch_index.entry}[.folded]), and
+    its body is neither split nor hashed. A full none of whose records
+    stays, one whose fold meets a corrupt chunk or directory, and every
+    other item are committed whole, a [Framed] one cut first
+    ({!Chunk.of_frames}). Once committed, a full's records are kept for
+    its chain's next fold; a kept full that is no longer the chain's
+    newest full (a gc rewrote its entry) is decoded afresh.
+
+    Then: resolve every new chunk against the pack ({!Pack.resolve}: each
+    key hit byte-verified, collisions climbing the salt ladder, and one
+    pending table so the batch dedups across its own items), append the
+    fresh chunks in one {!Pack.append} (write + sync), then write the
+    batch's entries to the index in one write + one sync — the commit
+    point of every epoch in it. Each entry locates the fresh chunks it is
+    the first to reference, from where the previous entry's ended (the
+    first from the pack file's length before the append), and carries its
+    directory coded straight from the chunks' records (a folded full's
+    from its runs). Only once the index write has returned are the entries
+    {!Pack.locate}d, so a failed commit leaves the pack's table as it was
+    and a later batch appends those chunks afresh. If the index write or
+    its sync raises, the index is truncated back to its length before the
+    write, so no torn bytes stay in front of the next batch's entries, and
+    the exception is re-raised: none of the batch's epochs is committed. A
     crash before the index sync leaves pack bytes past the committed
     length and a torn index tail, which {!recover} cuts. The result,
-    collisions included, exists only once the index is synced, so a
-    failed commit reports none. Continuity is not checked here
+    collisions included, exists only once the index is synced, so a failed
+    commit reports none. Continuity is not checked here
     ({!Ickpt_core.Chain.continuity}). The empty batch performs no I/O. *)
 
 (** {1 Reopening}
@@ -145,12 +199,15 @@ val relocate :
 
 (** {1 Reading entries back} *)
 
-val segment : Pack.t -> Epoch_index.entry -> Segment.t
-(** The exact segment an entry committed: its chunks concatenate to the
-    original body. *)
+val segment : Ickpt_runtime.Schema.t -> Pack.t -> Epoch_index.entry -> Segment.t
+(** The exact segment an entry committed: a whole entry's chunks
+    concatenate to the original body; a folded full's records, framed by
+    the schema, are read where its directory places them, in body order.
+    @raise Ickpt_stream.In_stream.Corrupt if a chunk fails its CRC or a
+    folded record runs past its chunk. *)
 
-val logical_bytes : Pack.t -> Epoch_index.entry list -> int
-(** Chunk bytes referenced by the entries, dedup not applied. *)
+val logical_bytes : Epoch_index.entry list -> int
+(** The entries' segment body bytes, summed. *)
 
 (** {1 Taking checkpoints} *)
 
@@ -163,12 +220,11 @@ type progress = {
 }
 (** What {!Ickpt_core.Policy.decide} reads of a chain. *)
 
-val progress : Pack.t -> Epoch_index.entry list -> progress
+val progress : Epoch_index.entry list -> progress
 (** One chain's progress, derived from its committed entries (oldest
-    first) without reading a chunk: chunk lengths come from the pack's
-    table. [full_due] is [false]. *)
+    first) without reading a chunk. [full_due] is [false]. *)
 
-val failed : Pack.t -> Epoch_index.entry list -> progress
+val failed : Epoch_index.entry list -> progress
 (** The progress of a chain whose taken epochs past its committed entries
     were lost to a failed commit: numbered on from the committed entries,
     with [full_due] set. *)
@@ -187,7 +243,7 @@ val note_commit : file:string -> chain:int -> Segment.kind -> unit
 (** An epoch of that kind committed on the chain: a full one clears what
     {!mark_due} set. *)
 
-val resume : file:string -> chain:int -> Pack.t -> Epoch_index.entry list -> progress
+val resume : file:string -> chain:int -> Epoch_index.entry list -> progress
 (** The progress a reopened chain resumes with: {!failed} if a full is
     due for it in this process ({!mark_due}), else {!progress}. *)
 

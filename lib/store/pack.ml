@@ -114,12 +114,12 @@ let physical_bytes t = t.size
 let cut_bytes t = t.cut
 
 (* ------------------------------------------------------------------ *)
-(* Reads: positional, one per run of nearby chunks.                    *)
+(* Reads: positional, one call per fetch, a window per run.            *)
 
 let read_buffer_size = 65536
 
-(* Chunks whose gap is at most this many bytes share one read: reading
-   the gap costs less than a second call. *)
+(* Chunks whose gap is at most this many bytes share one window: reading
+   the gap costs less than a second read. *)
 let coalesce_gap = 4096
 
 (* Check slot [s]'s CRC, unless it has held before, where its body lies in
@@ -154,7 +154,7 @@ let run_end t slots order i =
   (!j, !last)
 
 (* Fetch the chunks under [keys] into the pack's one buffer: in file
-   order, one read per run of chunks (see [run_end]), the runs back to
+   order, one read call for every run of chunks (see [run_end]), back to
    back, the buffer grown first to hold them all. Each chunk not yet
    checked is CRC-checked in place, in file order, before any is returned.
    Returns the buffer and, per key, where that chunk's body starts in it.
@@ -164,9 +164,14 @@ let fetch t keys =
   let slots = Array.map (slot_exn t) keys in
   let n = Array.length slots in
   (* Sort the indices by body offset. Each key packs (offset, index) into
-     one int: offsets lie inside the file, and n is an array length. *)
+     one int: offsets lie inside the file, and n is an array length. Keys
+     named in file order, as a chain's are, are sorted already. *)
   let order = Array.init n (fun i -> (t.offs.(slots.(i)) * n) + i) in
-  Array.sort Int.compare order;
+  let sorted = ref true in
+  for i = 1 to n - 1 do
+    if order.(i - 1) > order.(i) then sorted := false
+  done;
+  if not !sorted then Array.sort Int.compare order;
   let order = Array.map (fun v -> v mod n) order in
   let total = ref 0 and i = ref 0 in
   while !i < n do
@@ -180,19 +185,21 @@ let fetch t keys =
         (max !total (max read_buffer_size (2 * Bytes.length t.buf)));
   let buf = Bytes.unsafe_to_string t.buf in
   let starts = Array.make n 0 in
-  let at = ref 0 in
+  let at = ref 0 and runs = ref [] in
   i := 0;
   while !i < n do
     let j, last = run_end t slots order !i in
     let base = t.offs.(slots.(order.(!i))) in
-    (try t.vfs.Vfs.read_into t.file ~pos:base t.buf ~off:!at ~len:(last - base)
-     with Vfs.Out_of_range msg -> raise (In_stream.Corrupt msg));
+    runs := (base, !at, last - base) :: !runs;
     for k = !i to j - 1 do
       starts.(order.(k)) <- !at + t.offs.(slots.(order.(k))) - base
     done;
     at := !at + last - base;
     i := j
   done;
+  (if !runs <> [] then
+     try t.vfs.Vfs.read_into t.file t.buf (List.rev !runs)
+     with Vfs.Out_of_range msg -> raise (In_stream.Corrupt msg));
   Array.iter (fun k -> check_in t slots.(k) buf ~at:starts.(k)) order;
   (buf, starts)
 
@@ -229,29 +236,9 @@ type resolution =
   | Dup of int
   | Fresh of { key : int; attempt : int }
 
-external get64u : string -> int -> int64 = "%caml_string_get64u"
-
-(* Does [run.[off .. off+len-1]] hold exactly [c]'s bytes? Compared in
-   place, eight bytes at a time, unchecked once both windows are known to
-   lie inside their strings. *)
+(* Does [run.[off .. off+len-1]] hold exactly [c]'s bytes? *)
 let equal_at run off len (c : Chunk.t) =
-  len = c.len
-  && off >= 0
-  && off <= String.length run - len
-  && c.off >= 0
-  && c.off <= String.length c.src - len
-  &&
-  let src = c.src and coff = c.off in
-  let i = ref 0 in
-  while !i + 8 <= len && get64u run (off + !i) = get64u src (coff + !i) do
-    i := !i + 8
-  done;
-  while
-    !i < len && String.unsafe_get run (off + !i) = String.unsafe_get src (coff + !i)
-  do
-    incr i
-  done;
-  !i = len
+  len = c.len && Chunk.equal_sub run off c.src c.off len
 
 (* Is the stored chunk under [key] byte-identical to [c]? *)
 let equal_stored t key c =

@@ -13,7 +13,7 @@
     one a reopen builds, and no entry can dedup against a chunk no
     committed entry locates. Opening reads no pack byte. Chunk bytes are
     read back positionally ([Ickpt_core.Vfs.read_into]) into the pack's
-    one fetch buffer: {!fetch} reads each run of nearby chunks with one
+    one fetch buffer: {!fetch} reads every run of nearby chunks with one
     call, the runs back to back, and hands out each chunk as a slice of
     the buffer. The pack keeps the buffer and grows it to the largest
     fetch (at least {!read_buffer_size} bytes).
@@ -33,8 +33,8 @@
 type t
 
 val read_buffer_size : int
-(** The longest run one read call fetches (a longer chunk is a run of its
-    own), and the fetch buffer's least size. *)
+(** The longest run of chunks read as one window (a longer chunk is a run
+    of its own), and the fetch buffer's least size. *)
 
 val open_ : ?vfs:Ickpt_core.Vfs.t -> string -> t
 (** The pack at the given path (a missing file is an empty pack, created
@@ -73,8 +73,9 @@ val fetch : t -> int array -> string * int array
     buffer and returns it with, aligned with the keys, where each body
     starts in it: key [i]'s body is the slice of length
     [chunk_len t keys.(i)] at [starts.(i)]. The chunks are read in file
-    order, one read per run of chunks whose gaps are at most 4 KiB and
-    that fit {!read_buffer_size} together, the runs back to back (a key
+    order, in one read call ([Ickpt_core.Vfs.read_into]) of runs of chunks
+    whose gaps are at most 4 KiB and that fit {!read_buffer_size}
+    together, the runs back to back (a key
     named twice is read once when its copies share a run); each chunk not
     yet CRC-checked is checked there, in place, before this returns. No
     chunk is copied. The buffer is the pack's and the next read of the

@@ -31,6 +31,7 @@ type t = {
       (* a gc committed (its index is live) but its pack is not yet in
          place and in the table *)
   out : Ickpt_stream.Out_stream.t;  (* the stream every take writes into *)
+  kept : Epochs.kept;  (* what the chain's next fold reads *)
 }
 
 let path t = t.root
@@ -73,11 +74,12 @@ let open_ ?(vfs = Vfs.real) ?(records_per_chunk = Chunk.default_records_per_chun
     policy;
     pack;
     entries;
-    progress = Epochs.resume ~file:index_file ~chain:0 pack entries;
+    progress = Epochs.resume ~file:index_file ~chain:0 entries;
     index_bytes;
     collided = [];
     gc_unfinished = false;
-    out = Ickpt_stream.Out_stream.create () }
+    out = Ickpt_stream.Out_stream.create ();
+    kept = Epochs.kept () }
 
 (* The second half of a committed gc, as [open_] finishes it: the staged
    pack is renamed into place, then the table is rebuilt from the new
@@ -100,7 +102,7 @@ let pack t =
 
 let epochs t = List.map (fun (e : Epoch_index.entry) -> e.epoch) t.entries
 
-let latest_epoch t = Epochs.newest t.entries
+let latest_epoch t = Epoch_index.newest t.entries
 
 let entry_at t epoch =
   match
@@ -136,18 +138,22 @@ let append_segment t (seg : Segment.t) =
   if t.progress.full_due && seg.kind = Segment.Incremental then
     error "incremental segment %d after a failed commit (a full is due)"
       seg.seq;
-  let chunks =
-    Chunk.split ~records_per_chunk:t.records_per_chunk t.schema seg.body
+  (* The body is walked before anything is written: a malformed one is
+     refused here. *)
+  let body =
+    Epochs.body t.schema ~records_per_chunk:t.records_per_chunk t.entries seg
   in
   let index_file = index_path t.root in
   let c =
     try
-      Epochs.commit Epochs.plain t.vfs ~path:index_file (pack t)
+      Epochs.commit
+        ~committed:(fun _ -> (t.entries, t.kept))
+        Epochs.plain t.vfs ~path:index_file (pack t)
         [ { Epochs.chain = 0;
             kind = seg.kind;
             epoch = seg.seq;
             roots = seg.roots;
-            chunks } ]
+            body } ]
     with e ->
       (* The segment is lost, and with it the modified flags its taking
          cleared: only a full epoch can follow. *)
@@ -161,7 +167,10 @@ let append_segment t (seg : Segment.t) =
   t.progress <- Epochs.advance t.progress seg;
   t.index_bytes <- t.index_bytes + c.index_bytes;
   t.collided <- List.rev_append c.collisions t.collided;
-  { chunks_total = List.length chunks;
+  { chunks_total =
+      List.fold_left
+        (fun n (e : Epoch_index.entry) -> n + List.length e.chunks)
+        0 c.entries;
     chunks_new = c.fresh_chunks;
     chunks_salted = List.length c.collisions;
     bytes_logical = String.length seg.body;
@@ -184,7 +193,7 @@ let checkpoint_with t roots ~body =
 (* ------------------------------------------------------------------ *)
 (* Reading.                                                            *)
 
-let segment_of_epoch t epoch = Epochs.segment (pack t) (entry_at t epoch)
+let segment_of_epoch t epoch = Epochs.segment t.schema (pack t) (entry_at t epoch)
 
 let restore t ~epoch =
   ignore (entry_at t epoch : Epoch_index.entry);
@@ -263,7 +272,7 @@ let gc t ~retain =
       in
       (* Widen down to the nearest full epoch so every retained epoch keeps
          a restorable base. *)
-      let base = Epochs.newest_full t.entries ~epoch:floor in
+      let base = Epoch_index.newest_full t.entries ~epoch:floor in
       let kept =
         List.filter (fun (e : Epoch_index.entry) -> e.epoch >= base) t.entries
       in
@@ -323,7 +332,7 @@ type stats = {
 
 let stats t =
   let pack = pack t in
-  let logical_bytes = Epochs.logical_bytes pack t.entries in
+  let logical_bytes = Epochs.logical_bytes t.entries in
   let pack_bytes = Pack.physical_bytes pack in
   { n_epochs = List.length t.entries;
     n_chunks = Pack.length pack;

@@ -7,7 +7,10 @@
     A store at [path] owns two files, [path ^ ".pack"] and [path ^ ".idx"].
     Appending a segment (an {e epoch}) splits its body into record-aligned
     chunks ({!Chunk}), writes only the chunks not already stored, then
-    commits the epoch by appending its index entry:
+    commits the epoch by appending its index entry. A full after the first
+    is {e folded} instead ({!Epochs.commit}): its records equal to the
+    chain's committed ones stay in the chunks that hold them, and only the
+    rest go into new chunks. Either way:
 
     + pack: append new chunks, sync;
     + index: append the entry, sync  —  the {e commit point}.
@@ -110,7 +113,9 @@ val checkpoint_with :
 (** {1 Appending} *)
 
 type append_stats = {
-  chunks_total : int;  (** chunks the segment split into *)
+  chunks_total : int;
+      (** chunks the epoch's entry names: the segment's split, or a folded
+          full's chunks, each once *)
   chunks_new : int;  (** how many were not already stored *)
   chunks_salted : int;  (** of the new ones, how many hit a hash collision
                             and were stored under a salted rehash *)
@@ -126,7 +131,9 @@ val append_segment : t -> Segment.t -> append_stats
     does not fail the append: the chunk is stored under a salted rehash
     and the event recorded ({!collisions}).
     @raise Error on kind/sequence violations, and on an incremental after
-    a failed commit, until a full one commits (see {!checkpoint}). *)
+    a failed commit, until a full one commits (see {!checkpoint}).
+    @raise Ickpt_core.Restore.Error or [Ickpt_stream.In_stream.Corrupt] on
+    a malformed body, before anything is written. *)
 
 type collision = Epochs.collision = {
   col_epoch : int;
@@ -159,8 +166,10 @@ val entry_at : t -> int -> Epoch_index.entry
     directory delta). @raise Error on an unknown epoch. *)
 
 val segment_of_epoch : t -> int -> Segment.t
-(** Reassemble the exact segment committed at [epoch] (chunks concatenate
-    to the original body). @raise Error on an unknown epoch. *)
+(** Reassemble the exact segment committed at [epoch]: a whole entry's
+    chunks concatenate to the original body, and a folded full's records
+    are copied out where its directory places them, framed by the store's
+    schema ({!Epochs.segment}). @raise Error on an unknown epoch. *)
 
 val restore : t -> epoch:int -> Heap.t * Model.obj list
 (** Materialize the heap as of [epoch] in O(live records at that epoch):

@@ -134,9 +134,24 @@ let fold_intact decode data f acc =
   in
   go acc 0
 
+(* The list is built in file order as the frames decode, not reversed
+   afterwards: one cell per item, in constant stack. *)
 let intact_prefix decode data =
-  let rev, pos = fold_intact decode data (fun acc x -> x :: acc) [] in
-  (List.rev rev, pos)
+  let len = String.length data and stop = ref 0 in
+  let[@tail_mod_cons] rec go pos =
+    if pos >= len then begin
+      stop := pos;
+      []
+    end
+    else
+      match decode data ~pos with
+      | x, next -> x :: go next
+      | exception (Corrupt _ | Invalid_argument _) ->
+          stop := pos;
+          []
+  in
+  let items = go 0 in
+  (items, !stop)
 
 let framed ~magic ~version ~what read s ~pos =
   let inp = of_string_at s ~pos in

@@ -100,7 +100,7 @@ let sim_read_at () =
     done
   done;
   let buf = Bytes.make 8 '.' in
-  vfs.Vfs.read_into "f" ~pos:12 buf ~off:3 ~len:4;
+  vfs.Vfs.read_into "f" buf [ (12, 3, 4) ];
   Alcotest.(check string) "read_into fills the window only" "...cdef."
     (Bytes.to_string buf);
   List.iter
@@ -228,10 +228,10 @@ let check_tally (r : Sweep.report) ~points ~runs =
    one op at each crash point instead, once, and every epoch reported
    durable must survive and restore as taken. *)
 let sweep_default_tallies () =
-  check_tally (Sweep.run (Store_sim.workload ())) ~points:111 ~runs:333;
-  check_tally (Sweep.run (Service_sim.workload ())) ~points:72 ~runs:216;
-  check_tally (Sweep.run_errors (Store_sim.workload ())) ~points:111 ~runs:111;
-  check_tally (Sweep.run_errors (Service_sim.workload ())) ~points:72 ~runs:72
+  check_tally (Sweep.run (Store_sim.workload ())) ~points:112 ~runs:336;
+  check_tally (Sweep.run (Service_sim.workload ())) ~points:80 ~runs:240;
+  check_tally (Sweep.run_errors (Store_sim.workload ())) ~points:112 ~runs:112;
+  check_tally (Sweep.run_errors (Service_sim.workload ())) ~points:80 ~runs:80
 
 (* The store workload's gc drops epochs 0-2, so it renames the staged
    index, then the staged pack. An I/O error that lets the index rename

@@ -111,6 +111,8 @@ let shard_mapping () =
 let sample_entry i =
   { Epoch_index.epoch = i;
     kind = (if i = 0 then Segment.Full else Segment.Incremental);
+    folded = false;
+    size = 20;
     roots = [ 0; i ];
     chunks = [ 111 + i; 222 + i ];
     at = 100 * i;
@@ -127,7 +129,9 @@ let mux_roundtrip () =
   Vfs.write_synced vfs Append path (fun write ->
       write (String.concat "" (List.map encode_mux_entry ms)));
   let empty =
-    Epochs.commit Epochs.mux vfs ~path:"empty.idx"
+    Epochs.commit
+      ~committed:(fun _ -> ([], Epochs.kept ()))
+      Epochs.mux vfs ~path:"empty.idx"
       (Pack.open_ ~vfs "mux.pack") []
   in
   check_int "the empty batch writes nothing" 0 empty.Epochs.bytes_written;
@@ -389,12 +393,14 @@ let policy_rejected () =
    are not its content. *)
 let seed_poison ?(chain = 0) index vfs ~pack ~idx key =
   ignore
-    (Epochs.commit index vfs ~path:idx (Pack.open_ ~vfs pack)
+    (Epochs.commit
+       ~committed:(fun _ -> ([], Epochs.kept ()))
+       index vfs ~path:idx (Pack.open_ ~vfs pack)
        [ { Epochs.chain;
            kind = Segment.Full;
            epoch = 0;
            roots = [];
-           chunks = [ { (Chunk.of_string "poison") with key } ] } ]
+           body = Split [ { (Chunk.of_string "poison") with key } ] } ]
       : _ Epochs.committed)
 
 let poisoner = Service.tenant_id "poisoner"
@@ -479,9 +485,9 @@ let counting_vfs inner ~suffix =
           count p (String.length d);
           d);
       read_into =
-        (fun p ~pos buf ~off ~len ->
-          count p len;
-          inner.Vfs.read_into p ~pos buf ~off ~len) },
+        (fun p buf runs ->
+          List.iter (fun (_, _, len) -> count p len) runs;
+          inner.Vfs.read_into p buf runs) },
     read )
 
 (* An ordinary write error (disk full, EIO): the op fails, the machine
@@ -794,7 +800,7 @@ let sweep_smoke () =
   let r = Sweep.run ~density:1 (Service_sim.workload ~rounds:4 ()) in
   if not (Sweep.ok r) then Alcotest.failf "%a" Sweep.pp_report r;
   Alcotest.(check (pair int int))
-    "exact points, runs" (63, 189) (r.Sweep.r_points, r.Sweep.r_runs)
+    "exact points, runs" (70, 210) (r.Sweep.r_points, r.Sweep.r_runs)
 
 (* ------------------------------------------------------------------ *)
 (* A CRC-valid meta file with hostile values is a typed error, not a
@@ -1560,7 +1566,9 @@ let suites =
           (service_index_version_rejected ~version:1);
         QCheck_alcotest.to_alcotest fuzz_service;
         Alcotest.test_case "index version 2 rejected" `Quick
-          (service_index_version_rejected ~version:2) ] );
+          (service_index_version_rejected ~version:2);
+        Alcotest.test_case "index version 3 rejected" `Quick
+          (service_index_version_rejected ~version:3) ] );
     ( "service.core",
       [ Alcotest.test_case "basics + dedup + resume" `Quick service_basics;
         Alcotest.test_case "group commit fsyncs" `Quick group_commit_fsyncs;

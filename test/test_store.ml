@@ -67,14 +67,17 @@ let entry_view (e : Epoch_index.entry) =
 (* Commit [(key, data)] chunks as one full entry of the bare index [idx]
    next to the pack: the way a chunk enters a pack's table. *)
 let commit_chunks ?(idx = "p.idx") vfs pack ~epoch chunks =
-  Epochs.commit Epochs.plain vfs ~path:idx pack
+  Epochs.commit
+    ~committed:(fun _ -> ([], Epochs.kept ()))
+    Epochs.plain vfs ~path:idx pack
     [ { Epochs.chain = 0;
         kind = Segment.Full;
         epoch;
         roots = [];
-        chunks =
-          List.map (fun (key, data) -> { (Chunk.of_string data) with key }) chunks
-      } ]
+        body =
+          Split
+            (List.map (fun (key, data) -> { (Chunk.of_string data) with key })
+               chunks) } ]
 
 (* Reopen the pack [file] from the index [idx], as a store does. *)
 let reopen_pack ?(idx = "p.idx") vfs file =
@@ -303,6 +306,29 @@ let chunk_split_oracle () =
             (split_agrees ~records_per_chunk schema body))
         [ 1; 3; 16; 100_000 ])
     [ ("full", full); ("incremental", incremental) ];
+  (* Framed with its arrays sized by a hint below, at or above its record
+     count, a body cuts into the same chunks: the cells past the count
+     are ignored. *)
+  List.iter
+    (fun (what, body) ->
+      let _, _, count = Restore.frames schema body in
+      List.iter
+        (fun hint ->
+          let ids, offs, n = Restore.frames ~hint schema body in
+          check_bool
+            (Printf.sprintf "%s body framed with hint %d" what hint)
+            true
+            (n = count
+            && split_outcome (fun () ->
+                   split_view body (Chunk.of_frames body ~ids ~offs ~n))
+               = split_outcome (fun () ->
+                     reference_split ~records_per_chunk:16 schema body)))
+        [ 0; count / 2; count; count + (count / 4) ])
+    [ ("full", full); ("incremental", incremental) ];
+  check_bool "a count past the arrays is refused" true
+    (match Chunk.of_frames full ~ids:[| 0 |] ~offs:[| 0 |] ~n:2 with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
   check_bool "the synthetic bodies split without error" true
     (Result.is_ok
        (split_outcome (fun () -> Chunk.split schema full))
@@ -502,14 +528,15 @@ let index_roundtrip_and_torn_tail () =
   let sim = Sim.create () in
   let vfs = Sim.vfs sim in
   let e1 =
-    { Epoch_index.epoch = 0; kind = Segment.Full; roots = [ 7 ];
-      chunks = [ Chunk.key_of "x" ]; at = 0;
+    { Epoch_index.epoch = 0; kind = Segment.Full; folded = false; size = 1;
+      roots = [ 7 ]; chunks = [ Chunk.key_of "x" ]; at = 0;
       located = Epoch_index.code_located [ (0, 1, Crc32.string "x") ];
       dir = Epoch_index.code_dir [ [| 7; 0 |] ] }
   in
   let e2 =
-    { Epoch_index.epoch = 1; kind = Segment.Incremental; roots = [ 7 ];
-      chunks = [ Chunk.key_of "y"; Chunk.key_of "x" ]; at = 1;
+    { Epoch_index.epoch = 1; kind = Segment.Incremental; folded = false;
+      size = 2; roots = [ 7 ]; chunks = [ Chunk.key_of "y"; Chunk.key_of "x" ];
+      at = 1;
       located = Epoch_index.code_located [ (0, 1, Crc32.string "y") ];
       dir = Epoch_index.code_dir [ [||]; [| 9; 3 |] ] }
   in
@@ -815,9 +842,11 @@ let record_past_chunk_end () =
   let vfs = Sim.vfs (Sim.create ()) in
   let pack = Pack.open_ ~vfs "h.pack" in
   let committed =
-    Epochs.commit Epochs.plain vfs ~path:"h.idx" pack
+    Epochs.commit
+      ~committed:(fun _ -> ([], Epochs.kept ()))
+      Epochs.plain vfs ~path:"h.idx" pack
       [ { Epochs.chain = 0; kind = Segment.Full; epoch = 0; roots = [ 1 ];
-          chunks } ]
+          body = Split chunks } ]
   in
   let restore pack =
     Dir.restore (Dir.reader pack schema) ~entries:committed.Epochs.entries
@@ -924,8 +953,9 @@ let index_hostile_counts () =
     (magic, In_stream.read_byte inp)
   in
   let sample =
-    { Epoch_index.epoch = 3; kind = Segment.Incremental; roots = [];
-      chunks = []; at = 0; located = Epoch_index.code_located [];
+    { Epoch_index.epoch = 3; kind = Segment.Incremental; folded = false;
+      size = 0; roots = []; chunks = []; at = 0;
+      located = Epoch_index.code_located [];
       dir = Epoch_index.code_dir [] }
   in
   let magic, version = header (encode_entry sample) in
@@ -1364,8 +1394,29 @@ let old_entry ~version ?tenant (e : Epoch_index.entry) =
               recs)
           e.chunks;
         let dir = Out_stream.contents dir in
-        ints d [ List.length triples; Epoch_index.located_end e ];
-        Out_stream.write_string d dir
+        if version = 2 then begin
+          ints d [ List.length triples; Epoch_index.located_end e ];
+          Out_stream.write_string d dir
+        end
+        else begin
+          (* Version 3: the located chunks and the directory as slices,
+             and no body size. *)
+          let loc = Out_stream.create () and prev = ref (-1) in
+          let located = located_list e in
+          List.iteri
+            (fun i k ->
+              match List.find_opt (fun (k', _, _, _) -> k' = k) located with
+              | Some (_, _, len, crc) when i > !prev ->
+                  ints loc [ i - !prev; len ];
+                  Out_stream.write_fixed32 loc crc;
+                  prev := i
+              | _ -> ())
+            e.chunks;
+          ints d [ e.at; List.length located ];
+          Out_stream.write_string d (Out_stream.contents loc);
+          Out_stream.write_int d (List.length triples);
+          Out_stream.write_string d dir
+        end
       end)
 
 (* A store whose index is in an older format version is refused with a
@@ -1396,6 +1447,36 @@ let index_version_rejected ~version () =
   check_string "index byte-identical" old (vfs.Vfs.read_file idx);
   check_string "pack byte-identical" pack_bytes (vfs.Vfs.read_file pack)
 
+(* A folded directory roundtrips too: runs naming any of the entry's
+   chunks, again and out of order, through code_runs and through an
+   encoded entry. *)
+let folded_dir_roundtrip =
+  let open QCheck2.Gen in
+  let record = pair (int_range (-3) (1 lsl 40)) (int_range 0 5000) in
+  let run = pair (int_range 0 5) (list_size (int_range 1 5) record) in
+  QCheck2.Test.make ~count:300 ~name:"folded directory roundtrip"
+    (list_size (int_range 0 8) run)
+    (fun runs ->
+      let records = List.concat_map snd runs in
+      let e =
+        { Epoch_index.epoch = 2; kind = Segment.Full; folded = true;
+          size = 0; roots = [ 1 ]; chunks = List.init 6 (fun i -> 100 + i);
+          at = 0; located = Epoch_index.code_located [];
+          dir =
+            Epoch_index.code_runs
+              ~chunks:(Array.of_list (List.map fst runs))
+              ~counts:(Array.of_list (List.map (fun (_, l) -> List.length l) runs))
+              ~ids:(Array.of_list (List.map fst records))
+              ~offs:(Array.of_list (List.map snd records)) }
+      in
+      let expected =
+        List.concat_map (fun (c, l) -> List.map (fun (i, o) -> (i, c, o)) l) runs
+      in
+      let decoded, _ = Epoch_index.decode (encode_entry e) ~pos:0 in
+      dir_triples e = expected
+      && decoded.folded
+      && entry_view decoded = entry_view e)
+
 (* The coded directory roundtrips: ids jumping either way (negative
    deltas), chunks with no record, sparse and huge ids, offsets in any
    order — through code_dir and through an encoded entry. *)
@@ -1417,8 +1498,9 @@ let coded_dir_roundtrip =
           (List.init (List.length chunks) Fun.id)
       in
       let e =
-        { Epoch_index.epoch = 1; kind = Segment.Incremental; roots = [ 1 ];
-          chunks = List.mapi (fun i _ -> i) chunks; at;
+        { Epoch_index.epoch = 1; kind = Segment.Incremental; folded = false;
+          size = 0; roots = [ 1 ]; chunks = List.mapi (fun i _ -> i) chunks;
+          at;
           located = Epoch_index.code_located located;
           dir = Epoch_index.code_dir (List.map flat chunks) }
       in
@@ -1718,8 +1800,11 @@ let pack_resolve_slices () =
     { Chunk.key = Hash64.sub src ~pos:off ~len; src; off; len; records = [||] }
   in
   let commit epoch chunks =
-    Epochs.commit Epochs.plain vfs ~path:"r.idx" p
-      [ { Epochs.chain = 0; kind = Segment.Full; epoch; roots = []; chunks } ]
+    Epochs.commit
+      ~committed:(fun _ -> ([], Epochs.kept ()))
+      Epochs.plain vfs ~path:"r.idx" p
+      [ { Epochs.chain = 0; kind = Segment.Full; epoch; roots = [];
+          body = Split chunks } ]
   in
   let body = "..AAAA..BBBBB.." in
   let a = slice body 2 4 and b = slice body 8 5 in
@@ -1807,11 +1892,14 @@ let restore_allocation () =
    grown the stream (and the domain's visited set), a second full take of
    the 6,500-object synth heap through {!Epochs.take} allocates about its
    body, the copy the segment keeps (20,502 words for a 157,691-byte
-   body); and a second full {!Store.checkpoint}, whose every chunk is a
-   duplicate, within six bodies (94,691 words, with the split's flat
-   directories, the resolve, the entry and the simulator's index file
-   doubling its buffer; with a fresh stream and visited set per take,
-   and the split copying each chunk, 274,801). *)
+   body); and a second full {!Store.checkpoint}, every record of which
+   is unchanged, within six bodies (93,309 words: the body's framing,
+   the fold against the first full's kept records, the live chunks
+   fetched into the pack's read buffer, grown here, the folded entry,
+   the records kept for the next fold and the simulator's index file;
+   the whole full this was before folded fulls, every chunk a
+   duplicate, 94,691; with a fresh stream and visited set per take, and
+   the split copying each chunk, 274,801). *)
 let take_stream_allocation () =
   let synth =
     Ickpt_synth.Synth.build
@@ -1951,9 +2039,9 @@ let gc_files_pinned () =
         (Format.asprintf "%a: pack and index digests" Policy.pp policy)
         expected got)
     [ ( Policy.Full_every 3,
-        [ "ce23eded29df8f275c0b405a8a3186b3"; "4c464abdfcca29ccf1a5be05142f45dc" ] );
+        [ "ed3eee96b486b539ea6b3a4cea3dbd9a"; "4202477cc79dd1f07921286ad1e4a758" ] );
       ( Policy.Chain_bytes_limit 40,
-        [ "855503d7c3e540f0d08a0108bf00623d"; "2513763abcb80678eba7531b6b63e3dd" ] ) ]
+        [ "a7836ee240663465fc912f5e761eb7ad"; "3a8d8a8fa448647064dfcb637b965004" ] ) ]
 
 (* The reopen rule restated on [Epoch_index.located_end], as a reference
    for the one-pass [Epochs.recover]. [files] are the index files' raw
@@ -2304,6 +2392,257 @@ let restore_roundtrip_prop =
           && Service.check svc = [])
         policies)
 
+(* ------------------------------------------------------------------ *)
+(* Folded fulls.                                                       *)
+
+(* Per chunk a folded full references, the bytes of its records there,
+   each framed by the schema; with the chunk's length. *)
+let referenced_bytes schema pack (e : Epoch_index.entry) =
+  let keys = Array.of_list e.chunks in
+  let data = Pack.read_many pack keys in
+  let live = Array.make (Array.length keys) 0 in
+  Epoch_index.iter_dir e (fun _ c off ->
+      let d = data.(c) in
+      live.(c) <-
+        live.(c) + Restore.frame_len schema d ~pos:off ~len:(String.length d - off));
+  Array.mapi (fun c k -> (k, live.(c), String.length data.(c))) keys
+
+(* Over a long synth run with a full every fourth epoch, every full after
+   the first is folded, every chunk a folded full references holds at
+   least [Epochs.min_live_percent] of its bytes in records of that full,
+   and every epoch restores and reassembles exactly, in session, after a
+   reopen, and after a gc. *)
+let folded_fulls_prop =
+  QCheck2.Test.make ~name:"folded fulls: chunks at least half live, exact"
+    ~count:6
+    QCheck2.Gen.(
+      pair (int_range 0 10_000) (pair (int_range 10 30) (oneofl [ 10; 25; 50 ])))
+    (fun (seed, (n_structures, pct_modified)) ->
+      let t =
+        Ickpt_synth.Synth.build
+          { Ickpt_synth.Synth.default_config with
+            n_structures; pct_modified; modified_lists = 1; seed }
+      in
+      let schema = t.Ickpt_synth.Synth.schema in
+      let roots = Ickpt_synth.Synth.roots t in
+      let vfs = Sim.vfs (Sim.create ()) in
+      let chain = Chain.create schema in
+      let open_store () =
+        Store.open_ ~vfs ~records_per_chunk:4 ~policy:(Policy.Full_every 4)
+          schema ~path:store_path
+      in
+      let store = open_store () in
+      let epochs = 40 in
+      for r = 0 to epochs - 1 do
+        if r > 0 then ignore (Ickpt_synth.Synth.mutate_round t);
+        let kind =
+          Policy.decide (Policy.Full_every 4) ~next:(Chain.next chain)
+            ~since_full_bytes:(Chain.since_full_bytes chain)
+        in
+        let taken =
+          match kind with
+          | Segment.Full -> Chain.take_full chain roots
+          | Segment.Incremental -> Chain.take_incremental chain roots
+        in
+        ignore (Store.append_segment store taken.Chain.segment)
+      done;
+      let pack =
+        reopen_pack ~idx:(Store.index_path store_path) vfs
+          (Store.pack_path store_path)
+      in
+      let entries = List.map (Store.entry_at store) (Store.epochs store) in
+      let fulls = List.filter (fun (e : Epoch_index.entry) -> e.kind = Full) entries in
+      if
+        not
+          (List.for_all
+             (fun (e : Epoch_index.entry) -> e.folded = (e.epoch > 0))
+             fulls)
+      then QCheck2.Test.fail_report "a full after the first is not folded";
+      List.iter
+        (fun (e : Epoch_index.entry) ->
+          if e.folded then
+            Array.iter
+              (fun (k, live, len) ->
+                if live * 100 < Epochs.min_live_percent * len then
+                  QCheck2.Test.fail_reportf
+                    "epoch %d references chunk %s: %d of its %d bytes" e.epoch
+                    (Hash64.to_hex k) live len)
+              (referenced_bytes schema pack e))
+        entries;
+      let exact store =
+        List.for_all
+          (fun e ->
+            let _, stored = Store.restore store ~epoch:e in
+            String.equal (reference_body chain ~epoch:e) (full_body stored)
+            && Store.segment_of_epoch store e
+               = List.find (fun (s : Segment.t) -> s.seq = e) (Chain.segments chain))
+          (Store.epochs store)
+        && Store.check store = []
+      in
+      let in_session = exact store in
+      let reopened = exact (open_store ()) in
+      ignore (Store.gc store ~retain:(Store.Keep_last 6) : Store.gc_stats);
+      in_session && reopened && exact store && exact (open_store ()))
+
+(* A full is committed whole when it cannot be folded: when none of its
+   records equals the chain's live one, and when a chunk a live record of
+   the chain lies in fails its CRC. Either way it restores as taken and
+   reassembles exactly, in session and after a reopen, and check names
+   the corrupt chunk. *)
+let fold_fallbacks () =
+  let schema = Schema.create () in
+  let node = Schema.declare schema ~name:"Node" ~ints:1 ~children:1 () in
+  let heap = Heap.create schema in
+  let nodes = Array.init 41 (fun _ -> Heap.alloc heap node) in
+  Array.iteri
+    (fun i o -> if i > 0 then Barrier.set_child nodes.(i - 1) 0 (Some o))
+    nodes;
+  let roots = [ nodes.(0) ] in
+  let vfs = Sim.vfs (Sim.create ()) in
+  let open_store () =
+    Store.open_ ~vfs ~records_per_chunk:4 ~policy:Policy.Always_full schema
+      ~path:store_path
+  in
+  let chain = Chain.create schema and store = ref (open_store ()) in
+  let take () =
+    let seg = (Chain.take_full chain roots).Chain.segment in
+    ignore (Store.append_segment !store seg : Store.append_stats);
+    seg
+  in
+  let entry (seg : Segment.t) = Store.entry_at !store seg.seq in
+  let exact label (seg : Segment.t) =
+    let _, restored = Store.restore !store ~epoch:seg.seq in
+    check_string (label ^ ": restores as taken") seg.body (full_body restored);
+    check_bool (label ^ ": reassembles exactly") true
+      (Store.segment_of_epoch !store seg.seq = seg)
+  in
+  ignore (take () : Segment.t);
+  Array.iter (fun o -> Barrier.set_int o 0 (Barrier.get_int o 0 + 1000)) nodes;
+  let every = take () in
+  check_bool "every record changed: whole" false (entry every).folded;
+  exact "every record changed" every;
+  Barrier.set_int nodes.(9) 0 7;
+  let one = take () in
+  check_bool "one record changed: folded" true (entry one).folded;
+  (* The new chunk holding that record alone: no later split cuts it, so
+     only a fold reads it. *)
+  let key =
+    List.find (fun k -> not (List.mem k (entry every).chunks)) (entry one).chunks
+  in
+  let pack = Store.pack_path store_path in
+  let bytes =
+    Pack.read (reopen_pack ~idx:(Store.index_path store_path) vfs pack) key
+  in
+  flip_byte vfs pack
+    (find_sub (vfs.Vfs.read_file pack) bytes + (String.length bytes / 2));
+  store := open_store ();
+  Barrier.set_int nodes.(30) 0 8;
+  let after = take () in
+  check_bool "a live chunk corrupt: whole" false (entry after).folded;
+  exact "a live chunk corrupt" after;
+  store := open_store ();
+  exact "reopened, a live chunk corrupt" after;
+  exact "reopened, every record changed" every;
+  check_bool "check names the corrupt chunk" true
+    (List.exists
+       (fun e -> contains e (Hash64.to_hex key) && contains e "crc")
+       (Store.check !store))
+
+(* A heap that unlinks list elements between fulls: a folded full holds
+   exactly the reachable objects, as a whole full of the same body does,
+   in session and after a reopen, and no unlinked id comes back. *)
+let unlinking_heap () =
+  let schema = Schema.create () in
+  let node = Schema.declare schema ~name:"Node" ~ints:1 ~children:1 () in
+  let heap = Heap.create schema in
+  let head = Heap.alloc heap node in
+  let rec build prev k =
+    if k > 0 then begin
+      let o = Heap.alloc heap node in
+      Barrier.set_int o 0 k;
+      Barrier.set_child prev 0 (Some o);
+      build o (k - 1)
+    end
+  in
+  build head 40;
+  let rec reachable o acc =
+    let acc = o.Model.info.Model.id :: acc in
+    match Barrier.get_child o 0 with Some c -> reachable c acc | None -> acc
+  in
+  let ids_of h =
+    let l = ref [] in
+    Heap.iter h (fun o -> l := o.Model.info.Model.id :: !l);
+    List.sort compare !l
+  in
+  let vfs = Sim.vfs (Sim.create ()) in
+  let open_store path =
+    Store.open_ ~vfs ~records_per_chunk:4 ~policy:(Policy.Full_every 4) schema
+      ~path
+  in
+  let store = open_store store_path in
+  let taken = ref [] and unlinked = ref [] in
+  for r = 0 to 15 do
+    if r > 0 then begin
+      (* Unlink the element after the [r mod 5]th, and change another. *)
+      let rec nth o k =
+        if k = 0 then o
+        else match Barrier.get_child o 0 with Some c -> nth c (k - 1) | None -> o
+      in
+      let prev = nth head (r mod 5) in
+      (match Barrier.get_child prev 0 with
+      | Some gone ->
+          unlinked := (r, gone.Model.info.Model.id) :: !unlinked;
+          Barrier.set_child prev 0 (Barrier.get_child gone 0)
+      | None -> ());
+      let o = nth head (7 + r) in
+      Barrier.set_int o 0 (Barrier.get_int o 0 + 100)
+    end;
+    let e = Store.checkpoint store [ head ] in
+    taken := (e, List.sort compare (reachable head []), full_body [ head ]) :: !taken
+  done;
+  let folded =
+    List.filter
+      (fun (e, _, _) -> (Store.entry_at store e).Epoch_index.folded)
+      !taken
+  in
+  check_bool "fulls after the first are folded" true (List.length folded >= 3);
+  let check_store label store =
+    List.iter
+      (fun (e, ids, body) ->
+        let h, roots = Store.restore store ~epoch:e in
+        check_string (Printf.sprintf "%s: epoch %d restores as taken" label e)
+          body (full_body roots);
+        if Store.kind_of_epoch store e = Segment.Full then begin
+          check_bool
+            (Printf.sprintf "%s: full %d holds the reachable ids" label e)
+            true (ids_of h = ids);
+          (* Epoch [r] is taken in round [r], after its unlink. *)
+          check_bool
+            (Printf.sprintf "%s: no unlinked id in full %d" label e)
+            false
+            (List.exists
+               (fun (r, id) -> r <= e && List.mem id (ids_of h))
+               !unlinked)
+        end)
+      !taken
+  in
+  check_store "in session" store;
+  check_store "reopened" (open_store store_path);
+  (* A whole full of the same body restores the same ids. *)
+  List.iter
+    (fun (e, _, _) ->
+      let whole = open_store (Printf.sprintf "whole%d" e) in
+      ignore (Store.append_segment whole (Store.segment_of_epoch store e));
+      check_bool
+        (Printf.sprintf "epoch %d whole" e)
+        false (Store.entry_at whole e).Epoch_index.folded;
+      check_bool
+        (Printf.sprintf "epoch %d: folded and whole restore the same ids" e)
+        true
+        (ids_of (fst (Store.restore whole ~epoch:e))
+        = ids_of (fst (Store.restore store ~epoch:e))))
+    folded
+
 let suites =
   [ ( "store.hash64",
       [ Alcotest.test_case "basics and vectors" `Quick hash64_basics ] );
@@ -2343,7 +2682,10 @@ let suites =
           take_stream_allocation;
         Alcotest.test_case "index encode allocation" `Quick
           index_encode_allocation;
-        Alcotest.test_case "restore allocation" `Quick restore_allocation ] );
+        Alcotest.test_case "restore allocation" `Quick restore_allocation;
+        QCheck_alcotest.to_alcotest folded_dir_roundtrip;
+        Alcotest.test_case "index version 3 rejected" `Quick
+          (index_version_rejected ~version:3) ] );
     ( "store.core",
       [ Alcotest.test_case "restore agrees with chain replay" `Quick
           store_restore_agrees_with_replay;
@@ -2365,7 +2707,9 @@ let suites =
         Alcotest.test_case "gc retention + reopen" `Quick store_gc_retention;
         Alcotest.test_case "resume equivalence" `Quick
           store_resume_equivalence;
-        Alcotest.test_case "shared roots" `Quick shared_roots ]
+        Alcotest.test_case "shared roots" `Quick shared_roots;
+        Alcotest.test_case "unlinking heap" `Quick unlinking_heap;
+        Alcotest.test_case "fold fallbacks" `Quick fold_fallbacks ]
     );
     ( "store.manager",
       [ Alcotest.test_case "checkpoint lifecycle" `Quick checkpoint_lifecycle;
@@ -2375,5 +2719,6 @@ let suites =
       [ Alcotest.test_case "crash sweep smoke" `Slow store_sweep_smoke ] );
     ( "store.property",
       [ QCheck_alcotest.to_alcotest restore_roundtrip_prop;
-        QCheck_alcotest.to_alcotest reshape_prop ] )
+        QCheck_alcotest.to_alcotest reshape_prop;
+        QCheck_alcotest.to_alcotest folded_fulls_prop ] )
   ]
