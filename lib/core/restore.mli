@@ -56,6 +56,12 @@ val iter_frames : Schema.t -> string -> (int -> int -> int -> unit) -> unit
     @raise Error on an unknown class id.
     @raise Ickpt_stream.In_stream.Corrupt on a truncated record. *)
 
+val skip_frame : Schema.t -> Ickpt_stream.In_stream.t -> int
+(** Read past the record that starts at the stream's position, by its
+    framing only, and return its id: what {!iter_frames} does per record.
+    @raise Error on an unknown class id.
+    @raise Ickpt_stream.In_stream.Corrupt on a truncated record. *)
+
 val frames : ?hint:int -> Schema.t -> string -> int array * int array * int
 (** [frames schema body] is [(ids, offs, n)], the framing of a body: its
     [n] records' ids and where each starts, in write order, in the first

@@ -161,14 +161,16 @@ let measure_row ~sessions ~references ~repeat ~mode_label ~commit ~shards
               done)
           tens
       in
-      let t0 = Unix.gettimeofday () in
+      let t0 = Ickpt_harness.Clock.now_ns () in
       let spawned =
         List.init (domains - 1) (fun d -> Domain.spawn (fun () -> drive (d + 1)))
       in
       drive 0;
       List.iter Domain.join spawned;
       Service.flush svc;
-      let seconds = Unix.gettimeofday () -. t0 in
+      let seconds =
+        Int64.to_float (Int64.sub (Ickpt_harness.Clock.now_ns ()) t0) /. 1e9
+      in
       let latencies = Service.drain_latencies svc in
       let st = Service.stats svc in
       (* Restore-identity gate: every tenant's probe epochs must match its

@@ -72,7 +72,7 @@ let write_tests () =
   let pack = Pack.open_ ~vfs "micro.pack" in
   ignore
     (Epochs.commit
-       ~committed:(fun _ -> ([], Epochs.kept ()))
+       ~committed:(fun _ -> ([], Epochs.image ()))
        Epochs.plain vfs ~path:"micro.idx" pack
        [ { Epochs.chain = 0;
            kind = Ickpt_core.Segment.Full;

@@ -31,13 +31,13 @@ type tenant = {
   mutable t_entries : Epoch_index.entry list;  (* committed, oldest first *)
   mutable t_progress : Epochs.progress;  (* of its taken epochs *)
   t_out : Out_stream.t;  (* the stream its takes write into *)
-  t_kept : Epochs.kept;  (* what its next fold reads *)
+  t_image : Epochs.image;  (* what its next fold reads *)
 }
 
 and item = {
   it_tenant : tenant;
   it_epoch : Epochs.item;
-  it_enq : float;
+  it_enq : int64;  (* when it was appended: {!Ickpt_harness.Clock.now_ns} *)
 }
 
 and shard_state = {
@@ -213,8 +213,8 @@ let commit_locked t s =
           Epochs.commit
             ~committed:(fun id ->
               match List.find_opt (fun it -> it.it_tenant.t_id = id) items with
-              | Some it -> (it.it_tenant.t_entries, it.it_tenant.t_kept)
-              | None -> ([], Epochs.kept ()))
+              | Some it -> (it.it_tenant.t_entries, it.it_tenant.t_image)
+              | None -> ([], Epochs.image ()))
             Epochs.mux t.vfs ~path:s.s_index_file t.pack
             (List.map (fun it -> it.it_epoch) items)
         with e ->
@@ -239,9 +239,11 @@ let commit_locked t s =
           Epochs.note_commit ~file:t.root ~chain:m.m_tenant m.m_entry.kind)
         items c.entries;
       t.collided <- List.rev_append c.collisions t.collided;
-      let now = Unix.gettimeofday () in
+      let now = Ickpt_harness.Clock.now_ns () in
       List.iter
-        (fun it -> t.latencies <- (now -. it.it_enq) :: t.latencies)
+        (fun it ->
+          t.latencies <-
+            (Int64.to_float (Int64.sub now it.it_enq) /. 1e9) :: t.latencies)
         items;
       t.commit_batches <- t.commit_batches + 1;
       t.committed_epochs <- t.committed_epochs + List.length items
@@ -268,11 +270,13 @@ let append tenant (seg : Segment.t) =
       seg.seq;
   (* The body is walked here, outside the lock: a malformed one is
      refused before it joins a batch. Its arrays are sized by the
-     tenant's committed entries, read without the lock: a stale list only
-     misjudges the size. *)
+     tenant's committed entries, and a full is compared with its image,
+     both read without the lock: a stale list only misjudges the size,
+     and a stale image is a snapshot the commit finds moved on and
+     compares the full with again. *)
   let body =
     Epochs.body tenant.t_schema ~records_per_chunk:t.records_per_chunk
-      tenant.t_entries seg
+      tenant.t_image tenant.t_entries seg
   in
   let it =
     { it_tenant = tenant;
@@ -282,7 +286,7 @@ let append tenant (seg : Segment.t) =
           epoch = seg.seq;
           roots = seg.roots;
           body };
-      it_enq = Unix.gettimeofday () }
+      it_enq = Ickpt_harness.Clock.now_ns () }
   in
   tenant.t_progress <- Epochs.advance tenant.t_progress seg;
   let s = t.shard_tbl.(tenant.t_shard) in
@@ -333,7 +337,7 @@ let open_tenant t schema ~name =
               t_entries = entries;
               t_progress = Epochs.resume ~file:t.root ~chain:id entries;
               t_out = Out_stream.create ();
-              t_kept = Epochs.kept () }
+              t_image = Epochs.image () }
           in
           Hashtbl.replace t.open_tenants id tn;
           tn)

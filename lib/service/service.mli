@@ -203,8 +203,9 @@ val collisions : t -> Epochs.collision list
     append. *)
 
 val drain_latencies : t -> float list
-(** Commit latencies (seconds from submission to durable) of epochs
-    committed since the last call, unordered; clears the buffer. *)
+(** Commit latencies (seconds from submission to durable, on the
+    monotonic clock) of epochs committed since the last call, unordered;
+    clears the buffer. *)
 
 val committed : t -> Epoch_index.mux_entry list
 (** Every tenant's committed entries, shard by shard, each shard's in

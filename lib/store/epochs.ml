@@ -9,7 +9,358 @@ type collision = {
 }
 
 (* ------------------------------------------------------------------ *)
+(* The committed image.                                                *)
+
+(* Where a record lies, as one int: a chunk number above [off_bits], the
+   offset within that chunk below. A chain's chunks are numbered from its
+   newest full on: that full's chunks, then those of each incremental
+   since, in entry order; a folded full numbers its own new chunks after
+   them. *)
+let off_bits = 31
+
+let off_mask = (1 lsl off_bits) - 1
+
+let place s off = if off < 0 || off > off_mask then -1 else (s lsl off_bits) lor off
+
+(* The newest full's ids in body order, and where an id is among them: a
+   cursor walks ahead for it, and the ids are tabled the first time a
+   walk runs off their end (an id they lack, or an order that
+   differs). *)
+type finder = {
+  fids : int array;
+  nb : int;
+  mutable table : (Idtbl.t * int array) option;
+}
+
+let table f =
+  match f.table with
+  | Some t -> t
+  | None ->
+      let tbl = Idtbl.create f.nb and index = Array.make f.nb 0 in
+      for i = 0 to f.nb - 1 do
+        let fresh = Idtbl.length tbl in
+        if Idtbl.add tbl f.fids.(i) = fresh then index.(fresh) <- i
+      done;
+      f.table <- Some (tbl, index);
+      (tbl, index)
+
+let lookup f id =
+  let tbl, index = table f in
+  match Idtbl.find tbl id with -1 -> -1 | slot -> index.(slot)
+
+(* [fids] holds at least [nb] ids. *)
+let scan f id from =
+  let fids = f.fids and nb = f.nb in
+  let k = ref (max 0 from) in
+  while !k < nb && Array.unsafe_get fids !k <> id do
+    incr k
+  done;
+  if !k < nb then !k else lookup f id
+
+(* The index of [id] among the full's ids, looked for from [from] on until
+   the table is built, or [-1]. *)
+let index_of f id ~from =
+  match f.table with None -> scan f id from | Some _ -> lookup f id
+
+(* A committed body: its [n] records' ids, where each starts in it (the
+   records tile it) and where each lies. *)
+type layer = {
+  body : string;
+  ids : int array;
+  offs : int array;
+  at : int array;
+  n : int;
+}
+
+let stop l r = if r + 1 < l.n then l.offs.(r + 1) else String.length l.body
+
+(* What a chain has committed since its newest full, as it committed it:
+   that full, its incrementals since (newest first), how many chunks
+   those entries name, and the incrementals' body bytes. A commit makes a
+   new one and none is changed once made, so a snapshot read outside a
+   lock stays whole. *)
+type snapshot = { full : layer; since : layer list; chunks : int; bytes : int }
+
+type image = { mutable current : snapshot option }
+
+let image () = { current = None }
+
+let forget im = im.current <- None
+
+(* The places of a body committed whole, cut every [records_per_chunk]
+   records, its chunks numbered from [first]. *)
+let tiled ~first ~records_per_chunk ~offs ~n =
+  Array.init n (fun r ->
+      let c = r / records_per_chunk in
+      place (first + c) (offs.(r) - offs.(c * records_per_chunk)))
+
+(* ------------------------------------------------------------------ *)
+(* The chain's live records.                                           *)
+
+(* Records, one per cell: [len] bytes at [off] in their string, and the
+   record's place [at] ([-1]: none, equal to no record). A record read
+   from the pack is not framed: its [len] is [-1 - lim], and it equals a
+   record of at most [lim] bytes, as many as are left in its chunk. *)
+type cells = {
+  mutable str : string array;
+  mutable off : int array;
+  mutable len : int array;
+  mutable at : int array;
+}
+
+let cells size =
+  { str = Array.make size "";
+    off = Array.make size 0;
+    len = Array.make size 0;
+    at = Array.make size 0 }
+
+(* Whether the record of [len] bytes at [pos] in [body] equals the one
+   of [l] bytes at [off] in [s], placed at [at]. *)
+let equals ~at s off l body pos len =
+  at >= 0
+  && (if l >= 0 then l = len else len <= -1 - l)
+  && Chunk.equal_sub body pos s off len
+
+(* The chain's newest committed record of each id. Its full's record at
+   position [k] is [full]'s record [k] unless a newer one is laid over it,
+   the top cell [over.(k)]; that of an id the full lacks is the top cell
+   [extra.(Idtbl.find extra_ids id)]. *)
+type view = {
+  find : finder;
+  full : layer;
+  over : int array;
+  top : cells;
+  mutable tops : int;
+  extra_ids : Idtbl.t;
+  mutable extra : int array;
+}
+
+let view find full ~since =
+  { find;
+    full;
+    over = Array.make find.nb (-1);
+    top = cells (max 16 since);
+    tops = 0;
+    extra_ids = Idtbl.create 16;
+    extra = Array.make 16 0 }
+
+let grow a = Array.append a (Array.make (Array.length a) 0)
+
+(* Lay a newer record of [id] over the view: at position [k] of the
+   full's, or, if [k < 0], as a record of an id the full lacks. *)
+let lay v k id s off len at =
+  let c = v.tops and t = v.top in
+  if c = Array.length t.at then begin
+    t.str <- Array.append t.str (Array.make c "");
+    t.off <- grow t.off;
+    t.len <- grow t.len;
+    t.at <- grow t.at
+  end;
+  t.str.(c) <- s;
+  t.off.(c) <- off;
+  t.len.(c) <- len;
+  t.at.(c) <- at;
+  v.tops <- c + 1;
+  if k >= 0 then v.over.(k) <- c
+  else begin
+    let j = Idtbl.add v.extra_ids id in
+    if j = Array.length v.extra then v.extra <- grow v.extra;
+    v.extra.(j) <- c
+  end
+
+(* An entry's records laid over the view, entries oldest first: each
+   found among the full's from where the entry's previous one was, its
+   records coming in the full's order. [each add] calls
+   [add id s off len at] per record. *)
+let overlay v each =
+  let cursor = ref 0 in
+  each (fun id s off len at ->
+      let k = index_of v.find id ~from:!cursor in
+      if k >= 0 then cursor := k + 1;
+      lay v k id s off len at)
+
+(* From the image: the full's records in place, the incrementals' laid
+   over them. *)
+let view_of_snapshot (s : snapshot) =
+  let f = s.full in
+  let v =
+    view
+      { fids = f.ids; nb = f.n; table = None }
+      f
+      ~since:(List.fold_left (fun n l -> n + l.n) 0 s.since)
+  in
+  List.iter
+    (fun l ->
+      overlay v (fun add ->
+          for r = 0 to l.n - 1 do
+            add l.ids.(r) l.body l.offs.(r) (stop l r - l.offs.(r)) l.at.(r)
+          done))
+    (List.rev s.since);
+  v
+
+(* From the pack, for a chain with no image: the directories of its
+   entries since its newest full ([sources]: their chunks, [lens]: their
+   lengths), and one {!Pack.fetch} of the chunks some live record lies
+   in. The view holds slices of the pack's fetch buffer: it is read
+   before the pack is read again. *)
+let view_of_pack pack entries ~sources ~lens =
+  let base, newer =
+    match entries with
+    | (b : Epoch_index.entry) :: n -> (b, n)
+    | [] -> invalid_arg "Epochs.view_of_pack: no entry"
+  in
+  let nb = Epoch_index.dir_records base.dir in
+  let ids = Array.make nb 0 in
+  let find = { fids = ids; nb; table = None } in
+  let v =
+    view find { body = ""; ids; offs = [||]; at = [||]; n = nb } ~since:nb
+  in
+  (* Every record is a top cell: the full's first, at their positions. *)
+  let b = ref 0 in
+  Epoch_index.iter_dir base (fun id c off ->
+      ids.(!b) <- id;
+      lay v !b id "" 0 (-1) (place c off);
+      incr b);
+  ignore
+    (List.fold_left
+       (fun first (e : Epoch_index.entry) ->
+         overlay v (fun add ->
+             Epoch_index.iter_dir e (fun id c off ->
+                 add id "" 0 (-1) (place (first + c) off)));
+         first + List.length e.chunks)
+       (List.length base.chunks) newer
+      : int);
+  (* Only the chunks some live record lies in are read: the newest
+     record of each id. *)
+  let t = v.top in
+  let live f =
+    Array.iter f v.over;
+    for j = 0 to Idtbl.length v.extra_ids - 1 do
+      f v.extra.(j)
+    done
+  in
+  let nsrc = Array.length sources in
+  let wanted = Bytes.make nsrc '\000' in
+  live (fun c ->
+      if t.at.(c) >= 0 then Bytes.set wanted (t.at.(c) lsr off_bits) '\001');
+  let start = Array.make nsrc 0 and k = ref 0 in
+  Bytes.iteri
+    (fun s c ->
+      if c <> '\000' then begin
+        start.(!k) <- s;
+        incr k
+      end)
+    wanted;
+  let fetched = Array.sub start 0 !k in
+  let buf, starts = Pack.fetch pack (Array.map (Array.get sources) fetched) in
+  Array.iteri (fun i s -> start.(s) <- starts.(i)) fetched;
+  live (fun c ->
+      let p = t.at.(c) in
+      if p >= 0 then begin
+        let s = p lsr off_bits and o = p land off_mask in
+        t.str.(c) <- buf;
+        t.off.(c) <- start.(s) + o;
+        t.len.(c) <- -1 - max 0 (lens.(s) - o)
+      end);
+  v
+
+(* The place of the record of [id] that is [len] bytes at [pos] in
+   [body], if it equals the chain's newest committed record of [id]
+   ([-1]: none). [cursor] is where the previous record's id was found
+   among the full's. *)
+let place_of v cursor id body pos len =
+  let f = v.find and k = !cursor in
+  let k = if k < f.nb && f.fids.(k) = id then k else index_of f id ~from:k in
+  let top c =
+    let t = v.top in
+    if equals ~at:t.at.(c) t.str.(c) t.off.(c) t.len.(c) body pos len then
+      t.at.(c)
+    else -1
+  in
+  if k >= 0 then begin
+    cursor := k + 1;
+    match v.over.(k) with
+    | -1 ->
+        let f = v.full in
+        let off = f.offs.(k) in
+        if equals ~at:f.at.(k) f.body off (stop f k - off) body pos len then
+          f.at.(k)
+        else -1
+    | c -> top c
+  end
+  else match Idtbl.find v.extra_ids id with -1 -> -1 | j -> top v.extra.(j)
+
+(* Frame [body] and compare it with the view in one pass. Framing is
+   deterministic, so where the bytes at a record boundary equal the live
+   record at the cursor, they are that record, and that one comparison
+   frames and places it. Only a record that differs is framed by the
+   schema and looked up by its id. Returns [(ids, offs, n, places)], the
+   arrays sized by [hint] and untrimmed, as {!Restore.frames}'s. *)
+let lockstep schema v ~hint body =
+  let size = String.length body and inp = In_stream.of_string body in
+  let cap = max 16 hint in
+  let ids = ref (Array.make cap 0) and offs = ref (Array.make cap 0) in
+  let places = ref (Array.make cap 0) in
+  let n = ref 0 and cursor = ref 0 and pos = ref 0 in
+  let f = v.find and full = v.full and t = v.top in
+  while !pos < size do
+    let r = !n and p = !pos and k = !cursor in
+    if r = Array.length !ids then begin
+      ids := grow !ids;
+      offs := grow !offs;
+      places := grow !places
+    end;
+    (* The live record at the cursor, if the bytes at [p] are it. *)
+    let l =
+      if k >= f.nb then 0
+      else
+        match v.over.(k) with
+        | -1 ->
+            let off = full.offs.(k) in
+            let l = stop full k - off in
+            if Chunk.equal_sub body p full.body off l then begin
+              !places.(r) <- full.at.(k);
+              l
+            end
+            else 0
+        | c ->
+            let l = t.len.(c) in
+            if l > 0 && Chunk.equal_sub body p t.str.(c) t.off.(c) l then begin
+              !places.(r) <- t.at.(c);
+              l
+            end
+            else 0
+    in
+    if l > 0 then begin
+      !ids.(r) <- f.fids.(k);
+      cursor := k + 1;
+      pos := p + l
+    end
+    else begin
+      In_stream.window inp ~pos:p ~len:(size - p);
+      let id = Restore.skip_frame schema inp in
+      let q = In_stream.pos inp in
+      !ids.(r) <- id;
+      !places.(r) <- place_of v cursor id body p (q - p);
+      pos := q
+    end;
+    !offs.(r) <- p;
+    n := r + 1
+  done;
+  (!ids, !offs, !n, !places)
+
+(* The same comparison for a body framed already. *)
+let compare_framed v body ~ids ~offs ~n =
+  let cursor = ref 0 in
+  Array.init n (fun r ->
+      let pos = offs.(r) in
+      let stop = if r + 1 < n then offs.(r + 1) else String.length body in
+      place_of v cursor ids.(r) body pos (stop - pos))
+
+(* ------------------------------------------------------------------ *)
 (* Staging.                                                            *)
+
+type against = (snapshot * int array) option
 
 type body =
   | Split of Chunk.t list
@@ -19,11 +370,13 @@ type body =
       offs : int array;
       n : int;
       records_per_chunk : int;
+      against : against;
     }
 
 (* A body holds about as many records as the chain's newest entry of its
-   kind: a full as many, an incremental up to a quarter more. *)
-let body schema ~records_per_chunk entries (seg : Segment.t) =
+   kind: a full as many, an incremental up to a quarter more. A full on a
+   chain with an image is framed against it. *)
+let body schema ~records_per_chunk image entries (seg : Segment.t) =
   let newest =
     List.fold_left
       (fun n (e : Epoch_index.entry) ->
@@ -35,8 +388,17 @@ let body schema ~records_per_chunk entries (seg : Segment.t) =
     | Segment.Full -> newest
     | Segment.Incremental -> newest + (newest / 4)
   in
-  let ids, offs, n = Restore.frames ~hint schema seg.body in
-  Framed { body = seg.body; ids; offs; n; records_per_chunk }
+  match (seg.kind, image.current) with
+  | Segment.Full, Some s ->
+      let ids, offs, n, places =
+        lockstep schema (view_of_snapshot s) ~hint seg.body
+      in
+      Framed
+        { body = seg.body; ids; offs; n; records_per_chunk;
+          against = Some (s, places) }
+  | _ ->
+      let ids, offs, n = Restore.frames ~hint schema seg.body in
+      Framed { body = seg.body; ids; offs; n; records_per_chunk; against = None }
 
 type item = {
   chain : int;
@@ -50,16 +412,6 @@ type item = {
 (* Folding a full.                                                     *)
 
 let min_live_percent = 50
-
-(* Where a record lies, as one int: a chunk number above [off_bits], the
-   offset within that chunk below. A folded full numbers chunks sources
-   first — the chunks of the chain's entries since its newest full, in
-   entry order — then its own new chunks. *)
-let off_bits = 31
-
-let off_mask = (1 lsl off_bits) - 1
-
-let place s off = if off < 0 || off > off_mask then -1 else (s lsl off_bits) lor off
 
 (* A folded full's records, in body order: each one's id and its offset
    within the chunk it lies in; the sources' keys; and its runs, as each
@@ -77,155 +429,23 @@ type runs = {
    chunks tile the body). *)
 type plan = { size : int; fresh : Chunk.t list; runs : runs option }
 
-(* A full entry's records in body order: their ids, and their places in
-   the entry's own chunk numbering. *)
-type records = { full : Epoch_index.entry; ids : int array; at : int array }
-
-type kept = { mutable newest : records option }
-
-let kept () = { newest = None }
-
-let records_of (e : Epoch_index.entry) =
-  let nb = Epoch_index.dir_records e.dir in
-  let ids = Array.make nb 0 and at = Array.make nb 0 and b = ref 0 in
-  Epoch_index.iter_dir e (fun id c off ->
-      ids.(!b) <- id;
-      at.(!b) <- place c off;
-      incr b);
-  { full = e; ids; at }
-
-(* The chain's newest committed record of an id, as a place ([-1]: none),
-   given the entries since its newest full. That full's directory holds
-   every live id in body order ([kept] holds it when it is that full's,
-   and gives it up: its places are overwritten here), and an
-   incremental's records come in the same order, so both are
-   matched to it by position: a cursor walks ahead for an id, and the
-   full's ids are tabled the first time a walk runs off its end (an id it
-   lacks, or an order that differs). The incrementals' records, oldest
-   first, replace the full's places; the ids the full lacks are
-   tabled. [live] is marked at each chunk number some record lies in. *)
-let live_places kept ~live = function
-  | [] -> fun _ -> -1
-  | (base : Epoch_index.entry) :: newer_entries ->
-      let { ids; at; _ } =
-        match kept.newest with
-        | Some r when r.full == base ->
-            kept.newest <- None;
-            r
-        | _ -> records_of base
-      in
-      let nb = Array.length ids in
-      let by_id = ref None in
-      let table () =
-        match !by_id with
-        | Some t -> t
-        | None ->
-            let tbl = Idtbl.create nb and index = Array.make nb 0 in
-            Array.iteri
-              (fun i id ->
-                let fresh = Idtbl.length tbl in
-                if Idtbl.add tbl id = fresh then index.(fresh) <- i)
-              ids;
-            by_id := Some (tbl, index);
-            (tbl, index)
-      in
-      (* The index of [id] among the full's records, looked for from
-         [from] on until the table is built, or [-1]. *)
-      let index_of id ~from =
-        let rec scan k =
-          if k < nb then if ids.(k) = id then k else scan (k + 1)
-          else
-            let tbl, index = table () in
-            match Idtbl.find tbl id with -1 -> -1 | slot -> index.(slot)
-        in
-        match !by_id with
-        | None -> scan from
-        | Some (tbl, index) -> (
-            match Idtbl.find tbl id with -1 -> -1 | slot -> index.(slot))
-      in
-      let extra = Idtbl.create 64 and extra_at = ref (Array.make 64 0) in
-      ignore
-        (List.fold_left
-           (fun first (e : Epoch_index.entry) ->
-             let cursor = ref 0 in
-             Epoch_index.iter_dir e (fun id c off ->
-                 let p = place (first + c) off in
-                 match index_of id ~from:!cursor with
-                 | -1 ->
-                     let slot = Idtbl.add extra id in
-                     if slot = Array.length !extra_at then
-                       extra_at := Array.append !extra_at (Array.make slot 0);
-                     !extra_at.(slot) <- p
-                 | k ->
-                     at.(k) <- p;
-                     cursor := k + 1);
-             first + List.length e.chunks)
-           (List.length base.chunks) newer_entries
-          : int);
-      let mark p = if p >= 0 then Bytes.set live (p lsr off_bits) '\001' in
-      Array.iter mark at;
-      for j = 0 to Idtbl.length extra - 1 do
-        mark !extra_at.(j)
-      done;
-      let cursor = ref 0 in
-      fun id ->
-        let k = !cursor in
-        if k < nb && ids.(k) = id then begin
-          cursor := k + 1;
-          at.(k)
-        end
-        else
-          match index_of id ~from:k with
-          | -1 -> (
-              match Idtbl.find extra id with -1 -> -1 | j -> !extra_at.(j))
-          | k ->
-              cursor := k + 1;
-              at.(k)
-
-(* Fold a full against its chain's committed entries. Record [r < n] of
-   [body] has id [ids.(r)] and starts at [offs.(r)], the records tiling
-   the body. Each is compared byte for byte with the chain's newest
-   committed record of its id; an equal one stays where that one lies,
-   unless the records staying in its chunk would be less than
-   [min_live_percent] of the chunk's bytes. The rest are copied, in body
-   order, into new chunks. [None] when no record stays; otherwise [offs]
-   is reused for the records' offsets within their chunks. *)
-let fold_full ~records_per_chunk pack (entries, kept) ~body ~ids ~offs ~n =
-  let live_entries = Epoch_index.since_full entries ~epoch:max_int in
-  let sources =
-    Array.of_list
-      (List.concat_map (fun (e : Epoch_index.entry) -> e.chunks) live_entries)
-  in
+(* Fold a full whose record [r < n] has id [ids.(r)], starts at
+   [offs.(r)] in [body] (the records tiling it) and equals the chain's
+   newest committed record of its id where [places.(r) >= 0]: at that
+   place, among the [sources] (the chain's chunks since its newest full,
+   of lengths [lens]). An equal record stays where it lies, unless the
+   records staying in its chunk would be less than [min_live_percent] of
+   the chunk's bytes. The rest are copied, in body order, into new
+   chunks. [None] when no record stays. *)
+let fold_full ~records_per_chunk ~sources ~lens ~body ~ids ~offs ~n ~places =
   let nsrc = Array.length sources in
-  let lens = Array.map (Pack.chunk_len pack) sources in
-  let wanted = Bytes.make nsrc '\000' in
-  let find = live_places kept ~live:wanted live_entries in
-  (* Only the chunks some live record lies in are read. *)
-  let start = Array.make nsrc 0 and k = ref 0 in
-  Bytes.iteri
-    (fun s c ->
-      if c <> '\000' then begin
-        start.(!k) <- s;
-        incr k
-      end)
-    wanted;
-  let fetched = Array.sub start 0 !k in
-  let buf, at = Pack.fetch pack (Array.map (Array.get sources) fetched) in
-  Array.iteri (fun i s -> start.(s) <- at.(i)) fetched;
   let stop r = if r + 1 < n then offs.(r + 1) else String.length body in
-  (* Per record, the place of the live record it equals ([-1]: none). *)
-  let places = Array.make n (-1) and live = Array.make nsrc 0 in
+  let live = Array.make nsrc 0 in
   for r = 0 to n - 1 do
-    let p = find ids.(r) in
+    let p = places.(r) in
     if p >= 0 then begin
-      let s = p lsr off_bits and o = p land off_mask in
-      let off = offs.(r) in
-      let len = stop r - off in
-      if o + len <= lens.(s) && Chunk.equal_sub buf (start.(s) + o) body off len
-      then begin
-        places.(r) <- p;
-        live.(s) <- live.(s) + len
-      end
+      let s = p lsr off_bits in
+      live.(s) <- live.(s) + (stop r - offs.(r))
     end
   done;
   (* A source too little of which stays gives its records up. *)
@@ -241,19 +461,20 @@ let fold_full ~records_per_chunk pack (entries, kept) ~body ~ids ~offs ~n =
   if !kept = 0 then None
   else begin
     (* The moved records, back to back: the new chunks' body. The last
-       pass turns [offs] from where each record starts in the body into
-       where it starts in its chunk, and cuts the runs. *)
+       pass finds where each record starts in its chunk, and cuts the
+       runs. *)
     let moved = Array.fold_left ( - ) (String.length body) live in
     let m = n - !kept in
     let bytes = Bytes.create moved in
     let new_ids = Array.make m 0 and new_offs = Array.make m 0 in
+    let within = Array.make n 0 in
     let run_chunks = ref (Array.make 64 0) and run_counts = ref (Array.make 64 0) in
     let runs = ref 0 and q = ref 0 and at = ref 0 in
     for r = 0 to n - 1 do
       let len = stop r - offs.(r) in
       let chunk =
         if places.(r) >= 0 then begin
-          offs.(r) <- places.(r) land off_mask;
+          within.(r) <- places.(r) land off_mask;
           places.(r) lsr off_bits
         end
         else begin
@@ -261,7 +482,7 @@ let fold_full ~records_per_chunk pack (entries, kept) ~body ~ids ~offs ~n =
           Bytes.blit_string body offs.(r) bytes !at len;
           new_ids.(!q) <- ids.(r);
           new_offs.(!q) <- !at;
-          offs.(r) <- !at - new_offs.(k * records_per_chunk);
+          within.(r) <- !at - new_offs.(k * records_per_chunk);
           at := !at + len;
           incr q;
           nsrc + k
@@ -269,16 +490,14 @@ let fold_full ~records_per_chunk pack (entries, kept) ~body ~ids ~offs ~n =
       in
       if !runs = 0 || !run_chunks.(!runs - 1) <> chunk then begin
         if !runs = Array.length !run_chunks then begin
-          run_chunks := Array.append !run_chunks (Array.make !runs 0);
-          run_counts := Array.append !run_counts (Array.make !runs 0)
+          run_chunks := grow !run_chunks;
+          run_counts := grow !run_counts
         end;
         !run_chunks.(!runs) <- chunk;
         incr runs
       end;
       !run_counts.(!runs - 1) <- !run_counts.(!runs - 1) + 1
     done;
-    (* The runs keep the arrays: trimmed to the records they hold. *)
-    let trim a = if Array.length a = n then a else Array.sub a 0 n in
     Some
       { size = String.length body;
         fresh =
@@ -286,8 +505,8 @@ let fold_full ~records_per_chunk pack (entries, kept) ~body ~ids ~offs ~n =
             ~ids:new_ids ~offs:new_offs ~n:m;
         runs =
           Some
-            { ids = trim ids;
-              offs = trim offs;
+            { ids = (if Array.length ids = n then ids else Array.sub ids 0 n);
+              offs = within;
               sources;
               run_chunks = Array.sub !run_chunks 0 !runs;
               run_counts = Array.sub !run_counts 0 !runs } }
@@ -299,16 +518,36 @@ let whole chunks =
     runs = None }
 
 (* A framed full on a chain with committed entries is folded against
-   them; any other item, a full none of whose records stays, and one
-   whose fold meets a corrupt chunk or directory are committed whole. *)
+   them: by the places found when it was framed if the chain's image has
+   not moved since, else compared again, with the image or, if there is
+   none, from the pack. Any other item, a full none of whose records
+   stays, and one whose fold meets a corrupt chunk or directory are
+   committed whole. *)
 let plan committed pack (it : item) =
   match it.body with
   | Split chunks -> whole chunks
-  | Framed { body; ids; offs; n; records_per_chunk } -> (
+  | Framed { body; ids; offs; n; records_per_chunk; against } -> (
       let folded =
         match (it.kind, committed it.chain) with
-        | Segment.Full, ((_ :: _, _) as chain) -> (
-            try fold_full ~records_per_chunk pack chain ~body ~ids ~offs ~n
+        | Segment.Full, ((_ :: _ as entries), image) -> (
+            let since = Epoch_index.since_full entries ~epoch:max_int in
+            let sources =
+              Array.of_list
+                (List.concat_map (fun (e : Epoch_index.entry) -> e.chunks) since)
+            in
+            let lens = Array.map (Pack.chunk_len pack) sources in
+            try
+              let places =
+                match (against, image.current) with
+                | Some (s, places), Some s' when s == s' -> places
+                | _, Some s -> compare_framed (view_of_snapshot s) body ~ids ~offs ~n
+                | _, None ->
+                    compare_framed
+                      (view_of_pack pack since ~sources ~lens)
+                      body ~ids ~offs ~n
+              in
+              fold_full ~records_per_chunk ~sources ~lens ~body ~ids ~offs ~n
+                ~places
             with In_stream.Corrupt _ -> None)
         | _ -> None
       in
@@ -557,36 +796,20 @@ type 'a committed = {
   index_bytes : int;
 }
 
-(* The entry of a staged item whose located chunks start at [at]. A
-   whole item's chunks are its split, in body order; a folded full's are
-   each chunk its runs name, once, in order of first reference, and its
-   fresh chunks are located in that order, which is the order they were
-   cut in. *)
+(* The entry of a staged item whose located chunks start at [at], and
+   for a folded full where each of its records lies. A whole item's
+   chunks are its split, in body order; a folded full's are each chunk
+   its runs name, once, in order of first reference, and its fresh chunks
+   are located in that order, which is the order they were cut in. *)
 let entry_of (it : item) p (keys, fresh) ~at =
   let crc (c : Chunk.t) = Crc32.sub c.src ~pos:c.off ~len:c.len in
-  let chunks, located, folded, dir, records =
+  let chunks, located, dir, places =
     match p.runs with
     | None ->
         ( Array.to_list keys,
           List.map (fun (i, (c : Chunk.t)) -> (i, c.len, crc c)) fresh,
-          false,
           Epoch_index.code_dir (List.map (fun (c : Chunk.t) -> c.records) p.fresh),
-          fun full ->
-            let n =
-              List.fold_left
-                (fun n (c : Chunk.t) -> n + (Array.length c.records / 2))
-                0 p.fresh
-            in
-            let ids = Array.make n 0 and at = Array.make n 0 and r = ref 0 in
-            List.iteri
-              (fun i (c : Chunk.t) ->
-                for j = 0 to (Array.length c.records / 2) - 1 do
-                  ids.(!r) <- c.records.(2 * j);
-                  at.(!r) <- place i c.records.((2 * j) + 1);
-                  incr r
-                done)
-              p.fresh;
-            { full; ids; at } )
+          None )
     | Some f ->
         let nsrc = Array.length f.sources in
         let ords = Idtbl.create (nsrc + Array.length keys) in
@@ -597,36 +820,64 @@ let entry_of (it : item) p (keys, fresh) ~at =
                 (if chunk < nsrc then f.sources.(chunk) else keys.(chunk - nsrc)))
             f.run_chunks
         in
+        let places = Array.make (Array.length f.ids) 0 and r = ref 0 in
+        Array.iteri
+          (fun k count ->
+            for _ = 1 to count do
+              places.(!r) <- place chunks.(k) f.offs.(!r);
+              incr r
+            done)
+          f.run_counts;
         ( List.init (Idtbl.length ords) (Idtbl.key ords),
           List.map
             (fun (i, (c : Chunk.t)) -> (Idtbl.find ords keys.(i), c.len, crc c))
             fresh,
-          true,
           Epoch_index.code_runs ~chunks ~counts:f.run_counts ~ids:f.ids
             ~offs:f.offs,
-          fun full ->
-            let at = Array.make (Array.length f.ids) 0 and r = ref 0 in
-            Array.iteri
-              (fun k count ->
-                for _ = 1 to count do
-                  at.(!r) <- place chunks.(k) f.offs.(!r);
-                  incr r
-                done)
-              f.run_counts;
-            { full; ids = f.ids; at } )
+          Some places )
   in
-  let e =
-    { Epoch_index.epoch = it.epoch;
+  ( { Epoch_index.epoch = it.epoch;
       kind = it.kind;
-      folded;
+      folded = places <> None;
       size = p.size;
       roots = it.roots;
       chunks;
       at;
       located = Epoch_index.code_located located;
-      dir }
-  in
-  (e, fun () -> records e)
+      dir },
+    places )
+
+(* Once an item is committed, its chain's image moves on: a full starts a
+   new one, an incremental adds its layer. An image whose incrementals'
+   bodies would outgrow its full's is dropped, as is one a chunk list
+   without framing would extend: the chain's next fold reads the pack. *)
+let advance image (it : item) (e : Epoch_index.entry) folded_places =
+  match it.body with
+  | Split _ -> forget image
+  | Framed { body; ids; offs; n; records_per_chunk; _ } -> (
+      let layer ~first =
+        { body; ids; offs; n;
+          at =
+            (match folded_places with
+            | Some at -> at
+            | None -> tiled ~first ~records_per_chunk ~offs ~n) }
+      in
+      let chunks = List.length e.chunks in
+      match (it.kind, image.current) with
+      | Segment.Full, _ ->
+          image.current <-
+            Some { full = layer ~first:0; since = []; chunks; bytes = 0 }
+      | Segment.Incremental, None -> ()
+      | Segment.Incremental, Some s ->
+          let bytes = s.bytes + String.length body in
+          image.current <-
+            (if bytes > String.length s.full.body then None
+             else
+               Some
+                 { s with
+                   since = layer ~first:s.chunks :: s.since;
+                   chunks = s.chunks + chunks;
+                   bytes }))
 
 let commit ~committed idx vfs ~path pack items =
   let plans = List.map (plan committed pack) items in
@@ -640,12 +891,12 @@ let commit ~committed idx vfs ~path pack items =
   let stop, rev_entries =
     List.fold_left2
       (fun (at, acc) (it, p) st ->
-        let e, records = entry_of it p st ~at in
+        let e, places = entry_of it p st ~at in
         ( List.fold_left (fun at (_, (c : Chunk.t)) -> at + c.len) at (snd st),
-          (idx.make it.chain e, (it, records)) :: acc ))
+          (idx.make it.chain e, (it, e, places)) :: acc ))
       (start, []) (List.combine items plans) staged
   in
-  let entries, records = List.split (List.rev rev_entries) in
+  let entries, moves = List.split (List.rev rev_entries) in
   let index_bytes = Epoch_index.encode_batch idx.encode ~entry:idx.entry entries in
   if index_bytes <> "" then begin
     let before = if vfs.Vfs.exists path then vfs.Vfs.size path else 0 in
@@ -663,12 +914,10 @@ let commit ~committed idx vfs ~path pack items =
   List.iter
     (fun x -> ignore (Pack.locate pack ~checked:true (idx.entry x) : int))
     entries;
-  (* A chain's next fold reads its newest full's records from here. *)
+  (* Each chain's next fold reads its image, moved on in batch order. *)
   List.iter
-    (fun ((it : item), records) ->
-      if it.kind = Segment.Full then
-        (snd (committed it.chain)).newest <- Some (records ()))
-    records;
+    (fun ((it : item), e, places) -> advance (snd (committed it.chain)) it e places)
+    moves;
   { entries;
     collisions;
     fresh_chunks =

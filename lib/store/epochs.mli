@@ -40,6 +40,26 @@ val mux : Epoch_index.mux_entry index
 
 (** {1 Committing} *)
 
+type image
+(** A chain's committed image: what it has committed since its newest
+    full, as it committed it — that full's body with its records' ids,
+    offsets and places, and each incremental's since, laid over it by
+    {!commit}. Each store keeps one, a service one per tenant. It moves on
+    only once a {!commit} has succeeded, and is missing until a full
+    commits in this session (after a reopen, a gc or an evict), or once
+    the incrementals' bodies since its full would outgrow that full's;
+    the chain's next fold then reads the pack. *)
+
+val image : unit -> image
+(** No image: the chain's next fold reads the pack. *)
+
+val forget : image -> unit
+(** Drop the image, as after a gc rewrote the chain's entries. *)
+
+type against
+(** What a full body was compared against when it was framed, and the
+    outcome. *)
+
 (** A segment body to commit. *)
 type body =
   | Split of Chunk.t list
@@ -50,6 +70,7 @@ type body =
       offs : int array;
       n : int;
       records_per_chunk : int;
+      against : against;
     }
       (** whole, with its [n] records' ids and offsets in the first [n]
           cells of [ids] and [offs] ({!Ickpt_core.Restore.frames}):
@@ -57,13 +78,18 @@ type body =
           ({!Chunk.of_frames}) *)
 
 val body :
-  Ickpt_runtime.Schema.t -> records_per_chunk:int -> Epoch_index.entry list ->
-  Segment.t -> body
-(** [body schema ~records_per_chunk entries seg]: the segment's body as
-    {!commit} takes it, its framing walked once ([Framed]). Its arrays are
-    sized by the record count of the newest entry of the segment's kind
-    among the chain's committed [entries]: a full's by that count, an
-    incremental's by a quarter more.
+  Ickpt_runtime.Schema.t -> records_per_chunk:int -> image ->
+  Epoch_index.entry list -> Segment.t -> body
+(** [body schema ~records_per_chunk image entries seg]: the segment's body
+    as {!commit} takes it, its framing walked once ([Framed]). Its arrays
+    are sized by the record count of the newest entry of the segment's
+    kind among the chain's committed [entries]: a full's by that count,
+    an incremental's by a quarter more. A full on a chain with an image is
+    framed in one pass against it: where the bytes at a record boundary
+    equal the chain's live record there, that comparison frames the
+    record; only the records that differ are framed by the schema. The
+    image read is a snapshot, so this may run outside the lock commits
+    are made under.
     @raise Ickpt_core.Restore.Error on an unknown class id.
     @raise Ickpt_stream.In_stream.Corrupt on a truncated record. *)
 
@@ -91,38 +117,32 @@ val min_live_percent : int
     bytes; otherwise they are copied into its new chunks with the changed
     ones. *)
 
-type kept
-(** What a chain keeps between {!commit}s for its next fold: its newest
-    full's records in body order, so that a fold does not decode that
-    full's directory again. Each store keeps one, a service one per
-    tenant. *)
-
-val kept : unit -> kept
-(** Nothing kept yet. *)
-
 val commit :
-  committed:(int -> Epoch_index.entry list * kept) ->
+  committed:(int -> Epoch_index.entry list * image) ->
   'a index -> Vfs.t -> path:string -> Pack.t -> item list -> 'a committed
 (** Commit a batch of epochs to the index file at [path].
 
     [committed chain] is the chain's committed entries, oldest first, and
-    what it keeps. A [Framed] full item whose chain has committed entries
-    is {e folded}: each of its body's records is compared byte for byte
-    with the chain's newest committed record of the same id, found in the
-    directories since the chain's newest full, and the chunks some of
-    those records lie in are read with one {!Pack.fetch}. A record equal
-    to it stays where it lies. Only committed state is read, never an
-    item of the same batch. The other records, and every record left in
-    an older chunk of which this full would reference less than
-    {!min_live_percent} percent of the bytes, are copied in body order
-    into new chunks, cut every [records_per_chunk] records. The entry is
-    a full with a complete directory ({!Epoch_index.entry}[.folded]), and
-    its body is neither split nor hashed. A full none of whose records
-    stays, one whose fold meets a corrupt chunk or directory, and every
-    other item are committed whole, a [Framed] one cut first
-    ({!Chunk.of_frames}). Once committed, a full's records are kept for
-    its chain's next fold; a kept full that is no longer the chain's
-    newest full (a gc rewrote its entry) is decoded afresh.
+    its image. A [Framed] full item whose chain has committed entries is
+    {e folded}: each of its body's records is compared byte for byte with
+    the chain's newest committed record of the same id. The comparison
+    {!body} made against the image is used if the image has not moved
+    since; otherwise the body is compared again with the image, or, if
+    the chain has none, with the records its directories since its
+    newest full place, the chunks some of them lie in read with one
+    {!Pack.fetch}. Only committed state is read, never an item of the
+    same batch. A record equal to the live one stays where that one
+    lies. The other records, and every record left in an older chunk of
+    which this full would reference less than {!min_live_percent}
+    percent of the bytes, are copied in body order into new chunks, cut
+    every [records_per_chunk] records. The entry is a full with a
+    complete directory ({!Epoch_index.entry}[.folded]), and its body is
+    neither split nor hashed. A full none of whose records stays, one
+    whose fold meets a corrupt chunk or directory, and every other item
+    are committed whole, a [Framed] one cut first ({!Chunk.of_frames}).
+    Once the batch is committed, each chain's image moves on, in batch
+    order: a full starts a new one, a [Framed] incremental is laid over
+    it, and a [Split] item drops it.
 
     Then: resolve every new chunk against the pack ({!Pack.resolve}: each
     key hit byte-verified, collisions climbing the salt ladder, and one

@@ -31,7 +31,7 @@ type t = {
       (* a gc committed (its index is live) but its pack is not yet in
          place and in the table *)
   out : Ickpt_stream.Out_stream.t;  (* the stream every take writes into *)
-  kept : Epochs.kept;  (* what the chain's next fold reads *)
+  image : Epochs.image;  (* what the chain's next fold reads *)
 }
 
 let path t = t.root
@@ -79,7 +79,7 @@ let open_ ?(vfs = Vfs.real) ?(records_per_chunk = Chunk.default_records_per_chun
     collided = [];
     gc_unfinished = false;
     out = Ickpt_stream.Out_stream.create ();
-    kept = Epochs.kept () }
+    image = Epochs.image () }
 
 (* The second half of a committed gc, as [open_] finishes it: the staged
    pack is renamed into place, then the table is rebuilt from the new
@@ -141,13 +141,14 @@ let append_segment t (seg : Segment.t) =
   (* The body is walked before anything is written: a malformed one is
      refused here. *)
   let body =
-    Epochs.body t.schema ~records_per_chunk:t.records_per_chunk t.entries seg
+    Epochs.body t.schema ~records_per_chunk:t.records_per_chunk t.image
+      t.entries seg
   in
   let index_file = index_path t.root in
   let c =
     try
       Epochs.commit
-        ~committed:(fun _ -> (t.entries, t.kept))
+        ~committed:(fun _ -> (t.entries, t.image))
         Epochs.plain t.vfs ~path:index_file (pack t)
         [ { Epochs.chain = 0;
             kind = seg.kind;
@@ -313,6 +314,7 @@ let gc t ~retain =
         in
         t.entries <- kept;
         t.index_bytes <- index_bytes;
+        Epochs.forget t.image;
         t.gc_unfinished <- true;
         finish_gc t;
         Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) failed;

@@ -130,7 +130,7 @@ let mux_roundtrip () =
       write (String.concat "" (List.map encode_mux_entry ms)));
   let empty =
     Epochs.commit
-      ~committed:(fun _ -> ([], Epochs.kept ()))
+      ~committed:(fun _ -> ([], Epochs.image ()))
       Epochs.mux vfs ~path:"empty.idx"
       (Pack.open_ ~vfs "mux.pack") []
   in
@@ -394,7 +394,7 @@ let policy_rejected () =
 let seed_poison ?(chain = 0) index vfs ~pack ~idx key =
   ignore
     (Epochs.commit
-       ~committed:(fun _ -> ([], Epochs.kept ()))
+       ~committed:(fun _ -> ([], Epochs.image ()))
        index vfs ~path:idx (Pack.open_ ~vfs pack)
        [ { Epochs.chain;
            kind = Segment.Full;
@@ -472,23 +472,6 @@ let service_salted_collision () =
   check_bool "service checks clean but for the seeded epoch" true
     (only_poison (Service.check svc));
   Service.close svc
-
-(* A vfs counting the bytes read from files ending in [suffix], whole or
-   positionally. *)
-let counting_vfs inner ~suffix =
-  let read = ref 0 in
-  let count path n = if String.ends_with ~suffix path then read := !read + n in
-  ( { inner with
-      Vfs.read_file =
-        (fun p ->
-          let d = inner.Vfs.read_file p in
-          count p (String.length d);
-          d);
-      read_into =
-        (fun p buf runs ->
-          List.iter (fun (_, _, len) -> count p len) runs;
-          inner.Vfs.read_into p buf runs) },
-    read )
 
 (* An ordinary write error (disk full, EIO): the op fails, the machine
    keeps running. *)
@@ -1110,9 +1093,11 @@ let inspect_torn_pack () =
        :: List.init 2 (Service.shard_index_path path))
   in
   let inspect files =
-    let vfs, read = counting_vfs (Sim.vfs (Sim.seeded files)) ~suffix:".pack" in
+    let vfs, read =
+      Test_store.counting_vfs (Sim.vfs (Sim.seeded files)) ~suffix:".pack"
+    in
     let svc = Service.open_ ~vfs ~path () in
-    let read_at_open = !read in
+    let read_at_open = read.Test_store.bytes in
     let rows = Attrib.rows svc in
     let problems = Service.check svc in
     let cut = (Service.stats svc).Service.pack_cut_bytes in
@@ -1155,14 +1140,14 @@ let reopen_reads_no_pack_byte () =
     List.iter (fun tn -> ignore (Service.checkpoint tn w.roots : int)) tns
   done;
   Service.close svc;
-  let vfs, read = counting_vfs inner ~suffix:".pack" in
+  let vfs, read = Test_store.counting_vfs inner ~suffix:".pack" in
   let reopen () =
-    read := 0;
+    read.Test_store.bytes <- 0;
     let store = Store.open_ ~vfs w.schema ~path:"s" in
-    check_int "Store.open_ reads no pack byte" 0 !read;
+    check_int "Store.open_ reads no pack byte" 0 read.bytes;
     check_int "20 epochs" 20 (List.length (Store.epochs store));
     let svc = Service.open_ ~vfs ~path:"svc" () in
-    check_int "Service.open_ reads no pack byte" 0 !read;
+    check_int "Service.open_ reads no pack byte" 0 read.bytes;
     (store, svc)
   in
   let packs = [ Store.pack_path "s"; Service.pack_path "svc" ] in

@@ -68,7 +68,7 @@ let entry_view (e : Epoch_index.entry) =
    next to the pack: the way a chunk enters a pack's table. *)
 let commit_chunks ?(idx = "p.idx") vfs pack ~epoch chunks =
   Epochs.commit
-    ~committed:(fun _ -> ([], Epochs.kept ()))
+    ~committed:(fun _ -> ([], Epochs.image ()))
     Epochs.plain vfs ~path:idx pack
     [ { Epochs.chain = 0;
         kind = Segment.Full;
@@ -372,6 +372,29 @@ let append_bytes (vfs : Vfs.t) path s =
   w.Vfs.write s;
   w.Vfs.sync ();
   w.Vfs.close ()
+
+(* What a vfs saw read from the files it counts: bytes, whole or
+   positionally, and positional reads ([read_into] calls). *)
+type reads = { mutable bytes : int; mutable calls : int }
+
+(* A vfs counting what is read from files ending in [suffix]. *)
+let counting_vfs inner ~suffix =
+  let r = { bytes = 0; calls = 0 } in
+  let ours path = String.ends_with ~suffix path in
+  ( { inner with
+      Vfs.read_file =
+        (fun p ->
+          let d = inner.Vfs.read_file p in
+          if ours p then r.bytes <- r.bytes + String.length d;
+          d);
+      read_into =
+        (fun p buf runs ->
+          if ours p then begin
+            r.calls <- r.calls + 1;
+            List.iter (fun (_, _, len) -> r.bytes <- r.bytes + len) runs
+          end;
+          inner.Vfs.read_into p buf runs) },
+    r )
 
 let pack_roundtrip_and_torn_tail () =
   let sim = Sim.create () in
@@ -843,7 +866,7 @@ let record_past_chunk_end () =
   let pack = Pack.open_ ~vfs "h.pack" in
   let committed =
     Epochs.commit
-      ~committed:(fun _ -> ([], Epochs.kept ()))
+      ~committed:(fun _ -> ([], Epochs.image ()))
       Epochs.plain vfs ~path:"h.idx" pack
       [ { Epochs.chain = 0; kind = Segment.Full; epoch = 0; roots = [ 1 ];
           body = Split chunks } ]
@@ -1801,7 +1824,7 @@ let pack_resolve_slices () =
   in
   let commit epoch chunks =
     Epochs.commit
-      ~committed:(fun _ -> ([], Epochs.kept ()))
+      ~committed:(fun _ -> ([], Epochs.image ()))
       Epochs.plain vfs ~path:"r.idx" p
       [ { Epochs.chain = 0; kind = Segment.Full; epoch; roots = [];
           body = Split chunks } ]
@@ -1893,13 +1916,14 @@ let restore_allocation () =
    the 6,500-object synth heap through {!Epochs.take} allocates about its
    body, the copy the segment keeps (20,502 words for a 157,691-byte
    body); and a second full {!Store.checkpoint}, every record of which
-   is unchanged, within six bodies (93,309 words: the body's framing,
-   the fold against the first full's kept records, the live chunks
-   fetched into the pack's read buffer, grown here, the folded entry,
-   the records kept for the next fold and the simulator's index file;
-   the whole full this was before folded fulls, every chunk a
-   duplicate, 94,691; with a fresh stream and visited set per take, and
-   the split copying each chunk, 274,801). *)
+   is unchanged, within six bodies (83,444 words: the body framed and
+   compared in one pass against the first full's image, the folded
+   entry, the image the next fold reads and the simulator's index file;
+   93,309 when the fold read the first full's records from the pack,
+   into its read buffer, grown here; the whole full this was before
+   folded fulls, every chunk a duplicate, 94,691; with a fresh stream
+   and visited set per take, and the split copying each chunk,
+   274,801). *)
 let take_stream_allocation () =
   let synth =
     Ickpt_synth.Synth.build
@@ -2407,45 +2431,104 @@ let referenced_bytes schema pack (e : Epoch_index.entry) =
         live.(c) + Restore.frame_len schema d ~pos:off ~len:(String.length d - off));
   Array.mapi (fun c k -> (k, live.(c), String.length data.(c))) keys
 
+(* The files of a store or a service at [path] (a missing one: empty). *)
+let store_files (vfs : Vfs.t) path =
+  List.map vfs.Vfs.read_file [ Store.pack_path path; Store.index_path path ]
+
+let service_files vfs path =
+  List.map (Vfs.contents vfs)
+    (Service.pack_path path :: Service.meta_path path
+     :: Service.catalog_path path
+     :: List.init Ickpt_service.Shard.default_count
+          (Service.shard_index_path path))
+
 (* Over a long synth run with a full every fourth epoch, every full after
    the first is folded, every chunk a folded full references holds at
    least [Epochs.min_live_percent] of its bytes in records of that full,
    and every epoch restores and reassembles exactly, in session, after a
-   reopen, and after a gc. *)
+   reopen, and after a gc. A fold compares with the chain's image in
+   memory, or after a reopen with what the pack holds, and decides alike:
+   a store, and a service tenant, reopened before the fulls [reopens]
+   picks write the same files as ones never reopened. *)
 let folded_fulls_prop =
   QCheck2.Test.make ~name:"folded fulls: chunks at least half live, exact"
     ~count:6
     QCheck2.Gen.(
-      pair (int_range 0 10_000) (pair (int_range 10 30) (oneofl [ 10; 25; 50 ])))
-    (fun (seed, (n_structures, pct_modified)) ->
-      let t =
-        Ickpt_synth.Synth.build
-          { Ickpt_synth.Synth.default_config with
-            n_structures; pct_modified; modified_lists = 1; seed }
-      in
-      let schema = t.Ickpt_synth.Synth.schema in
-      let roots = Ickpt_synth.Synth.roots t in
-      let vfs = Sim.vfs (Sim.create ()) in
-      let chain = Chain.create schema in
-      let open_store () =
-        Store.open_ ~vfs ~records_per_chunk:4 ~policy:(Policy.Full_every 4)
-          schema ~path:store_path
-      in
-      let store = open_store () in
+      pair
+        (pair (int_range 0 10_000) (int_range 0 511))
+        (pair (int_range 10 30) (oneofl [ 10; 25; 50 ])))
+    (fun ((seed, reopens), (n_structures, pct_modified)) ->
       let epochs = 40 in
-      for r = 0 to epochs - 1 do
-        if r > 0 then ignore (Ickpt_synth.Synth.mutate_round t);
-        let kind =
-          Policy.decide (Policy.Full_every 4) ~next:(Chain.next chain)
-            ~since_full_bytes:(Chain.since_full_bytes chain)
+      let policy = Policy.Full_every 4 in
+      (* Feeds each segment of one synth run to [append], [~again] before
+         each full the mask picks (the fulls after the first, in order)
+         when [reopen]. *)
+      let drive ~reopen append =
+        let t =
+          Ickpt_synth.Synth.build
+            { Ickpt_synth.Synth.default_config with
+              n_structures; pct_modified; modified_lists = 1; seed }
         in
-        let taken =
-          match kind with
-          | Segment.Full -> Chain.take_full chain roots
-          | Segment.Incremental -> Chain.take_incremental chain roots
+        let schema = t.Ickpt_synth.Synth.schema in
+        let roots = Ickpt_synth.Synth.roots t in
+        let chain = Chain.create schema in
+        for r = 0 to epochs - 1 do
+          if r > 0 then ignore (Ickpt_synth.Synth.mutate_round t);
+          let kind =
+            Policy.decide policy ~next:(Chain.next chain)
+              ~since_full_bytes:(Chain.since_full_bytes chain)
+          in
+          let taken =
+            match kind with
+            | Segment.Full -> Chain.take_full chain roots
+            | Segment.Incremental -> Chain.take_incremental chain roots
+          in
+          let again =
+            reopen && kind = Segment.Full && r > 0
+            && (reopens lsr ((r / 4) - 1)) land 1 = 1
+          in
+          append schema ~again taken.Chain.segment
+        done;
+        (schema, chain)
+      in
+      let store_run ~reopen =
+        let vfs = Sim.vfs (Sim.create ()) in
+        let store = ref None in
+        let open_store schema =
+          Store.open_ ~vfs ~records_per_chunk:4 ~policy schema ~path:store_path
         in
-        ignore (Store.append_segment store taken.Chain.segment)
-      done;
+        let schema, chain =
+          drive ~reopen (fun schema ~again seg ->
+              if again || !store = None then store := Some (open_store schema);
+              ignore (Store.append_segment (Option.get !store) seg))
+        in
+        (vfs, Option.get !store, (fun () -> open_store schema), schema, chain)
+      in
+      let service_files_of ~reopen =
+        let vfs = Sim.vfs (Sim.create ()) in
+        let svc = ref None in
+        let path = "svc" in
+        let open_tenant schema =
+          Option.iter Service.close (Option.map fst !svc);
+          let s = Service.open_ ~vfs ~records_per_chunk:4 ~policy ~path () in
+          let tn = Service.open_tenant s schema ~name:"tenant" in
+          svc := Some (s, tn)
+        in
+        ignore
+          (drive ~reopen (fun schema ~again seg ->
+               if again || !svc = None then open_tenant schema;
+               ignore (Service.append (snd (Option.get !svc)) seg : int))
+            : Schema.t * Chain.t);
+        Service.close (fst (Option.get !svc));
+        service_files vfs path
+      in
+      let vfs, store, open_store, schema, chain = store_run ~reopen:false in
+      let reopened_vfs, _, _, _, _ = store_run ~reopen:true in
+      if store_files vfs store_path <> store_files reopened_vfs store_path then
+        QCheck2.Test.fail_report "a store reopened before fulls wrote other files";
+      if service_files_of ~reopen:false <> service_files_of ~reopen:true then
+        QCheck2.Test.fail_report
+          "a service tenant reopened before fulls wrote other files";
       let pack =
         reopen_pack ~idx:(Store.index_path store_path) vfs
           (Store.pack_path store_path)
@@ -2547,6 +2630,147 @@ let fold_fallbacks () =
     (List.exists
        (fun e -> contains e (Hash64.to_hex key) && contains e "crc")
        (Store.check !store))
+
+(* A full folded against a chain committed in this session reads no pack
+   byte: it is compared with the chain's image in memory. After a reopen
+   there is no image, and the first folded full makes one positional
+   read, of exactly the chunks some live record lies in: not a chunk
+   every record of which a newer one replaced. Its records are about
+   1.1 KB, four to a chunk, so every chunk is longer than the gap a
+   fetch reads across, and a chunk it skips is not read. *)
+let fold_reads () =
+  let schema = Schema.create () in
+  let node = Schema.declare schema ~name:"Node" ~ints:1100 ~children:1 () in
+  let heap = Heap.create schema in
+  let nodes = Array.init 24 (fun _ -> Heap.alloc heap node) in
+  Array.iteri
+    (fun i o -> if i > 0 then Barrier.set_child nodes.(i - 1) 0 (Some o))
+    nodes;
+  let roots = [ nodes.(0) ] in
+  let vfs, reads = counting_vfs (Sim.vfs (Sim.create ())) ~suffix:".pack" in
+  let open_store () =
+    Store.open_ ~vfs ~records_per_chunk:4 ~policy:Policy.Always_full schema
+      ~path:store_path
+  in
+  let chain = Chain.create schema and store = ref (open_store ()) in
+  let set lo hi v =
+    for i = lo to hi do
+      Barrier.set_int nodes.(i) 0 v
+    done
+  in
+  let append (taken : Chain.taken) =
+    reads.bytes <- 0;
+    reads.calls <- 0;
+    ignore (Store.append_segment !store taken.segment : Store.append_stats);
+    taken.segment.seq
+  in
+  let full () = append (Chain.take_full chain roots) in
+  let incremental () = append (Chain.take_incremental chain roots) in
+  let folded e = (Store.entry_at !store e).Epoch_index.folded in
+  (* The base full, then nodes 4..7 (its second chunk) rewritten twice. *)
+  ignore (full () : int);
+  set 4 7 1;
+  ignore (incremental () : int);
+  set 4 7 2;
+  ignore (incremental () : int);
+  set 10 10 3;
+  let e = full () in
+  check_bool "in session: folded" true (folded e);
+  check_int "in session: no pack read" 0 reads.calls;
+  store := open_store ();
+  set 16 19 4;
+  ignore (incremental () : int);
+  set 0 0 5;
+  let e = full () in
+  check_bool "after a reopen: folded" true (folded e);
+  check_int "after a reopen: one pack read" 1 reads.calls;
+  (* The live chunks: each id's newest record, among the entries since
+     the newest full before [e]. *)
+  let pack =
+    reopen_pack ~idx:(Store.index_path store_path) vfs
+      (Store.pack_path store_path)
+  in
+  let entries =
+    List.filter
+      (fun (x : Epoch_index.entry) -> x.epoch < e)
+      (List.map (Store.entry_at !store) (Store.epochs !store))
+  in
+  let live = Hashtbl.create 16 in
+  Dir.iter
+    (Dir.fold_in pack ~entries ~epoch:(e - 1))
+    (fun _ (key, _) -> Hashtbl.replace live key ());
+  let bytes keys =
+    List.fold_left (fun n k -> n + Pack.chunk_len pack k) 0 (List.sort_uniq compare keys)
+  in
+  let live_bytes = bytes (List.of_seq (Hashtbl.to_seq_keys live)) in
+  let since =
+    bytes
+      (List.concat_map
+         (fun (x : Epoch_index.entry) -> x.chunks)
+         (Epoch_index.since_full entries ~epoch:(e - 1)))
+  in
+  check_bool "a chunk since the full holds no live record" true
+    (since > live_bytes);
+  check_int "after a reopen: the live chunks read" live_bytes reads.bytes;
+  set 8 8 6;
+  ignore (incremental () : int);
+  let e = full () in
+  check_bool "after the first fold: folded" true (folded e);
+  check_int "after the first fold: no pack read" 0 reads.calls;
+  List.iter
+    (fun epoch ->
+      let _, restored = Store.restore !store ~epoch in
+      check_string
+        (Printf.sprintf "epoch %d restores as taken" epoch)
+        (reference_body chain ~epoch) (full_body restored))
+    (Store.epochs !store)
+
+(* A full whose pack write fails leaves the chain's image as it was. The
+   store takes the full again, which folds in session, reading no pack
+   byte, to the same files as on a store whose commit never failed. *)
+let failed_full_keeps_image () =
+  let run ~fail =
+    let t =
+      Ickpt_synth.Synth.build
+        { Ickpt_synth.Synth.default_config with
+          n_structures = 20; pct_modified = 25; modified_lists = 1; seed = 3 }
+    in
+    let schema = t.Ickpt_synth.Synth.schema in
+    let roots = Ickpt_synth.Synth.roots t in
+    let sim =
+      Sim.create
+        ?fault:(Option.map (fun op -> Sim.Fail_at { op; byte = 0 }) fail)
+        ()
+    in
+    let vfs, reads = counting_vfs (Sim.vfs sim) ~suffix:".pack" in
+    let store =
+      Store.open_ ~vfs ~records_per_chunk:4 ~policy:(Policy.Full_every 4)
+        schema ~path:store_path
+    in
+    let ops = ref 0 in
+    for r = 0 to 6 do
+      if r > 0 then ignore (Ickpt_synth.Synth.mutate_round t);
+      if r = 4 then begin
+        ops := Sim.ops sim;
+        if fail <> None then
+          match Store.checkpoint store roots with
+          | _ -> Alcotest.fail "a full whose pack write failed committed"
+          | exception Sim.Io_error -> ()
+      end;
+      reads.calls <- 0;
+      let e = Store.checkpoint store roots in
+      if r = 4 then begin
+        check_int "the full's epoch" 4 e;
+        check_bool "the full folded" true
+          (Store.entry_at store e).Epoch_index.folded;
+        check_int "the full read no pack byte" 0 reads.calls
+      end
+    done;
+    (!ops, store_files vfs store_path)
+  in
+  let op, files = run ~fail:None in
+  let _, failed = run ~fail:(Some op) in
+  check_bool "the same files as a store that never failed" true (files = failed)
 
 (* A heap that unlinks list elements between fulls: a folded full holds
    exactly the reachable objects, as a whole full of the same body does,
@@ -2709,7 +2933,10 @@ let suites =
           store_resume_equivalence;
         Alcotest.test_case "shared roots" `Quick shared_roots;
         Alcotest.test_case "unlinking heap" `Quick unlinking_heap;
-        Alcotest.test_case "fold fallbacks" `Quick fold_fallbacks ]
+        Alcotest.test_case "fold fallbacks" `Quick fold_fallbacks;
+        Alcotest.test_case "fold reads" `Quick fold_reads;
+        Alcotest.test_case "failed full keeps the image" `Quick
+          failed_full_keeps_image ]
     );
     ( "store.manager",
       [ Alcotest.test_case "checkpoint lifecycle" `Quick checkpoint_lifecycle;
