@@ -34,12 +34,15 @@ let continuity ~next kind ~epoch =
   | None -> None
   | Some n -> if epoch = n then None else Some (Gap n)
 
+let describe ~epoch = function
+  | Not_full -> "incremental checkpoint with no full base"
+  | Negative -> Printf.sprintf "segment seq %d is negative" epoch
+  | Gap n -> Printf.sprintf "segment seq %d, expected %d" epoch n
+
 let append t seg =
-  (match continuity ~next:(next t) seg.Segment.kind ~epoch:seg.Segment.seq with
-  | None -> ()
-  | Some Not_full -> invalid "incremental checkpoint with no full base"
-  | Some Negative -> invalid "segment seq %d is negative" seg.Segment.seq
-  | Some (Gap n) -> invalid "segment seq %d, expected %d" seg.Segment.seq n);
+  Option.iter
+    (fun b -> invalid "%s" (describe b ~epoch:seg.Segment.seq))
+    (continuity ~next:(next t) seg.Segment.kind ~epoch:seg.Segment.seq);
   t.segments <- seg :: t.segments;
   t.next_seq <- seg.Segment.seq + 1
 

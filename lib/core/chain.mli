@@ -36,6 +36,9 @@ val continuity : next:int option -> Segment.kind -> epoch:int -> break option
 (** [None] when a segment of that kind and sequence number extends a
     chain expecting [next] ({!next}). *)
 
+val describe : epoch:int -> break -> string
+(** Why a segment numbered [epoch] cannot extend the chain, in words. *)
+
 (** {1 Taking checkpoints} *)
 
 type taken = { segment : Segment.t; stats : Checkpointer.stats }

@@ -254,20 +254,12 @@ let flush t =
 
 (* Queue [seg] on its shard, committing the batch once full. The counters
    advance at once: the next epoch extends the taken chain. A failed
-   commit sets them back ({!commit_locked}). *)
+   commit sets them back ({!commit_locked}); the admission check and the
+   advance are made under the same lock, so an epoch is never queued past
+   a lost batch of its tenant's. *)
 let append tenant (seg : Segment.t) =
   let t = tenant.t_svc in
   check_open t;
-  (match
-     Chain.continuity ~next:tenant.t_progress.next seg.kind ~epoch:seg.seq
-   with
-  | None -> ()
-  | Some Chain.Not_full -> error "incremental checkpoint with no full base"
-  | Some Chain.Negative -> error "segment seq %d is negative" seg.seq
-  | Some (Chain.Gap n) -> error "segment seq %d, expected %d" seg.seq n);
-  if tenant.t_progress.full_due && seg.kind = Segment.Incremental then
-    error "incremental segment %d after a failed commit (a full is due)"
-      seg.seq;
   (* The body is walked here, outside the lock: a malformed one is
      refused before it joins a batch. Its arrays are sized by the
      tenant's committed entries, and a full is compared with its image,
@@ -288,9 +280,10 @@ let append tenant (seg : Segment.t) =
           body };
       it_enq = Ickpt_harness.Clock.now_ns () }
   in
-  tenant.t_progress <- Epochs.advance tenant.t_progress seg;
   let s = t.shard_tbl.(tenant.t_shard) in
   with_lock t (fun () ->
+      Option.iter (error "%s") (Epochs.refusal tenant.t_progress seg);
+      tenant.t_progress <- Epochs.advance tenant.t_progress seg;
       s.s_pending <- s.s_pending @ [ it ];
       s.s_pending_bytes <- s.s_pending_bytes + String.length seg.body;
       if

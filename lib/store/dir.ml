@@ -94,14 +94,14 @@ let chunk r key =
 
 let record r (key, off) = Restore.record_at r.schema (chunk r key) ~pos:off
 
-(* The chunks some live record points into, fetched with one Pack.fetch
-   and decoded where they lie in its buffer; a chunk every record of which
-   was superseded is not read. *)
-let restore r ~entries ~epoch =
-  let d = fold_in r.pack ~entries ~epoch in
+(* An epoch's live records where one Pack.fetch of the chunks some of
+   them lie in put them: the fetch buffer, and where each source starts
+   in it ([-1]: not fetched, every record of it superseded). *)
+type live = { dir : t; buf : string; start : int array }
+
+let live pack ~entries ~epoch =
+  let d = fold_in pack ~entries ~epoch in
   let n = Array.length d.keys in
-  (* [start] marks with 0 the sources some slot points into, then holds
-     where each of those lies in the fetch buffer. *)
   let start = Array.make n (-1) in
   Restore.iter_slots d.slots (fun _ src _ -> start.(src) <- 0);
   let srcs = ref [] in
@@ -109,8 +109,22 @@ let restore r ~entries ~epoch =
     if start.(src) = 0 then srcs := src :: !srcs
   done;
   let srcs = Array.of_list !srcs in
-  let buf, at = Pack.fetch r.pack (Array.map (Array.get d.keys) srcs) in
+  let buf, at = Pack.fetch pack (Array.map (Array.get d.keys) srcs) in
   Array.iteri (fun i src -> start.(src) <- at.(i)) srcs;
-  Restore.heap_of_slots r.schema d.slots
-    ~source:(fun _ -> buf)
-    ~start ~len:d.lens ~roots:d.roots
+  { dir = d; buf; start }
+
+(* A live record is not framed: it equals a record of at most as many
+   bytes as are left in its chunk. *)
+let find_equal l id s ~pos ~len =
+  match Restore.find_slot l.dir.slots id with
+  | Some (src, off)
+    when len <= l.dir.lens.(src) - off
+         && Chunk.equal_sub s pos l.buf (l.start.(src) + off) len ->
+      Some (src, off)
+  | _ -> None
+
+let restore r ~entries ~epoch =
+  let l = live r.pack ~entries ~epoch in
+  Restore.heap_of_slots r.schema l.dir.slots
+    ~source:(fun _ -> l.buf)
+    ~start:l.start ~len:l.dir.lens ~roots:l.dir.roots

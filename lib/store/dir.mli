@@ -38,6 +38,23 @@ val find : t -> int -> (int * int) option
 val iter : t -> (int -> int * int -> unit) -> unit
 (** [f id (chunk key, byte offset)] per live object. *)
 
+type live
+(** An epoch's live records where one {!Pack.fetch} put them. *)
+
+val live : Pack.t -> entries:Epoch_index.entry list -> epoch:int -> live
+(** {!fold_in}, then one {!Pack.fetch} of exactly the chunks some live
+    record lies in: a chunk every record of which was superseded is not
+    read. The records stay valid until the pack is fetched from again.
+    @raise Error as {!fold_in}.
+    @raise Ickpt_stream.In_stream.Corrupt if a chunk fails its CRC. *)
+
+val find_equal :
+  live -> int -> string -> pos:int -> len:int -> (int * int) option
+(** [find_equal l id s ~pos ~len]: where the live record of [id] lies —
+    its chunk's position among the folded entries' chunks, oldest entry
+    first, and its offset there — if it is the [len] bytes at [pos] in
+    [s]. A live record is read within its chunk. *)
+
 type reader
 (** A pack + schema with a chunk cache: each chunk is fetched once however
     many records it resolves. *)
@@ -49,12 +66,11 @@ val record : reader -> int * int -> Restore.record
 
 val restore :
   reader -> entries:Epoch_index.entry list -> epoch:int -> Heap.t * Model.obj list
-(** Materialize the heap committed at [epoch]: {!fold}, then decode exactly
-    one record per live object ({!Restore.heap_of_slots}), in one pass
-    from the newest slot down, checking that each record carries its
-    directory entry's id. The chunks live records point into are fetched
-    first, with one {!Pack.fetch}, and each is decoded as its slice of
-    the fetch buffer: a record that runs past its chunk's end is corrupt
+(** Materialize the heap committed at [epoch]: {!live}, then decode
+    exactly one record per live object ({!Restore.heap_of_slots}), in one
+    pass from the newest slot down, checking that each record carries its
+    directory entry's id, each decoded as its chunk's slice of the fetch
+    buffer: a record that runs past its chunk's end is corrupt
     even when the next fetched chunk follows it there. Roots are the
     entry's.
     @raise Error as {!fold_in} the reader's pack.

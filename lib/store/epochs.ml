@@ -22,46 +22,6 @@ let off_mask = (1 lsl off_bits) - 1
 
 let place s off = if off < 0 || off > off_mask then -1 else (s lsl off_bits) lor off
 
-(* The newest full's ids in body order, and where an id is among them: a
-   cursor walks ahead for it, and the ids are tabled the first time a
-   walk runs off their end (an id they lack, or an order that
-   differs). *)
-type finder = {
-  fids : int array;
-  nb : int;
-  mutable table : (Idtbl.t * int array) option;
-}
-
-let table f =
-  match f.table with
-  | Some t -> t
-  | None ->
-      let tbl = Idtbl.create f.nb and index = Array.make f.nb 0 in
-      for i = 0 to f.nb - 1 do
-        let fresh = Idtbl.length tbl in
-        if Idtbl.add tbl f.fids.(i) = fresh then index.(fresh) <- i
-      done;
-      f.table <- Some (tbl, index);
-      (tbl, index)
-
-let lookup f id =
-  let tbl, index = table f in
-  match Idtbl.find tbl id with -1 -> -1 | slot -> index.(slot)
-
-(* [fids] holds at least [nb] ids. *)
-let scan f id from =
-  let fids = f.fids and nb = f.nb in
-  let k = ref (max 0 from) in
-  while !k < nb && Array.unsafe_get fids !k <> id do
-    incr k
-  done;
-  if !k < nb then !k else lookup f id
-
-(* The index of [id] among the full's ids, looked for from [from] on until
-   the table is built, or [-1]. *)
-let index_of f id ~from =
-  match f.table with None -> scan f id from | Some _ -> lookup f id
-
 (* A committed body: its [n] records' ids, where each starts in it (the
    records tile it) and where each lies. *)
 type layer = {
@@ -97,198 +57,105 @@ let tiled ~first ~records_per_chunk ~offs ~n =
 (* ------------------------------------------------------------------ *)
 (* The chain's live records.                                           *)
 
-(* Records, one per cell: [len] bytes at [off] in their string, and the
-   record's place [at] ([-1]: none, equal to no record). A record read
-   from the pack is not framed: its [len] is [-1 - lim], and it equals a
-   record of at most [lim] bytes, as many as are left in its chunk. *)
-type cells = {
-  mutable str : string array;
-  mutable off : int array;
-  mutable len : int array;
-  mutable at : int array;
-}
-
-let cells size =
-  { str = Array.make size "";
-    off = Array.make size 0;
-    len = Array.make size 0;
-    at = Array.make size 0 }
-
-(* Whether the record of [len] bytes at [pos] in [body] equals the one
-   of [l] bytes at [off] in [s], placed at [at]. *)
-let equals ~at s off l body pos len =
-  at >= 0
-  && (if l >= 0 then l = len else len <= -1 - l)
-  && Chunk.equal_sub body pos s off len
-
-(* The chain's newest committed record of each id. Its full's record at
-   position [k] is [full]'s record [k] unless a newer one is laid over it,
-   the top cell [over.(k)]; that of an id the full lacks is the top cell
-   [extra.(Idtbl.find extra_ids id)]. *)
+(* The image's newest record of each id, by reference: [layers] are its
+   full, then its incrementals oldest first, and a record is named by one
+   int, its layer above [off_bits] and its index there below. [over.(k)]
+   names the record of the full's [k]th id, and [extra.(Idtbl.find
+   extra_ids id)] that of an id the full lacks. An id is looked for among
+   the full's by a cursor walking ahead, and they are tabled the first
+   time a walk runs off their end (an id they lack, or an order that
+   differs). *)
 type view = {
-  find : finder;
-  full : layer;
+  layers : layer array;
   over : int array;
-  top : cells;
-  mutable tops : int;
+  mutable table : (Idtbl.t * int array) option;
   extra_ids : Idtbl.t;
   mutable extra : int array;
 }
 
-let view find full ~since =
-  { find;
-    full;
-    over = Array.make find.nb (-1);
-    top = cells (max 16 since);
-    tops = 0;
-    extra_ids = Idtbl.create 16;
-    extra = Array.make 16 0 }
+let lookup v id =
+  let f = v.layers.(0) in
+  let tbl, index =
+    match v.table with
+    | Some t -> t
+    | None ->
+        let tbl = Idtbl.create f.n and index = Array.make f.n 0 in
+        for i = 0 to f.n - 1 do
+          let fresh = Idtbl.length tbl in
+          if Idtbl.add tbl f.ids.(i) = fresh then index.(fresh) <- i
+        done;
+        v.table <- Some (tbl, index);
+        (tbl, index)
+  in
+  match Idtbl.find tbl id with -1 -> -1 | slot -> index.(slot)
+
+(* The index of [id] among the full's ids, looked for from [from] on until
+   they are tabled, or [-1]. The full's [ids] hold at least [n] ids. *)
+let index_of v id ~from =
+  let f = v.layers.(0) in
+  match v.table with
+  | Some _ -> lookup v id
+  | None ->
+      let k = ref (max 0 from) in
+      while !k < f.n && Array.unsafe_get f.ids !k <> id do
+        incr k
+      done;
+      if !k < f.n then !k else lookup v id
 
 let grow a = Array.append a (Array.make (Array.length a) 0)
 
-(* Lay a newer record of [id] over the view: at position [k] of the
-   full's, or, if [k < 0], as a record of an id the full lacks. *)
-let lay v k id s off len at =
-  let c = v.tops and t = v.top in
-  if c = Array.length t.at then begin
-    t.str <- Array.append t.str (Array.make c "");
-    t.off <- grow t.off;
-    t.len <- grow t.len;
-    t.at <- grow t.at
-  end;
-  t.str.(c) <- s;
-  t.off.(c) <- off;
-  t.len.(c) <- len;
-  t.at.(c) <- at;
-  v.tops <- c + 1;
-  if k >= 0 then v.over.(k) <- c
-  else begin
-    let j = Idtbl.add v.extra_ids id in
-    if j = Array.length v.extra then v.extra <- grow v.extra;
-    v.extra.(j) <- c
-  end
-
-(* An entry's records laid over the view, entries oldest first: each
-   found among the full's from where the entry's previous one was, its
-   records coming in the full's order. [each add] calls
-   [add id s off len at] per record. *)
-let overlay v each =
-  let cursor = ref 0 in
-  each (fun id s off len at ->
-      let k = index_of v.find id ~from:!cursor in
-      if k >= 0 then cursor := k + 1;
-      lay v k id s off len at)
-
-(* From the image: the full's records in place, the incrementals' laid
-   over them. *)
+(* Each incremental's records laid over the full's: each found among the
+   full's ids from where its layer's previous one was, the records coming
+   in the full's order. *)
 let view_of_snapshot (s : snapshot) =
-  let f = s.full in
   let v =
-    view
-      { fids = f.ids; nb = f.n; table = None }
-      f
-      ~since:(List.fold_left (fun n l -> n + l.n) 0 s.since)
+    { layers = Array.of_list (s.full :: List.rev s.since);
+      over = Array.make s.full.n 0;
+      table = None;
+      extra_ids = Idtbl.create 16;
+      extra = Array.make 16 0 }
   in
-  List.iter
-    (fun l ->
-      overlay v (fun add ->
-          for r = 0 to l.n - 1 do
-            add l.ids.(r) l.body l.offs.(r) (stop l r - l.offs.(r)) l.at.(r)
-          done))
-    (List.rev s.since);
-  v
-
-(* From the pack, for a chain with no image: the directories of its
-   entries since its newest full ([sources]: their chunks, [lens]: their
-   lengths), and one {!Pack.fetch} of the chunks some live record lies
-   in. The view holds slices of the pack's fetch buffer: it is read
-   before the pack is read again. *)
-let view_of_pack pack entries ~sources ~lens =
-  let base, newer =
-    match entries with
-    | (b : Epoch_index.entry) :: n -> (b, n)
-    | [] -> invalid_arg "Epochs.view_of_pack: no entry"
-  in
-  let nb = Epoch_index.dir_records base.dir in
-  let ids = Array.make nb 0 in
-  let find = { fids = ids; nb; table = None } in
-  let v =
-    view find { body = ""; ids; offs = [||]; at = [||]; n = nb } ~since:nb
-  in
-  (* Every record is a top cell: the full's first, at their positions. *)
-  let b = ref 0 in
-  Epoch_index.iter_dir base (fun id c off ->
-      ids.(!b) <- id;
-      lay v !b id "" 0 (-1) (place c off);
-      incr b);
-  ignore
-    (List.fold_left
-       (fun first (e : Epoch_index.entry) ->
-         overlay v (fun add ->
-             Epoch_index.iter_dir e (fun id c off ->
-                 add id "" 0 (-1) (place (first + c) off)));
-         first + List.length e.chunks)
-       (List.length base.chunks) newer
-      : int);
-  (* Only the chunks some live record lies in are read: the newest
-     record of each id. *)
-  let t = v.top in
-  let live f =
-    Array.iter f v.over;
-    for j = 0 to Idtbl.length v.extra_ids - 1 do
-      f v.extra.(j)
+  (* Each position names the full's own record until one is laid over. *)
+  for k = 1 to s.full.n - 1 do
+    v.over.(k) <- k
+  done;
+  for i = 1 to Array.length v.layers - 1 do
+    let l = v.layers.(i) and cursor = ref 0 in
+    for r = 0 to l.n - 1 do
+      let id = l.ids.(r) and c = (i lsl off_bits) lor r in
+      match index_of v id ~from:!cursor with
+      | -1 ->
+          let j = Idtbl.add v.extra_ids id in
+          if j = Array.length v.extra then v.extra <- grow v.extra;
+          v.extra.(j) <- c
+      | k ->
+          cursor := k + 1;
+          v.over.(k) <- c
     done
-  in
-  let nsrc = Array.length sources in
-  let wanted = Bytes.make nsrc '\000' in
-  live (fun c ->
-      if t.at.(c) >= 0 then Bytes.set wanted (t.at.(c) lsr off_bits) '\001');
-  let start = Array.make nsrc 0 and k = ref 0 in
-  Bytes.iteri
-    (fun s c ->
-      if c <> '\000' then begin
-        start.(!k) <- s;
-        incr k
-      end)
-    wanted;
-  let fetched = Array.sub start 0 !k in
-  let buf, starts = Pack.fetch pack (Array.map (Array.get sources) fetched) in
-  Array.iteri (fun i s -> start.(s) <- starts.(i)) fetched;
-  live (fun c ->
-      let p = t.at.(c) in
-      if p >= 0 then begin
-        let s = p lsr off_bits and o = p land off_mask in
-        t.str.(c) <- buf;
-        t.off.(c) <- start.(s) + o;
-        t.len.(c) <- -1 - max 0 (lens.(s) - o)
-      end);
+  done;
   v
 
 (* The place of the record of [id] that is [len] bytes at [pos] in
    [body], if it equals the chain's newest committed record of [id]
    ([-1]: none). [cursor] is where the previous record's id was found
    among the full's. *)
-let place_of v cursor id body pos len =
-  let f = v.find and k = !cursor in
-  let k = if k < f.nb && f.fids.(k) = id then k else index_of f id ~from:k in
-  let top c =
-    let t = v.top in
-    if equals ~at:t.at.(c) t.str.(c) t.off.(c) t.len.(c) body pos len then
-      t.at.(c)
-    else -1
+let place_of v cursor body id pos len =
+  let f = v.layers.(0) and k = !cursor in
+  let k = if k < f.n && f.ids.(k) = id then k else index_of v id ~from:k in
+  let c =
+    if k >= 0 then begin
+      cursor := k + 1;
+      v.over.(k)
+    end
+    else match Idtbl.find v.extra_ids id with -1 -> -1 | j -> v.extra.(j)
   in
-  if k >= 0 then begin
-    cursor := k + 1;
-    match v.over.(k) with
-    | -1 ->
-        let f = v.full in
-        let off = f.offs.(k) in
-        if equals ~at:f.at.(k) f.body off (stop f k - off) body pos len then
-          f.at.(k)
-        else -1
-    | c -> top c
-  end
-  else match Idtbl.find v.extra_ids id with -1 -> -1 | j -> top v.extra.(j)
+  if c < 0 then -1
+  else
+    let l = v.layers.(c lsr off_bits) and j = c land off_mask in
+    let off = l.offs.(j) in
+    if stop l j - off = len && Chunk.equal_sub body pos l.body off len then
+      l.at.(j)
+    else -1
 
 (* Frame [body] and compare it with the view in one pass. Framing is
    deterministic, so where the bytes at a record boundary equal the live
@@ -302,7 +169,7 @@ let lockstep schema v ~hint body =
   let ids = ref (Array.make cap 0) and offs = ref (Array.make cap 0) in
   let places = ref (Array.make cap 0) in
   let n = ref 0 and cursor = ref 0 and pos = ref 0 in
-  let f = v.find and full = v.full and t = v.top in
+  let f = v.layers.(0) in
   while !pos < size do
     let r = !n and p = !pos and k = !cursor in
     if r = Array.length !ids then begin
@@ -312,27 +179,20 @@ let lockstep schema v ~hint body =
     end;
     (* The live record at the cursor, if the bytes at [p] are it. *)
     let l =
-      if k >= f.nb then 0
+      if k >= f.n then 0
       else
-        match v.over.(k) with
-        | -1 ->
-            let off = full.offs.(k) in
-            let l = stop full k - off in
-            if Chunk.equal_sub body p full.body off l then begin
-              !places.(r) <- full.at.(k);
-              l
-            end
-            else 0
-        | c ->
-            let l = t.len.(c) in
-            if l > 0 && Chunk.equal_sub body p t.str.(c) t.off.(c) l then begin
-              !places.(r) <- t.at.(c);
-              l
-            end
-            else 0
+        let c = v.over.(k) in
+        let l = v.layers.(c lsr off_bits) and j = c land off_mask in
+        let off = l.offs.(j) in
+        let len = stop l j - off in
+        if Chunk.equal_sub body p l.body off len then begin
+          !places.(r) <- l.at.(j);
+          len
+        end
+        else 0
     in
     if l > 0 then begin
-      !ids.(r) <- f.fids.(k);
+      !ids.(r) <- f.ids.(k);
       cursor := k + 1;
       pos := p + l
     end
@@ -341,7 +201,7 @@ let lockstep schema v ~hint body =
       let id = Restore.skip_frame schema inp in
       let q = In_stream.pos inp in
       !ids.(r) <- id;
-      !places.(r) <- place_of v cursor id body p (q - p);
+      !places.(r) <- place_of v cursor body id p (q - p);
       pos := q
     end;
     !offs.(r) <- p;
@@ -349,13 +209,13 @@ let lockstep schema v ~hint body =
   done;
   (!ids, !offs, !n, !places)
 
-(* The same comparison for a body framed already. *)
-let compare_framed v body ~ids ~offs ~n =
-  let cursor = ref 0 in
+(* The same comparison for a body framed already, [place_of id pos len]
+   placing each record. *)
+let compare_framed place_of body ~ids ~offs ~n =
   Array.init n (fun r ->
       let pos = offs.(r) in
       let stop = if r + 1 < n then offs.(r + 1) else String.length body in
-      place_of v cursor ids.(r) body pos (stop - pos))
+      place_of ids.(r) pos (stop - pos))
 
 (* ------------------------------------------------------------------ *)
 (* Staging.                                                            *)
@@ -540,15 +400,25 @@ let plan committed pack (it : item) =
               let places =
                 match (against, image.current) with
                 | Some (s, places), Some s' when s == s' -> places
-                | _, Some s -> compare_framed (view_of_snapshot s) body ~ids ~offs ~n
-                | _, None ->
+                | _, Some s ->
                     compare_framed
-                      (view_of_pack pack since ~sources ~lens)
+                      (place_of (view_of_snapshot s) (ref 0) body)
+                      body ~ids ~offs ~n
+                | _, None ->
+                    let live =
+                      Dir.live pack ~entries
+                        ~epoch:(Option.get (Epoch_index.newest entries))
+                    in
+                    compare_framed
+                      (fun id pos len ->
+                        match Dir.find_equal live id body ~pos ~len with
+                        | Some (s, off) -> place s off
+                        | None -> -1)
                       body ~ids ~offs ~n
               in
               fold_full ~records_per_chunk ~sources ~lens ~body ~ids ~offs ~n
                 ~places
-            with In_stream.Corrupt _ -> None)
+            with In_stream.Corrupt _ | Dir.Error _ -> None)
         | _ -> None
       in
       match folded with
@@ -1035,6 +905,16 @@ let advance p (seg : Segment.t) =
       { p with
         next = Some (seg.seq + 1);
         since_full_bytes = p.since_full_bytes + Segment.body_size seg }
+
+let refusal p (seg : Segment.t) =
+  match Chain.continuity ~next:p.next seg.kind ~epoch:seg.seq with
+  | Some b -> Some (Chain.describe b ~epoch:seg.seq)
+  | None when p.full_due && seg.kind = Segment.Incremental ->
+      Some
+        (Printf.sprintf
+           "incremental segment %d after a failed commit (a full is due)"
+           seg.seq)
+  | None -> None
 
 let take policy p ~out write roots =
   let kind =

@@ -43,12 +43,15 @@ val mux : Epoch_index.mux_entry index
 type image
 (** A chain's committed image: what it has committed since its newest
     full, as it committed it — that full's body with its records' ids,
-    offsets and places, and each incremental's since, laid over it by
-    {!commit}. Each store keeps one, a service one per tenant. It moves on
-    only once a {!commit} has succeeded, and is missing until a full
-    commits in this session (after a reopen, a gc or an evict), or once
-    the incrementals' bodies since its full would outgrow that full's;
-    the chain's next fold then reads the pack. *)
+    offsets and places, and each incremental's since, added by
+    {!commit}. A fold lays the incrementals over the full by reference,
+    one int naming the newest record of each id, and copies no record.
+    Each store keeps one, a service one per tenant. It moves on only once
+    a {!commit} has succeeded, and is missing until a full commits in
+    this session (after a reopen, a gc or an evict), or once the
+    incrementals' bodies since its full would outgrow that full's; the
+    chain's next fold then reads the pack as a restore does
+    ({!Dir.live}). *)
 
 val image : unit -> image
 (** No image: the chain's next fold reads the pack. *)
@@ -128,18 +131,20 @@ val commit :
     the chain's newest committed record of the same id. The comparison
     {!body} made against the image is used if the image has not moved
     since; otherwise the body is compared again with the image, or, if
-    the chain has none, with the records its directories since its
-    newest full place, the chunks some of them lie in read with one
-    {!Pack.fetch}. Only committed state is read, never an item of the
-    same batch. A record equal to the live one stays where that one
-    lies. The other records, and every record left in an older chunk of
-    which this full would reference less than {!min_live_percent}
-    percent of the bytes, are copied in body order into new chunks, cut
-    every [records_per_chunk] records. The entry is a full with a
-    complete directory ({!Epoch_index.entry}[.folded]), and its body is
-    neither split nor hashed. A full none of whose records stays, one
-    whose fold meets a corrupt chunk or directory, and every other item
-    are committed whole, a [Framed] one cut first ({!Chunk.of_frames}).
+    the chain has none, with its live records as a restore reads them:
+    {!Dir.live}, the directories since its newest full folded and the
+    chunks some live record lies in read with one {!Pack.fetch}. Only
+    committed state is read, never an item of the same batch. A record
+    equal to the live one stays where that one lies. The other records,
+    and every record left in an older chunk of which this full would
+    reference less than {!min_live_percent} percent of the bytes, are
+    copied in body order into new chunks, cut every [records_per_chunk]
+    records. The entry is a full with a complete directory
+    ({!Epoch_index.entry}[.folded]), and its body is neither split nor
+    hashed. A full none of whose records stays, one whose fold meets a
+    corrupt chunk or a directory {!Dir.live} refuses, and every other
+    item are committed whole, a [Framed] one cut first
+    ({!Chunk.of_frames}).
     Once the batch is committed, each chain's image moves on, in batch
     order: a full starts a new one, a [Framed] incremental is laid over
     it, and a [Split] item drops it.
@@ -270,6 +275,11 @@ val resume : file:string -> chain:int -> Epoch_index.entry list -> progress
 val advance : progress -> Segment.t -> progress
 (** The progress once the segment extends the chain. A full segment
     clears [full_due]. *)
+
+val refusal : progress -> Segment.t -> string option
+(** Why the segment cannot extend a chain of that progress, in words: a
+    break of {!Ickpt_core.Chain.continuity}, or an incremental while a
+    full is due. [None] when it can. *)
 
 val take :
   Policy.t -> progress -> out:Ickpt_stream.Out_stream.t ->

@@ -127,17 +127,7 @@ type append_stats = {
 }
 
 let append_segment t (seg : Segment.t) =
-  (match
-     Chain.continuity ~next:t.progress.next seg.kind ~epoch:seg.seq
-   with
-  | None -> ()
-  | Some Chain.Not_full ->
-      error "incremental segment on an empty store (no full base)"
-  | Some Chain.Negative -> error "segment seq %d is negative" seg.seq
-  | Some (Chain.Gap n) -> error "segment seq %d, expected %d" seg.seq n);
-  if t.progress.full_due && seg.kind = Segment.Incremental then
-    error "incremental segment %d after a failed commit (a full is due)"
-      seg.seq;
+  Option.iter (error "%s") (Epochs.refusal t.progress seg);
   (* The body is walked before anything is written: a malformed one is
      refused here. *)
   let body =

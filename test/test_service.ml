@@ -532,6 +532,36 @@ let tear_once inner ~suffix =
       open_trunc = (fun p -> wrap p (inner.Vfs.open_trunc p)) },
     armed )
 
+(* A vfs whose next write to a file ending in [suffix], once [armed] is
+   set, sets [blocked], waits until [release] is set and then raises
+   [Io_error]: a failing index write that the service's lock is held over
+   for as long as the caller likes. *)
+let blocking_vfs inner ~suffix =
+  let armed = Atomic.make false and blocked = Atomic.make false in
+  let release = Atomic.make false in
+  let wrap path (w : Vfs.writer) =
+    { w with
+      Vfs.write =
+        (fun data ->
+          if
+            String.ends_with ~suffix path
+            && Atomic.compare_and_set armed true false
+          then begin
+            Atomic.set blocked true;
+            while not (Atomic.get release) do
+              Unix.sleepf 0.001
+            done;
+            raise Io_error
+          end
+          else w.Vfs.write data) }
+  in
+  ( { inner with
+      Vfs.open_append = (fun p -> wrap p (inner.Vfs.open_append p));
+      open_trunc = (fun p -> wrap p (inner.Vfs.open_trunc p)) },
+    armed,
+    blocked,
+    release )
+
 (* A collision belongs to an epoch only once that epoch commits: a failed
    append (and its retries) must not report one. *)
 let store_collision_after_commit () =
@@ -1356,6 +1386,73 @@ let failed_commit_next_full () =
   check_service svc;
   Service.close svc
 
+(* A tenant's epoch is admitted under the lock its failed commits are
+   handled under. Alice's epoch 2 commits with the lock held while its
+   index write blocks, then fails; meanwhile another domain takes her
+   next epoch, an incremental extending the chain as taken, and waits
+   for the lock. It must be refused whatever the timing: queued, it
+   would commit after the lost epoch, a gap at which a reopen cuts the
+   shard file, and bob's later epochs with it. *)
+let append_after_failed_commit () =
+  let inner = fresh_vfs () in
+  let vfs, armed, blocked, release = blocking_vfs inner ~suffix:".idx" in
+  let svc = Service.open_ ~vfs ~shards:1 ~records_per_chunk:4 ~path:"svc" () in
+  let alice_w = make_world ~offset:0 and bob_w = make_world ~offset:3000 in
+  let alice = Service.open_tenant svc alice_w.schema ~name:"alice" in
+  let bob = Service.open_tenant svc bob_w.schema ~name:"bob" in
+  let alice_taken = ref [] and bob_taken = ref [] in
+  let take tn (w : world) taken r =
+    w.mutate r;
+    let e = Service.checkpoint tn w.roots in
+    taken := (e, full_body w.roots) :: !taken
+  in
+  take alice alice_w alice_taken 0;
+  take bob bob_w bob_taken 0;
+  take alice alice_w alice_taken 1;
+  Atomic.set armed true;
+  let failing =
+    Domain.spawn (fun () ->
+        alice_w.mutate 2;
+        match Service.checkpoint alice alice_w.roots with
+        | _ -> false
+        | exception Io_error -> true)
+  in
+  while not (Atomic.get blocked) do
+    Unix.sleepf 0.001
+  done;
+  let next =
+    Domain.spawn (fun () ->
+        alice_w.mutate 3;
+        match Service.checkpoint alice alice_w.roots with
+        | _ -> false
+        | exception Service.Error _ -> true)
+  in
+  (* Time for the second domain to reach the lock. *)
+  Unix.sleepf 0.05;
+  Atomic.set release true;
+  check_bool "the blocked commit failed" true (Domain.join failing);
+  let refused = Domain.join next in
+  Service.flush svc;
+  Alcotest.(check (list string)) "no gap in session" [] (Service.check svc);
+  check_bool "alice's next epoch refused" true refused;
+  take alice alice_w alice_taken 4;
+  take bob bob_w bob_taken 1;
+  let check_service svc =
+    List.iter
+      (fun (name, (w : world), taken) ->
+        let tn = Service.open_tenant svc w.schema ~name in
+        restores_as_taken name ~epochs:(Service.epochs tn)
+          ~restore:(fun epoch -> Service.restore tn ~epoch)
+          taken)
+      [ ("alice", alice_w, !alice_taken); ("bob", bob_w, !bob_taken) ];
+    check_bool "service consistent" true (Service.check svc = [])
+  in
+  check_service svc;
+  Service.close svc;
+  let svc = Service.open_ ~vfs:inner ~path:"svc" () in
+  check_service svc;
+  Service.close svc
+
 (* Whether a full is due belongs to the live heap, not to the store or
    service value that took the lost epoch. [steps] takes epochs 0 and 1,
    then a third whose index write fails ([Sim.Fail_at] on that write, its
@@ -1573,7 +1670,9 @@ let suites =
         Alcotest.test_case "torn index write" `Quick torn_index_write;
         Alcotest.test_case "mux shared roots" `Quick mux_shared_roots;
         Alcotest.test_case "full due across a reopen" `Quick
-          full_due_across_reopen ] );
+          full_due_across_reopen;
+        Alcotest.test_case "no append past a failed commit" `Quick
+          append_after_failed_commit ] );
     ( "service.collision",
       [ Alcotest.test_case "store salted rehash" `Quick store_salted_collision;
         Alcotest.test_case "service surfaces collision" `Quick

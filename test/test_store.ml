@@ -2867,6 +2867,135 @@ let unlinking_heap () =
         = ids_of (fst (Store.restore store ~epoch:e))))
     folded
 
+(* A heap that allocates list elements and moves others between fulls:
+   an incremental holds ids its image's full lacks, and a full holds them
+   too and holds records out of that full's order, so a fold finds
+   records through its table of the ids the full lacks and through the
+   table of the full's ids its cursor falls back to. Every full after the
+   first is folded; every epoch restores as taken, in session and after a
+   reopen; and a store, and a service tenant, reopened before each full
+   write the same files as ones never reopened. *)
+let growing_heap () =
+  let policy = Policy.Full_every 4 in
+  (* Feeds the segments of one run to [append], [~again] before each full
+     after the first. *)
+  let drive append =
+    let schema = Schema.create () in
+    let node = Schema.declare schema ~name:"Node" ~ints:1 ~children:1 () in
+    let heap = Heap.create schema in
+    let head = Heap.alloc heap node in
+    let rec nth o k =
+      if k = 0 then o
+      else match Barrier.get_child o 0 with Some c -> nth c (k - 1) | None -> o
+    in
+    let insert_after prev o =
+      Barrier.set_child o 0 (Barrier.get_child prev 0);
+      Barrier.set_child prev 0 (Some o)
+    in
+    let add v =
+      let o = Heap.alloc heap node in
+      Barrier.set_int o 0 v;
+      o
+    in
+    for k = 1 to 30 do
+      insert_after head (add k)
+    done;
+    let chain = Chain.create schema in
+    for r = 0 to 23 do
+      if r > 0 then begin
+        insert_after (nth head (r mod 7)) (add (1000 + r));
+        (* The element after the [3 + r mod 5]th moves further down. *)
+        let prev = nth head (3 + (r mod 5)) in
+        Option.iter
+          (fun moved ->
+            Barrier.set_child prev 0 (Barrier.get_child moved 0);
+            insert_after (nth head (20 + (r mod 6))) moved)
+          (Barrier.get_child prev 0)
+      end;
+      let kind =
+        Policy.decide policy ~next:(Chain.next chain)
+          ~since_full_bytes:(Chain.since_full_bytes chain)
+      in
+      let taken =
+        match kind with
+        | Segment.Full -> Chain.take_full chain [ head ]
+        | Segment.Incremental -> Chain.take_incremental chain [ head ]
+      in
+      append schema ~again:(kind = Segment.Full && r > 0) taken.Chain.segment
+    done;
+    chain
+  in
+  let store_run ~reopen =
+    let vfs = Sim.vfs (Sim.create ()) in
+    let store = ref None and schema = ref None in
+    let open_store s =
+      Store.open_ ~vfs ~records_per_chunk:4 ~policy s ~path:store_path
+    in
+    let chain =
+      drive (fun s ~again seg ->
+          schema := Some s;
+          if (again && reopen) || !store = None then store := Some (open_store s);
+          ignore (Store.append_segment (Option.get !store) seg))
+    in
+    (vfs, chain, Option.get !store, fun () -> open_store (Option.get !schema))
+  in
+  let exact label chain epochs restore =
+    List.iter
+      (fun epoch ->
+        check_string
+          (Printf.sprintf "%s: epoch %d restores as taken" label epoch)
+          (reference_body chain ~epoch)
+          (full_body (snd (restore epoch))))
+      epochs
+  in
+  let exact_tenant label chain tenant =
+    check_int (label ^ ": every epoch committed") 24
+      (List.length (Service.epochs tenant));
+    exact label chain (Service.epochs tenant) (fun epoch ->
+        Service.restore tenant ~epoch)
+  in
+  let service_run ~reopen =
+    let vfs = Sim.vfs (Sim.create ()) in
+    let svc = ref None and schema = ref None in
+    let open_tenant s =
+      Option.iter (fun (svc, _) -> Service.close svc) !svc;
+      let svc' = Service.open_ ~vfs ~records_per_chunk:4 ~policy ~path:"svc" () in
+      svc := Some (svc', Service.open_tenant svc' s ~name:"tenant")
+    in
+    let chain =
+      drive (fun s ~again seg ->
+          schema := Some s;
+          if (again && reopen) || !svc = None then open_tenant s;
+          ignore (Service.append (snd (Option.get !svc)) seg : int))
+    in
+    exact_tenant "tenant" chain (snd (Option.get !svc));
+    Service.close (fst (Option.get !svc));
+    let files = service_files vfs "svc" in
+    svc := None;
+    open_tenant (Option.get !schema);
+    exact_tenant "tenant reopened" chain (snd (Option.get !svc));
+    Service.close (fst (Option.get !svc));
+    files
+  in
+  let vfs, chain, store, reopen_store = store_run ~reopen:false in
+  let reopened_vfs, _, _, _ = store_run ~reopen:true in
+  check_bool "a store reopened before fulls writes the same files" true
+    (store_files vfs store_path = store_files reopened_vfs store_path);
+  check_bool "a tenant reopened before fulls writes the same files" true
+    (service_run ~reopen:false = service_run ~reopen:true);
+  List.iter
+    (fun e ->
+      if Store.kind_of_epoch store e = Segment.Full then
+        check_bool
+          (Printf.sprintf "full %d folded" e)
+          (e > 0) (Store.entry_at store e).Epoch_index.folded)
+    (Store.epochs store);
+  exact "store" chain (Store.epochs store) (fun epoch ->
+      Store.restore store ~epoch);
+  let reopened = reopen_store () in
+  exact "store reopened" chain (Store.epochs reopened) (fun epoch ->
+      Store.restore reopened ~epoch)
+
 let suites =
   [ ( "store.hash64",
       [ Alcotest.test_case "basics and vectors" `Quick hash64_basics ] );
@@ -2936,7 +3065,8 @@ let suites =
         Alcotest.test_case "fold fallbacks" `Quick fold_fallbacks;
         Alcotest.test_case "fold reads" `Quick fold_reads;
         Alcotest.test_case "failed full keeps the image" `Quick
-          failed_full_keeps_image ]
+          failed_full_keeps_image;
+        Alcotest.test_case "growing heap" `Quick growing_heap ]
     );
     ( "store.manager",
       [ Alcotest.test_case "checkpoint lifecycle" `Quick checkpoint_lifecycle;
