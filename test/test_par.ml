@@ -147,6 +147,74 @@ let histogram_schedule () =
   check_int "phase groups" 0 sc.Sc.sc_groups;
   check_int "no findings" 0 (List.length sc.Sc.sc_findings)
 
+(* ---- sweep refusals ---------------------------------------------------------
+
+   One tiny round-phase program per refusal reason: [main]'s loop calls
+   [f()], whose shape or body the scheduler must refuse with exactly this
+   finding text (and keep serial). [k] is bumped every round, so it is no
+   constant; [g] is the only global array. *)
+
+let refusal_src f =
+  "int g[8];\n\
+   int k = 0;\n" ^ f
+  ^ "\n\
+     int main() {\n\
+    \  int round;\n\
+    \  round = 0;\n\
+    \  while (round < 2) {\n\
+    \    f();\n\
+    \    k = k + 1;\n\
+    \    round = round + 1;\n\
+    \  }\n\
+    \  return 0;\n\
+     }\n"
+
+let sweep_src ?(locals = "") ?(lo = "0") ?(hi = "8") body =
+  Printf.sprintf
+    "void f() {\n\
+    \  int i;\n\
+    \  %s\n\
+    \  i = %s;\n\
+    \  while (i < %s) {\n\
+    \    %s\n\
+    \    i = i + 1;\n\
+    \  }\n\
+     }"
+    locals lo hi body
+
+let refusal_cases =
+  [ ("int f() { return 0; }", "not a nullary void sweep");
+    ( "void f() { int i; i = 0; while (i < 8) { i = i + 2; } }",
+      "loop does not end in x = x + 1" );
+    (sweep_src "g[i] = 1; i = i + 0;", "induction variable reassigned in body");
+    (sweep_src ~lo:"k" "g[i] = 1;", "lower bound not statically constant");
+    (sweep_src ~hi:"k" "g[i] = 1;", "upper bound not statically constant");
+    (sweep_src ~lo:"4" ~hi:"2" "g[i] = 1;", "sweep executes no iterations");
+    ( sweep_src ~locals:"int t;" "g[i] = t; t = i;",
+      "local t may carry a value across iterations" );
+    ( sweep_src ~locals:"int t;" "if (i > 2) { t = 1; } else { } g[i] = t;",
+      "local t may carry a value across iterations" );
+    (sweep_src ~locals:"int a[8];" "a[i] = 1;", "local array a in body");
+    ( sweep_src ~locals:"int t;"
+        "t = 0; while (t < 2) { t = t + 1; } g[i] = t;",
+      "nested loop in body" );
+    (sweep_src "if (i > 6) { return; } else { } g[i] = 1;", "return in body") ]
+
+let sweep_refusals () =
+  List.iter
+    (fun (f, reason) ->
+      let program = Minic.Parser.parse (refusal_src f) in
+      let sc = If.schedule ~domains:4 (As.infer (Minic.Check.check program)) in
+      check_int (reason ^ ": parallel sweeps") 0 sc.Sc.sc_par_sweeps;
+      check_int (reason ^ ": refused sweeps") 1 sc.Sc.sc_refused_sweeps;
+      let sweep_findings =
+        List.filter (fun (f : Fi.t) -> f.Fi.path = "f") sc.Sc.sc_findings
+      in
+      Alcotest.(check (list string))
+        (reason ^ ": finding") [ reason ]
+        (List.map (fun (f : Fi.t) -> f.Fi.reason) sweep_findings))
+    refusal_cases
+
 (* ---- deterministic merge ----------------------------------------------------
 
    Replaying domain-local write logs in schedule order must reproduce
@@ -265,6 +333,7 @@ let suites =
         Alcotest.test_case "pagerank refusal" `Quick pagerank_schedule;
         Alcotest.test_case "kvlog conflicts" `Quick kvlog_schedule;
         Alcotest.test_case "histogram serial" `Quick histogram_schedule;
+        Alcotest.test_case "sweep refusals" `Quick sweep_refusals;
         Alcotest.test_case "phase groups" `Quick phase_groups ] );
     ( "par-engine",
       [ Alcotest.test_case "deterministic merge" `Slow merge_determinism ] );
