@@ -430,6 +430,31 @@ let global_value r name =
   | Some id -> r.gval.(id)
   | None -> Regions.itv_full
 
+(* A global whose value approximation is a single point holds that value
+   on every read — the constants (width, npixels, n, ...) that make sweep
+   bounds decidable. *)
+let rec constant r e =
+  match e with
+  | E_int n -> Some n
+  | E_var x when Minic.Check.global_id r.env x <> None ->
+      let v = global_value r x in
+      if v.Regions.lo = v.Regions.hi && v.Regions.lo > min_int then
+        Some v.Regions.lo
+      else None
+  | E_unop (U_neg, e) -> Option.map (fun n -> -n) (constant r e)
+  | E_binop (op, l, r') -> (
+      match (constant r l, constant r r') with
+      | Some a, Some b -> (
+          match op with
+          | B_add -> Some (a + b)
+          | B_sub -> Some (a - b)
+          | B_mul -> Some (a * b)
+          | B_div when b <> 0 -> Some (a / b)
+          | B_mod when b <> 0 -> Some (a mod b)
+          | _ -> None)
+      | _ -> None)
+  | _ -> None
+
 let pp_effects r ppf f =
   Format.fprintf ppf "@[<h>reads %a writes %a@]" (Regions.pp_map r.env)
     (func_reads r f) (Regions.pp_map r.env) (func_writes r f)

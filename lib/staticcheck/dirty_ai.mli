@@ -68,6 +68,11 @@ val global_value : result -> string -> Regions.itv
 (** Flow-insensitive over-approximation of the values the global (for
     arrays: any element) can hold at any time. *)
 
+val constant : result -> Minic.Ast.expr -> int option
+(** The statically known value of an expression: literals, globals whose
+    {!global_value} is a single point, and arithmetic over those; [None]
+    for anything else (locals, calls, a division by zero). *)
+
 val pp_effects : result -> Format.formatter -> string -> unit
 (** One function's summary, e.g.
     [reads {npixels, temp[8..55]} writes {image[8..55]}]. *)

@@ -34,6 +34,12 @@ let named_of_map env m =
         assoc_add name (Regions.clamp_global env name r) acc)
     m []
 
+(* A self-contained program's footprint: [main]'s may-read and may-write
+   regions, name-keyed in declaration order. *)
+let footprint_of env dirty =
+  { fp_reads = named_of_map env (Dirty_ai.main_reads dirty);
+    fp_writes = named_of_map env (Dirty_ai.main_writes dirty) }
+
 let fp_region fp name =
   Regions.join (assoc_region name fp.fp_reads) (assoc_region name fp.fp_writes)
 
@@ -109,158 +115,11 @@ end
 
 open Schedule
 
-(* ---- per-strip footprint evaluation ---------------------------------------- *)
-
-(* A refusal mid-analysis aborts the sweep candidate; the reason lands in
-   the Warning finding and the call stays serial. *)
-exception Refuse of string
-
-type ctx = {
-  cx_env : Check.env;  (* the phase's one-round analysis env *)
-  cx_dirty : Dirty_ai.result;  (* over cx_env *)
-  cx_orig : Check.env;  (* the original program's env *)
-  cx_live : Live.t;  (* over cx_orig *)
-  mutable cx_reads : (string * Regions.t) list;
-  mutable cx_writes : (string * Regions.t) list;
-}
-
-let add_read cx name r = cx.cx_reads <- assoc_add name r cx.cx_reads
-let add_write cx name r = cx.cx_writes <- assoc_add name r cx.cx_writes
-
-(* Transitive effect of one call: may-writes from the dirty analysis,
-   may-reads from the liveness pass's upward-exposed-read summary. UER is
-   exactly the right read set here — a cell the callee writes before
-   reading is not exposed to other strips' writes, and it already sits in
-   the write footprint. *)
-let add_call_effects cx g =
-  List.iter
-    (fun (name, r) -> add_write cx name r)
-    (named_of_map cx.cx_env (Dirty_ai.func_writes cx.cx_dirty g));
-  List.iter
-    (fun (name, r) -> add_read cx name r)
-    (named_of_map cx.cx_orig (Live.func_uer cx.cx_live g))
-
-(* Locals of the sweep callee: flow-sensitive interval per scalar. A local
-   carrying a value from one iteration into the next would break at strip
-   boundaries (each strip is a fresh activation), so reading a local
-   before the body assigns it is a refusal, not an approximation. *)
-type lstate = Unset | Set of Regions.itv
-
-let cmp_itv = Regions.itv 0 1
-
-let rec eval cx locals arrays e =
-  match e with
-  | Ast.E_int n -> Regions.itv_point n
-  | Ast.E_var v -> (
-      match List.assoc_opt v locals with
-      | Some (Set i) -> i
-      | Some Unset ->
-          raise
-            (Refuse
-               (Printf.sprintf
-                  "local %s may carry a value across iterations" v))
-      | None ->
-          if List.mem v arrays then
-            raise (Refuse (Printf.sprintf "local array %s in body" v))
-          else begin
-            add_read cx v
-              (Regions.clamp_global cx.cx_env v (Regions.point 0));
-            Dirty_ai.global_value cx.cx_dirty v
-          end)
-  | Ast.E_index (a, i) ->
-      let iv = eval cx locals arrays i in
-      if List.mem_assoc a locals || List.mem a arrays then
-        raise (Refuse (Printf.sprintf "local array %s in body" a));
-      add_read cx a
-        (Regions.clamp_global cx.cx_env a (Regions.of_itv iv));
-      Dirty_ai.global_value cx.cx_dirty a
-  | Ast.E_unop (Ast.U_neg, e) -> Regions.itv_neg (eval cx locals arrays e)
-  | Ast.E_unop (Ast.U_not, e) ->
-      ignore (eval cx locals arrays e);
-      cmp_itv
-  | Ast.E_binop (op, a, b) -> (
-      let ia = eval cx locals arrays a in
-      let ib = eval cx locals arrays b in
-      match op with
-      | Ast.B_add -> Regions.itv_add ia ib
-      | Ast.B_sub -> Regions.itv_sub ia ib
-      | Ast.B_mul -> Regions.itv_mul ia ib
-      | Ast.B_div -> Regions.itv_div ia ib
-      | Ast.B_mod -> Regions.itv_rem ia ib
-      | Ast.B_lt | Ast.B_le | Ast.B_gt | Ast.B_ge | Ast.B_eq | Ast.B_ne
-      | Ast.B_and | Ast.B_or ->
-          cmp_itv)
-  | Ast.E_call (g, args) ->
-      List.iter (fun a -> ignore (eval cx locals arrays a)) args;
-      add_call_effects cx g;
-      Regions.itv_full
-
-let rec exec cx locals arrays s =
-  match s.Ast.node with
-  | Ast.S_assign (v, e) ->
-      let iv = eval cx locals arrays e in
-      if List.mem_assoc v locals then
-        List.map (fun (n, st) -> if n = v then (n, Set iv) else (n, st)) locals
-      else begin
-        add_write cx v
-          (Regions.clamp_global cx.cx_env v (Regions.point 0));
-        locals
-      end
-  | Ast.S_store (a, i, e) ->
-      if List.mem_assoc a locals || List.mem a arrays then
-        raise (Refuse (Printf.sprintf "local array %s in body" a));
-      let iv = eval cx locals arrays i in
-      ignore (eval cx locals arrays e);
-      add_write cx a
-        (Regions.clamp_global cx.cx_env a (Regions.of_itv iv));
-      locals
-  | Ast.S_expr e ->
-      ignore (eval cx locals arrays e);
-      locals
-  | Ast.S_if (c, t, f) ->
-      ignore (eval cx locals arrays c);
-      let lt = exec_block cx locals arrays t in
-      let lf = exec_block cx locals arrays f in
-      List.map2
-        (fun (n, a) (_, b) ->
-          match (a, b) with
-          | Set ia, Set ib -> (n, Set (Regions.itv_join ia ib))
-          | _ -> (n, Unset))
-        lt lf
-  | Ast.S_while _ -> raise (Refuse "nested loop in body")
-  | Ast.S_return _ -> raise (Refuse "return in body")
-
-and exec_block cx locals arrays b = List.fold_left (fun l s -> exec cx l arrays s) locals b
-
 (* ---- sweep recognition ----------------------------------------------------- *)
 
-(* Statically constant value of a bound expression: literals, globals
-   whose flow-insensitive value approximation is a single point (set once,
-   never written differently — the phase analysis havocs anything another
-   phase may write, so a havoced bound is rejected here), and arithmetic
-   over those. *)
-let rec const_of cx e =
-  match e with
-  | Ast.E_int n -> Some n
-  | Ast.E_var v -> (
-      match Check.extent cx.cx_env v with
-      | None -> None (* a local: not a statically known bound *)
-      | Some _ ->
-          let iv = Dirty_ai.global_value cx.cx_dirty v in
-          if iv.Regions.lo = iv.Regions.hi then Some iv.Regions.lo else None)
-  | Ast.E_unop (Ast.U_neg, e) -> Option.map (fun n -> -n) (const_of cx e)
-  | Ast.E_binop (op, a, b) -> (
-      match (const_of cx a, const_of cx b) with
-      | Some x, Some y -> (
-          match op with
-          | Ast.B_add -> Some (x + y)
-          | Ast.B_sub -> Some (x - y)
-          | Ast.B_mul -> Some (x * y)
-          | Ast.B_div -> if y = 0 then None else Some (x / y)
-          | Ast.B_mod -> if y = 0 then None else Some (x mod y)
-          | _ -> None)
-      | _ -> None)
-  | _ -> None
+(* A refusal aborts the sweep candidate; the reason lands in the Warning
+   finding and the call stays serial. *)
+exception Refuse of string
 
 let rec assigns_var x b =
   List.exists
@@ -284,7 +143,7 @@ type candidate = {
   ca_incr : Ast.stmt;
 }
 
-let recognize cx program fname =
+let recognize dirty program fname =
   match Ast.find_func program fname with
   | None -> raise (Refuse "unknown function")
   | Some f ->
@@ -309,12 +168,12 @@ let recognize cx program fname =
               if assigns_var x b then
                 raise (Refuse "induction variable reassigned in body");
               let lo =
-                match const_of cx e_lo with
+                match Dirty_ai.constant dirty e_lo with
                 | Some n -> n
                 | None -> raise (Refuse "lower bound not statically constant")
               in
               let hi =
-                match const_of cx e_hi with
+                match Dirty_ai.constant dirty e_hi with
                 | Some n -> n
                 | None -> raise (Refuse "upper bound not statically constant")
               in
@@ -355,47 +214,81 @@ let strip_program program ca s_lo s_hi =
   in
   Ast.number { program with Ast.funcs = funcs @ [ main ] }
 
-let strip_footprint cx ca s_lo s_hi =
-  cx.cx_reads <- [];
-  cx.cx_writes <- [];
-  let f = ca.ca_func in
-  let arrays =
-    List.filter_map
+(* Each strip is a fresh activation of the sweep function, so a body
+   that carries a local from one iteration into the next, keeps a local
+   array or returns early would behave differently once split: a
+   refusal, not an approximation. Locals must be definitely assigned
+   before they are read; an [if] keeps only what both arms assign. A
+   nested loop is refused as well, though Dirty_ai could bound it. *)
+let check_body ca =
+  let refuse fmt = Printf.ksprintf (fun m -> raise (Refuse m)) fmt in
+  let locals = ca.ca_func.Ast.f_locals in
+  let is_array v =
+    List.exists
       (fun d ->
-        match d.Ast.v_typ with
-        | Ast.T_array _ -> Some d.Ast.v_name
-        | _ -> None)
-      f.Ast.f_locals
+        d.Ast.v_name = v
+        && match d.Ast.v_typ with Ast.T_array _ -> true | _ -> false)
+      locals
   in
-  let locals =
-    List.filter_map
-      (fun d ->
-        match d.Ast.v_typ with
-        | Ast.T_array _ -> None
-        | _ ->
-            if d.Ast.v_name = ca.ca_var then
-              Some (d.Ast.v_name, Set (Regions.itv s_lo (s_hi - 1)))
-            else Some (d.Ast.v_name, Unset))
-      f.Ast.f_locals
+  let is_local v = List.exists (fun d -> d.Ast.v_name = v) locals in
+  let rec expr set e =
+    match e with
+    | Ast.E_int _ -> ()
+    | Ast.E_var v ->
+        if is_array v then refuse "local array %s in body" v
+        else if is_local v && not (List.mem v set) then
+          refuse "local %s may carry a value across iterations" v
+    | Ast.E_index (a, i) ->
+        expr set i;
+        if is_local a then refuse "local array %s in body" a
+    | Ast.E_unop (_, e) -> expr set e
+    | Ast.E_binop (_, a, b) ->
+        expr set a;
+        expr set b
+    | Ast.E_call (_, args) -> List.iter (expr set) args
   in
-  ignore (exec_block cx locals arrays ca.ca_body);
-  { fp_reads = cx.cx_reads; fp_writes = cx.cx_writes }
+  let rec stmt set s =
+    match s.Ast.node with
+    | Ast.S_assign (v, e) ->
+        expr set e;
+        if is_local v then v :: set else set
+    | Ast.S_store (a, i, e) ->
+        if is_local a then refuse "local array %s in body" a;
+        expr set i;
+        expr set e;
+        set
+    | Ast.S_expr e ->
+        expr set e;
+        set
+    | Ast.S_if (c, t, f) ->
+        expr set c;
+        let st = block set t and sf = block set f in
+        List.filter (fun v -> List.mem v sf) st
+    | Ast.S_while _ -> refuse "nested loop in body"
+    | Ast.S_return _ -> refuse "return in body"
+  and block set b = List.fold_left stmt set b in
+  ignore (block [ ca.ca_var ] ca.ca_body)
 
 let pp_region_to_string r = Format.asprintf "%a" Regions.pp r
 
-(* Partition [lo, hi) into at most [domains] equal strips and prove every
-   pair footprint-disjoint. *)
-let build_sweep cx program domains ca =
+(* Partition [lo, hi) into at most [domains] equal strips, each analysed
+   as its own program, and prove every pair footprint-disjoint. [widen]
+   (seed_racy) then stretches strip 0's executed range one cell into
+   strip 1's while every footprint still claims disjointness — only the
+   dynamic observed-footprint check can notice. *)
+let build_sweep ~widen program havoc domains ca =
   let span = ca.ca_hi - ca.ca_lo in
   if span < 1 then raise (Refuse "sweep executes no iterations");
+  check_body ca;
   let n = min domains span in
   let strips =
     List.init n (fun i ->
         let s_lo = ca.ca_lo + (span * i / n) in
         let s_hi = ca.ca_lo + (span * (i + 1) / n) in
-        { st_index = i; st_lo = s_lo; st_hi = s_hi;
-          st_program = strip_program program ca s_lo s_hi;
-          st_foot = strip_footprint cx ca s_lo s_hi })
+        let st_program = strip_program program ca s_lo s_hi in
+        let env = Check.check st_program in
+        { st_index = i; st_lo = s_lo; st_hi = s_hi; st_program;
+          st_foot = footprint_of env (Dirty_ai.analyze ~havoc env) })
   in
   List.iteri
     (fun i si ->
@@ -414,15 +307,15 @@ let build_sweep cx program domains ca =
             | None -> ())
         strips)
     strips;
+  let strips =
+    match strips with
+    | s0 :: (_ :: _ as rest) when widen ->
+        let st_program = strip_program program ca s0.st_lo (s0.st_hi + 1) in
+        { s0 with st_program } :: rest
+    | _ -> strips
+  in
   { sw_func = ca.ca_func.Ast.f_name; sw_var = ca.ca_var; sw_lo = ca.ca_lo;
     sw_hi = ca.ca_hi; sw_strips = strips }
-
-(* ---- phase footprints and grouping ----------------------------------------- *)
-
-let phase_footprint (pr : Auto_spec.phase_result) =
-  let named = named_of_map pr.Auto_spec.ph_env in
-  { fp_reads = named (Dirty_ai.main_reads pr.Auto_spec.ph_dirty);
-    fp_writes = named (Dirty_ai.main_writes pr.Auto_spec.ph_dirty) }
 
 (* ---- the schedule ---------------------------------------------------------- *)
 
@@ -435,8 +328,8 @@ let schedule ?(domains = 4) ?(seed_racy = false) (auto : Auto_spec.t) =
   let findings = ref [] in
   let refused = ref 0 in
   let par_sweeps = ref 0 in
-  let orig = auto.Auto_spec.a_env in
-  let program = orig.Check.program in
+  let seeded = ref false in
+  let program = auto.Auto_spec.a_env.Check.program in
   (* Per-phase units: round bodies partitioned into serial statements and
      provably disjoint sweeps. *)
   let units_of pr =
@@ -444,18 +337,19 @@ let schedule ?(domains = 4) ?(seed_racy = false) (auto : Auto_spec.t) =
     match ph.Phase_discover.p_kind with
     | Phase_discover.Setup -> []
     | Phase_discover.Round _ ->
-        let cx =
-          { cx_env = pr.Auto_spec.ph_env; cx_dirty = pr.Auto_spec.ph_dirty;
-            cx_orig = orig; cx_live = auto.Auto_spec.a_live;
-            cx_reads = []; cx_writes = [] }
-        in
         List.map
           (fun s ->
             match s.Ast.node with
             | Ast.S_expr (Ast.E_call (fname, [])) -> (
-                match build_sweep cx program domains (recognize cx program fname) with
+                let widen = seed_racy && not !seeded in
+                match
+                  build_sweep ~widen program pr.Auto_spec.ph_havoc domains
+                    (recognize pr.Auto_spec.ph_dirty program fname)
+                with
                 | sweep ->
                     incr par_sweeps;
+                    if widen && List.length sweep.sw_strips >= 2 then
+                      seeded := true;
                     Par_sweep sweep
                 | exception Refuse reason ->
                     incr refused;
@@ -484,7 +378,7 @@ let schedule ?(domains = 4) ?(seed_racy = false) (auto : Auto_spec.t) =
   let scheds, _ =
     List.fold_left
       (fun (acc, group) pr ->
-        let foot = phase_footprint pr in
+        let foot = footprint_of pr.Auto_spec.ph_env pr.Auto_spec.ph_dirty in
         let ph = pr.Auto_spec.ph in
         let units = units_of pr in
         (* A phase with a parallel sweep keeps its strip-level
@@ -545,64 +439,6 @@ let schedule ?(domains = 4) ?(seed_racy = false) (auto : Auto_spec.t) =
           (1 + Option.value ~default:0 (Hashtbl.find_opt tally ps.ps_group)))
       scheds;
     Hashtbl.fold (fun _ n acc -> if n > 1 then acc + 1 else acc) tally 0
-  in
-  (* seed_racy: widen the first parallel strip's executed range by one
-     cell, after all static checks. The strip then writes a cell the next
-     strip owns while every footprint still claims disjointness — only
-     the dynamic observed-footprint check can notice. *)
-  let seeded = ref false in
-  let scheds =
-    if not seed_racy then scheds
-    else
-      List.map
-        (fun ps ->
-          { ps with
-            ps_units =
-              List.map
-                (fun u ->
-                  match u with
-                  | Par_sweep sw
-                    when (not !seeded) && List.length sw.sw_strips >= 2 ->
-                      seeded := true;
-                      let widen st =
-                        let bump f =
-                          match f.Ast.f_body with
-                          | [ a;
-                              ({ Ast.node =
-                                   Ast.S_while
-                                     ( Ast.E_binop
-                                         (Ast.B_lt, x, Ast.E_int hi),
-                                       wb );
-                                 _ } as w) ] ->
-                              [ a;
-                                { w with
-                                  Ast.node =
-                                    Ast.S_while
-                                      ( Ast.E_binop
-                                          (Ast.B_lt, x, Ast.E_int (hi + 1)),
-                                        wb ) } ]
-                          | body -> body
-                        in
-                        { st with
-                          st_program =
-                            { st.st_program with
-                              Ast.funcs =
-                                List.map
-                                  (fun f ->
-                                    if f.Ast.f_name = sw.sw_func then
-                                      { f with Ast.f_body = bump f }
-                                    else f)
-                                  st.st_program.Ast.funcs } }
-                      in
-                      Par_sweep
-                        { sw with
-                          sw_strips =
-                            (match sw.sw_strips with
-                            | first :: rest -> widen first :: rest
-                            | [] -> []) }
-                  | u -> u)
-                ps.ps_units })
-        scheds
   in
   { sc_domains = domains; sc_phases = scheds;
     sc_findings = List.rev !findings; sc_seeded = !seeded;

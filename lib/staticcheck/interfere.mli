@@ -18,15 +18,22 @@
       [f()] whose callee is a counted sweep
       ([x = lo; while (x < hi) {{ B; x = x + 1 }}] with statically
       constant bounds, from {!Dirty_ai}'s value approximation) is split
-      into iteration strips. Each strip's footprint is evaluated with
-      the induction variable bound to the strip's interval
-      ({!Live}-style range reasoning); the strips parallelize only if
-      every pair is footprint-disjoint.
+      into iteration strips. Each strip is a self-contained program
+      running the sweep over exactly its range with constant bounds, and
+      its footprint is that program's may-read/may-write as computed by
+      {!Dirty_ai} — the same analysis behind the phase footprints. The
+      strips parallelize only if every pair is footprint-disjoint. The
+      body refusals are semantic, not limits of the analysis: each strip
+      is a fresh activation of the sweep function, so a body that reads
+      a local before assigning it (carrying a value across iterations),
+      keeps a local array or returns is never split. A body with a
+      nested loop is refused too; the footprint analysis could bound it,
+      and lifting that refusal is a decision of its own.
 
     Every refusal — interfering phases, a conflicting strip pair, a
-    sweep shape the range reasoning cannot bound — is a
-    {!Finding.Warning} naming the conflicting region pair; the work
-    stays serial. The dynamic dual (observed per-domain dirty/read
+    sweep shape or body that cannot be split — is a {!Finding.Warning}
+    naming its reason (for conflicts, the conflicting region pair); the
+    work stays serial. The dynamic dual (observed per-domain dirty/read
     sets must not intersect) is re-checked on every parallel run by
     the [Ickpt_analysis.Elide_oracle.Parallel] oracle. *)
 

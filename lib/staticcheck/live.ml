@@ -37,32 +37,6 @@ let analyze ?dirty (env : Minic.Check.env) (phases : Phase_discover.phase list)
     if Regions.is_bot r then Regions.Gid_map.remove id m
     else Regions.Gid_map.add id r m
   in
-  (* ---- constants (for sweep bounds) --------------------------------- *)
-  (* A global whose flow-insensitive value approximation is a single
-     point holds that value on every read — the constants (width,
-     npixels, n, ...) that make sweep extents decidable. *)
-  let rec const_of e =
-    match e with
-    | E_int n -> Some n
-    | E_var x when gid x <> None ->
-        let v = Dirty_ai.global_value dirty x in
-        if v.Regions.lo = v.Regions.hi && v.Regions.lo > min_int then
-          Some v.Regions.lo
-        else None
-    | E_unop (U_neg, e) -> Option.map (fun n -> -n) (const_of e)
-    | E_binop (op, l, r) -> (
-        match (const_of l, const_of r) with
-        | Some a, Some b -> (
-            match op with
-            | B_add -> Some (a + b)
-            | B_sub -> Some (a - b)
-            | B_mul -> Some (a * b)
-            | B_div when b <> 0 -> Some (a / b)
-            | B_mod when b <> 0 -> Some (a mod b)
-            | _ -> None)
-        | _ -> None)
-    | _ -> None
-  in
   (* ---- function summaries ------------------------------------------- *)
   let uer_tbl : (string, Regions.map) Hashtbl.t = Hashtbl.create 16 in
   let mw_tbl : (string, Regions.map) Hashtbl.t = Hashtbl.create 16 in
@@ -150,7 +124,9 @@ let analyze ?dirty (env : Minic.Check.env) (phases : Phase_discover.phase list)
                   | _ -> false)
                && (not (assigns_var x (List.rev rev_front)))
                && not (has_return body) -> (
-            match (const_of elo, const_of ehi) with
+            match
+              (Dirty_ai.constant dirty elo, Dirty_ai.constant dirty ehi)
+            with
             | Some lo, Some hi_raw ->
                 let hi = if op = B_lt then hi_raw - 1 else hi_raw in
                 if lo > hi then None

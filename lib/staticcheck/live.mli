@@ -72,9 +72,5 @@ val boundary : t -> int -> (string * Regions.t) list
     observe this global's checkpointed value.
     @raise Invalid_argument on an unknown phase index. *)
 
-val func_uer : t -> string -> Regions.map
-(** Converged upward-exposed-read summary of one call; empty for unknown
-    functions. *)
-
 val pp : Format.formatter -> t -> unit
 (** Function summaries, then per-boundary live regions. *)
