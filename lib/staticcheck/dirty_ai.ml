@@ -442,15 +442,15 @@ let rec constant r e =
         Some v.Regions.lo
       else None
   | E_unop (U_neg, e) -> Option.map (fun n -> -n) (constant r e)
-  | E_binop (op, l, r') -> (
-      match (constant r l, constant r r') with
-      | Some a, Some b -> (
+  | E_binop (op, a, b) -> (
+      match (constant r a, constant r b) with
+      | Some x, Some y -> (
           match op with
-          | B_add -> Some (a + b)
-          | B_sub -> Some (a - b)
-          | B_mul -> Some (a * b)
-          | B_div when b <> 0 -> Some (a / b)
-          | B_mod when b <> 0 -> Some (a mod b)
+          | B_add -> Some (x + y)
+          | B_sub -> Some (x - y)
+          | B_mul -> Some (x * y)
+          | B_div when y <> 0 -> Some (x / y)
+          | B_mod when y <> 0 -> Some (x mod y)
           | _ -> None)
       | _ -> None)
   | _ -> None
