@@ -18,17 +18,26 @@ let of_string src =
 
 external get64u : string -> int -> int64 = "%caml_string_get64u"
 
-(* Compared in place, eight bytes at a time, unchecked once both windows
-   are known to lie inside their strings. *)
-let equal_sub a aoff b boff len =
-  len >= 0
-  && aoff >= 0
-  && aoff <= String.length a - len
-  && boff >= 0
-  && boff <= String.length b - len
-  &&
+let inside s off len = off >= 0 && off <= String.length s - len
+
+let[@inline] xor64 a aoff b boff i =
+  Int64.logxor (get64u a (aoff + i)) (get64u b (boff + i))
+
+(* How many bytes agree, compared in place, unchecked once both windows
+   are known to lie inside their strings: 32 bytes at a time while they
+   agree, then eight, then byte by byte up to the first that differs. *)
+let unsafe_prefix a aoff b boff len =
   let i = ref 0 in
-  while !i + 8 <= len && get64u a (aoff + !i) = get64u b (boff + !i) do
+  while
+    !i + 32 <= len
+    && Int64.logor
+         (Int64.logor (xor64 a aoff b boff !i) (xor64 a aoff b boff (!i + 8)))
+         (Int64.logor (xor64 a aoff b boff (!i + 16)) (xor64 a aoff b boff (!i + 24)))
+       = 0L
+  do
+    i := !i + 32
+  done;
+  while !i + 8 <= len && xor64 a aoff b boff !i = 0L do
     i := !i + 8
   done;
   while
@@ -36,7 +45,16 @@ let equal_sub a aoff b boff len =
   do
     incr i
   done;
-  !i = len
+  !i
+
+let equal_sub a aoff b boff len =
+  len >= 0 && inside a aoff len && inside b boff len
+  && unsafe_prefix a aoff b boff len = len
+
+let common_prefix a aoff b boff len =
+  if not (len >= 0 && inside a aoff len && inside b boff len) then
+    invalid_arg "Chunk.common_prefix";
+  unsafe_prefix a aoff b boff len
 
 let max_salt_attempts = 8
 

@@ -40,7 +40,15 @@ val of_string : string -> t
 val equal_sub : string -> int -> string -> int -> int -> bool
 (** [equal_sub a aoff b boff len]: are [a.[aoff .. aoff+len-1]] and
     [b.[boff .. boff+len-1]] the same bytes? [false] when either window is
-    not inside its string. Compared in place, eight bytes at a time. *)
+    not inside its string. Compared in place, 32 bytes at a time while
+    they agree, then eight, then byte by byte. *)
+
+val common_prefix : string -> int -> string -> int -> int -> int
+(** [common_prefix a aoff b boff len]: how many of the [len] bytes at
+    [aoff] in [a] and at [boff] in [b] agree before the first that
+    differs ([len] when all do). Compared as {!equal_sub} compares.
+    @raise Invalid_argument when either window is not inside its
+    string. *)
 
 val max_salt_attempts : int
 (** 8 — the rehash ladder a 63-bit collision climbs before the store gives

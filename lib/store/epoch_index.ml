@@ -116,28 +116,26 @@ let code_dir chunks =
   slice_of d records
 
 (* A folded directory: its run count, then per run the chunk's index,
-   a record count and the records, the offset restarting at 0 per run. *)
+   a record count and the records, the offset restarting at 0 per run.
+   The stream is presized at two bytes a record and three a run, plus
+   room for the longest run at its widest, which holds a body's usual
+   small deltas without doubling. *)
 let code_runs ~chunks ~counts ~ids ~offs =
   let runs = Array.length chunks and n = Array.length ids in
+  let longest = Array.fold_left max 0 counts in
   let d =
     Out_stream.create
-      ~initial_size:((2 * n) + (3 * runs) + (2 * Varint.max_size))
+      ~initial_size:((2 * n) + (3 * runs) + (2 * Varint.max_size * (longest + 2)))
       ()
   in
   Out_stream.write_int d runs;
-  let prev = ref 0 and r = ref 0 in
+  let prev = ref 0 and first = ref 0 in
   for run = 0 to runs - 1 do
-    Out_stream.write_int d chunks.(run);
-    Out_stream.write_int d counts.(run);
-    let o = ref 0 in
-    for _ = 1 to counts.(run) do
-      let i = ids.(!r) and off = offs.(!r) in
-      Out_stream.write_int d (i - !prev);
-      Out_stream.write_int d (off - !o);
-      prev := i;
-      o := off;
-      incr r
-    done
+    let count = counts.(run) in
+    Out_stream.write_run d ~tag:chunks.(run) ~ids ~offs ~first:!first ~count
+      ~prev:!prev;
+    first := !first + count;
+    if count > 0 then prev := ids.(!first - 1)
   done;
   slice_of d n
 

@@ -20,7 +20,8 @@ let off_bits = 31
 
 let off_mask = (1 lsl off_bits) - 1
 
-let place s off = if off < 0 || off > off_mask then -1 else (s lsl off_bits) lor off
+let[@inline] place s off =
+  if off < 0 || off > off_mask then -1 else (s lsl off_bits) lor off
 
 (* A committed body: its [n] records' ids, where each starts in it (the
    records tile it) and where each lies. *)
@@ -32,14 +33,25 @@ type layer = {
   n : int;
 }
 
-let stop l r = if r + 1 < l.n then l.offs.(r + 1) else String.length l.body
+(* Where record [r <= n] starts: the body's end for [r = n]. *)
+let start l r =
+  if r < l.n then Array.unsafe_get l.offs r else String.length l.body
+[@@inline]
+
+let stop l r = start l (r + 1) [@@inline]
 
 (* What a chain has committed since its newest full, as it committed it:
-   that full, its incrementals since (newest first), how many chunks
-   those entries name, and the incrementals' body bytes. A commit makes a
-   new one and none is changed once made, so a snapshot read outside a
-   lock stays whole. *)
-type snapshot = { full : layer; since : layer list; chunks : int; bytes : int }
+   that full and the lengths of its chunks, its incrementals since
+   (newest first), how many chunks those entries name, and the
+   incrementals' body bytes. A commit makes a new one and none is changed
+   once made, so a snapshot read outside a lock stays whole. *)
+type snapshot = {
+  full : layer;
+  lens : int array;
+  since : layer list;
+  chunks : int;
+  bytes : int;
+}
 
 type image = { mutable current : snapshot option }
 
@@ -54,64 +66,96 @@ let tiled ~first ~records_per_chunk ~offs ~n =
       let c = r / records_per_chunk in
       place (first + c) (offs.(r) - offs.(c * records_per_chunk)))
 
+(* The lengths of the chain's chunks since its newest full, by number:
+   the full's as it committed them, then each incremental's, whose
+   records tile its chunks, so that a chunk ends where its last record
+   does. *)
+let source_lens s =
+  let lens = Array.make s.chunks 0 in
+  Array.blit s.lens 0 lens 0 (Array.length s.lens);
+  List.iter
+    (fun l ->
+      for r = 0 to l.n - 1 do
+        let a = l.at.(r) in
+        if a >= 0 then begin
+          let c = a lsr off_bits and e = (a land off_mask) + stop l r - l.offs.(r) in
+          if e > lens.(c) then lens.(c) <- e
+        end
+      done)
+    s.since;
+  lens
+
 (* ------------------------------------------------------------------ *)
 (* The chain's live records.                                           *)
+
+(* Where each of the full's ids first lies among its records. [Dense]
+   when they span fewer than [dense_span] values a record, as a heap's
+   ids do, numbered from 0 by allocation: [pos.(id - lo)], or [-1] for an
+   id the full lacks. Otherwise [Sorted]: the full's positions ordered by
+   id, ties by position, searched by halving. *)
+type positions =
+  | Dense of { lo : int; pos : int array }
+  | Sorted of int array
+
+let dense_span = 4
+
+let positions (f : layer) =
+  let lo = ref max_int and hi = ref min_int in
+  for k = 0 to f.n - 1 do
+    let id = f.ids.(k) in
+    if id < !lo then lo := id;
+    if id > !hi then hi := id
+  done;
+  let span = !hi - !lo in
+  if f.n > 0 && span >= 0 && span < dense_span * f.n then begin
+    let pos = Array.make (span + 1) (-1) in
+    for k = f.n - 1 downto 0 do
+      pos.(f.ids.(k) - !lo) <- k
+    done;
+    Dense { lo = !lo; pos }
+  end
+  else begin
+    let by_id = Array.init f.n Fun.id in
+    Array.stable_sort (fun a b -> Int.compare f.ids.(a) f.ids.(b)) by_id;
+    Sorted by_id
+  end
 
 (* The image's newest record of each id, by reference: [layers] are its
    full, then its incrementals oldest first, and a record is named by one
    int, its layer above [off_bits] and its index there below. [over.(k)]
    names the record of the full's [k]th id, and [extra.(Idtbl.find
-   extra_ids id)] that of an id the full lacks. An id is looked for among
-   the full's by a cursor walking ahead, and they are tabled the first
-   time a walk runs off their end (an id they lack, or an order that
-   differs). *)
+   extra_ids id)] that of an id the full lacks. *)
 type view = {
   layers : layer array;
+  positions : positions;
   over : int array;
-  mutable table : (Idtbl.t * int array) option;
   extra_ids : Idtbl.t;
   mutable extra : int array;
 }
 
-let lookup v id =
-  let f = v.layers.(0) in
-  let tbl, index =
-    match v.table with
-    | Some t -> t
-    | None ->
-        let tbl = Idtbl.create f.n and index = Array.make f.n 0 in
-        for i = 0 to f.n - 1 do
-          let fresh = Idtbl.length tbl in
-          if Idtbl.add tbl f.ids.(i) = fresh then index.(fresh) <- i
-        done;
-        v.table <- Some (tbl, index);
-        (tbl, index)
-  in
-  match Idtbl.find tbl id with -1 -> -1 | slot -> index.(slot)
-
-(* The index of [id] among the full's ids, looked for from [from] on until
-   they are tabled, or [-1]. The full's [ids] hold at least [n] ids. *)
-let index_of v id ~from =
-  let f = v.layers.(0) in
-  match v.table with
-  | Some _ -> lookup v id
-  | None ->
-      let k = ref (max 0 from) in
-      while !k < f.n && Array.unsafe_get f.ids !k <> id do
-        incr k
+(* The index of [id] among the full's ids, or [-1]. *)
+let index_of v id =
+  match v.positions with
+  | Dense { lo; pos } ->
+      let i = id - lo in
+      if i >= 0 && i < Array.length pos then pos.(i) else -1
+  | Sorted by_id ->
+      let ids = v.layers.(0).ids and lo = ref 0 and hi = ref (Array.length by_id) in
+      while !lo < !hi do
+        let mid = (!lo + !hi) / 2 in
+        if ids.(by_id.(mid)) < id then lo := mid + 1 else hi := mid
       done;
-      if !k < f.n then !k else lookup v id
+      if !lo < Array.length by_id && ids.(by_id.(!lo)) = id then by_id.(!lo) else -1
 
 let grow a = Array.append a (Array.make (Array.length a) 0)
 
-(* Each incremental's records laid over the full's: each found among the
-   full's ids from where its layer's previous one was, the records coming
-   in the full's order. *)
+(* Each incremental's records laid over the full's, oldest first: each
+   looked up by its id, one step. *)
 let view_of_snapshot (s : snapshot) =
   let v =
     { layers = Array.of_list (s.full :: List.rev s.since);
+      positions = positions s.full;
       over = Array.make s.full.n 0;
-      table = None;
       extra_ids = Idtbl.create 16;
       extra = Array.make 16 0 }
   in
@@ -120,34 +164,30 @@ let view_of_snapshot (s : snapshot) =
     v.over.(k) <- k
   done;
   for i = 1 to Array.length v.layers - 1 do
-    let l = v.layers.(i) and cursor = ref 0 in
+    let l = v.layers.(i) in
     for r = 0 to l.n - 1 do
       let id = l.ids.(r) and c = (i lsl off_bits) lor r in
-      match index_of v id ~from:!cursor with
+      match index_of v id with
       | -1 ->
           let j = Idtbl.add v.extra_ids id in
           if j = Array.length v.extra then v.extra <- grow v.extra;
           v.extra.(j) <- c
-      | k ->
-          cursor := k + 1;
-          v.over.(k) <- c
+      | k -> v.over.(k) <- c
     done
   done;
   v
 
 (* The place of the record of [id] that is [len] bytes at [pos] in
    [body], if it equals the chain's newest committed record of [id]
-   ([-1]: none). [cursor] is where the previous record's id was found
-   among the full's. *)
+   ([-1]: none). A record of the full's ids moves [cursor] past its
+   position there. *)
 let place_of v cursor body id pos len =
-  let f = v.layers.(0) and k = !cursor in
-  let k = if k < f.n && f.ids.(k) = id then k else index_of v id ~from:k in
   let c =
-    if k >= 0 then begin
-      cursor := k + 1;
-      v.over.(k)
-    end
-    else match Idtbl.find v.extra_ids id with -1 -> -1 | j -> v.extra.(j)
+    match index_of v id with
+    | -1 -> ( match Idtbl.find v.extra_ids id with -1 -> -1 | j -> v.extra.(j))
+    | k ->
+        cursor := k + 1;
+        v.over.(k)
   in
   if c < 0 then -1
   else
@@ -160,52 +200,88 @@ let place_of v cursor body id pos len =
 (* Frame [body] and compare it with the view in one pass. Framing is
    deterministic, so where the bytes at a record boundary equal the live
    record at the cursor, they are that record, and that one comparison
-   frames and places it. Only a record that differs is framed by the
-   schema and looked up by its id. Returns [(ids, offs, n, places)], the
-   arrays sized by [hint] and untrimmed, as {!Restore.frames}'s. *)
+   frames and places it. The cursor's run (the positions on from it whose
+   live records follow one another in one layer, and so lie back to back
+   in its body) is compared at once, up to the first byte that differs;
+   every record of the run before it is framed and placed. Only a record
+   that differs is framed by the schema and looked up by its id. Returns
+   [(ids, offs, n, places)], the arrays sized by [hint] and untrimmed, as
+   {!Restore.frames}'s. *)
 let lockstep schema v ~hint body =
   let size = String.length body and inp = In_stream.of_string body in
-  let cap = max 16 hint in
+  let f = v.layers.(0) and over = v.over in
+  let cap = if hint > 16 then hint else 16 in
   let ids = ref (Array.make cap 0) and offs = ref (Array.make cap 0) in
   let places = ref (Array.make cap 0) in
   let n = ref 0 and cursor = ref 0 and pos = ref 0 in
-  let f = v.layers.(0) in
-  while !pos < size do
-    let r = !n and p = !pos and k = !cursor in
-    if r = Array.length !ids then begin
-      ids := grow !ids;
-      offs := grow !offs;
-      places := grow !places
-    end;
-    (* The live record at the cursor, if the bytes at [p] are it. *)
-    let l =
-      if k >= f.n then 0
-      else
-        let c = v.over.(k) in
-        let l = v.layers.(c lsr off_bits) and j = c land off_mask in
-        let off = l.offs.(j) in
-        let len = stop l j - off in
-        if Chunk.equal_sub body p l.body off len then begin
-          !places.(r) <- l.at.(j);
-          len
-        end
-        else 0
-    in
-    if l > 0 then begin
-      !ids.(r) <- f.ids.(k);
-      cursor := k + 1;
-      pos := p + l
+  (* Room for [m] more records. *)
+  let room m =
+    let cap = Array.length !ids in
+    if !n + m > cap then begin
+      let wider a =
+        let b = Array.make (if 2 * cap > !n + m then 2 * cap else !n + m) 0 in
+        Array.blit !a 0 b 0 !n;
+        a := b
+      in
+      wider ids;
+      wider offs;
+      wider places
     end
-    else begin
+  in
+  (* The run last found: the positions [run_start] to [run_stop - 1]. *)
+  let run_start = ref 0 and run_stop = ref 0 in
+  while !pos < size do
+    let k = !cursor and p = !pos in
+    let whole =
+      k < f.n
+      &&
+      let c = over.(k) in
+      if not (k >= !run_start && k < !run_stop) then begin
+        let e = ref (k + 1) in
+        while !e < f.n && over.(!e) = c + (!e - k) do
+          incr e
+        done;
+        run_start := k;
+        run_stop := !e
+      end;
+      let m = !run_stop - k in
+      let l = v.layers.(c lsr off_bits) and j = c land off_mask in
+      let lofs = l.offs and lat = l.at in
+      let off = lofs.(j) in
+      let len = start l (j + m) - off in
+      let same =
+        Chunk.common_prefix body p l.body off (if len < size - p then len else size - p)
+      in
+      room m;
+      let r = !n and fids = f.ids and ids = !ids and offs = !offs in
+      let places = !places and i = ref 0 in
+      while !i < m && start l (j + !i + 1) - off <= same do
+        let i' = !i in
+        Array.unsafe_set ids (r + i') (Array.unsafe_get fids (k + i'));
+        Array.unsafe_set offs (r + i') (p + Array.unsafe_get lofs (j + i') - off);
+        Array.unsafe_set places (r + i') (Array.unsafe_get lat (j + i'));
+        i := i' + 1
+      done;
+      if !i > 0 then begin
+        n := r + !i;
+        cursor := k + !i;
+        pos := p + start l (j + !i) - off
+      end;
+      !i = m
+    in
+    if (not whole) && !pos < size then begin
+      (* The record at [pos] is not the live one at the cursor. *)
+      let p = !pos in
       In_stream.window inp ~pos:p ~len:(size - p);
       let id = Restore.skip_frame schema inp in
       let q = In_stream.pos inp in
-      !ids.(r) <- id;
-      !places.(r) <- place_of v cursor body id p (q - p);
+      room 1;
+      !ids.(!n) <- id;
+      !offs.(!n) <- p;
+      !places.(!n) <- place_of v cursor body id p (q - p);
+      incr n;
       pos := q
-    end;
-    !offs.(r) <- p;
-    n := r + 1
+    end
   done;
   (!ids, !offs, !n, !places)
 
@@ -273,15 +349,22 @@ type item = {
 
 let min_live_percent = 50
 
-(* A folded full's records, in body order: each one's id and its offset
-   within the chunk it lies in; the sources' keys; and its runs, as each
-   one's chunk number and record count. *)
+(* A folded full's records, in body order: each one's id, its offset
+   within the chunk it lies in and its place, the chunks numbered in
+   order of first reference as its entry lists them (unless two share a
+   key); the sources' keys; its runs, as each one's chunk number (a
+   source's, then [nsrc] on for its new chunks) and record count; per
+   chunk number, that order's number ([-1]: unreferenced); and per
+   referenced chunk, in that order, its length. *)
 type runs = {
   ids : int array;
   offs : int array;
+  at : int array;
   sources : int array;
   run_chunks : int array;
   run_counts : int array;
+  order : int array;
+  lens : int array;
 }
 
 (* What an item commits: its body's length, the chunks to resolve against
@@ -296,70 +379,128 @@ type plan = { size : int; fresh : Chunk.t list; runs : runs option }
    of lengths [lens]). An equal record stays where it lies, unless the
    records staying in its chunk would be less than [min_live_percent] of
    the chunk's bytes. The rest are copied, in body order, into new
-   chunks. [None] when no record stays. *)
+   chunks. [None] when no record stays; otherwise [places] is overwritten
+   with where each record lies in the entry.
+
+   Two passes. The first cuts the records into stretches that lie in one
+   source (or in none) and sums, per source, the bytes and the records
+   that would stay; the stretches bound the runs. The second copies,
+   cuts the runs and places every record. *)
 let fold_full ~records_per_chunk ~sources ~lens ~body ~ids ~offs ~n ~places =
-  let nsrc = Array.length sources in
-  let stop r = if r + 1 < n then offs.(r + 1) else String.length body in
-  let live = Array.make nsrc 0 in
+  let nsrc = Array.length sources and size = String.length body in
+  let start r = if r < n then offs.(r) else size in
+  let live = Array.make nsrc 0 and count = Array.make nsrc 0 in
+  (* The stretch so far: from record [from] on, in source [last] ([-1]:
+     none; [-2] before the first record). *)
+  let stretches = ref 0 and last = ref (-2) and from = ref 0 in
   for r = 0 to n - 1 do
     let p = places.(r) in
-    if p >= 0 then begin
-      let s = p lsr off_bits in
-      live.(s) <- live.(s) + (stop r - offs.(r))
+    let s = if p >= 0 then p lsr off_bits else -1 in
+    if s <> !last then begin
+      let l = !last in
+      if l >= 0 then begin
+        live.(l) <- live.(l) + offs.(r) - offs.(!from);
+        count.(l) <- count.(l) + r - !from
+      end;
+      incr stretches;
+      last := s;
+      from := r
     end
   done;
+  (let l = !last in
+   if l >= 0 then begin
+     live.(l) <- live.(l) + size - offs.(!from);
+     count.(l) <- count.(l) + n - !from
+   end);
   (* A source too little of which stays gives its records up. *)
-  Array.iteri
-    (fun s l -> if l * 100 < min_live_percent * lens.(s) then live.(s) <- 0)
-    live;
-  let kept = ref 0 in
-  for r = 0 to n - 1 do
-    let p = places.(r) in
-    if p >= 0 then
-      if live.(p lsr off_bits) = 0 then places.(r) <- -1 else incr kept
+  let kept = ref 0 and kept_bytes = ref 0 in
+  for s = 0 to nsrc - 1 do
+    if live.(s) * 100 < min_live_percent * lens.(s) then live.(s) <- 0
+    else begin
+      kept := !kept + count.(s);
+      kept_bytes := !kept_bytes + live.(s)
+    end
   done;
   if !kept = 0 then None
   else begin
-    (* The moved records, back to back: the new chunks' body. The last
-       pass finds where each record starts in its chunk, and cuts the
-       runs. *)
-    let moved = Array.fold_left ( - ) (String.length body) live in
+    (* The moved records, back to back: the new chunks' body, copied a
+       stretch of consecutive records at a time. A source given up only
+       joins runs of moved records, so a run starts where a stretch does
+       or where the moved records reach a new chunk. *)
     let m = n - !kept in
-    let bytes = Bytes.create moved in
+    let fresh = (m + records_per_chunk - 1) / records_per_chunk in
+    let bytes = Bytes.create (size - !kept_bytes) in
     let new_ids = Array.make m 0 and new_offs = Array.make m 0 in
     let within = Array.make n 0 in
-    let run_chunks = ref (Array.make 64 0) and run_counts = ref (Array.make 64 0) in
-    let runs = ref 0 and q = ref 0 and at = ref 0 in
+    let most = !stretches + fresh in
+    let run_chunks = Array.make most 0 and run_counts = Array.make most 0 in
+    let order = Array.make (nsrc + fresh) (-1) in
+    let referenced = ref 0 and q = ref 0 and moved = ref 0 in
+    (* The current run: from record [run_from] on, in chunk [cur], the
+       [cur_order]th referenced. *)
+    let runs = ref 0 and run_from = ref 0 and cur = ref (-1) and cur_order = ref 0 in
+    (* Where the stretch of moved records not copied yet starts in the
+       body ([-1]: none), and where it goes. *)
+    let stretch = ref (-1) and stretch_to = ref 0 in
     for r = 0 to n - 1 do
-      let len = stop r - offs.(r) in
-      let chunk =
-        if places.(r) >= 0 then begin
-          within.(r) <- places.(r) land off_mask;
-          places.(r) lsr off_bits
-        end
-        else begin
-          let k = !q / records_per_chunk in
-          Bytes.blit_string body offs.(r) bytes !at len;
-          new_ids.(!q) <- ids.(r);
-          new_offs.(!q) <- !at;
-          within.(r) <- !at - new_offs.(k * records_per_chunk);
-          at := !at + len;
-          incr q;
-          nsrc + k
-        end
-      in
-      if !runs = 0 || !run_chunks.(!runs - 1) <> chunk then begin
-        if !runs = Array.length !run_chunks then begin
-          run_chunks := grow !run_chunks;
-          run_counts := grow !run_counts
+      let p = places.(r) in
+      let chunk = ref 0 and w = ref 0 in
+      if p >= 0 && live.(p lsr off_bits) <> 0 then begin
+        if !stretch >= 0 then begin
+          Bytes.blit_string body !stretch bytes !stretch_to (offs.(r) - !stretch);
+          stretch := -1
         end;
-        !run_chunks.(!runs) <- chunk;
-        incr runs
+        chunk := p lsr off_bits;
+        w := p land off_mask
+      end
+      else begin
+        let k = !q / records_per_chunk in
+        if !stretch < 0 then begin
+          stretch := offs.(r);
+          stretch_to := !moved
+        end;
+        new_ids.(!q) <- ids.(r);
+        new_offs.(!q) <- !moved;
+        chunk := nsrc + k;
+        w := !moved - new_offs.(k * records_per_chunk);
+        moved := !moved + start (r + 1) - offs.(r);
+        incr q
       end;
-      !run_counts.(!runs - 1) <- !run_counts.(!runs - 1) + 1
+      let c = !chunk in
+      if c <> !cur then begin
+        if !runs > 0 then run_counts.(!runs - 1) <- r - !run_from;
+        run_chunks.(!runs) <- c;
+        incr runs;
+        run_from := r;
+        cur := c;
+        if order.(c) < 0 then begin
+          order.(c) <- !referenced;
+          incr referenced
+        end;
+        cur_order := order.(c)
+      end;
+      within.(r) <- !w;
+      places.(r) <- place !cur_order !w
+    done;
+    run_counts.(!runs - 1) <- n - !run_from;
+    if !stretch >= 0 then
+      Bytes.blit_string body !stretch bytes !stretch_to (size - !stretch);
+    let chunk_lens = Array.make !referenced 0 in
+    for c = 0 to nsrc + fresh - 1 do
+      let o = order.(c) in
+      if o >= 0 then
+        chunk_lens.(o) <-
+          (if c < nsrc then lens.(c)
+           else
+             let first = (c - nsrc) * records_per_chunk in
+             let stop =
+               if first + records_per_chunk < m then new_offs.(first + records_per_chunk)
+               else !moved
+             in
+             stop - new_offs.(first))
     done;
     Some
-      { size = String.length body;
+      { size;
         fresh =
           Chunk.of_frames ~records_per_chunk (Bytes.unsafe_to_string bytes)
             ~ids:new_ids ~offs:new_offs ~n:m;
@@ -367,9 +508,12 @@ let fold_full ~records_per_chunk ~sources ~lens ~body ~ids ~offs ~n ~places =
           Some
             { ids = (if Array.length ids = n then ids else Array.sub ids 0 n);
               offs = within;
+              at = (if Array.length places = n then places else Array.sub places 0 n);
               sources;
-              run_chunks = Array.sub !run_chunks 0 !runs;
-              run_counts = Array.sub !run_counts 0 !runs } }
+              run_chunks = Array.sub run_chunks 0 !runs;
+              run_counts = Array.sub run_counts 0 !runs;
+              order;
+              lens = chunk_lens } }
   end
 
 let whole chunks =
@@ -395,26 +539,27 @@ let plan committed pack (it : item) =
               Array.of_list
                 (List.concat_map (fun (e : Epoch_index.entry) -> e.chunks) since)
             in
-            let lens = Array.map (Pack.chunk_len pack) sources in
             try
-              let places =
+              let lens, places =
                 match (against, image.current) with
-                | Some (s, places), Some s' when s == s' -> places
+                | Some (s, places), Some s' when s == s' -> (source_lens s, places)
                 | _, Some s ->
-                    compare_framed
-                      (place_of (view_of_snapshot s) (ref 0) body)
-                      body ~ids ~offs ~n
+                    ( source_lens s,
+                      compare_framed
+                        (place_of (view_of_snapshot s) (ref 0) body)
+                        body ~ids ~offs ~n )
                 | _, None ->
                     let live =
                       Dir.live pack ~entries
                         ~epoch:(Option.get (Epoch_index.newest entries))
                     in
-                    compare_framed
-                      (fun id pos len ->
-                        match Dir.find_equal live id body ~pos ~len with
-                        | Some (s, off) -> place s off
-                        | None -> -1)
-                      body ~ids ~offs ~n
+                    ( Array.map (Pack.chunk_len pack) sources,
+                      compare_framed
+                        (fun id pos len ->
+                          match Dir.find_equal live id body ~pos ~len with
+                          | Some (s, off) -> place s off
+                          | None -> -1)
+                        body ~ids ~offs ~n )
               in
               fold_full ~records_per_chunk ~sources ~lens ~body ~ids ~offs ~n
                 ~places
@@ -667,13 +812,16 @@ type 'a committed = {
 }
 
 (* The entry of a staged item whose located chunks start at [at], and
-   for a folded full where each of its records lies. A whole item's
-   chunks are its split, in body order; a folded full's are each chunk
-   its runs name, once, in order of first reference, and its fresh chunks
-   are located in that order, which is the order they were cut in. *)
+   for a folded full where each of its records lies and the lengths of
+   its chunks. A whole item's chunks are its split, in body order; a
+   folded full's are each chunk its runs name, once, in order of first
+   reference, and its fresh chunks are located in that order, which is
+   the order they were cut in. The fold numbered its chunks so already,
+   and placed its records by that number; only where two of its chunks
+   share a key, and so one number, are they placed again. *)
 let entry_of (it : item) p (keys, fresh) ~at =
   let crc (c : Chunk.t) = Crc32.sub c.src ~pos:c.off ~len:c.len in
-  let chunks, located, dir, places =
+  let chunks, located, dir, placed =
     match p.runs with
     | None ->
         ( Array.to_list keys,
@@ -681,62 +829,71 @@ let entry_of (it : item) p (keys, fresh) ~at =
           Epoch_index.code_dir (List.map (fun (c : Chunk.t) -> c.records) p.fresh),
           None )
     | Some f ->
-        let nsrc = Array.length f.sources in
-        let ords = Idtbl.create (nsrc + Array.length keys) in
-        let chunks =
-          Array.map
-            (fun chunk ->
-              Idtbl.add ords
-                (if chunk < nsrc then f.sources.(chunk) else keys.(chunk - nsrc)))
-            f.run_chunks
-        in
-        let places = Array.make (Array.length f.ids) 0 and r = ref 0 in
+        let nsrc = Array.length f.sources and referenced = Array.length f.lens in
+        (* The referenced chunks' keys in the fold's order, numbered
+           apart: the same numbers unless two share a key. *)
+        let key = Array.make referenced 0 in
         Array.iteri
-          (fun k count ->
-            for _ = 1 to count do
-              places.(!r) <- place chunks.(k) f.offs.(!r);
-              incr r
-            done)
-          f.run_counts;
+          (fun c o ->
+            if o >= 0 then
+              key.(o) <- (if c < nsrc then f.sources.(c) else keys.(c - nsrc)))
+          f.order;
+        let ords = Idtbl.create referenced in
+        let ord = Array.map (Idtbl.add ords) key in
+        let chunks = Array.map (fun c -> ord.(f.order.(c))) f.run_chunks in
+        let placed =
+          if Idtbl.length ords = referenced then (f.at, f.lens)
+          else begin
+            let lens = Array.make (Idtbl.length ords) 0 in
+            Array.iteri (fun o len -> lens.(ord.(o)) <- len) f.lens;
+            ( Array.map (fun a -> place ord.(a lsr off_bits) (a land off_mask)) f.at,
+              lens )
+          end
+        in
         ( List.init (Idtbl.length ords) (Idtbl.key ords),
           List.map
             (fun (i, (c : Chunk.t)) -> (Idtbl.find ords keys.(i), c.len, crc c))
             fresh,
           Epoch_index.code_runs ~chunks ~counts:f.run_counts ~ids:f.ids
             ~offs:f.offs,
-          Some places )
+          Some placed )
   in
   ( { Epoch_index.epoch = it.epoch;
       kind = it.kind;
-      folded = places <> None;
+      folded = placed <> None;
       size = p.size;
       roots = it.roots;
       chunks;
       at;
       located = Epoch_index.code_located located;
       dir },
-    places )
+    placed )
 
 (* Once an item is committed, its chain's image moves on: a full starts a
    new one, an incremental adds its layer. An image whose incrementals'
    bodies would outgrow its full's is dropped, as is one a chunk list
    without framing would extend: the chain's next fold reads the pack. *)
-let advance image (it : item) (e : Epoch_index.entry) folded_places =
+let advance image (it : item) p (e : Epoch_index.entry) placed =
   match it.body with
   | Split _ -> forget image
   | Framed { body; ids; offs; n; records_per_chunk; _ } -> (
       let layer ~first =
         { body; ids; offs; n;
           at =
-            (match folded_places with
-            | Some at -> at
+            (match placed with
+            | Some (at, _) -> at
             | None -> tiled ~first ~records_per_chunk ~offs ~n) }
       in
       let chunks = List.length e.chunks in
       match (it.kind, image.current) with
       | Segment.Full, _ ->
+          let lens =
+            match placed with
+            | Some (_, lens) -> lens
+            | None -> Array.of_list (List.map (fun (c : Chunk.t) -> c.len) p.fresh)
+          in
           image.current <-
-            Some { full = layer ~first:0; since = []; chunks; bytes = 0 }
+            Some { full = layer ~first:0; lens; since = []; chunks; bytes = 0 }
       | Segment.Incremental, None -> ()
       | Segment.Incremental, Some s ->
           let bytes = s.bytes + String.length body in
@@ -761,9 +918,9 @@ let commit ~committed idx vfs ~path pack items =
   let stop, rev_entries =
     List.fold_left2
       (fun (at, acc) (it, p) st ->
-        let e, places = entry_of it p st ~at in
+        let e, placed = entry_of it p st ~at in
         ( List.fold_left (fun at (_, (c : Chunk.t)) -> at + c.len) at (snd st),
-          (idx.make it.chain e, (it, e, places)) :: acc ))
+          (idx.make it.chain e, (it, p, e, placed)) :: acc ))
       (start, []) (List.combine items plans) staged
   in
   let entries, moves = List.split (List.rev rev_entries) in
@@ -786,7 +943,8 @@ let commit ~committed idx vfs ~path pack items =
     entries;
   (* Each chain's next fold reads its image, moved on in batch order. *)
   List.iter
-    (fun ((it : item), e, places) -> advance (snd (committed it.chain)) it e places)
+    (fun ((it : item), p, e, placed) ->
+      advance (snd (committed it.chain)) it p e placed)
     moves;
   { entries;
     collisions;

@@ -28,6 +28,30 @@ let write_int t n =
     t.pos <- Varint.unsafe_set t.buf t.pos n
   end
 
+let write_run t ~tag ~ids ~offs ~first ~count ~prev =
+  if
+    first < 0 || count < 0
+    || first > Array.length ids - count
+    || first > Array.length offs - count
+  then invalid_arg "Out_stream.write_run";
+  if t.sink then begin
+    t.pos <- t.pos + Varint.encoded_size tag + Varint.encoded_size count;
+    let id = ref prev and off = ref 0 in
+    for r = first to first + count - 1 do
+      t.pos <-
+        t.pos + Varint.encoded_size (ids.(r) - !id)
+        + Varint.encoded_size (offs.(r) - !off);
+      id := ids.(r);
+      off := offs.(r)
+    done
+  end
+  else begin
+    let room = 2 * (count + 1) * Varint.max_size in
+    if t.pos + room > Bytes.length t.buf then grow t room;
+    t.pos <-
+      Varint.unsafe_set_run t.buf t.pos ~tag ~ids ~offs ~first ~count ~prev
+  end
+
 let write_byte t n =
   if not t.sink then begin
     if t.pos >= Bytes.length t.buf then grow t 1;

@@ -24,6 +24,16 @@ val is_sink : t -> bool
 val write_int : t -> int -> unit
 (** Varint-encoded signed integer (the workhorse: field values and ids). *)
 
+val write_run :
+  t -> tag:int -> ids:int array -> offs:int array -> first:int -> count:int ->
+  prev:int -> unit
+(** A run of the [count] records from [first] on, as a directory codes
+    it: {!write_int} of [tag], of [count], then per record of its id less
+    the previous record's ([prev] before the first) and of its offset
+    less the previous record's ([0] before the first). One capacity check
+    and one call for the run.
+    @raise Invalid_argument unless the records lie in both arrays. *)
+
 val write_byte : t -> int -> unit
 (** Single raw byte; [n] is truncated to 8 bits. *)
 

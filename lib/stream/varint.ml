@@ -29,6 +29,25 @@ let rec set_unsigned b pos n =
 
 let unsafe_set b pos n = set_unsigned b pos (zigzag n)
 
+(* [set_unsigned] with its one-byte case inline: the usual small delta. *)
+let[@inline] put b pos u =
+  if u lsr 7 = 0 then begin
+    Bytes.unsafe_set b pos (Char.unsafe_chr u);
+    pos + 1
+  end
+  else set_unsigned b pos u
+
+let unsafe_set_run b pos ~tag ~ids ~offs ~first ~count ~prev =
+  let pos = ref (put b (put b pos (zigzag tag)) (zigzag count)) in
+  let id = ref prev and off = ref 0 in
+  for r = first to first + count - 1 do
+    let i = Array.unsafe_get ids r and o = Array.unsafe_get offs r in
+    pos := put b (put b !pos (zigzag (i - !id))) (zigzag (o - !off));
+    id := i;
+    off := o
+  done;
+  !pos
+
 let rec size_unsigned acc n =
   if n lsr 7 = 0 then acc else size_unsigned (acc + 1) (n lsr 7)
 

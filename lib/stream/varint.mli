@@ -21,6 +21,18 @@ val unsafe_set : bytes -> int -> int -> int
     [b] at [pos] and returns the position just past it. Unchecked: the
     caller guarantees [pos + max_size <= Bytes.length b]. *)
 
+val unsafe_set_run :
+  bytes -> int -> tag:int -> ids:int array -> offs:int array -> first:int ->
+  count:int -> prev:int -> int
+(** [unsafe_set_run b pos ~tag ~ids ~offs ~first ~count ~prev] writes a
+    run of the [count] records from [first] on into [b] at [pos]: [tag],
+    [count], then per record its id less the previous record's ([prev]
+    before the first) and its offset less the previous record's ([0]
+    before the first). Returns the position just past it. The bytes are
+    those of {!unsafe_set} called per value. Unchecked: the caller
+    guarantees the records lie in both arrays and [pos + 2 * (count + 1)
+    * max_size <= Bytes.length b]. *)
+
 val encoded_size : int -> int
 (** [encoded_size n] is the number of bytes {!write} emits for [n]. *)
 

@@ -363,6 +363,41 @@ let chunk_split_prop =
         (split_agrees ~records_per_chunk env.Test_util.schema)
         [ body; cut_body; flipped; noise ])
 
+(* [Chunk.common_prefix] counts the bytes two windows share before the
+   first that differs, as a byte-by-byte loop does, wherever the windows
+   lie and wherever the difference falls (inside a 32- or 8-byte stride
+   or in the tail); [Chunk.equal_sub] is whether they share all; a window
+   outside its string is [false] for one and refused by the other. *)
+let common_prefix_prop =
+  QCheck2.Test.make ~name:"common_prefix = byte-by-byte" ~count:500
+    QCheck2.Gen.(
+      quad (string_size ~gen:char (int_range 0 100)) (int_range 0 8)
+        (int_range 0 8) (pair (int_range (-1) 110) (int_range 0 120)))
+    (fun (a, aoff, boff, (len, flip)) ->
+      (* [b] holds [a] from [boff] on, its byte [flip] (if any) changed. *)
+      let b =
+        let b = Bytes.make (boff + String.length a) 'x' in
+        Bytes.blit_string a 0 b boff (String.length a);
+        if flip < String.length a then
+          Bytes.set b (boff + flip) (Char.chr ((Char.code a.[flip] + 1) land 0xff));
+        Bytes.to_string b
+      in
+      let inside s off = len >= 0 && off + len <= String.length s in
+      if inside a aoff && inside b (boff + aoff) then begin
+        let expected = ref 0 in
+        while !expected < len && a.[aoff + !expected] = b.[boff + aoff + !expected] do
+          incr expected
+        done;
+        let same = Chunk.common_prefix a aoff b (boff + aoff) len in
+        same = !expected && Chunk.equal_sub a aoff b (boff + aoff) len = (same = len)
+      end
+      else
+        (not (Chunk.equal_sub a aoff b (boff + aoff) len))
+        &&
+        match Chunk.common_prefix a aoff b (boff + aoff) len with
+        | _ -> false
+        | exception Invalid_argument _ -> true)
+
 (* ------------------------------------------------------------------ *)
 (* Pack framing.                                                      *)
 
@@ -1116,6 +1151,10 @@ let sparse_huge_ids () =
   commit (Chain.take_incremental chain [ root ]);
   Barrier.set_int big 0 42;
   commit (Chain.take_incremental chain [ root ]);
+  (* A second full, folded against ids too sparse to index densely. *)
+  Barrier.set_int fresh 0 8;
+  commit (Chain.take_full chain [ root ]);
+  check_bool "the second full folded" true (Store.entry_at store 3).Epoch_index.folded;
   List.iter
     (fun epoch ->
       let reference = reference_body chain ~epoch in
@@ -1127,8 +1166,8 @@ let sparse_huge_ids () =
           check_string (Printf.sprintf "%s epoch %d" name epoch) reference
             (full_body roots))
         [ ("chain", replayed); ("store", stored); ("service", served) ])
-    [ 0; 1; 2 ];
-  let _, latest = Store.restore store ~epoch:2 in
+    [ 0; 1; 2; 3 ];
+  let _, latest = Store.restore store ~epoch:3 in
   check_bool "latest equals the live heap" true (roots_equal [ root ] latest)
 
 let store_resume_at_nonzero_seq () =
@@ -1470,16 +1509,63 @@ let index_version_rejected ~version () =
   check_string "index byte-identical" old (vfs.Vfs.read_file idx);
   check_string "pack byte-identical" pack_bytes (vfs.Vfs.read_file pack)
 
-(* A folded directory roundtrips too: runs naming any of the entry's
-   chunks, again and out of order, through code_runs and through an
-   encoded entry. *)
+(* The bytes a folded directory codes to, written one varint at a time:
+   the run count, then per run its chunk, its record count and per record
+   its id less the previous record's (0 before the first) and its offset
+   less the previous one in the run (0 before the run's first). *)
+let reference_runs runs =
+  Test_util.stream_bytes (fun d ->
+      Out_stream.write_int d (List.length runs);
+      let prev = ref 0 in
+      List.iter
+        (fun (chunk, records) ->
+          Out_stream.write_int d chunk;
+          Out_stream.write_int d (List.length records);
+          let o = ref 0 in
+          List.iter
+            (fun (id, off) ->
+              Out_stream.write_int d (id - !prev);
+              Out_stream.write_int d (off - !o);
+              prev := id;
+              o := off)
+            records)
+        runs)
+
+(* A folded directory roundtrips too: runs of up to 300 records naming
+   any of the entry's chunks, again and out of order, through code_runs
+   and through an encoded entry. Its ids and offsets step by deltas on
+   both sides of each width a zigzag varint changes at (1 to 2 bytes at
+   -65/-64 and 63/64, 2 to 3 at -8193/-8192 and 8191/8192, 3 to 4 at
+   2^20), ids down as well as up. The entry's frame ends with the
+   directory, then the CRC: those bytes are the reference coder's. *)
 let folded_dir_roundtrip =
   let open QCheck2.Gen in
-  let record = pair (int_range (-3) (1 lsl 40)) (int_range 0 5000) in
-  let run = pair (int_range 0 5) (list_size (int_range 1 5) record) in
+  let edges =
+    List.concat_map
+      (fun b -> [ b - 1; b; b + 1; -b - 1; -b; -b + 1 ])
+      [ 64; 8192; 1 lsl 20 ]
+  in
+  let delta = oneof [ oneofl edges; int_range (-3) 40 ] in
+  let run = pair (int_range 0 5) (list_size (int_range 1 300) (pair delta delta)) in
   QCheck2.Test.make ~count:300 ~name:"folded directory roundtrip"
     (list_size (int_range 0 8) run)
-    (fun runs ->
+    (fun steps ->
+      (* Ids run on across runs; offsets restart at 0 per run, and a step
+         down past 0 is taken up instead. *)
+      let id = ref 0 in
+      let runs =
+        List.map
+          (fun (chunk, deltas) ->
+            let off = ref 0 in
+            ( chunk,
+              List.map
+                (fun (di, d) ->
+                  id := !id + di;
+                  off := if !off + d >= 0 then !off + d else !off - d;
+                  (!id, !off))
+                deltas ))
+          steps
+      in
       let records = List.concat_map snd runs in
       let e =
         { Epoch_index.epoch = 2; kind = Segment.Full; folded = true;
@@ -1495,8 +1581,19 @@ let folded_dir_roundtrip =
       let expected =
         List.concat_map (fun (c, l) -> List.map (fun (i, o) -> (i, c, o)) l) runs
       in
-      let decoded, _ = Epoch_index.decode (encode_entry e) ~pos:0 in
-      dir_triples e = expected
+      let frame = encode_entry e in
+      let dir =
+        let r = reference_runs runs in
+        Test_util.stream_bytes (fun d ->
+            Out_stream.write_int d (List.length records);
+            Out_stream.write_substring d r ~pos:0 ~len:(String.length r))
+      in
+      let decoded, _ = Epoch_index.decode frame ~pos:0 in
+      String.length frame >= String.length dir + 4
+      && String.sub frame (String.length frame - 4 - String.length dir)
+           (String.length dir)
+         = dir
+      && dir_triples e = expected
       && decoded.folded
       && entry_view decoded = entry_view e)
 
@@ -1950,6 +2047,45 @@ let take_stream_allocation () =
   if words > 6. *. body_words then
     Alcotest.failf "a second full checkpoint allocated %.0f words (body: %.0f)"
       words body_words
+
+(* A folded full's commit: {!Store.append_segment} (so {!Epochs.body}
+   and the commit) of the ninth epoch of the 6,500-object synth heap, a
+   full after seven incrementals, folded against the store's image,
+   allocates 91,367 words: the framing arrays and the view of the image,
+   the fold's moved records and directory offsets, the coded directory,
+   the entry and the simulator's copy of the index file. The fold writes
+   the places over the framing's array and the entry takes them; with a
+   places array of the fold's own and another the entry built, the same
+   sequence allocated 98,478. *)
+let folded_full_allocation () =
+  let synth =
+    Ickpt_synth.Synth.build
+      { Ickpt_synth.Synth.default_config with
+        Ickpt_synth.Synth.n_structures = 250;
+        pct_modified = 25;
+        modified_lists = 1 }
+  in
+  let schema = synth.Ickpt_synth.Synth.schema in
+  let roots = Ickpt_synth.Synth.roots synth in
+  let vfs = Sim.vfs (Sim.create ()) in
+  let store =
+    Store.open_ ~vfs ~policy:(Policy.Full_every 8) schema ~path:store_path
+  in
+  let chain = Chain.create schema in
+  let append (taken : Chain.taken) =
+    ignore (Store.append_segment store taken.segment : Store.append_stats)
+  in
+  append (Chain.take_full chain roots);
+  for _ = 1 to 7 do
+    ignore (Ickpt_synth.Synth.mutate_round synth);
+    append (Chain.take_incremental chain roots)
+  done;
+  ignore (Ickpt_synth.Synth.mutate_round synth);
+  let seg = (Chain.take_full chain roots).Chain.segment in
+  let _, words = allocated (fun () -> Store.append_segment store seg) in
+  check_bool "the full folded" true (Store.entry_at store seg.seq).folded;
+  if words > 94_000. then
+    Alcotest.failf "a folded full's commit allocated %.0f words" words
 
 (* The index frames of a batch are encoded into one stream presized to
    hold them and written once: a gc's rewrite of twelve full entries (a
@@ -2631,6 +2767,138 @@ let fold_fallbacks () =
        (fun e -> contains e (Hash64.to_hex key) && contains e "crc")
        (Store.check !store))
 
+(* A source chunk keeps its records in place when the bytes staying in
+   it are exactly {!Epochs.min_live_percent} of its length, and gives
+   them up one byte under. Two records to a chunk: the list's last two
+   share one, the last changes, and the one before it stays with half its
+   chunk's bytes, or, when the last was a byte longer, a byte under half.
+   The store and a service tenant fold alike, and every epoch restores as
+   taken, in session and after a reopen. *)
+let fold_boundary () =
+  check_int "two records of a length are the boundary" 50 Epochs.min_live_percent;
+  let schema = Schema.create () in
+  let node = Schema.declare schema ~name:"Node" ~ints:1 ~children:1 () in
+  let case label ~last ~longer ~kept =
+    let heap = Heap.create schema in
+    let nodes = Array.init 4 (fun _ -> Heap.alloc heap node) in
+    Array.iteri
+      (fun i o -> if i > 0 then Barrier.set_child nodes.(i - 1) 0 (Some o))
+      nodes;
+    Barrier.set_int nodes.(3) 0 last;
+    let roots = [ nodes.(0) ] in
+    let vfs = Sim.vfs (Sim.create ()) in
+    let open_store () =
+      Store.open_ ~vfs ~records_per_chunk:2 ~policy:Policy.Always_full schema
+        ~path:store_path
+    in
+    let open_service () =
+      let svc = Service.open_ ~vfs ~records_per_chunk:2 ~path:"svc" () in
+      (svc, Service.open_tenant svc schema ~name:"t")
+    in
+    let chain = Chain.create schema in
+    let store = ref (open_store ()) and svc = ref (open_service ()) in
+    let take () =
+      let seg = (Chain.take_full chain roots).Chain.segment in
+      ignore (Store.append_segment !store seg : Store.append_stats);
+      ignore (Service.append (snd !svc) seg : int);
+      seg
+    in
+    let first = take () in
+    let ids, offs, n = Restore.frames schema first.body in
+    check_int (label ^ ": records") 4 n;
+    check_int (label ^ ": the changing record last") nodes.(3).Model.info.Model.id
+      ids.(3);
+    check_int (label ^ ": the last record's extra bytes") longer
+      (String.length first.body - offs.(3) - (offs.(3) - offs.(2)));
+    Barrier.set_int nodes.(3) 0 (last + 1);
+    let second = take () in
+    let tenant = Service.tenant_id "t" in
+    let served epoch =
+      (List.find
+         (fun (m : Epoch_index.mux_entry) ->
+           m.m_tenant = tenant && m.m_entry.epoch = epoch)
+         (Service.committed (fst !svc)))
+        .m_entry
+    in
+    List.iter
+      (fun (who, (entry : int -> Epoch_index.entry)) ->
+        let shared = List.nth (entry first.seq).chunks 1 in
+        check_bool (Printf.sprintf "%s %s: folded" label who) true
+          (entry second.seq).folded;
+        check_bool
+          (Printf.sprintf "%s %s: the last chunk's first record in place" label who)
+          kept
+          (List.mem shared (entry second.seq).chunks))
+      [ ("store", Store.entry_at !store); ("service", served) ];
+    let restores when_ =
+      List.iter
+        (fun (seg : Segment.t) ->
+          let _, stored = Store.restore !store ~epoch:seg.seq in
+          let _, tenant_restored = Service.restore (snd !svc) ~epoch:seg.seq in
+          List.iter
+            (fun (who, roots) ->
+              check_string
+                (Printf.sprintf "%s %s %s: epoch %d as taken" label who when_ seg.seq)
+                seg.body (full_body roots))
+            [ ("store", stored); ("service", tenant_restored) ])
+        [ first; second ]
+    in
+    restores "in session";
+    Service.close (fst !svc);
+    store := open_store ();
+    svc := open_service ();
+    restores "reopened";
+    Service.close (fst !svc)
+  in
+  case "exactly half" ~last:5 ~longer:0 ~kept:true;
+  case "a byte under half" ~last:100 ~longer:1 ~kept:false
+
+(* A body that repeats a record, one record to a chunk, cuts two chunks
+   with one key. Folded, both stay where they lie, and the entry names
+   that key once: the fold's two chunks become one, which the places the
+   image keeps and the chunk lengths the next fold reads follow. Every
+   epoch reassembles exactly, in session and after a reopen. *)
+let fold_shared_key () =
+  let schema = Schema.create () in
+  let leaf = Schema.declare schema ~name:"Leaf" ~ints:1 ~children:0 () in
+  let heap = Heap.create schema in
+  let o = Heap.alloc heap leaf in
+  Barrier.set_int o 0 7;
+  let record = full_body [ o ] in
+  let seg seq =
+    { Segment.kind = Segment.Full; seq; roots = [ o.Model.info.Model.id ];
+      body = record ^ record }
+  in
+  let vfs = Sim.vfs (Sim.create ()) in
+  let open_store () =
+    Store.open_ ~vfs ~records_per_chunk:1 ~policy:Policy.Always_full schema
+      ~path:store_path
+  in
+  let store = ref (open_store ()) in
+  List.iter
+    (fun seq -> ignore (Store.append_segment !store (seg seq) : Store.append_stats))
+    [ 0; 1; 2 ];
+  let entry seq = Store.entry_at !store seq in
+  let key = List.hd (entry 0).chunks in
+  check_bool "the whole full: one key twice" true ((entry 0).chunks = [ key; key ]);
+  List.iter
+    (fun seq ->
+      check_bool (Printf.sprintf "epoch %d folded" seq) true (entry seq).folded;
+      check_bool (Printf.sprintf "epoch %d names the key once" seq) true
+        ((entry seq).chunks = [ key ]))
+    [ 1; 2 ];
+  let exact when_ =
+    List.iter
+      (fun seq ->
+        check_bool (Printf.sprintf "%s: epoch %d reassembles exactly" when_ seq) true
+          (Store.segment_of_epoch !store seq = seg seq))
+      [ 0; 1; 2 ];
+    check_bool (when_ ^ ": consistent") true (Store.check !store = [])
+  in
+  exact "in session";
+  store := open_store ();
+  exact "reopened"
+
 (* A full folded against a chain committed in this session reads no pack
    byte: it is compared with the chain's image in memory. After a reopen
    there is no image, and the first folded full makes one positional
@@ -3004,7 +3272,8 @@ let suites =
         Alcotest.test_case "alignment stability" `Quick
           chunk_alignment_stability;
         Alcotest.test_case "one-pass split oracle" `Quick chunk_split_oracle;
-        QCheck_alcotest.to_alcotest chunk_split_prop ] );
+        QCheck_alcotest.to_alcotest chunk_split_prop;
+        QCheck_alcotest.to_alcotest common_prefix_prop ] );
     ( "store.framing",
       [ Alcotest.test_case "pack roundtrip + torn tail" `Quick
           pack_roundtrip_and_torn_tail;
@@ -3038,7 +3307,9 @@ let suites =
         Alcotest.test_case "restore allocation" `Quick restore_allocation;
         QCheck_alcotest.to_alcotest folded_dir_roundtrip;
         Alcotest.test_case "index version 3 rejected" `Quick
-          (index_version_rejected ~version:3) ] );
+          (index_version_rejected ~version:3);
+        Alcotest.test_case "folded full allocation" `Quick
+          folded_full_allocation ] );
     ( "store.core",
       [ Alcotest.test_case "restore agrees with chain replay" `Quick
           store_restore_agrees_with_replay;
@@ -3064,6 +3335,8 @@ let suites =
         Alcotest.test_case "unlinking heap" `Quick unlinking_heap;
         Alcotest.test_case "fold fallbacks" `Quick fold_fallbacks;
         Alcotest.test_case "fold reads" `Quick fold_reads;
+        Alcotest.test_case "fold boundary" `Quick fold_boundary;
+        Alcotest.test_case "fold shared key" `Quick fold_shared_key;
         Alcotest.test_case "failed full keeps the image" `Quick
           failed_full_keeps_image;
         Alcotest.test_case "growing heap" `Quick growing_heap ]

@@ -243,6 +243,7 @@ type op =
   | Byte of int
   | Fixed32 of int
   | Substring of string * int * int
+  | Run of int * int * (int * int) list  (** tag, previous id, records *)
 
 let reference_bytes ops =
   let b = Buffer.create 64 in
@@ -264,7 +265,17 @@ let reference_bytes ops =
           done
       | Substring (s, pos, len) ->
           varint len;
-          Buffer.add_string b (String.sub s pos len))
+          Buffer.add_string b (String.sub s pos len)
+      | Run (tag, prev, records) ->
+          varint tag;
+          varint (List.length records);
+          ignore
+            (List.fold_left
+               (fun (id, off) (i, o) ->
+                 varint (i - id);
+                 varint (o - off);
+                 (i, o))
+               (prev, 0) records))
     ops;
   Buffer.contents b
 
@@ -273,6 +284,12 @@ let write_op d = function
   | Byte n -> Out_stream.write_byte d n
   | Fixed32 n -> Out_stream.write_fixed32 d n
   | Substring (s, pos, len) -> Out_stream.write_substring d s ~pos ~len
+  | Run (tag, prev, records) ->
+      (* The run lies after a record of another, in arrays longer than it. *)
+      let ids = Array.of_list ((7 :: List.map fst records) @ [ 8 ]) in
+      let offs = Array.of_list ((9 :: List.map snd records) @ [ 10 ]) in
+      Out_stream.write_run d ~tag ~ids ~offs ~first:1
+        ~count:(List.length records) ~prev
 
 let op_gen =
   let open QCheck2.Gen in
@@ -289,7 +306,13 @@ let op_gen =
             let pos = if n = 0 then 0 else a mod (n + 1) in
             Substring (s, pos, if n = 0 then 0 else b mod (n - pos + 1)))
           (string_size ~gen:char (int_range 0 300))
-          (pair nat nat)) ]
+          (pair nat nat));
+      (1,
+        let value = frequency [ (3, int); (2, edge); (2, small_signed_int) ] in
+        map3
+          (fun tag prev records -> Run (tag, prev, records))
+          value value
+          (list_size (int_range 0 40) (pair value value))) ]
 
 let prop_out_stream_reference =
   QCheck2.Test.make ~name:"flat out_stream = Buffer reference" ~count:300
