@@ -23,5 +23,5 @@ val decide : t -> next:int option -> since_full_bytes:int -> Segment.kind
     expects and its incremental body bytes since the newest full: an
     in-memory chain's {!Chain.next} and {!Chain.since_full_bytes}, or a
     store's or service tenant's, derived from its committed entries
-    ([Ickpt_cas.Epochs.progress]). Always [Full] on an empty chain
+    ([Ickpt_cas.Epochs.chain]). Always [Full] on an empty chain
     ([next = None]), whatever the policy. *)

@@ -71,10 +71,8 @@ let write_tests () =
   let vfs = Ickpt_faultsim.Sim.vfs (Ickpt_faultsim.Sim.create ()) in
   let pack = Pack.open_ ~vfs "micro.pack" in
   ignore
-    (Epochs.commit
-       ~committed:(fun _ -> ([], Epochs.image ()))
-       Epochs.plain vfs ~path:"micro.idx" pack
-       [ { Epochs.chain = 0;
+    (Epochs.commit Epochs.plain vfs ~path:"micro.idx" pack
+       [ { Epochs.chain = Epochs.chain ~file:"micro.idx" ~id:0 t.Synth.schema [];
            kind = Ickpt_core.Segment.Full;
            epoch = 0;
            roots = [];

@@ -1,4 +1,3 @@
-open Ickpt_runtime
 open Ickpt_core
 open Ickpt_stream
 open Ickpt_cas
@@ -24,18 +23,12 @@ let per_epoch =
 
 type tenant = {
   t_svc : t;
-  t_id : int;
   t_name : string;
   t_shard : int;
-  t_schema : Schema.t;
-  mutable t_entries : Epoch_index.entry list;  (* committed, oldest first *)
-  mutable t_progress : Epochs.progress;  (* of its taken epochs *)
-  t_out : Out_stream.t;  (* the stream its takes write into *)
-  t_image : Epochs.image;  (* what its next fold reads *)
+  t_chain : Epochs.chain;
 }
 
 and item = {
-  it_tenant : tenant;
   it_epoch : Epochs.item;
   it_enq : int64;  (* when it was appended: {!Ickpt_harness.Clock.now_ns} *)
 }
@@ -209,35 +202,11 @@ let commit_locked t s =
       s.s_pending <- [];
       s.s_pending_bytes <- 0;
       let c =
-        try
-          Epochs.commit
-            ~committed:(fun id ->
-              match List.find_opt (fun it -> it.it_tenant.t_id = id) items with
-              | Some it -> (it.it_tenant.t_entries, it.it_tenant.t_image)
-              | None -> ([], Epochs.image ()))
-            Epochs.mux t.vfs ~path:s.s_index_file t.pack
-            (List.map (fun it -> it.it_epoch) items)
-        with e ->
-          (* The batch is lost. Each of its tenants goes back to its
-             committed entries, and its next epoch is full, in this process
-             even across an evict or a reopen: taking the lost ones cleared
-             the modified flags. *)
-          let bt = Printexc.get_raw_backtrace () in
-          List.iter
-            (fun it ->
-              let tn = it.it_tenant in
-              tn.t_progress <- Epochs.failed tn.t_entries;
-              Epochs.mark_due ~file:t.root ~chain:tn.t_id)
-            items;
-          Printexc.raise_with_backtrace e bt
+        Epochs.commit Epochs.mux t.vfs ~path:s.s_index_file t.pack
+          (List.map (fun it -> it.it_epoch) items)
       in
-      (* Durable; mirror in memory. *)
+      (* Durable: each tenant's chain has moved on; mirror the shard. *)
       s.s_committed <- s.s_committed @ c.entries;
-      List.iter2
-        (fun it (m : Epoch_index.mux_entry) ->
-          it.it_tenant.t_entries <- it.it_tenant.t_entries @ [ m.m_entry ];
-          Epochs.note_commit ~file:t.root ~chain:m.m_tenant m.m_entry.kind)
-        items c.entries;
       t.collided <- List.rev_append c.collisions t.collided;
       let now = Ickpt_harness.Clock.now_ns () in
       List.iter
@@ -252,11 +221,11 @@ let flush t =
   check_open t;
   with_lock t (fun () -> Array.iter (commit_locked t) t.shard_tbl)
 
-(* Queue [seg] on its shard, committing the batch once full. The counters
-   advance at once: the next epoch extends the taken chain. A failed
-   commit sets them back ({!commit_locked}); the admission check and the
-   advance are made under the same lock, so an epoch is never queued past
-   a lost batch of its tenant's. *)
+(* Queue [seg] on its shard, committing the batch once full. It is
+   admitted at once: the next epoch extends the taken chain. A failed
+   commit sets the chain back ({!Epochs.commit}); admission is made under
+   the same lock, so an epoch is never queued past a lost batch of its
+   tenant's. *)
 let append tenant (seg : Segment.t) =
   let t = tenant.t_svc in
   check_open t;
@@ -266,24 +235,14 @@ let append tenant (seg : Segment.t) =
      both read without the lock: a stale list only misjudges the size,
      and a stale image is a snapshot the commit finds moved on and
      compares the full with again. *)
-  let body =
-    Epochs.body tenant.t_schema ~records_per_chunk:t.records_per_chunk
-      tenant.t_image tenant.t_entries seg
-  in
   let it =
-    { it_tenant = tenant;
-      it_epoch =
-        { Epochs.chain = tenant.t_id;
-          kind = seg.kind;
-          epoch = seg.seq;
-          roots = seg.roots;
-          body };
+    { it_epoch =
+        Epochs.item tenant.t_chain ~records_per_chunk:t.records_per_chunk seg;
       it_enq = Ickpt_harness.Clock.now_ns () }
   in
   let s = t.shard_tbl.(tenant.t_shard) in
   with_lock t (fun () ->
-      Option.iter (error "%s") (Epochs.refusal tenant.t_progress seg);
-      tenant.t_progress <- Epochs.advance tenant.t_progress seg;
+      Option.iter (error "%s") (Epochs.admit tenant.t_chain seg);
       s.s_pending <- s.s_pending @ [ it ];
       s.s_pending_bytes <- s.s_pending_bytes + String.length seg.body;
       if
@@ -323,14 +282,9 @@ let open_tenant t schema ~name =
           in
           let tn =
             { t_svc = t;
-              t_id = id;
               t_name = name;
               t_shard = shard;
-              t_schema = schema;
-              t_entries = entries;
-              t_progress = Epochs.resume ~file:t.root ~chain:id entries;
-              t_out = Out_stream.create ();
-              t_image = Epochs.image () }
+              t_chain = Epochs.chain ~file:t.root ~id schema entries }
           in
           Hashtbl.replace t.open_tenants id tn;
           tn)
@@ -338,30 +292,30 @@ let open_tenant t schema ~name =
 let checkpoint tenant roots =
   check_open tenant.t_svc;
   append tenant
-    (Epochs.take tenant.t_svc.policy tenant.t_progress ~out:tenant.t_out
-       (Chain.generic ?stats:None) roots)
+    (Epochs.take tenant.t_svc.policy tenant.t_chain (Chain.generic ?stats:None)
+       roots)
 
 let epochs tenant =
   with_lock tenant.t_svc (fun () ->
-      List.map (fun (e : Epoch_index.entry) -> e.epoch) tenant.t_entries)
+      List.map
+        (fun (e : Epoch_index.entry) -> e.epoch)
+        (Epochs.entries tenant.t_chain))
 
 let latest_epoch tenant =
-  with_lock tenant.t_svc (fun () -> Epoch_index.newest tenant.t_entries)
+  with_lock tenant.t_svc (fun () ->
+      Epoch_index.newest (Epochs.entries tenant.t_chain))
 
 let restore tenant ~epoch =
   let t = tenant.t_svc in
   check_open t;
   flush t;
   with_lock t (fun () ->
+      let entries = Epochs.entries tenant.t_chain in
       if
         not
-          (List.exists
-             (fun (e : Epoch_index.entry) -> e.epoch = epoch)
-             tenant.t_entries)
+          (List.exists (fun (e : Epoch_index.entry) -> e.epoch = epoch) entries)
       then error "tenant %S: unknown epoch %d" tenant.t_name epoch;
-      Dir.restore
-        (Dir.reader t.pack tenant.t_schema)
-        ~entries:tenant.t_entries ~epoch)
+      Dir.restore t.pack (Epochs.schema tenant.t_chain) ~entries ~epoch)
 
 let evict t ~name =
   check_open t;

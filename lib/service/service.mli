@@ -2,9 +2,10 @@
     each with its own checkpoint chain and epoch numbering, all feeding
     {e one} shared deduplicating {!Ickpt_cas.Pack} — so identical state
     dedups {e across} tenants, which is where content addressing pays.
-    A tenant's chain lives only on disk; in memory a tenant is its
-    committed index entries plus the epoch it expects next and its
-    incremental bytes since its newest full ({!Ickpt_core.Policy}'s inputs).
+    A tenant's chain lives only on disk; in memory an open tenant is one
+    [Ickpt_cas.Epochs.chain]: its committed index entries, the progress of
+    its taken epochs ({!Ickpt_core.Policy}'s inputs and a due full) and
+    the image its next fold reads.
 
     A service at [path] owns:
     - [path ^ ".pack"] — the shared chunk pack;
@@ -38,13 +39,13 @@
     prefix of its own epochs — invariant I7, extended; swept by the
     [Ickpt_faultsim.Service_sim] workload of [Ickpt_faultsim.Sweep].
 
-    Where the rules live: the continuity rule is
-    {!Ickpt_core.Chain.continuity}, shared with the in-memory chain and
-    {!Ickpt_cas.Store}; committing a batch, the other per-tenant chain
-    rules (resume from the newest full epoch, reopen validation, {!check})
+    Where the rules live: committing a batch, which moves each of its
+    tenants' chains on (or back, when it fails), admitting an epoch, the
+    other per-tenant chain rules (resume, reopen validation, {!check})
     and entry → segment are [Ickpt_cas.Epochs], shared with
-    {!Ickpt_cas.Store}; writing and reading back the record files (pack,
-    shard indexes, catalog, meta) is {!Ickpt_core.Vfs.write_synced} and
+    {!Ickpt_cas.Store}; continuity is {!Ickpt_core.Chain.continuity};
+    writing and reading back the record files (pack, shard indexes,
+    catalog, meta) is {!Ickpt_core.Vfs.write_synced} and
     [Ickpt_stream.In_stream.fold_intact].
 
     Thread-safety: one global lock serializes pack access and commits;
@@ -139,7 +140,7 @@ val checkpoint : tenant -> Model.obj list -> int
     committed epoch, and is full, since taking the lost epochs cleared its
     heap's modified flags. The process remembers this per (service root,
     tenant) until a full epoch of the tenant commits
-    ({!Ickpt_cas.Epochs.mark_due}), so it holds across {!evict} and across
+    ([Ickpt_cas.Epochs.chain]), so it holds across {!evict} and across
     a reopen of the service in the same process. Each tenant's takes
     write into one stream it keeps, so a full take does not regrow its
     buffer. *)

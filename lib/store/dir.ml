@@ -123,8 +123,8 @@ let find_equal l id s ~pos ~len =
       Some (src, off)
   | _ -> None
 
-let restore r ~entries ~epoch =
-  let l = live r.pack ~entries ~epoch in
-  Restore.heap_of_slots r.schema l.dir.slots
+let restore pack schema ~entries ~epoch =
+  let l = live pack ~entries ~epoch in
+  Restore.heap_of_slots schema l.dir.slots
     ~source:(fun _ -> l.buf)
     ~start:l.start ~len:l.dir.lens ~roots:l.dir.roots

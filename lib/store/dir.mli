@@ -65,7 +65,8 @@ val record : reader -> int * int -> Restore.record
 (** Decode the record at a directory pointer. *)
 
 val restore :
-  reader -> entries:Epoch_index.entry list -> epoch:int -> Heap.t * Model.obj list
+  Pack.t -> Schema.t -> entries:Epoch_index.entry list -> epoch:int ->
+  Heap.t * Model.obj list
 (** Materialize the heap committed at [epoch]: {!live}, then decode
     exactly one record per live object ({!Restore.heap_of_slots}), in one
     pass from the newest slot down, checking that each record carries its
@@ -73,7 +74,7 @@ val restore :
     buffer: a record that runs past its chunk's end is corrupt
     even when the next fetched chunk follows it there. Roots are the
     entry's.
-    @raise Error as {!fold_in} the reader's pack.
+    @raise Error as {!fold_in}.
     @raise Ickpt_core.Restore.Error as {!Restore.heap_of_slots}.
     @raise Ickpt_stream.In_stream.Corrupt if a chunk fails its CRC or a
     record runs past its chunk's end. *)

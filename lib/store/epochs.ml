@@ -53,12 +53,6 @@ type snapshot = {
   bytes : int;
 }
 
-type image = { mutable current : snapshot option }
-
-let image () = { current = None }
-
-let forget im = im.current <- None
-
 (* The places of a body committed whole, cut every [records_per_chunk]
    records, its chunks numbered from [first]. *)
 let tiled ~first ~records_per_chunk ~offs ~n =
@@ -88,37 +82,55 @@ let source_lens s =
 (* ------------------------------------------------------------------ *)
 (* The chain's live records.                                           *)
 
-(* Where each of the full's ids first lies among its records. [Dense]
-   when they span fewer than [dense_span] values a record, as a heap's
-   ids do, numbered from 0 by allocation: [pos.(id - lo)], or [-1] for an
-   id the full lacks. Otherwise [Sorted]: the full's positions ordered by
-   id, ties by position, searched by halving. *)
+(* Where each of [n] ids (a full's) first lies among them. [Dense] when
+   they span fewer than [dense_span] values a record, as a heap's ids do,
+   numbered from 0 by allocation: [pos.(id - lo)], or [-1] for an id
+   missing. Otherwise [Sorted]: the positions ordered by id, ties by
+   position, searched by halving. *)
 type positions =
   | Dense of { lo : int; pos : int array }
   | Sorted of int array
 
 let dense_span = 4
 
-let positions (f : layer) =
+let positions ids n =
   let lo = ref max_int and hi = ref min_int in
-  for k = 0 to f.n - 1 do
-    let id = f.ids.(k) in
+  for k = 0 to n - 1 do
+    let id = ids.(k) in
     if id < !lo then lo := id;
     if id > !hi then hi := id
   done;
   let span = !hi - !lo in
-  if f.n > 0 && span >= 0 && span < dense_span * f.n then begin
+  if n > 0 && span >= 0 && span < dense_span * n then begin
     let pos = Array.make (span + 1) (-1) in
-    for k = f.n - 1 downto 0 do
-      pos.(f.ids.(k) - !lo) <- k
+    for k = n - 1 downto 0 do
+      pos.(ids.(k) - !lo) <- k
     done;
     Dense { lo = !lo; pos }
   end
   else begin
-    let by_id = Array.init f.n Fun.id in
-    Array.stable_sort (fun a b -> Int.compare f.ids.(a) f.ids.(b)) by_id;
+    let by_id = Array.init n Fun.id in
+    Array.stable_sort (fun a b -> Int.compare ids.(a) ids.(b)) by_id;
     Sorted by_id
   end
+
+(* The index of [id] among the [ids] [positions] were made of, or [-1]. *)
+let index_of positions ids id =
+  match positions with
+  | Dense { lo; pos } ->
+      let i = id - lo in
+      if i >= 0 && i < Array.length pos then pos.(i) else -1
+  | Sorted by_id ->
+      let lo = ref 0 and hi = ref (Array.length by_id) in
+      while !lo < !hi do
+        let mid = (!lo + !hi) / 2 in
+        if ids.(by_id.(mid)) < id then lo := mid + 1 else hi := mid
+      done;
+      if !lo < Array.length by_id && ids.(by_id.(!lo)) = id then by_id.(!lo) else -1
+
+let id_index ids =
+  let p = positions ids (Array.length ids) in
+  fun id -> index_of p ids id
 
 (* The image's newest record of each id, by reference: [layers] are its
    full, then its incrementals oldest first, and a record is named by one
@@ -133,20 +145,6 @@ type view = {
   mutable extra : int array;
 }
 
-(* The index of [id] among the full's ids, or [-1]. *)
-let index_of v id =
-  match v.positions with
-  | Dense { lo; pos } ->
-      let i = id - lo in
-      if i >= 0 && i < Array.length pos then pos.(i) else -1
-  | Sorted by_id ->
-      let ids = v.layers.(0).ids and lo = ref 0 and hi = ref (Array.length by_id) in
-      while !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        if ids.(by_id.(mid)) < id then lo := mid + 1 else hi := mid
-      done;
-      if !lo < Array.length by_id && ids.(by_id.(!lo)) = id then by_id.(!lo) else -1
-
 let grow a = Array.append a (Array.make (Array.length a) 0)
 
 (* Each incremental's records laid over the full's, oldest first: each
@@ -154,7 +152,7 @@ let grow a = Array.append a (Array.make (Array.length a) 0)
 let view_of_snapshot (s : snapshot) =
   let v =
     { layers = Array.of_list (s.full :: List.rev s.since);
-      positions = positions s.full;
+      positions = positions s.full.ids s.full.n;
       over = Array.make s.full.n 0;
       extra_ids = Idtbl.create 16;
       extra = Array.make 16 0 }
@@ -167,7 +165,7 @@ let view_of_snapshot (s : snapshot) =
     let l = v.layers.(i) in
     for r = 0 to l.n - 1 do
       let id = l.ids.(r) and c = (i lsl off_bits) lor r in
-      match index_of v id with
+      match index_of v.positions s.full.ids id with
       | -1 ->
           let j = Idtbl.add v.extra_ids id in
           if j = Array.length v.extra then v.extra <- grow v.extra;
@@ -183,7 +181,7 @@ let view_of_snapshot (s : snapshot) =
    position there. *)
 let place_of v cursor body id pos len =
   let c =
-    match index_of v id with
+    match index_of v.positions v.layers.(0).ids id with
     | -1 -> ( match Idtbl.find v.extra_ids id with -1 -> -1 | j -> v.extra.(j))
     | k ->
         cursor := k + 1;
@@ -285,13 +283,95 @@ let lockstep schema v ~hint body =
   done;
   (!ids, !offs, !n, !places)
 
-(* The same comparison for a body framed already, [place_of id pos len]
-   placing each record. *)
-let compare_framed place_of body ~ids ~offs ~n =
-  Array.init n (fun r ->
-      let pos = offs.(r) in
-      let stop = if r + 1 < n then offs.(r + 1) else String.length body in
-      place_of ids.(r) pos (stop - pos))
+(* ------------------------------------------------------------------ *)
+(* Chains.                                                             *)
+
+type progress = { next : int option; since_full_bytes : int; full_due : bool }
+
+type chain = {
+  schema : Ickpt_runtime.Schema.t;
+  file : string;
+  id : int;
+  out : Out_stream.t;
+  mutable entries : Epoch_index.entry list;  (* committed, oldest first *)
+  mutable progress : progress;  (* of its taken epochs *)
+  mutable image : snapshot option;  (* what its next fold reads *)
+}
+
+(* The chains whose next epoch must be full, for the whole process: the
+   heap whose modified flags a lost take cleared outlives the store or
+   service value that took it, so a reopen in the same process must still
+   take a full. Keyed by a chain's file and its id there. *)
+let due : (string * int, unit) Hashtbl.t = Hashtbl.create 8
+
+let due_lock = Mutex.create ()
+
+let with_due f =
+  Mutex.lock due_lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock due_lock) f
+
+let logical_bytes entries =
+  List.fold_left (fun acc (e : Epoch_index.entry) -> acc + e.size) 0 entries
+
+let progress ~full_due entries =
+  let incrementals =
+    List.filter
+      (fun (e : Epoch_index.entry) -> e.kind = Segment.Incremental)
+      (Epoch_index.since_full entries ~epoch:max_int)
+  in
+  { next = Option.map succ (Epoch_index.newest entries);
+    since_full_bytes = logical_bytes incrementals;
+    full_due }
+
+let chain ~file ~id schema entries =
+  { schema;
+    file;
+    id;
+    out = Out_stream.create ();
+    entries;
+    progress =
+      progress entries ~full_due:(with_due (fun () -> Hashtbl.mem due (file, id)));
+    image = None }
+
+let schema c = c.schema
+
+let entries c = c.entries
+
+let take policy c write roots =
+  let p = c.progress in
+  let kind =
+    if p.full_due then Segment.Full
+    else Policy.decide policy ~next:p.next ~since_full_bytes:p.since_full_bytes
+  in
+  Chain.segment ~out:c.out ~kind ~seq:(Option.value p.next ~default:0) (write kind)
+    roots
+
+let admit c (seg : Segment.t) =
+  let p = c.progress in
+  let refusal =
+    match Chain.continuity ~next:p.next seg.kind ~epoch:seg.seq with
+    | Some b -> Some (Chain.describe b ~epoch:seg.seq)
+    | None when p.full_due && seg.kind = Segment.Incremental ->
+        Some
+          (Printf.sprintf
+             "incremental segment %d after a failed commit (a full is due)"
+             seg.seq)
+    | None -> None
+  in
+  if refusal = None then
+    c.progress <-
+      (match seg.kind with
+      | Segment.Full ->
+          { next = Some (seg.seq + 1); since_full_bytes = 0; full_due = false }
+      | Segment.Incremental ->
+          { p with
+            next = Some (seg.seq + 1);
+            since_full_bytes = p.since_full_bytes + Segment.body_size seg });
+  refusal
+
+let rebase c entries =
+  c.entries <- entries;
+  c.image <- None
 
 (* ------------------------------------------------------------------ *)
 (* Staging.                                                            *)
@@ -309,40 +389,43 @@ type body =
       against : against;
     }
 
+type item = {
+  chain : chain;
+  kind : Segment.kind;
+  epoch : int;
+  roots : int list;
+  body : body;
+}
+
 (* A body holds about as many records as the chain's newest entry of its
    kind: a full as many, an incremental up to a quarter more. A full on a
    chain with an image is framed against it. *)
-let body schema ~records_per_chunk image entries (seg : Segment.t) =
+let item c ~records_per_chunk (seg : Segment.t) =
   let newest =
     List.fold_left
       (fun n (e : Epoch_index.entry) ->
         if e.kind = seg.kind then Epoch_index.dir_records e.dir else n)
-      0 entries
+      0 c.entries
   in
   let hint =
     match seg.kind with
     | Segment.Full -> newest
     | Segment.Incremental -> newest + (newest / 4)
   in
-  match (seg.kind, image.current) with
-  | Segment.Full, Some s ->
-      let ids, offs, n, places =
-        lockstep schema (view_of_snapshot s) ~hint seg.body
-      in
-      Framed
-        { body = seg.body; ids; offs; n; records_per_chunk;
-          against = Some (s, places) }
-  | _ ->
-      let ids, offs, n = Restore.frames ~hint schema seg.body in
-      Framed { body = seg.body; ids; offs; n; records_per_chunk; against = None }
-
-type item = {
-  chain : int;
-  kind : Segment.kind;
-  epoch : int;
-  roots : int list;
-  body : body;
-}
+  let body =
+    match (seg.kind, c.image) with
+    | Segment.Full, Some s ->
+        let ids, offs, n, places =
+          lockstep c.schema (view_of_snapshot s) ~hint seg.body
+        in
+        Framed
+          { body = seg.body; ids; offs; n; records_per_chunk;
+            against = Some (s, places) }
+    | _ ->
+        let ids, offs, n = Restore.frames ~hint c.schema seg.body in
+        Framed { body = seg.body; ids; offs; n; records_per_chunk; against = None }
+  in
+  { chain = c; kind = seg.kind; epoch = seg.seq; roots = seg.roots; body }
 
 (* ------------------------------------------------------------------ *)
 (* Folding a full.                                                     *)
@@ -527,13 +610,13 @@ let whole chunks =
    none, from the pack. Any other item, a full none of whose records
    stays, and one whose fold meets a corrupt chunk or directory are
    committed whole. *)
-let plan committed pack (it : item) =
+let plan pack (it : item) =
   match it.body with
   | Split chunks -> whole chunks
   | Framed { body; ids; offs; n; records_per_chunk; against } -> (
       let folded =
-        match (it.kind, committed it.chain) with
-        | Segment.Full, ((_ :: _ as entries), image) -> (
+        match (it.kind, it.chain.entries) with
+        | Segment.Full, (_ :: _ as entries) -> (
             let since = Epoch_index.since_full entries ~epoch:max_int in
             let sources =
               Array.of_list
@@ -541,25 +624,28 @@ let plan committed pack (it : item) =
             in
             try
               let lens, places =
-                match (against, image.current) with
+                match (against, it.chain.image) with
                 | Some (s, places), Some s' when s == s' -> (source_lens s, places)
                 | _, Some s ->
-                    ( source_lens s,
-                      compare_framed
-                        (place_of (view_of_snapshot s) (ref 0) body)
-                        body ~ids ~offs ~n )
+                    let _, _, _, places =
+                      lockstep it.chain.schema (view_of_snapshot s) ~hint:n body
+                    in
+                    (source_lens s, places)
                 | _, None ->
                     let live =
                       Dir.live pack ~entries
                         ~epoch:(Option.get (Epoch_index.newest entries))
                     in
                     ( Array.map (Pack.chunk_len pack) sources,
-                      compare_framed
-                        (fun id pos len ->
-                          match Dir.find_equal live id body ~pos ~len with
+                      Array.init n (fun r ->
+                          let pos = offs.(r) in
+                          let len =
+                            (if r + 1 < n then offs.(r + 1) else String.length body)
+                            - pos
+                          in
+                          match Dir.find_equal live ids.(r) body ~pos ~len with
                           | Some (s, off) -> place s off
-                          | None -> -1)
-                        body ~ids ~offs ~n )
+                          | None -> -1) )
               in
               fold_full ~records_per_chunk ~sources ~lens ~body ~ids ~offs ~n
                 ~places
@@ -869,13 +955,18 @@ let entry_of (it : item) p (keys, fresh) ~at =
       dir },
     placed )
 
-(* Once an item is committed, its chain's image moves on: a full starts a
-   new one, an incremental adds its layer. An image whose incrementals'
-   bodies would outgrow its full's is dropped, as is one a chunk list
-   without framing would extend: the chain's next fold reads the pack. *)
-let advance image (it : item) p (e : Epoch_index.entry) placed =
+(* Once an item is committed, it joins its chain's entries and the image
+   moves on: a full starts a new one, an incremental adds its layer. An
+   image whose incrementals' bodies would outgrow its full's is dropped,
+   as is one a chunk list without framing would extend: the chain's next
+   fold reads the pack. A full clears the chain's due mark. *)
+let advance (it : item) p (e : Epoch_index.entry) placed =
+  let c = it.chain in
+  c.entries <- c.entries @ [ e ];
+  if it.kind = Segment.Full then
+    with_due (fun () -> Hashtbl.remove due (c.file, c.id));
   match it.body with
-  | Split _ -> forget image
+  | Split _ -> c.image <- None
   | Framed { body; ids; offs; n; records_per_chunk; _ } -> (
       let layer ~first =
         { body; ids; offs; n;
@@ -885,19 +976,19 @@ let advance image (it : item) p (e : Epoch_index.entry) placed =
             | None -> tiled ~first ~records_per_chunk ~offs ~n) }
       in
       let chunks = List.length e.chunks in
-      match (it.kind, image.current) with
+      match (it.kind, c.image) with
       | Segment.Full, _ ->
           let lens =
             match placed with
             | Some (_, lens) -> lens
             | None -> Array.of_list (List.map (fun (c : Chunk.t) -> c.len) p.fresh)
           in
-          image.current <-
+          c.image <-
             Some { full = layer ~first:0; lens; since = []; chunks; bytes = 0 }
       | Segment.Incremental, None -> ()
       | Segment.Incremental, Some s ->
           let bytes = s.bytes + String.length body in
-          image.current <-
+          c.image <-
             (if bytes > String.length s.full.body then None
              else
                Some
@@ -906,8 +997,8 @@ let advance image (it : item) p (e : Epoch_index.entry) placed =
                    chunks = s.chunks + chunks;
                    bytes }))
 
-let commit ~committed idx vfs ~path pack items =
-  let plans = List.map (plan committed pack) items in
+let commit_batch idx vfs ~path pack items =
+  let plans = List.map (plan pack) items in
   let staged, collisions = stage pack items plans in
   let start =
     Pack.append pack
@@ -920,7 +1011,7 @@ let commit ~committed idx vfs ~path pack items =
       (fun (at, acc) (it, p) st ->
         let e, placed = entry_of it p st ~at in
         ( List.fold_left (fun at (_, (c : Chunk.t)) -> at + c.len) at (snd st),
-          (idx.make it.chain e, (it, p, e, placed)) :: acc ))
+          (idx.make it.chain.id e, (it, p, e, placed)) :: acc ))
       (start, []) (List.combine items plans) staged
   in
   let entries, moves = List.split (List.rev rev_entries) in
@@ -941,17 +1032,29 @@ let commit ~committed idx vfs ~path pack items =
   List.iter
     (fun x -> ignore (Pack.locate pack ~checked:true (idx.entry x) : int))
     entries;
-  (* Each chain's next fold reads its image, moved on in batch order. *)
-  List.iter
-    (fun ((it : item), p, e, placed) ->
-      advance (snd (committed it.chain)) it p e placed)
-    moves;
+  (* Each chain moves on in batch order. *)
+  List.iter (fun (it, p, e, placed) -> advance it p e placed) moves;
   { entries;
     collisions;
     fresh_chunks =
       List.fold_left (fun n (_, fresh) -> n + List.length fresh) 0 staged;
     bytes_written = stop - start + String.length index_bytes;
     index_bytes = String.length index_bytes }
+
+(* A lost batch is lost with the modified flags its takes cleared: each
+   of its chains goes back to its committed entries, and its next epoch
+   must be full, in this process, across reopens. *)
+let commit idx vfs ~path pack items =
+  try commit_batch idx vfs ~path pack items
+  with e ->
+    let bt = Printexc.get_raw_backtrace () in
+    List.iter
+      (fun (it : item) ->
+        let c = it.chain in
+        c.progress <- progress c.entries ~full_due:true;
+        with_due (fun () -> Hashtbl.replace due (c.file, c.id) ()))
+      items;
+    Printexc.raise_with_backtrace e bt
 
 (* ------------------------------------------------------------------ *)
 (* GC.                                                                 *)
@@ -1014,70 +1117,3 @@ let segment schema pack (e : Epoch_index.entry) =
          String.concat ""
            (Array.to_list (Pack.read_many pack (Array.of_list e.chunks)))) }
 
-let logical_bytes entries =
-  List.fold_left (fun acc (e : Epoch_index.entry) -> acc + e.size) 0 entries
-
-type progress = { next : int option; since_full_bytes : int; full_due : bool }
-
-(* The chains whose next epoch must be full, for the whole process: the
-   heap whose modified flags a lost take cleared outlives the store or
-   service value that took it, so a reopen in the same process must still
-   take a full. Keyed by a file and a chain in it. *)
-let due : (string * int, unit) Hashtbl.t = Hashtbl.create 8
-
-let due_lock = Mutex.create ()
-
-let with_due f =
-  Mutex.lock due_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock due_lock) f
-
-let mark_due ~file ~chain =
-  with_due (fun () -> Hashtbl.replace due (file, chain) ())
-
-let note_commit ~file ~chain kind =
-  if kind = Segment.Full then
-    with_due (fun () -> Hashtbl.remove due (file, chain))
-
-let progress entries =
-  let incrementals =
-    List.filter
-      (fun (e : Epoch_index.entry) -> e.kind = Segment.Incremental)
-      (Epoch_index.since_full entries ~epoch:max_int)
-  in
-  { next = Option.map succ (Epoch_index.newest entries);
-    since_full_bytes = logical_bytes incrementals;
-    full_due = false }
-
-let failed entries = { (progress entries) with full_due = true }
-
-let resume ~file ~chain entries =
-  if with_due (fun () -> Hashtbl.mem due (file, chain)) then
-    failed entries
-  else progress entries
-
-let advance p (seg : Segment.t) =
-  match seg.kind with
-  | Segment.Full ->
-      { next = Some (seg.seq + 1); since_full_bytes = 0; full_due = false }
-  | Segment.Incremental ->
-      { p with
-        next = Some (seg.seq + 1);
-        since_full_bytes = p.since_full_bytes + Segment.body_size seg }
-
-let refusal p (seg : Segment.t) =
-  match Chain.continuity ~next:p.next seg.kind ~epoch:seg.seq with
-  | Some b -> Some (Chain.describe b ~epoch:seg.seq)
-  | None when p.full_due && seg.kind = Segment.Incremental ->
-      Some
-        (Printf.sprintf
-           "incremental segment %d after a failed commit (a full is due)"
-           seg.seq)
-  | None -> None
-
-let take policy p ~out write roots =
-  let kind =
-    if p.full_due then Segment.Full
-    else Policy.decide policy ~next:p.next ~since_full_bytes:p.since_full_bytes
-  in
-  Chain.segment ~out ~kind ~seq:(Option.value p.next ~default:0) (write kind)
-    roots

@@ -1,9 +1,11 @@
 (** The epoch core shared by {!Store} (one chain, one index file) and
     [Ickpt_service.Service] (one chain per tenant, multiplexed per-shard
-    index files): how a batch of epochs is committed as pack bodies plus
-    the index entries that locate them, and which entries form a valid
-    chain. Each rule has its one home here but continuity
-    ({!Ickpt_core.Chain.continuity}). *)
+    index files): a chain's committed state ({!chain}), how a batch of
+    epochs is committed as pack bodies plus the index entries that locate
+    them, and which entries form a valid chain. Each rule has its one home
+    here but continuity ({!Ickpt_core.Chain.continuity}). A store holds
+    one {!chain}, a service one per open tenant; only {!admit},
+    {!commit} and {!rebase} move it. *)
 
 open Ickpt_core
 
@@ -38,26 +40,67 @@ val plain : Epoch_index.entry index
 val mux : Epoch_index.mux_entry index
 (** A service shard's index: one chain per tenant. *)
 
+(** {1 Chains} *)
+
+type chain
+(** One chain's state: its schema, its committed entries (oldest first),
+    the progress of its taken epochs (the epoch it expects next, its
+    incremental body bytes since its newest full, and whether a full is
+    due), the stream its takes write into, and its committed {e image}:
+    what it has committed since its newest full, as it committed it —
+    that full's body with its records' ids, offsets and places, and each
+    incremental's since. A fold lays the incrementals over the full by
+    reference and copies no record. The image is missing until a full
+    commits in this session (after a reopen, a gc or an evict), or once
+    the incrementals' bodies since its full would outgrow that full's;
+    the chain's next fold then reads the pack as a restore does
+    ({!Dir.live}).
+
+    A lost take cleared the modified flags of a heap that lives on in the
+    process, whatever store or service value took it: so once a
+    {!commit} of the chain fails, its next epoch must be full, in this
+    process, across reopens, until a full one commits. The process keeps
+    this per [file] (a store's index file, a service's root) and [id] in
+    it (0, a tenant id). *)
+
+val chain :
+  file:string -> id:int -> Ickpt_runtime.Schema.t -> Epoch_index.entry list ->
+  chain
+(** The chain [id] of [file] with these committed entries, resuming where
+    they end without reading a chunk: a full is due if a commit of that
+    chain failed earlier in the process and no full has committed on it
+    since. *)
+
+val schema : chain -> Ickpt_runtime.Schema.t
+
+val entries : chain -> Epoch_index.entry list
+(** The committed entries, oldest first. *)
+
+val take :
+  Policy.t -> chain ->
+  (Segment.kind -> Ickpt_stream.Out_stream.t ->
+   Ickpt_runtime.Model.obj list -> unit) ->
+  Ickpt_runtime.Model.obj list -> Segment.t
+(** [take policy c write roots]: the chain's next segment, of the kind
+    [policy] picks ({!Ickpt_core.Policy.decide}) — full while a full is
+    due — its body recorded by [write kind] into the chain's stream,
+    which is reset first: a stream kept across takes is grown once, not
+    per take. Neither admits nor appends it. *)
+
+val admit : chain -> Segment.t -> string option
+(** Why the segment cannot extend the chain's taken epochs, in words: a
+    break of {!Ickpt_core.Chain.continuity}, or an incremental while a
+    full is due. [None] when it can, and then the chain's progress has
+    moved past it (a full clears a due full). Made under the lock commits
+    of the chain are made under, so an epoch is never admitted past a
+    lost batch. *)
+
+val rebase : chain -> Epoch_index.entry list -> unit
+(** The chain's committed entries are now these (a gc rewrote them, from
+    a full at or before its newest one): its progress stays, its image is
+    dropped. *)
+
 (** {1 Committing} *)
-
-type image
-(** A chain's committed image: what it has committed since its newest
-    full, as it committed it — that full's body with its records' ids,
-    offsets and places, and each incremental's since, added by
-    {!commit}. A fold lays the incrementals over the full by reference,
-    one int naming the newest record of each id, and copies no record.
-    Each store keeps one, a service one per tenant. It moves on only once
-    a {!commit} has succeeded, and is missing until a full commits in
-    this session (after a reopen, a gc or an evict), or once the
-    incrementals' bodies since its full would outgrow that full's; the
-    chain's next fold then reads the pack as a restore does
-    ({!Dir.live}). *)
-
-val image : unit -> image
-(** No image: the chain's next fold reads the pack. *)
-
-val forget : image -> unit
-(** Drop the image, as after a gc rewrote the chain's entries. *)
 
 type against
 (** What a full body was compared against when it was framed, and the
@@ -80,30 +123,27 @@ type body =
           {!commit} folds it, or cuts it every [records_per_chunk] records
           ({!Chunk.of_frames}) *)
 
-val body :
-  Ickpt_runtime.Schema.t -> records_per_chunk:int -> image ->
-  Epoch_index.entry list -> Segment.t -> body
-(** [body schema ~records_per_chunk image entries seg]: the segment's body
-    as {!commit} takes it, its framing walked once ([Framed]). Its arrays
-    are sized by the record count of the newest entry of the segment's
-    kind among the chain's committed [entries]: a full's by that count,
-    an incremental's by a quarter more. A full on a chain with an image is
-    framed in one pass against it: where the bytes at a record boundary
-    equal the chain's live record there, that comparison frames the
-    record; only the records that differ are framed by the schema. The
-    image read is a snapshot, so this may run outside the lock commits
-    are made under.
-    @raise Ickpt_core.Restore.Error on an unknown class id.
-    @raise Ickpt_stream.In_stream.Corrupt on a truncated record. *)
-
 (** One epoch to commit. *)
 type item = {
-  chain : int;  (** the chain it extends: a tenant id; ignored by {!plain} *)
+  chain : chain;  (** the chain it extends *)
   kind : Segment.kind;
   epoch : int;
   roots : int list;
   body : body;
 }
+
+val item : chain -> records_per_chunk:int -> Segment.t -> item
+(** The segment as {!commit} takes it, its framing walked once ([Framed])
+    with the chain's schema. Its arrays are sized by the record count of
+    the chain's newest committed entry of the segment's kind: a full's by
+    that count, an incremental's by a quarter more. A full on a chain
+    with an image is framed in one pass against it: where the bytes at a
+    record boundary equal the chain's live record there, that comparison
+    frames the record; only the records that differ are framed by the
+    schema. The entries and image read are a snapshot, so this may run
+    outside the lock commits are made under. Admits nothing.
+    @raise Ickpt_core.Restore.Error on an unknown class id.
+    @raise Ickpt_stream.In_stream.Corrupt on a truncated record. *)
 
 (** What a committed batch wrote. *)
 type 'a committed = {
@@ -121,17 +161,15 @@ val min_live_percent : int
     ones. *)
 
 val commit :
-  committed:(int -> Epoch_index.entry list * image) ->
   'a index -> Vfs.t -> path:string -> Pack.t -> item list -> 'a committed
 (** Commit a batch of epochs to the index file at [path].
 
-    [committed chain] is the chain's committed entries, oldest first, and
-    its image. A [Framed] full item whose chain has committed entries is
-    {e folded}: each of its body's records is compared byte for byte with
-    the chain's newest committed record of the same id. The comparison
-    {!body} made against the image is used if the image has not moved
-    since; otherwise the body is compared again with the image, or, if
-    the chain has none, with its live records as a restore reads them:
+    A [Framed] full item whose chain has committed entries is {e folded}:
+    each of its body's records is compared byte for byte with the chain's
+    newest committed record of the same id. The comparison {!item} made
+    against the image is used if the image has not moved since; otherwise
+    the body is compared again with the image, in the same one pass, or,
+    if the chain has none, with its live records as a restore reads them:
     {!Dir.live}, the directories since its newest full folded and the
     chunks some live record lies in read with one {!Pack.fetch}. Only
     committed state is read, never an item of the same batch. A record
@@ -145,9 +183,10 @@ val commit :
     corrupt chunk or a directory {!Dir.live} refuses, and every other
     item are committed whole, a [Framed] one cut first
     ({!Chunk.of_frames}).
-    Once the batch is committed, each chain's image moves on, in batch
-    order: a full starts a new one, a [Framed] incremental is laid over
-    it, and a [Split] item drops it.
+    Once the batch is committed, each item joins its chain's entries, in
+    batch order, and the chain's image moves on: a full starts a new one
+    (and clears a due full), a [Framed] incremental is laid over it, and a
+    [Split] item drops it.
 
     Then: resolve every new chunk against the pack ({!Pack.resolve}: each
     key hit byte-verified, collisions climbing the salt ladder, and one
@@ -167,8 +206,9 @@ val commit :
     crash before the index sync leaves pack bytes past the committed
     length and a torn index tail, which {!recover} cuts. The result,
     collisions included, exists only once the index is synced, so a failed
-    commit reports none. Continuity is not checked here
-    ({!Ickpt_core.Chain.continuity}). The empty batch performs no I/O. *)
+    commit reports none; it sets each item's chain back to its committed
+    entries with a full due, and re-raises. Continuity is not checked here
+    ({!admit}). The empty batch performs no I/O. *)
 
 (** {1 Reopening}
 
@@ -234,59 +274,8 @@ val segment : Ickpt_runtime.Schema.t -> Pack.t -> Epoch_index.entry -> Segment.t
 val logical_bytes : Epoch_index.entry list -> int
 (** The entries' segment body bytes, summed. *)
 
-(** {1 Taking checkpoints} *)
-
-type progress = {
-  next : int option;  (** the epoch the chain expects; [None] when empty *)
-  since_full_bytes : int;  (** incremental body bytes since the newest full *)
-  full_due : bool;
-      (** a taken epoch failed to commit: taking it cleared the heap's
-          modified flags, so the chain's next epoch must be full *)
-}
-(** What {!Ickpt_core.Policy.decide} reads of a chain. *)
-
-val progress : Epoch_index.entry list -> progress
-(** One chain's progress, derived from its committed entries (oldest
-    first) without reading a chunk. [full_due] is [false]. *)
-
-val failed : Epoch_index.entry list -> progress
-(** The progress of a chain whose taken epochs past its committed entries
-    were lost to a failed commit: numbered on from the committed entries,
-    with [full_due] set. *)
-
-(** A lost take cleared the modified flags of a heap that lives on in the
-    process, whatever store or service value took it: the process keeps,
-    per chain, that its next epoch must be full until a full one commits.
-    A chain is named by a [file] (a store's index file, a service's root)
-    and a [chain] in it (0, a tenant id). *)
-
-val mark_due : file:string -> chain:int -> unit
-(** A commit of the chain failed: its next epoch must be full, in this
-    process, across reopens. *)
-
-val note_commit : file:string -> chain:int -> Segment.kind -> unit
-(** An epoch of that kind committed on the chain: a full one clears what
-    {!mark_due} set. *)
-
-val resume : file:string -> chain:int -> Epoch_index.entry list -> progress
-(** The progress a reopened chain resumes with: {!failed} if a full is
-    due for it in this process ({!mark_due}), else {!progress}. *)
-
-val advance : progress -> Segment.t -> progress
-(** The progress once the segment extends the chain. A full segment
-    clears [full_due]. *)
-
-val refusal : progress -> Segment.t -> string option
-(** Why the segment cannot extend a chain of that progress, in words: a
-    break of {!Ickpt_core.Chain.continuity}, or an incremental while a
-    full is due. [None] when it can. *)
-
-val take :
-  Policy.t -> progress -> out:Ickpt_stream.Out_stream.t ->
-  (Segment.kind -> Ickpt_stream.Out_stream.t ->
-   Ickpt_runtime.Model.obj list -> unit) ->
-  Ickpt_runtime.Model.obj list -> Segment.t
-(** [take policy p ~out write roots]: the chain's next segment, of the kind
-    [policy] picks for [p] — full while [p.full_due] — its body recorded
-    by [write kind] into [out], which is reset first: a stream kept across
-    takes is grown once, not per take. Appends nothing. *)
+val id_index : int array -> int -> int
+(** [id_index ids id]: the index of [id]'s first occurrence in [ids], or
+    [-1], found as a fold finds an id among a full's: [id_index ids]
+    indexes them once, as an array of positions when they are dense, else
+    as the positions sorted by id, searched by halving. *)

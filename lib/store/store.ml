@@ -1,4 +1,3 @@
-open Ickpt_runtime
 open Ickpt_core
 
 exception Error of string
@@ -19,24 +18,22 @@ type collision = Epochs.collision = {
 type t = {
   vfs : Vfs.t;
   root : string;
-  schema : Schema.t;
   records_per_chunk : int;
   policy : Policy.t;
   pack : Pack.t;
-  mutable entries : Epoch_index.entry list;  (* oldest first *)
-  mutable progress : Epochs.progress;
+  chain : Epochs.chain;
   mutable index_bytes : int;  (* the index file's length *)
   mutable collided : collision list;  (* newest first; this session only *)
   mutable gc_unfinished : bool;
       (* a gc committed (its index is live) but its pack is not yet in
          place and in the table *)
-  out : Ickpt_stream.Out_stream.t;  (* the stream every take writes into *)
-  image : Epochs.image;  (* what the chain's next fold reads *)
 }
 
 let path t = t.root
 
-let schema t = t.schema
+let schema t = Epochs.schema t.chain
+
+let entries t = Epochs.entries t.chain
 
 (* ------------------------------------------------------------------ *)
 (* Open: sweep, truncate, validate.                                    *)
@@ -69,17 +66,13 @@ let open_ ?(vfs = Vfs.real) ?(records_per_chunk = Chunk.default_records_per_chun
   in
   { vfs;
     root;
-    schema;
     records_per_chunk;
     policy;
     pack;
-    entries;
-    progress = Epochs.resume ~file:index_file ~chain:0 entries;
+    chain = Epochs.chain ~file:index_file ~id:0 schema entries;
     index_bytes;
     collided = [];
-    gc_unfinished = false;
-    out = Ickpt_stream.Out_stream.create ();
-    image = Epochs.image () }
+    gc_unfinished = false }
 
 (* The second half of a committed gc, as [open_] finishes it: the staged
    pack is renamed into place, then the table is rebuilt from the new
@@ -90,7 +83,7 @@ let finish_gc t =
   let pack_file = pack_path t.root in
   let pack_tmp = Vfs.temp_of pack_file in
   if t.vfs.Vfs.exists pack_tmp then t.vfs.Vfs.rename ~src:pack_tmp ~dst:pack_file;
-  ignore (Pack.reload t.pack t.entries : int option list);
+  ignore (Pack.reload t.pack (entries t) : int option list);
   t.gc_unfinished <- false
 
 let pack t =
@@ -100,13 +93,13 @@ let pack t =
 (* ------------------------------------------------------------------ *)
 (* Lookup helpers.                                                     *)
 
-let epochs t = List.map (fun (e : Epoch_index.entry) -> e.epoch) t.entries
+let epochs t = List.map (fun (e : Epoch_index.entry) -> e.epoch) (entries t)
 
-let latest_epoch t = Epoch_index.newest t.entries
+let latest_epoch t = Epoch_index.newest (entries t)
 
 let entry_at t epoch =
   match
-    List.find_opt (fun (e : Epoch_index.entry) -> e.epoch = epoch) t.entries
+    List.find_opt (fun (e : Epoch_index.entry) -> e.epoch = epoch) (entries t)
   with
   | Some e -> e
   | None -> error "unknown epoch %d" epoch
@@ -127,35 +120,12 @@ type append_stats = {
 }
 
 let append_segment t (seg : Segment.t) =
-  Option.iter (error "%s") (Epochs.refusal t.progress seg);
-  (* The body is walked before anything is written: a malformed one is
-     refused here. *)
-  let body =
-    Epochs.body t.schema ~records_per_chunk:t.records_per_chunk t.image
-      t.entries seg
-  in
-  let index_file = index_path t.root in
-  let c =
-    try
-      Epochs.commit
-        ~committed:(fun _ -> (t.entries, t.image))
-        Epochs.plain t.vfs ~path:index_file (pack t)
-        [ { Epochs.chain = 0;
-            kind = seg.kind;
-            epoch = seg.seq;
-            roots = seg.roots;
-            body } ]
-    with e ->
-      (* The segment is lost, and with it the modified flags its taking
-         cleared: only a full epoch can follow. *)
-      let bt = Printexc.get_raw_backtrace () in
-      t.progress <- { t.progress with full_due = true };
-      Epochs.mark_due ~file:index_file ~chain:0;
-      Printexc.raise_with_backtrace e bt
-  in
-  Epochs.note_commit ~file:index_file ~chain:0 seg.kind;
-  t.entries <- t.entries @ c.entries;
-  t.progress <- Epochs.advance t.progress seg;
+  let pack = pack t in
+  (* The body is walked before the segment is admitted or anything
+     written: a malformed one is refused here. *)
+  let it = Epochs.item t.chain ~records_per_chunk:t.records_per_chunk seg in
+  Option.iter (error "%s") (Epochs.admit t.chain seg);
+  let c = Epochs.commit Epochs.plain t.vfs ~path:(index_path t.root) pack [ it ] in
   t.index_bytes <- t.index_bytes + c.index_bytes;
   t.collided <- List.rev_append c.collisions t.collided;
   { chunks_total =
@@ -170,7 +140,10 @@ let append_segment t (seg : Segment.t) =
 let collisions t = List.rev t.collided
 
 let take t roots write =
-  let seg = Epochs.take t.policy t.progress ~out:t.out write roots in
+  (* A gc's unfinished half runs before the take clears a modified flag:
+     if it fails again, no segment is lost. *)
+  ignore (pack t : Pack.t);
+  let seg = Epochs.take t.policy t.chain write roots in
   ignore (append_segment t seg : append_stats);
   seg.seq
 
@@ -184,11 +157,11 @@ let checkpoint_with t roots ~body =
 (* ------------------------------------------------------------------ *)
 (* Reading.                                                            *)
 
-let segment_of_epoch t epoch = Epochs.segment t.schema (pack t) (entry_at t epoch)
+let segment_of_epoch t epoch = Epochs.segment (schema t) (pack t) (entry_at t epoch)
 
 let restore t ~epoch =
   ignore (entry_at t epoch : Epoch_index.entry);
-  Dir.restore (Dir.reader (pack t) t.schema) ~entries:t.entries ~epoch
+  Dir.restore (pack t) (schema t) ~entries:(entries t) ~epoch
 
 (* ------------------------------------------------------------------ *)
 (* Diff.                                                               *)
@@ -197,9 +170,9 @@ let diff t a b =
   ignore (entry_at t a : Epoch_index.entry);
   ignore (entry_at t b : Epoch_index.entry);
   let pack = pack t in
-  let da = Dir.fold_in pack ~entries:t.entries ~epoch:a
-  and db = Dir.fold_in pack ~entries:t.entries ~epoch:b in
-  let record = Dir.record (Dir.reader pack t.schema) in
+  let da = Dir.fold_in pack ~entries:(entries t) ~epoch:a
+  and db = Dir.fold_in pack ~entries:(entries t) ~epoch:b in
+  let record = Dir.record (Dir.reader pack (schema t)) in
   let changes = ref [] in
   Dir.iter da (fun id ptr ->
       match Dir.find db id with
@@ -234,7 +207,7 @@ let refcounts t =
         (fun k ->
           Hashtbl.replace counts k (1 + Option.value ~default:0 (Hashtbl.find_opt counts k)))
         e.chunks)
-    t.entries;
+    (entries t);
   List.map (fun k -> (k, Hashtbl.find counts k)) keys
 
 type retention = Keep_all | Keep_last of int | Keep_from of int
@@ -249,7 +222,7 @@ let no_gc = { dropped_epochs = 0; dropped_chunks = 0; reclaimed_bytes = 0 }
 
 let gc t ~retain =
   let pack = pack t in
-  match t.entries with
+  match entries t with
   | [] -> no_gc
   | oldest :: _ ->
       let latest = Option.get (latest_epoch t) in
@@ -263,9 +236,10 @@ let gc t ~retain =
       in
       (* Widen down to the nearest full epoch so every retained epoch keeps
          a restorable base. *)
-      let base = Epoch_index.newest_full t.entries ~epoch:floor in
+      let all = entries t in
+      let base = Epoch_index.newest_full all ~epoch:floor in
       let kept =
-        List.filter (fun (e : Epoch_index.entry) -> e.epoch >= base) t.entries
+        List.filter (fun (e : Epoch_index.entry) -> e.epoch >= base) all
       in
       let kept_keys : (int, unit) Hashtbl.t = Hashtbl.create 256 in
       List.iter
@@ -275,7 +249,7 @@ let gc t ~retain =
       let dropped_chunks =
         List.length (List.filter (fun k -> not (Hashtbl.mem kept_keys k)) (Pack.keys pack))
       in
-      let dropped_epochs = List.length t.entries - List.length kept in
+      let dropped_epochs = List.length all - List.length kept in
       if dropped_epochs = 0 && dropped_chunks = 0 then no_gc
       else begin
         let old_bytes = Pack.physical_bytes pack in
@@ -302,9 +276,8 @@ let gc t ~retain =
               if t.vfs.Vfs.exists idx_tmp then Printexc.raise_with_backtrace e bt;
               Some (e, bt)
         in
-        t.entries <- kept;
+        Epochs.rebase t.chain kept;
         t.index_bytes <- index_bytes;
-        Epochs.forget t.image;
         t.gc_unfinished <- true;
         finish_gc t;
         Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) failed;
@@ -324,9 +297,9 @@ type stats = {
 
 let stats t =
   let pack = pack t in
-  let logical_bytes = Epochs.logical_bytes t.entries in
+  let logical_bytes = Epochs.logical_bytes (entries t) in
   let pack_bytes = Pack.physical_bytes pack in
-  { n_epochs = List.length t.entries;
+  { n_epochs = List.length (entries t);
     n_chunks = Pack.length pack;
     logical_bytes;
     physical_bytes = pack_bytes + t.index_bytes;
@@ -350,4 +323,4 @@ let salted_chunks t =
         find 1)
     (Pack.keys pack)
 
-let check t = Epochs.check Epochs.plain (pack t) ~who:(fun _ -> None) t.entries
+let check t = Epochs.check Epochs.plain (pack t) ~who:(fun _ -> None) (entries t)

@@ -42,13 +42,13 @@
     event is recorded ({!collisions}) for the caller to surface (the CLI
     reports it as a finding in the JSON envelope).
 
-    Where the rules live: the continuity rule is
-    {!Ickpt_core.Chain.continuity}, shared with the in-memory chain and
-    [Ickpt_service.Service]; committing an epoch (pack, then index), the
-    other chain rules (newest full epoch, reopen validation, {!check}),
-    the policy's inputs ({!Epochs.progress}) and entry → segment are
-    {!Epochs}, shared with the service; writing and reading back the
-    record files is {!Ickpt_core.Vfs.write_synced} and
+    Where the rules live: the store holds one {!Epochs.chain}, which owns
+    its committed entries, the policy's inputs, the due full after a
+    failed commit and the image a fold reads; committing an epoch (pack,
+    then index), the other chain rules (reopen validation, {!check}) and
+    entry → segment are {!Epochs}, shared with the service; continuity is
+    {!Ickpt_core.Chain.continuity}; writing and reading back the record
+    files is {!Ickpt_core.Vfs.write_synced} and
     [Ickpt_stream.In_stream.fold_intact]. *)
 
 open Ickpt_runtime
@@ -99,9 +99,9 @@ val checkpoint : t -> Model.obj list -> int
     committed and the store's next checkpoint is full, numbered right
     after its newest committed epoch: taking the lost one cleared the
     heap's modified flags. The process remembers this per index file
-    ({!Epochs.mark_due}) until a full epoch commits, so a store reopened
-    in the same process takes a full too. Every take writes into one
-    stream the store keeps, so a full take does not regrow its buffer. *)
+    until a full epoch commits ({!Epochs.chain}), so a store reopened in
+    the same process takes a full too. Every take writes into one stream
+    the store keeps, so a full take does not regrow its buffer. *)
 
 val checkpoint_with :
   t -> Model.obj list ->
@@ -133,7 +133,7 @@ val append_segment : t -> Segment.t -> append_stats
     @raise Error on kind/sequence violations, and on an incremental after
     a failed commit, until a full one commits (see {!checkpoint}).
     @raise Ickpt_core.Restore.Error or [Ickpt_stream.In_stream.Corrupt] on
-    a malformed body, before anything is written. *)
+    a malformed body, before the segment is admitted or anything written. *)
 
 type collision = Epochs.collision = {
   col_epoch : int;

@@ -129,9 +129,7 @@ let mux_roundtrip () =
   Vfs.write_synced vfs Append path (fun write ->
       write (String.concat "" (List.map encode_mux_entry ms)));
   let empty =
-    Epochs.commit
-      ~committed:(fun _ -> ([], Epochs.image ()))
-      Epochs.mux vfs ~path:"empty.idx"
+    Epochs.commit Epochs.mux vfs ~path:"empty.idx"
       (Pack.open_ ~vfs "mux.pack") []
   in
   check_int "the empty batch writes nothing" 0 empty.Epochs.bytes_written;
@@ -393,10 +391,8 @@ let policy_rejected () =
    are not its content. *)
 let seed_poison ?(chain = 0) index vfs ~pack ~idx key =
   ignore
-    (Epochs.commit
-       ~committed:(fun _ -> ([], Epochs.image ()))
-       index vfs ~path:idx (Pack.open_ ~vfs pack)
-       [ { Epochs.chain;
+    (Epochs.commit index vfs ~path:idx (Pack.open_ ~vfs pack)
+       [ { Epochs.chain = Test_store.bare_chain ~id:chain idx;
            kind = Segment.Full;
            epoch = 0;
            roots = [];

@@ -64,13 +64,15 @@ let located_list (e : Epoch_index.entry) =
 let entry_view (e : Epoch_index.entry) =
   (e.epoch, e.kind, e.roots, e.chunks, located_list e, dir_triples e)
 
+(* A chain of no entries in the index [idx], for committing chunks cut
+   already. *)
+let bare_chain ?(id = 0) idx = Epochs.chain ~file:idx ~id (Schema.create ()) []
+
 (* Commit [(key, data)] chunks as one full entry of the bare index [idx]
    next to the pack: the way a chunk enters a pack's table. *)
 let commit_chunks ?(idx = "p.idx") vfs pack ~epoch chunks =
-  Epochs.commit
-    ~committed:(fun _ -> ([], Epochs.image ()))
-    Epochs.plain vfs ~path:idx pack
-    [ { Epochs.chain = 0;
+  Epochs.commit Epochs.plain vfs ~path:idx pack
+    [ { Epochs.chain = bare_chain idx;
         kind = Segment.Full;
         epoch;
         roots = [];
@@ -900,14 +902,13 @@ let record_past_chunk_end () =
   let vfs = Sim.vfs (Sim.create ()) in
   let pack = Pack.open_ ~vfs "h.pack" in
   let committed =
-    Epochs.commit
-      ~committed:(fun _ -> ([], Epochs.image ()))
-      Epochs.plain vfs ~path:"h.idx" pack
-      [ { Epochs.chain = 0; kind = Segment.Full; epoch = 0; roots = [ 1 ];
+    Epochs.commit Epochs.plain vfs ~path:"h.idx" pack
+      [ { Epochs.chain = bare_chain "h.idx"; kind = Segment.Full; epoch = 0;
+          roots = [ 1 ];
           body = Split chunks } ]
   in
   let restore pack =
-    Dir.restore (Dir.reader pack schema) ~entries:committed.Epochs.entries
+    Dir.restore pack schema ~entries:committed.Epochs.entries
       ~epoch:0
   in
   List.iter
@@ -1920,10 +1921,8 @@ let pack_resolve_slices () =
     { Chunk.key = Hash64.sub src ~pos:off ~len; src; off; len; records = [||] }
   in
   let commit epoch chunks =
-    Epochs.commit
-      ~committed:(fun _ -> ([], Epochs.image ()))
-      Epochs.plain vfs ~path:"r.idx" p
-      [ { Epochs.chain = 0; kind = Segment.Full; epoch; roots = [];
+    Epochs.commit Epochs.plain vfs ~path:"r.idx" p
+      [ { Epochs.chain = bare_chain "r.idx"; kind = Segment.Full; epoch; roots = [];
           body = Split chunks } ]
   in
   let body = "..AAAA..BBBBB.." in
@@ -2027,9 +2026,8 @@ let take_stream_allocation () =
       { Ickpt_synth.Synth.default_config with Ickpt_synth.Synth.n_structures = 250 }
   in
   let roots = Ickpt_synth.Synth.roots synth in
-  let full = { Epochs.next = Some 1; since_full_bytes = 0; full_due = true } in
-  let out = Out_stream.create () in
-  let take () = Epochs.take Policy.Always_full full ~out Chain.generic roots in
+  let chain = bare_chain "take.idx" in
+  let take () = Epochs.take Policy.Always_full chain Chain.generic roots in
   ignore (take () : Segment.t);
   let seg, words = allocated take in
   let body_words = float_of_int ((String.length seg.Segment.body / 8) + 1) in
@@ -2048,7 +2046,7 @@ let take_stream_allocation () =
     Alcotest.failf "a second full checkpoint allocated %.0f words (body: %.0f)"
       words body_words
 
-(* A folded full's commit: {!Store.append_segment} (so {!Epochs.body}
+(* A folded full's commit: {!Store.append_segment} (so {!Epochs.item}
    and the commit) of the ninth epoch of the 6,500-object synth heap, a
    full after seven incrementals, folded against the store's image,
    allocates 91,367 words: the framing arrays and the view of the image,
@@ -3040,6 +3038,80 @@ let failed_full_keeps_image () =
   let _, failed = run ~fail:(Some op) in
   check_bool "the same files as a store that never failed" true (files = failed)
 
+(* A full framed against its chain's image and committed only after
+   another epoch of the chain moved the image on, as a service append
+   racing its tenant's batch is, is compared again with the moved image:
+   it folds, and writes the files of a full framed after that epoch. *)
+let stale_full () =
+  let t =
+    Ickpt_synth.Synth.build
+      { Ickpt_synth.Synth.default_config with
+        n_structures = 20; pct_modified = 25; modified_lists = 1; seed = 5 }
+  in
+  let schema = t.Ickpt_synth.Synth.schema in
+  let roots = Ickpt_synth.Synth.roots t in
+  let producer = Chain.create schema in
+  let segs =
+    Array.init 4 (fun r ->
+        if r > 0 then ignore (Ickpt_synth.Synth.mutate_round t : int);
+        (if r = 0 || r = 3 then Chain.take_full else Chain.take_incremental)
+          producer roots)
+    |> Array.map (fun (taken : Chain.taken) -> taken.segment)
+  in
+  let run ~stale =
+    let vfs = Sim.vfs (Sim.create ()) in
+    let pack = Pack.open_ ~vfs "f.pack" in
+    let chain = Epochs.chain ~file:"f.idx" ~id:0 schema [] in
+    let commit seg it =
+      check_bool "admitted" true (Epochs.admit chain seg = None);
+      ignore (Epochs.commit Epochs.plain vfs ~path:"f.idx" pack [ it ]
+        : _ Epochs.committed)
+    in
+    let append seg = commit seg (Epochs.item chain ~records_per_chunk:4 seg) in
+    append segs.(0);
+    append segs.(1);
+    if stale then begin
+      let full = Epochs.item chain ~records_per_chunk:4 segs.(3) in
+      append segs.(2);
+      commit segs.(3) full
+    end
+    else begin
+      append segs.(2);
+      append segs.(3)
+    end;
+    check_bool "the full folded" true (List.nth (Epochs.entries chain) 3).folded;
+    List.map vfs.Vfs.read_file [ "f.pack"; "f.idx" ]
+  in
+  check_bool "a stale full writes the same files" true
+    (run ~stale:true = run ~stale:false)
+
+(* The lookup a fold makes among a full's ids finds each id's first
+   index, as a linear scan does: over dense ids (an array of positions)
+   and sparse ones (sorted positions searched by halving), each maybe
+   repeated, and ids the full lacks. *)
+let id_index_prop =
+  QCheck2.Test.make ~name:"id index agrees with a linear scan" ~count:300
+    QCheck2.Gen.(
+      triple
+        (oneofl [ 1; 2; 3; 1000; 1 lsl 40 ])
+        (int_range (-50) 50)
+        (list_size (int_range 0 60) (int_range 0 40)))
+    (fun (stride, base, picks) ->
+      let id k = base + (k * stride) in
+      let ids = Array.of_list (List.map id picks) in
+      let scan x =
+        let rec go i =
+          if i = Array.length ids then -1 else if ids.(i) = x then i else go (i + 1)
+        in
+        go 0
+      in
+      let find = Epochs.id_index ids in
+      List.for_all
+        (fun x -> find x = scan x)
+        (List.concat_map
+           (fun k -> [ id k; id k + 1; id k - 1 ])
+           (List.init 43 (fun k -> k - 1))))
+
 (* A heap that unlinks list elements between fulls: a folded full holds
    exactly the reachable objects, as a whole full of the same body does,
    in session and after a reopen, and no unlinked id comes back. *)
@@ -3339,6 +3411,7 @@ let suites =
         Alcotest.test_case "fold shared key" `Quick fold_shared_key;
         Alcotest.test_case "failed full keeps the image" `Quick
           failed_full_keeps_image;
+        Alcotest.test_case "stale full compared again" `Quick stale_full;
         Alcotest.test_case "growing heap" `Quick growing_heap ]
     );
     ( "store.manager",
@@ -3350,5 +3423,6 @@ let suites =
     ( "store.property",
       [ QCheck_alcotest.to_alcotest restore_roundtrip_prop;
         QCheck_alcotest.to_alcotest reshape_prop;
-        QCheck_alcotest.to_alcotest folded_fulls_prop ] )
+        QCheck_alcotest.to_alcotest folded_fulls_prop;
+        QCheck_alcotest.to_alcotest id_index_prop ] )
   ]
